@@ -10,8 +10,10 @@ bench     coarse wall-time measurements
 
 Matrix files are either headerless CSV (one row per line) or the "DPMT"
 binary format (magic, version u16, rows u32, cols u32, little-endian
-float64 row-major). Streaming commands consume rows through a one-pass
-iterator and never materialize the private matrix unless --oracle is given.
+float64 row-major). Streaming commands consume the input through a one-pass
+iterator of row chunks, each about one projection tile in size, feed each
+chunk to the mechanism's block ingest, and never materialize the private
+matrix unless --oracle is given.
 
 Exit codes: 0 success, 1 mechanism error, 2 usage error, 3 verification
 failure.
@@ -29,12 +31,11 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from . import guard, harness, numerics
+from . import guard, harness, numerics, sketch
 from .errors import DPSketchError, FormatError, ParameterDomainError
 from .lra import LraConfig, new_lra, reconstruct
 from .matprod import lifted_matrix, new_matprod
 from .regress import new_regress
-from .sketch import GaussianSketcher
 
 MATRIX_MAGIC = b"DPMT"
 MATRIX_VERSION = 1
@@ -113,40 +114,68 @@ def matrix_shape(path: str, fmt: str) -> Tuple[int, int]:
     return rows, cols
 
 
-def iter_matrix_rows(path: str, fmt: str) -> Iterator[Tuple[int, np.ndarray]]:
-    """One-pass row iterator; entries are parsed exactly once."""
+def _chunk_rows(cols: int) -> int:
+    # A chunk holds about as many entries as one projection tile.
+    return max(1, sketch.TILE_ENTRIES // max(cols, 1))
+
+
+def iter_matrix_chunks(path: str, fmt: str) -> Iterator[Tuple[int, np.ndarray]]:
+    """One-pass iterator of (i0, block): rows i0, i0+1, ... as a 2-D block.
+
+    Entries are parsed exactly once. Binary payloads are read with one
+    ``read`` per chunk. Errors name the global row (binary) or the line
+    (CSV) at fault, whichever chunk it falls in.
+    """
     if fmt == "dpbin":
         rows, cols = matrix_shape(path, fmt)
+        step = _chunk_rows(cols)
         with open(path, "rb") as fh:
             fh.seek(_MATRIX_HEADER.size)
-            for i in range(rows):
-                buf = fh.read(8 * cols)
-                if len(buf) != 8 * cols:
+            for i0 in range(0, rows, step):
+                k = min(step, rows - i0)
+                buf = fh.read(8 * cols * k)
+                if len(buf) != 8 * cols * k:
                     raise FormatError(
-                        f"matrix payload truncated at offset {_MATRIX_HEADER.size + 8 * cols * i + len(buf)}"
+                        f"matrix payload truncated at offset {_MATRIX_HEADER.size + 8 * cols * i0 + len(buf)}"
                     )
-                row = np.frombuffer(buf, dtype="<f8")
-                if not np.isfinite(row).all():
-                    raise FormatError(f"non-finite entry in binary row {i}")
-                yield i, row
+                block = np.frombuffer(buf, dtype="<f8").reshape(k, cols)
+                bad = ~np.isfinite(block).all(axis=1)
+                if bad.any():
+                    raise FormatError(f"non-finite entry in binary row {i0 + int(bad.argmax())}")
+                yield i0, block
         return
     expected = None
-    i = 0
+    i0 = 0
+    pending = []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             row = _parse_csv_line(line, lineno, expected)
-            expected = row.size
-            yield i, row
-            i += 1
+            if expected is None:
+                expected = row.size
+                step = _chunk_rows(expected)
+            pending.append(row)
+            if len(pending) == step:
+                yield i0, np.vstack(pending)
+                i0 += step
+                pending = []
+    if pending:
+        yield i0, np.vstack(pending)
+
+
+def iter_matrix_rows(path: str, fmt: str) -> Iterator[Tuple[int, np.ndarray]]:
+    """One-pass row iterator; entries are parsed exactly once."""
+    for i0, block in iter_matrix_chunks(path, fmt):
+        for k, row in enumerate(block):
+            yield i0 + k, row
 
 
 def load_matrix(path: str, fmt: str) -> np.ndarray:
-    rows = [row for _, row in iter_matrix_rows(path, fmt)]
-    if not rows:
+    blocks = [block for _, block in iter_matrix_chunks(path, fmt)]
+    if not blocks:
         raise FormatError("empty matrix")
-    return np.vstack(rows)
+    return np.vstack(blocks)
 
 
 def parse_args(argv) -> RunConfig:
@@ -237,8 +266,8 @@ def _run_lra(cfg: RunConfig) -> dict:
         halve_budget=cfg.halve_budget, lift_constant=cfg.constant_c,
     )
     state = new_lra(lcfg)
-    for i, row in iter_matrix_rows(cfg.input, cfg.fmt):
-        state.ingest_row(i, row)
+    for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
+        state.ingest_rows(i0, block)
     factor = state.finalize()
     report = _base_report(cfg)
     report["space_entries"] = state.space_entries()
@@ -282,10 +311,10 @@ def _run_multiply(cfg: RunConfig) -> dict:
     if n != nb:
         raise DPSketchError(f"row counts differ: A has {n}, B has {nb}")
     state = new_matprod(n, d1, d2, cfg.budget(), cfg.accuracy(), cfg.seed)
-    for i, row in iter_matrix_rows(cfg.input, cfg.fmt):
-        state.ingest_a_row(i, row)
-    for i, row in iter_matrix_rows(cfg.input_b, cfg.fmt):
-        state.ingest_b_row(i, row)
+    for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
+        state.ingest_a_rows(i0, block)
+    for i0, block in iter_matrix_chunks(cfg.input_b, cfg.fmt):
+        state.ingest_b_rows(i0, block)
     estimate = state.product_query()
     report = _base_report(cfg)
     report["space_entries"] = state.space_entries()
@@ -321,10 +350,10 @@ def _run_regress(cfg: RunConfig) -> dict:
     if n != nb:
         raise DPSketchError(f"row counts differ: A has {n}, queries have {nb}")
     state = new_regress(n, d, cfg.budget(), cfg.accuracy(), cfg.seed)
-    for i, row in iter_matrix_rows(cfg.input, cfg.fmt):
-        state.ingest_row(i, row)
+    for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
+        state.ingest_rows(i0, block)
     queries = load_matrix(cfg.input_b, cfg.fmt)
-    solutions = np.column_stack([state.query(queries[:, j]) for j in range(n_queries)])
+    solutions = state.query_many(queries)
     report = _base_report(cfg)
     report["space_entries"] = state.space_entries()
     required = guard.sigma_min_psg1(cfg.budget(), state.r)
@@ -385,7 +414,7 @@ def _run_verify(cfg: RunConfig) -> Tuple[dict, bool]:
 def _run_bench(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
     timings = {}
-    sk = GaussianSketcher(cfg.seed, r=64, m=256)
+    sk = sketch.GaussianSketcher(cfg.seed, r=64, m=256)
     v = np.linspace(-1.0, 1.0, 256)
     t = time.perf_counter()
     for _ in range(2000):

@@ -108,23 +108,6 @@ def exact_product(a, b) -> np.ndarray:
     return ma.T @ mb
 
 
-def two_pass_reference(a, omega, k: int) -> np.ndarray:
-    """Two-pass randomized range-finder baseline for the non-private check.
-
-    Sketches the range from a @ omega, then uses a second pass over ``a``
-    to form the core matrix exactly, truncating to the top-k eigenpairs.
-    """
-    m = numerics.as_matrix(a)
-    psi = numerics.orthonormal_range(m @ omega).basis
-    core = psi.T @ m @ psi
-    core = (core + core.T) / 2.0
-    lam, ub = np.linalg.eigh(core)
-    order = np.argsort(-np.abs(lam), kind="stable")[:k]
-    uk = psi @ ub[:, order]
-    out = (uk * lam[order]) @ uk.T
-    return (out + out.T) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Random-matrix lemma verifiers
 
@@ -335,8 +318,7 @@ def _lra_trial(config: LraConfig, trial_seed: int, norm: str):
     else:
         a = rng.standard_normal((config.n, config.d))
     state = new_lra(replace(config, seed=trial_seed))
-    for i in range(config.n):
-        state.ingest_row(i, a[i, :])
+    state.ingest_rows(0, a)
     approx = reconstruct(state.finalize(), config)
     sigma = numerics.svd(a).sigma
     tail_sq = float(np.sum(sigma[config.k :] ** 2))
@@ -409,8 +391,7 @@ def nonprivate_sanity_check(
         decay = np.array([10.0 / (j + 1.0) ** 2 for j in range(n)])
         a = (q * decay) @ q.T
         state = new_lra(cfg)
-        for i in range(n):
-            state.ingest_row(i, a[i, :])
+        state.ingest_rows(0, a)
         psi = numerics.orthonormal_range(state.y1).basis
         lhs[t] = float(np.linalg.norm(a - psi @ (psi.T @ a)))
         omega = np.random.default_rng(9_000 + s).standard_normal((n, k + cfg.oversample))
@@ -451,10 +432,8 @@ def mc_unbiased_product(
     total_sq = np.zeros((d1, d2))
     for t in range(trials):
         state = new_matprod(n, d1, d2, budget, acc, seed=seed + 1 + t)
-        for j in range(d1):
-            state.ingest_a_column(j, a[:, j])
-        for j in range(d2):
-            state.ingest_b_column(j, b[:, j])
+        state.ingest_a_columns(0, a)
+        state.ingest_b_columns(0, b)
         estimate = state.product_query()
         total += estimate
         total_sq += estimate * estimate
@@ -480,10 +459,8 @@ def _matprod_trial(n, d1, d2, budget, acc, trial_seed):
     a = rng.standard_normal((n, d1))
     b = rng.standard_normal((n, d2))
     state = new_matprod(n, d1, d2, budget, acc, trial_seed)
-    for j in range(d1):
-        state.ingest_a_column(j, a[:, j])
-    for j in range(d2):
-        state.ingest_b_column(j, b[:, j])
+    state.ingest_a_columns(0, a)
+    state.ingest_b_columns(0, b)
     estimate = state.product_query()
     lhs = float(np.linalg.norm(exact_product(a, b) - estimate))
     rhs = acc.alpha * float(np.linalg.norm(a)) * float(
@@ -529,8 +506,7 @@ def _regress_trial(n, d, budget, acc, trial_seed):
     x0 = rng.standard_normal(d)
     b = a @ x0 + rng.standard_normal(n)
     state = new_regress(n, d, budget, acc, trial_seed)
-    for j in range(d):
-        state.ingest_column(j, a[:, j])
+    state.ingest_columns(0, a)
     x = state.query(b)
     lhs = float(np.linalg.norm(a @ x - b))
     optimum = float(np.linalg.norm(a @ exact_lsq(a, b) - b))

@@ -106,24 +106,34 @@ class LraState:
             total += self.y2.size
         return int(total)
 
-    def ingest_row(self, i: int, row) -> None:
-        """Consume row i of the input exactly once (one-pass contract)."""
+    def ingest_rows(self, i0: int, rows) -> None:
+        """Consume rows i0, i0+1, ... of the input, each exactly once.
+
+        ``rows`` is a k x width block; the whole block is refused, before
+        any state changes, if one of its rows was already ingested.
+        """
         if self._finalized:
             raise ContractViolationError("state already finalized")
         cfg = self.config
-        if not (0 <= i < cfg.n):
-            raise ContractViolationError(f"row index {i} outside [0, {cfg.n})")
-        if self._ingested[i]:
-            raise OnePassViolationError(f"row {i} was already ingested")
-        x = numerics.as_vector(row, "row")
+        x = numerics.as_matrix(rows, "rows")
+        i1 = i0 + x.shape[0]
+        if not (0 <= i0 <= i1 <= cfg.n):
+            raise ContractViolationError(f"rows [{i0}, {i1}) outside [0, {cfg.n})")
+        seen = np.flatnonzero(self._ingested[i0:i1])
+        if seen.size:
+            raise OnePassViolationError(f"row {i0 + int(seen[0])} was already ingested")
         width = cfg.n if cfg.symmetric else cfg.d
-        if x.size != width:
-            raise ContractViolationError(f"row length {x.size}, expected {width}")
-        self.y1[i, :] = self.w * self.omega1[i, :] + x @ self.omega2
+        if x.shape[1] != width:
+            raise ContractViolationError(f"row length {x.shape[1]}, expected {width}")
+        self.y1[i0:i1, :] = self.w * self.omega1[i0:i1, :] + x @ self.omega2
         if not cfg.symmetric:
-            self.y2 += np.outer(x, self.omega1[i, :])
-        self._ingested[i] = True
-        self.rows_seen += 1
+            self.y2 += x.T @ self.omega1[i0:i1, :]
+        self._ingested[i0:i1] = True
+        self.rows_seen += x.shape[0]
+
+    def ingest_row(self, i: int, row) -> None:
+        """Consume row i of the input exactly once (one-pass contract)."""
+        self.ingest_rows(i, numerics.as_vector(row, "row")[None, :])
 
     def finalize(self) -> LowRankFactor:
         """Solve the projection step and publish the top-k eigenpairs."""

@@ -60,44 +60,31 @@ class MatProdState:
         """Retained entries: the two sketches (omega is regenerated on demand)."""
         return int(self.ya.data.size + self.yb.data.size)
 
-    def _data_block(self) -> np.ndarray:
-        _m, lo, hi = lift_layout(self.n, self.d)
-        return self.sketcher.column_block(lo, hi)
+    def ingest_a_columns(self, j0: int, cols) -> None:
+        """Add columns j0, j0+1, ... of A, given as the columns of ``cols``."""
+        ingest_data_columns(self.sketcher, self.ya, self.n, self.d, j0, cols)
 
-    def _ingest(self, sk: Sketch, width: int, col_index: int, col) -> None:
-        if not (0 <= col_index < width):
-            raise ContractViolationError(f"column {col_index} outside [0, {width})")
-        x = numerics.as_vector(col, "column")
-        if x.size != self.n:
-            raise ContractViolationError(f"column length {x.size}, expected {self.n}")
-        if not x.any():
-            return
-        sk.data[:, col_index] += self._data_block() @ x
+    def ingest_b_columns(self, j0: int, cols) -> None:
+        ingest_data_columns(self.sketcher, self.yb, self.n, self.d, j0, cols)
+
+    def ingest_a_rows(self, i0: int, rows) -> None:
+        """Add rows i0, i0+1, ... of A, given as the rows of ``rows``."""
+        ingest_data_rows(self.sketcher, self.ya, self.n, self.d, i0, rows)
+
+    def ingest_b_rows(self, i0: int, rows) -> None:
+        ingest_data_rows(self.sketcher, self.yb, self.n, self.d, i0, rows)
 
     def ingest_a_column(self, a: int, col) -> None:
-        self._ingest(self.ya, self.d1, a, col)
+        self.ingest_a_columns(a, numerics.as_vector(col, "column")[:, None])
 
     def ingest_b_column(self, b: int, col) -> None:
-        self._ingest(self.yb, self.d2, b, col)
-
-    def _ingest_row(self, sk: Sketch, width: int, i: int, row) -> None:
-        # Row-streaming adapter: one turnstile rank-1 update touching a
-        # single on-demand column of omega, so streaming never materializes
-        # the projection.
-        if not (0 <= i < self.n):
-            raise ContractViolationError(f"row index {i} outside [0, {self.n})")
-        x = numerics.as_vector(row, "row")
-        if x.size != width:
-            raise ContractViolationError(f"row length {x.size}, expected {width}")
-        _m, lo, _hi = lift_layout(self.n, self.d)
-        omega_col = self.sketcher.column_block(lo + i, lo + i + 1)[:, 0]
-        sk.data += np.outer(omega_col, x)
+        self.ingest_b_columns(b, numerics.as_vector(col, "column")[:, None])
 
     def ingest_a_row(self, i: int, row) -> None:
-        self._ingest_row(self.ya, self.d1, i, row)
+        self.ingest_a_rows(i, numerics.as_vector(row, "row")[None, :])
 
     def ingest_b_row(self, i: int, row) -> None:
-        self._ingest_row(self.yb, self.d2, i, row)
+        self.ingest_b_rows(i, numerics.as_vector(row, "row")[None, :])
 
     def product_query(self) -> np.ndarray:
         """Estimate A.T @ B from the sketches.
@@ -129,6 +116,44 @@ class MatProdState:
         merged.ya.data[:] = self.ya.data + other.ya.data - lift_a
         merged.yb.data[:] = self.yb.data + other.yb.data - lift_b
         return merged
+
+
+def ingest_data_columns(
+    sketcher: GaussianSketcher, sk: Sketch, n: int, d: int, j0: int, cols
+) -> None:
+    """Add omega_data @ cols into sketch columns [j0, j0 + cols.shape[1]).
+
+    omega_data is the data block of the lift layout; it is regenerated one
+    tile at a time, once for the whole block of columns.
+    """
+    x = numerics.as_matrix(cols, "columns")
+    if x.shape[0] != n:
+        raise ContractViolationError(f"column length {x.shape[0]}, expected {n}")
+    j1 = j0 + x.shape[1]
+    if not (0 <= j0 <= j1 <= sk.col_count):
+        raise ContractViolationError(f"columns [{j0}, {j1}) outside [0, {sk.col_count})")
+    if not x.any():
+        return
+    _m, lo, _hi = lift_layout(n, d)
+    sk.data[:, j0:j1] += sketcher.project(lo, x)
+
+
+def ingest_data_rows(
+    sketcher: GaussianSketcher, sk: Sketch, n: int, d: int, i0: int, rows
+) -> None:
+    """Add the turnstile update of data rows [i0, i0 + rows.shape[0]).
+
+    Row i touches only projection column lo + i, so a block of rows is one
+    matmul per tile of those columns.
+    """
+    x = numerics.as_matrix(rows, "rows")
+    if x.shape[1] != sk.col_count:
+        raise ContractViolationError(f"row length {x.shape[1]}, expected {sk.col_count}")
+    i1 = i0 + x.shape[0]
+    if not (0 <= i0 <= i1 <= n):
+        raise ContractViolationError(f"rows [{i0}, {i1}) outside [0, {n})")
+    _m, lo, _hi = lift_layout(n, d)
+    sk.data += sketcher.project(lo + i0, x)
 
 
 def _lift_part(sketcher: GaussianSketcher, s: float, width: int) -> np.ndarray:

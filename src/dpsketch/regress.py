@@ -1,9 +1,10 @@
 """Differentially private linear regression from a sketched design matrix.
 
 The design matrix is lifted and sketched once (same layout as the multiply
-mechanism); each query vector is sketched lazily with the same seeded
-projection and the sketched least-squares problem is solved through the
-minimal-residual kernel on its normal system.
+mechanism), by rows or columns, one block at a time. A block of query
+vectors is sketched with the same seeded projection in one pass over its
+tiles, and the sketched least-squares problems are solved together through
+the minimal-residual kernel on their shared normal system.
 
 The returned solution is the raw minimizer of the lifted problem, which is
 a ridge regression with penalty s^2: users expecting ordinary
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import guard, numerics
 from .errors import BudgetExhaustedError, ContractViolationError, SpectralGuardError
-from .matprod import lift_layout
+from .matprod import ingest_data_columns, ingest_data_rows, lift_layout
 from .sketch import GaussianSketcher, Sketch
 
 
@@ -39,54 +40,52 @@ class RegressState:
     def space_entries(self) -> int:
         return int(self.ya.data.size)
 
-    def _data_block(self) -> np.ndarray:
-        _m, lo, hi = lift_layout(self.n, self.d)
-        return self.sketcher.column_block(lo, hi)
+    def ingest_columns(self, j0: int, cols) -> None:
+        """Add columns j0, j0+1, ... of A, given as the columns of ``cols``."""
+        ingest_data_columns(self.sketcher, self.ya, self.n, self.d, j0, cols)
+
+    def ingest_rows(self, i0: int, rows) -> None:
+        """Add rows i0, i0+1, ... of A, given as the rows of ``rows``."""
+        ingest_data_rows(self.sketcher, self.ya, self.n, self.d, i0, rows)
 
     def ingest_column(self, c: int, col) -> None:
-        if not (0 <= c < self.d):
-            raise ContractViolationError(f"column {c} outside [0, {self.d})")
-        x = numerics.as_vector(col, "column")
-        if x.size != self.n:
-            raise ContractViolationError(f"column length {x.size}, expected {self.n}")
-        if not x.any():
-            return
-        self.ya.data[:, c] += self._data_block() @ x
+        self.ingest_columns(c, numerics.as_vector(col, "column")[:, None])
 
     def ingest_row(self, i: int, row) -> None:
-        # Row-streaming adapter: rank-1 turnstile update against one
-        # on-demand projection column.
-        if not (0 <= i < self.n):
-            raise ContractViolationError(f"row index {i} outside [0, {self.n})")
-        x = numerics.as_vector(row, "row")
-        if x.size != self.d:
-            raise ContractViolationError(f"row length {x.size}, expected {self.d}")
+        self.ingest_rows(i, numerics.as_vector(row, "row")[None, :])
+
+    def query_many(self, b) -> np.ndarray:
+        """Answer min_x ||A x - b_j|| for every column b_j of the n x q ``b``.
+
+        Each query vector is lifted with zero identity coordinates (only the
+        design matrix carries the lift), sketched with the same projection,
+        and the sketched problem ||Ya x - Yb_j|| is minimized through the
+        normal system. Dividing both sides by r would not change the
+        minimizer, so no rescaling is applied. All q columns are sketched in
+        one pass over the projection tiles and count as q queries; when
+        fewer than q remain under the ceiling, none is answered.
+
+        Returns the d x q matrix of solutions.
+        """
+        x = numerics.as_matrix(b, "b")
+        if x.shape[0] != self.n:
+            raise ContractViolationError(f"query length {x.shape[0]}, expected {self.n}")
+        q = x.shape[1]
+        if self.query_ceiling is not None and self.queries_answered + q > self.query_ceiling:
+            raise BudgetExhaustedError(
+                f"{q} queries exceed the ceiling of {self.query_ceiling} "
+                f"({self.queries_answered} already answered)"
+            )
         _m, lo, _hi = lift_layout(self.n, self.d)
-        omega_col = self.sketcher.column_block(lo + i, lo + i + 1)[:, 0]
-        self.ya.data += np.outer(omega_col, x)
+        yb = self.sketcher.project(lo, x)
+        gram = self.ya.data.T @ self.ya.data
+        solutions = numerics.minres_solve(gram, (self.ya.data.T @ yb).T)
+        self.queries_answered += q
+        return solutions.T
 
     def query(self, b) -> np.ndarray:
-        """Answer min_x ||A x - b|| from the sketch.
-
-        The query vector is lifted with zero identity coordinates (only the
-        design matrix carries the lift), sketched with the same projection,
-        and the sketched problem ||Ya x - Yb|| is minimized through the
-        normal system. Dividing both sides by r would not change the
-        minimizer, so no rescaling is applied.
-        """
-        if self.query_ceiling is not None and self.queries_answered >= self.query_ceiling:
-            raise BudgetExhaustedError(
-                f"query ceiling of {self.query_ceiling} reached"
-            )
-        x = numerics.as_vector(b, "b")
-        if x.size != self.n:
-            raise ContractViolationError(f"query length {x.size}, expected {self.n}")
-        yb = self._data_block() @ x
-        gram = self.ya.data.T @ self.ya.data
-        rhs = (self.ya.data.T @ yb)[None, :]
-        solution = numerics.minres_solve(gram, rhs)[0]
-        self.queries_answered += 1
-        return solution
+        """Answer min_x ||A x - b|| for one length-n vector (see query_many)."""
+        return self.query_many(numerics.as_vector(b, "b")[:, None])[:, 0]
 
     def composed_budget(self, delta_prime: float) -> guard.PrivacyBudget:
         """Budget consumed by the queries answered so far, by composition."""

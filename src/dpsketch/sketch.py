@@ -22,6 +22,11 @@ _U64 = (1 << 64) - 1
 # Per-sketcher float64 entry budget (1 GiB of matrix).
 MAX_SKETCH_ENTRIES = 1 << 27
 
+# Float64 entries per regenerated projection tile (512 KiB). Block ingest,
+# block queries, the moment check and the CLI's chunked readers all walk
+# their ranges in pieces of this size.
+TILE_ENTRIES = 1 << 16
+
 MAGIC = b"DPSK"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHBIIIQQ")
@@ -102,6 +107,30 @@ class GaussianSketcher:
             return self._omega[:, j0:j1]
         return self._generate_block(j0, j1)
 
+    def _tile_width(self) -> int:
+        # As many columns as fit in TILE_ENTRIES, at least one.
+        return max(1, TILE_ENTRIES // self.r)
+
+    def tiles(self, j0: int, j1: int):
+        """Yield (t0, t1, column_block(t0, t1)) covering columns [j0, j1).
+
+        Each tile is regenerated once and can be dropped after use, so a
+        pass over any range holds at most one tile of the projection.
+        """
+        if not (0 <= j0 <= j1 <= self.m):
+            raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {self.m})")
+        width = self._tile_width()
+        for t0 in range(j0, j1, width):
+            t1 = min(t0 + width, j1)
+            yield t0, t1, self.column_block(t0, t1)
+
+    def project(self, j0: int, x: np.ndarray) -> np.ndarray:
+        """omega[:, j0:j0+len(x)] @ x for a 2-D block x, one tile at a time."""
+        out = np.zeros((self.r, x.shape[1]))
+        for t0, t1, tile in self.tiles(j0, j0 + x.shape[0]):
+            out += tile @ x[t0 - j0 : t1 - j0]
+        return out
+
     @property
     def omega(self) -> np.ndarray:
         """The full r x m matrix (regenerated per call when not stored)."""
@@ -113,7 +142,7 @@ class GaussianSketcher:
             mean = float(self._omega.mean())
             var = float(self._omega.var())
         else:
-            chunk = max(1, 65536 // self.r)
+            chunk = self._tile_width()
             total = 0.0
             total_sq = 0.0
             for j0 in range(0, self.m, chunk):

@@ -1,9 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from dpsketch import cli
+from dpsketch import cli, sketch
 from dpsketch.errors import FormatError
 
 
@@ -106,6 +107,57 @@ class TestMatrixIo:
         np.testing.assert_array_equal(rows[2][1], [5.0, 6.0])
 
 
+class TestChunkedReader:
+    def _dpmt(self, tmp_path, m):
+        p = tmp_path / "m.dpmt"
+        cli.save_matrix(str(p), m)
+        return p
+
+    @pytest.fixture(autouse=True)
+    def four_row_chunks(self, monkeypatch):
+        # Three-column inputs are then read in chunks of four rows.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+
+    @pytest.mark.parametrize("fmt", ["csv", "dpbin"])
+    def test_chunks_cover_matrix_in_order(self, tmp_path, fmt):
+        m = np.random.default_rng(2).standard_normal((10, 3))
+        if fmt == "csv":
+            p = tmp_path / "m.csv"
+            write_csv(p, m)
+        else:
+            p = self._dpmt(tmp_path, m)
+        chunks = list(cli.iter_matrix_chunks(str(p), fmt))
+        assert [i0 for i0, _ in chunks] == [0, 4, 8]
+        assert [c.shape for _, c in chunks] == [(4, 3), (4, 3), (2, 3)]
+        assert np.array_equal(np.vstack([c for _, c in chunks]), m)
+
+    def test_dpbin_truncated_chunk_reports_offset(self, tmp_path):
+        p = self._dpmt(tmp_path, np.ones((10, 3)))
+        data = p.read_bytes()
+        p.write_bytes(data[:-7])
+        with pytest.raises(FormatError, match=f"offset {len(data) - 7}"):
+            list(cli.iter_matrix_chunks(str(p), "dpbin"))
+
+    def test_dpbin_non_finite_in_later_chunk_names_global_row(self, tmp_path):
+        p = self._dpmt(tmp_path, np.ones((10, 3)))
+        raw = bytearray(p.read_bytes())
+        offset = cli._MATRIX_HEADER.size + 8 * (9 * 3 + 1)
+        raw[offset : offset + 8] = struct.pack("<d", float("inf"))
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="binary row 9"):
+            list(cli.iter_matrix_chunks(str(p), "dpbin"))
+        with pytest.raises(FormatError, match="binary row 9"):
+            cli.load_matrix(str(p), "dpbin")
+
+    def test_csv_errors_in_later_chunk_name_the_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("1,2,3\n3,4,5\n\n5,6,7\n7,8,9\n8,9,10,11\n")
+        with pytest.raises(FormatError, match="ragged row at line 6"):
+            list(cli.iter_matrix_chunks(str(p), "csv"))
+        p.write_text("1,2,3\n3,4,5\n5,6,7\n\n7,8,9\n7,nan,1\n")
+        with pytest.raises(FormatError, match="non-finite entry at line 6"):
+            list(cli.iter_matrix_chunks(str(p), "csv"))
+
 class TestCommands:
     def test_lra_end_to_end(self, small_matrices, tmp_path):
         _, _, pa, _ = small_matrices
@@ -181,3 +233,28 @@ class TestCommands:
         rc = cli.main(["verify", "--seed", "1"])
         capsys.readouterr()
         assert rc == 3
+
+    @pytest.mark.parametrize("command", ["lra", "multiply", "regress"])
+    def test_small_tiles_give_the_same_release(self, tmp_path, monkeypatch, command):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((40, 6))
+        pa, pb = tmp_path / "a.dpmt", tmp_path / "b.dpmt"
+        cli.save_matrix(str(pa), a)
+        cli.save_matrix(str(pb), rng.standard_normal((40, 3)))
+        args = [command, "--input", str(pa), "--format", "dpbin", "--seed", "3",
+                "--eps", "1", "--delta", "0.01", "--oracle"]
+        if command == "lra":
+            args += ["--rank", "2"]
+        else:
+            args += ["--input-b", str(pb), "--alpha", "0.5", "--beta", "0.2"]
+
+        def errors(tag):
+            rp = tmp_path / f"{tag}.json"
+            assert cli.main(args + ["--report", str(rp)]) == 0
+            oracle = json.loads(rp.read_text())["error_vs_oracle"]
+            return np.atleast_1d(oracle.get("frobenius_error", oracle.get("residuals")))
+
+        default = errors("default")
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 50)
+        small = errors("small")
+        assert np.allclose(small, default, rtol=1e-9, atol=0)

@@ -114,6 +114,60 @@ class TestIngest:
             state.finalize()
 
 
+class TestBlockIngest:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_blocks_equal_rows(self, symmetric):
+        rng = np.random.default_rng(13)
+        n, d = 17, (17 if symmetric else 11)
+        a = rng.standard_normal((n, d))
+        cfg = LraConfig(n=n, d=d, k=2, budget=BUDGET, seed=13, symmetric=symmetric)
+        by_row = stream_all(new_lra(cfg), a)
+        blocked = new_lra(cfg)
+        for i0, i1 in ((5, 12), (0, 5), (12, 13), (13, 17)):
+            blocked.ingest_rows(i0, a[i0:i1])
+        assert blocked.rows_seen == n and bool(blocked._ingested.all())
+        for got, want in ((blocked.y1, by_row.y1), (blocked.y2, by_row.y2)):
+            if want is not None:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        f_row, f_block = by_row.finalize(), blocked.finalize()
+        want = reconstruct(f_row, cfg)
+        got = reconstruct(f_block, cfg)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_overlap_rejected_before_any_change(self):
+        cfg = LraConfig(n=10, d=10, k=2, budget=BUDGET, seed=0, symmetric=True)
+        state = new_lra(cfg)
+        state.ingest_rows(4, np.ones((2, 10)))
+        y1 = state.y1.copy()
+        for i0, k in ((0, 5), (5, 3), (4, 2), (3, 7)):
+            with pytest.raises(OnePassViolationError):
+                state.ingest_rows(i0, np.ones((k, 10)))
+        with pytest.raises(OnePassViolationError):
+            state.ingest_row(5, np.ones(10))
+        assert np.array_equal(state.y1, y1) and state.rows_seen == 2
+        assert state._ingested.tolist() == [False] * 4 + [True] * 2 + [False] * 4
+
+    def test_range_and_width_checks(self):
+        cfg = LraConfig(n=10, d=6, k=2, budget=BUDGET, seed=0)
+        state = new_lra(cfg)
+        with pytest.raises(ContractViolationError):
+            state.ingest_rows(8, np.ones((3, 6)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_rows(-1, np.ones((2, 6)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_rows(0, np.ones((2, 10)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_row(10, np.ones(6))
+        assert state.rows_seen == 0
+
+    def test_ingest_after_finalize_refused(self):
+        cfg = LraConfig(n=8, d=8, k=2, budget=BUDGET, seed=0, symmetric=True)
+        state = stream_all(new_lra(cfg), np.eye(8))
+        state.finalize()
+        with pytest.raises(ContractViolationError):
+            state.ingest_rows(0, np.zeros((0, 8)))
+
+
 class TestFinalize:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_null_matrix_band(self, symmetric):

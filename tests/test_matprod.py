@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpsketch import guard
+from dpsketch import guard, sketch
 from dpsketch.errors import ContractViolationError, SpectralGuardError
 from dpsketch.harness import binomial_allowed, exact_product
 from dpsketch.matprod import lifted_matrix, new_matprod
@@ -84,6 +84,53 @@ class TestIngestion:
             state.ingest_a_column(5, np.zeros(30))
         with pytest.raises(ContractViolationError):
             state.ingest_b_column(-1, np.zeros(30))
+
+
+class TestBlockIngest:
+    @pytest.mark.parametrize("tile_cols", [1, 3, None])
+    def test_blocks_equal_rows_and_columns(self, monkeypatch, tile_cols):
+        if tile_cols is not None:
+            monkeypatch.setattr(sketch, "TILE_ENTRIES", tile_cols * guard.matmult_sketch_dim(ACC))
+        rng = np.random.default_rng(12)
+        n, d1, d2 = 23, 5, 3
+        a = rng.standard_normal((n, d1))
+        b = rng.standard_normal((n, d2))
+        by_row, by_col = make_state(n, d1, d2, seed=12), make_state(n, d1, d2, seed=12)
+        for i in range(n):
+            by_row.ingest_a_row(i, a[i, :])
+            by_row.ingest_b_row(i, b[i, :])
+        for j in range(d1):
+            by_col.ingest_a_column(j, a[:, j])
+        for j in range(d2):
+            by_col.ingest_b_column(j, b[:, j])
+        row_blocks, col_blocks = make_state(n, d1, d2, seed=12), make_state(n, d1, d2, seed=12)
+        for i0, i1 in ((0, 7), (7, 8), (8, 23)):
+            row_blocks.ingest_a_rows(i0, a[i0:i1])
+            row_blocks.ingest_b_rows(i0, b[i0:i1])
+        col_blocks.ingest_a_columns(0, a[:, :2])
+        col_blocks.ingest_a_columns(2, a[:, 2:])
+        col_blocks.ingest_b_columns(1, b[:, 1:])
+        col_blocks.ingest_b_columns(0, b[:, :1])
+        for blocked in (row_blocks, col_blocks):
+            for ref in (by_row, by_col):
+                for got, want in ((blocked.ya, ref.ya), (blocked.yb, ref.yb)):
+                    rel = np.linalg.norm(got.data - want.data) / np.linalg.norm(want.data)
+                    assert rel <= 1e-12
+
+    def test_block_range_and_shape_checks(self):
+        state = make_state(n=30, d1=5, d2=4)
+        with pytest.raises(ContractViolationError):
+            state.ingest_a_rows(28, np.ones((3, 5)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_b_rows(0, np.ones((3, 5)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_a_columns(4, np.ones((30, 2)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_b_columns(-1, np.ones((30, 1)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_b_columns(0, np.ones((29, 1)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_a_row(30, np.ones(5))
 
 
 class TestQuery:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpsketch import guard
+from dpsketch import guard, sketch
 from dpsketch.errors import BudgetExhaustedError, ContractViolationError
 from dpsketch.harness import binomial_allowed, exact_lsq
 from dpsketch.matprod import lift_layout, lifted_matrix
@@ -13,6 +13,17 @@ ACC = guard.AccuracySpec(0.5, 0.2)
 
 def make_state(n=30, d=4, seed=0, **kw):
     return new_regress(n, d, BUDGET, ACC, seed, **kw)
+
+
+def shrink_tiles(monkeypatch, tile_cols, d=4):
+    """Make each projection tile ``tile_cols`` columns wide (None: default)."""
+    if tile_cols is not None:
+        r = guard.linreg_sketch_dim(ACC, d)
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", tile_cols * r)
+
+
+def rel_diff(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
 class TestConstruction:
@@ -70,6 +81,90 @@ class TestIngestion:
             by_row.ingest_row(i, a[i, :])
         scale = np.linalg.norm(by_col.ya.data)
         assert np.linalg.norm(by_col.ya.data - by_row.ya.data) <= 1e-10 * scale
+
+
+class TestBlockIngest:
+    @pytest.mark.parametrize("tile_cols", [1, 3, None])
+    def test_blocks_equal_rows_and_columns(self, monkeypatch, tile_cols):
+        shrink_tiles(monkeypatch, tile_cols)
+        rng = np.random.default_rng(10)
+        n, d = 23, 4
+        a = rng.standard_normal((n, d))
+        by_row, by_col = make_state(n, d, seed=10), make_state(n, d, seed=10)
+        for i in range(n):
+            by_row.ingest_row(i, a[i, :])
+        for j in range(d):
+            by_col.ingest_column(j, a[:, j])
+        row_blocks, col_blocks = make_state(n, d, seed=10), make_state(n, d, seed=10)
+        for i0, i1 in ((0, 5), (5, 17), (17, 23)):
+            row_blocks.ingest_rows(i0, a[i0:i1])
+        col_blocks.ingest_columns(0, a[:, :1])
+        col_blocks.ingest_columns(1, a[:, 1:])
+        for blocked in (row_blocks, col_blocks):
+            assert rel_diff(blocked.ya.data, by_row.ya.data) <= 1e-12
+            assert rel_diff(blocked.ya.data, by_col.ya.data) <= 1e-12
+
+    def test_block_range_and_shape_checks(self):
+        state = make_state(n=23, d=4)
+        with pytest.raises(ContractViolationError):
+            state.ingest_rows(20, np.ones((5, 4)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_rows(-1, np.ones((2, 4)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_rows(0, np.ones((2, 3)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_columns(3, np.ones((23, 2)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_columns(0, np.ones((22, 2)))
+        with pytest.raises(ContractViolationError):
+            state.ingest_row(23, np.ones(4))
+
+
+class TestQueryMany:
+    def _ingested(self, n=23, d=4, seed=11, **kw):
+        rng = np.random.default_rng(seed)
+        state = make_state(n, d, seed=seed, **kw)
+        state.ingest_rows(0, rng.standard_normal((n, d)))
+        return state, rng.standard_normal((n, 5))
+
+    @pytest.mark.parametrize("tile_cols", [1, 3, None])
+    def test_equals_column_by_column_query(self, monkeypatch, tile_cols):
+        shrink_tiles(monkeypatch, tile_cols)
+        state, b = self._ingested()
+        many = state.query_many(b)
+        assert many.shape == (4, 5)
+        for j in range(5):
+            assert rel_diff(many[:, j], state.query(b[:, j])) <= 1e-12
+
+    def test_charges_q_queries(self):
+        state, b = self._ingested(max_queries=5)
+        state.query_many(b[:, :3])
+        assert state.queries_answered == 3
+        want = guard.compose(BUDGET.eps, BUDGET.delta, 3, 1e-6)
+        got = state.composed_budget(1e-6)
+        assert (got.eps, got.delta) == (want.eps, want.delta)
+        state.query_many(b[:, 3:])
+        assert state.queries_answered == 5
+        with pytest.raises(BudgetExhaustedError):
+            state.query(b[:, 0])
+
+    def test_refuses_before_answering_any_column(self, monkeypatch):
+        from dpsketch import numerics
+
+        state, b = self._ingested(max_queries=4)
+        state.query(b[:, 0])
+        solves = []
+        monkeypatch.setattr(numerics, "minres_solve", lambda *a, **k: solves.append(a))
+        with pytest.raises(BudgetExhaustedError):
+            state.query_many(b[:, :4])
+        assert state.queries_answered == 1 and solves == []
+
+    def test_shape_contract(self):
+        state, _ = self._ingested()
+        with pytest.raises(ContractViolationError):
+            state.query_many(np.zeros((22, 2)))
+        with pytest.raises(ContractViolationError):
+            state.query_many(np.zeros(23))
 
 
 class TestQuery:

@@ -221,3 +221,60 @@ class TestSerialization:
         blob[sketch._HEADER.size - 8] ^= 0xFF  # flip a fingerprint byte
         with pytest.raises(FormatError):
             deserialize(bytes(blob))
+
+
+class TestTiles:
+    def test_default_tile_budget(self):
+        assert sketch.TILE_ENTRIES == 65536
+        sk = GaussianSketcher(3, 1031, 4040, store_omega=False)
+        sizes = [t.size for *_, t in sk.tiles(0, sk.m)]
+        assert max(sizes) == 63 * 1031 and sum(sizes) == sk.r * sk.m
+
+    def test_uneven_tiles_concatenate_bit_exact(self, monkeypatch):
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+        sk = GaussianSketcher(5, 5, 40, store_omega=False)
+        tiles = list(sk.tiles(3, 36))
+        assert [t1 - t0 for t0, t1, _ in tiles] == [2] * 16 + [1]
+        assert tiles[0][0] == 3 and tiles[-1][1] == 36
+        assert all(tile.shape == (5, t1 - t0) for t0, t1, tile in tiles)
+        joined = np.hstack([tile for *_, tile in tiles])
+        assert np.array_equal(joined, sk.column_block(3, 36))
+        assert np.array_equal(joined, GaussianSketcher(5, 5, 40).omega[:, 3:36])
+
+    def test_one_column_tiles_when_r_exceeds_budget(self, monkeypatch):
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 3)
+        sk = GaussianSketcher(6, 5, 9, store_omega=False)
+        tiles = list(sk.tiles(0, 9))
+        assert [(t0, t1) for t0, t1, _ in tiles] == [(j, j + 1) for j in range(9)]
+        assert np.array_equal(np.hstack([t for *_, t in tiles]), sk.omega)
+
+    def test_empty_range_and_range_check(self):
+        sk = GaussianSketcher(1, 4, 6, store_omega=False)
+        assert list(sk.tiles(2, 2)) == []
+        for j0, j1 in ((-1, 2), (3, 2), (0, 7)):
+            with pytest.raises(ContractViolationError):
+                list(sk.tiles(j0, j1))
+
+    def test_tiles_come_from_column_block(self, monkeypatch):
+        # Every tile is one positional column_block(j0, j1) call.
+        calls = []
+        original = GaussianSketcher.column_block
+
+        def spy(self, *args, **kwargs):
+            calls.append((args, kwargs))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 8)
+        sk = GaussianSketcher(2, 4, 10, store_omega=False)
+        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        sk.project(1, np.ones((7, 2)))
+        assert calls == [((1, 3), {}), ((3, 5), {}), ((5, 7), {}), ((7, 8), {})]
+
+    @pytest.mark.parametrize("budget", [1, 12, 65536])
+    def test_project_matches_dense_product(self, monkeypatch, budget):
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", budget)
+        sk = GaussianSketcher(4, 5, 40, store_omega=False)
+        x = np.random.default_rng(4).standard_normal((33, 3))
+        want = sk.column_block(3, 36) @ x
+        got = sk.project(3, x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
