@@ -27,7 +27,7 @@ import struct
 import sys
 import time
 from dataclasses import dataclass, asdict
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -247,19 +247,60 @@ def _emit(cfg: RunConfig, report: dict) -> None:
 
 
 def _base_report(cfg: RunConfig) -> dict:
-    params = asdict(cfg)
     return {
-        "params": params,
+        "params": asdict(cfg),
         "guard_report": None,
         "error_vs_oracle": None,
         "space_entries": 0,
-        "wall_time_ms": 0.0,
     }
 
 
-def _run_lra(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
+class _Release(NamedTuple):
+    """What one release command hands to ``_run_release``."""
+
+    state: object  # the mechanism state; reports its space_entries()
+    required: float  # guard threshold on sigma_min of the lifted stream
+    lift: float  # structural lower bound on that sigma_min
+    oracle: Callable[[np.ndarray], Tuple[np.ndarray, dict]]  # A -> (lifted A, errors)
+    extra: dict = {}  # further report entries
+
+
+def _probe_b(cfg: RunConfig, n: int, what: str) -> int:
+    """Column count of --input-b, whose row count must equal --input's."""
+    nb, cols = matrix_shape(cfg.input_b, cfg.fmt)
+    if n != nb:
+        raise DPSketchError(f"row counts differ: A has {n}, {what} {nb}")
+    return cols
+
+
+def _run_release(cfg: RunConfig, command) -> dict:
+    """Shared skeleton of the lra, multiply and regress commands.
+
+    ``command(cfg, n, d)`` builds its mechanism for the n x d --input,
+    streams the inputs through it, answers the query and returns a
+    ``_Release``; the skeleton assembles the report.
+    """
     n, d = matrix_shape(cfg.input, cfg.fmt)
+    rel = command(cfg, n, d)
+    report = _base_report(cfg)
+    report["space_entries"] = rel.state.space_entries()
+    if cfg.oracle:
+        lifted, report["error_vs_oracle"] = rel.oracle(load_matrix(cfg.input, cfg.fmt))
+        greport = guard.verify_spectral_guard(lifted, rel.required)
+        report["guard_report"] = dict(greport.to_json_dict(), mode="exact")
+    else:
+        # Structural bound: the lifted stream satisfies sigma_min >= its lift.
+        report["guard_report"] = {
+            "required_sigma_min": rel.required,
+            "observed_sigma_min": rel.lift,
+            "passed": rel.lift >= rel.required,
+            "mode": "structural",
+        }
+    report.update(rel.extra)
+    return report
+
+
+def _lra(cfg: RunConfig, n: int, d: int) -> _Release:
     lcfg = LraConfig(
         n=n, d=d, k=cfg.rank, p=cfg.oversample,
         budget=cfg.budget(), seed=cfg.seed,
@@ -269,129 +310,70 @@ def _run_lra(cfg: RunConfig) -> dict:
     for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
         state.ingest_rows(i0, block)
     factor = state.finalize()
-    report = _base_report(cfg)
-    report["space_entries"] = state.space_entries()
-    eff = lcfg.effective_budget
-    required = guard.sigma_min_psg2(eff, lcfg.k + lcfg.oversample)
-    if cfg.oracle:
-        a = load_matrix(cfg.input, cfg.fmt)
-        lifted = np.hstack([state.w * np.eye(n), a])
-        greport = guard.verify_spectral_guard(lifted, required)
-        approx = reconstruct(factor, lcfg)
-        err = float(np.linalg.norm(a - approx))
-        tail_sq = float(np.sum(numerics.svd(a).sigma[lcfg.k:] ** 2))
-        report["error_vs_oracle"] = {
-            "frobenius_error": err,
-            "eckart_young_optimum": math.sqrt(tail_sq),
-            "error_bound": harness.lra_frobenius_rhs(lcfg, tail_sq),
-        }
-        report["guard_report"] = dict(greport.to_json_dict(), mode="exact")
-    else:
-        # Structural bound: the lifted stream satisfies sigma_min >= w.
-        report["guard_report"] = {
-            "required_sigma_min": required,
-            "observed_sigma_min": state.w,
-            "passed": state.w >= required,
-            "mode": "structural",
-        }
+    extra = {}
     if cfg.report:
         stem = cfg.report.rsplit(".", 1)[0]
         uhat_path, lam_path = stem + ".uhat.dpmt", stem + ".lam.dpmt"
         save_matrix(uhat_path, factor.u_hat)
         save_matrix(lam_path, factor.lam.reshape(1, -1))
-        report["factor_files"] = [uhat_path, lam_path]
-    report["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
-    return report
+        extra["factor_files"] = [uhat_path, lam_path]
+
+    def oracle(a):
+        approx = reconstruct(factor, lcfg)
+        tail_sq = float(np.sum(numerics.svd(a).sigma[lcfg.k:] ** 2))
+        return np.hstack([state.w * np.eye(n), a]), {
+            "frobenius_error": float(np.linalg.norm(a - approx)),
+            "eckart_young_optimum": math.sqrt(tail_sq),
+            "error_bound": harness.lra_frobenius_rhs(lcfg, tail_sq),
+        }
+
+    required = guard.sigma_min_psg2(lcfg.effective_budget, lcfg.k + lcfg.oversample)
+    return _Release(state, required, state.w, oracle, extra)
 
 
-def _run_multiply(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    n, d1 = matrix_shape(cfg.input, cfg.fmt)
-    nb, d2 = matrix_shape(cfg.input_b, cfg.fmt)
-    if n != nb:
-        raise DPSketchError(f"row counts differ: A has {n}, B has {nb}")
+def _multiply(cfg: RunConfig, n: int, d1: int) -> _Release:
+    d2 = _probe_b(cfg, n, "B has")
     state = new_matprod(n, d1, d2, cfg.budget(), cfg.accuracy(), cfg.seed)
     for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
         state.ingest_a_rows(i0, block)
     for i0, block in iter_matrix_chunks(cfg.input_b, cfg.fmt):
         state.ingest_b_rows(i0, block)
     estimate = state.product_query()
-    report = _base_report(cfg)
-    report["space_entries"] = state.space_entries()
-    required = guard.sigma_min_psg1(cfg.budget(), state.r)
-    if cfg.oracle:
-        a = load_matrix(cfg.input, cfg.fmt)
+
+    def oracle(a):
         b = load_matrix(cfg.input_b, cfg.fmt)
-        greport = guard.verify_spectral_guard(
-            lifted_matrix(a, state.s, state.d), required
-        )
-        err = float(np.linalg.norm(harness.exact_product(a, b) - estimate))
-        report["error_vs_oracle"] = {
-            "frobenius_error": err,
-            "error_bound": cfg.alpha * float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-            + state.s**2 * math.sqrt(n) * cfg.alpha,
+        return lifted_matrix(a, state.s, state.d), {
+            "frobenius_error": float(np.linalg.norm(harness.exact_product(a, b) - estimate)),
+            "error_bound": harness.matprod_rhs(a, b, state.s, cfg.alpha),
         }
-        report["guard_report"] = dict(greport.to_json_dict(), mode="exact")
-    else:
-        report["guard_report"] = {
-            "required_sigma_min": required,
-            "observed_sigma_min": state.s,
-            "passed": state.s >= required,
-            "mode": "structural",
-        }
-    report["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
-    return report
+
+    return _Release(state, guard.sigma_min_psg1(cfg.budget(), state.r), state.s, oracle)
 
 
-def _run_regress(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    n, d = matrix_shape(cfg.input, cfg.fmt)
-    nb, n_queries = matrix_shape(cfg.input_b, cfg.fmt)
-    if n != nb:
-        raise DPSketchError(f"row counts differ: A has {n}, queries have {nb}")
+def _regress(cfg: RunConfig, n: int, d: int) -> _Release:
+    _probe_b(cfg, n, "queries have")
     state = new_regress(n, d, cfg.budget(), cfg.accuracy(), cfg.seed)
     for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
         state.ingest_rows(i0, block)
     queries = load_matrix(cfg.input_b, cfg.fmt)
     solutions = state.query_many(queries)
-    report = _base_report(cfg)
-    report["space_entries"] = state.space_entries()
-    required = guard.sigma_min_psg1(cfg.budget(), state.r)
-    if cfg.oracle:
-        a = load_matrix(cfg.input, cfg.fmt)
-        greport = guard.verify_spectral_guard(
-            lifted_matrix(a, state.s, state.d), required
-        )
-        residuals = [
-            float(np.linalg.norm(a @ solutions[:, j] - queries[:, j]))
-            for j in range(n_queries)
-        ]
-        optima = [
-            float(np.linalg.norm(a @ harness.exact_lsq(a, queries[:, j]) - queries[:, j]))
-            for j in range(n_queries)
-        ]
-        report["error_vs_oracle"] = {
+
+    def oracle(a):
+        residuals = [float(np.linalg.norm(a @ x - y)) for x, y in zip(solutions.T, queries.T)]
+        optima = [float(np.linalg.norm(a @ harness.exact_lsq(a, y) - y)) for y in queries.T]
+        return lifted_matrix(a, state.s, state.d), {
             "residuals": residuals,
             "optima": optima,
-            "error_bound": [
-                (1.0 + cfg.alpha) * opt + state.s**2 * math.sqrt(n) * cfg.alpha
-                for opt in optima
-            ],
+            "error_bound": [harness.regress_rhs(opt, n, state.s, cfg.alpha) for opt in optima],
         }
-        report["guard_report"] = dict(greport.to_json_dict(), mode="exact")
-    else:
-        report["guard_report"] = {
-            "required_sigma_min": required,
-            "observed_sigma_min": state.s,
-            "passed": state.s >= required,
-            "mode": "structural",
-        }
-    report["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
-    return report
+
+    return _Release(state, guard.sigma_min_psg1(cfg.budget(), state.r), state.s, oracle)
+
+
+_RELEASES = {"lra": _lra, "multiply": _multiply, "regress": _regress}
 
 
 def _run_verify(cfg: RunConfig) -> Tuple[dict, bool]:
-    t0 = time.perf_counter()
     budget = guard.PrivacyBudget(cfg.eps, cfg.delta) if cfg.eps else guard.PrivacyBudget(1.0, 0.01)
     acc = guard.AccuracySpec(cfg.alpha, cfg.beta) if cfg.alpha else guard.AccuracySpec(0.5, 0.2)
     checks = [
@@ -407,12 +389,10 @@ def _run_verify(cfg: RunConfig) -> Tuple[dict, bool]:
     ]
     report = _base_report(cfg)
     report["checks"] = [c.to_json_dict() for c in checks]
-    report["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
     return report, all(c.passed for c in checks)
 
 
 def _run_bench(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
     timings = {}
     sk = sketch.GaussianSketcher(cfg.seed, r=64, m=256)
     v = np.linspace(-1.0, 1.0, 256)
@@ -432,22 +412,17 @@ def _run_bench(cfg: RunConfig) -> dict:
     timings["lra_100x100_ms"] = (time.perf_counter() - t) * 1e3
     report = _base_report(cfg)
     report["timings"] = timings
-    report["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
     return report
 
 
 def run(cfg: RunConfig) -> int:
+    t0 = time.perf_counter()
+    ok = True
     try:
-        if cfg.command == "lra":
-            report = _run_lra(cfg)
-        elif cfg.command == "multiply":
-            report = _run_multiply(cfg)
-        elif cfg.command == "regress":
-            report = _run_regress(cfg)
+        if cfg.command in _RELEASES:
+            report = _run_release(cfg, _RELEASES[cfg.command])
         elif cfg.command == "verify":
             report, ok = _run_verify(cfg)
-            _emit(cfg, report)
-            return 0 if ok else 3
         elif cfg.command == "bench":
             report = _run_bench(cfg)
         else:
@@ -456,8 +431,9 @@ def run(cfg: RunConfig) -> int:
     except DPSketchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
     _emit(cfg, report)
-    return 0
+    return 0 if ok else 3
 
 
 def main(argv=None) -> int:

@@ -310,6 +310,38 @@ def lra_spectral_rhs(config: LraConfig, sigma_k1: float, tail_sq: float) -> floa
     )
 
 
+def matprod_rhs(a, b, s: float, alpha: float) -> float:
+    """Multiply error bound alpha ||A|| ||B|| + s^2 sqrt(n) alpha (Frobenius norms)."""
+    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    return alpha * norm_a * norm_b + s**2 * math.sqrt(a.shape[0]) * alpha
+
+
+def regress_rhs(optimum: float, n: int, s: float, alpha: float) -> float:
+    """Regression residual bound (1 + alpha) opt + s^2 sqrt(n) alpha."""
+    return (1.0 + alpha) * optimum + s**2 * math.sqrt(n) * alpha
+
+
+def _bound_check(check: str, trial, seeds: list, rhs_scale: float, allowed: float) -> BoundReport:
+    """Run ``trial(seed) -> (lhs, rhs)`` per seed and count lhs > rhs_scale * rhs.
+
+    Passes when the violation rate is at most ``allowed``.
+    """
+    results = _map_trials(trial, seeds)
+    lhs = np.array([x[0] for x in results])
+    rhs = np.array([x[1] for x in results]) * rhs_scale
+    violations = int(np.count_nonzero(lhs > rhs))
+    return BoundReport(
+        check=check,
+        trials=len(seeds),
+        violations=violations,
+        allowed=allowed,
+        passed=violations / len(seeds) <= allowed,
+        seeds=seeds,
+        observed_lhs=lhs,
+        bound_rhs=rhs,
+    )
+
+
 def _lra_trial(config: LraConfig, trial_seed: int, norm: str):
     rng = np.random.default_rng(trial_seed)
     if config.symmetric:
@@ -347,20 +379,9 @@ def bound_check_lra(
     """
     if norm not in ("fro", "spectral"):
         raise ParameterDomainError(f"norm must be 'fro' or 'spectral', got {norm!r}")
-    seeds = [base_seed + t for t in range(trials)]
-    results = _map_trials(lambda s: _lra_trial(config, s, norm), seeds)
-    lhs = np.array([x[0] for x in results])
-    rhs = np.array([x[1] for x in results]) * rhs_scale
-    violations = int(np.count_nonzero(lhs > rhs))
-    return BoundReport(
-        check=f"lra_bound_{norm}",
-        trials=trials,
-        violations=violations,
-        allowed=allowed_rate,
-        passed=violations / trials <= allowed_rate,
-        seeds=seeds,
-        observed_lhs=lhs,
-        bound_rhs=rhs,
+    return _bound_check(
+        f"lra_bound_{norm}", lambda s: _lra_trial(config, s, norm),
+        [base_seed + t for t in range(trials)], rhs_scale, allowed_rate,
     )
 
 
@@ -379,10 +400,8 @@ def nonprivate_sanity_check(
     stay within ``ratio_bound`` of an independent two-pass prototype draw
     on every seed.
     """
-    lhs = np.empty(trials)
-    rhs = np.empty(trials)
-    seeds = [base_seed + t for t in range(trials)]
-    for t, s in enumerate(seeds):
+
+    def trial(s):
         cfg = LraConfig(
             n=n, d=n, k=k, budget=budget, seed=s, symmetric=True,
             w_override=0.0, enforce_guard=False,
@@ -393,21 +412,15 @@ def nonprivate_sanity_check(
         state = new_lra(cfg)
         state.ingest_rows(0, a)
         psi = numerics.orthonormal_range(state.y1).basis
-        lhs[t] = float(np.linalg.norm(a - psi @ (psi.T @ a)))
         omega = np.random.default_rng(9_000 + s).standard_normal((n, k + cfg.oversample))
         psi_ref = numerics.orthonormal_range(a @ omega).basis
-        rhs[t] = ratio_bound * float(np.linalg.norm(a - psi_ref @ (psi_ref.T @ a)))
-    violations = int(np.count_nonzero(lhs > rhs))
-    return BoundReport(
-        check="nonprivate_range_sanity",
-        trials=trials,
-        violations=violations,
-        allowed=0.0,
-        passed=violations == 0,
-        seeds=seeds,
-        observed_lhs=lhs,
-        bound_rhs=rhs,
-    )
+        return (
+            float(np.linalg.norm(a - psi @ (psi.T @ a))),
+            float(np.linalg.norm(a - psi_ref @ (psi_ref.T @ a))),
+        )
+
+    seeds = [base_seed + t for t in range(trials)]
+    return _bound_check("nonprivate_range_sanity", trial, seeds, ratio_bound, 0.0)
 
 
 def mc_unbiased_product(
@@ -463,10 +476,7 @@ def _matprod_trial(n, d1, d2, budget, acc, trial_seed):
     state.ingest_b_columns(0, b)
     estimate = state.product_query()
     lhs = float(np.linalg.norm(exact_product(a, b) - estimate))
-    rhs = acc.alpha * float(np.linalg.norm(a)) * float(
-        np.linalg.norm(b)
-    ) + state.s**2 * math.sqrt(n) * acc.alpha
-    return lhs, rhs
+    return lhs, matprod_rhs(a, b, state.s, acc.alpha)
 
 
 def bound_check_matprod(
@@ -480,23 +490,9 @@ def bound_check_matprod(
     rhs_scale: float = 1.0,
 ) -> BoundReport:
     """Multiply mechanism vs its multiplicative-plus-additive bound."""
-    seeds = [base_seed + t for t in range(trials)]
-    results = _map_trials(
-        lambda s: _matprod_trial(n, d1, d2, budget, acc, s), seeds
-    )
-    lhs = np.array([x[0] for x in results])
-    rhs = np.array([x[1] for x in results]) * rhs_scale
-    violations = int(np.count_nonzero(lhs > rhs))
-    allowed = binomial_allowed(acc.beta, trials)
-    return BoundReport(
-        check="matprod_bound",
-        trials=trials,
-        violations=violations,
-        allowed=allowed,
-        passed=violations / trials <= allowed,
-        seeds=seeds,
-        observed_lhs=lhs,
-        bound_rhs=rhs,
+    return _bound_check(
+        "matprod_bound", lambda s: _matprod_trial(n, d1, d2, budget, acc, s),
+        [base_seed + t for t in range(trials)], rhs_scale, binomial_allowed(acc.beta, trials),
     )
 
 
@@ -510,8 +506,7 @@ def _regress_trial(n, d, budget, acc, trial_seed):
     x = state.query(b)
     lhs = float(np.linalg.norm(a @ x - b))
     optimum = float(np.linalg.norm(a @ exact_lsq(a, b) - b))
-    rhs = (1.0 + acc.alpha) * optimum + state.s**2 * math.sqrt(n) * acc.alpha
-    return lhs, rhs
+    return lhs, regress_rhs(optimum, n, state.s, acc.alpha)
 
 
 def bound_check_regress(
@@ -524,19 +519,7 @@ def bound_check_regress(
     rhs_scale: float = 1.0,
 ) -> BoundReport:
     """Regression mechanism vs its relative-plus-additive residual bound."""
-    seeds = [base_seed + t for t in range(trials)]
-    results = _map_trials(lambda s: _regress_trial(n, d, budget, acc, s), seeds)
-    lhs = np.array([x[0] for x in results])
-    rhs = np.array([x[1] for x in results]) * rhs_scale
-    violations = int(np.count_nonzero(lhs > rhs))
-    allowed = binomial_allowed(acc.beta, trials)
-    return BoundReport(
-        check="regress_bound",
-        trials=trials,
-        violations=violations,
-        allowed=allowed,
-        passed=violations / trials <= allowed,
-        seeds=seeds,
-        observed_lhs=lhs,
-        bound_rhs=rhs,
+    return _bound_check(
+        "regress_bound", lambda s: _regress_trial(n, d, budget, acc, s),
+        [base_seed + t for t in range(trials)], rhs_scale, binomial_allowed(acc.beta, trials),
     )

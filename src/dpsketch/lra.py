@@ -2,8 +2,10 @@
 
 The mechanism streams the rows of an identity-lifted matrix through a
 seeded Gaussian projection (range finding), then reuses the same projection
-to solve for the compressed core matrix with a minimal-residual solver
-(projection step), never touching the input a second time.
+to solve for the compressed core matrix as a minimum-residual least-squares
+problem (projection step), never touching the input a second time. The
+solve is made directly on the sketched coefficient matrix through its SVD,
+not on its normal system.
 
 Symmetric inputs are handled directly. A general n x d input is embedded
 into the symmetric block matrix [[w I_n, A], [A.T, w I_d]]; both running

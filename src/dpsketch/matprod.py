@@ -15,6 +15,8 @@ Lifted column layout (length 2(n+d), d = max(d1, d2)):
 The identity-lift contribution of every column is data-independent, so it
 is seeded into the sketches at construction; ingestion accumulates only
 data contributions, which keeps updates exactly linear (turnstile).
+``LiftedSketch`` owns this layout, the guard check and the ingest; the
+regression mechanism builds on the same core.
 """
 from __future__ import annotations
 
@@ -43,36 +45,104 @@ def lifted_matrix(a: np.ndarray, s: float, d: int) -> np.ndarray:
 
 
 @dataclass
-class MatProdState:
+class LiftedSketch:
+    """Identity-lifted n x d streams sketched by one seeded projection.
+
+    Each subclass names its sketches; ``_new`` seeds them with the lift and
+    ``_ingest_rows`` / ``_ingest_columns`` add data blocks into one of them.
+    """
+
     n: int
-    d1: int
-    d2: int
     d: int
     r: int
     s: float
     budget: guard.PrivacyBudget
     acc: guard.AccuracySpec
     sketcher: GaussianSketcher
+
+    @classmethod
+    def _new(cls, n, d, r, budget, acc, seed, s_override, enforce_guard, widths, **fields):
+        """Check the guard, build the sketcher and seed each sketch in ``widths``.
+
+        ``widths`` maps a sketch field to its column count; each sketch
+        starts as the lift s * omega[:, :width]. ``fields`` are passed on.
+        """
+        s = s_override if s_override is not None else guard.lift_scale_s(budget, r)
+        if enforce_guard:
+            required = guard.sigma_min_psg1(budget, r)
+            if s < required:
+                raise SpectralGuardError(
+                    f"lift s={s:.4g} fails the spectral guard threshold {required:.4g}"
+                )
+        m, _lo, _hi = lift_layout(n, d)
+        sketcher = GaussianSketcher(seed, r=r, m=m, store_omega=False)
+        for name, width in widths.items():
+            fields[name] = Sketch.empty(sketcher, "psg1", width)
+            fields[name].data[:] = s * sketcher.column_block(0, width)
+        return cls(
+            n=n, d=d, r=r, s=float(s), budget=budget, acc=acc, sketcher=sketcher, **fields
+        )
+
+    def space_entries(self) -> int:
+        """Retained entries: the sketches (omega is regenerated on demand)."""
+        return sum(v.data.size for v in vars(self).values() if isinstance(v, Sketch))
+
+    def _project_data(self, i0: int, x: np.ndarray) -> np.ndarray:
+        """omega_data[:, i0:i0+len(x)] @ x, omega_data being the data block."""
+        _m, lo, _hi = lift_layout(self.n, self.d)
+        return self.sketcher.project(lo + i0, x)
+
+    def _ingest_columns(self, sk: Sketch, j0: int, cols) -> None:
+        """Add omega_data @ cols into sketch columns [j0, j0 + cols.shape[1]).
+
+        The data block is regenerated one tile at a time, once for the
+        whole block of columns.
+        """
+        x = numerics.as_matrix(cols, "columns")
+        if x.shape[0] != self.n:
+            raise ContractViolationError(f"column length {x.shape[0]}, expected {self.n}")
+        j1 = j0 + x.shape[1]
+        if not (0 <= j0 <= j1 <= sk.col_count):
+            raise ContractViolationError(f"columns [{j0}, {j1}) outside [0, {sk.col_count})")
+        if not x.any():
+            return
+        sk.data[:, j0:j1] += self._project_data(0, x)
+
+    def _ingest_rows(self, sk: Sketch, i0: int, rows) -> None:
+        """Add the turnstile update of data rows [i0, i0 + rows.shape[0]).
+
+        Row i touches only projection column lo + i, so a block of rows is
+        one matmul per tile of those columns.
+        """
+        x = numerics.as_matrix(rows, "rows")
+        if x.shape[1] != sk.col_count:
+            raise ContractViolationError(f"row length {x.shape[1]}, expected {sk.col_count}")
+        i1 = i0 + x.shape[0]
+        if not (0 <= i0 <= i1 <= self.n):
+            raise ContractViolationError(f"rows [{i0}, {i1}) outside [0, {self.n})")
+        sk.data += self._project_data(i0, x)
+
+
+@dataclass
+class MatProdState(LiftedSketch):
+    d1: int
+    d2: int
     ya: Sketch
     yb: Sketch
 
-    def space_entries(self) -> int:
-        """Retained entries: the two sketches (omega is regenerated on demand)."""
-        return int(self.ya.data.size + self.yb.data.size)
-
     def ingest_a_columns(self, j0: int, cols) -> None:
         """Add columns j0, j0+1, ... of A, given as the columns of ``cols``."""
-        ingest_data_columns(self.sketcher, self.ya, self.n, self.d, j0, cols)
+        self._ingest_columns(self.ya, j0, cols)
 
     def ingest_b_columns(self, j0: int, cols) -> None:
-        ingest_data_columns(self.sketcher, self.yb, self.n, self.d, j0, cols)
+        self._ingest_columns(self.yb, j0, cols)
 
     def ingest_a_rows(self, i0: int, rows) -> None:
         """Add rows i0, i0+1, ... of A, given as the rows of ``rows``."""
-        ingest_data_rows(self.sketcher, self.ya, self.n, self.d, i0, rows)
+        self._ingest_rows(self.ya, i0, rows)
 
     def ingest_b_rows(self, i0: int, rows) -> None:
-        ingest_data_rows(self.sketcher, self.yb, self.n, self.d, i0, rows)
+        self._ingest_rows(self.yb, i0, rows)
 
     def ingest_a_column(self, a: int, col) -> None:
         self.ingest_a_columns(a, numerics.as_vector(col, "column")[:, None])
@@ -108,56 +178,15 @@ class MatProdState:
             raise ContractViolationError("cannot merge states with different sketchers")
         if (self.d1, self.d2, self.n) != (other.d1, other.d2, other.n):
             raise ContractViolationError("cannot merge states with different shapes")
+        # A fresh state with the same lift holds exactly the lift part, which
+        # both shards carry: subtracting it once leaves a single copy.
         merged = new_matprod(
-            self.n, self.d1, self.d2, self.budget, self.acc, self.sketcher.seed
+            self.n, self.d1, self.d2, self.budget, self.acc, self.sketcher.seed,
+            s_override=self.s, enforce_guard=False,
         )
-        lift_a = _lift_part(self.sketcher, self.s, self.d1)
-        lift_b = _lift_part(self.sketcher, self.s, self.d2)
-        merged.ya.data[:] = self.ya.data + other.ya.data - lift_a
-        merged.yb.data[:] = self.yb.data + other.yb.data - lift_b
+        for mine, theirs, out in ((self.ya, other.ya, merged.ya), (self.yb, other.yb, merged.yb)):
+            out.data[:] = mine.data + theirs.data - out.data
         return merged
-
-
-def ingest_data_columns(
-    sketcher: GaussianSketcher, sk: Sketch, n: int, d: int, j0: int, cols
-) -> None:
-    """Add omega_data @ cols into sketch columns [j0, j0 + cols.shape[1]).
-
-    omega_data is the data block of the lift layout; it is regenerated one
-    tile at a time, once for the whole block of columns.
-    """
-    x = numerics.as_matrix(cols, "columns")
-    if x.shape[0] != n:
-        raise ContractViolationError(f"column length {x.shape[0]}, expected {n}")
-    j1 = j0 + x.shape[1]
-    if not (0 <= j0 <= j1 <= sk.col_count):
-        raise ContractViolationError(f"columns [{j0}, {j1}) outside [0, {sk.col_count})")
-    if not x.any():
-        return
-    _m, lo, _hi = lift_layout(n, d)
-    sk.data[:, j0:j1] += sketcher.project(lo, x)
-
-
-def ingest_data_rows(
-    sketcher: GaussianSketcher, sk: Sketch, n: int, d: int, i0: int, rows
-) -> None:
-    """Add the turnstile update of data rows [i0, i0 + rows.shape[0]).
-
-    Row i touches only projection column lo + i, so a block of rows is one
-    matmul per tile of those columns.
-    """
-    x = numerics.as_matrix(rows, "rows")
-    if x.shape[1] != sk.col_count:
-        raise ContractViolationError(f"row length {x.shape[1]}, expected {sk.col_count}")
-    i1 = i0 + x.shape[0]
-    if not (0 <= i0 <= i1 <= n):
-        raise ContractViolationError(f"rows [{i0}, {i1}) outside [0, {n})")
-    _m, lo, _hi = lift_layout(n, d)
-    sk.data += sketcher.project(lo + i0, x)
-
-
-def _lift_part(sketcher: GaussianSketcher, s: float, width: int) -> np.ndarray:
-    return s * sketcher.column_block(0, width)
 
 
 def new_matprod(
@@ -172,22 +201,8 @@ def new_matprod(
 ) -> MatProdState:
     if n < 1 or d1 < 1 or d2 < 1:
         raise ContractViolationError("matrix dimensions must be >= 1")
-    d = max(d1, d2)
     r = guard.matmult_sketch_dim(acc)
-    s = s_override if s_override is not None else guard.lift_scale_s(budget, r)
-    if enforce_guard:
-        required = guard.sigma_min_psg1(budget, r)
-        if s < required:
-            raise SpectralGuardError(
-                f"lift s={s:.4g} fails the spectral guard threshold {required:.4g}"
-            )
-    m, _lo, _hi = lift_layout(n, d)
-    sketcher = GaussianSketcher(seed, r=r, m=m, store_omega=False)
-    ya = Sketch.empty(sketcher, "psg1", d1)
-    yb = Sketch.empty(sketcher, "psg1", d2)
-    ya.data[:] = _lift_part(sketcher, s, d1)
-    yb.data[:] = _lift_part(sketcher, s, d2)
-    return MatProdState(
-        n=n, d1=d1, d2=d2, d=d, r=r, s=float(s),
-        budget=budget, acc=acc, sketcher=sketcher, ya=ya, yb=yb,
+    return MatProdState._new(
+        n, max(d1, d2), r, budget, acc, seed, s_override, enforce_guard,
+        {"ya": d1, "yb": d2}, d1=d1, d2=d2,
     )

@@ -1,7 +1,9 @@
-"""Dense linear-algebra kernels: SVD, orthonormal range, MINRES, norms.
+"""Dense linear-algebra kernels: SVD, orthonormal range, least squares, norms.
 
 All operations are pure functions on immutable float64 arrays and are safe
-to call concurrently.
+to call concurrently. Least-squares problems are solved directly from the
+SVD of their coefficient matrix, never through its normal system, which
+would square the condition number.
 """
 from __future__ import annotations
 
@@ -110,78 +112,22 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def _minres_spd(g: np.ndarray, f: np.ndarray, rtol: float, maxiter: int) -> np.ndarray:
-    """MINRES on a symmetric system g @ x = f (Paige-Saunders recurrences)."""
-    n = g.shape[0]
-    x = np.zeros(n)
-    r1 = f.copy()
-    y = f.copy()
-    beta1 = float(np.sqrt(r1 @ y))
-    if beta1 == 0.0:
-        return x
-    eps = np.finfo(np.float64).eps
-    oldb = 0.0
-    beta = beta1
-    dbar = 0.0
-    epsln = 0.0
-    phibar = beta1
-    cs = -1.0
-    sn = 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
-    r2 = r1.copy()
-    for itn in range(1, maxiter + 1):
-        s = 1.0 / beta
-        v = s * y
-        y = g @ v
-        if itn >= 2:
-            y -= (beta / oldb) * r1
-        alfa = float(v @ y)
-        y -= (alfa / beta) * r2
-        r1 = r2
-        r2 = y.copy()
-        oldb = beta
-        beta = float(np.sqrt(r2 @ r2))
-
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-
-        gamma = max(float(np.sqrt(gbar * gbar + beta * beta)), eps)
-        cs = gbar / gamma
-        sn = beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
-
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
-
-        if not np.isfinite(phibar):
-            raise NumericFailureError("minres produced a non-finite residual")
-        if phibar <= rtol * beta1 or beta <= eps * beta1:
-            break
-    return x
-
-
 def minres_solve(coeff, rhs, tol: float = 1e-10) -> np.ndarray:
-    """Minimize ||B @ coeff - rhs||_F over B via MINRES on the normal system.
+    """Minimize ||B @ coeff - rhs||_F over B by a direct SVD solve.
 
     Parameters
     ----------
     coeff : (k, l) array with l >= k and numerically full row rank.
     rhs : (q, l) array sharing coeff's column count.
-    tol : target relative residual for consistent systems; inconsistent
-        systems converge to the least-squares optimum instead.
+    tol : kept for callers of the former iterative solver; the direct
+        solve is exact up to rounding and ignores it.
 
     Returns
     -------
     (q, k) array B. Each row solves an independent least-squares problem
-    min ||coeff.T @ b - r||_2, attacked through the symmetric normal system
-    (coeff coeff.T) b = coeff r with at most 10*k iterations.
+    min ||coeff.T @ b - r||_2 through the thin SVD coeff = U S Vt, as
+    B = rhs Vt.T S^-1 U.T. The solve works on coeff itself, never on its
+    normal system, so its accuracy depends on cond(coeff), not its square.
     """
     c = as_matrix(coeff, "coeff")
     r = as_matrix(rhs, "rhs")
@@ -192,7 +138,8 @@ def minres_solve(coeff, rhs, tol: float = 1e-10) -> np.ndarray:
     k, ell = c.shape
     if ell < k:
         raise ContractViolationError("coeff must have at least as many columns as rows")
-    sig = svd(c).sigma
+    res = svd(c)
+    sig = res.sigma
     if sig[0] == 0.0 or sig[-1] <= RANK_RTOL * sig[0]:
         bt, *_ = np.linalg.lstsq(c.T, r.T, rcond=None)
         achieved = float(np.linalg.norm(bt.T @ c - r))
@@ -201,11 +148,4 @@ def minres_solve(coeff, rhs, tol: float = 1e-10) -> np.ndarray:
             f"least-squares fallback residual {achieved:.3e}",
             residual=achieved,
         )
-    gram = c @ c.T
-    fmat = c @ r.T
-    rtol = min(tol, 1e-12)
-    maxiter = max(10 * k, 16)
-    out = np.empty((r.shape[0], k))
-    for j in range(fmat.shape[1]):
-        out[j, :] = _minres_spd(gram, fmat[:, j], rtol, maxiter)
-    return out
+    return (r @ res.vt.T / sig) @ res.u.T

@@ -1,10 +1,12 @@
 """Differentially private linear regression from a sketched design matrix.
 
-The design matrix is lifted and sketched once (same layout as the multiply
-mechanism), by rows or columns, one block at a time. A block of query
-vectors is sketched with the same seeded projection in one pass over its
-tiles, and the sketched least-squares problems are solved together through
-the minimal-residual kernel on their shared normal system.
+The design matrix is lifted and sketched once by the lifted-sketch core it
+shares with the multiply mechanism, by rows or columns, one block at a
+time. A block of query vectors is sketched with the same seeded projection
+in one pass over its tiles, and the sketched least-squares problems
+min ||Ya x - Yb_j|| are solved together, directly on the sketched design
+Ya through its SVD rather than on its normal system, so the solve sees
+cond(Ya) and not its square.
 
 The returned solution is the raw minimizer of the lifted problem, which is
 a ridge regression with penalty s^2: users expecting ordinary
@@ -19,34 +21,24 @@ from typing import Optional
 import numpy as np
 
 from . import guard, numerics
-from .errors import BudgetExhaustedError, ContractViolationError, SpectralGuardError
-from .matprod import ingest_data_columns, ingest_data_rows, lift_layout
-from .sketch import GaussianSketcher, Sketch
+from .errors import BudgetExhaustedError, ContractViolationError
+from .matprod import LiftedSketch
+from .sketch import Sketch
 
 
 @dataclass
-class RegressState:
-    n: int
-    d: int
-    r: int
-    s: float
-    budget: guard.PrivacyBudget
-    acc: guard.AccuracySpec
-    sketcher: GaussianSketcher
+class RegressState(LiftedSketch):
     ya: Sketch
     query_ceiling: Optional[int] = None
     queries_answered: int = 0
 
-    def space_entries(self) -> int:
-        return int(self.ya.data.size)
-
     def ingest_columns(self, j0: int, cols) -> None:
         """Add columns j0, j0+1, ... of A, given as the columns of ``cols``."""
-        ingest_data_columns(self.sketcher, self.ya, self.n, self.d, j0, cols)
+        self._ingest_columns(self.ya, j0, cols)
 
     def ingest_rows(self, i0: int, rows) -> None:
         """Add rows i0, i0+1, ... of A, given as the rows of ``rows``."""
-        ingest_data_rows(self.sketcher, self.ya, self.n, self.d, i0, rows)
+        self._ingest_rows(self.ya, i0, rows)
 
     def ingest_column(self, c: int, col) -> None:
         self.ingest_columns(c, numerics.as_vector(col, "column")[:, None])
@@ -59,11 +51,11 @@ class RegressState:
 
         Each query vector is lifted with zero identity coordinates (only the
         design matrix carries the lift), sketched with the same projection,
-        and the sketched problem ||Ya x - Yb_j|| is minimized through the
-        normal system. Dividing both sides by r would not change the
-        minimizer, so no rescaling is applied. All q columns are sketched in
-        one pass over the projection tiles and count as q queries; when
-        fewer than q remain under the ceiling, none is answered.
+        and the sketched problem ||Ya x - Yb_j|| is minimized directly on
+        Ya. Dividing both sides by r would not change the minimizer, so no
+        rescaling is applied. All q columns are sketched in one pass over
+        the projection tiles and count as q queries; when fewer than q
+        remain under the ceiling, none is answered.
 
         Returns the d x q matrix of solutions.
         """
@@ -76,10 +68,8 @@ class RegressState:
                 f"{q} queries exceed the ceiling of {self.query_ceiling} "
                 f"({self.queries_answered} already answered)"
             )
-        _m, lo, _hi = lift_layout(self.n, self.d)
-        yb = self.sketcher.project(lo, x)
-        gram = self.ya.data.T @ self.ya.data
-        solutions = numerics.minres_solve(gram, (self.ya.data.T @ yb).T)
+        yb = self._project_data(0, x)
+        solutions = numerics.minres_solve(self.ya.data.T, yb.T)
         self.queries_answered += q
         return solutions.T
 
@@ -121,18 +111,7 @@ def new_regress(
             raise ContractViolationError("max_queries must be >= 1")
         inflated = guard.AccuracySpec(acc.alpha, acc.beta / max_queries)
         r = guard.linreg_sketch_dim(inflated, d)
-    s = s_override if s_override is not None else guard.lift_scale_s(budget, r)
-    if enforce_guard:
-        required = guard.sigma_min_psg1(budget, r)
-        if s < required:
-            raise SpectralGuardError(
-                f"lift s={s:.4g} fails the spectral guard threshold {required:.4g}"
-            )
-    m, _lo, _hi = lift_layout(n, d)
-    sketcher = GaussianSketcher(seed, r=r, m=m, store_omega=False)
-    ya = Sketch.empty(sketcher, "psg1", d)
-    ya.data[:] = s * sketcher.column_block(0, d)
-    return RegressState(
-        n=n, d=d, r=r, s=float(s), budget=budget, acc=acc,
-        sketcher=sketcher, ya=ya, query_ceiling=max_queries,
+    return RegressState._new(
+        n, d, r, budget, acc, seed, s_override, enforce_guard,
+        {"ya": d}, query_ceiling=max_queries,
     )

@@ -158,23 +158,25 @@ class GaussianSketcher:
             )
 
     def psg1(self, v) -> np.ndarray:
-        """Project a length-m vector: omega @ v."""
+        """Project a length-m vector: omega @ v, one tile at a time."""
         x = as_vector(v, "v")
         if x.size != self.m:
             raise ContractViolationError(f"psg1 expects length {self.m}, got {x.size}")
-        return self.omega @ x
+        return self.project(0, x[:, None])[:, 0]
 
     def psg2(self, v) -> np.ndarray:
         """Lift-and-project a length-m vector: omega.T @ (omega @ v).
 
-        Computed literally as omega.T applied to psg1(v), so the two are
-        bit-identical by construction.
+        Computed as omega.T applied to psg1(v), one tile at a time. When
+        one tile covers omega (r * m <= TILE_ENTRIES) this is literally
+        omega.T @ psg1(v), bit for bit; wider sketchers agree with that
+        product up to floating-point summation order.
         """
         x = as_vector(v, "v")
         if x.size != self.m:
             raise ContractViolationError(f"psg2 expects length {self.m}, got {x.size}")
-        om = self.omega
-        return om.T @ (om @ x)
+        y = self.psg1(x)
+        return np.concatenate([tile.T @ y for _t0, _t1, tile in self.tiles(0, self.m)])
 
 
 @dataclass

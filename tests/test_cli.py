@@ -4,8 +4,11 @@ import struct
 import numpy as np
 import pytest
 
-from dpsketch import cli, sketch
+from dpsketch import cli, guard, sketch
 from dpsketch.errors import FormatError
+from dpsketch.lra import LraConfig, new_lra
+from dpsketch.matprod import new_matprod
+from dpsketch.regress import new_regress
 
 
 def write_csv(path, m):
@@ -258,3 +261,77 @@ class TestCommands:
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 50)
         small = errors("small")
         assert np.allclose(small, default, rtol=1e-9, atol=0)
+
+
+class TestReportSchema:
+    """The report of every release command, key for key, in both guard modes."""
+
+    ORACLE_KEYS = {
+        "lra": {"frobenius_error", "eckart_young_optimum", "error_bound"},
+        "multiply": {"frobenius_error", "error_bound"},
+        "regress": {"residuals", "optima", "error_bound"},
+    }
+    GUARD_KEYS = {"required_sigma_min", "observed_sigma_min", "passed", "mode"}
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        rng = np.random.default_rng(12)
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(pa, rng.standard_normal((30, 6)))
+        write_csv(pb, rng.standard_normal((30, 3)))
+        return str(pa), str(pb)
+
+    def _report(self, tmp_path, inputs, command, oracle):
+        pa, pb = inputs
+        rp = tmp_path / "report.json"
+        args = [command, "--input", pa, "--seed", "4", "--eps", "1", "--delta", "0.01",
+                "--report", str(rp)]
+        if command == "lra":
+            args += ["--rank", "2"]
+        else:
+            args += ["--input-b", pb, "--alpha", "0.5", "--beta", "0.2"]
+        if oracle:
+            args.append("--oracle")
+        assert cli.main(args) == 0
+        return json.loads(rp.read_text())
+
+    @staticmethod
+    def _structural_pair(command):
+        """(required, observed) a structural guard report must carry."""
+        budget = guard.PrivacyBudget(1.0, 0.01)
+        acc = guard.AccuracySpec(0.5, 0.2)
+        if command == "lra":
+            lcfg = LraConfig(n=30, d=6, k=2, budget=budget, seed=4)
+            required = guard.sigma_min_psg2(lcfg.effective_budget, lcfg.k + lcfg.oversample)
+            return required, new_lra(lcfg).w
+        if command == "multiply":
+            state = new_matprod(30, 6, 3, budget, acc, 4)
+        else:
+            state = new_regress(30, 6, budget, acc, 4)
+        return guard.sigma_min_psg1(budget, state.r), state.s
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["structural", "oracle"])
+    @pytest.mark.parametrize("command", ["lra", "multiply", "regress"])
+    def test_report_keys(self, tmp_path, inputs, command, oracle):
+        report = self._report(tmp_path, inputs, command, oracle)
+        keys = {"params", "guard_report", "error_vs_oracle", "space_entries", "wall_time_ms"}
+        if command == "lra":
+            keys.add("factor_files")
+        assert set(report) == keys
+        assert set(report["params"]) == set(cli.RunConfig.__dataclass_fields__)
+        assert set(report["guard_report"]) == self.GUARD_KEYS
+        assert report["space_entries"] > 0
+        if oracle:
+            assert report["guard_report"]["mode"] == "exact"
+            assert set(report["error_vs_oracle"]) == self.ORACLE_KEYS[command]
+        else:
+            assert report["guard_report"]["mode"] == "structural"
+            assert report["error_vs_oracle"] is None
+
+    @pytest.mark.parametrize("command", ["lra", "multiply", "regress"])
+    def test_structural_guard_is_lift_against_threshold(self, tmp_path, inputs, command):
+        greport = self._report(tmp_path, inputs, command, oracle=False)["guard_report"]
+        required, lift = self._structural_pair(command)
+        assert greport["required_sigma_min"] == required
+        assert greport["observed_sigma_min"] == lift
+        assert greport["passed"] == (lift >= required)

@@ -190,6 +190,25 @@ class TestMergeAndSpace:
         assert np.linalg.norm(merged.ya.data - whole.ya.data) <= 1e-10 * scale
         assert np.linalg.norm(merged.product_query() - whole.product_query()) <= 1e-9 * scale
 
+    def test_merge_keeps_an_overridden_lift(self):
+        rng = np.random.default_rng(11)
+        n, d1, d2 = 24, 3, 2
+        a, b = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+        whole, shard1, shard2 = (
+            new_matprod(n, d1, d2, BUDGET, ACC, 11, s_override=1.5, enforce_guard=False)
+            for _ in range(3)
+        )
+        whole.ingest_a_rows(0, a)
+        whole.ingest_b_rows(0, b)
+        shard1.ingest_a_rows(0, a[:10])
+        shard1.ingest_b_rows(0, b[:10])
+        shard2.ingest_a_rows(10, a[10:])
+        shard2.ingest_b_rows(10, b[10:])
+        merged = shard1.merge(shard2)
+        assert merged.s == whole.s
+        want = whole.product_query()
+        assert np.linalg.norm(merged.product_query() - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_space_entries(self):
         state = make_state(n=30, d1=5, d2=4)
         assert state.space_entries() == state.r * (5 + 4)

@@ -159,6 +159,19 @@ class TestQueryMany:
             state.query_many(b[:, :4])
         assert state.queries_answered == 1 and solves == []
 
+    def test_ill_conditioned_design_solved_on_the_sketch(self):
+        # cond(Ya) ~ 1e4: a solve through the Gram matrix or its normal
+        # system would see 1e8 or 1e16 and lose every digit.
+        rng = np.random.default_rng(13)
+        n, d = 200, 4
+        q, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        state = new_regress(n, d, BUDGET, ACC, 5, s_override=0.0, enforce_guard=False)
+        state.ingest_rows(0, q * np.array([1.0, 1.0, 1.0, 1e-4]))
+        b = rng.standard_normal((n, 3))
+        _m, lo, _hi = lift_layout(n, d)
+        want = np.linalg.lstsq(state.ya.data, state.sketcher.project(lo, b), rcond=None)[0]
+        assert rel_diff(state.query_many(b), want) <= 1e-10
+
     def test_shape_contract(self):
         state, _ = self._ingested()
         with pytest.raises(ContractViolationError):

@@ -278,3 +278,28 @@ class TestTiles:
         want = sk.column_block(3, 36) @ x
         got = sk.project(3, x)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_vector_ops_walk_tiles(self, monkeypatch):
+        # psg1, psg2 and update_column on a regenerating sketcher request at
+        # most one tile of omega at a time and agree with a stored omega.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+        stored = GaussianSketcher(8, 4, 30)
+        sk = GaussianSketcher(8, 4, 30, store_omega=False)
+        sizes = []
+        original = GaussianSketcher.column_block
+
+        def spy(self, j0, j1):
+            sizes.append(self.r * (j1 - j0))
+            return original(self, j0, j1)
+
+        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        v = np.random.default_rng(8).standard_normal(30)
+        om = stored._omega
+        want = {"psg1": om @ v, "psg2": om.T @ (om @ v)}
+        got = {"psg1": sk.psg1(v), "psg2": sk.psg2(v)}
+        for kind in ("psg1", "psg2"):
+            s = Sketch.empty(sk, kind, 2)
+            s.update_column(sk, 1, v)
+            for out in (got[kind], s.data[:, 1]):
+                assert np.linalg.norm(out - want[kind]) <= 1e-12 * np.linalg.norm(want[kind])
+        assert sizes and max(sizes) <= sketch.TILE_ENTRIES
