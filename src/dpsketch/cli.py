@@ -164,13 +164,6 @@ def iter_matrix_chunks(path: str, fmt: str) -> Iterator[Tuple[int, np.ndarray]]:
         yield i0, np.vstack(pending)
 
 
-def iter_matrix_rows(path: str, fmt: str) -> Iterator[Tuple[int, np.ndarray]]:
-    """One-pass row iterator; entries are parsed exactly once."""
-    for i0, block in iter_matrix_chunks(path, fmt):
-        for k, row in enumerate(block):
-            yield i0 + k, row
-
-
 def load_matrix(path: str, fmt: str) -> np.ndarray:
     blocks = [block for _, block in iter_matrix_chunks(path, fmt)]
     if not blocks:
@@ -183,45 +176,33 @@ def parse_args(argv) -> RunConfig:
         prog="dpsketch", description="Differentially private streaming linear algebra."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, need_budget, need_accuracy):
-        p.add_argument("--eps", type=float, required=need_budget)
-        p.add_argument("--delta", type=float, required=need_budget)
-        p.add_argument("--alpha", type=float, required=need_accuracy)
-        p.add_argument("--beta", type=float, required=need_accuracy)
+    # Each command takes only the options it reads; RunConfig defaults the rest.
+    p_lra, p_mul, p_reg, p_ver, p_ben = (
+        sub.add_parser(name) for name in ("lra", "multiply", "regress", "verify", "bench")
+    )
+    for p in (p_lra, p_mul, p_reg, p_ver, p_ben):
         p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--report", default=None)
+    for p in (p_lra, p_mul, p_reg):
+        p.add_argument("--input", required=True)
         p.add_argument("--format", dest="fmt", choices=("csv", "dpbin"), default="csv")
         p.add_argument("--oracle", action="store_true")
-        p.add_argument("--report", default=None)
-        p.add_argument("--halve-budget", dest="halve_budget",
-                       action=argparse.BooleanOptionalAction, default=True)
-        p.add_argument("--constant-c", dest="constant_c", type=float,
-                       default=guard.LRA_LIFT_CONSTANT)
-
-    p_lra = sub.add_parser("lra")
-    p_lra.add_argument("--input", required=True)
+    for p in (p_mul, p_reg):
+        p.add_argument("--input-b", dest="input_b", required=True)
+    for p, required in ((p_lra, True), (p_mul, True), (p_reg, True), (p_ver, False)):
+        p.add_argument("--eps", type=float, required=required)
+        p.add_argument("--delta", type=float, required=required)
+    for p, required in ((p_mul, True), (p_reg, True), (p_ver, False)):
+        p.add_argument("--alpha", type=float, required=required)
+        p.add_argument("--beta", type=float, required=required)
     p_lra.add_argument("--rank", type=int, required=True)
     p_lra.add_argument("--oversample", type=int, default=None)
-    add_common(p_lra, need_budget=True, need_accuracy=False)
+    p_lra.add_argument("--halve-budget", dest="halve_budget",
+                       action=argparse.BooleanOptionalAction, default=True)
+    p_lra.add_argument("--constant-c", dest="constant_c", type=float,
+                       default=guard.LRA_LIFT_CONSTANT)
 
-    p_mul = sub.add_parser("multiply")
-    p_mul.add_argument("--input", required=True)
-    p_mul.add_argument("--input-b", dest="input_b", required=True)
-    add_common(p_mul, need_budget=True, need_accuracy=True)
-
-    p_reg = sub.add_parser("regress")
-    p_reg.add_argument("--input", required=True)
-    p_reg.add_argument("--input-b", dest="input_b", required=True)
-    add_common(p_reg, need_budget=True, need_accuracy=True)
-
-    p_ver = sub.add_parser("verify")
-    add_common(p_ver, need_budget=False, need_accuracy=False)
-
-    p_ben = sub.add_parser("bench")
-    add_common(p_ben, need_budget=False, need_accuracy=False)
-
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items()})
+    cfg = RunConfig(**vars(parser.parse_args(argv)))
     # Re-validate every parameter domain up front so bad values die with a
     # usage error instead of failing deep inside a mechanism.
     if (cfg.eps is None) != (cfg.delta is None):
@@ -258,9 +239,7 @@ def _base_report(cfg: RunConfig) -> dict:
 class _Release(NamedTuple):
     """What one release command hands to ``_run_release``."""
 
-    state: object  # the mechanism state; reports its space_entries()
-    required: float  # guard threshold on sigma_min of the lifted stream
-    lift: float  # structural lower bound on that sigma_min
+    state: object  # the mechanism state: its space_entries() and guard_report
     oracle: Callable[[np.ndarray], Tuple[np.ndarray, dict]]  # A -> (lifted A, errors)
     extra: dict = {}  # further report entries
 
@@ -284,18 +263,12 @@ def _run_release(cfg: RunConfig, command) -> dict:
     rel = command(cfg, n, d)
     report = _base_report(cfg)
     report["space_entries"] = rel.state.space_entries()
+    greport, mode = rel.state.guard_report, "structural"
     if cfg.oracle:
         lifted, report["error_vs_oracle"] = rel.oracle(load_matrix(cfg.input, cfg.fmt))
-        greport = guard.verify_spectral_guard(lifted, rel.required)
-        report["guard_report"] = dict(greport.to_json_dict(), mode="exact")
-    else:
-        # Structural bound: the lifted stream satisfies sigma_min >= its lift.
-        report["guard_report"] = {
-            "required_sigma_min": rel.required,
-            "observed_sigma_min": rel.lift,
-            "passed": rel.lift >= rel.required,
-            "mode": "structural",
-        }
+        greport = guard.verify_spectral_guard(lifted, greport.required_sigma_min)
+        mode = "exact"
+    report["guard_report"] = dict(greport.to_json_dict(), mode=mode)
     report.update(rel.extra)
     return report
 
@@ -327,8 +300,7 @@ def _lra(cfg: RunConfig, n: int, d: int) -> _Release:
             "error_bound": harness.lra_frobenius_rhs(lcfg, tail_sq),
         }
 
-    required = guard.sigma_min_psg2(lcfg.effective_budget, lcfg.k + lcfg.oversample)
-    return _Release(state, required, state.w, oracle, extra)
+    return _Release(state, oracle, extra)
 
 
 def _multiply(cfg: RunConfig, n: int, d1: int) -> _Release:
@@ -347,7 +319,7 @@ def _multiply(cfg: RunConfig, n: int, d1: int) -> _Release:
             "error_bound": harness.matprod_rhs(a, b, state.s, cfg.alpha),
         }
 
-    return _Release(state, guard.sigma_min_psg1(cfg.budget(), state.r), state.s, oracle)
+    return _Release(state, oracle)
 
 
 def _regress(cfg: RunConfig, n: int, d: int) -> _Release:
@@ -367,7 +339,7 @@ def _regress(cfg: RunConfig, n: int, d: int) -> _Release:
             "error_bound": [harness.regress_rhs(opt, n, state.s, cfg.alpha) for opt in optima],
         }
 
-    return _Release(state, guard.sigma_min_psg1(cfg.budget(), state.r), state.s, oracle)
+    return _Release(state, oracle)
 
 
 _RELEASES = {"lra": _lra, "multiply": _multiply, "regress": _regress}

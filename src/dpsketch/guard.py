@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 
 from . import numerics
-from .errors import BudgetExhaustedError, ParameterDomainError
+from .errors import BudgetExhaustedError, ParameterDomainError, SpectralGuardError
 
-# Pinned constants for the big-O parameter choices. Overridable per call
-# for experimentation; the defaults are what every mechanism uses.
+# Pinned constants for the big-O parameter choices. Only the LRA lift
+# constant is overridable, through ``LraConfig.lift_constant``.
 LRA_LIFT_CONSTANT = 16.0
 MATMULT_DIM_CONSTANT = 8.0
 LINREG_DIM_CONSTANT = 16.0
@@ -117,19 +117,15 @@ def lift_scale_s(budget: PrivacyBudget, r) -> float:
     )
 
 
-def matmult_sketch_dim(acc: AccuracySpec, c: float = MATMULT_DIM_CONSTANT) -> int:
+def matmult_sketch_dim(acc: AccuracySpec) -> int:
     """Sketch dimension making the multiply tail bound 2exp(-r a^2/8) <= beta."""
-    if c <= 0.0:
-        raise ParameterDomainError(f"dimension constant must be positive, got {c}")
-    return math.ceil(c * math.log(2.0 / acc.beta) / acc.alpha**2)
+    return math.ceil(MATMULT_DIM_CONSTANT * math.log(2.0 / acc.beta) / acc.alpha**2)
 
 
-def linreg_sketch_dim(acc: AccuracySpec, d: int, c: float = LINREG_DIM_CONSTANT) -> int:
+def linreg_sketch_dim(acc: AccuracySpec, d: int) -> int:
     """Sketch dimension for the regression mechanism (linear in d)."""
     d = _check_r(d)
-    if c <= 0.0:
-        raise ParameterDomainError(f"dimension constant must be positive, got {c}")
-    return math.ceil(c * d * math.log(1.0 / acc.beta) / acc.alpha)
+    return math.ceil(LINREG_DIM_CONSTANT * d * math.log(1.0 / acc.beta) / acc.alpha)
 
 
 def compose(eps0: float, delta0: float, ell: int, delta_prime: float) -> PrivacyBudget:
@@ -148,6 +144,22 @@ def compose(eps0: float, delta0: float, ell: int, delta_prime: float) -> Privacy
         )
     eps_total = math.sqrt(2.0 * ell * math.log(1.0 / delta_prime)) * eps0 + 2.0 * ell * eps0**2
     return PrivacyBudget(eps_total, delta_total)
+
+
+def check_lift(name: str, lift: float, required: float, enforce: bool) -> GuardReport:
+    """The structural guard decision: the lifted stream has sigma_min >= lift.
+
+    Raises ``SpectralGuardError`` when ``enforce`` is set and the lift
+    falls short of the threshold; otherwise the report records the outcome.
+    """
+    lift, required = float(lift), float(required)
+    if enforce and lift < required:
+        raise SpectralGuardError(
+            f"lift {name}={lift:.4g} fails the spectral guard threshold {required:.4g}"
+        )
+    return GuardReport(
+        required_sigma_min=required, observed_sigma_min=lift, passed=lift >= required
+    )
 
 
 def verify_spectral_guard(m, required: float) -> GuardReport:

@@ -21,12 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import guard, numerics
-from .errors import (
-    ConfigurationError,
-    ContractViolationError,
-    OnePassViolationError,
-    SpectralGuardError,
-)
+from .errors import ConfigurationError, ContractViolationError, OnePassViolationError
 from .sketch import GaussianSketcher
 
 
@@ -97,6 +92,7 @@ class LraState:
     omega2: np.ndarray
     y1: np.ndarray
     y2: Optional[np.ndarray]
+    guard_report: guard.GuardReport
     rows_seen: int = 0
     _ingested: np.ndarray = field(default=None, repr=False)
     _finalized: bool = False
@@ -145,31 +141,24 @@ class LraState:
                 f"finalize requires all {cfg.n} rows, saw {self.rows_seen}"
             )
         self._finalized = True
+        # y = w * lift_rows + (input) @ data_rows is the sketch of the lifted
+        # matrix; the solve removes the lift and recovers the core.
         if cfg.symmetric:
-            y = self.y1
-            found = numerics.orthonormal_range(y)
-            psi = found.basis
-            if found.rank == 0:
-                return LowRankFactor(
-                    u_hat=np.zeros((cfg.n, 0)), lam=np.zeros(0),
-                    requested_rank=cfg.k, deficient=True,
-                )
-            coeff = psi.T @ self.omega2
-            rhs = psi.T @ y - self.w * (psi.T @ self.omega1)
+            y, lift_rows, data_rows = self.y1, self.omega1, self.omega2
         else:
             # Deterministic identity-block contribution to the bottom sketch
             # enters here; it never depended on the data.
             y = np.vstack([self.y1, self.y2 + self.w * self.omega2])
-            found = numerics.orthonormal_range(y)
-            psi = found.basis
-            if found.rank == 0:
-                return LowRankFactor(
-                    u_hat=np.zeros((cfg.n + cfg.d, 0)), lam=np.zeros(0),
-                    requested_rank=cfg.k, deficient=True,
-                )
-            omega = np.vstack([self.omega1, self.omega2])
-            coeff = psi.T @ omega
-            rhs = psi.T @ y - self.w * coeff
+            lift_rows = data_rows = np.vstack([self.omega1, self.omega2])
+        found = numerics.orthonormal_range(y)
+        psi = found.basis
+        if found.rank == 0:
+            return LowRankFactor(
+                u_hat=np.zeros((y.shape[0], 0)), lam=np.zeros(0),
+                requested_rank=cfg.k, deficient=True,
+            )
+        coeff = psi.T @ data_rows
+        rhs = psi.T @ y - self.w * (psi.T @ lift_rows)
         core = numerics.minres_solve(coeff, rhs)
         core = (core + core.T) / 2.0
         lam_all, ubar = np.linalg.eigh(core)
@@ -195,15 +184,10 @@ def new_lra(config: LraConfig) -> LraState:
     w = cfg.w_override if cfg.w_override is not None else guard.lra_lift_w(
         eff, cfg.k, cfg.lift_constant
     )
-    if cfg.enforce_guard:
-        # Conservative: the projection-step threshold evaluated at the full
-        # sketch width, which the built-in lift clears for p <= k+1 at
-        # moderate delta. User overrides can trip this.
-        required = guard.sigma_min_psg2(eff, kp)
-        if w < required:
-            raise SpectralGuardError(
-                f"lift w={w:.4g} fails the spectral guard threshold {required:.4g}"
-            )
+    # Conservative: the projection-step threshold evaluated at the full
+    # sketch width, which the built-in lift clears for p <= k+1 at moderate
+    # delta. User overrides can trip this.
+    report = guard.check_lift("w", w, guard.sigma_min_psg2(eff, kp), cfg.enforce_guard)
     # The projection must be stored for this mechanism; it is retained as
     # the two row-blocks the ingest formulas consume, and the sketcher
     # itself keeps nothing.
@@ -220,6 +204,7 @@ def new_lra(config: LraConfig) -> LraState:
         omega2=omega2,
         y1=np.zeros((cfg.n, kp)),
         y2=y2,
+        guard_report=report,
         _ingested=np.zeros(cfg.n, dtype=bool),
     )
 
@@ -230,12 +215,8 @@ def reconstruct(factor: LowRankFactor, config: LraConfig) -> np.ndarray:
     Symmetric path: the full n x n reconstruction (exactly symmetric).
     Block path: the top-right n x d block of the block reconstruction.
     """
-    if factor.u_hat.shape[1] == 0:
-        full_dim = config.n if config.symmetric else config.n + config.d
-        m = np.zeros((full_dim, full_dim))
-    else:
-        m = (factor.u_hat * factor.lam) @ factor.u_hat.T
-        m = (m + m.T) / 2.0
+    m = (factor.u_hat * factor.lam) @ factor.u_hat.T
+    m = (m + m.T) / 2.0
     if config.symmetric:
         return m
     return np.ascontiguousarray(m[: config.n, config.n :])

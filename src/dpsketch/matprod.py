@@ -14,18 +14,21 @@ Lifted column layout (length 2(n+d), d = max(d1, d2)):
 
 The identity-lift contribution of every column is data-independent, so it
 is seeded into the sketches at construction; ingestion accumulates only
-data contributions, which keeps updates exactly linear (turnstile).
-``LiftedSketch`` owns this layout, the guard check and the ingest; the
-regression mechanism builds on the same core.
+data contributions, which keeps updates exactly linear (turnstile). A merge
+of two shards therefore sums their sketches and subtracts one copy of the
+lift, regenerated from the seed.
+``LiftedSketch`` owns this layout, the guard check and its report, and the
+ingest; the regression mechanism builds on the same core.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import guard, numerics
-from .errors import ContractViolationError, SpectralGuardError
+from . import guard, numerics, sketch
+from .errors import ContractViolationError
 from .sketch import GaussianSketcher, Sketch
 
 
@@ -59,6 +62,7 @@ class LiftedSketch:
     budget: guard.PrivacyBudget
     acc: guard.AccuracySpec
     sketcher: GaussianSketcher
+    guard_report: guard.GuardReport
 
     @classmethod
     def _new(cls, n, d, r, budget, acc, seed, s_override, enforce_guard, widths, **fields):
@@ -68,19 +72,15 @@ class LiftedSketch:
         starts as the lift s * omega[:, :width]. ``fields`` are passed on.
         """
         s = s_override if s_override is not None else guard.lift_scale_s(budget, r)
-        if enforce_guard:
-            required = guard.sigma_min_psg1(budget, r)
-            if s < required:
-                raise SpectralGuardError(
-                    f"lift s={s:.4g} fails the spectral guard threshold {required:.4g}"
-                )
+        report = guard.check_lift("s", s, guard.sigma_min_psg1(budget, r), enforce_guard)
         m, _lo, _hi = lift_layout(n, d)
         sketcher = GaussianSketcher(seed, r=r, m=m, store_omega=False)
         for name, width in widths.items():
             fields[name] = Sketch.empty(sketcher, "psg1", width)
             fields[name].data[:] = s * sketcher.column_block(0, width)
         return cls(
-            n=n, d=d, r=r, s=float(s), budget=budget, acc=acc, sketcher=sketcher, **fields
+            n=n, d=d, r=r, s=float(s), budget=budget, acc=acc, sketcher=sketcher,
+            guard_report=report, **fields,
         )
 
     def space_entries(self) -> int:
@@ -173,20 +173,16 @@ class MatProdState(LiftedSketch):
 
         Data contributions add; the deterministic lift contribution is
         common to both shards and must enter the result exactly once.
+        ``sketch.merge`` checks that the shards share kind, sketcher and shape.
         """
-        if self.sketcher.fingerprint != other.sketcher.fingerprint:
-            raise ContractViolationError("cannot merge states with different sketchers")
-        if (self.d1, self.d2, self.n) != (other.d1, other.d2, other.n):
-            raise ContractViolationError("cannot merge states with different shapes")
-        # A fresh state with the same lift holds exactly the lift part, which
-        # both shards carry: subtracting it once leaves a single copy.
-        merged = new_matprod(
-            self.n, self.d1, self.d2, self.budget, self.acc, self.sketcher.seed,
-            s_override=self.s, enforce_guard=False,
-        )
-        for mine, theirs, out in ((self.ya, other.ya, merged.ya), (self.yb, other.yb, merged.yb)):
-            out.data[:] = mine.data + theirs.data - out.data
-        return merged
+        if self.s != other.s:
+            raise ContractViolationError("cannot merge states with different lifts")
+        ya, yb = sketch.merge(self.ya, other.ya), sketch.merge(self.yb, other.yb)
+        # Both shards carry the lift s * omega[:, :width]; remove one copy.
+        lift = self.s * self.sketcher.column_block(0, max(self.d1, self.d2))
+        ya.data -= lift[:, : self.d1]
+        yb.data -= lift[:, : self.d2]
+        return dataclasses.replace(self, ya=ya, yb=yb)
 
 
 def new_matprod(

@@ -1,4 +1,5 @@
-"""Dense linear-algebra kernels: SVD, orthonormal range, least squares, norms.
+"""Dense linear-algebra kernels: SVD, orthonormal range, spectral norm and
+least squares.
 
 All operations are pure functions on immutable float64 arrays and are safe
 to call concurrently. Least-squares problems are solved directly from the
@@ -91,10 +92,6 @@ def orthonormal_range(y) -> RangeResult:
     return RangeResult(basis=basis, rank=rank, deficient=rank < a.shape[1])
 
 
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 def spectral_norm(m) -> float:
     a = as_matrix(m)
     if a.size == 0:
@@ -102,25 +99,13 @@ def spectral_norm(m) -> float:
     return float(svd(a).sigma[0])
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolationError(
-            f"matmul dimension mismatch: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
-def minres_solve(coeff, rhs, tol: float = 1e-10) -> np.ndarray:
+def minres_solve(coeff, rhs) -> np.ndarray:
     """Minimize ||B @ coeff - rhs||_F over B by a direct SVD solve.
 
     Parameters
     ----------
     coeff : (k, l) array with l >= k and numerically full row rank.
     rhs : (q, l) array sharing coeff's column count.
-    tol : kept for callers of the former iterative solver; the direct
-        solve is exact up to rounding and ignores it.
 
     Returns
     -------

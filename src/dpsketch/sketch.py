@@ -137,20 +137,14 @@ class GaussianSketcher:
         return self.column_block(0, self.m)
 
     def _moment_check(self):
+        # One pass over the tiles, stored or regenerated alike.
         n = self.r * self.m
-        if self._omega is not None:
-            mean = float(self._omega.mean())
-            var = float(self._omega.var())
-        else:
-            chunk = self._tile_width()
-            total = 0.0
-            total_sq = 0.0
-            for j0 in range(0, self.m, chunk):
-                block = self._generate_block(j0, min(j0 + chunk, self.m))
-                total += float(block.sum())
-                total_sq += float(np.square(block).sum())
-            mean = total / n
-            var = total_sq / n - mean * mean
+        total = total_sq = 0.0
+        for _t0, _t1, tile in self.tiles(0, self.m):
+            total += float(tile.sum())
+            total_sq += float(np.square(tile).sum())
+        mean = total / n
+        var = total_sq / n - mean * mean
         scale = 1.0 / np.sqrt(n)
         if abs(mean) > 5.0 * scale or abs(var - 1.0) > 10.0 * scale:
             raise NumericFailureError(

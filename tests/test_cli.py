@@ -102,13 +102,6 @@ class TestMatrixIo:
         with pytest.raises(FormatError, match="magic"):
             cli.matrix_shape(str(p), "dpbin")
 
-    def test_streaming_iterator_is_one_pass(self, tmp_path):
-        p = tmp_path / "m.csv"
-        p.write_text("1,2\n3,4\n5,6\n")
-        rows = list(cli.iter_matrix_rows(str(p), "csv"))
-        assert [i for i, _ in rows] == [0, 1, 2]
-        np.testing.assert_array_equal(rows[2][1], [5.0, 6.0])
-
 
 class TestChunkedReader:
     def _dpmt(self, tmp_path, m):
@@ -216,6 +209,19 @@ class TestCommands:
         assert len(oracle["residuals"]) == 2
         for res, rhs in zip(oracle["residuals"], oracle["error_bound"]):
             assert res <= rhs
+
+    @pytest.mark.parametrize("argv", [
+        ["multiply", "--input", "{a}", "--input-b", "{b}", "--eps", "1", "--delta", "0.01",
+         "--alpha", "0.5", "--beta", "0.2", "--halve-budget"],
+        ["lra", "--input", "{a}", "--rank", "2", "--eps", "1", "--delta", "0.01",
+         "--alpha", "0.5", "--beta", "0.2"],
+        ["bench", "--oracle"],
+    ], ids=["multiply-halve-budget", "lra-alpha-beta", "bench-oracle"])
+    def test_unread_options_are_usage_errors(self, small_matrices, capsys, argv):
+        # Each command accepts only the options it reads.
+        _, _, pa, pb = small_matrices
+        assert cli.main([x.format(a=pa, b=pb) for x in argv]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bench_runs(self, capsys):
         rc = cli.main(["bench", "--seed", "1"])

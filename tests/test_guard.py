@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from dpsketch import guard, numerics
-from dpsketch.errors import BudgetExhaustedError, ParameterDomainError
+from dpsketch.errors import BudgetExhaustedError, ParameterDomainError, SpectralGuardError
 from dpsketch.guard import AccuracySpec, PrivacyBudget
+from dpsketch.lra import LraConfig, new_lra
+from dpsketch.matprod import new_matprod
+from dpsketch.regress import new_regress
 
 BUDGET = PrivacyBudget(1.0, 0.01)
+ACC = AccuracySpec(0.5, 0.2)
 
 
 class TestParameterRecords:
@@ -185,3 +189,34 @@ class TestVerifySpectralGuard:
         np.testing.assert_allclose(observed, expected, atol=1e-8)
         report = guard.verify_spectral_guard(lifted, w)
         assert report.passed
+
+
+def _build(kind, override=None, enforce=True):
+    """(state, guard threshold, lift name) of a small state of ``kind``."""
+    if kind == "lra":
+        cfg = LraConfig(n=30, d=20, k=3, budget=BUDGET, seed=0, w_override=override,
+                        enforce_guard=enforce)
+        return new_lra(cfg), guard.sigma_min_psg2(cfg.effective_budget, 3 + cfg.oversample), "w"
+    if kind == "multiply":
+        state = new_matprod(30, 5, 4, BUDGET, ACC, 0, s_override=override, enforce_guard=enforce)
+    else:
+        state = new_regress(30, 4, BUDGET, ACC, 0, s_override=override, enforce_guard=enforce)
+    return state, guard.sigma_min_psg1(BUDGET, state.r), "s"
+
+
+class TestStateGuardReport:
+    """Each mechanism state records the guard decision it made."""
+
+    @pytest.mark.parametrize("kind", ["lra", "multiply", "regress"])
+    def test_default_lift_passes(self, kind):
+        state, required, name = _build(kind)
+        lift = getattr(state, name)
+        assert state.guard_report == guard.GuardReport(required, lift, True)
+
+    @pytest.mark.parametrize("kind", ["lra", "multiply", "regress"])
+    def test_unenforced_shortfall_is_recorded(self, kind):
+        name = "w" if kind == "lra" else "s"
+        with pytest.raises(SpectralGuardError, match=f"lift {name}=0 fails"):
+            _build(kind, override=0.0)
+        state, required, _ = _build(kind, override=0.0, enforce=False)
+        assert state.guard_report == guard.GuardReport(required, 0.0, False)

@@ -5,6 +5,7 @@ from dpsketch import guard, sketch
 from dpsketch.errors import ContractViolationError, SpectralGuardError
 from dpsketch.harness import binomial_allowed, exact_product
 from dpsketch.matprod import lifted_matrix, new_matprod
+from dpsketch.sketch import GaussianSketcher
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
 ACC = guard.AccuracySpec(0.5, 0.2)
@@ -208,6 +209,34 @@ class TestMergeAndSpace:
         assert merged.s == whole.s
         want = whole.product_query()
         assert np.linalg.norm(merged.product_query() - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_merge_builds_no_sketcher(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        shard1, shard2 = make_state(seed=12), make_state(seed=12)
+        shard1.ingest_a_rows(0, rng.standard_normal((30, 5)))
+        shard2.ingest_b_rows(0, rng.standard_normal((30, 4)))
+        before = shard1.ya.data.copy(), shard2.yb.data.copy()
+        built = []
+        original = GaussianSketcher.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GaussianSketcher, "__init__", spy)
+        merged = shard1.merge(shard2)
+        assert built == []
+        assert merged.sketcher is shard1.sketcher
+        assert np.array_equal(shard1.ya.data, before[0])
+        assert np.array_equal(shard2.yb.data, before[1])
+
+    def test_merge_refuses_different_lifts(self):
+        shard1, shard2 = (
+            new_matprod(30, 5, 4, BUDGET, ACC, 0, s_override=s, enforce_guard=False)
+            for s in (1.5, 2.5)
+        )
+        with pytest.raises(ContractViolationError, match="lifts"):
+            shard1.merge(shard2)
 
     def test_space_entries(self):
         state = make_state(n=30, d1=5, d2=4)

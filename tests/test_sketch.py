@@ -270,6 +270,24 @@ class TestTiles:
         sk.project(1, np.ones((7, 2)))
         assert calls == [((1, 3), {}), ((3, 5), {}), ((5, 7), {}), ((7, 8), {})]
 
+    def test_moment_check_walks_tiles(self, monkeypatch):
+        # Construction regenerates omega for its moment check through
+        # column_block, one tile at a time, covering [0, m) once in order.
+        ranges = []
+        original = GaussianSketcher.column_block
+
+        def spy(self, j0, j1):
+            ranges.append((j0, j1))
+            return original(self, j0, j1)
+
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        sk = GaussianSketcher(9, 5, 23, store_omega=False)
+        assert ranges and ranges[0][0] == 0 and ranges[-1][1] == sk.m
+        assert all(j0 < j1 for j0, j1 in ranges)
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+        assert max(sk.r * (j1 - j0) for j0, j1 in ranges) <= sketch.TILE_ENTRIES
+
     @pytest.mark.parametrize("budget", [1, 12, 65536])
     def test_project_matches_dense_product(self, monkeypatch, budget):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", budget)
