@@ -26,7 +26,6 @@ import math
 import struct
 import sys
 import time
-from dataclasses import dataclass, asdict
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -40,31 +39,6 @@ from .regress import new_regress
 MATRIX_MAGIC = b"DPMT"
 MATRIX_VERSION = 1
 _MATRIX_HEADER = struct.Struct("<4sHII")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    eps: Optional[float] = None
-    delta: Optional[float] = None
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    rank: Optional[int] = None
-    oversample: Optional[int] = None
-    seed: int = 0
-    input: Optional[str] = None
-    input_b: Optional[str] = None
-    fmt: str = "csv"
-    oracle: bool = False
-    report: Optional[str] = None
-    halve_budget: bool = True
-    constant_c: float = guard.LRA_LIFT_CONSTANT
-
-    def budget(self) -> guard.PrivacyBudget:
-        return guard.PrivacyBudget(self.eps, self.delta)
-
-    def accuracy(self) -> guard.AccuracySpec:
-        return guard.AccuracySpec(self.alpha, self.beta)
 
 
 def save_matrix(path: str, m: np.ndarray) -> None:
@@ -103,15 +77,12 @@ def matrix_shape(path: str, fmt: str) -> Tuple[int, int]:
             raise FormatError(f"unsupported matrix format version {version}")
         return rows, cols
     with open(path, "r") as fh:
-        first = fh.readline()
-        if not first.strip():
+        # Blank lines are skipped, as iter_matrix_chunks skips them.
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        if first is None:
             raise FormatError("empty CSV matrix")
-        cols = first.count(",") + 1
-        rows = 1
-        for line in fh:
-            if line.strip():
-                rows += 1
-    return rows, cols
+        return 1 + sum(1 for _ in lines), first.count(",") + 1
 
 
 def _chunk_rows(cols: int) -> int:
@@ -143,6 +114,9 @@ def iter_matrix_chunks(path: str, fmt: str) -> Iterator[Tuple[int, np.ndarray]]:
                 if bad.any():
                     raise FormatError(f"non-finite entry in binary row {i0 + int(bad.argmax())}")
                 yield i0, block
+            if fh.read(1):
+                end = _MATRIX_HEADER.size + 8 * cols * rows
+                raise FormatError(f"matrix payload has extra bytes from offset {end}")
         return
     expected = None
     i0 = 0
@@ -171,12 +145,13 @@ def load_matrix(path: str, fmt: str) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed options: each command's namespace holds only its own."""
     parser = argparse.ArgumentParser(
         prog="dpsketch", description="Differentially private streaming linear algebra."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Each command takes only the options it reads; RunConfig defaults the rest.
+    # Each command takes only the options it reads.
     p_lra, p_mul, p_reg, p_ver, p_ben = (
         sub.add_parser(name) for name in ("lra", "multiply", "regress", "verify", "bench")
     )
@@ -202,23 +177,22 @@ def parse_args(argv) -> RunConfig:
     p_lra.add_argument("--constant-c", dest="constant_c", type=float,
                        default=guard.LRA_LIFT_CONSTANT)
 
-    cfg = RunConfig(**vars(parser.parse_args(argv)))
+    cfg = parser.parse_args(argv)
+    opts = vars(cfg)
     # Re-validate every parameter domain up front so bad values die with a
     # usage error instead of failing deep inside a mechanism.
-    if (cfg.eps is None) != (cfg.delta is None):
-        raise ParameterDomainError("--eps and --delta must be given together")
-    if (cfg.alpha is None) != (cfg.beta is None):
-        raise ParameterDomainError("--alpha and --beta must be given together")
-    if cfg.eps is not None:
-        cfg.budget()
-    if cfg.alpha is not None:
-        cfg.accuracy()
-    if cfg.rank is not None and cfg.rank < 1:
+    for a, b, spec in (("eps", "delta", guard.PrivacyBudget),
+                       ("alpha", "beta", guard.AccuracySpec)):
+        if (opts.get(a) is None) != (opts.get(b) is None):
+            raise ParameterDomainError(f"--{a} and --{b} must be given together")
+        if opts.get(a) is not None:
+            spec(opts[a], opts[b])
+    if opts.get("rank", 1) < 1:
         raise ParameterDomainError(f"rank must be >= 1, got {cfg.rank}")
     return cfg
 
 
-def _emit(cfg: RunConfig, report: dict) -> None:
+def _emit(cfg: argparse.Namespace, report: dict) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if cfg.report:
         with open(cfg.report, "w") as fh:
@@ -227,9 +201,9 @@ def _emit(cfg: RunConfig, report: dict) -> None:
         print(text)
 
 
-def _base_report(cfg: RunConfig) -> dict:
+def _base_report(cfg: argparse.Namespace) -> dict:
     return {
-        "params": asdict(cfg),
+        "params": vars(cfg),
         "guard_report": None,
         "error_vs_oracle": None,
         "space_entries": 0,
@@ -244,7 +218,7 @@ class _Release(NamedTuple):
     extra: dict = {}  # further report entries
 
 
-def _probe_b(cfg: RunConfig, n: int, what: str) -> int:
+def _probe_b(cfg: argparse.Namespace, n: int, what: str) -> int:
     """Column count of --input-b, whose row count must equal --input's."""
     nb, cols = matrix_shape(cfg.input_b, cfg.fmt)
     if n != nb:
@@ -252,7 +226,7 @@ def _probe_b(cfg: RunConfig, n: int, what: str) -> int:
     return cols
 
 
-def _run_release(cfg: RunConfig, command) -> dict:
+def _run_release(cfg: argparse.Namespace, command) -> dict:
     """Shared skeleton of the lra, multiply and regress commands.
 
     ``command(cfg, n, d)`` builds its mechanism for the n x d --input,
@@ -273,10 +247,10 @@ def _run_release(cfg: RunConfig, command) -> dict:
     return report
 
 
-def _lra(cfg: RunConfig, n: int, d: int) -> _Release:
+def _lra(cfg: argparse.Namespace, n: int, d: int) -> _Release:
     lcfg = LraConfig(
         n=n, d=d, k=cfg.rank, p=cfg.oversample,
-        budget=cfg.budget(), seed=cfg.seed,
+        budget=guard.PrivacyBudget(cfg.eps, cfg.delta), seed=cfg.seed,
         halve_budget=cfg.halve_budget, lift_constant=cfg.constant_c,
     )
     state = new_lra(lcfg)
@@ -303,9 +277,10 @@ def _lra(cfg: RunConfig, n: int, d: int) -> _Release:
     return _Release(state, oracle, extra)
 
 
-def _multiply(cfg: RunConfig, n: int, d1: int) -> _Release:
+def _multiply(cfg: argparse.Namespace, n: int, d1: int) -> _Release:
     d2 = _probe_b(cfg, n, "B has")
-    state = new_matprod(n, d1, d2, cfg.budget(), cfg.accuracy(), cfg.seed)
+    budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
+    state = new_matprod(n, d1, d2, budget, acc, cfg.seed)
     for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
         state.ingest_a_rows(i0, block)
     for i0, block in iter_matrix_chunks(cfg.input_b, cfg.fmt):
@@ -322,9 +297,10 @@ def _multiply(cfg: RunConfig, n: int, d1: int) -> _Release:
     return _Release(state, oracle)
 
 
-def _regress(cfg: RunConfig, n: int, d: int) -> _Release:
+def _regress(cfg: argparse.Namespace, n: int, d: int) -> _Release:
     _probe_b(cfg, n, "queries have")
-    state = new_regress(n, d, cfg.budget(), cfg.accuracy(), cfg.seed)
+    budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
+    state = new_regress(n, d, budget, acc, cfg.seed)
     for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
         state.ingest_rows(i0, block)
     queries = load_matrix(cfg.input_b, cfg.fmt)
@@ -345,7 +321,7 @@ def _regress(cfg: RunConfig, n: int, d: int) -> _Release:
 _RELEASES = {"lra": _lra, "multiply": _multiply, "regress": _regress}
 
 
-def _run_verify(cfg: RunConfig) -> Tuple[dict, bool]:
+def _run_verify(cfg: argparse.Namespace) -> Tuple[dict, bool]:
     budget = guard.PrivacyBudget(cfg.eps, cfg.delta) if cfg.eps else guard.PrivacyBudget(1.0, 0.01)
     acc = guard.AccuracySpec(cfg.alpha, cfg.beta) if cfg.alpha else guard.AccuracySpec(0.5, 0.2)
     checks = [
@@ -364,7 +340,7 @@ def _run_verify(cfg: RunConfig) -> Tuple[dict, bool]:
     return report, all(c.passed for c in checks)
 
 
-def _run_bench(cfg: RunConfig) -> dict:
+def _run_bench(cfg: argparse.Namespace) -> dict:
     timings = {}
     sk = sketch.GaussianSketcher(cfg.seed, r=64, m=256)
     v = np.linspace(-1.0, 1.0, 256)
@@ -387,7 +363,7 @@ def _run_bench(cfg: RunConfig) -> dict:
     return report
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     ok = True
     try:

@@ -65,7 +65,8 @@ def thread_count() -> int:
 
 
 def _map_trials(fn, seeds):
-    workers = thread_count()
+    # Threads beyond the core count only add contention.
+    workers = min(thread_count(), os.cpu_count() or 1)
     if workers == 1:
         return [fn(s) for s in seeds]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -88,8 +88,6 @@ class LraState:
     config: LraConfig
     w: float
     sketcher: GaussianSketcher
-    omega1: np.ndarray
-    omega2: np.ndarray
     y1: np.ndarray
     y2: Optional[np.ndarray]
     guard_report: guard.GuardReport
@@ -99,7 +97,7 @@ class LraState:
 
     def space_entries(self) -> int:
         """Retained float64 entries: the stored projection plus sketches."""
-        total = self.omega1.size + self.omega2.size + self.y1.size
+        total = self.sketcher.r * self.sketcher.m + self.y1.size
         if self.y2 is not None:
             total += self.y2.size
         return int(total)
@@ -123,9 +121,11 @@ class LraState:
         width = cfg.n if cfg.symmetric else cfg.d
         if x.shape[1] != width:
             raise ContractViolationError(f"row length {x.shape[1]}, expected {width}")
-        self.y1[i0:i1, :] = self.w * self.omega1[i0:i1, :] + x @ self.omega2
+        lift_rows = self.sketcher.column_block(i0, i1).T
+        data_rows = self.sketcher.column_block(cfg.n, self.sketcher.m).T
+        self.y1[i0:i1, :] = self.w * lift_rows + x @ data_rows
         if not cfg.symmetric:
-            self.y2 += x.T @ self.omega1[i0:i1, :]
+            self.y2 += x.T @ lift_rows
         self._ingested[i0:i1] = True
         self.rows_seen += x.shape[0]
 
@@ -143,13 +143,14 @@ class LraState:
         self._finalized = True
         # y = w * lift_rows + (input) @ data_rows is the sketch of the lifted
         # matrix; the solve removes the lift and recovers the core.
+        omega_t = self.sketcher.column_block(0, self.sketcher.m).T
         if cfg.symmetric:
-            y, lift_rows, data_rows = self.y1, self.omega1, self.omega2
+            y, lift_rows, data_rows = self.y1, omega_t[: cfg.n], omega_t[cfg.n :]
         else:
             # Deterministic identity-block contribution to the bottom sketch
             # enters here; it never depended on the data.
-            y = np.vstack([self.y1, self.y2 + self.w * self.omega2])
-            lift_rows = data_rows = np.vstack([self.omega1, self.omega2])
+            y = np.vstack([self.y1, self.y2 + self.w * omega_t[cfg.n :]])
+            lift_rows = data_rows = omega_t
         found = numerics.orthonormal_range(y)
         psi = found.basis
         if found.rank == 0:
@@ -188,20 +189,16 @@ def new_lra(config: LraConfig) -> LraState:
     # sketch width, which the built-in lift clears for p <= k+1 at moderate
     # delta. User overrides can trip this.
     report = guard.check_lift("w", w, guard.sigma_min_psg2(eff, kp), cfg.enforce_guard)
-    # The projection must be stored for this mechanism; it is retained as
-    # the two row-blocks the ingest formulas consume, and the sketcher
-    # itself keeps nothing.
+    # One pass needs the projection twice (range finding, then the solve),
+    # so the sketcher stores it, generated once, as omega.T: its first n
+    # rows are the lift rows and the rest the data rows.
     m = 2 * cfg.n if cfg.symmetric else cfg.n + cfg.d
-    sketcher = GaussianSketcher(cfg.seed, r=kp, m=m, store_omega=False)
-    omega1 = np.ascontiguousarray(sketcher.column_block(0, cfg.n).T)
-    omega2 = np.ascontiguousarray(sketcher.column_block(cfg.n, m).T)
+    sketcher = GaussianSketcher(cfg.seed, r=kp, m=m, store_omega=True)
     y2 = None if cfg.symmetric else np.zeros((cfg.d, kp))
     return LraState(
         config=cfg,
         w=float(w),
         sketcher=sketcher,
-        omega1=omega1,
-        omega2=omega2,
         y1=np.zeros((cfg.n, kp)),
         y2=y2,
         guard_report=report,

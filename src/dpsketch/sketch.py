@@ -69,10 +69,13 @@ def _box_muller(words: np.ndarray) -> np.ndarray:
 class GaussianSketcher:
     """Seeded r x m standard-normal matrix with deterministic regeneration.
 
-    With ``store_omega=True`` the matrix is materialized once and kept (the
-    low-rank mechanism requires this); with ``store_omega=False`` columns
-    are regenerated from the seed on demand and nothing is retained beyond
-    the identity tuple.
+    With ``store_omega=True`` the matrix is generated once and kept as
+    omega.T, C-contiguous (the order the generator produces), so
+    ``column_block(j0, j1).T`` is a contiguous (j1-j0) x r row block; the
+    low-rank mechanism keeps its projection this way and reads its ingest
+    and solve operands as such blocks.
+    With ``store_omega=False`` columns are regenerated from the seed on
+    demand and nothing is retained beyond the identity tuple.
     """
 
     def __init__(self, seed: int, r: int, m: int, store_omega: bool = True):
@@ -91,21 +94,23 @@ class GaussianSketcher:
         # starts on a Philox counter block and Box-Muller pairs never
         # straddle columns.
         self._wpc = 4 * ((self.r + 3) // 4)
-        self._omega = self._generate_block(0, self.m) if store_omega else None
+        self._omega_t = (
+            np.ascontiguousarray(self._generate_block(0, self.m)) if store_omega else None
+        )
         self._moment_check()
 
     def _generate_block(self, j0: int, j1: int) -> np.ndarray:
+        # Columns [j0, j1) of omega as the rows of a (j1-j0) x r view.
         normals = _box_muller(_raw_words(self.seed, j0 * self._wpc, (j1 - j0) * self._wpc))
-        block = normals.reshape(j1 - j0, self._wpc)[:, : self.r]
-        return np.ascontiguousarray(block.T)
+        return normals.reshape(j1 - j0, self._wpc)[:, : self.r]
 
     def column_block(self, j0: int, j1: int) -> np.ndarray:
         """Columns [j0, j1) of omega, shape (r, j1-j0). Treat as read-only."""
         if not (0 <= j0 <= j1 <= self.m):
             raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {self.m})")
-        if self._omega is not None:
-            return self._omega[:, j0:j1]
-        return self._generate_block(j0, j1)
+        if self._omega_t is not None:
+            return self._omega_t[j0:j1].T
+        return np.ascontiguousarray(self._generate_block(j0, j1).T)
 
     def _tile_width(self) -> int:
         # As many columns as fit in TILE_ENTRIES, at least one.

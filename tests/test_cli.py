@@ -93,6 +93,16 @@ class TestMatrixIo:
         with pytest.raises(FormatError, match="offset"):
             cli.load_matrix(str(p), "dpbin")
 
+    def test_csv_leading_blank_lines_are_skipped(self, tmp_path):
+        # The shape probe skips blank lines the way the reader does.
+        p = tmp_path / "m.csv"
+        p.write_text("\n1,2\n3,4\n")
+        assert cli.matrix_shape(str(p), "csv") == (2, 2)
+        np.testing.assert_array_equal(cli.load_matrix(str(p), "csv"), [[1.0, 2.0], [3.0, 4.0]])
+        p.write_text("\n \n")
+        with pytest.raises(FormatError, match="empty CSV matrix"):
+            cli.matrix_shape(str(p), "csv")
+
     def test_dpbin_bad_magic(self, tmp_path):
         p = tmp_path / "m.dpmt"
         cli.save_matrix(str(p), np.ones((2, 2)))
@@ -133,6 +143,24 @@ class TestChunkedReader:
         p.write_bytes(data[:-7])
         with pytest.raises(FormatError, match=f"offset {len(data) - 7}"):
             list(cli.iter_matrix_chunks(str(p), "dpbin"))
+
+    def test_dpbin_trailing_bytes_report_offset(self, tmp_path, capsys):
+        # A header of 10 rows over a payload of 20 rows, or of 10 rows and
+        # one byte: the reader refuses the file instead of dropping the rest.
+        p = self._dpmt(tmp_path, np.ones((20, 4)))
+        raw = bytearray(p.read_bytes())
+        raw[: cli._MATRIX_HEADER.size] = cli._MATRIX_HEADER.pack(cli.MATRIX_MAGIC, 1, 10, 4)
+        end = cli._MATRIX_HEADER.size + 8 * 10 * 4
+        for payload in (bytes(raw), bytes(raw[: end + 1])):
+            p.write_bytes(payload)
+            with pytest.raises(FormatError, match=f"extra bytes from offset {end}"):
+                list(cli.iter_matrix_chunks(str(p), "dpbin"))
+            with pytest.raises(FormatError, match=f"extra bytes from offset {end}"):
+                cli.load_matrix(str(p), "dpbin")
+        args = ["lra", "--input", str(p), "--format", "dpbin", "--rank", "1",
+                "--eps", "1", "--delta", "0.01", "--report", str(tmp_path / "r.json")]
+        assert cli.main(args) == 1
+        assert f"extra bytes from offset {end}" in capsys.readouterr().err
 
     def test_dpbin_non_finite_in_later_chunk_names_global_row(self, tmp_path):
         p = self._dpmt(tmp_path, np.ones((10, 3)))
@@ -278,6 +306,14 @@ class TestReportSchema:
         "regress": {"residuals", "optima", "error_bound"},
     }
     GUARD_KEYS = {"required_sigma_min", "observed_sigma_min", "passed", "mode"}
+    # params holds exactly the options the command parsed, so multiply and
+    # regress reports list no lra option such as halve_budget.
+    RELEASE_PARAMS = {"command", "seed", "report", "input", "fmt", "oracle", "eps", "delta"}
+    PARAM_KEYS = {
+        "lra": RELEASE_PARAMS | {"rank", "oversample", "halve_budget", "constant_c"},
+        "multiply": RELEASE_PARAMS | {"input_b", "alpha", "beta"},
+        "regress": RELEASE_PARAMS | {"input_b", "alpha", "beta"},
+    }
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -324,7 +360,8 @@ class TestReportSchema:
         if command == "lra":
             keys.add("factor_files")
         assert set(report) == keys
-        assert set(report["params"]) == set(cli.RunConfig.__dataclass_fields__)
+        assert set(report["params"]) == self.PARAM_KEYS[command]
+        assert report["params"]["command"] == command and report["params"]["oracle"] == oracle
         assert set(report["guard_report"]) == self.GUARD_KEYS
         assert report["space_entries"] > 0
         if oracle:

@@ -9,8 +9,14 @@ from dpsketch.errors import (
     SpectralGuardError,
 )
 from dpsketch.lra import LraConfig, LowRankFactor, new_lra, reconstruct
+from dpsketch.sketch import GaussianSketcher
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
+
+
+def omega_rows(state, j0, j1):
+    """Rows j0..j1-1 of the stored omega.T (lift rows first, then data rows)."""
+    return state.sketcher.column_block(j0, j1).T
 
 
 def stream_all(state, a):
@@ -23,15 +29,39 @@ class TestConstruction:
     def test_symmetric_dimensions(self):
         cfg = LraConfig(n=20, d=20, k=3, p=4, budget=BUDGET, seed=0, symmetric=True)
         state = new_lra(cfg)
-        assert state.omega1.shape == (20, 7) and state.omega2.shape == (20, 7)
+        assert omega_rows(state, 0, 20).shape == (20, 7)
+        assert omega_rows(state, 20, 40).shape == (20, 7)
         assert state.sketcher.m == 40 and state.sketcher.r == 7
         assert state.y1.shape == (20, 7) and state.y2 is None
 
     def test_nonsymmetric_dimensions(self):
         cfg = LraConfig(n=24, d=16, k=3, p=4, budget=BUDGET, seed=0)
         state = new_lra(cfg)
-        assert state.omega1.shape == (24, 7) and state.omega2.shape == (16, 7)
+        assert state.sketcher.m == 40 and state.sketcher.r == 7
+        assert omega_rows(state, 0, 24).shape == (24, 7)
+        assert omega_rows(state, 24, 40).shape == (16, 7)
         assert state.y1.shape == (24, 7) and state.y2.shape == (16, 7)
+
+    def test_projection_generated_once(self, monkeypatch):
+        # At n=2000, d=1000, k=50 the projection is 101 x 3000. Setup, the
+        # moment check, block ingest and the solve all read one stored copy,
+        # so each of its columns is generated exactly once.
+        generated = []
+        original = GaussianSketcher._generate_block
+
+        def spy(self, j0, j1):
+            generated.append(self.r * (j1 - j0))
+            return original(self, j0, j1)
+
+        monkeypatch.setattr(GaussianSketcher, "_generate_block", spy)
+        state = new_lra(LraConfig(n=2000, d=1000, k=50, budget=BUDGET, seed=0))
+        assert sum(generated) == 303_000
+        assert state.space_entries() == 606_000
+        a = np.random.default_rng(0).standard_normal((2000, 1000))
+        for i0 in range(0, 2000, 500):
+            state.ingest_rows(i0, a[i0 : i0 + 500])
+        state.finalize()
+        assert sum(generated) == 303_000
 
     def test_default_oversampling(self):
         cfg = LraConfig(n=30, d=30, k=4, budget=BUDGET, seed=0)
@@ -67,7 +97,7 @@ class TestIngest:
         cfg = LraConfig(n=12, d=12, k=2, budget=BUDGET, seed=3, symmetric=True)
         state = new_lra(cfg)
         state.ingest_row(4, np.zeros(12))
-        np.testing.assert_allclose(state.y1[4, :], state.w * state.omega1[4, :], rtol=1e-15)
+        np.testing.assert_allclose(state.y1[4, :], state.w * omega_rows(state, 4, 5)[0], rtol=1e-15)
 
     def test_streaming_matches_batch_symmetric(self):
         rng = np.random.default_rng(4)
@@ -75,7 +105,7 @@ class TestIngest:
         a = (g + g.T) / np.sqrt(2)
         cfg = LraConfig(n=15, d=15, k=2, budget=BUDGET, seed=4, symmetric=True)
         state = stream_all(new_lra(cfg), a)
-        batch = state.w * state.omega1 + a @ state.omega2
+        batch = state.w * omega_rows(state, 0, 15) + a @ omega_rows(state, 15, 30)
         assert np.linalg.norm(state.y1 - batch) <= 1e-9 * np.linalg.norm(batch)
 
     def test_streaming_matches_batch_nonsymmetric(self):
@@ -83,10 +113,11 @@ class TestIngest:
         a = rng.standard_normal((18, 12))
         cfg = LraConfig(n=18, d=12, k=2, budget=BUDGET, seed=5)
         state = stream_all(new_lra(cfg), a)
-        y1 = state.w * state.omega1 + a @ state.omega2
-        y2 = a.T @ state.omega1 + state.w * state.omega2
+        omega1, omega2 = omega_rows(state, 0, 18), omega_rows(state, 18, 30)
+        y1 = state.w * omega1 + a @ omega2
+        y2 = a.T @ omega1 + state.w * omega2
         assert np.linalg.norm(state.y1 - y1) <= 1e-9 * np.linalg.norm(y1)
-        final_y2 = state.y2 + state.w * state.omega2
+        final_y2 = state.y2 + state.w * omega2
         assert np.linalg.norm(final_y2 - y2) <= 1e-9 * np.linalg.norm(y2)
 
     def test_duplicate_row_rejected(self):

@@ -301,7 +301,7 @@ class TestTiles:
         # psg1, psg2 and update_column on a regenerating sketcher request at
         # most one tile of omega at a time and agree with a stored omega.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
-        stored = GaussianSketcher(8, 4, 30)
+        om = GaussianSketcher(8, 4, 30).omega
         sk = GaussianSketcher(8, 4, 30, store_omega=False)
         sizes = []
         original = GaussianSketcher.column_block
@@ -312,7 +312,6 @@ class TestTiles:
 
         monkeypatch.setattr(GaussianSketcher, "column_block", spy)
         v = np.random.default_rng(8).standard_normal(30)
-        om = stored._omega
         want = {"psg1": om @ v, "psg2": om.T @ (om @ v)}
         got = {"psg1": sk.psg1(v), "psg2": sk.psg2(v)}
         for kind in ("psg1", "psg2"):
