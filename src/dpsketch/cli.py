@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import struct
 import sys
 import time
@@ -64,10 +65,15 @@ def _parse_csv_line(line: str, lineno: int, expected: Optional[int]) -> np.ndarr
 
 
 def matrix_shape(path: str, fmt: str) -> Tuple[int, int]:
-    """Probe (rows, cols) without parsing entries (CSV) or payload (binary)."""
+    """Probe (rows, cols) without parsing entries (CSV) or payload (binary).
+
+    A binary file whose size disagrees with its header is refused here,
+    before any row is read.
+    """
     if fmt == "dpbin":
         with open(path, "rb") as fh:
             header = fh.read(_MATRIX_HEADER.size)
+            size = os.fstat(fh.fileno()).st_size
         if len(header) < _MATRIX_HEADER.size:
             raise FormatError(f"matrix header truncated at offset {len(header)}")
         magic, version, rows, cols = _MATRIX_HEADER.unpack(header)
@@ -75,6 +81,11 @@ def matrix_shape(path: str, fmt: str) -> Tuple[int, int]:
             raise FormatError(f"bad matrix magic {magic!r}")
         if version != MATRIX_VERSION:
             raise FormatError(f"unsupported matrix format version {version}")
+        end = _MATRIX_HEADER.size + 8 * rows * cols
+        if size < end:
+            raise FormatError(f"matrix payload truncated at offset {size}")
+        if size > end:
+            raise FormatError(f"matrix payload has extra bytes from offset {end}")
         return rows, cols
     with open(path, "r") as fh:
         # Blank lines are skipped, as iter_matrix_chunks skips them.
@@ -114,9 +125,6 @@ def iter_matrix_chunks(path: str, fmt: str) -> Iterator[Tuple[int, np.ndarray]]:
                 if bad.any():
                     raise FormatError(f"non-finite entry in binary row {i0 + int(bad.argmax())}")
                 yield i0, block
-            if fh.read(1):
-                end = _MATRIX_HEADER.size + 8 * cols * rows
-                raise FormatError(f"matrix payload has extra bytes from offset {end}")
         return
     expected = None
     i0 = 0

@@ -6,7 +6,7 @@ import pytest
 
 from dpsketch import cli, guard, sketch
 from dpsketch.errors import FormatError
-from dpsketch.lra import LraConfig, new_lra
+from dpsketch.lra import LraConfig, LraState, new_lra
 from dpsketch.matprod import new_matprod
 from dpsketch.regress import new_regress
 
@@ -161,6 +161,27 @@ class TestChunkedReader:
                 "--eps", "1", "--delta", "0.01", "--report", str(tmp_path / "r.json")]
         assert cli.main(args) == 1
         assert f"extra bytes from offset {end}" in capsys.readouterr().err
+
+    def test_dpbin_size_checked_before_any_row(self, tmp_path, monkeypatch, capsys):
+        # A 10-row header over a 20-row payload is refused by the shape
+        # probe: the release ingests no row before it exits 1.
+        p = self._dpmt(tmp_path, np.ones((20, 4)))
+        raw = bytearray(p.read_bytes())
+        raw[: cli._MATRIX_HEADER.size] = cli._MATRIX_HEADER.pack(cli.MATRIX_MAGIC, 1, 10, 4)
+        p.write_bytes(bytes(raw))
+        ingested = []
+        original = LraState.ingest_rows
+
+        def spy(self, i0, block):
+            ingested.append(block.shape[0])
+            return original(self, i0, block)
+
+        monkeypatch.setattr(LraState, "ingest_rows", spy)
+        args = ["lra", "--input", str(p), "--format", "dpbin", "--rank", "1",
+                "--eps", "1", "--delta", "0.01", "--report", str(tmp_path / "r.json")]
+        assert cli.main(args) == 1
+        assert "extra bytes from offset" in capsys.readouterr().err
+        assert ingested == []
 
     def test_dpbin_non_finite_in_later_chunk_names_global_row(self, tmp_path):
         p = self._dpmt(tmp_path, np.ones((10, 3)))

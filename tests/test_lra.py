@@ -43,9 +43,9 @@ class TestConstruction:
         assert state.y1.shape == (24, 7) and state.y2.shape == (16, 7)
 
     def test_projection_generated_once(self, monkeypatch):
-        # At n=2000, d=1000, k=50 the projection is 101 x 3000. Setup, the
-        # moment check, block ingest and the solve all read one stored copy,
-        # so each of its columns is generated exactly once.
+        # At n=2000, d=1000, k=50 the projection is 101 x 3000. Setup
+        # generates it once, and block ingest and the solve read that stored
+        # copy, so each of its columns is generated exactly once.
         generated = []
         original = GaussianSketcher._generate_block
 

@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from dpsketch import sketch
-from dpsketch.errors import CapacityError, ContractViolationError, FormatError
+from dpsketch import cli, sketch
+from dpsketch.errors import (
+    CapacityError,
+    ContractViolationError,
+    FormatError,
+    NumericFailureError,
+)
 from dpsketch.sketch import GaussianSketcher, Sketch, deserialize, merge, serialize
 
 
@@ -28,6 +35,22 @@ class TestSketcherConstruction:
         n = 100 * 100
         assert abs(sk.omega.mean()) <= 5 / np.sqrt(n)
         assert abs(sk.omega.var() - 1.0) <= 10 / np.sqrt(n)
+
+    @pytest.mark.parametrize(
+        "r, m", [(101, 3000), (74, 40_100), (1031, 4040)], ids=["lra", "multiply", "regress"]
+    )
+    def test_benchmark_identity_moments(self, r, m):
+        # The benchmark's sketcher shapes at seed 0, regenerated tile by tile.
+        sk = GaussianSketcher(0, r, m, store_omega=False)
+        total = total_sq = 0.0
+        for *_, tile in sk.tiles(0, m):
+            total += float(tile.sum())
+            total_sq += float(np.square(tile).sum())
+        n = r * m
+        mean = total / n
+        var = total_sq / n - mean * mean
+        assert abs(mean) <= 5 / np.sqrt(n)
+        assert abs(var - 1.0) <= 10 / np.sqrt(n)
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -270,23 +293,28 @@ class TestTiles:
         sk.project(1, np.ones((7, 2)))
         assert calls == [((1, 3), {}), ((3, 5), {}), ((5, 7), {}), ((7, 8), {})]
 
-    def test_moment_check_walks_tiles(self, monkeypatch):
-        # Construction regenerates omega for its moment check through
-        # column_block, one tile at a time, covering [0, m) once in order.
-        ranges = []
-        original = GaussianSketcher.column_block
+    def test_construction_generates_only_a_stored_projection(self, monkeypatch):
+        # A regenerating sketcher requests no column at construction; a
+        # stored one generates its projection once, as one block over [0, m).
+        requested, generated = [], []
+        original_block = GaussianSketcher.column_block
+        original_generate = GaussianSketcher._generate_block
 
-        def spy(self, j0, j1):
-            ranges.append((j0, j1))
-            return original(self, j0, j1)
+        def block_spy(self, j0, j1):
+            requested.append((j0, j1))
+            return original_block(self, j0, j1)
+
+        def generate_spy(self, j0, j1):
+            generated.append((j0, j1))
+            return original_generate(self, j0, j1)
 
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
-        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
-        sk = GaussianSketcher(9, 5, 23, store_omega=False)
-        assert ranges and ranges[0][0] == 0 and ranges[-1][1] == sk.m
-        assert all(j0 < j1 for j0, j1 in ranges)
-        assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
-        assert max(sk.r * (j1 - j0) for j0, j1 in ranges) <= sketch.TILE_ENTRIES
+        monkeypatch.setattr(GaussianSketcher, "column_block", block_spy)
+        monkeypatch.setattr(GaussianSketcher, "_generate_block", generate_spy)
+        GaussianSketcher(9, 5, 23, store_omega=False)
+        assert requested == [] and generated == []
+        GaussianSketcher(9, 5, 23, store_omega=True)
+        assert requested == [] and generated == [(0, 23)]
 
     @pytest.mark.parametrize("budget", [1, 12, 65536])
     def test_project_matches_dense_product(self, monkeypatch, budget):
@@ -320,3 +348,111 @@ class TestTiles:
             for out in (got[kind], s.data[:, 1]):
                 assert np.linalg.norm(out - want[kind]) <= 1e-12 * np.linalg.norm(want[kind])
         assert sizes and max(sizes) <= sketch.TILE_ENTRIES
+
+
+def _scalar_normals(words):
+    # Box-Muller written independently of sketch._box_muller: one pair of
+    # 64-bit words gives the cos and the sin normal, in that order.
+    out = []
+    for w0, w1 in zip(words[0::2], words[1::2]):
+        u1 = ((w0 >> 11) + 1) * 2.0**-53
+        u2 = (w1 >> 11) * 2.0**-53
+        radius = math.sqrt(-2.0 * math.log(u1))
+        out += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
+    return out
+
+
+# (seed, r, m, j0, j1, the Philox words of columns [j0, j1), {(row, col): normal})
+KNOWN_ANSWERS = [
+    pytest.param(
+        0, 4, 2, 0, 2,
+        [213000021201967259, 4455796210202625458, 2055444239878205049, 10411612076246414556,
+         9267267987884836803, 5120919030223861725, 17460660323513034167, 18189711684604811196],
+        {(0, 0): 0.15853383451844166, (3, 1): -0.028982948293703865},
+        id="seed-0",
+    ),
+    pytest.param(
+        (1 << 63) + 1, 4, 1, 0, 1,
+        [15427352783323932975, 2564398840747885779, 1177965655085308409, 18235861618156303230],
+        {(0, 0): 0.38395966310610846, (3, 0): -0.1683430469983947},
+        id="seed-above-2**63",
+    ),
+    pytest.param(
+        5, 3, 2, 0, 2,
+        [13535223855206698129, 10893183200674769480, 3833398344621921443, 8178605492699859198,
+         4593217736961924102, 12499342411136185311, 13713093298565872893, 14205111527475193711],
+        {(2, 0): -1.6615842807882841, (0, 1): -0.7327526017017558},
+        id="r-not-multiple-of-4",
+    ),
+    pytest.param(
+        9, 2, 10, 7, 9,
+        [1700775528397178805, 10250454074722429252, 10391399568701391053, 3383864883935919905,
+         13984473375468792657, 3332892030833429099, 9724008294923564878, 2869859987804750816],
+        {(0, 0): -2.051228590888033, (1, 1): 0.674741440629901},
+        id="columns-from-7",
+    ),
+]
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("store", [True, False], ids=["stored", "regenerated"])
+    @pytest.mark.parametrize("seed, r, m, j0, j1, words, spots", KNOWN_ANSWERS)
+    def test_pinned_words_and_normals(self, seed, r, m, j0, j1, words, spots, store):
+        # Each column takes a whole number of Philox blocks; rows past r are
+        # padding words that are generated and skipped.
+        wpc = 4 * ((r + 3) // 4)
+        for key in (seed, seed - (1 << 64)):  # the second only matches through & _U64
+            raw = sketch._raw_words(key, j0 * wpc, (j1 - j0) * wpc)
+            assert [int(w) for w in raw] == words
+        want = np.array(_scalar_normals(words)).reshape(j1 - j0, wpc)[:, :r].T
+        got = GaussianSketcher(seed, r, m, store_omega=store).column_block(j0, j1)
+        assert got.shape == (r, j1 - j0)
+        assert np.abs(got - want).max() <= 1e-13
+        for (i, j), value in spots.items():
+            assert abs(got[i, j] - value) <= 1e-13
+
+    def test_self_test_runs_once_per_process(self, monkeypatch):
+        # After the first construction no sketcher touches the generator
+        # unless it stores its projection.
+        calls = []
+        original = sketch._raw_words
+
+        def spy(seed, offset, count):
+            calls.append((seed, offset, count))
+            return original(seed, offset, count)
+
+        monkeypatch.setattr(sketch, "_raw_words", spy)
+        sketch._self_test.cache_clear()
+        GaussianSketcher(0, 4, 8, store_omega=False)
+        GaussianSketcher(1, 1031, 4040, store_omega=False)
+        assert len(calls) == 2 and calls[0][1] == 0 and calls[1][1] > 0
+        assert all(offset % 4 == 0 and count == 4 for _, offset, count in calls)
+
+    def test_swapped_box_muller_halves_fail(self, monkeypatch, tmp_path, capsys):
+        # Negative control: swapping the cos and sin halves keeps the output
+        # Gaussian, so moments cannot see it, but the known answers do.
+        original = sketch._box_muller
+
+        def swapped(words):
+            out = original(words)
+            out[0::2], out[1::2] = out[1::2].copy(), out[0::2].copy()
+            return out
+
+        words = KNOWN_ANSWERS[0].values[5]  # the seed-0 Philox words
+        monkeypatch.setattr(sketch, "_box_muller", swapped)
+        sketch._self_test.cache_clear()
+        try:
+            got = sketch._box_muller(np.array(words, dtype=np.uint64))
+            assert np.abs(got - _scalar_normals(words)).max() > 1e-13
+            with pytest.raises(NumericFailureError, match="known-answer"):
+                GaussianSketcher(0, 4, 8)
+            p = tmp_path / "a.csv"
+            p.write_text("1,2,3,4,5,6,7,8\n" * 8)
+            args = ["lra", "--input", str(p), "--rank", "1", "--eps", "1",
+                    "--delta", "0.01", "--report", str(tmp_path / "r.json")]
+            assert cli.main(args) == 1
+            assert "known-answer" in capsys.readouterr().err
+        finally:
+            monkeypatch.undo()
+            sketch._self_test.cache_clear()
+        GaussianSketcher(0, 4, 8)
