@@ -13,7 +13,9 @@ binary format (magic, version u16, rows u32, cols u32, little-endian
 float64 row-major). Streaming commands consume the input through a one-pass
 iterator of row chunks, each about one projection tile in size, feed each
 chunk to the mechanism's block ingest, and never materialize the private
-matrix unless --oracle is given.
+matrix unless --oracle is given. ``multiply`` reads A and B in lockstep,
+in chunks of the same rows, and ingests each pair of chunks in one pass
+over the projection tiles.
 
 Exit codes: 0 success, 1 mechanism error, 2 usage error, 3 verification
 failure.
@@ -101,16 +103,20 @@ def _chunk_rows(cols: int) -> int:
     return max(1, sketch.TILE_ENTRIES // max(cols, 1))
 
 
-def iter_matrix_chunks(path: str, fmt: str) -> Iterator[Tuple[int, np.ndarray]]:
+def iter_matrix_chunks(
+    path: str, fmt: str, step: Optional[int] = None
+) -> Iterator[Tuple[int, np.ndarray]]:
     """One-pass iterator of (i0, block): rows i0, i0+1, ... as a 2-D block.
 
-    Entries are parsed exactly once. Binary payloads are read with one
-    ``read`` per chunk. Errors name the global row (binary) or the line
-    (CSV) at fault, whichever chunk it falls in.
+    Blocks hold ``step`` rows (the last may hold fewer); by default about
+    one projection tile of entries. Entries are parsed exactly once.
+    Binary payloads are read with one ``read`` per chunk. Errors name the
+    global row (binary) or the line (CSV) at fault, whichever chunk it
+    falls in.
     """
     if fmt == "dpbin":
         rows, cols = matrix_shape(path, fmt)
-        step = _chunk_rows(cols)
+        step = step or _chunk_rows(cols)
         with open(path, "rb") as fh:
             fh.seek(_MATRIX_HEADER.size)
             for i0 in range(0, rows, step):
@@ -136,7 +142,7 @@ def iter_matrix_chunks(path: str, fmt: str) -> Iterator[Tuple[int, np.ndarray]]:
             row = _parse_csv_line(line, lineno, expected)
             if expected is None:
                 expected = row.size
-                step = _chunk_rows(expected)
+                step = step or _chunk_rows(expected)
             pending.append(row)
             if len(pending) == step:
                 yield i0, np.vstack(pending)
@@ -289,10 +295,13 @@ def _multiply(cfg: argparse.Namespace, n: int, d1: int) -> _Release:
     d2 = _probe_b(cfg, n, "B has")
     budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
     state = new_matprod(n, d1, d2, budget, acc, cfg.seed)
-    for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
-        state.ingest_a_rows(i0, block)
-    for i0, block in iter_matrix_chunks(cfg.input_b, cfg.fmt):
-        state.ingest_b_rows(i0, block)
+    # A and B are read in lockstep, in chunks of the same rows, so each
+    # projection tile is regenerated once for both.
+    step = _chunk_rows(max(d1, d2))
+    chunks = zip(iter_matrix_chunks(cfg.input, cfg.fmt, step),
+                 iter_matrix_chunks(cfg.input_b, cfg.fmt, step))
+    for (i0, block_a), (_, block_b) in chunks:
+        state.ingest_rows(i0, block_a, block_b)
     estimate = state.product_query()
 
     def oracle(a):

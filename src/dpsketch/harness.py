@@ -446,8 +446,7 @@ def mc_unbiased_product(
     total_sq = np.zeros((d1, d2))
     for t in range(trials):
         state = new_matprod(n, d1, d2, budget, acc, seed=seed + 1 + t)
-        state.ingest_a_columns(0, a)
-        state.ingest_b_columns(0, b)
+        state.ingest_rows(0, a, b)
         estimate = state.product_query()
         total += estimate
         total_sq += estimate * estimate
@@ -473,8 +472,7 @@ def _matprod_trial(n, d1, d2, budget, acc, trial_seed):
     a = rng.standard_normal((n, d1))
     b = rng.standard_normal((n, d2))
     state = new_matprod(n, d1, d2, budget, acc, trial_seed)
-    state.ingest_a_columns(0, a)
-    state.ingest_b_columns(0, b)
+    state.ingest_rows(0, a, b)
     estimate = state.product_query()
     lhs = float(np.linalg.norm(exact_product(a, b) - estimate))
     return lhs, matprod_rhs(a, b, state.s, acc.alpha)

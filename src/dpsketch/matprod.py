@@ -17,6 +17,10 @@ is seeded into the sketches at construction; ingestion accumulates only
 data contributions, which keeps updates exactly linear (turnstile). A merge
 of two shards therefore sums their sketches and subtracts one copy of the
 lift, regenerated from the seed.
+
+Both operands are sketched with the same projection and read the same
+data-block columns, so ``MatProdState.ingest_rows`` takes a row block of A
+and of B together and regenerates each projection tile once for both.
 ``LiftedSketch`` owns this layout, the guard check and its report, and the
 ingest; the regression mechanism builds on the same core.
 """
@@ -51,8 +55,10 @@ def lifted_matrix(a: np.ndarray, s: float, d: int) -> np.ndarray:
 class LiftedSketch:
     """Identity-lifted n x d streams sketched by one seeded projection.
 
-    Each subclass names its sketches; ``_new`` seeds them with the lift and
-    ``_ingest_rows`` / ``_ingest_columns`` add data blocks into one of them.
+    Each subclass names its sketches; ``_new`` seeds them with the lift,
+    ``_ingest_columns`` adds a block of columns into one of them, and
+    ``_ingest_rows`` adds a block of rows into one or more of them in one
+    pass over the projection tiles.
     """
 
     n: int
@@ -77,20 +83,29 @@ class LiftedSketch:
         sketcher = GaussianSketcher(seed, r=r, m=m, store_omega=False)
         for name, width in widths.items():
             fields[name] = Sketch.empty(sketcher, "psg1", width)
-            fields[name].data[:] = s * sketcher.column_block(0, width)
-        return cls(
+        state = cls(
             n=n, d=d, r=r, s=float(s), budget=budget, acc=acc, sketcher=sketcher,
             guard_report=report, **fields,
         )
+        sketches = [fields[name] for name in widths]
+        for sk, lift in zip(sketches, state._lifts(sketches)):
+            sk.data[:] = lift
+        return state
+
+    def _lifts(self, sketches) -> list[np.ndarray]:
+        """The lift s * omega[:, :col_count] of each sketch, from one regenerated block."""
+        block = self.s * self.sketcher.column_block(0, max(sk.col_count for sk in sketches))
+        return [block[:, : sk.col_count] for sk in sketches]
 
     def space_entries(self) -> int:
         """Retained entries: the sketches (omega is regenerated on demand)."""
         return sum(v.data.size for v in vars(self).values() if isinstance(v, Sketch))
 
-    def _project_data(self, i0: int, x: np.ndarray) -> np.ndarray:
-        """omega_data[:, i0:i0+len(x)] @ x, omega_data being the data block."""
+    def _project_data(self, i0: int, *blocks: np.ndarray) -> list[np.ndarray]:
+        """omega_data[:, i0:i0+k] @ x for each k-row block x, in one pass over
+        the tiles, omega_data being the data block."""
         _m, lo, _hi = lift_layout(self.n, self.d)
-        return self.sketcher.project(lo + i0, x)
+        return self.sketcher.project_blocks(lo + i0, blocks)
 
     def _ingest_columns(self, sk: Sketch, j0: int, cols) -> None:
         """Add omega_data @ cols into sketch columns [j0, j0 + cols.shape[1]).
@@ -106,21 +121,26 @@ class LiftedSketch:
             raise ContractViolationError(f"columns [{j0}, {j1}) outside [0, {sk.col_count})")
         if not x.any():
             return
-        sk.data[:, j0:j1] += self._project_data(0, x)
+        (y,) = self._project_data(0, x)
+        sk.data[:, j0:j1] += y
 
-    def _ingest_rows(self, sk: Sketch, i0: int, rows) -> None:
-        """Add the turnstile update of data rows [i0, i0 + rows.shape[0]).
+    def _ingest_rows(self, i0: int, *pairs) -> None:
+        """Add the turnstile update of data rows [i0, i0 + k) to each sketch.
 
-        Row i touches only projection column lo + i, so a block of rows is
-        one matmul per tile of those columns.
+        ``pairs`` are (sketch, rows) with k rows each. Row i touches only
+        projection column lo + i, so each tile of those columns is
+        regenerated once and applied to every pair. All pairs are checked,
+        their row counts by ``project_blocks``, before any sketch changes.
         """
-        x = numerics.as_matrix(rows, "rows")
-        if x.shape[1] != sk.col_count:
-            raise ContractViolationError(f"row length {x.shape[1]}, expected {sk.col_count}")
-        i1 = i0 + x.shape[0]
+        blocks = [numerics.as_matrix(rows, "rows") for _sk, rows in pairs]
+        for (sk, _rows), x in zip(pairs, blocks):
+            if x.shape[1] != sk.col_count:
+                raise ContractViolationError(f"row length {x.shape[1]}, expected {sk.col_count}")
+        i1 = i0 + blocks[0].shape[0]
         if not (0 <= i0 <= i1 <= self.n):
             raise ContractViolationError(f"rows [{i0}, {i1}) outside [0, {self.n})")
-        sk.data += self._project_data(i0, x)
+        for (sk, _rows), y in zip(pairs, self._project_data(i0, *blocks)):
+            sk.data += y
 
 
 @dataclass
@@ -137,12 +157,17 @@ class MatProdState(LiftedSketch):
     def ingest_b_columns(self, j0: int, cols) -> None:
         self._ingest_columns(self.yb, j0, cols)
 
+    def ingest_rows(self, i0: int, a_rows, b_rows) -> None:
+        """Add rows i0, i0+1, ... of A and of B, given as the rows of
+        ``a_rows`` and ``b_rows``; both share one pass over the tiles."""
+        self._ingest_rows(i0, (self.ya, a_rows), (self.yb, b_rows))
+
     def ingest_a_rows(self, i0: int, rows) -> None:
         """Add rows i0, i0+1, ... of A, given as the rows of ``rows``."""
-        self._ingest_rows(self.ya, i0, rows)
+        self._ingest_rows(i0, (self.ya, rows))
 
     def ingest_b_rows(self, i0: int, rows) -> None:
-        self._ingest_rows(self.yb, i0, rows)
+        self._ingest_rows(i0, (self.yb, rows))
 
     def ingest_a_column(self, a: int, col) -> None:
         self.ingest_a_columns(a, numerics.as_vector(col, "column")[:, None])
@@ -178,10 +203,9 @@ class MatProdState(LiftedSketch):
         if self.s != other.s:
             raise ContractViolationError("cannot merge states with different lifts")
         ya, yb = sketch.merge(self.ya, other.ya), sketch.merge(self.yb, other.yb)
-        # Both shards carry the lift s * omega[:, :width]; remove one copy.
-        lift = self.s * self.sketcher.column_block(0, max(self.d1, self.d2))
-        ya.data -= lift[:, : self.d1]
-        yb.data -= lift[:, : self.d2]
+        # Both shards carry the lift; remove one copy.
+        for sk, lift in zip((ya, yb), self._lifts((ya, yb))):
+            sk.data -= lift
         return dataclasses.replace(self, ya=ya, yb=yb)
 
 

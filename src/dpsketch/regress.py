@@ -38,7 +38,7 @@ class RegressState(LiftedSketch):
 
     def ingest_rows(self, i0: int, rows) -> None:
         """Add rows i0, i0+1, ... of A, given as the rows of ``rows``."""
-        self._ingest_rows(self.ya, i0, rows)
+        self._ingest_rows(i0, (self.ya, rows))
 
     def ingest_column(self, c: int, col) -> None:
         self.ingest_columns(c, numerics.as_vector(col, "column")[:, None])
@@ -68,7 +68,7 @@ class RegressState(LiftedSketch):
                 f"{q} queries exceed the ceiling of {self.query_ceiling} "
                 f"({self.queries_answered} already answered)"
             )
-        yb = self._project_data(0, x)
+        (yb,) = self._project_data(0, x)
         solutions = numerics.minres_solve(self.ya.data.T, yb.T)
         self.queries_answered += q
         return solutions.T

@@ -144,12 +144,24 @@ class GaussianSketcher:
             t1 = min(t0 + width, j1)
             yield t0, t1, self.column_block(t0, t1)
 
+    def project_blocks(self, j0: int, blocks) -> list[np.ndarray]:
+        """[omega[:, j0:j0+k] @ x for x in blocks], each x a 2-D block of k rows.
+
+        Every tile of columns [j0, j0+k) is regenerated once and applied to
+        all the blocks, so each result equals ``project(j0, x)`` bit for bit.
+        """
+        k = blocks[0].shape[0]
+        if any(x.shape[0] != k for x in blocks):
+            raise ContractViolationError(f"row counts differ: {[x.shape[0] for x in blocks]}")
+        outs = [np.zeros((self.r, x.shape[1])) for x in blocks]
+        for t0, t1, tile in self.tiles(j0, j0 + k):
+            for out, x in zip(outs, blocks):
+                out += tile @ x[t0 - j0 : t1 - j0]
+        return outs
+
     def project(self, j0: int, x: np.ndarray) -> np.ndarray:
         """omega[:, j0:j0+len(x)] @ x for a 2-D block x, one tile at a time."""
-        out = np.zeros((self.r, x.shape[1]))
-        for t0, t1, tile in self.tiles(j0, j0 + x.shape[0]):
-            out += tile @ x[t0 - j0 : t1 - j0]
-        return out
+        return self.project_blocks(j0, [x])[0]
 
     @property
     def omega(self) -> np.ndarray:

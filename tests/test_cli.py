@@ -7,7 +7,7 @@ import pytest
 from dpsketch import cli, guard, sketch
 from dpsketch.errors import FormatError
 from dpsketch.lra import LraConfig, LraState, new_lra
-from dpsketch.matprod import new_matprod
+from dpsketch.matprod import MatProdState, new_matprod
 from dpsketch.regress import new_regress
 
 
@@ -203,6 +203,65 @@ class TestChunkedReader:
         with pytest.raises(FormatError, match="non-finite entry at line 6"):
             list(cli.iter_matrix_chunks(str(p), "csv"))
 
+    def _multiply(self, tmp_path, monkeypatch, pa, pb, fmt):
+        # Runs multiply on A and B; returns the exit code and the i0 of each
+        # chunk pair ingested.
+        ingested = []
+        original = MatProdState.ingest_rows
+
+        def spy(self, i0, a_rows, b_rows):
+            ingested.append(i0)
+            return original(self, i0, a_rows, b_rows)
+
+        monkeypatch.setattr(MatProdState, "ingest_rows", spy)
+        args = ["multiply", "--input", str(pa), "--input-b", str(pb), "--format", fmt,
+                "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",
+                "--report", str(tmp_path / "r.json")]
+        return cli.main(args), ingested
+
+    def test_multiply_b_dpbin_fault_exits_1_at_its_chunk(self, tmp_path, monkeypatch, capsys):
+        # A and B are read in lockstep: B's fault in row 9 is reported when
+        # its chunk (rows 8-9) is reached, after the chunk pairs before it.
+        pa = tmp_path / "a.dpmt"
+        cli.save_matrix(str(pa), np.ones((10, 3)))
+        pb = self._dpmt(tmp_path, np.ones((10, 3)))
+        raw = bytearray(pb.read_bytes())
+        offset = cli._MATRIX_HEADER.size + 8 * (9 * 3 + 1)
+        raw[offset : offset + 8] = struct.pack("<d", float("nan"))
+        pb.write_bytes(bytes(raw))
+        rc, ingested = self._multiply(tmp_path, monkeypatch, pa, pb, "dpbin")
+        assert rc == 1
+        assert "non-finite entry in binary row 9" in capsys.readouterr().err
+        assert ingested == [0, 4]
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [("8,9,10,11", "ragged row at line 6"), ("7,nan,1", "non-finite entry at line 6")],
+    )
+    def test_multiply_b_csv_fault_exits_1_naming_its_line(
+        self, tmp_path, monkeypatch, capsys, bad_line, message
+    ):
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(pa, np.ones((10, 3)))
+        lines = ["1,2,3"] * 10
+        lines[5] = bad_line
+        pb.write_text("\n".join(lines) + "\n")
+        rc, ingested = self._multiply(tmp_path, monkeypatch, pa, pb, "csv")
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert ingested == [0]
+
+    def test_multiply_row_count_mismatch_refused_before_any_row(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        pa = tmp_path / "a.dpmt"
+        cli.save_matrix(str(pa), np.ones((10, 3)))
+        pb = self._dpmt(tmp_path, np.ones((9, 3)))
+        rc, ingested = self._multiply(tmp_path, monkeypatch, pa, pb, "dpbin")
+        assert rc == 1
+        assert "row counts differ: A has 10, B has 9" in capsys.readouterr().err
+        assert ingested == []
+
 class TestCommands:
     def test_lra_end_to_end(self, small_matrices, tmp_path):
         _, _, pa, _ = small_matrices
@@ -240,6 +299,34 @@ class TestCommands:
              "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2"]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("tile_entries", [None, 50])
+    def test_multiply_generates_each_tile_once(self, tmp_path, monkeypatch, tile_entries):
+        # A and B share every data tile: the release regenerates the lift
+        # block once and each data column once, r * (n + max(d1, d2)) normals.
+        if tile_entries is not None:
+            monkeypatch.setattr(sketch, "TILE_ENTRIES", tile_entries)
+        n, d1, d2 = 40, 6, 3
+        rng = np.random.default_rng(7)
+        pa, pb = tmp_path / "a.dpmt", tmp_path / "b.dpmt"
+        cli.save_matrix(str(pa), rng.standard_normal((n, d1)))
+        cli.save_matrix(str(pb), rng.standard_normal((n, d2)))
+        normals = []
+        original = sketch.GaussianSketcher.column_block
+
+        def spy(self, j0, j1):
+            normals.append(self.r * (j1 - j0))
+            return original(self, j0, j1)
+
+        monkeypatch.setattr(sketch.GaussianSketcher, "column_block", spy)
+        rc = cli.main(
+            ["multiply", "--input", str(pa), "--input-b", str(pb), "--format", "dpbin",
+             "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",
+             "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 0
+        r = guard.matmult_sketch_dim(guard.AccuracySpec(0.5, 0.2))
+        assert sum(normals) == r * (n + max(d1, d2))
 
     def test_regress_end_to_end(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

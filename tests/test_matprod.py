@@ -118,6 +118,42 @@ class TestBlockIngest:
                     rel = np.linalg.norm(got.data - want.data) / np.linalg.norm(want.data)
                     assert rel <= 1e-12
 
+    @pytest.mark.parametrize("tile_cols", [1, 3, None])
+    def test_paired_rows_equal_one_operand_at_a_time(self, monkeypatch, tile_cols):
+        if tile_cols is not None:
+            monkeypatch.setattr(sketch, "TILE_ENTRIES", tile_cols * guard.matmult_sketch_dim(ACC))
+        rng = np.random.default_rng(13)
+        n, d1, d2 = 23, 5, 3
+        a = rng.standard_normal((n, d1))
+        b = rng.standard_normal((n, d2))
+        paired, single = make_state(n, d1, d2, seed=13), make_state(n, d1, d2, seed=13)
+        for i0, i1 in ((0, 7), (7, 8), (8, 23)):
+            paired.ingest_rows(i0, a[i0:i1], b[i0:i1])
+            single.ingest_a_rows(i0, a[i0:i1])
+            single.ingest_b_rows(i0, b[i0:i1])
+        for got, want in ((paired.ya, single.ya), (paired.yb, single.yb)):
+            if tile_cols is None:
+                np.testing.assert_array_equal(got.data, want.data)
+            else:
+                rel = np.linalg.norm(got.data - want.data) / np.linalg.norm(want.data)
+                assert rel <= 1e-12
+
+    def test_paired_rows_refused_before_either_sketch_changes(self):
+        state = make_state(n=30, d1=5, d2=4)
+        before = state.ya.data.copy(), state.yb.data.copy()
+        for i0, a_rows, b_rows in (
+            (0, np.ones((3, 5)), np.ones((4, 4))),  # row counts differ
+            (0, np.ones((3, 5)), np.ones((3, 5))),  # B rows too wide
+            (0, np.ones((3, 4)), np.ones((3, 4))),  # A rows too narrow
+            (28, np.ones((3, 5)), np.ones((3, 4))),  # past row n
+            (-1, np.ones((3, 5)), np.ones((3, 4))),  # before row 0
+            (0, np.ones((3, 5)), np.full((3, 4), np.nan)),  # non-finite B
+        ):
+            with pytest.raises(ContractViolationError):
+                state.ingest_rows(i0, a_rows, b_rows)
+            np.testing.assert_array_equal(state.ya.data, before[0])
+            np.testing.assert_array_equal(state.yb.data, before[1])
+
     def test_block_range_and_shape_checks(self):
         state = make_state(n=30, d1=5, d2=4)
         with pytest.raises(ContractViolationError):

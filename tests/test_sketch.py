@@ -293,6 +293,29 @@ class TestTiles:
         sk.project(1, np.ones((7, 2)))
         assert calls == [((1, 3), {}), ((3, 5), {}), ((5, 7), {}), ((7, 8), {})]
 
+    def test_project_blocks_share_each_tile(self, monkeypatch):
+        # Several blocks over the same columns cost one pass over the tiles,
+        # and each result is its own project() bit for bit.
+        calls = []
+        original = GaussianSketcher.column_block
+
+        def spy(self, j0, j1):
+            calls.append((j0, j1))
+            return original(self, j0, j1)
+
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 8)
+        sk = GaussianSketcher(2, 4, 10, store_omega=False)
+        rng = np.random.default_rng(2)
+        blocks = [rng.standard_normal((7, 2)), rng.standard_normal((7, 3))]
+        want = [sk.project(1, x) for x in blocks]
+        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        got = sk.project_blocks(1, blocks)
+        assert calls == [(1, 3), (3, 5), (5, 7), (7, 8)]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        with pytest.raises(ContractViolationError):
+            sk.project_blocks(1, [np.ones((7, 2)), np.ones((6, 2))])
+
     def test_construction_generates_only_a_stored_projection(self, monkeypatch):
         # A regenerating sketcher requests no column at construction; a
         # stored one generates its projection once, as one block over [0, m).
