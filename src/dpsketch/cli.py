@@ -6,7 +6,6 @@ lra       single-pass private low-rank approximation of a CSV/binary matrix
 multiply  private transposed product A.T @ B of two column streams
 regress   private least squares against a sketched design matrix
 verify    run the harness verification suite
-bench     coarse wall-time measurements
 
 Matrix files are either headerless CSV (one row per line) or the "DPMT"
 binary format (magic, version u16, rows u32, cols u32, little-endian
@@ -166,10 +165,10 @@ def parse_args(argv) -> argparse.Namespace:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # Each command takes only the options it reads.
-    p_lra, p_mul, p_reg, p_ver, p_ben = (
-        sub.add_parser(name) for name in ("lra", "multiply", "regress", "verify", "bench")
+    p_lra, p_mul, p_reg, p_ver = (
+        sub.add_parser(name) for name in ("lra", "multiply", "regress", "verify")
     )
-    for p in (p_lra, p_mul, p_reg, p_ver, p_ben):
+    for p in (p_lra, p_mul, p_reg, p_ver):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report", default=None)
     for p in (p_lra, p_mul, p_reg):
@@ -203,6 +202,8 @@ def parse_args(argv) -> argparse.Namespace:
             spec(opts[a], opts[b])
     if opts.get("rank", 1) < 1:
         raise ParameterDomainError(f"rank must be >= 1, got {cfg.rank}")
+    if opts.get("oversample") is not None and cfg.oversample < 2:
+        raise ParameterDomainError(f"oversampling must be >= 2, got {cfg.oversample}")
     return cfg
 
 
@@ -273,7 +274,7 @@ def _lra(cfg: argparse.Namespace, n: int, d: int) -> _Release:
     factor = state.finalize()
     extra = {}
     if cfg.report:
-        stem = cfg.report.rsplit(".", 1)[0]
+        stem = os.path.splitext(cfg.report)[0]
         uhat_path, lam_path = stem + ".uhat.dpmt", stem + ".lam.dpmt"
         save_matrix(uhat_path, factor.u_hat)
         save_matrix(lam_path, factor.lam.reshape(1, -1))
@@ -357,29 +358,6 @@ def _run_verify(cfg: argparse.Namespace) -> Tuple[dict, bool]:
     return report, all(c.passed for c in checks)
 
 
-def _run_bench(cfg: argparse.Namespace) -> dict:
-    timings = {}
-    sk = sketch.GaussianSketcher(cfg.seed, r=64, m=256)
-    v = np.linspace(-1.0, 1.0, 256)
-    t = time.perf_counter()
-    for _ in range(2000):
-        sk.psg1(v)
-    timings["psg1_2000_calls_ms"] = (time.perf_counter() - t) * 1e3
-    rng = np.random.default_rng(cfg.seed)
-    a = rng.standard_normal((100, 100))
-    budget = guard.PrivacyBudget(1.0, 0.01)
-    t = time.perf_counter()
-    lcfg = LraConfig(n=100, d=100, k=4, budget=budget, seed=cfg.seed)
-    st = new_lra(lcfg)
-    for i in range(100):
-        st.ingest_row(i, a[i])
-    reconstruct(st.finalize(), lcfg)
-    timings["lra_100x100_ms"] = (time.perf_counter() - t) * 1e3
-    report = _base_report(cfg)
-    report["timings"] = timings
-    return report
-
-
 def run(cfg: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     ok = True
@@ -388,8 +366,6 @@ def run(cfg: argparse.Namespace) -> int:
             report = _run_release(cfg, _RELEASES[cfg.command])
         elif cfg.command == "verify":
             report, ok = _run_verify(cfg)
-        elif cfg.command == "bench":
-            report = _run_bench(cfg)
         else:
             print(f"unknown command {cfg.command!r}", file=sys.stderr)
             return 2

@@ -1,16 +1,12 @@
 """Exact oracles, Monte-Carlo lemma verifiers, and mechanism bound checks.
 
 Every Monte-Carlo operation is driven by explicit seeds and is exactly
-reproducible; reports carry the seeds used. Trials are independent and may
-run on a thread pool (capped by the DPSK_THREADS environment variable);
-results are always reduced in seed order, so parallel runs reproduce
-serial ones.
+reproducible; reports carry the seeds used. Trials run one after another
+in seed order.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,23 +50,6 @@ class BoundReport:
 def binomial_allowed(rate: float, trials: int) -> float:
     """Failure-rate allowance: nominal rate plus a 3-sigma binomial band."""
     return rate + 3.0 * math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
-
-
-def thread_count() -> int:
-    raw = os.environ.get("DPSK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn, seeds):
-    # Threads beyond the core count only add contention.
-    workers = min(thread_count(), os.cpu_count() or 1)
-    if workers == 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +306,7 @@ def _bound_check(check: str, trial, seeds: list, rhs_scale: float, allowed: floa
 
     Passes when the violation rate is at most ``allowed``.
     """
-    results = _map_trials(trial, seeds)
+    results = [trial(s) for s in seeds]
     lhs = np.array([x[0] for x in results])
     rhs = np.array([x[1] for x in results]) * rhs_scale
     violations = int(np.count_nonzero(lhs > rhs))
@@ -359,7 +338,7 @@ def _lra_trial(config: LraConfig, trial_seed: int, norm: str):
         lhs = float(np.linalg.norm(a - approx))
         rhs = lra_frobenius_rhs(config, tail_sq)
     else:
-        lhs = numerics.spectral_norm(a - approx)
+        lhs = float(np.linalg.norm(a - approx, 2))
         sigma_k1 = float(sigma[config.k]) if config.k < sigma.size else 0.0
         rhs = lra_spectral_rhs(config, sigma_k1, tail_sq)
     return lhs, rhs
@@ -502,7 +481,7 @@ def _regress_trial(n, d, budget, acc, trial_seed):
     b = a @ x0 + rng.standard_normal(n)
     state = new_regress(n, d, budget, acc, trial_seed)
     state.ingest_columns(0, a)
-    x = state.query(b)
+    x = state.query_many(b[:, None])[:, 0]
     lhs = float(np.linalg.norm(a @ x - b))
     optimum = float(np.linalg.norm(a @ exact_lsq(a, b) - b))
     return lhs, regress_rhs(optimum, n, state.s, acc.alpha)

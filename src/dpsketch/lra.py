@@ -129,10 +129,6 @@ class LraState:
         self._ingested[i0:i1] = True
         self.rows_seen += x.shape[0]
 
-    def ingest_row(self, i: int, row) -> None:
-        """Consume row i of the input exactly once (one-pass contract)."""
-        self.ingest_rows(i, numerics.as_vector(row, "row")[None, :])
-
     def finalize(self) -> LowRankFactor:
         """Solve the projection step and publish the top-k eigenpairs."""
         cfg = self.config

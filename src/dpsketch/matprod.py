@@ -169,18 +169,6 @@ class MatProdState(LiftedSketch):
     def ingest_b_rows(self, i0: int, rows) -> None:
         self._ingest_rows(i0, (self.yb, rows))
 
-    def ingest_a_column(self, a: int, col) -> None:
-        self.ingest_a_columns(a, numerics.as_vector(col, "column")[:, None])
-
-    def ingest_b_column(self, b: int, col) -> None:
-        self.ingest_b_columns(b, numerics.as_vector(col, "column")[:, None])
-
-    def ingest_a_row(self, i: int, row) -> None:
-        self.ingest_a_rows(i, numerics.as_vector(row, "row")[None, :])
-
-    def ingest_b_row(self, i: int, row) -> None:
-        self.ingest_b_rows(i, numerics.as_vector(row, "row")[None, :])
-
     def product_query(self) -> np.ndarray:
         """Estimate A.T @ B from the sketches.
 

@@ -1,5 +1,4 @@
-"""Dense linear-algebra kernels: SVD, orthonormal range, spectral norm and
-least squares.
+"""Dense linear-algebra kernels: SVD, orthonormal range and least squares.
 
 All operations are pure functions on immutable float64 arrays and are safe
 to call concurrently. Least-squares problems are solved directly from the
@@ -90,13 +89,6 @@ def orthonormal_range(y) -> RangeResult:
     rank = int(np.count_nonzero(res.sigma > RANK_RTOL * top)) if top > 0.0 else 0
     basis = np.ascontiguousarray(res.u[:, :rank])
     return RangeResult(basis=basis, rank=rank, deficient=rank < a.shape[1])
-
-
-def spectral_norm(m) -> float:
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0.0
-    return float(svd(a).sigma[0])
 
 
 def minres_solve(coeff, rhs) -> np.ndarray:

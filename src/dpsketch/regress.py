@@ -40,12 +40,6 @@ class RegressState(LiftedSketch):
         """Add rows i0, i0+1, ... of A, given as the rows of ``rows``."""
         self._ingest_rows(i0, (self.ya, rows))
 
-    def ingest_column(self, c: int, col) -> None:
-        self.ingest_columns(c, numerics.as_vector(col, "column")[:, None])
-
-    def ingest_row(self, i: int, row) -> None:
-        self.ingest_rows(i, numerics.as_vector(row, "row")[None, :])
-
     def query_many(self, b) -> np.ndarray:
         """Answer min_x ||A x - b_j|| for every column b_j of the n x q ``b``.
 
@@ -73,10 +67,6 @@ class RegressState(LiftedSketch):
         self.queries_answered += q
         return solutions.T
 
-    def query(self, b) -> np.ndarray:
-        """Answer min_x ||A x - b|| for one length-n vector (see query_many)."""
-        return self.query_many(numerics.as_vector(b, "b")[:, None])[:, 0]
-
     def composed_budget(self, delta_prime: float) -> guard.PrivacyBudget:
         """Budget consumed by the queries answered so far, by composition."""
         if self.queries_answered == 0:
@@ -98,9 +88,10 @@ def new_regress(
 ) -> RegressState:
     """Build a regression state; parameters are delegated to the guard module.
 
-    When ``max_queries`` is given it both caps query() calls and inflates
-    the per-query failure allowance, replacing ln(1/beta) by
-    ln(max_queries/beta) in the sketch dimension.
+    When ``max_queries`` is given it both caps the queries answered (one
+    per column given to ``query_many``) and inflates the per-query failure
+    allowance, replacing ln(1/beta) by ln(max_queries/beta) in the sketch
+    dimension.
     """
     if n < 1 or d < 1:
         raise ContractViolationError("matrix dimensions must be >= 1")

@@ -20,7 +20,9 @@ from .numerics import as_vector
 
 _U64 = (1 << 64) - 1
 
-# Per-sketcher float64 entry budget (1 GiB of matrix).
+# Float64 entry budget of one generated projection block (1 GiB): the whole
+# matrix of a stored sketcher, one requested column range of a regenerating
+# one.
 MAX_SKETCH_ENTRIES = 1 << 27
 
 # Float64 entries per regenerated projection tile (512 KiB). Block ingest,
@@ -89,7 +91,9 @@ class GaussianSketcher:
     and solve operands as such blocks.
     With ``store_omega=False`` columns are regenerated from the seed on
     demand and nothing is retained beyond the identity tuple; construction
-    then generates nothing. The Philox + Box-Muller mapping is verified
+    then generates nothing. ``MAX_SKETCH_ENTRIES`` caps each generated
+    block: the whole matrix at construction when it is stored, else each
+    ``column_block`` request. The Philox + Box-Muller mapping is verified
     against known answers once per process, by the first construction.
     """
 
@@ -97,10 +101,6 @@ class GaussianSketcher:
         _self_test()
         if r < 1 or m < 1:
             raise ContractViolationError(f"sketch dimensions must be >= 1, got r={r}, m={m}")
-        if r * m > MAX_SKETCH_ENTRIES:
-            raise CapacityError(
-                f"sketch of {r}x{m} exceeds the {MAX_SKETCH_ENTRIES} entry budget"
-            )
         self.seed = int(seed) & _U64
         self.r = int(r)
         self.m = int(m)
@@ -116,6 +116,11 @@ class GaussianSketcher:
 
     def _generate_block(self, j0: int, j1: int) -> np.ndarray:
         # Columns [j0, j1) of omega as the rows of a (j1-j0) x r view.
+        if self.r * (j1 - j0) > MAX_SKETCH_ENTRIES:
+            raise CapacityError(
+                f"projection block of {self.r}x{j1 - j0} exceeds the "
+                f"{MAX_SKETCH_ENTRIES} entry budget"
+            )
         normals = _box_muller(_raw_words(self.seed, j0 * self._wpc, (j1 - j0) * self._wpc))
         return normals.reshape(j1 - j0, self._wpc)[:, : self.r]
 

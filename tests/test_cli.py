@@ -46,6 +46,15 @@ class TestParsing:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("oversample", ["1", "0", "-3"])
+    def test_oversample_below_two_exits_2(self, small_matrices, capsys, oversample):
+        # The parser refuses it, like --rank 0, before any input is read.
+        _, _, pa, _ = small_matrices
+        rc = cli.main(["lra", "--input", pa, "--rank", "2", "--oversample", oversample,
+                       "--eps", "1", "--delta", "0.01"])
+        assert rc == 2
+        assert "oversampling must be >= 2" in capsys.readouterr().err
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit):
             cli.parse_args(["lra", "--frobnicate"])
@@ -279,6 +288,21 @@ class TestCommands:
         uhat = cli.load_matrix(report["factor_files"][0], "dpbin")
         assert uhat.shape[1] == 2
 
+    def test_factor_files_sit_next_to_the_report(self, small_matrices, tmp_path):
+        # A dot in a directory name is not the report's extension.
+        _, _, pa, _ = small_matrices
+        out_dir = tmp_path / "runs.v2"
+        out_dir.mkdir()
+        rc = cli.main(
+            ["lra", "--input", pa, "--rank", "2", "--eps", "1", "--delta", "0.01",
+             "--report", str(out_dir / "out")]
+        )
+        assert rc == 0
+        want = [str(out_dir / "out.uhat.dpmt"), str(out_dir / "out.lam.dpmt")]
+        assert json.loads((out_dir / "out").read_text())["factor_files"] == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "runs.v2"]
+        assert cli.load_matrix(want[0], "dpbin").shape == (30 + 6, 2)
+
     def test_multiply_end_to_end(self, small_matrices, tmp_path, capsys):
         a, b, pa, pb = small_matrices
         rc = cli.main(
@@ -351,19 +375,13 @@ class TestCommands:
          "--alpha", "0.5", "--beta", "0.2", "--halve-budget"],
         ["lra", "--input", "{a}", "--rank", "2", "--eps", "1", "--delta", "0.01",
          "--alpha", "0.5", "--beta", "0.2"],
-        ["bench", "--oracle"],
-    ], ids=["multiply-halve-budget", "lra-alpha-beta", "bench-oracle"])
+        ["verify", "--oracle"],
+    ], ids=["multiply-halve-budget", "lra-alpha-beta", "verify-oracle"])
     def test_unread_options_are_usage_errors(self, small_matrices, capsys, argv):
         # Each command accepts only the options it reads.
         _, _, pa, pb = small_matrices
         assert cli.main([x.format(a=pa, b=pb) for x in argv]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_bench_runs(self, capsys):
-        rc = cli.main(["bench", "--seed", "1"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert "timings" in report
 
     def test_verify_failure_exits_3(self, capsys, monkeypatch):
         from dpsketch import harness

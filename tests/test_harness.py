@@ -204,40 +204,3 @@ class TestBoundChecks:
         b = harness.bound_check_lra(cfg, trials=4, base_seed=50)
         assert np.array_equal(a.observed_lhs, b.observed_lhs)
         assert a.seeds == b.seeds
-
-    def test_thread_pool_reduces_deterministically(self, monkeypatch):
-        cfg = LraConfig(n=40, d=40, k=2, budget=BUDGET, seed=0)
-        serial = harness.bound_check_lra(cfg, trials=6, base_seed=60)
-        monkeypatch.setenv("DPSK_THREADS", "3")
-        assert harness.thread_count() == 3
-        threaded = harness.bound_check_lra(cfg, trials=6, base_seed=60)
-        assert np.array_equal(serial.observed_lhs, threaded.observed_lhs)
-        assert serial.violations == threaded.violations
-
-    def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
-        # DPSK_THREADS may ask for more threads than there are cores; the
-        # pool gets no more than the cores. The recorder starts no thread.
-        sizes = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setenv("DPSK_THREADS", "64")
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-        assert harness.thread_count() == 64
-        assert harness._map_trials(lambda s: 2 * s, [1, 2, 3]) == [2, 4, 6]
-        assert sizes == [4]
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        assert harness._map_trials(lambda s: 2 * s, [1, 2, 3]) == [2, 4, 6]
-        assert sizes == [4]

@@ -21,7 +21,7 @@ def omega_rows(state, j0, j1):
 
 def stream_all(state, a):
     for i in range(a.shape[0]):
-        state.ingest_row(i, a[i, :])
+        state.ingest_rows(i, a[[i]])
     return state
 
 
@@ -96,7 +96,7 @@ class TestIngest:
     def test_zero_row_leaves_lift_part(self):
         cfg = LraConfig(n=12, d=12, k=2, budget=BUDGET, seed=3, symmetric=True)
         state = new_lra(cfg)
-        state.ingest_row(4, np.zeros(12))
+        state.ingest_rows(4, np.zeros((1, 12)))
         np.testing.assert_allclose(state.y1[4, :], state.w * omega_rows(state, 4, 5)[0], rtol=1e-15)
 
     def test_streaming_matches_batch_symmetric(self):
@@ -123,9 +123,9 @@ class TestIngest:
     def test_duplicate_row_rejected(self):
         cfg = LraConfig(n=10, d=10, k=2, budget=BUDGET, seed=0, symmetric=True)
         state = new_lra(cfg)
-        state.ingest_row(3, np.ones(10))
+        state.ingest_rows(3, np.ones((1, 10)))
         with pytest.raises(OnePassViolationError):
-            state.ingest_row(3, np.ones(10))
+            state.ingest_rows(3, np.ones((1, 10)))
 
     def test_each_row_exactly_once(self):
         cfg = LraConfig(n=8, d=8, k=2, budget=BUDGET, seed=0, symmetric=True)
@@ -135,12 +135,12 @@ class TestIngest:
     def test_wrong_length(self):
         cfg = LraConfig(n=10, d=6, k=2, budget=BUDGET, seed=0)
         with pytest.raises(ContractViolationError):
-            new_lra(cfg).ingest_row(0, np.zeros(10))
+            new_lra(cfg).ingest_rows(0, np.zeros((1, 10)))
 
     def test_finalize_requires_full_stream(self):
         cfg = LraConfig(n=10, d=10, k=2, budget=BUDGET, seed=0, symmetric=True)
         state = new_lra(cfg)
-        state.ingest_row(0, np.zeros(10))
+        state.ingest_rows(0, np.zeros((1, 10)))
         with pytest.raises(ContractViolationError):
             state.finalize()
 
@@ -174,7 +174,7 @@ class TestBlockIngest:
             with pytest.raises(OnePassViolationError):
                 state.ingest_rows(i0, np.ones((k, 10)))
         with pytest.raises(OnePassViolationError):
-            state.ingest_row(5, np.ones(10))
+            state.ingest_rows(5, np.ones((1, 10)))
         assert np.array_equal(state.y1, y1) and state.rows_seen == 2
         assert state._ingested.tolist() == [False] * 4 + [True] * 2 + [False] * 4
 
@@ -188,7 +188,7 @@ class TestBlockIngest:
         with pytest.raises(ContractViolationError):
             state.ingest_rows(0, np.ones((2, 10)))
         with pytest.raises(ContractViolationError):
-            state.ingest_row(10, np.ones(6))
+            state.ingest_rows(10, np.ones((1, 6)))
         assert state.rows_seen == 0
 
     def test_ingest_after_finalize_refused(self):

@@ -43,9 +43,9 @@ class TestIngestion:
         b = rng.standard_normal((n, d2))
         state = make_state(n, d1, d2, seed=3)
         for j in range(d1):
-            state.ingest_a_column(j, a[:, j])
+            state.ingest_a_columns(j, a[:, [j]])
         for j in range(d2):
-            state.ingest_b_column(j, b[:, j])
+            state.ingest_b_columns(j, b[:, [j]])
         om = state.sketcher.omega
         for data, mat in ((state.ya.data, a), (state.yb.data, b)):
             batch = om @ lifted_matrix(mat, state.s, state.d)
@@ -55,10 +55,10 @@ class TestIngestion:
         rng = np.random.default_rng(4)
         u, v = rng.standard_normal(30), rng.standard_normal(30)
         split = make_state(seed=4)
-        split.ingest_a_column(1, v)
-        split.ingest_a_column(1, u - v)
+        split.ingest_a_columns(1, v[:, None])
+        split.ingest_a_columns(1, (u - v)[:, None])
         whole = make_state(seed=4)
-        whole.ingest_a_column(1, u)
+        whole.ingest_a_columns(1, u[:, None])
         assert np.allclose(split.ya.data, whole.ya.data, rtol=0, atol=1e-10)
 
     def test_row_stream_equals_column_stream(self):
@@ -68,13 +68,13 @@ class TestIngestion:
         b = rng.standard_normal((n, d2))
         by_col = make_state(n, d1, d2, seed=5)
         for j in range(d1):
-            by_col.ingest_a_column(j, a[:, j])
+            by_col.ingest_a_columns(j, a[:, [j]])
         for j in range(d2):
-            by_col.ingest_b_column(j, b[:, j])
+            by_col.ingest_b_columns(j, b[:, [j]])
         by_row = make_state(n, d1, d2, seed=5)
         for i in range(n):
-            by_row.ingest_a_row(i, a[i, :])
-            by_row.ingest_b_row(i, b[i, :])
+            by_row.ingest_a_rows(i, a[[i]])
+            by_row.ingest_b_rows(i, b[[i]])
         scale = np.linalg.norm(by_col.ya.data)
         assert np.linalg.norm(by_col.ya.data - by_row.ya.data) <= 1e-10 * scale
         assert np.linalg.norm(by_col.yb.data - by_row.yb.data) <= 1e-10 * scale
@@ -82,9 +82,9 @@ class TestIngestion:
     def test_index_out_of_range(self):
         state = make_state()
         with pytest.raises(ContractViolationError):
-            state.ingest_a_column(5, np.zeros(30))
+            state.ingest_a_columns(5, np.zeros((30, 1)))
         with pytest.raises(ContractViolationError):
-            state.ingest_b_column(-1, np.zeros(30))
+            state.ingest_b_columns(-1, np.zeros((30, 1)))
 
 
 class TestBlockIngest:
@@ -98,12 +98,12 @@ class TestBlockIngest:
         b = rng.standard_normal((n, d2))
         by_row, by_col = make_state(n, d1, d2, seed=12), make_state(n, d1, d2, seed=12)
         for i in range(n):
-            by_row.ingest_a_row(i, a[i, :])
-            by_row.ingest_b_row(i, b[i, :])
+            by_row.ingest_a_rows(i, a[[i]])
+            by_row.ingest_b_rows(i, b[[i]])
         for j in range(d1):
-            by_col.ingest_a_column(j, a[:, j])
+            by_col.ingest_a_columns(j, a[:, [j]])
         for j in range(d2):
-            by_col.ingest_b_column(j, b[:, j])
+            by_col.ingest_b_columns(j, b[:, [j]])
         row_blocks, col_blocks = make_state(n, d1, d2, seed=12), make_state(n, d1, d2, seed=12)
         for i0, i1 in ((0, 7), (7, 8), (8, 23)):
             row_blocks.ingest_a_rows(i0, a[i0:i1])
@@ -167,7 +167,7 @@ class TestBlockIngest:
         with pytest.raises(ContractViolationError):
             state.ingest_b_columns(0, np.ones((29, 1)))
         with pytest.raises(ContractViolationError):
-            state.ingest_a_row(30, np.ones(5))
+            state.ingest_a_rows(30, np.ones((1, 5)))
 
 
 class TestQuery:
@@ -194,9 +194,9 @@ class TestQuery:
         b = rng.standard_normal((n, d2))
         state = make_state(n, d1, d2, seed=6)
         for j in range(d1):
-            state.ingest_a_column(j, a[:, j])
+            state.ingest_a_columns(j, a[:, [j]])
         for j in range(d2):
-            state.ingest_b_column(j, b[:, j])
+            state.ingest_b_columns(j, b[:, [j]])
         err = np.linalg.norm(state.product_query() - exact_product(a, b))
         bound = ACC.alpha * np.linalg.norm(a) * np.linalg.norm(b) + state.s**2 * np.sqrt(n) * ACC.alpha
         assert err <= bound
@@ -217,11 +217,11 @@ class TestMergeAndSpace:
         shard1 = make_state(n, d1, d2, seed=8)
         shard2 = make_state(n, d1, d2, seed=8)
         for j in range(d1):
-            whole.ingest_a_column(j, a[:, j])
-            (shard1 if j % 2 else shard2).ingest_a_column(j, a[:, j])
+            whole.ingest_a_columns(j, a[:, [j]])
+            (shard1 if j % 2 else shard2).ingest_a_columns(j, a[:, [j]])
         for j in range(d2):
-            whole.ingest_b_column(j, b[:, j])
-            (shard2 if j % 2 else shard1).ingest_b_column(j, b[:, j])
+            whole.ingest_b_columns(j, b[:, [j]])
+            (shard2 if j % 2 else shard1).ingest_b_columns(j, b[:, [j]])
         merged = shard1.merge(shard2)
         scale = np.linalg.norm(whole.ya.data)
         assert np.linalg.norm(merged.ya.data - whole.ya.data) <= 1e-10 * scale

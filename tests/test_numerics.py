@@ -114,17 +114,3 @@ class TestMinres:
         with pytest.raises(ContractViolationError):
             numerics.minres_solve(np.eye(3), np.ones((2, 4)))
 
-
-class TestNorms:
-    def test_trivial_values(self):
-        assert numerics.spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-12)
-
-    @pytest.mark.parametrize("seed", range(0, 100, 7))
-    def test_norm_inequality(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 12))
-        a = rng.standard_normal((n, n))
-        s = numerics.spectral_norm(a)
-        f = np.linalg.norm(a)
-        assert s <= f * (1 + 1e-12)
-        assert f <= np.sqrt(min(a.shape)) * s * (1 + 1e-12)

@@ -37,6 +37,18 @@ class TestConstruction:
         assert state.ya.data.shape == (state.r, 4)
         assert state.space_entries() == state.r * 4
 
+    def test_long_stream_holds_no_projection(self):
+        # r x m = 1031 x 200040 exceeds MAX_SKETCH_ENTRIES, but a regenerating
+        # sketcher holds only the sketch and one tile at a time.
+        n, d = 100_000, 20
+        state = make_state(n, d)
+        assert state.r == 1031 and state.r * state.sketcher.m > sketch.MAX_SKETCH_ENTRIES
+        assert state.space_entries() == state.r * d
+        rows = np.random.default_rng(0).standard_normal((50, d))
+        want = state.ya.data + state.sketcher.project(lift_layout(n, d)[1] + 1000, rows)
+        state.ingest_rows(1000, rows)
+        assert np.array_equal(state.ya.data, want)
+
     def test_query_allowance_inflation(self):
         base = make_state(n=20, d=3, seed=1)
         multi = make_state(n=20, d=3, seed=1, max_queries=50)
@@ -56,7 +68,7 @@ class TestIngestion:
         a = rng.standard_normal((n, d))
         state = make_state(n, d, seed=3)
         for j in range(d):
-            state.ingest_column(j, a[:, j])
+            state.ingest_columns(j, a[:, [j]])
         batch = state.sketcher.omega @ lifted_matrix(a, state.s, d)
         assert np.linalg.norm(state.ya.data - batch) <= 1e-9 * np.linalg.norm(batch)
 
@@ -65,8 +77,8 @@ class TestIngestion:
         v = rng.standard_normal(30)
         state = make_state(seed=4)
         baseline = state.ya.data.copy()
-        state.ingest_column(0, v)
-        state.ingest_column(0, -v)
+        state.ingest_columns(0, v[:, None])
+        state.ingest_columns(0, -v[:, None])
         assert np.linalg.norm(state.ya.data - baseline) <= 1e-9 * state.s
 
     def test_row_stream_equals_column_stream(self):
@@ -75,10 +87,10 @@ class TestIngestion:
         a = rng.standard_normal((n, d))
         by_col = make_state(n, d, seed=5)
         for j in range(d):
-            by_col.ingest_column(j, a[:, j])
+            by_col.ingest_columns(j, a[:, [j]])
         by_row = make_state(n, d, seed=5)
         for i in range(n):
-            by_row.ingest_row(i, a[i, :])
+            by_row.ingest_rows(i, a[[i]])
         scale = np.linalg.norm(by_col.ya.data)
         assert np.linalg.norm(by_col.ya.data - by_row.ya.data) <= 1e-10 * scale
 
@@ -92,9 +104,9 @@ class TestBlockIngest:
         a = rng.standard_normal((n, d))
         by_row, by_col = make_state(n, d, seed=10), make_state(n, d, seed=10)
         for i in range(n):
-            by_row.ingest_row(i, a[i, :])
+            by_row.ingest_rows(i, a[[i]])
         for j in range(d):
-            by_col.ingest_column(j, a[:, j])
+            by_col.ingest_columns(j, a[:, [j]])
         row_blocks, col_blocks = make_state(n, d, seed=10), make_state(n, d, seed=10)
         for i0, i1 in ((0, 5), (5, 17), (17, 23)):
             row_blocks.ingest_rows(i0, a[i0:i1])
@@ -117,7 +129,7 @@ class TestBlockIngest:
         with pytest.raises(ContractViolationError):
             state.ingest_columns(0, np.ones((22, 2)))
         with pytest.raises(ContractViolationError):
-            state.ingest_row(23, np.ones(4))
+            state.ingest_rows(23, np.ones((1, 4)))
 
 
 class TestQueryMany:
@@ -134,7 +146,7 @@ class TestQueryMany:
         many = state.query_many(b)
         assert many.shape == (4, 5)
         for j in range(5):
-            assert rel_diff(many[:, j], state.query(b[:, j])) <= 1e-12
+            assert rel_diff(many[:, j], state.query_many(b[:, [j]])[:, 0]) <= 1e-12
 
     def test_charges_q_queries(self):
         state, b = self._ingested(max_queries=5)
@@ -146,13 +158,13 @@ class TestQueryMany:
         state.query_many(b[:, 3:])
         assert state.queries_answered == 5
         with pytest.raises(BudgetExhaustedError):
-            state.query(b[:, 0])
+            state.query_many(b[:, [0]])
 
     def test_refuses_before_answering_any_column(self, monkeypatch):
         from dpsketch import numerics
 
         state, b = self._ingested(max_queries=4)
-        state.query(b[:, 0])
+        state.query_many(b[:, [0]])
         solves = []
         monkeypatch.setattr(numerics, "minres_solve", lambda *a, **k: solves.append(a))
         with pytest.raises(BudgetExhaustedError):
@@ -187,8 +199,8 @@ class TestQuery:
             rng = np.random.default_rng(seed)
             a = rng.standard_normal((20, 3))
             for j in range(3):
-                state.ingest_column(j, a[:, j])
-            x = state.query(np.zeros(20))
+                state.ingest_columns(j, a[:, [j]])
+            x = state.query_many(np.zeros((20, 1)))
             assert np.linalg.norm(x) <= 1e-12
 
     def test_consistent_system_with_dominant_design(self):
@@ -203,8 +215,8 @@ class TestQuery:
             x0 = rng.standard_normal(3)
             b = a @ x0
             for j in range(3):
-                state.ingest_column(j, a[:, j])
-            x = state.query(b)
+                state.ingest_columns(j, a[:, [j]])
+            x = state.query_many(b[:, None])[:, 0]
             tau = state.s**2 * np.sqrt(25) * ACC.alpha
             if np.linalg.norm(a @ x - b) > tau:
                 violations += 1
@@ -229,26 +241,26 @@ class TestQuery:
     def test_query_length_contract(self):
         state = make_state()
         with pytest.raises(ContractViolationError):
-            state.query(np.zeros(7))
+            state.query_many(np.zeros((7, 1)))
 
     def test_query_ceiling(self):
         state = make_state(n=20, d=3, seed=7, max_queries=2)
         rng = np.random.default_rng(7)
         a = rng.standard_normal((20, 3))
         for j in range(3):
-            state.ingest_column(j, a[:, j])
-        state.query(rng.standard_normal(20))
-        state.query(rng.standard_normal(20))
+            state.ingest_columns(j, a[:, [j]])
+        state.query_many(rng.standard_normal((20, 1)))
+        state.query_many(rng.standard_normal((20, 1)))
         with pytest.raises(BudgetExhaustedError):
-            state.query(rng.standard_normal(20))
+            state.query_many(rng.standard_normal((20, 1)))
 
     def test_composed_budget_accounting(self):
         state = make_state(n=20, d=3, seed=8)
         a = np.random.default_rng(8).standard_normal((20, 3))
         for j in range(3):
-            state.ingest_column(j, a[:, j])
-        state.query(np.zeros(20))
-        state.query(np.zeros(20))
+            state.ingest_columns(j, a[:, [j]])
+        state.query_many(np.zeros((20, 1)))
+        state.query_many(np.zeros((20, 1)))
         reported = state.composed_budget(1e-6)
         want = guard.compose(BUDGET.eps, BUDGET.delta, 2, 1e-6)
         assert reported.eps == want.eps and reported.delta == want.delta

@@ -56,6 +56,14 @@ class TestSketcherConstruction:
         with pytest.raises(CapacityError):
             GaussianSketcher(0, 1 << 14, 1 << 14)
 
+    def test_regenerating_sketcher_caps_each_block(self):
+        # Nothing r x m is held when omega is regenerated, so the cap applies
+        # to each requested block, not to the shape.
+        sk = GaussianSketcher(0, 1 << 14, 1 << 14, store_omega=False)
+        assert sk.column_block(5, 7).shape == (1 << 14, 2)
+        with pytest.raises(CapacityError):
+            sk.omega
+
     def test_bad_dims(self):
         with pytest.raises(ContractViolationError):
             GaussianSketcher(0, 0, 5)
