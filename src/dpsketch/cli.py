@@ -65,6 +65,17 @@ def _parse_csv_line(line: str, lineno: int, expected: Optional[int]) -> np.ndarr
     return row
 
 
+def _csv_lines(path: str) -> Iterator[str]:
+    """The lines of a CSV file; a file that is not text is a FormatError."""
+    with open(path, "r") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"CSV input is not text ({exc.reason}); DPMT files need --format dpbin"
+            ) from exc
+
+
 def matrix_shape(path: str, fmt: str) -> Tuple[int, int]:
     """Probe (rows, cols) without parsing entries (CSV) or payload (binary).
 
@@ -88,13 +99,12 @@ def matrix_shape(path: str, fmt: str) -> Tuple[int, int]:
         if size > end:
             raise FormatError(f"matrix payload has extra bytes from offset {end}")
         return rows, cols
-    with open(path, "r") as fh:
-        # Blank lines are skipped, as iter_matrix_chunks skips them.
-        lines = (line for line in fh if line.strip())
-        first = next(lines, None)
-        if first is None:
-            raise FormatError("empty CSV matrix")
-        return 1 + sum(1 for _ in lines), first.count(",") + 1
+    # Blank lines are skipped, as iter_matrix_chunks skips them.
+    lines = (line for line in _csv_lines(path) if line.strip())
+    first = next(lines, None)
+    if first is None:
+        raise FormatError("empty CSV matrix")
+    return 1 + sum(1 for _ in lines), first.count(",") + 1
 
 
 def _chunk_rows(cols: int) -> int:
@@ -134,19 +144,18 @@ def iter_matrix_chunks(
     expected = None
     i0 = 0
     pending = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = _parse_csv_line(line, lineno, expected)
-            if expected is None:
-                expected = row.size
-                step = step or _chunk_rows(expected)
-            pending.append(row)
-            if len(pending) == step:
-                yield i0, np.vstack(pending)
-                i0 += step
-                pending = []
+    for lineno, line in enumerate(_csv_lines(path), start=1):
+        if not line.strip():
+            continue
+        row = _parse_csv_line(line, lineno, expected)
+        if expected is None:
+            expected = row.size
+            step = step or _chunk_rows(expected)
+        pending.append(row)
+        if len(pending) == step:
+            yield i0, np.vstack(pending)
+            i0 += step
+            pending = []
     if pending:
         yield i0, np.vstack(pending)
 
@@ -158,8 +167,8 @@ def load_matrix(path: str, fmt: str) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """The parsed options: each command's namespace holds only its own."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser: each command's sub-parser takes only its own options."""
     parser = argparse.ArgumentParser(
         prog="dpsketch", description="Differentially private streaming linear algebra."
     )
@@ -185,12 +194,12 @@ def parse_args(argv) -> argparse.Namespace:
         p.add_argument("--beta", type=float, required=required)
     p_lra.add_argument("--rank", type=int, required=True)
     p_lra.add_argument("--oversample", type=int, default=None)
-    p_lra.add_argument("--halve-budget", dest="halve_budget",
-                       action=argparse.BooleanOptionalAction, default=True)
-    p_lra.add_argument("--constant-c", dest="constant_c", type=float,
-                       default=guard.LRA_LIFT_CONSTANT)
+    return parser
 
-    cfg = parser.parse_args(argv)
+
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed options: each command's namespace holds only its own."""
+    cfg = _build_parser().parse_args(argv)
     opts = vars(cfg)
     # Re-validate every parameter domain up front so bad values die with a
     # usage error instead of failing deep inside a mechanism.
@@ -200,6 +209,8 @@ def parse_args(argv) -> argparse.Namespace:
             raise ParameterDomainError(f"--{a} and --{b} must be given together")
         if opts.get(a) is not None:
             spec(opts[a], opts[b])
+    if cfg.seed < 0:
+        raise ParameterDomainError(f"seed must be >= 0, got {cfg.seed}")
     if opts.get("rank", 1) < 1:
         raise ParameterDomainError(f"rank must be >= 1, got {cfg.rank}")
     if opts.get("oversample") is not None and cfg.oversample < 2:
@@ -266,7 +277,6 @@ def _lra(cfg: argparse.Namespace, n: int, d: int) -> _Release:
     lcfg = LraConfig(
         n=n, d=d, k=cfg.rank, p=cfg.oversample,
         budget=guard.PrivacyBudget(cfg.eps, cfg.delta), seed=cfg.seed,
-        halve_budget=cfg.halve_budget, lift_constant=cfg.constant_c,
     )
     state = new_lra(lcfg)
     for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
@@ -362,18 +372,16 @@ def run(cfg: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     ok = True
     try:
-        if cfg.command in _RELEASES:
-            report = _run_release(cfg, _RELEASES[cfg.command])
-        elif cfg.command == "verify":
+        # The parser admits no other command.
+        if cfg.command == "verify":
             report, ok = _run_verify(cfg)
         else:
-            print(f"unknown command {cfg.command!r}", file=sys.stderr)
-            return 2
-    except DPSketchError as exc:
+            report = _run_release(cfg, _RELEASES[cfg.command])
+        report["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
+        _emit(cfg, report)
+    except (DPSketchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
-    _emit(cfg, report)
     return 0 if ok else 3
 
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from . import numerics
 from .errors import BudgetExhaustedError, ParameterDomainError, SpectralGuardError
 
-# Pinned constants for the big-O parameter choices. Only the LRA lift
-# constant is overridable, through ``LraConfig.lift_constant``.
+# Pinned constants for the big-O parameter choices; none is overridable.
 LRA_LIFT_CONSTANT = 16.0
 MATMULT_DIM_CONSTANT = 8.0
 LINREG_DIM_CONSTANT = 16.0
@@ -94,12 +93,10 @@ def sigma_min_psg2(budget: PrivacyBudget, r: int) -> float:
     return 4.0 * r * _ln(r / budget.delta, "r/delta") / budget.eps
 
 
-def lra_lift_w(budget: PrivacyBudget, k: int, c: float = LRA_LIFT_CONSTANT) -> float:
+def lra_lift_w(budget: PrivacyBudget, k: int) -> float:
     """Identity-lift magnitude for the low-rank mechanism."""
     k = _check_r(k)
-    if c <= 0.0:
-        raise ParameterDomainError(f"lift constant must be positive, got {c}")
-    return c * k * _ln(k / budget.delta, "k/delta") / budget.eps
+    return LRA_LIFT_CONSTANT * k * _ln(k / budget.delta, "k/delta") / budget.eps
 
 
 def lift_scale_s(budget: PrivacyBudget, r) -> float:

@@ -56,15 +56,6 @@ def binomial_allowed(rate: float, trials: int) -> float:
 # Exact oracles
 
 
-def exact_truncated_svd(a, k: int) -> np.ndarray:
-    """Best rank-k approximation by singular value truncation."""
-    m = numerics.as_matrix(a)
-    if k > min(m.shape):
-        raise ContractViolationError(f"k={k} exceeds min dimension {min(m.shape)}")
-    res = numerics.svd(m)
-    return (res.u[:, :k] * res.sigma[:k]) @ res.vt[:k, :]
-
-
 def exact_lsq(a, b) -> np.ndarray:
     """Minimum-norm least-squares solution via the pseudo-inverse."""
     m = numerics.as_matrix(a)
@@ -151,14 +142,14 @@ def mc_jl(
     r: int,
     alpha: float,
     trials: int,
-    dim: int = 32,
     seed: int = 0,
     bound_scale: float = 1.0,
 ) -> BoundReport:
     """Norm-preservation failure rate of fresh Gaussian projections.
 
     Counts how often ||omega x||^2 / r leaves (1 +- alpha) ||x||^2 over
-    fresh draws, against the tail bound 2 exp(-alpha^2 r / 8).
+    fresh draws of 32-dimensional unit vectors, against the tail bound
+    2 exp(-alpha^2 r / 8).
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterDomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -168,12 +159,12 @@ def mc_jl(
             f"r={r} below the dimension requirement {need:.1f} for {m_vectors} vectors"
         )
     rng = np.random.default_rng(seed)
-    vecs = rng.standard_normal((dim, m_vectors))
+    vecs = rng.standard_normal((32, m_vectors))
     vecs /= np.linalg.norm(vecs, axis=0)
     violations = 0
     rates = np.empty(trials)
     for t in range(trials):
-        omega = rng.standard_normal((r, dim))
+        omega = rng.standard_normal((r, 32))
         ratios = np.sum((omega @ vecs) ** 2, axis=0) / r
         bad = int(np.count_nonzero(np.abs(ratios - 1.0) > alpha))
         violations += bad
@@ -350,18 +341,17 @@ def bound_check_lra(
     norm: str = "fro",
     base_seed: int = 0,
     rhs_scale: float = 1.0,
-    allowed_rate: float = 0.10,
 ) -> BoundReport:
     """Run the low-rank mechanism against the error-bound right-hand side.
 
-    ``rhs_scale`` exists for negative controls: shrinking the bound must
-    make the check fail.
+    Passes when at most 10% of the trials exceed it. ``rhs_scale`` exists
+    for negative controls: shrinking the bound must make the check fail.
     """
     if norm not in ("fro", "spectral"):
         raise ParameterDomainError(f"norm must be 'fro' or 'spectral', got {norm!r}")
     return _bound_check(
         f"lra_bound_{norm}", lambda s: _lra_trial(config, s, norm),
-        [base_seed + t for t in range(trials)], rhs_scale, allowed_rate,
+        [base_seed + t for t in range(trials)], rhs_scale, 0.10,
     )
 
 

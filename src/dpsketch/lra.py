@@ -34,8 +34,6 @@ class LraConfig:
     seed: int
     p: Optional[int] = None
     symmetric: bool = False
-    halve_budget: bool = True
-    lift_constant: float = guard.LRA_LIFT_CONSTANT
     w_override: Optional[float] = None
     enforce_guard: bool = True
 
@@ -64,9 +62,9 @@ class LraConfig:
     @property
     def effective_budget(self) -> guard.PrivacyBudget:
         # The symmetric-embedding argument costs half the budget in both
-        # parameters; callers who account for it themselves set
-        # halve_budget=False.
-        return self.budget.halved() if self.halve_budget else self.budget
+        # parameters, always; a caller who wants the mechanism to run at
+        # (eps, delta) passes (2 eps, 2 delta).
+        return self.budget.halved()
 
 
 @dataclass
@@ -178,9 +176,7 @@ def new_lra(config: LraConfig) -> LraState:
     cfg = config
     kp = cfg.k + cfg.oversample
     eff = cfg.effective_budget
-    w = cfg.w_override if cfg.w_override is not None else guard.lra_lift_w(
-        eff, cfg.k, cfg.lift_constant
-    )
+    w = cfg.w_override if cfg.w_override is not None else guard.lra_lift_w(eff, cfg.k)
     # Conservative: the projection-step threshold evaluated at the full
     # sketch width, which the built-in lift clears for p <= k+1 at moderate
     # delta. User overrides can trip this.

@@ -1,5 +1,9 @@
+import argparse
+import itertools
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +42,7 @@ class TestParsing:
         cfg = cli.parse_args(
             ["lra", "--input", "x.csv", "--rank", "5", "--eps", "1", "--delta", "0.01"]
         )
-        assert cfg.command == "lra" and cfg.rank == 5 and cfg.halve_budget
+        assert cfg.command == "lra" and cfg.rank == 5
 
     def test_domain_violation_exits_2(self):
         rc = cli.main(
@@ -55,16 +59,77 @@ class TestParsing:
         assert rc == 2
         assert "oversampling must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["lra", "--input", "{a}", "--rank", "2", "--eps", "1", "--delta", "0.01"],
+        ["multiply", "--input", "{a}", "--input-b", "{b}", "--eps", "1", "--delta", "0.01",
+         "--alpha", "0.5", "--beta", "0.2"],
+        ["regress", "--input", "{a}", "--input-b", "{b}", "--eps", "1", "--delta", "0.01",
+         "--alpha", "0.5", "--beta", "0.2"],
+        ["verify"],
+    ], ids=["lra", "multiply", "regress", "verify"])
+    def test_negative_seed_exits_2(self, small_matrices, capsys, argv):
+        _, _, pa, pb = small_matrices
+        rc = cli.main([x.format(a=pa, b=pb) for x in argv] + ["--seed", "-1"])
+        assert rc == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit):
             cli.parse_args(["lra", "--frobnicate"])
 
-    def test_no_halve_budget_flag(self):
-        cfg = cli.parse_args(
-            ["lra", "--input", "x", "--rank", "2", "--eps", "1", "--delta", "0.01",
-             "--no-halve-budget", "--constant-c", "8"]
-        )
-        assert not cfg.halve_budget and cfg.constant_c == 8.0
+    def test_readme_options_table_matches_parser(self):
+        # README's per-command options table lists exactly the option
+        # strings of each command's sub-parser.
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| command | options |") + 2
+        documented = {}
+        for line in itertools.takewhile(lambda x: x.startswith("|"), lines[start:]):
+            _, commands, options, _ = line.split("|")
+            for command in re.findall(r"`([a-z]+)`", commands):
+                documented[command] = set(re.findall(r"`(--[a-z-]+)`", options))
+        subparsers = next(
+            a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        assert set(documented) == set(subparsers)
+        for command, parser in subparsers.items():
+            flags = {f for a in parser._actions for f in a.option_strings} - {"-h", "--help"}
+            assert documented[command] == flags, command
+
+
+class TestIoFaults:
+    """A file that cannot be read or written ends as an error line, exit 1."""
+
+    def _assert_error_line(self, capsys, needle):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+        assert "Traceback" not in err
+
+    def test_missing_input(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.csv")
+        rc = cli.main(["lra", "--input", missing, "--rank", "2", "--eps", "1",
+                       "--delta", "0.01"])
+        assert rc == 1
+        self._assert_error_line(capsys, "No such file or directory")
+
+    def test_unwritable_report(self, small_matrices, tmp_path, capsys):
+        _, _, pa, pb = small_matrices
+        report = str(tmp_path / "nonexistent" / "out.json")
+        rc = cli.main(["multiply", "--input", pa, "--input-b", pb, "--eps", "1",
+                       "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",
+                       "--report", report])
+        assert rc == 1
+        self._assert_error_line(capsys, "No such file or directory")
+
+    def test_dpmt_read_as_csv(self, tmp_path, capsys):
+        p = tmp_path / "a.dpmt"
+        cli.save_matrix(str(p), np.random.default_rng(3).standard_normal((30, 6)))
+        with pytest.raises(FormatError, match="not text"):
+            list(cli.iter_matrix_chunks(str(p), "csv"))
+        rc = cli.main(["lra", "--input", str(p), "--rank", "2", "--eps", "1",
+                       "--delta", "0.01"])
+        assert rc == 1
+        self._assert_error_line(capsys, "--format dpbin")
 
 
 class TestMatrixIo:
@@ -376,7 +441,14 @@ class TestCommands:
         ["lra", "--input", "{a}", "--rank", "2", "--eps", "1", "--delta", "0.01",
          "--alpha", "0.5", "--beta", "0.2"],
         ["verify", "--oracle"],
-    ], ids=["multiply-halve-budget", "lra-alpha-beta", "verify-oracle"])
+        ["lra", "--input", "{a}", "--rank", "2", "--eps", "1", "--delta", "0.01",
+         "--halve-budget"],
+        ["lra", "--input", "{a}", "--rank", "2", "--eps", "1", "--delta", "0.01",
+         "--no-halve-budget"],
+        ["lra", "--input", "{a}", "--rank", "2", "--eps", "1", "--delta", "0.01",
+         "--constant-c", "8"],
+    ], ids=["multiply-halve-budget", "lra-alpha-beta", "verify-oracle",
+            "lra-halve-budget", "lra-no-halve-budget", "lra-constant-c"])
     def test_unread_options_are_usage_errors(self, small_matrices, capsys, argv):
         # Each command accepts only the options it reads.
         _, _, pa, pb = small_matrices
@@ -433,10 +505,10 @@ class TestReportSchema:
     }
     GUARD_KEYS = {"required_sigma_min", "observed_sigma_min", "passed", "mode"}
     # params holds exactly the options the command parsed, so multiply and
-    # regress reports list no lra option such as halve_budget.
+    # regress reports list no lra option such as rank.
     RELEASE_PARAMS = {"command", "seed", "report", "input", "fmt", "oracle", "eps", "delta"}
     PARAM_KEYS = {
-        "lra": RELEASE_PARAMS | {"rank", "oversample", "halve_budget", "constant_c"},
+        "lra": RELEASE_PARAMS | {"rank", "oversample"},
         "multiply": RELEASE_PARAMS | {"input_b", "alpha", "beta"},
         "regress": RELEASE_PARAMS | {"input_b", "alpha", "beta"},
     }

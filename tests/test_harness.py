@@ -7,33 +7,13 @@ import pytest
 from dpsketch import guard, harness
 from dpsketch.errors import ContractViolationError, ParameterDomainError
 from dpsketch.lra import LraConfig
+from dpsketch.matprod import MatProdState
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
 ACC = guard.AccuracySpec(0.5, 0.2)
 
 
 class TestExactOracles:
-    def test_truncated_svd_identity(self):
-        np.testing.assert_allclose(
-            harness.exact_truncated_svd(np.eye(3), 3), np.eye(3), atol=1e-12
-        )
-
-    def test_truncated_svd_diagonal(self):
-        out = harness.exact_truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
-        np.testing.assert_allclose(out, np.diag([3.0, 2.0, 0.0]), atol=1e-12)
-
-    def test_truncated_svd_tail_identity(self):
-        a = np.random.default_rng(0).standard_normal((8, 5))
-        k = 2
-        best = harness.exact_truncated_svd(a, k)
-        sigma = np.linalg.svd(a, compute_uv=False)
-        want = math.sqrt(float(np.sum(sigma[k:] ** 2)))
-        assert np.linalg.norm(a - best) == pytest.approx(want, abs=1e-10)
-
-    def test_truncated_svd_bad_rank(self):
-        with pytest.raises(ContractViolationError):
-            harness.exact_truncated_svd(np.eye(3), 4)
-
     def test_exact_lsq_identity(self):
         b = np.arange(3.0)
         np.testing.assert_allclose(harness.exact_lsq(np.eye(3), b), b, atol=1e-14)
@@ -188,9 +168,25 @@ class TestBoundChecks:
         rep = harness.nonprivate_sanity_check(40, 3, trials=5, budget=BUDGET)
         assert rep.passed
 
+    def test_nonprivate_sanity_negative_control(self):
+        # No range finder gets within half of the two-pass residual on
+        # every seed, so a ratio bound of 0.5 must fail.
+        rep = harness.nonprivate_sanity_check(40, 3, trials=5, budget=BUDGET, ratio_bound=0.5)
+        assert not rep.passed and rep.violations == 5
+
     def test_unbiased_product_smoke(self):
         rep = harness.mc_unbiased_product(12, 2, 2, BUDGET, ACC, trials=600, seed=12)
         assert rep.passed
+
+    def test_unbiased_product_negative_control(self, monkeypatch):
+        # An estimate that keeps the lift's s^2 on its diagonal is biased,
+        # and the check must see it.
+        def biased(self):
+            return (self.ya.data.T @ self.yb.data) / self.r
+
+        monkeypatch.setattr(MatProdState, "product_query", biased)
+        rep = harness.mc_unbiased_product(12, 2, 2, BUDGET, ACC, trials=600, seed=12)
+        assert not rep.passed
 
     def test_report_json_schema(self):
         rep = harness.mc_pseudoinverse_frobenius(3, 4, trials=200, seed=13)

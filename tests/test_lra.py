@@ -68,8 +68,9 @@ class TestConstruction:
         assert cfg.oversample == 5
 
     def test_w_delegates_to_guard(self):
-        cfg = LraConfig(n=30, d=30, k=4, budget=BUDGET, seed=1, halve_budget=False)
-        assert new_lra(cfg).w == pytest.approx(guard.lra_lift_w(BUDGET, 4), rel=1e-15)
+        # The budget is always halved, so (2, 0.02) runs at (1, 0.01).
+        cfg = LraConfig(n=30, d=30, k=4, budget=guard.PrivacyBudget(2.0, 0.02), seed=1)
+        assert new_lra(cfg).w == guard.lra_lift_w(BUDGET, 4)
 
     def test_halved_budget_default(self):
         cfg = LraConfig(n=30, d=30, k=4, budget=BUDGET, seed=1)
