@@ -12,7 +12,9 @@ binary format (magic, version u16, rows u32, cols u32, little-endian
 float64 row-major). Streaming commands consume the input through a one-pass
 iterator of row chunks, each about one projection tile in size, feed each
 chunk to the mechanism's block ingest, and never materialize the private
-matrix unless --oracle is given. ``multiply`` reads A and B in lockstep,
+matrix unless --oracle is given. A CSV chunk is parsed in one call to
+numpy's C reader; a chunk with a fault is read again line by line, so the
+error names its line. ``multiply`` reads A and B in lockstep,
 in chunks of the same rows, and ingests each pair of chunks in one pass
 over the projection tiles.
 
@@ -63,6 +65,28 @@ def _parse_csv_line(line: str, lineno: int, expected: Optional[int]) -> np.ndarr
     if not np.isfinite(row).all():
         raise FormatError(f"non-finite entry at line {lineno}")
     return row
+
+
+def _parse_csv_chunk(lines: list[str], linenos: list[int], expected: int) -> np.ndarray:
+    """The (len(lines), expected) block of non-blank CSV lines.
+
+    numpy's C reader parses the chunk in one call; it rounds decimals as
+    ``float()`` does. A chunk it refuses, reads to another shape or reads
+    with a non-finite entry is parsed again line by line, which names the
+    line at fault or keeps entries only ``float()`` reads, such as ``1_0``.
+    """
+    block = None
+    # loadtxt strips the ASCII separators \x1c-\x1f around an entry as
+    # whitespace, where float() refuses them, so a chunk holding one is
+    # left to the line-by-line parse.
+    if not any(c in x for x in lines for c in "\x1c\x1d\x1e\x1f"):
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+    if block is None or block.shape != (len(lines), expected) or not np.isfinite(block).all():
+        block = np.vstack([_parse_csv_line(x, n, expected) for x, n in zip(lines, linenos)])
+    return block
 
 
 def _csv_lines(path: str) -> Iterator[str]:
@@ -118,10 +142,11 @@ def iter_matrix_chunks(
     """One-pass iterator of (i0, block): rows i0, i0+1, ... as a 2-D block.
 
     Blocks hold ``step`` rows (the last may hold fewer); by default about
-    one projection tile of entries. Entries are parsed exactly once.
-    Binary payloads are read with one ``read`` per chunk. Errors name the
-    global row (binary) or the line (CSV) at fault, whichever chunk it
-    falls in.
+    one projection tile of entries. Binary payloads are read with one
+    ``read`` per chunk. CSV chunks are parsed in bulk; one that has a
+    fault, or an entry only ``float()`` reads, is parsed again line by
+    line. Errors name the global row (binary) or the line (CSV) at fault,
+    whichever chunk it falls in.
     """
     if fmt == "dpbin":
         rows, cols = matrix_shape(path, fmt)
@@ -143,21 +168,22 @@ def iter_matrix_chunks(
         return
     expected = None
     i0 = 0
-    pending = []
+    lines, linenos = [], []
     for lineno, line in enumerate(_csv_lines(path), start=1):
         if not line.strip():
             continue
-        row = _parse_csv_line(line, lineno, expected)
         if expected is None:
-            expected = row.size
+            # The first line sets the width and the chunk size.
+            expected = _parse_csv_line(line, lineno, None).size
             step = step or _chunk_rows(expected)
-        pending.append(row)
-        if len(pending) == step:
-            yield i0, np.vstack(pending)
+        lines.append(line)
+        linenos.append(lineno)
+        if len(lines) == step:
+            yield i0, _parse_csv_chunk(lines, linenos, expected)
             i0 += step
-            pending = []
-    if pending:
-        yield i0, np.vstack(pending)
+            lines, linenos = [], []
+    if lines:
+        yield i0, _parse_csv_chunk(lines, linenos, expected)
 
 
 def load_matrix(path: str, fmt: str) -> np.ndarray:

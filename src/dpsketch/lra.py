@@ -178,8 +178,9 @@ def new_lra(config: LraConfig) -> LraState:
     eff = cfg.effective_budget
     w = cfg.w_override if cfg.w_override is not None else guard.lra_lift_w(eff, cfg.k)
     # Conservative: the projection-step threshold evaluated at the full
-    # sketch width, which the built-in lift clears for p <= k+1 at moderate
-    # delta. User overrides can trip this.
+    # sketch width. At the default p = k+1 the built-in lift clears it
+    # whatever eps, except at k = 1 for delta > 2/27 and at k = 2 for
+    # delta > ~0.8686. User overrides can trip this.
     report = guard.check_lift("w", w, guard.sigma_min_psg2(eff, kp), cfg.enforce_guard)
     # One pass needs the projection twice (range finding, then the solve),
     # so the sketcher stores it, generated once, as omega.T: its first n

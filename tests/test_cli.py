@@ -336,6 +336,155 @@ class TestChunkedReader:
         assert "row counts differ: A has 10, B has 9" in capsys.readouterr().err
         assert ingested == []
 
+
+def _line_by_line(lines, linenos, expected):
+    """Reference: the block of ``_parse_csv_line`` rows, or its FormatError text."""
+    try:
+        return np.vstack([cli._parse_csv_line(x, n, expected) for x, n in zip(lines, linenos)])
+    except FormatError as exc:
+        return str(exc)
+
+
+# Three-entry lines at the edges of the CSV number syntax. The bulk reader
+# must give the bits ``float()`` gives, or hand the chunk to the line parse.
+EDGE_LINES = [
+    "1.5,-2.25,3",
+    " 1.5 ,\t2 , 3 ",
+    "1_0,2,3",  # float() reads underscores; numpy's reader does not
+    "１,2,3",  # full-width digit one, likewise
+    "٣,2,3",  # Arabic-Indic digit three, likewise
+    "1,,3",
+    "1,2,3,",
+    "1,2",
+    "1,2,3,4",
+    "0x10,2,3",
+    "1d5,2,3",
+    '"1",2,3',
+    "1,2,3 #x",  # accepted if the reader strips comments
+    "#1,2,3",
+    "1;2;3",
+    "1 2,3,4",
+    "1,2,3\r",
+    "1\x1c,2,3",  # an ASCII separator: numpy strips it, float() refuses it
+    "1,\x1f2,3",
+    "\xa01,2　,3",
+    "nan,2,3",
+    "1,inf,3",
+    "1,2,-Infinity",
+    "1e400,2,3",
+    "9" * 400 + ",2,3",
+    "1e-400,4.9e-324,2.2250738585072014e-308",
+    "0.123456789012345678901234567890123456,1.0000000000000002,-0.0",
+    "+.5,5.,1E+3",
+    "1e,2,3",
+    "true,2,3",
+]
+
+
+class TestCsvChunkParser:
+    """``_parse_csv_chunk`` against the line-by-line parse it replaces."""
+
+    @pytest.mark.parametrize("line", EDGE_LINES)
+    @pytest.mark.parametrize("chunk", ["two rows", "one row"])
+    def test_matches_line_by_line(self, line, chunk):
+        lines = ["0.1,-7,2.5e3\n", line + "\n"] if chunk == "two rows" else [line + "\n"]
+        linenos = [4, 6][-len(lines):]
+        want = _line_by_line(lines, linenos, 3)
+        if isinstance(want, str):
+            with pytest.raises(FormatError) as err:
+                cli._parse_csv_chunk(lines, linenos, 3)
+            assert str(err.value) == want
+        else:
+            got = cli._parse_csv_chunk(lines, linenos, 3)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("line", ["1_0,2,3", "１０,2,3"])
+    def test_float_only_syntax_keeps_its_values(self, line):
+        got = cli._parse_csv_chunk(["4,5,6\n", line + "\n"], [1, 2], 3)
+        np.testing.assert_array_equal(got, [[4.0, 5.0, 6.0], [10.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("line", ["nan,2,3", "1,inf,3", "1e400,2,3"])
+    def test_non_finite_names_its_line(self, line):
+        with pytest.raises(FormatError, match="^non-finite entry at line 9$"):
+            cli._parse_csv_chunk(["1,2,3\n", line + "\n"], [8, 9], 3)
+
+    def test_single_column_keeps_two_dimensions(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+        p = tmp_path / "m.csv"
+        p.write_text("".join(f"{i / 7!r}\n" for i in range(30)) + "1_0\n")
+        chunks = list(cli.iter_matrix_chunks(str(p), "csv"))
+        assert [c.shape for _, c in chunks] == [(12, 1), (12, 1), (7, 1)]
+        want = np.array([i / 7 for i in range(30)] + [10.0]).reshape(-1, 1)
+        assert np.vstack([c for _, c in chunks]).tobytes() == want.tobytes()
+        assert cli._parse_csv_chunk(["2.5\n"], [1], 1).shape == (1, 1)
+
+    def test_load_matrix_matches_line_by_line_at_benchmark_size(self, tmp_path):
+        a = np.random.default_rng(11).standard_normal((2000, 1000))
+        p = tmp_path / "a.csv"
+        with open(p, "w") as fh:
+            for row in a.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
+        lines = p.read_text().splitlines(keepends=True)
+        want = _line_by_line(lines, range(1, len(lines) + 1), 1000)
+        got = cli.load_matrix(str(p), "csv")
+        assert got.tobytes() == want.tobytes() == a.tobytes()
+
+
+class TestCsvChunkFaults:
+    @pytest.fixture(autouse=True)
+    def four_row_chunks(self, monkeypatch):
+        # Three-column inputs are then read in chunks of four rows.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+
+    def test_uniformly_wider_later_chunk_is_ragged(self, tmp_path):
+        # The second chunk is rectangular, so numpy's reader takes it; only
+        # its width, against the first line's, shows the fault.
+        p = tmp_path / "m.csv"
+        p.write_text("1,2,3\n" * 4 + "1,2,3,4\n" * 4)
+        with pytest.raises(FormatError, match="^ragged row at line 5: 4 entries, expected 3$"):
+            list(cli.iter_matrix_chunks(str(p), "csv"))
+
+    def test_line_numbers_count_blank_lines_across_chunks(self, tmp_path):
+        # Line 10 holds the fault; it is the eighth row.
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"1,2,3\n" * 4 + b"\r\n\n" + b"4,5,6\r\n" * 3 + b"1,inf,3\n")
+        with pytest.raises(FormatError, match="^non-finite entry at line 10$"):
+            list(cli.iter_matrix_chunks(str(p), "csv"))
+        p.write_bytes(b"1,2,3\n" * 4 + b"\r\n\n" + b"4,5,6\r\n" * 3 + b"7,8,9\n")
+        chunks = list(cli.iter_matrix_chunks(str(p), "csv"))
+        assert [(i0, c.shape) for i0, c in chunks] == [(0, (4, 3)), (4, (4, 3))]
+        assert np.vstack([c for _, c in chunks]).tolist() == [[1, 2, 3]] * 4 + [[4, 5, 6]] * 3 + [[7, 8, 9]]
+
+    def _spy_line_parses(self, monkeypatch):
+        # The line numbers ``_parse_csv_line`` is called for.
+        called = []
+        original = cli._parse_csv_line
+
+        def spy(line, lineno, expected):
+            called.append(lineno)
+            return original(line, lineno, expected)
+
+        monkeypatch.setattr(cli, "_parse_csv_line", spy)
+        return called
+
+    def test_clean_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        # Only the width probe of line 1 is parsed line by line.
+        p = tmp_path / "m.csv"
+        write_csv(p, np.random.default_rng(5).standard_normal((10, 3)))
+        called = self._spy_line_parses(monkeypatch)
+        assert len(list(cli.iter_matrix_chunks(str(p), "csv"))) == 3
+        assert called == [1]
+
+    def test_only_the_faulty_chunk_is_parsed_again(self, tmp_path, monkeypatch):
+        # The third chunk is lines 9-10, and line 10 holds the fault.
+        p = tmp_path / "m.csv"
+        p.write_text("1,2,3\n" * 9 + "1,2,x\n")
+        called = self._spy_line_parses(monkeypatch)
+        with pytest.raises(FormatError, match="unparseable entry at line 10"):
+            list(cli.iter_matrix_chunks(str(p), "csv"))
+        assert called == [1, 9, 10]
+
+
 class TestCommands:
     def test_lra_end_to_end(self, small_matrices, tmp_path):
         _, _, pa, _ = small_matrices

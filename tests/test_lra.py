@@ -86,6 +86,25 @@ class TestConstruction:
         with pytest.raises(SpectralGuardError):
             new_lra(cfg)
 
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("k, delta, builds", [
+        (1, 0.074, True), (1, 0.075, False),
+        (2, 0.868, True), (2, 0.870, False),
+        (3, 0.99, True),
+    ])
+    def test_default_lift_guard_region(self, eps, k, delta, builds):
+        # With p = k+1, w / threshold = 4k ln(2k/delta) / ((2k+1) ln((4k+2)/delta)),
+        # whatever eps: below 1 for k = 1 once delta > 2/27, for k = 2 once
+        # delta > ~0.8686, and never for k >= 3.
+        cfg = LraConfig(n=8, d=8, k=k, budget=guard.PrivacyBudget(eps, delta), seed=0)
+        ratio = 4 * k * np.log(2 * k / delta) / ((2 * k + 1) * np.log((4 * k + 2) / delta))
+        assert (ratio >= 1) == builds
+        if builds:
+            assert new_lra(cfg).guard_report.passed
+        else:
+            with pytest.raises(SpectralGuardError, match="lift w=.* fails"):
+                new_lra(cfg)
+
     def test_guard_bypass_for_tests(self):
         cfg = LraConfig(
             n=30, d=30, k=3, budget=BUDGET, seed=0, w_override=0.0, enforce_guard=False
