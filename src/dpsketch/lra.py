@@ -12,6 +12,11 @@ into the symmetric block matrix [[w I_n, A], [A.T, w I_d]]; both running
 sketches of that block are maintained in the same single pass over A's
 rows, and the published approximation of A is the top-right n x d block of
 the block reconstruction.
+
+The projection has n lift columns followed by the data columns (d, or n on
+the symmetric path). The state keeps only the data block, which every
+ingested block reads; each lift column is regenerated for its own rows, and
+``finalize`` regenerates the lift block once as a transient.
 """
 from __future__ import annotations
 
@@ -20,8 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import guard, numerics
-from .errors import ConfigurationError, ContractViolationError, OnePassViolationError
+from . import guard, numerics, sketch
+from .errors import (
+    CapacityError,
+    ConfigurationError,
+    ContractViolationError,
+    OnePassViolationError,
+)
 from .sketch import GaussianSketcher
 
 
@@ -86,6 +96,7 @@ class LraState:
     config: LraConfig
     w: float
     sketcher: GaussianSketcher
+    omega_data: np.ndarray
     y1: np.ndarray
     y2: Optional[np.ndarray]
     guard_report: guard.GuardReport
@@ -94,8 +105,8 @@ class LraState:
     _finalized: bool = False
 
     def space_entries(self) -> int:
-        """Retained float64 entries: the stored projection plus sketches."""
-        total = self.sketcher.r * self.sketcher.m + self.y1.size
+        """Retained float64 entries: the projection's data block plus sketches."""
+        total = self.omega_data.size + self.y1.size
         if self.y2 is not None:
             total += self.y2.size
         return int(total)
@@ -120,8 +131,7 @@ class LraState:
         if x.shape[1] != width:
             raise ContractViolationError(f"row length {x.shape[1]}, expected {width}")
         lift_rows = self.sketcher.column_block(i0, i1).T
-        data_rows = self.sketcher.column_block(cfg.n, self.sketcher.m).T
-        self.y1[i0:i1, :] = self.w * lift_rows + x @ data_rows
+        self.y1[i0:i1, :] = self.w * lift_rows + x @ self.omega_data
         if not cfg.symmetric:
             self.y2 += x.T @ lift_rows
         self._ingested[i0:i1] = True
@@ -137,7 +147,7 @@ class LraState:
         self._finalized = True
         # y = w * lift_rows + (input) @ data_rows is the sketch of the lifted
         # matrix; the solve removes the lift and recovers the core.
-        omega_t = self.sketcher.column_block(0, self.sketcher.m).T
+        omega_t = np.vstack([self.sketcher.column_block(0, cfg.n).T, self.omega_data])
         if cfg.symmetric:
             y, lift_rows, data_rows = self.y1, omega_t[: cfg.n], omega_t[cfg.n :]
         else:
@@ -182,16 +192,21 @@ def new_lra(config: LraConfig) -> LraState:
     # whatever eps, except at k = 1 for delta > 2/27 and at k = 2 for
     # delta > ~0.8686. User overrides can trip this.
     report = guard.check_lift("w", w, guard.sigma_min_psg2(eff, kp), cfg.enforce_guard)
-    # One pass needs the projection twice (range finding, then the solve),
-    # so the sketcher stores it, generated once, as omega.T: its first n
-    # rows are the lift rows and the rest the data rows.
+    # The state keeps only the data block (columns n..m) of the projection.
+    # ``finalize`` stacks the whole kp x m projection once, so a config whose
+    # projection exceeds MAX_SKETCH_ENTRIES is refused here, before any row.
     m = 2 * cfg.n if cfg.symmetric else cfg.n + cfg.d
-    sketcher = GaussianSketcher(cfg.seed, r=kp, m=m, store_omega=True)
+    if kp * m > sketch.MAX_SKETCH_ENTRIES:
+        raise CapacityError(
+            f"projection block of {kp}x{m} exceeds the {sketch.MAX_SKETCH_ENTRIES} entry budget"
+        )
+    sketcher = GaussianSketcher(cfg.seed, r=kp, m=m)
     y2 = None if cfg.symmetric else np.zeros((cfg.d, kp))
     return LraState(
         config=cfg,
         w=float(w),
         sketcher=sketcher,
+        omega_data=np.ascontiguousarray(sketcher.column_block(cfg.n, m).T),
         y1=np.zeros((cfg.n, kp)),
         y2=y2,
         guard_report=report,

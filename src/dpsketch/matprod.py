@@ -80,7 +80,7 @@ class LiftedSketch:
         s = s_override if s_override is not None else guard.lift_scale_s(budget, r)
         report = guard.check_lift("s", s, guard.sigma_min_psg1(budget, r), enforce_guard)
         m, _lo, _hi = lift_layout(n, d)
-        sketcher = GaussianSketcher(seed, r=r, m=m, store_omega=False)
+        sketcher = GaussianSketcher(seed, r=r, m=m)
         for name, width in widths.items():
             fields[name] = Sketch.empty(sketcher, "psg1", width)
         state = cls(

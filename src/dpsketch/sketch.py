@@ -3,8 +3,9 @@
 The projection matrix is a pure function of (seed, r, m): raw 64-bit words
 come from a Philox counter stream and are mapped through Box-Muller, column
 by column. Any column range can therefore be regenerated bit-exactly
-without storing the whole matrix, which is what the multiply/regression
-mechanisms rely on to keep their retained state at sketch size only.
+without storing the whole matrix: no sketcher keeps any of it. The
+multiply/regression mechanisms retain their sketches only, and the low-rank
+mechanism keeps its sketches plus the data block of its projection.
 """
 from __future__ import annotations
 
@@ -20,9 +21,8 @@ from .numerics import as_vector
 
 _U64 = (1 << 64) - 1
 
-# Float64 entry budget of one generated projection block (1 GiB): the whole
-# matrix of a stored sketcher, one requested column range of a regenerating
-# one.
+# Float64 entry budget (1 GiB) of one requested column range, and of the
+# whole projection that the low-rank mechanism's finalize stacks at once.
 MAX_SKETCH_ENTRIES = 1 << 27
 
 # Float64 entries per regenerated projection tile (512 KiB). Block ingest,
@@ -84,35 +84,29 @@ def _self_test() -> None:
 class GaussianSketcher:
     """Seeded r x m standard-normal matrix with deterministic regeneration.
 
-    With ``store_omega=True`` the matrix is generated once and kept as
-    omega.T, C-contiguous (the order the generator produces), so
-    ``column_block(j0, j1).T`` is a contiguous (j1-j0) x r row block; the
-    low-rank mechanism keeps its projection this way and reads its ingest
-    and solve operands as such blocks.
-    With ``store_omega=False`` columns are regenerated from the seed on
-    demand and nothing is retained beyond the identity tuple; construction
-    then generates nothing. ``MAX_SKETCH_ENTRIES`` caps each generated
-    block: the whole matrix at construction when it is stored, else each
-    ``column_block`` request. The Philox + Box-Muller mapping is verified
-    against known answers once per process, by the first construction.
+    Columns are regenerated from the seed on demand and nothing is retained
+    beyond the identity tuple; construction generates nothing.
+    ``MAX_SKETCH_ENTRIES`` caps each ``column_block`` request. The Philox +
+    Box-Muller mapping is verified against known answers once per process,
+    by the first construction.
     """
 
-    def __init__(self, seed: int, r: int, m: int, store_omega: bool = True):
+    # Never stored; kept only for perfbench/spans.py, which reads it after
+    # every traced column_block to decide whether the block was generated.
+    store_omega = False
+
+    def __init__(self, seed: int, r: int, m: int):
         _self_test()
         if r < 1 or m < 1:
             raise ContractViolationError(f"sketch dimensions must be >= 1, got r={r}, m={m}")
         self.seed = int(seed) & _U64
         self.r = int(r)
         self.m = int(m)
-        self.store_omega = bool(store_omega)
         self.fingerprint = fingerprint_of(self.seed, self.r, self.m)
         # Raw words consumed per column: a multiple of 4 so every column
         # starts on a Philox counter block and Box-Muller pairs never
         # straddle columns.
         self._wpc = 4 * ((self.r + 3) // 4)
-        self._omega_t = (
-            np.ascontiguousarray(self._generate_block(0, self.m)) if store_omega else None
-        )
 
     def _generate_block(self, j0: int, j1: int) -> np.ndarray:
         # Columns [j0, j1) of omega as the rows of a (j1-j0) x r view.
@@ -128,8 +122,6 @@ class GaussianSketcher:
         """Columns [j0, j1) of omega, shape (r, j1-j0). Treat as read-only."""
         if not (0 <= j0 <= j1 <= self.m):
             raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {self.m})")
-        if self._omega_t is not None:
-            return self._omega_t[j0:j1].T
         return np.ascontiguousarray(self._generate_block(j0, j1).T)
 
     def _tile_width(self) -> int:
@@ -170,7 +162,7 @@ class GaussianSketcher:
 
     @property
     def omega(self) -> np.ndarray:
-        """The full r x m matrix (regenerated per call when not stored)."""
+        """The full r x m matrix, regenerated per call."""
         return self.column_block(0, self.m)
 
     def psg1(self, v) -> np.ndarray:
@@ -239,7 +231,13 @@ class Sketch:
 
 
 def merge(a: Sketch, b: Sketch) -> Sketch:
-    """Entrywise sum of two sketches of the same kind and fingerprint."""
+    """Entrywise sum of two sketches of the same kind and fingerprint.
+
+    Correct only for lift-free sketches. A sketch that carries a
+    deterministic lift (``RegressState.ya`` holds s * omega[:, :d] from
+    construction, for instance) carries it once per shard, so the sum
+    counts the lift twice; ``MatProdState.merge`` removes the extra copy.
+    """
     if a.kind != b.kind:
         raise ContractViolationError(f"cannot merge kinds {a.kind!r} and {b.kind!r}")
     if a.fingerprint != b.fingerprint:

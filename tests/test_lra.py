@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dpsketch import guard, numerics
+from dpsketch import guard, numerics, sketch
 from dpsketch.errors import (
+    CapacityError,
     ConfigurationError,
     ContractViolationError,
     OnePassViolationError,
@@ -15,7 +16,7 @@ BUDGET = guard.PrivacyBudget(1.0, 0.01)
 
 
 def omega_rows(state, j0, j1):
-    """Rows j0..j1-1 of the stored omega.T (lift rows first, then data rows)."""
+    """Rows j0..j1-1 of omega.T (lift rows first, then data rows), regenerated."""
     return state.sketcher.column_block(j0, j1).T
 
 
@@ -44,8 +45,9 @@ class TestConstruction:
 
     def test_projection_generated_once(self, monkeypatch):
         # At n=2000, d=1000, k=50 the projection is 101 x 3000. Setup
-        # generates it once, and block ingest and the solve read that stored
-        # copy, so each of its columns is generated exactly once.
+        # generates the 101 x 1000 data block once and keeps it; block
+        # ingest generates each lift column once, for its own rows; the
+        # solve regenerates the 101 x 2000 lift block once.
         generated = []
         original = GaussianSketcher._generate_block
 
@@ -55,13 +57,14 @@ class TestConstruction:
 
         monkeypatch.setattr(GaussianSketcher, "_generate_block", spy)
         state = new_lra(LraConfig(n=2000, d=1000, k=50, budget=BUDGET, seed=0))
-        assert sum(generated) == 303_000
-        assert state.space_entries() == 606_000
+        assert sum(generated) == 101_000
+        assert state.space_entries() == 404_000
         a = np.random.default_rng(0).standard_normal((2000, 1000))
         for i0 in range(0, 2000, 500):
             state.ingest_rows(i0, a[i0 : i0 + 500])
+        assert sum(generated) == 101_000 + 202_000
         state.finalize()
-        assert sum(generated) == 303_000
+        assert sum(generated) == 101_000 + 202_000 + 202_000
 
     def test_default_oversampling(self):
         cfg = LraConfig(n=30, d=30, k=4, budget=BUDGET, seed=0)
@@ -104,6 +107,33 @@ class TestConstruction:
         else:
             with pytest.raises(SpectralGuardError, match="lift w=.* fails"):
                 new_lra(cfg)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("cap_over_size, builds", [(1, True), (0, False)])
+    def test_capacity_error(self, monkeypatch, symmetric, cap_over_size, builds):
+        # finalize stacks the whole (k+p) x m projection once, so the config
+        # is refused at construction exactly when that exceeds the cap, and
+        # one that fits ingests and finalizes under it.
+        n, d = (24, 24) if symmetric else (24, 16)
+        cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=0, symmetric=symmetric)
+        m = 2 * n if symmetric else n + d
+        monkeypatch.setattr(sketch, "MAX_SKETCH_ENTRIES", 7 * m - 1 + cap_over_size)
+        if not builds:
+            with pytest.raises(CapacityError, match=f"7x{m} exceeds"):
+                new_lra(cfg)
+            return
+        a = np.random.default_rng(0).standard_normal((n, d))
+        state = new_lra(cfg)
+        state.ingest_rows(0, a)
+        assert state.finalize().u_hat.shape[1] == 3
+
+    def test_capacity_error_at_the_shipped_cap(self):
+        # The same refusal at the real 2^27 cap, before anything is allocated:
+        # (k+p) * (n+d) = 101 * 1,328,889 is just over it.
+        cap = sketch.MAX_SKETCH_ENTRIES
+        assert 101 * 1_328_888 <= cap < 101 * 1_328_889
+        with pytest.raises(CapacityError):
+            new_lra(LraConfig(n=101, d=1_328_788, k=50, budget=BUDGET, seed=0))
 
     def test_guard_bypass_for_tests(self):
         cfg = LraConfig(
@@ -322,8 +352,21 @@ class TestReconstruct:
 class TestSpaceAccounting:
     def test_symmetric_entries(self):
         cfg = LraConfig(n=25, d=25, k=3, p=5, budget=BUDGET, seed=0, symmetric=True)
-        assert new_lra(cfg).space_entries() == 2 * 25 * 8 + 25 * 8
+        assert new_lra(cfg).space_entries() == 2 * 25 * 8
 
     def test_nonsymmetric_entries(self):
         cfg = LraConfig(n=25, d=15, k=3, p=5, budget=BUDGET, seed=0)
-        assert new_lra(cfg).space_entries() == (25 + 15) * 8 + (25 + 15) * 8
+        assert new_lra(cfg).space_entries() == (25 + 2 * 15) * 8
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_entries_are_the_retained_arrays(self, symmetric):
+        # The data block of the projection and the sketches are all the
+        # state holds; the lift block is regenerated when it is read.
+        cfg = LraConfig(n=25, d=25 if symmetric else 15, k=3, p=5, budget=BUDGET, seed=0,
+                        symmetric=symmetric)
+        state = new_lra(cfg)
+        held = [state.omega_data, state.y1] + ([] if symmetric else [state.y2])
+        assert state.space_entries() == sum(x.size for x in held)
+        assert state.omega_data.shape == (cfg.d, 8)
+        want = omega_rows(state, cfg.n, cfg.n + cfg.d)
+        np.testing.assert_array_equal(state.omega_data, want)

@@ -24,12 +24,6 @@ class TestSketcherConstruction:
         b = GaussianSketcher(8, 4, 8)
         assert not np.array_equal(a.omega, b.omega)
 
-    def test_on_demand_matches_stored(self):
-        a = GaussianSketcher(11, 5, 9, store_omega=True)
-        b = GaussianSketcher(11, 5, 9, store_omega=False)
-        assert np.array_equal(a.omega, b.omega)
-        assert np.array_equal(a.omega[:, 3:7], b.column_block(3, 7))
-
     def test_moment_bounds(self):
         sk = GaussianSketcher(3, 100, 100)
         n = 100 * 100
@@ -41,7 +35,7 @@ class TestSketcherConstruction:
     )
     def test_benchmark_identity_moments(self, r, m):
         # The benchmark's sketcher shapes at seed 0, regenerated tile by tile.
-        sk = GaussianSketcher(0, r, m, store_omega=False)
+        sk = GaussianSketcher(0, r, m)
         total = total_sq = 0.0
         for *_, tile in sk.tiles(0, m):
             total += float(tile.sum())
@@ -53,13 +47,16 @@ class TestSketcherConstruction:
         assert abs(var - 1.0) <= 10 / np.sqrt(n)
 
     def test_capacity_error(self):
+        # One mode: construction generates nothing, so a 2^28-entry shape
+        # builds and only a request for that many entries is refused.
+        sk = GaussianSketcher(0, 1 << 14, 1 << 14)
         with pytest.raises(CapacityError):
-            GaussianSketcher(0, 1 << 14, 1 << 14)
+            sk.omega
 
     def test_regenerating_sketcher_caps_each_block(self):
         # Nothing r x m is held when omega is regenerated, so the cap applies
         # to each requested block, not to the shape.
-        sk = GaussianSketcher(0, 1 << 14, 1 << 14, store_omega=False)
+        sk = GaussianSketcher(0, 1 << 14, 1 << 14)
         assert sk.column_block(5, 7).shape == (1 << 14, 2)
         with pytest.raises(CapacityError):
             sk.omega
@@ -257,13 +254,13 @@ class TestSerialization:
 class TestTiles:
     def test_default_tile_budget(self):
         assert sketch.TILE_ENTRIES == 65536
-        sk = GaussianSketcher(3, 1031, 4040, store_omega=False)
+        sk = GaussianSketcher(3, 1031, 4040)
         sizes = [t.size for *_, t in sk.tiles(0, sk.m)]
         assert max(sizes) == 63 * 1031 and sum(sizes) == sk.r * sk.m
 
     def test_uneven_tiles_concatenate_bit_exact(self, monkeypatch):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
-        sk = GaussianSketcher(5, 5, 40, store_omega=False)
+        sk = GaussianSketcher(5, 5, 40)
         tiles = list(sk.tiles(3, 36))
         assert [t1 - t0 for t0, t1, _ in tiles] == [2] * 16 + [1]
         assert tiles[0][0] == 3 and tiles[-1][1] == 36
@@ -274,13 +271,13 @@ class TestTiles:
 
     def test_one_column_tiles_when_r_exceeds_budget(self, monkeypatch):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 3)
-        sk = GaussianSketcher(6, 5, 9, store_omega=False)
+        sk = GaussianSketcher(6, 5, 9)
         tiles = list(sk.tiles(0, 9))
         assert [(t0, t1) for t0, t1, _ in tiles] == [(j, j + 1) for j in range(9)]
         assert np.array_equal(np.hstack([t for *_, t in tiles]), sk.omega)
 
     def test_empty_range_and_range_check(self):
-        sk = GaussianSketcher(1, 4, 6, store_omega=False)
+        sk = GaussianSketcher(1, 4, 6)
         assert list(sk.tiles(2, 2)) == []
         for j0, j1 in ((-1, 2), (3, 2), (0, 7)):
             with pytest.raises(ContractViolationError):
@@ -296,7 +293,7 @@ class TestTiles:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 8)
-        sk = GaussianSketcher(2, 4, 10, store_omega=False)
+        sk = GaussianSketcher(2, 4, 10)
         monkeypatch.setattr(GaussianSketcher, "column_block", spy)
         sk.project(1, np.ones((7, 2)))
         assert calls == [((1, 3), {}), ((3, 5), {}), ((5, 7), {}), ((7, 8), {})]
@@ -312,7 +309,7 @@ class TestTiles:
             return original(self, j0, j1)
 
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 8)
-        sk = GaussianSketcher(2, 4, 10, store_omega=False)
+        sk = GaussianSketcher(2, 4, 10)
         rng = np.random.default_rng(2)
         blocks = [rng.standard_normal((7, 2)), rng.standard_normal((7, 3))]
         want = [sk.project(1, x) for x in blocks]
@@ -325,8 +322,8 @@ class TestTiles:
             sk.project_blocks(1, [np.ones((7, 2)), np.ones((6, 2))])
 
     def test_construction_generates_only_a_stored_projection(self, monkeypatch):
-        # A regenerating sketcher requests no column at construction; a
-        # stored one generates its projection once, as one block over [0, m).
+        # No sketcher stores its projection, so construction requests and
+        # generates no column.
         requested, generated = [], []
         original_block = GaussianSketcher.column_block
         original_generate = GaussianSketcher._generate_block
@@ -342,26 +339,24 @@ class TestTiles:
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         monkeypatch.setattr(GaussianSketcher, "column_block", block_spy)
         monkeypatch.setattr(GaussianSketcher, "_generate_block", generate_spy)
-        GaussianSketcher(9, 5, 23, store_omega=False)
+        GaussianSketcher(9, 5, 23)
         assert requested == [] and generated == []
-        GaussianSketcher(9, 5, 23, store_omega=True)
-        assert requested == [] and generated == [(0, 23)]
 
     @pytest.mark.parametrize("budget", [1, 12, 65536])
     def test_project_matches_dense_product(self, monkeypatch, budget):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", budget)
-        sk = GaussianSketcher(4, 5, 40, store_omega=False)
+        sk = GaussianSketcher(4, 5, 40)
         x = np.random.default_rng(4).standard_normal((33, 3))
         want = sk.column_block(3, 36) @ x
         got = sk.project(3, x)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_vector_ops_walk_tiles(self, monkeypatch):
-        # psg1, psg2 and update_column on a regenerating sketcher request at
-        # most one tile of omega at a time and agree with a stored omega.
+        # psg1, psg2 and update_column request at most one tile of omega at
+        # a time and agree with products of the full omega.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         om = GaussianSketcher(8, 4, 30).omega
-        sk = GaussianSketcher(8, 4, 30, store_omega=False)
+        sk = GaussianSketcher(8, 4, 30)
         sizes = []
         original = GaussianSketcher.column_block
 
@@ -426,9 +421,11 @@ KNOWN_ANSWERS = [
 
 
 class TestKnownAnswers:
-    @pytest.mark.parametrize("store", [True, False], ids=["stored", "regenerated"])
+    # Every sketcher regenerates; the one-value ``mode`` keeps the test ids
+    # (``[seed-0-regenerated]`` and so on) that name that mode.
+    @pytest.mark.parametrize("mode", ["regenerated"])
     @pytest.mark.parametrize("seed, r, m, j0, j1, words, spots", KNOWN_ANSWERS)
-    def test_pinned_words_and_normals(self, seed, r, m, j0, j1, words, spots, store):
+    def test_pinned_words_and_normals(self, seed, r, m, j0, j1, words, spots, mode):
         # Each column takes a whole number of Philox blocks; rows past r are
         # padding words that are generated and skipped.
         wpc = 4 * ((r + 3) // 4)
@@ -436,15 +433,14 @@ class TestKnownAnswers:
             raw = sketch._raw_words(key, j0 * wpc, (j1 - j0) * wpc)
             assert [int(w) for w in raw] == words
         want = np.array(_scalar_normals(words)).reshape(j1 - j0, wpc)[:, :r].T
-        got = GaussianSketcher(seed, r, m, store_omega=store).column_block(j0, j1)
+        got = GaussianSketcher(seed, r, m).column_block(j0, j1)
         assert got.shape == (r, j1 - j0)
         assert np.abs(got - want).max() <= 1e-13
         for (i, j), value in spots.items():
             assert abs(got[i, j] - value) <= 1e-13
 
     def test_self_test_runs_once_per_process(self, monkeypatch):
-        # After the first construction no sketcher touches the generator
-        # unless it stores its projection.
+        # After the first construction no sketcher touches the generator.
         calls = []
         original = sketch._raw_words
 
@@ -454,8 +450,8 @@ class TestKnownAnswers:
 
         monkeypatch.setattr(sketch, "_raw_words", spy)
         sketch._self_test.cache_clear()
-        GaussianSketcher(0, 4, 8, store_omega=False)
-        GaussianSketcher(1, 1031, 4040, store_omega=False)
+        GaussianSketcher(0, 4, 8)
+        GaussianSketcher(1, 1031, 4040)
         assert len(calls) == 2 and calls[0][1] == 0 and calls[1][1] > 0
         assert all(offset % 4 == 0 and count == 4 for _, offset, count in calls)
 
