@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import struct
 import sys
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import guard, harness, numerics, sketch
 from .errors import DPSketchError, FormatError, ParameterDomainError
-from .lra import LraConfig, new_lra, reconstruct
+from .lra import LraConfig, new_lra
 from .matprod import lifted_matrix, new_matprod
 from .regress import new_regress
 
@@ -317,13 +316,7 @@ def _lra(cfg: argparse.Namespace, n: int, d: int) -> _Release:
         extra["factor_files"] = [uhat_path, lam_path]
 
     def oracle(a):
-        approx = reconstruct(factor, lcfg)
-        tail_sq = float(np.sum(numerics.svd(a).sigma[lcfg.k:] ** 2))
-        return np.hstack([state.w * np.eye(n), a]), {
-            "frobenius_error": float(np.linalg.norm(a - approx)),
-            "eckart_young_optimum": math.sqrt(tail_sq),
-            "error_bound": harness.lra_frobenius_rhs(lcfg, tail_sq),
-        }
+        return np.hstack([state.w * np.eye(n), a]), harness.lra_errors(a, factor, lcfg)
 
     return _Release(state, oracle, extra)
 
@@ -343,10 +336,7 @@ def _multiply(cfg: argparse.Namespace, n: int, d1: int) -> _Release:
 
     def oracle(a):
         b = load_matrix(cfg.input_b, cfg.fmt)
-        return lifted_matrix(a, state.s, state.d), {
-            "frobenius_error": float(np.linalg.norm(harness.exact_product(a, b) - estimate)),
-            "error_bound": harness.matprod_rhs(a, b, state.s, cfg.alpha),
-        }
+        return lifted_matrix(a, state.s, state.d), harness.matprod_errors(a, b, estimate, state)
 
     return _Release(state, oracle)
 
@@ -361,13 +351,8 @@ def _regress(cfg: argparse.Namespace, n: int, d: int) -> _Release:
     solutions = state.query_many(queries)
 
     def oracle(a):
-        residuals = [float(np.linalg.norm(a @ x - y)) for x, y in zip(solutions.T, queries.T)]
-        optima = [float(np.linalg.norm(a @ harness.exact_lsq(a, y) - y)) for y in queries.T]
-        return lifted_matrix(a, state.s, state.d), {
-            "residuals": residuals,
-            "optima": optima,
-            "error_bound": [harness.regress_rhs(opt, n, state.s, cfg.alpha) for opt in optima],
-        }
+        errors = harness.regress_errors(a, queries, solutions, state)
+        return lifted_matrix(a, state.s, state.d), errors
 
     return _Release(state, oracle)
 

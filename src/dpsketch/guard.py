@@ -54,7 +54,11 @@ class AccuracySpec:
 class GuardReport:
     required_sigma_min: float
     observed_sigma_min: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """Whether the observed sigma_min clears the threshold; False for NaN."""
+        return self.observed_sigma_min >= self.required_sigma_min
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,25 +150,21 @@ def compose(eps0: float, delta0: float, ell: int, delta_prime: float) -> Privacy
 def check_lift(name: str, lift: float, required: float, enforce: bool) -> GuardReport:
     """The structural guard decision: the lifted stream has sigma_min >= lift.
 
+    A non-finite lift is refused (``ParameterDomainError``) whatever ``enforce`` says.
     Raises ``SpectralGuardError`` when ``enforce`` is set and the lift
     falls short of the threshold; otherwise the report records the outcome.
     """
     lift, required = float(lift), float(required)
-    if enforce and lift < required:
+    if not math.isfinite(lift):
+        raise ParameterDomainError(f"lift {name}={lift} is not finite")
+    report = GuardReport(required_sigma_min=required, observed_sigma_min=lift)
+    if enforce and not report.passed:
         raise SpectralGuardError(
             f"lift {name}={lift:.4g} fails the spectral guard threshold {required:.4g}"
         )
-    return GuardReport(
-        required_sigma_min=required, observed_sigma_min=lift, passed=lift >= required
-    )
+    return report
 
 
 def verify_spectral_guard(m, required: float) -> GuardReport:
     """Check that the smallest singular value of ``m`` clears a threshold."""
-    sigma = numerics.svd(m).sigma
-    observed = float(sigma[-1])
-    return GuardReport(
-        required_sigma_min=float(required),
-        observed_sigma_min=observed,
-        passed=observed >= required,
-    )
+    return GuardReport(float(required), float(numerics.svd(m).sigma[-1]))

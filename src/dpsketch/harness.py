@@ -1,8 +1,10 @@
 """Exact oracles, Monte-Carlo lemma verifiers, and mechanism bound checks.
 
-Every Monte-Carlo operation is driven by explicit seeds and is exactly
-reproducible; reports carry the seeds used. Trials run one after another
-in seed order.
+Each mechanism's errors against the exact answer are computed once, by
+``lra_errors``, ``matprod_errors`` and ``regress_errors``, which the
+bound checks and the CLI's ``--oracle`` reports share. Monte-Carlo
+operations are driven by explicit seeds and are exactly reproducible;
+reports carry the seeds used. Trials run one after another in seed order.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ import numpy as np
 
 from . import guard, numerics
 from .errors import ContractViolationError, ParameterDomainError
-from .lra import LraConfig, new_lra, reconstruct
-from .matprod import new_matprod
-from .regress import new_regress
+from .lra import LowRankFactor, LraConfig, new_lra, reconstruct
+from .matprod import MatProdState, new_matprod
+from .regress import RegressState, new_regress
 
 
 @dataclass
@@ -263,17 +265,10 @@ def dp_density_ratio_check(
 # Mechanism error-bound checks
 
 
-def lra_frobenius_rhs(config: LraConfig, tail_sq: float) -> float:
-    k, p = config.k, config.oversample
-    b = config.budget
-    return math.sqrt(1.0 + k / (p - 1.0)) * math.sqrt(tail_sq) + (
-        2.0 * k / b.eps
-    ) * math.sqrt((config.n + config.d) * math.log(k / b.delta) / p)
-
-
-def lra_spectral_rhs(config: LraConfig, sigma_k1: float, tail_sq: float) -> float:
-    k, p = config.k, config.oversample
-    b = config.budget
+def lra_spectral_rhs(config: LraConfig, sigma: np.ndarray) -> float:
+    k, p, b = config.k, config.oversample, config.budget
+    sigma_k1 = float(sigma[k]) if k < sigma.size else 0.0
+    tail_sq = float(np.sum(sigma[k:] ** 2))
     return (
         math.sqrt(1.0 + k / (p - 1.0)) * sigma_k1
         + math.e * math.sqrt((k + p) * tail_sq) / p
@@ -281,15 +276,43 @@ def lra_spectral_rhs(config: LraConfig, sigma_k1: float, tail_sq: float) -> floa
     )
 
 
-def matprod_rhs(a, b, s: float, alpha: float) -> float:
-    """Multiply error bound alpha ||A|| ||B|| + s^2 sqrt(n) alpha (Frobenius norms)."""
+def lra_errors(a, factor: LowRankFactor, config: LraConfig) -> dict:
+    """Error of the release ``factor`` of ``a``, the Eckart-Young optimum, the
+    bound, and ``trivial_error`` ||A||_F, the zero matrix's error."""
+    k, p, b = config.k, config.oversample, config.budget
+    optimum = math.sqrt(float(np.sum(numerics.svd(a).sigma[k:] ** 2)))
+    additive = (2.0 * k / b.eps) * math.sqrt((config.n + config.d) * math.log(k / b.delta) / p)
+    return {
+        "frobenius_error": float(np.linalg.norm(a - reconstruct(factor, config))),
+        "eckart_young_optimum": optimum,
+        "error_bound": math.sqrt(1.0 + k / (p - 1.0)) * optimum + additive,
+        "trivial_error": float(np.linalg.norm(a)),
+    }
+
+
+def matprod_errors(a, b, estimate: np.ndarray, state: MatProdState) -> dict:
+    """Error of the release ``estimate`` of A.T @ B, the bound, and
+    ``trivial_error`` ||A.T B||_F, the zero estimate's error."""
+    product, alpha = exact_product(a, b), state.acc.alpha
     norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    return alpha * norm_a * norm_b + s**2 * math.sqrt(a.shape[0]) * alpha
+    return {
+        "frobenius_error": float(np.linalg.norm(product - estimate)),
+        "error_bound": alpha * norm_a * norm_b + state.s**2 * math.sqrt(a.shape[0]) * alpha,
+        "trivial_error": float(np.linalg.norm(product)),
+    }
 
 
-def regress_rhs(optimum: float, n: int, s: float, alpha: float) -> float:
-    """Regression residual bound (1 + alpha) opt + s^2 sqrt(n) alpha."""
-    return (1.0 + alpha) * optimum + s**2 * math.sqrt(n) * alpha
+def regress_errors(a, queries: np.ndarray, solutions: np.ndarray, state: RegressState) -> dict:
+    """Per query column b_j: the residual of solution column x_j, the least-squares
+    optimum, the bound, and ``trivial_error`` ||b_j||, the residual of x = 0."""
+    additive = state.s**2 * math.sqrt(state.n) * state.acc.alpha
+    optima = [float(np.linalg.norm(a @ exact_lsq(a, y) - y)) for y in queries.T]
+    return {
+        "residuals": [float(np.linalg.norm(a @ x - y)) for x, y in zip(solutions.T, queries.T)],
+        "optima": optima,
+        "error_bound": [(1.0 + state.acc.alpha) * opt + additive for opt in optima],
+        "trivial_error": [float(np.linalg.norm(y)) for y in queries.T],
+    }
 
 
 def _bound_check(check: str, trial, seeds: list, rhs_scale: float, allowed: float) -> BoundReport:
@@ -322,17 +345,12 @@ def _lra_trial(config: LraConfig, trial_seed: int, norm: str):
         a = rng.standard_normal((config.n, config.d))
     state = new_lra(replace(config, seed=trial_seed))
     state.ingest_rows(0, a)
-    approx = reconstruct(state.finalize(), config)
-    sigma = numerics.svd(a).sigma
-    tail_sq = float(np.sum(sigma[config.k :] ** 2))
+    factor = state.finalize()
     if norm == "fro":
-        lhs = float(np.linalg.norm(a - approx))
-        rhs = lra_frobenius_rhs(config, tail_sq)
-    else:
-        lhs = float(np.linalg.norm(a - approx, 2))
-        sigma_k1 = float(sigma[config.k]) if config.k < sigma.size else 0.0
-        rhs = lra_spectral_rhs(config, sigma_k1, tail_sq)
-    return lhs, rhs
+        errors = lra_errors(a, factor, config)
+        return errors["frobenius_error"], errors["error_bound"]
+    lhs = float(np.linalg.norm(a - reconstruct(factor, config), 2))
+    return lhs, lra_spectral_rhs(config, numerics.svd(a).sigma)
 
 
 def bound_check_lra(
@@ -442,9 +460,8 @@ def _matprod_trial(n, d1, d2, budget, acc, trial_seed):
     b = rng.standard_normal((n, d2))
     state = new_matprod(n, d1, d2, budget, acc, trial_seed)
     state.ingest_rows(0, a, b)
-    estimate = state.product_query()
-    lhs = float(np.linalg.norm(exact_product(a, b) - estimate))
-    return lhs, matprod_rhs(a, b, state.s, acc.alpha)
+    errors = matprod_errors(a, b, state.product_query(), state)
+    return errors["frobenius_error"], errors["error_bound"]
 
 
 def bound_check_matprod(
@@ -468,13 +485,11 @@ def _regress_trial(n, d, budget, acc, trial_seed):
     rng = np.random.default_rng(trial_seed)
     a = rng.standard_normal((n, d))
     x0 = rng.standard_normal(d)
-    b = a @ x0 + rng.standard_normal(n)
+    b = (a @ x0 + rng.standard_normal(n))[:, None]
     state = new_regress(n, d, budget, acc, trial_seed)
     state.ingest_columns(0, a)
-    x = state.query_many(b[:, None])[:, 0]
-    lhs = float(np.linalg.norm(a @ x - b))
-    optimum = float(np.linalg.norm(a @ exact_lsq(a, b) - b))
-    return lhs, regress_rhs(optimum, n, state.s, acc.alpha)
+    errors = regress_errors(a, b, state.query_many(b), state)
+    return errors["residuals"][0], errors["error_bound"][0]
 
 
 def bound_check_regress(

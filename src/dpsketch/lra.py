@@ -100,9 +100,12 @@ class LraState:
     y1: np.ndarray
     y2: Optional[np.ndarray]
     guard_report: guard.GuardReport
-    rows_seen: int = 0
     _ingested: np.ndarray = field(default=None, repr=False)
     _finalized: bool = False
+
+    @property
+    def rows_seen(self) -> int:
+        return int(np.count_nonzero(self._ingested))
 
     def space_entries(self) -> int:
         """Retained float64 entries: the projection's data block plus sketches."""
@@ -135,15 +138,12 @@ class LraState:
         if not cfg.symmetric:
             self.y2 += x.T @ lift_rows
         self._ingested[i0:i1] = True
-        self.rows_seen += x.shape[0]
 
     def finalize(self) -> LowRankFactor:
         """Solve the projection step and publish the top-k eigenpairs."""
         cfg = self.config
         if self.rows_seen != cfg.n:
-            raise ContractViolationError(
-                f"finalize requires all {cfg.n} rows, saw {self.rows_seen}"
-            )
+            raise ContractViolationError(f"finalize requires all {cfg.n} rows, saw {self.rows_seen}")
         self._finalized = True
         # y = w * lift_rows + (input) @ data_rows is the sketch of the lifted
         # matrix; the solve removes the lift and recovers the core.

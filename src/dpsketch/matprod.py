@@ -36,15 +36,15 @@ from .errors import ContractViolationError
 from .sketch import GaussianSketcher, Sketch
 
 
-def lift_layout(n: int, d: int) -> tuple[int, int, int]:
-    """(total length, data block offset, data block end) of the lift."""
-    return 2 * (n + d), 2 * d + n, 2 * d + 2 * n
+def lift_layout(n: int, d: int) -> tuple[int, int]:
+    """(total length, data block offset) of the lift; the data block runs to the end."""
+    return 2 * (n + d), 2 * d + n
 
 
 def lifted_matrix(a: np.ndarray, s: float, d: int) -> np.ndarray:
     """Densify the lifted version of ``a`` (testing/oracle use only)."""
     n, cols = a.shape
-    m, lo, _hi = lift_layout(n, d)
+    m, lo = lift_layout(n, d)
     out = np.zeros((m, cols))
     out[:cols, :cols][np.diag_indices(cols)] = s
     out[lo:, :] = a
@@ -79,7 +79,7 @@ class LiftedSketch:
         """
         s = s_override if s_override is not None else guard.lift_scale_s(budget, r)
         report = guard.check_lift("s", s, guard.sigma_min_psg1(budget, r), enforce_guard)
-        m, _lo, _hi = lift_layout(n, d)
+        m, _lo = lift_layout(n, d)
         sketcher = GaussianSketcher(seed, r=r, m=m)
         for name, width in widths.items():
             fields[name] = Sketch.empty(sketcher, "psg1", width)
@@ -104,7 +104,7 @@ class LiftedSketch:
     def _project_data(self, i0: int, *blocks: np.ndarray) -> list[np.ndarray]:
         """omega_data[:, i0:i0+k] @ x for each k-row block x, in one pass over
         the tiles, omega_data being the data block."""
-        _m, lo, _hi = lift_layout(self.n, self.d)
+        _m, lo = lift_layout(self.n, self.d)
         return self.sketcher.project_blocks(lo + i0, blocks)
 
     def _ingest_columns(self, sk: Sketch, j0: int, cols) -> None:

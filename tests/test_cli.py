@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpsketch import cli, guard, sketch
+from dpsketch import cli, guard, harness, sketch
 from dpsketch.errors import FormatError
 from dpsketch.lra import LraConfig, LraState, new_lra
 from dpsketch.matprod import MatProdState, new_matprod
@@ -644,13 +644,45 @@ class TestCommands:
         assert np.allclose(small, default, rtol=1e-9, atol=0)
 
 
+class TestOracleIsHarness:
+    """Every --oracle number is the harness error function's, on the same release."""
+
+    @pytest.mark.parametrize("command", ["lra", "multiply", "regress"])
+    def test_error_vs_oracle_equals_harness(self, tmp_path, small_matrices, command):
+        a, b, pa, pb = small_matrices
+        rp = tmp_path / "report.json"
+        args = [command, "--input", pa, "--seed", "4", "--eps", "1", "--delta", "0.01",
+                "--report", str(rp), "--oracle"]
+        acc_args = ["--input-b", pb, "--alpha", "0.5", "--beta", "0.2"]
+        budget, acc = guard.PrivacyBudget(1.0, 0.01), guard.AccuracySpec(0.5, 0.2)
+        # 30 rows make one input chunk, so one ingest call is the CLI's release.
+        if command == "lra":
+            args += ["--rank", "2"]
+            lcfg = LraConfig(n=30, d=6, k=2, budget=budget, seed=4)
+            state = new_lra(lcfg)
+            state.ingest_rows(0, a)
+            want = harness.lra_errors(a, state.finalize(), lcfg)
+        elif command == "multiply":
+            args += acc_args
+            state = new_matprod(30, 6, 4, budget, acc, 4)
+            state.ingest_rows(0, a, b)
+            want = harness.matprod_errors(a, b, state.product_query(), state)
+        else:
+            args += acc_args
+            state = new_regress(30, 6, budget, acc, 4)
+            state.ingest_rows(0, a)
+            want = harness.regress_errors(a, b, state.query_many(b), state)
+        assert cli.main(args) == 0
+        assert json.loads(rp.read_text())["error_vs_oracle"] == want
+
+
 class TestReportSchema:
     """The report of every release command, key for key, in both guard modes."""
 
     ORACLE_KEYS = {
-        "lra": {"frobenius_error", "eckart_young_optimum", "error_bound"},
-        "multiply": {"frobenius_error", "error_bound"},
-        "regress": {"residuals", "optima", "error_bound"},
+        "lra": {"frobenius_error", "eckart_young_optimum", "error_bound", "trivial_error"},
+        "multiply": {"frobenius_error", "error_bound", "trivial_error"},
+        "regress": {"residuals", "optima", "error_bound", "trivial_error"},
     }
     GUARD_KEYS = {"required_sigma_min", "observed_sigma_min", "passed", "mode"}
     # params holds exactly the options the command parsed, so multiply and

@@ -211,7 +211,8 @@ class TestStateGuardReport:
     def test_default_lift_passes(self, kind):
         state, required, name = _build(kind)
         lift = getattr(state, name)
-        assert state.guard_report == guard.GuardReport(required, lift, True)
+        assert state.guard_report == guard.GuardReport(required, lift)
+        assert state.guard_report.passed
 
     @pytest.mark.parametrize("kind", ["lra", "multiply", "regress"])
     def test_unenforced_shortfall_is_recorded(self, kind):
@@ -219,4 +220,18 @@ class TestStateGuardReport:
         with pytest.raises(SpectralGuardError, match=f"lift {name}=0 fails"):
             _build(kind, override=0.0)
         state, required, _ = _build(kind, override=0.0, enforce=False)
-        assert state.guard_report == guard.GuardReport(required, 0.0, False)
+        assert state.guard_report == guard.GuardReport(required, 0.0)
+        assert not state.guard_report.passed
+
+    @pytest.mark.parametrize("enforce", [True, False])
+    @pytest.mark.parametrize("lift", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["lra", "multiply", "regress"])
+    def test_non_finite_lift_is_refused(self, kind, lift, enforce):
+        # NaN compares false against the threshold and an infinite lift
+        # clears it; either would seed every sketch with NaN or inf.
+        name = "w" if kind == "lra" else "s"
+        with pytest.raises(ParameterDomainError, match=f"lift {name}=.* is not finite"):
+            _build(kind, override=lift, enforce=enforce)
+
+    def test_nan_observation_does_not_pass(self):
+        assert not guard.GuardReport(1.0, math.nan).passed

@@ -1,13 +1,15 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dpsketch import guard, harness
 from dpsketch.errors import ContractViolationError, ParameterDomainError
-from dpsketch.lra import LraConfig
-from dpsketch.matprod import MatProdState
+from dpsketch.lra import LowRankFactor, LraConfig, new_lra
+from dpsketch.matprod import MatProdState, new_matprod
+from dpsketch.regress import new_regress
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
 ACC = guard.AccuracySpec(0.5, 0.2)
@@ -134,6 +136,51 @@ class TestDensityRatioCheck:
         b = harness.dp_density_ratio_check(6, 4, BUDGET, samples=2000, seed=11)
         assert a.violations == b.violations
         assert np.array_equal(a.observed_lhs, b.observed_lhs)
+
+
+class TestOracleErrors:
+    """Each mechanism's error function is what its bound check measures."""
+
+    def test_lra_trial_reports_lra_errors(self):
+        cfg = LraConfig(n=30, d=20, k=3, budget=BUDGET, seed=0)
+        a = np.random.default_rng(5).standard_normal((30, 20))
+        state = new_lra(replace(cfg, seed=5))
+        state.ingest_rows(0, a)
+        errors = harness.lra_errors(a, state.finalize(), cfg)
+        assert harness._lra_trial(cfg, 5, "fro") == (errors["frobenius_error"], errors["error_bound"])
+
+    def test_matprod_trial_reports_matprod_errors(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((40, 6)), rng.standard_normal((40, 4))
+        state = new_matprod(40, 6, 4, BUDGET, ACC, 5)
+        state.ingest_rows(0, a, b)
+        errors = harness.matprod_errors(a, b, state.product_query(), state)
+        trial = harness._matprod_trial(40, 6, 4, BUDGET, ACC, 5)
+        assert trial == (errors["frobenius_error"], errors["error_bound"])
+
+    def test_regress_trial_reports_regress_errors(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((40, 4))
+        x0 = rng.standard_normal(4)
+        b = (a @ x0 + rng.standard_normal(40))[:, None]
+        state = new_regress(40, 4, BUDGET, ACC, 5)
+        state.ingest_columns(0, a)
+        errors = harness.regress_errors(a, b, state.query_many(b), state)
+        trial = harness._regress_trial(40, 4, BUDGET, ACC, 5)
+        assert trial == (errors["residuals"][0], errors["error_bound"][0])
+
+    def test_trivial_error_is_the_error_of_zero_output(self):
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal((30, 6)), rng.standard_normal((30, 4))
+        cfg = LraConfig(n=30, d=6, k=2, budget=BUDGET, seed=0)
+        zero = LowRankFactor(u_hat=np.zeros((36, 0)), lam=np.zeros(0), requested_rank=2)
+        errors = harness.lra_errors(a, zero, cfg)
+        assert errors["trivial_error"] == errors["frobenius_error"] == np.linalg.norm(a)
+        errors = harness.matprod_errors(a, b, np.zeros((6, 4)), new_matprod(30, 6, 4, BUDGET, ACC, 0))
+        assert errors["trivial_error"] == errors["frobenius_error"]
+        errors = harness.regress_errors(a, b, np.zeros((6, 4)), new_regress(30, 6, BUDGET, ACC, 0))
+        assert errors["trivial_error"] == errors["residuals"]
+        assert len(errors["trivial_error"]) == 4
 
 
 class TestBoundChecks:

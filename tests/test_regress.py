@@ -180,7 +180,7 @@ class TestQueryMany:
         state = new_regress(n, d, BUDGET, ACC, 5, s_override=0.0, enforce_guard=False)
         state.ingest_rows(0, q * np.array([1.0, 1.0, 1.0, 1e-4]))
         b = rng.standard_normal((n, 3))
-        _m, lo, _hi = lift_layout(n, d)
+        _m, lo = lift_layout(n, d)
         want = np.linalg.lstsq(state.ya.data, state.sketcher.project(lo, b), rcond=None)[0]
         assert rel_diff(state.query_many(b), want) <= 1e-10
 
@@ -231,7 +231,7 @@ class TestQuery:
         b = rng.standard_normal(n)
         state = make_state(n, d, seed=6)
         lifted = lifted_matrix(a, state.s, d)
-        m, lo, _hi = lift_layout(n, d)
+        m, lo = lift_layout(n, d)
         b_lifted = np.zeros(m)
         b_lifted[lo:] = b
         x_exact = exact_lsq(lifted, b_lifted)
