@@ -14,9 +14,10 @@ iterator of row chunks, each about one projection tile in size, feed each
 chunk to the mechanism's block ingest, and never materialize the private
 matrix unless --oracle is given. A CSV chunk is parsed in one call to
 numpy's C reader; a chunk with a fault is read again line by line, so the
-error names its line. ``multiply`` reads A and B in lockstep,
-in chunks of the same rows, and ingests each pair of chunks in one pass
-over the projection tiles.
+error names its line. ``multiply`` and ``regress`` read their two inputs
+(A and B; the design and its queries) in lockstep, in chunks of the same
+rows, and sketch each pair of chunks in one pass over the projection
+tiles.
 
 Exit codes: 0 success, 1 mechanism error, 2 usage error, 3 verification
 failure.
@@ -321,16 +322,22 @@ def _lra(cfg: argparse.Namespace, n: int, d: int) -> _Release:
     return _Release(state, oracle, extra)
 
 
+def _lockstep(cfg: argparse.Namespace, cols: int) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """(i0, rows of --input, rows of --input-b): both files read in chunks
+    of the same rows, each about one tile of the wider file's entries."""
+    step = _chunk_rows(cols)
+    chunks = zip(iter_matrix_chunks(cfg.input, cfg.fmt, step),
+                 iter_matrix_chunks(cfg.input_b, cfg.fmt, step))
+    for (i0, block_a), (_, block_b) in chunks:
+        yield i0, block_a, block_b
+
+
 def _multiply(cfg: argparse.Namespace, n: int, d1: int) -> _Release:
     d2 = _probe_b(cfg, n, "B has")
     budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
     state = new_matprod(n, d1, d2, budget, acc, cfg.seed)
-    # A and B are read in lockstep, in chunks of the same rows, so each
-    # projection tile is regenerated once for both.
-    step = _chunk_rows(max(d1, d2))
-    chunks = zip(iter_matrix_chunks(cfg.input, cfg.fmt, step),
-                 iter_matrix_chunks(cfg.input_b, cfg.fmt, step))
-    for (i0, block_a), (_, block_b) in chunks:
+    # Each projection tile is regenerated once for both A and B.
+    for i0, block_a, block_b in _lockstep(cfg, max(d1, d2)):
         state.ingest_rows(i0, block_a, block_b)
     estimate = state.product_query()
 
@@ -342,15 +349,14 @@ def _multiply(cfg: argparse.Namespace, n: int, d1: int) -> _Release:
 
 
 def _regress(cfg: argparse.Namespace, n: int, d: int) -> _Release:
-    _probe_b(cfg, n, "queries have")
+    q = _probe_b(cfg, n, "queries have")
     budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
     state = new_regress(n, d, budget, acc, cfg.seed)
-    for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
-        state.ingest_rows(i0, block)
-    queries = load_matrix(cfg.input_b, cfg.fmt)
-    solutions = state.query_many(queries)
+    # Each projection tile is regenerated once for both the design and the queries.
+    solutions = state.ingest_and_query(_lockstep(cfg, max(d, q)))
 
     def oracle(a):
+        queries = load_matrix(cfg.input_b, cfg.fmt)
         errors = harness.regress_errors(a, queries, solutions, state)
         return lifted_matrix(a, state.s, state.d), errors
 

@@ -21,8 +21,8 @@ lift, regenerated from the seed.
 Both operands are sketched with the same projection and read the same
 data-block columns, so ``MatProdState.ingest_rows`` takes a row block of A
 and of B together and regenerates each projection tile once for both.
-``LiftedSketch`` owns this layout, the guard check and its report, and the
-ingest; the regression mechanism builds on the same core.
+``LiftedSketch`` owns this layout, the guard check and its report, the
+ingest and the merge; the regression mechanism builds on the same core.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ class LiftedSketch:
     Each subclass names its sketches; ``_new`` seeds them with the lift,
     ``_ingest_columns`` adds a block of columns into one of them, and
     ``_ingest_rows`` adds a block of rows into one or more of them in one
-    pass over the projection tiles.
+    pass over the projection tiles, and ``merge`` combines two shards.
     """
 
     n: int
@@ -97,9 +97,34 @@ class LiftedSketch:
         block = self.s * self.sketcher.column_block(0, max(sk.col_count for sk in sketches))
         return [block[:, : sk.col_count] for sk in sketches]
 
+    def _sketches(self) -> dict[str, Sketch]:
+        return {name: v for name, v in vars(self).items() if isinstance(v, Sketch)}
+
     def space_entries(self) -> int:
         """Retained entries: the sketches (omega is regenerated on demand)."""
-        return sum(v.data.size for v in vars(self).values() if isinstance(v, Sketch))
+        return sum(sk.data.size for sk in self._sketches().values())
+
+    def merge(self, other):
+        """Combine two shards of the same stream.
+
+        Data contributions add; the deterministic lift contribution is
+        common to both shards and must enter the result exactly once.
+        ``sketch.merge`` checks that each pair of sketches shares kind,
+        sketcher and shape.
+        """
+        if type(other) is not type(self):
+            raise ContractViolationError(
+                f"cannot merge {type(self).__name__} with {type(other).__name__}"
+            )
+        if self.s != other.s:
+            raise ContractViolationError("cannot merge states with different lifts")
+        merged = {
+            name: sketch.merge(sk, getattr(other, name)) for name, sk in self._sketches().items()
+        }
+        # Both shards carry the lift; remove one copy.
+        for sk, lift in zip(merged.values(), self._lifts(list(merged.values()))):
+            sk.data -= lift
+        return dataclasses.replace(self, **merged)
 
     def _project_data(self, i0: int, *blocks: np.ndarray) -> list[np.ndarray]:
         """omega_data[:, i0:i0+k] @ x for each k-row block x, in one pass over
@@ -124,8 +149,9 @@ class LiftedSketch:
         (y,) = self._project_data(0, x)
         sk.data[:, j0:j1] += y
 
-    def _ingest_rows(self, i0: int, *pairs) -> None:
-        """Add the turnstile update of data rows [i0, i0 + k) to each sketch.
+    def _ingest_rows(self, i0: int, *pairs) -> int:
+        """Add the turnstile update of data rows [i0, i0 + k) to each sketch;
+        returns i0 + k.
 
         ``pairs`` are (sketch, rows) with k rows each. Row i touches only
         projection column lo + i, so each tile of those columns is
@@ -141,6 +167,7 @@ class LiftedSketch:
             raise ContractViolationError(f"rows [{i0}, {i1}) outside [0, {self.n})")
         for (sk, _rows), y in zip(pairs, self._project_data(i0, *blocks)):
             sk.data += y
+        return i1
 
 
 @dataclass
@@ -180,21 +207,6 @@ class MatProdState(LiftedSketch):
         dmin = min(self.d1, self.d2)
         est[np.diag_indices(dmin)] -= self.s**2
         return est
-
-    def merge(self, other: "MatProdState") -> "MatProdState":
-        """Combine two shards of the same stream.
-
-        Data contributions add; the deterministic lift contribution is
-        common to both shards and must enter the result exactly once.
-        ``sketch.merge`` checks that the shards share kind, sketcher and shape.
-        """
-        if self.s != other.s:
-            raise ContractViolationError("cannot merge states with different lifts")
-        ya, yb = sketch.merge(self.ya, other.ya), sketch.merge(self.yb, other.yb)
-        # Both shards carry the lift; remove one copy.
-        for sk, lift in zip((ya, yb), self._lifts((ya, yb))):
-            sk.data -= lift
-        return dataclasses.replace(self, ya=ya, yb=yb)
 
 
 def new_matprod(

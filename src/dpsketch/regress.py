@@ -2,11 +2,14 @@
 
 The design matrix is lifted and sketched once by the lifted-sketch core it
 shares with the multiply mechanism, by rows or columns, one block at a
-time. A block of query vectors is sketched with the same seeded projection
-in one pass over its tiles, and the sketched least-squares problems
-min ||Ya x - Yb_j|| are solved together, directly on the sketched design
-Ya through its SVD rather than on its normal system, so the solve sees
-cond(Ya) and not its square.
+time. Query vectors are sketched with the same seeded projection: together
+with the design, in the same pass over its tiles, when the design and the
+queries are streamed side by side (``ingest_and_query``), or in one pass of
+their own when the queries come after the stream (``query_many``). The
+sketched least-squares problems min ||Ya x - Yb_j|| are solved together,
+directly on the sketched design Ya through its SVD rather than on its
+normal system, so the solve sees cond(Ya) and not its square. Shards of a
+stream combine with ``merge``, which counts the lift once.
 
 The returned solution is the raw minimizer of the lifted problem, which is
 a ridge regression with penalty s^2: users expecting ordinary
@@ -40,6 +43,34 @@ class RegressState(LiftedSketch):
         """Add rows i0, i0+1, ... of A, given as the rows of ``rows``."""
         self._ingest_rows(i0, (self.ya, rows))
 
+    def ingest_and_query(self, chunks) -> np.ndarray:
+        """Add A and answer min_x ||A x - b_j|| for every query b_j, in one pass.
+
+        ``chunks`` yields (i0, a_rows, b_rows): rows i0, i0+1, ... of A and
+        of the n x q query matrix B, in order, from row 0 to row n. Each A
+        block is added as by ``ingest_rows``, and the matching B block is
+        sketched in the same pass over the projection tiles, so each tile
+        is regenerated once for both. The r x q query sketch is working
+        memory, dropped on return. The q queries are checked against the
+        ceiling at the first chunk, before any sketch changes, and answered
+        as by ``query_many``. A chunk that fails a check is refused with
+        the chunks before it already added.
+
+        Returns the d x q matrix of solutions.
+        """
+        yb, end = None, 0
+        for i0, a_rows, b_rows in chunks:
+            if yb is None:
+                q = numerics.as_matrix(b_rows, "b").shape[1]
+                self._admit(q)
+                yb = Sketch.empty(self.sketcher, "psg1", q)
+            if i0 != end:
+                raise ContractViolationError(f"chunk at row {i0}, expected row {end}")
+            end = self._ingest_rows(i0, (self.ya, a_rows), (yb, b_rows))
+        if end != self.n:
+            raise ContractViolationError(f"chunks end at row {end}, expected {self.n}")
+        return self._answer(yb.data)
+
     def query_many(self, b) -> np.ndarray:
         """Answer min_x ||A x - b_j|| for every column b_j of the n x q ``b``.
 
@@ -56,16 +87,31 @@ class RegressState(LiftedSketch):
         x = numerics.as_matrix(b, "b")
         if x.shape[0] != self.n:
             raise ContractViolationError(f"query length {x.shape[0]}, expected {self.n}")
-        q = x.shape[1]
+        self._admit(x.shape[1])
+        (yb,) = self._project_data(0, x)
+        return self._answer(yb)
+
+    def _admit(self, q: int) -> None:
+        """Refuse q queries that would pass the ceiling."""
         if self.query_ceiling is not None and self.queries_answered + q > self.query_ceiling:
             raise BudgetExhaustedError(
                 f"{q} queries exceed the ceiling of {self.query_ceiling} "
                 f"({self.queries_answered} already answered)"
             )
-        (yb,) = self._project_data(0, x)
+
+    def _answer(self, yb: np.ndarray) -> np.ndarray:
+        """Solve min_x ||Ya x - yb_j|| for each column of the r x q ``yb``."""
         solutions = numerics.minres_solve(self.ya.data.T, yb.T)
-        self.queries_answered += q
+        self.queries_answered += yb.shape[1]
         return solutions.T
+
+    def merge(self, other: "RegressState") -> "RegressState":
+        """Combine two shards, as ``LiftedSketch.merge``; shards that have
+        answered queries are refused, so the query ceiling stays honest."""
+        merged = super().merge(other)  # checks first that other is a RegressState
+        if self.queries_answered or other.queries_answered:
+            raise ContractViolationError("cannot merge shards that have answered queries")
+        return merged
 
     def composed_budget(self, delta_prime: float) -> guard.PrivacyBudget:
         """Budget consumed by the queries answered so far, by composition."""

@@ -236,7 +236,8 @@ def merge(a: Sketch, b: Sketch) -> Sketch:
     Correct only for lift-free sketches. A sketch that carries a
     deterministic lift (``RegressState.ya`` holds s * omega[:, :d] from
     construction, for instance) carries it once per shard, so the sum
-    counts the lift twice; ``MatProdState.merge`` removes the extra copy.
+    counts the lift twice; merge such shards with the state's own
+    ``merge`` (``LiftedSketch.merge``), which removes the extra copy.
     """
     if a.kind != b.kind:
         raise ContractViolationError(f"cannot merge kinds {a.kind!r} and {b.kind!r}")

@@ -12,7 +12,7 @@ from dpsketch import cli, guard, harness, sketch
 from dpsketch.errors import FormatError
 from dpsketch.lra import LraConfig, LraState, new_lra
 from dpsketch.matprod import MatProdState, new_matprod
-from dpsketch.regress import new_regress
+from dpsketch.regress import RegressState, new_regress
 
 
 def write_csv(path, m):
@@ -325,6 +325,54 @@ class TestChunkedReader:
         assert message in capsys.readouterr().err
         assert ingested == [0]
 
+    def _regress(self, tmp_path, monkeypatch, pa, pb, fmt):
+        # Runs regress on the design A and the queries B; returns the exit
+        # code and the i0 of each chunk pair ingested.
+        ingested = []
+        original = RegressState._ingest_rows
+
+        def spy(self, i0, *pairs):
+            ingested.append(i0)
+            return original(self, i0, *pairs)
+
+        monkeypatch.setattr(RegressState, "_ingest_rows", spy)
+        args = ["regress", "--input", str(pa), "--input-b", str(pb), "--format", fmt,
+                "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",
+                "--report", str(tmp_path / "r.json")]
+        return cli.main(args), ingested
+
+    def test_regress_b_dpbin_fault_exits_1_at_its_chunk(self, tmp_path, monkeypatch, capsys):
+        # The design and the queries are read in lockstep: a query fault in
+        # row 9 is reported when its chunk (rows 8-9) is reached.
+        pa = tmp_path / "a.dpmt"
+        cli.save_matrix(str(pa), np.ones((10, 3)))
+        pb = self._dpmt(tmp_path, np.ones((10, 3)))
+        raw = bytearray(pb.read_bytes())
+        offset = cli._MATRIX_HEADER.size + 8 * (9 * 3 + 1)
+        raw[offset : offset + 8] = struct.pack("<d", float("nan"))
+        pb.write_bytes(bytes(raw))
+        rc, ingested = self._regress(tmp_path, monkeypatch, pa, pb, "dpbin")
+        assert rc == 1
+        assert "non-finite entry in binary row 9" in capsys.readouterr().err
+        assert ingested == [0, 4]
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [("8,9,10,11", "ragged row at line 6"), ("7,nan,1", "non-finite entry at line 6")],
+    )
+    def test_regress_b_csv_fault_exits_1_naming_its_line(
+        self, tmp_path, monkeypatch, capsys, bad_line, message
+    ):
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(pa, np.ones((10, 3)))
+        lines = ["1,2,3"] * 10
+        lines[5] = bad_line
+        pb.write_text("\n".join(lines) + "\n")
+        rc, ingested = self._regress(tmp_path, monkeypatch, pa, pb, "csv")
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert ingested == [0]
+
     def test_multiply_row_count_mismatch_refused_before_any_row(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -565,6 +613,35 @@ class TestCommands:
         assert rc == 0
         r = guard.matmult_sketch_dim(guard.AccuracySpec(0.5, 0.2))
         assert sum(normals) == r * (n + max(d1, d2))
+
+    @pytest.mark.parametrize("tile_entries", [None, 50])
+    def test_regress_generates_each_tile_once(self, tmp_path, monkeypatch, tile_entries):
+        # The design and the queries share every data tile: the release
+        # generates the data block once and the lift once, r * (n + d)
+        # normals, where a second pass for the queries would add r * n.
+        if tile_entries is not None:
+            monkeypatch.setattr(sketch, "TILE_ENTRIES", tile_entries)
+        n, d, q = 40, 3, 5
+        rng = np.random.default_rng(8)
+        pa, pb = tmp_path / "a.dpmt", tmp_path / "b.dpmt"
+        cli.save_matrix(str(pa), rng.standard_normal((n, d)))
+        cli.save_matrix(str(pb), rng.standard_normal((n, q)))
+        normals = []
+        original = sketch.GaussianSketcher._generate_block
+
+        def spy(self, j0, j1):
+            normals.append(self.r * (j1 - j0))
+            return original(self, j0, j1)
+
+        monkeypatch.setattr(sketch.GaussianSketcher, "_generate_block", spy)
+        rc = cli.main(
+            ["regress", "--input", str(pa), "--input-b", str(pb), "--format", "dpbin",
+             "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",
+             "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 0
+        r = guard.linreg_sketch_dim(guard.AccuracySpec(0.5, 0.2), d)
+        assert sum(normals) == r * (n + d)
 
     def test_regress_end_to_end(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

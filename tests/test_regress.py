@@ -4,7 +4,7 @@ import pytest
 from dpsketch import guard, sketch
 from dpsketch.errors import BudgetExhaustedError, ContractViolationError
 from dpsketch.harness import binomial_allowed, exact_lsq
-from dpsketch.matprod import lift_layout, lifted_matrix
+from dpsketch.matprod import lift_layout, lifted_matrix, new_matprod
 from dpsketch.regress import new_regress
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
@@ -24,6 +24,11 @@ def shrink_tiles(monkeypatch, tile_cols, d=4):
 
 def rel_diff(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def row_chunks(a, b, step):
+    """(i0, a_rows, b_rows) chunks of ``step`` rows covering both matrices."""
+    return [(i0, a[i0 : i0 + step], b[i0 : i0 + step]) for i0 in range(0, len(a), step)]
 
 
 class TestConstruction:
@@ -190,6 +195,145 @@ class TestQueryMany:
             state.query_many(np.zeros((22, 2)))
         with pytest.raises(ContractViolationError):
             state.query_many(np.zeros(23))
+
+
+class TestIngestAndQuery:
+    def _inputs(self, n=23, d=4, q=5, seed=14):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((n, d)), rng.standard_normal((n, q))
+
+    def _two_pass(self, a, b):
+        state = make_state(*a.shape, seed=14)
+        state.ingest_rows(0, a)
+        return state, state.query_many(b)
+
+    @pytest.mark.parametrize("tile_cols", [3, None])
+    def test_one_chunk_equals_ingest_then_query_bit_for_bit(self, monkeypatch, tile_cols):
+        shrink_tiles(monkeypatch, tile_cols)
+        a, b = self._inputs()
+        want_state, want = self._two_pass(a, b)
+        state = make_state(*a.shape, seed=14)
+        got = state.ingest_and_query([(0, a, b)])
+        assert np.array_equal(state.ya.data, want_state.ya.data)
+        assert np.array_equal(got, want)
+        assert state.queries_answered == want_state.queries_answered == 5
+
+    @pytest.mark.parametrize("q", [1, 9])  # q = 9 exceeds d = 4
+    @pytest.mark.parametrize("step, tile_cols", [(5, 3), (7, 3), (1, None), (10, 1)])
+    def test_chunks_agree_with_ingest_then_query(self, monkeypatch, q, step, tile_cols):
+        shrink_tiles(monkeypatch, tile_cols)
+        a, b = self._inputs(q=q)
+        want_state, want = self._two_pass(a, b)
+        state = make_state(*a.shape, seed=14)
+        got = state.ingest_and_query(row_chunks(a, b, step))
+        assert got.shape == (4, q)
+        assert rel_diff(state.ya.data, want_state.ya.data) <= 1e-12
+        assert rel_diff(got, want) <= 1e-12
+
+    def test_sketch_of_queries_is_working_memory(self):
+        a, b = self._inputs()
+        state = make_state(*a.shape, seed=14)
+        state.ingest_and_query(row_chunks(a, b, 5))
+        assert state.space_entries() == state.r * 4
+
+    def test_ceiling_refused_at_the_first_chunk(self, monkeypatch):
+        from dpsketch import numerics
+
+        a, b = self._inputs()
+        state = make_state(*a.shape, seed=14, max_queries=5)
+        state.query_many(b[:, [0]])
+        before = state.ya.data.copy()
+        solves = []
+        monkeypatch.setattr(numerics, "minres_solve", lambda *args: solves.append(args))
+        with pytest.raises(BudgetExhaustedError):
+            state.ingest_and_query(row_chunks(a, b, 5))
+        assert np.array_equal(state.ya.data, before)
+        assert state.queries_answered == 1 and solves == []
+
+    @pytest.mark.parametrize("order", [
+        [0, 10, 20],  # rows 5-9 and 15-19 missing
+        [0, 5, 10, 15],  # rows 20-22 missing
+        [5, 0, 10, 15, 20],  # out of order
+        [0, 5, 5, 10, 15, 20],  # overlapping
+        [],  # no chunk at all
+    ], ids=["gap", "short", "out-of-order", "overlap", "empty"])
+    def test_chunks_must_cover_rows_in_order(self, order):
+        a, b = self._inputs()
+        chunks = {chunk[0]: chunk for chunk in row_chunks(a, b, 5)}
+        state = make_state(*a.shape, seed=14)
+        with pytest.raises(ContractViolationError, match="chunk"):
+            state.ingest_and_query(chunks[i0] for i0 in order)
+        assert state.queries_answered == 0
+
+    @pytest.mark.parametrize("a_rows, b_rows", [(5, 4), (4, 5)])
+    def test_chunk_pair_row_counts_must_match(self, a_rows, b_rows):
+        a, b = self._inputs()
+        state = make_state(*a.shape, seed=14)
+        before = state.ya.data.copy()
+        with pytest.raises(ContractViolationError, match="row counts differ"):
+            state.ingest_and_query([(0, a[:a_rows], b[:b_rows])])
+        assert np.array_equal(state.ya.data, before)
+
+    def test_query_count_fixed_by_the_first_chunk(self):
+        a, b = self._inputs()
+        chunks = row_chunks(a, b, 10)
+        chunks[1] = (10, a[10:20], b[10:20, :3])
+        with pytest.raises(ContractViolationError, match="row length 3, expected 5"):
+            make_state(*a.shape, seed=14).ingest_and_query(chunks)
+
+
+class TestMerge:
+    def _shards(self, n=24, d=3, seed=15, split=10):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, d))
+        whole, shard1, shard2 = (make_state(n, d, seed=seed) for _ in range(3))
+        whole.ingest_rows(0, a)
+        shard1.ingest_rows(0, a[:split])
+        shard2.ingest_rows(split, a[split:])
+        return whole, shard1, shard2
+
+    @pytest.mark.parametrize("split", [1, 10, 23])
+    def test_sharded_rows_merge_to_the_whole_stream(self, split):
+        whole, shard1, shard2 = self._shards(split=split)
+        merged = shard1.merge(shard2)
+        assert rel_diff(merged.ya.data, whole.ya.data) <= 1e-10
+        b = np.random.default_rng(16).standard_normal((24, 2))
+        assert rel_diff(merged.query_many(b), whole.query_many(b)) <= 1e-10
+        assert merged.space_entries() == whole.space_entries()
+
+    def test_sharded_columns_merge_to_the_whole_stream(self):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((24, 3))
+        whole, shard1, shard2 = (make_state(24, 3, seed=17) for _ in range(3))
+        whole.ingest_columns(0, a)
+        shard1.ingest_columns(0, a[:, :1])
+        shard2.ingest_columns(1, a[:, 1:])
+        assert rel_diff(shard1.merge(shard2).ya.data, whole.ya.data) <= 1e-10
+
+    def test_plain_sketch_sum_counts_the_lift_twice(self):
+        # Negative control: summing the shards' sketches without removing
+        # one lift copy is off by about the lift itself.
+        whole, shard1, shard2 = self._shards()
+        summed = sketch.merge(shard1.ya, shard2.ya)
+        assert rel_diff(summed.data, whole.ya.data) > 0.5
+
+    def test_refuses_shards_that_answered_queries(self):
+        _whole, shard1, shard2 = self._shards()
+        shard2.query_many(np.zeros((24, 1)))
+        for x, y in ((shard1, shard2), (shard2, shard1)):
+            with pytest.raises(ContractViolationError, match="answered queries"):
+                x.merge(y)
+
+    def test_refuses_other_seeds_lifts_and_mechanisms(self):
+        state = make_state(24, 3, seed=15)
+        others = [
+            make_state(24, 3, seed=16),
+            new_regress(24, 3, BUDGET, ACC, 15, s_override=2.5, enforce_guard=False),
+            new_matprod(24, 3, 3, BUDGET, ACC, 15),
+        ]
+        for other in others:
+            with pytest.raises(ContractViolationError):
+                state.merge(other)
 
 
 class TestQuery:

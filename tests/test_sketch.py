@@ -483,3 +483,35 @@ class TestKnownAnswers:
             monkeypatch.undo()
             sketch._self_test.cache_clear()
         GaussianSketcher(0, 4, 8)
+
+
+class TestColumnLayout:
+    """Column j of omega is Box-Muller of its own Philox words [j*8, j*8 + 8)
+    when r = 5: two counter blocks per column, of which 3 words are padding."""
+
+    @staticmethod
+    def _layout_holds(sk, j0, j1):
+        got = sk.column_block(j0, j1)
+        want = np.array([
+            sketch._box_muller(sketch._raw_words(sk.seed, 8 * j, 8))[:5] for j in range(j0, j1)
+        ]).T
+        return got.shape == (5, j1 - j0) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("j0, j1", [(0, 40), (7, 23), (39, 40)])
+    def test_each_column_reads_its_own_words(self, j0, j1):
+        assert self._layout_holds(GaussianSketcher(3, 5, 40), j0, j1)
+
+    def test_halved_stride_fails(self, monkeypatch):
+        # Negative control: at a stride of 4 words, column j reads words
+        # [4j, 4j + 5), so its last normal is the first of column j + 1.
+        def shared_words(self, j0, j1):
+            stride = self._wpc // 2
+            words = sketch._raw_words(self.seed, j0 * stride, (j1 - j0 + 1) * stride)
+            normals = sketch._box_muller(words)
+            return np.stack([normals[i * stride : i * stride + self.r] for i in range(j1 - j0)])
+
+        monkeypatch.setattr(GaussianSketcher, "_generate_block", shared_words)
+        sk = GaussianSketcher(3, 5, 40)
+        block = sk.column_block(0, 40)
+        assert block.shape == (5, 40) and np.array_equal(block[4, :-1], block[0, 1:])
+        assert not self._layout_holds(sk, 0, 40)
