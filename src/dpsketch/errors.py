@@ -24,8 +24,8 @@ class NumericFailureError(DPSketchError, RuntimeError):
 class IllPosedSystemError(DPSketchError, RuntimeError):
     """A linear system was numerically rank-deficient.
 
-    Carries the residual achieved by the pseudo-inverse fallback so callers
-    can decide whether the least-squares answer is still usable.
+    Carries the residual of the least-squares solution that was found, so
+    callers can decide whether that answer is still usable.
     """
 
     def __init__(self, message: str, residual: float = float("nan")):

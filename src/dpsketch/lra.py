@@ -2,10 +2,10 @@
 
 The mechanism streams the rows of an identity-lifted matrix through a
 seeded Gaussian projection (range finding), then reuses the same projection
-to solve for the compressed core matrix as a minimum-residual least-squares
-problem (projection step), never touching the input a second time. The
-solve is made directly on the sketched coefficient matrix through its SVD,
-not on its normal system.
+to solve for the compressed core matrix as a least-squares problem
+(projection step), never touching the input a second time. The solve is
+made directly on the sketched coefficient matrix by numpy's SVD-based
+``lstsq``, not on its normal system.
 
 Symmetric inputs are handled directly. A general n x d input is embedded
 into the symmetric block matrix [[w I_n, A], [A.T, w I_d]]; both running
@@ -79,16 +79,17 @@ class LraConfig:
 
 @dataclass
 class LowRankFactor:
-    """Eigenpair factor (u_hat, lambda) of the published approximation.
-
-    ``deficient`` flags runs where fewer than k numerically nonzero
-    eigenvalues survived, in which case u_hat has reduced width.
-    """
+    """Eigenpair factor (u_hat, lambda) of the published approximation."""
 
     u_hat: np.ndarray
     lam: np.ndarray
     requested_rank: int
-    deficient: bool = False
+
+    @property
+    def deficient(self) -> bool:
+        """Fewer than k numerically nonzero eigenvalues survived, so u_hat
+        has reduced width."""
+        return self.lam.size < self.requested_rank
 
 
 @dataclass
@@ -155,30 +156,20 @@ class LraState:
             # enters here; it never depended on the data.
             y = np.vstack([self.y1, self.y2 + self.w * omega_t[cfg.n :]])
             lift_rows = data_rows = omega_t
-        found = numerics.orthonormal_range(y)
-        psi = found.basis
-        if found.rank == 0:
-            return LowRankFactor(
-                u_hat=np.zeros((y.shape[0], 0)), lam=np.zeros(0),
-                requested_rank=cfg.k, deficient=True,
-            )
+        psi = numerics.orthonormal_range(y)
         coeff = psi.T @ data_rows
         rhs = psi.T @ y - self.w * (psi.T @ lift_rows)
-        core = numerics.minres_solve(coeff, rhs)
+        # The solve returns the transposed core; symmetrising makes that moot.
+        core = numerics.lstsq(coeff.T, rhs.T)
         core = (core + core.T) / 2.0
         lam_all, ubar = np.linalg.eigh(core)
         order = np.argsort(-np.abs(lam_all), kind="stable")
         top = float(np.abs(lam_all).max(initial=0.0))
-        nonzero = np.abs(lam_all[order]) > numerics.RANK_RTOL * top if top > 0 else np.zeros(
-            len(order), dtype=bool
-        )
-        keep = order[nonzero][: cfg.k]
-        u_hat = psi @ ubar[:, keep]
+        keep = order[np.abs(lam_all[order]) > numerics.RANK_RTOL * top][: cfg.k]
         return LowRankFactor(
-            u_hat=np.ascontiguousarray(u_hat),
+            u_hat=np.ascontiguousarray(psi @ ubar[:, keep]),
             lam=lam_all[keep].copy(),
             requested_rank=cfg.k,
-            deficient=len(keep) < cfg.k,
         )
 
 

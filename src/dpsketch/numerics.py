@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels: SVD, orthonormal range and least squares.
 
 All operations are pure functions on immutable float64 arrays and are safe
-to call concurrently. Least-squares problems are solved directly from the
-SVD of their coefficient matrix, never through its normal system, which
-would square the condition number.
+to call concurrently. Least-squares problems go to numpy's SVD-based
+``lstsq`` on their coefficient matrix, never through its normal system,
+which would square the condition number.
 """
 from __future__ import annotations
 
@@ -67,62 +67,41 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, sigma=s, vt=vt)
 
 
-@dataclass(frozen=True)
-class RangeResult:
-    """Orthonormal basis for a column span, truncated to numerical rank."""
-
-    basis: np.ndarray
-    rank: int
-    deficient: bool
-
-
-def orthonormal_range(y) -> RangeResult:
+def orthonormal_range(y) -> np.ndarray:
     """Orthonormal basis whose span equals the column span of ``y``.
 
     Rank-deficient input is not an error: the basis is truncated to the
-    numerical rank and flagged, because the low-rank mechanism tolerates a
-    reduced range.
+    numerical rank (its column count), because the low-rank mechanism
+    tolerates a reduced range.
     """
-    a = as_matrix(y, "y")
-    res = svd(a)
-    top = float(res.sigma[0]) if res.sigma.size else 0.0
-    rank = int(np.count_nonzero(res.sigma > RANK_RTOL * top)) if top > 0.0 else 0
-    basis = np.ascontiguousarray(res.u[:, :rank])
-    return RangeResult(basis=basis, rank=rank, deficient=rank < a.shape[1])
+    res = svd(as_matrix(y, "y"))
+    rank = int(np.count_nonzero(res.sigma > RANK_RTOL * res.sigma[0]))
+    return np.ascontiguousarray(res.u[:, :rank])
 
 
-def minres_solve(coeff, rhs) -> np.ndarray:
-    """Minimize ||B @ coeff - rhs||_F over B by a direct SVD solve.
+def lstsq(a, b) -> np.ndarray:
+    """Minimize ||a @ x - b||_F over x, one column of ``b`` at a time.
 
-    Parameters
-    ----------
-    coeff : (k, l) array with l >= k and numerically full row rank.
-    rhs : (q, l) array sharing coeff's column count.
-
-    Returns
-    -------
-    (q, k) array B. Each row solves an independent least-squares problem
-    min ||coeff.T @ b - r||_2 through the thin SVD coeff = U S Vt, as
-    B = rhs Vt.T S^-1 U.T. The solve works on coeff itself, never on its
-    normal system, so its accuracy depends on cond(coeff), not its square.
+    ``a`` is (l, k) with numerically full column rank, ``b`` is (l, q);
+    returns the (k, q) solution. numpy's SVD-based solver works on ``a``
+    itself, never on its normal system, so its accuracy depends on
+    cond(a), not its square. Singular values at or below RANK_RTOL times
+    the largest count as zero; a rank below k raises IllPosedSystemError
+    carrying the residual of the solution found.
     """
-    c = as_matrix(coeff, "coeff")
-    r = as_matrix(rhs, "rhs")
-    if c.shape[1] != r.shape[1]:
-        raise ContractViolationError(
-            f"coeff and rhs column counts differ: {c.shape[1]} vs {r.shape[1]}"
-        )
-    k, ell = c.shape
-    if ell < k:
-        raise ContractViolationError("coeff must have at least as many columns as rows")
-    res = svd(c)
-    sig = res.sigma
-    if sig[0] == 0.0 or sig[-1] <= RANK_RTOL * sig[0]:
-        bt, *_ = np.linalg.lstsq(c.T, r.T, rcond=None)
-        achieved = float(np.linalg.norm(bt.T @ c - r))
+    a = as_matrix(a, "a")
+    b = as_matrix(b, "b")
+    if a.shape[0] != b.shape[0]:
+        raise ContractViolationError(f"a and b row counts differ: {a.shape[0]} vs {b.shape[0]}")
+    try:
+        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_RTOL)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"lstsq did not converge: {exc}") from exc
+    if rank < a.shape[1]:
+        achieved = float(np.linalg.norm(a @ x - b))
         raise IllPosedSystemError(
-            f"coeff is numerically rank deficient (sigma_min={sig[-1]:.3e}); "
-            f"least-squares fallback residual {achieved:.3e}",
+            f"a is numerically rank deficient (rank {rank} of {a.shape[1]}); "
+            f"least-squares residual {achieved:.3e}",
             residual=achieved,
         )
-    return (r @ res.vt.T / sig) @ res.u.T
+    return x

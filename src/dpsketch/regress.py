@@ -101,9 +101,9 @@ class RegressState(LiftedSketch):
 
     def _answer(self, yb: np.ndarray) -> np.ndarray:
         """Solve min_x ||Ya x - yb_j|| for each column of the r x q ``yb``."""
-        solutions = numerics.minres_solve(self.ya.data.T, yb.T)
+        solutions = numerics.lstsq(self.ya.data, yb)
         self.queries_answered += yb.shape[1]
-        return solutions.T
+        return solutions
 
     def merge(self, other: "RegressState") -> "RegressState":
         """Combine two shards, as ``LiftedSketch.merge``; shards that have

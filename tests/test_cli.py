@@ -542,7 +542,7 @@ class TestCommands:
              "--seed", "3", "--report", report_path, "--oracle"]
         )
         assert rc == 0
-        report = json.loads(open(report_path).read())
+        report = json.loads(Path(report_path).read_text())
         for key in ("params", "guard_report", "error_vs_oracle", "space_entries", "wall_time_ms"):
             assert key in report
         assert report["guard_report"]["passed"]
@@ -687,7 +687,7 @@ class TestCommands:
         def broken(*args, **kwargs):
             return harness.BoundReport(
                 check="jl_concentration", trials=1, violations=1,
-                allowed=0.0, passed=False,
+                allowed=0.0,
             )
 
         monkeypatch.setattr(harness, "mc_jl", broken)

@@ -51,66 +51,77 @@ class TestOrthonormalRange:
     def test_basis_vector(self):
         y = np.zeros((4, 1))
         y[0, 0] = 1.0
-        res = numerics.orthonormal_range(y)
-        np.testing.assert_allclose(res.basis[:, 0], [1, 0, 0, 0], atol=1e-14)
-        assert not res.deficient
+        basis = numerics.orthonormal_range(y)
+        assert basis.shape == (4, 1)
+        np.testing.assert_allclose(basis[:, 0], [1, 0, 0, 0], atol=1e-14)
 
     def test_scaled_identity(self):
-        res = numerics.orthonormal_range(2.0 * np.eye(3))
-        assert res.rank == 3
-        np.testing.assert_allclose(np.abs(res.basis) @ np.abs(res.basis.T), np.eye(3), atol=1e-12)
+        basis = numerics.orthonormal_range(2.0 * np.eye(3))
+        assert basis.shape[1] == 3
+        np.testing.assert_allclose(np.abs(basis) @ np.abs(basis.T), np.eye(3), atol=1e-12)
 
     def test_projection_residual(self):
         y = np.random.default_rng(5).standard_normal((6, 2))
-        res = numerics.orthonormal_range(y)
-        psi = res.basis
+        psi = numerics.orthonormal_range(y)
         assert np.linalg.norm(psi.T @ psi - np.eye(2)) <= 1e-10
         assert np.linalg.norm(psi @ (psi.T @ y) - y) <= 1e-9 * np.linalg.norm(y)
 
     def test_rank_deficient_flagged(self):
         col = np.arange(1.0, 6.0).reshape(-1, 1)
         y = np.hstack([col, 2 * col, 3 * col])
-        res = numerics.orthonormal_range(y)
-        assert res.deficient and res.rank == 1
-        assert res.basis.shape == (5, 1)
+        assert numerics.orthonormal_range(y).shape == (5, 1)
 
     def test_zero_matrix(self):
-        res = numerics.orthonormal_range(np.zeros((4, 2)))
-        assert res.rank == 0 and res.deficient
+        assert numerics.orthonormal_range(np.zeros((4, 2))).shape == (4, 0)
 
 
-class TestMinres:
+class TestLstsq:
     def test_identity_coeff(self):
-        rhs = np.random.default_rng(0).standard_normal((3, 4))
-        b = numerics.minres_solve(np.eye(4), rhs)
-        np.testing.assert_allclose(b, rhs, atol=1e-12)
+        rhs = np.random.default_rng(0).standard_normal((4, 3))
+        x = numerics.lstsq(np.eye(4), rhs)
+        np.testing.assert_allclose(x, rhs, atol=1e-12)
 
     def test_forward_construct(self):
         rng = np.random.default_rng(1)
-        b0 = rng.standard_normal((4, 4))
-        coeff = rng.standard_normal((4, 9))
-        b = numerics.minres_solve(coeff, b0 @ coeff)
-        assert np.linalg.norm(b - b0) <= 1e-9
+        x0 = rng.standard_normal((4, 4))
+        a = rng.standard_normal((9, 4))
+        x = numerics.lstsq(a, a @ x0)
+        assert np.linalg.norm(x - x0) <= 1e-9
 
-    def test_inconsistent_matches_pseudoinverse(self):
+    def test_inconsistent_matches_qr_solve(self):
         rng = np.random.default_rng(2)
-        coeff = rng.standard_normal((3, 8))
-        rhs = rng.standard_normal((5, 8))
-        b = numerics.minres_solve(coeff, rhs)
-        ref = np.linalg.lstsq(coeff.T, rhs.T, rcond=None)[0].T
-        got = np.linalg.norm(b @ coeff - rhs)
-        want = np.linalg.norm(ref @ coeff - rhs)
+        a = rng.standard_normal((8, 3))
+        b = rng.standard_normal((8, 5))
+        x = numerics.lstsq(a, b)
+        q, r = np.linalg.qr(a)
+        ref = np.linalg.solve(r, q.T @ b)
+        got = np.linalg.norm(a @ x - b)
+        want = np.linalg.norm(a @ ref - b)
         assert abs(got - want) <= 1e-8 * max(want, 1.0)
 
     def test_rank_deficient_raises_with_residual(self):
-        row = np.arange(1.0, 7.0)
-        coeff = np.vstack([row, 2 * row])
-        rhs = np.random.default_rng(3).standard_normal((2, 6))
+        col = np.arange(1.0, 7.0)
+        a = np.column_stack([col, 2 * col])
+        b = np.random.default_rng(3).standard_normal((6, 2))
         with pytest.raises(IllPosedSystemError) as err:
-            numerics.minres_solve(coeff, rhs)
+            numerics.lstsq(a, b)
         assert np.isfinite(err.value.residual)
 
-    def test_column_mismatch(self):
+    def test_row_mismatch(self):
         with pytest.raises(ContractViolationError):
-            numerics.minres_solve(np.eye(3), np.ones((2, 4)))
+            numerics.lstsq(np.eye(3), np.ones((4, 2)))
 
+
+# rho / RANK_RTOL just below, at and just above the cutoff: a singular value
+# at or below RANK_RTOL times the largest counts as zero in both kernels.
+@pytest.mark.parametrize("ratio, rank", [(1 - 1e-6, 1), (1.0, 1), (1 + 1e-6, 2)])
+def test_one_rank_rule_at_the_cutoff(ratio, rank):
+    a = np.zeros((5, 2))
+    a[:2, :2] = np.diag([1.0, ratio * numerics.RANK_RTOL])
+    b = np.ones((5, 1))
+    assert numerics.orthonormal_range(a).shape == (5, rank)
+    if rank < 2:
+        with pytest.raises(IllPosedSystemError):
+            numerics.lstsq(a, b)
+    else:
+        np.testing.assert_allclose(numerics.lstsq(a, b)[:, 0], [1.0, 1.0 / a[1, 1]])

@@ -171,7 +171,7 @@ class TestQueryMany:
         state, b = self._ingested(max_queries=4)
         state.query_many(b[:, [0]])
         solves = []
-        monkeypatch.setattr(numerics, "minres_solve", lambda *a, **k: solves.append(a))
+        monkeypatch.setattr(numerics, "lstsq", lambda *a, **k: solves.append(a))
         with pytest.raises(BudgetExhaustedError):
             state.query_many(b[:, :4])
         assert state.queries_answered == 1 and solves == []
@@ -244,7 +244,7 @@ class TestIngestAndQuery:
         state.query_many(b[:, [0]])
         before = state.ya.data.copy()
         solves = []
-        monkeypatch.setattr(numerics, "minres_solve", lambda *args: solves.append(args))
+        monkeypatch.setattr(numerics, "lstsq", lambda *args: solves.append(args))
         with pytest.raises(BudgetExhaustedError):
             state.ingest_and_query(row_chunks(a, b, 5))
         assert np.array_equal(state.ya.data, before)
