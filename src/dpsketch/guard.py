@@ -10,8 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import numerics
-from .errors import BudgetExhaustedError, ParameterDomainError, SpectralGuardError
+from .errors import (
+    BudgetExhaustedError,
+    ContractViolationError,
+    NumericFailureError,
+    ParameterDomainError,
+    SpectralGuardError,
+)
 
 # Pinned constants for the big-O parameter choices; none is overridable.
 LRA_LIFT_CONSTANT = 16.0
@@ -167,4 +175,11 @@ def check_lift(name: str, lift: float, required: float, enforce: bool) -> GuardR
 
 def verify_spectral_guard(m, required: float) -> GuardReport:
     """Check that the smallest singular value of ``m`` clears a threshold."""
-    return GuardReport(float(required), float(numerics.svd(m).sigma[-1]))
+    a = numerics.as_matrix(m)
+    if a.size == 0:
+        raise ContractViolationError("spectral guard of an empty matrix")
+    try:
+        sigma = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"svd did not converge: {exc}") from exc
+    return GuardReport(float(required), float(sigma[-1]))

@@ -88,32 +88,35 @@ def exact_product(a, b) -> np.ndarray:
 # Random-matrix lemma verifiers
 
 
+def _mc_pseudoinverse(check: str, k: int, p: int, trials: int, seed: int,
+                      per_trial, rhs: float, holds) -> BoundReport:
+    """``per_trial`` of the singular values of ``trials`` k x (k+p) standard
+    Gaussians against ``rhs``. All or nothing: every trial counts as a
+    violation unless ``holds`` accepts the mean over trials.
+    """
+    omegas = np.random.default_rng(seed).standard_normal((trials, k, k + p))
+    lhs = per_trial(np.linalg.svd(omegas, compute_uv=False))
+    violations = 0 if holds(float(lhs.mean())) else trials
+    return BoundReport(check=check, trials=trials, violations=violations, allowed=0.0,
+                       seeds=[seed], observed_lhs=lhs, bound_rhs=np.full(trials, rhs))
+
+
 def mc_pseudoinverse_frobenius(
     k: int, p: int, trials: int, seed: int = 0, rel_tol: float = 0.05
 ) -> BoundReport:
     """Mean squared Frobenius norm of Gaussian pseudo-inverses vs k/(p-1).
 
     Samples k x (k+p) standard Gaussians; the trace identity gives
-    E||pinv||_F^2 = k/(p-1) for that shape. All or nothing: every trial
-    counts as a violation when the mean misses by more than ``rel_tol``.
+    E||pinv||_F^2 = k/(p-1) for that shape. Fails when the mean misses by
+    more than ``rel_tol``.
     """
     if p < 2:
         raise ParameterDomainError(f"oversampling must be >= 2, got {p}")
-    rng = np.random.default_rng(seed)
-    omegas = rng.standard_normal((trials, k, k + p))
-    sv = np.linalg.svd(omegas, compute_uv=False)
-    per_trial = np.sum(1.0 / sv**2, axis=1)
     expected = k / (p - 1.0)
-    mean = float(per_trial.mean())
-    ok = abs(mean - expected) <= rel_tol * expected
-    return BoundReport(
-        check="pseudoinverse_frobenius",
-        trials=trials,
-        violations=0 if ok else trials,
-        allowed=0.0,
-        seeds=[seed],
-        observed_lhs=per_trial,
-        bound_rhs=np.full(trials, expected),
+    return _mc_pseudoinverse(
+        "pseudoinverse_frobenius", k, p, trials, seed,
+        lambda sv: np.sum(1.0 / sv**2, axis=1), expected,
+        lambda mean: abs(mean - expected) <= rel_tol * expected,
     )
 
 
@@ -123,21 +126,10 @@ def mc_pseudoinverse_spectral(
     """One-sided check: mean spectral norm of pseudo-inverses <= e sqrt(k+p)/p."""
     if p < 1:
         raise ParameterDomainError(f"oversampling must be >= 1, got {p}")
-    rng = np.random.default_rng(seed)
-    omegas = rng.standard_normal((trials, k, k + p))
-    sv = np.linalg.svd(omegas, compute_uv=False)
-    per_trial = 1.0 / sv[:, -1]
     bound = bound_scale * math.e * math.sqrt(k + p) / p
-    mean = float(per_trial.mean())
-    ok = mean <= bound
-    return BoundReport(
-        check="pseudoinverse_spectral",
-        trials=trials,
-        violations=0 if ok else trials,
-        allowed=0.0,
-        seeds=[seed],
-        observed_lhs=per_trial,
-        bound_rhs=np.full(trials, bound),
+    return _mc_pseudoinverse(
+        "pseudoinverse_spectral", k, p, trials, seed,
+        lambda sv: 1.0 / sv[:, -1], bound, lambda mean: mean <= bound,
     )
 
 
@@ -228,7 +220,7 @@ def dp_density_ratio_check(
     a_tilde = a - perturb
     if enforce_guard:
         for name, mat in (("A", a), ("A~", a_tilde)):
-            observed = float(numerics.svd(mat).sigma[-1])
+            observed = float(np.linalg.svd(mat, compute_uv=False)[-1])
             if observed < threshold:
                 raise ParameterDomainError(
                     f"{name} spectrum {observed:.4g} below guard threshold {threshold:.4g}"
@@ -280,7 +272,7 @@ def lra_errors(a, factor: LowRankFactor, config: LraConfig) -> dict:
     """Error of the release ``factor`` of ``a``, the Eckart-Young optimum, the
     bound, and ``trivial_error`` ||A||_F, the zero matrix's error."""
     k, p, b = config.k, config.oversample, config.budget
-    optimum = math.sqrt(float(np.sum(numerics.svd(a).sigma[k:] ** 2)))
+    optimum = math.sqrt(float(np.sum(np.linalg.svd(a, compute_uv=False)[k:] ** 2)))
     additive = (2.0 * k / b.eps) * math.sqrt((config.n + config.d) * math.log(k / b.delta) / p)
     return {
         "frobenius_error": float(np.linalg.norm(a - reconstruct(factor, config))),
@@ -349,7 +341,7 @@ def _lra_trial(config: LraConfig, trial_seed: int, norm: str):
         errors = lra_errors(a, factor, config)
         return errors["frobenius_error"], errors["error_bound"]
     lhs = float(np.linalg.norm(a - reconstruct(factor, config), 2))
-    return lhs, lra_spectral_rhs(config, numerics.svd(a).sigma)
+    return lhs, lra_spectral_rhs(config, np.linalg.svd(a, compute_uv=False))
 
 
 def bound_check_lra(

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: SVD, orthonormal range and least squares.
+"""Dense linear-algebra kernels: orthonormal range and least squares.
 
 All operations are pure functions on immutable float64 arrays and are safe
 to call concurrently. Least-squares problems go to numpy's SVD-based
@@ -6,8 +6,6 @@ to call concurrently. Least-squares problems go to numpy's SVD-based
 which would square the condition number.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,37 +34,6 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return np.ascontiguousarray(v)
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD factors: u (orthonormal columns), sigma (descending), vt."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    vt: np.ndarray
-
-
-def svd(m) -> SvdResult:
-    """Thin SVD with a pinned sign convention.
-
-    The first nonzero entry of every left singular vector is made
-    non-negative, so repeated calls on identical input agree bitwise.
-    """
-    a = as_matrix(m)
-    if a.size == 0:
-        raise ContractViolationError("svd of an empty matrix")
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"svd did not converge: {exc}") from exc
-    nz = u != 0.0
-    first = np.where(nz.any(axis=0), nz.argmax(axis=0), 0)
-    signs = np.sign(u[first, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
-    u = np.ascontiguousarray(u * signs)
-    vt = np.ascontiguousarray(vt * signs[:, None])
-    return SvdResult(u=u, sigma=s, vt=vt)
-
-
 def orthonormal_range(y) -> np.ndarray:
     """Orthonormal basis whose span equals the column span of ``y``.
 
@@ -74,9 +41,15 @@ def orthonormal_range(y) -> np.ndarray:
     numerical rank (its column count), because the low-rank mechanism
     tolerates a reduced range.
     """
-    res = svd(as_matrix(y, "y"))
-    rank = int(np.count_nonzero(res.sigma > RANK_RTOL * res.sigma[0]))
-    return np.ascontiguousarray(res.u[:, :rank])
+    a = as_matrix(y, "y")
+    if a.size == 0:
+        raise ContractViolationError("range of an empty matrix")
+    try:
+        u, sigma, _ = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"svd did not converge: {exc}") from exc
+    rank = int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
+    return np.ascontiguousarray(u[:, :rank])
 
 
 def lstsq(a, b) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -197,11 +197,14 @@ class Sketch:
 
     kind: str
     data: np.ndarray
-    col_count: int
     fingerprint: int
     seed: int
     r: int
     m: int
+
+    @property
+    def col_count(self) -> int:
+        return self.data.shape[1]
 
     @classmethod
     def empty(cls, sketcher: GaussianSketcher, kind: str, col_count: int) -> "Sketch":
@@ -213,7 +216,6 @@ class Sketch:
         return cls(
             kind=kind,
             data=np.zeros((rows, col_count)),
-            col_count=col_count,
             fingerprint=sketcher.fingerprint,
             seed=sketcher.seed,
             r=sketcher.r,
@@ -245,15 +247,7 @@ def merge(a: Sketch, b: Sketch) -> Sketch:
         raise ContractViolationError("cannot merge sketches with different fingerprints")
     if a.data.shape != b.data.shape:
         raise ContractViolationError("cannot merge sketches with different shapes")
-    return Sketch(
-        kind=a.kind,
-        data=a.data + b.data,
-        col_count=a.col_count,
-        fingerprint=a.fingerprint,
-        seed=a.seed,
-        r=a.r,
-        m=a.m,
-    )
+    return replace(a, data=a.data + b.data)
 
 
 def serialize(sketch: Sketch) -> bytes:
@@ -293,6 +287,4 @@ def deserialize(buf: bytes) -> Sketch:
     data = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(rows, c).copy()
     if data.size and not np.isfinite(data).all():
         raise FormatError("sketch payload contains non-finite entries")
-    return Sketch(
-        kind=kind, data=data, col_count=c, fingerprint=fp, seed=seed, r=r, m=m
-    )
+    return Sketch(kind=kind, data=data, fingerprint=fp, seed=seed, r=r, m=m)

@@ -2,49 +2,63 @@ import numpy as np
 import pytest
 
 from dpsketch import numerics
-from dpsketch.errors import ContractViolationError, IllPosedSystemError
+from dpsketch.errors import ContractViolationError, IllPosedSystemError, NumericFailureError
+from dpsketch.guard import verify_spectral_guard
 
 from _oracles import jacobi_singular_values
 
 
+def _sigma_min(a):
+    return verify_spectral_guard(a, 0.0).observed_sigma_min
+
+
 class TestSvd:
+    """The library's two SVD paths: the range basis and the spectral guard."""
+
     def test_identity(self):
-        res = numerics.svd(np.eye(3))
-        np.testing.assert_allclose(res.sigma, [1.0, 1.0, 1.0], atol=1e-14)
+        assert _sigma_min(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal(self):
-        res = numerics.svd(np.diag([3.0, 2.0, 1.0]))
-        np.testing.assert_allclose(res.sigma, [3.0, 2.0, 1.0], atol=1e-14)
+        assert _sigma_min(np.diag([3.0, 2.0, 1.0])) == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_jacobi_oracle(self):
         a = np.random.default_rng(123).standard_normal((5, 3))
-        res = numerics.svd(a)
         oracle = jacobi_singular_values(a)
-        np.testing.assert_allclose(res.sigma, oracle, rtol=0, atol=1e-10)
+        assert _sigma_min(a) == pytest.approx(oracle[-1], rel=0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_factor_invariants(self, seed):
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-2, 3)
-        res = numerics.svd(a)
-        k = res.sigma.size
-        assert np.linalg.norm(res.u.T @ res.u - np.eye(k)) <= 1e-10
-        assert np.linalg.norm(res.vt @ res.vt.T - np.eye(k)) <= 1e-10
-        assert np.all(np.diff(res.sigma) <= 0) and np.all(res.sigma >= 0)
-        recon = (res.u * res.sigma) @ res.vt
-        assert np.linalg.norm(recon - a) <= 1e-8 * max(np.linalg.norm(a), 1e-300)
-
-    def test_deterministic_and_sign_convention(self):
-        a = np.random.default_rng(7).standard_normal((5, 5))
-        r1, r2 = numerics.svd(a), numerics.svd(a)
-        assert np.array_equal(r1.u, r2.u) and np.array_equal(r1.vt, r2.vt)
-        for j in range(r1.u.shape[1]):
-            col = r1.u[:, j]
-            assert col[np.flatnonzero(col)[0]] > 0
+        y = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-2, 3)
+        psi = numerics.orthonormal_range(y)
+        k = psi.shape[1]
+        assert k == 4
+        assert np.linalg.norm(psi.T @ psi - np.eye(k)) <= 1e-10
+        assert np.linalg.norm(psi @ (psi.T @ y) - y) <= 1e-8 * max(np.linalg.norm(y), 1e-300)
 
     def test_rejects_nonfinite(self):
+        bad = [[1.0, np.nan], [0.0, 1.0]]
         with pytest.raises(ContractViolationError):
-            numerics.svd([[1.0, np.nan], [0.0, 1.0]])
+            numerics.orthonormal_range(bad)
+        with pytest.raises(ContractViolationError):
+            verify_spectral_guard(bad, 0.0)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(ContractViolationError):
+            numerics.orthonormal_range(np.empty(shape))
+        with pytest.raises(ContractViolationError):
+            verify_spectral_guard(np.empty(shape), 0.0)
+
+    def test_nonconvergence_is_numeric_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericFailureError):
+            numerics.orthonormal_range(np.eye(3))
+        with pytest.raises(NumericFailureError):
+            verify_spectral_guard(np.eye(3), 0.0)
 
 
 class TestOrthonormalRange:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -216,6 +217,20 @@ class TestSerialization:
         s = Sketch.empty(sk, "psg1", 0)
         back = deserialize(serialize(s))
         assert back.col_count == 0 and back.kind == "psg1"
+
+    def test_header_layout(self):
+        # The DPSK header as README documents it: magic, version, kind code,
+        # r, m, column count, seed and fingerprint, little-endian.
+        blob = serialize(Sketch.empty(GaussianSketcher(7, 3, 5), "psg1", 2))
+        want = struct.pack("<4sHBIIIQQ", b"DPSK", 1, 1, 3, 5, 2, 7, sketch.fingerprint_of(7, 3, 5))
+        assert blob[: sketch._HEADER.size] == want
+
+    def test_col_count_follows_data(self):
+        sk = GaussianSketcher(1, 3, 4)
+        s = Sketch.empty(sk, "psg1", 2)
+        s.data = np.hstack([s.data, np.ones((3, 1))])
+        assert s.col_count == 3
+        assert deserialize(serialize(s)).col_count == 3
 
     def test_roundtrip_bit_exact(self):
         sk = GaussianSketcher(23, 16, 20)
