@@ -23,7 +23,7 @@ from .guard import AccuracySpec, GuardReport, PrivacyBudget
 from .lra import LowRankFactor, LraConfig, LraState, new_lra, reconstruct
 from .matprod import MatProdState, new_matprod
 from .regress import RegressState, new_regress
-from .sketch import GaussianSketcher, Sketch, deserialize, merge, serialize
+from .sketch import GaussianSketcher, Sketch
 
 __version__ = "0.1.0"
 
@@ -49,11 +49,8 @@ __all__ = [
     "RegressState",
     "Sketch",
     "SpectralGuardError",
-    "deserialize",
-    "merge",
     "new_lra",
     "new_matprod",
     "new_regress",
     "reconstruct",
-    "serialize",
 ]

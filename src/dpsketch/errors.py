@@ -50,4 +50,4 @@ class ConfigurationError(DPSketchError, ValueError):
 
 
 class FormatError(DPSketchError, ValueError):
-    """A serialized sketch or matrix file is malformed."""
+    """A matrix file is malformed."""

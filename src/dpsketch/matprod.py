@@ -109,8 +109,9 @@ class LiftedSketch:
 
         Data contributions add; the deterministic lift contribution is
         common to both shards and must enter the result exactly once.
-        ``sketch.merge`` checks that each pair of sketches shares kind,
-        sketcher and shape.
+        Shards with different lifts, budgets or accuracy are refused, so
+        the result does not depend on the order of the two. ``sketch.merge``
+        checks that each pair of sketches shares kind, sketcher and shape.
         """
         if type(other) is not type(self):
             raise ContractViolationError(
@@ -118,6 +119,8 @@ class LiftedSketch:
             )
         if self.s != other.s:
             raise ContractViolationError("cannot merge states with different lifts")
+        if (self.budget, self.acc) != (other.budget, other.acc):
+            raise ContractViolationError("cannot merge states with different budgets or accuracy")
         merged = {
             name: sketch.merge(sk, getattr(other, name)) for name, sk in self._sketches().items()
         }

@@ -107,10 +107,13 @@ class RegressState(LiftedSketch):
 
     def merge(self, other: "RegressState") -> "RegressState":
         """Combine two shards, as ``LiftedSketch.merge``; shards that have
-        answered queries are refused, so the query ceiling stays honest."""
+        answered queries or have different query ceilings are refused, so
+        the query ceiling stays honest."""
         merged = super().merge(other)  # checks first that other is a RegressState
         if self.queries_answered or other.queries_answered:
             raise ContractViolationError("cannot merge shards that have answered queries")
+        if self.query_ceiling != other.query_ceiling:
+            raise ContractViolationError("cannot merge shards with different query ceilings")
         return merged
 
     def composed_budget(self, delta_prime: float) -> guard.PrivacyBudget:

@@ -10,13 +10,11 @@ mechanism keeps its sketches plus the data block of its projection.
 from __future__ import annotations
 
 import functools
-import hashlib
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError, ContractViolationError, FormatError, NumericFailureError
+from .errors import CapacityError, ContractViolationError, NumericFailureError
 from .numerics import as_vector
 
 _U64 = (1 << 64) - 1
@@ -29,21 +27,6 @@ MAX_SKETCH_ENTRIES = 1 << 27
 # block queries and the CLI's chunked readers all walk their ranges in
 # pieces of this size.
 TILE_ENTRIES = 1 << 16
-
-MAGIC = b"DPSK"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sHBIIIQQ")
-_KIND_CODES = {"psg1": 1, "psg2": 2}
-_KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
-
-
-def fingerprint_of(seed: int, r: int, m: int) -> int:
-    """Stable 64-bit hash of the sketcher identity (seed, r, m)."""
-    digest = hashlib.blake2b(
-        struct.pack("<QII", seed & _U64, r, m), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
-
 
 def _raw_words(seed: int, offset: int, count: int) -> np.ndarray:
     # Philox advances in 256-bit counter blocks of four 64-bit words, so
@@ -102,7 +85,7 @@ class GaussianSketcher:
         self.seed = int(seed) & _U64
         self.r = int(r)
         self.m = int(m)
-        self.fingerprint = fingerprint_of(self.seed, self.r, self.m)
+        self.fingerprint = (self.seed, self.r, self.m)
         # Raw words consumed per column: a multiple of 4 so every column
         # starts on a Philox counter block and Box-Muller pairs never
         # straddle columns.
@@ -191,16 +174,14 @@ class GaussianSketcher:
 class Sketch:
     """Linear sketch with additive turnstile updates.
 
-    ``data`` is (r, c) for psg1 sketches and (m, c) for psg2 sketches; the
-    fingerprint ties the sketch to the sketcher that produced it.
+    ``data`` is (r, c) for psg1 sketches and (m, c) for psg2 sketches;
+    ``fingerprint`` is the (seed, r, m) of the sketcher that produced it,
+    which every update and merge checks.
     """
 
     kind: str
     data: np.ndarray
-    fingerprint: int
-    seed: int
-    r: int
-    m: int
+    fingerprint: tuple[int, int, int]
 
     @property
     def col_count(self) -> int:
@@ -208,19 +189,12 @@ class Sketch:
 
     @classmethod
     def empty(cls, sketcher: GaussianSketcher, kind: str, col_count: int) -> "Sketch":
-        if kind not in _KIND_CODES:
+        if kind not in ("psg1", "psg2"):
             raise ContractViolationError(f"unknown sketch kind {kind!r}")
         if col_count < 0:
             raise ContractViolationError("col_count must be non-negative")
         rows = sketcher.r if kind == "psg1" else sketcher.m
-        return cls(
-            kind=kind,
-            data=np.zeros((rows, col_count)),
-            fingerprint=sketcher.fingerprint,
-            seed=sketcher.seed,
-            r=sketcher.r,
-            m=sketcher.m,
-        )
+        return cls(kind=kind, data=np.zeros((rows, col_count)), fingerprint=sketcher.fingerprint)
 
     def update_column(self, sketcher: GaussianSketcher, col: int, v) -> None:
         """Add omega@v (psg1) or omega.T@omega@v (psg2) into column ``col``."""
@@ -248,43 +222,3 @@ def merge(a: Sketch, b: Sketch) -> Sketch:
     if a.data.shape != b.data.shape:
         raise ContractViolationError("cannot merge sketches with different shapes")
     return replace(a, data=a.data + b.data)
-
-
-def serialize(sketch: Sketch) -> bytes:
-    header = _HEADER.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        _KIND_CODES[sketch.kind],
-        sketch.r,
-        sketch.m,
-        sketch.col_count,
-        sketch.seed,
-        sketch.fingerprint,
-    )
-    payload = np.ascontiguousarray(sketch.data, dtype="<f8").tobytes()
-    return header + payload
-
-
-def deserialize(buf: bytes) -> Sketch:
-    if len(buf) < _HEADER.size:
-        raise FormatError(f"sketch blob truncated at offset {len(buf)} (header incomplete)")
-    magic, version, kind_code, r, m, c, seed, fp = _HEADER.unpack_from(buf)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic bytes {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported sketch format version {version}")
-    if kind_code not in _KIND_NAMES:
-        raise FormatError(f"unknown sketch kind code {kind_code}")
-    kind = _KIND_NAMES[kind_code]
-    rows = r if kind == "psg1" else m
-    expected = _HEADER.size + rows * c * 8
-    if len(buf) != expected:
-        raise FormatError(
-            f"sketch payload truncated at offset {len(buf)}, expected {expected} bytes"
-        )
-    if fp != fingerprint_of(seed, r, m):
-        raise FormatError("fingerprint does not match header identity")
-    data = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(rows, c).copy()
-    if data.size and not np.isfinite(data).all():
-        raise FormatError("sketch payload contains non-finite entries")
-    return Sketch(kind=kind, data=data, fingerprint=fp, seed=seed, r=r, m=m)

@@ -335,6 +335,21 @@ class TestMerge:
             with pytest.raises(ContractViolationError):
                 state.merge(other)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_queries", 1),
+        ("budget", guard.PrivacyBudget(9.0, 0.01)),
+        ("acc", guard.AccuracySpec(0.5, 0.2000001)),
+    ], ids=["ceiling", "budget", "accuracy"])
+    def test_refuses_other_ceilings_budgets_and_accuracy_in_either_order(self, field, value):
+        # The lift is pinned, so only the named field differs between the two
+        # states; a merge that kept the first one's value would depend on order.
+        kw = dict(budget=BUDGET, acc=ACC, seed=0, s_override=5.0, enforce_guard=False)
+        pair = [new_regress(50, 3, **kw), new_regress(50, 3, **{**kw, field: value})]
+        assert pair[0].r == pair[1].r and pair[0].s == pair[1].s
+        for x, y in (pair, pair[::-1]):
+            with pytest.raises(ContractViolationError, match="different"):
+                x.merge(y)
+
 
 class TestQuery:
     def test_zero_rhs_gives_zero_solution(self):

@@ -1,17 +1,11 @@
 import math
-import struct
 
 import numpy as np
 import pytest
 
 from dpsketch import cli, sketch
-from dpsketch.errors import (
-    CapacityError,
-    ContractViolationError,
-    FormatError,
-    NumericFailureError,
-)
-from dpsketch.sketch import GaussianSketcher, Sketch, deserialize, merge, serialize
+from dpsketch.errors import CapacityError, ContractViolationError, NumericFailureError
+from dpsketch.sketch import GaussianSketcher, Sketch, merge
 
 
 class TestSketcherConstruction:
@@ -65,6 +59,16 @@ class TestSketcherConstruction:
     def test_bad_dims(self):
         with pytest.raises(ContractViolationError):
             GaussianSketcher(0, 0, 5)
+
+    def test_width_past_32_bits(self):
+        # The identity is a plain tuple, so no field is packed into a fixed
+        # width: a sketcher 2**32 columns wide builds and serves its last column.
+        sk = GaussianSketcher(0, 1, 2**32)
+        assert sk.column_block(2**32 - 1, 2**32).shape == (1, 1)
+
+    def test_fingerprint_is_the_identity(self):
+        for seed, r, m in ((7, 4, 8), (-1, 3, 5), ((1 << 64) + 3, 2, 9)):
+            assert GaussianSketcher(seed, r, m).fingerprint == (seed & (2**64 - 1), r, m)
 
 
 class TestProjectionOps:
@@ -155,6 +159,12 @@ class TestSketchUpdates:
         _, s = self._pair("psg2")
         assert s.data.shape[0] == 6
 
+    def test_col_count_follows_data(self):
+        sk = GaussianSketcher(1, 3, 4)
+        s = Sketch.empty(sk, "psg1", 2)
+        s.data = np.hstack([s.data, np.ones((3, 1))])
+        assert s.col_count == 3
+
     def test_fingerprint_mismatch(self):
         sk, s = self._pair("psg1")
         other = GaussianSketcher(99, 4, 6)
@@ -209,61 +219,6 @@ class TestMerge:
             merge(Sketch.empty(sk, "psg1", 2), Sketch.empty(sk, "psg2", 2))
         with pytest.raises(ContractViolationError):
             merge(Sketch.empty(sk, "psg1", 2), Sketch.empty(other, "psg1", 2))
-
-
-class TestSerialization:
-    def test_empty_roundtrip(self):
-        sk = GaussianSketcher(1, 3, 4)
-        s = Sketch.empty(sk, "psg1", 0)
-        back = deserialize(serialize(s))
-        assert back.col_count == 0 and back.kind == "psg1"
-
-    def test_header_layout(self):
-        # The DPSK header as README documents it: magic, version, kind code,
-        # r, m, column count, seed and fingerprint, little-endian.
-        blob = serialize(Sketch.empty(GaussianSketcher(7, 3, 5), "psg1", 2))
-        want = struct.pack("<4sHBIIIQQ", b"DPSK", 1, 1, 3, 5, 2, 7, sketch.fingerprint_of(7, 3, 5))
-        assert blob[: sketch._HEADER.size] == want
-
-    def test_col_count_follows_data(self):
-        sk = GaussianSketcher(1, 3, 4)
-        s = Sketch.empty(sk, "psg1", 2)
-        s.data = np.hstack([s.data, np.ones((3, 1))])
-        assert s.col_count == 3
-        assert deserialize(serialize(s)).col_count == 3
-
-    def test_roundtrip_bit_exact(self):
-        sk = GaussianSketcher(23, 16, 20)
-        s = Sketch.empty(sk, "psg1", 32)
-        rng = np.random.default_rng(4)
-        for j in range(32):
-            s.update_column(sk, j, rng.standard_normal(20))
-        blob = serialize(s)
-        back = deserialize(blob)
-        assert np.array_equal(back.data, s.data)
-        assert serialize(back) == blob
-
-    def test_wrong_magic(self):
-        sk = GaussianSketcher(1, 3, 4)
-        blob = bytearray(serialize(Sketch.empty(sk, "psg1", 2)))
-        blob[:4] = b"NOPE"
-        with pytest.raises(FormatError):
-            deserialize(bytes(blob))
-
-    def test_truncation(self):
-        sk = GaussianSketcher(1, 3, 4)
-        blob = serialize(Sketch.empty(sk, "psg1", 2))
-        with pytest.raises(FormatError):
-            deserialize(blob[:-5])
-        with pytest.raises(FormatError):
-            deserialize(blob[:10])
-
-    def test_fingerprint_tamper(self):
-        sk = GaussianSketcher(1, 3, 4)
-        blob = bytearray(serialize(Sketch.empty(sk, "psg1", 2)))
-        blob[sketch._HEADER.size - 8] ^= 0xFF  # flip a fingerprint byte
-        with pytest.raises(FormatError):
-            deserialize(bytes(blob))
 
 
 class TestTiles:
