@@ -23,7 +23,7 @@ from .guard import AccuracySpec, GuardReport, PrivacyBudget
 from .lra import LowRankFactor, LraConfig, LraState, new_lra, reconstruct
 from .matprod import MatProdState, new_matprod
 from .regress import RegressState, new_regress
-from .sketch import GaussianSketcher, Sketch
+from .sketch import GaussianSketcher
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "ParameterDomainError",
     "PrivacyBudget",
     "RegressState",
-    "Sketch",
     "SpectralGuardError",
     "new_lra",
     "new_matprod",

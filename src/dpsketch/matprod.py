@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import guard, numerics, sketch
+from . import guard, numerics
 from .errors import ContractViolationError
-from .sketch import GaussianSketcher, Sketch
+from .sketch import GaussianSketcher
 
 
 def lift_layout(n: int, d: int) -> tuple[int, int]:
@@ -55,10 +55,11 @@ def lifted_matrix(a: np.ndarray, s: float, d: int) -> np.ndarray:
 class LiftedSketch:
     """Identity-lifted n x d streams sketched by one seeded projection.
 
-    Each subclass names its sketches; ``_new`` seeds them with the lift,
-    ``_ingest_columns`` adds a block of columns into one of them, and
-    ``_ingest_rows`` adds a block of rows into one or more of them in one
-    pass over the projection tiles, and ``merge`` combines two shards.
+    Each subclass names its sketches, the state's r x c array fields;
+    ``_new`` seeds them with the lift, ``_ingest_columns`` adds a block of
+    columns into one of them, ``_ingest_rows`` adds a block of rows into
+    one or more of them in one pass over the projection tiles, and
+    ``merge`` combines two shards.
     """
 
     n: int
@@ -82,36 +83,36 @@ class LiftedSketch:
         m, _lo = lift_layout(n, d)
         sketcher = GaussianSketcher(seed, r=r, m=m)
         for name, width in widths.items():
-            fields[name] = Sketch.empty(sketcher, "psg1", width)
+            fields[name] = np.zeros((r, width))
         state = cls(
             n=n, d=d, r=r, s=float(s), budget=budget, acc=acc, sketcher=sketcher,
             guard_report=report, **fields,
         )
         sketches = [fields[name] for name in widths]
         for sk, lift in zip(sketches, state._lifts(sketches)):
-            sk.data[:] = lift
+            sk[:] = lift
         return state
 
     def _lifts(self, sketches) -> list[np.ndarray]:
-        """The lift s * omega[:, :col_count] of each sketch, from one regenerated block."""
-        block = self.s * self.sketcher.column_block(0, max(sk.col_count for sk in sketches))
-        return [block[:, : sk.col_count] for sk in sketches]
+        """The lift s * omega[:, :c] of each r x c sketch, from one regenerated block."""
+        block = self.s * self.sketcher.column_block(0, max(sk.shape[1] for sk in sketches))
+        return [block[:, : sk.shape[1]] for sk in sketches]
 
-    def _sketches(self) -> dict[str, Sketch]:
-        return {name: v for name, v in vars(self).items() if isinstance(v, Sketch)}
+    def _sketches(self) -> dict[str, np.ndarray]:
+        return {name: v for name, v in vars(self).items() if isinstance(v, np.ndarray)}
 
     def space_entries(self) -> int:
         """Retained entries: the sketches (omega is regenerated on demand)."""
-        return sum(sk.data.size for sk in self._sketches().values())
+        return sum(sk.size for sk in self._sketches().values())
 
     def merge(self, other):
         """Combine two shards of the same stream.
 
         Data contributions add; the deterministic lift contribution is
         common to both shards and must enter the result exactly once.
-        Shards with different lifts, budgets or accuracy are refused, so
-        the result does not depend on the order of the two. ``sketch.merge``
-        checks that each pair of sketches shares kind, sketcher and shape.
+        Shards with different lifts, budgets, accuracy, sketchers or sketch
+        shapes are refused, so the result does not depend on the order of
+        the two and no sum broadcasts.
         """
         if type(other) is not type(self):
             raise ContractViolationError(
@@ -121,12 +122,14 @@ class LiftedSketch:
             raise ContractViolationError("cannot merge states with different lifts")
         if (self.budget, self.acc) != (other.budget, other.acc):
             raise ContractViolationError("cannot merge states with different budgets or accuracy")
-        merged = {
-            name: sketch.merge(sk, getattr(other, name)) for name, sk in self._sketches().items()
-        }
+        if self.sketcher.fingerprint != other.sketcher.fingerprint:
+            raise ContractViolationError("cannot merge states with different sketchers")
+        mine, theirs = self._sketches(), other._sketches()
+        if any(sk.shape != theirs[name].shape for name, sk in mine.items()):
+            raise ContractViolationError("cannot merge sketches with different shapes")
         # Both shards carry the lift; remove one copy.
-        for sk, lift in zip(merged.values(), self._lifts(list(merged.values()))):
-            sk.data -= lift
+        lifts = self._lifts(list(mine.values()))
+        merged = {name: sk + theirs[name] - lift for (name, sk), lift in zip(mine.items(), lifts)}
         return dataclasses.replace(self, **merged)
 
     def _project_data(self, i0: int, *blocks: np.ndarray) -> list[np.ndarray]:
@@ -135,7 +138,7 @@ class LiftedSketch:
         _m, lo = lift_layout(self.n, self.d)
         return self.sketcher.project_blocks(lo + i0, blocks)
 
-    def _ingest_columns(self, sk: Sketch, j0: int, cols) -> None:
+    def _ingest_columns(self, sk: np.ndarray, j0: int, cols) -> None:
         """Add omega_data @ cols into sketch columns [j0, j0 + cols.shape[1]).
 
         The data block is regenerated one tile at a time, once for the
@@ -145,12 +148,12 @@ class LiftedSketch:
         if x.shape[0] != self.n:
             raise ContractViolationError(f"column length {x.shape[0]}, expected {self.n}")
         j1 = j0 + x.shape[1]
-        if not (0 <= j0 <= j1 <= sk.col_count):
-            raise ContractViolationError(f"columns [{j0}, {j1}) outside [0, {sk.col_count})")
+        if not (0 <= j0 <= j1 <= sk.shape[1]):
+            raise ContractViolationError(f"columns [{j0}, {j1}) outside [0, {sk.shape[1]})")
         if not x.any():
             return
         (y,) = self._project_data(0, x)
-        sk.data[:, j0:j1] += y
+        sk[:, j0:j1] += y
 
     def _ingest_rows(self, i0: int, *pairs) -> int:
         """Add the turnstile update of data rows [i0, i0 + k) to each sketch;
@@ -163,13 +166,13 @@ class LiftedSketch:
         """
         blocks = [numerics.as_matrix(rows, "rows") for _sk, rows in pairs]
         for (sk, _rows), x in zip(pairs, blocks):
-            if x.shape[1] != sk.col_count:
-                raise ContractViolationError(f"row length {x.shape[1]}, expected {sk.col_count}")
+            if x.shape[1] != sk.shape[1]:
+                raise ContractViolationError(f"row length {x.shape[1]}, expected {sk.shape[1]}")
         i1 = i0 + blocks[0].shape[0]
         if not (0 <= i0 <= i1 <= self.n):
             raise ContractViolationError(f"rows [{i0}, {i1}) outside [0, {self.n})")
         for (sk, _rows), y in zip(pairs, self._project_data(i0, *blocks)):
-            sk.data += y
+            sk += y
         return i1
 
 
@@ -177,8 +180,8 @@ class LiftedSketch:
 class MatProdState(LiftedSketch):
     d1: int
     d2: int
-    ya: Sketch
-    yb: Sketch
+    ya: np.ndarray
+    yb: np.ndarray
 
     def ingest_a_columns(self, j0: int, cols) -> None:
         """Add columns j0, j0+1, ... of A, given as the columns of ``cols``."""
@@ -206,7 +209,7 @@ class MatProdState(LiftedSketch):
         and subtracting the deterministic lift expectation s^2 I~ (the
         partial identity) leaves an unbiased estimate of A.T @ B.
         """
-        est = (self.ya.data.T @ self.yb.data) / self.r
+        est = (self.ya.T @ self.yb) / self.r
         dmin = min(self.d1, self.d2)
         est[np.diag_indices(dmin)] -= self.s**2
         return est

@@ -25,15 +25,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(m)
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise ContractViolationError(f"{name} must be 1-dimensional, got ndim={v.ndim}")
-    if v.size and not np.isfinite(v).all():
-        raise ContractViolationError(f"{name} contains non-finite entries")
-    return np.ascontiguousarray(v)
-
-
 def orthonormal_range(y) -> np.ndarray:
     """Orthonormal basis whose span equals the column span of ``y``.
 

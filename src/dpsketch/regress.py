@@ -26,12 +26,11 @@ import numpy as np
 from . import guard, numerics
 from .errors import BudgetExhaustedError, ContractViolationError
 from .matprod import LiftedSketch
-from .sketch import Sketch
 
 
 @dataclass
 class RegressState(LiftedSketch):
-    ya: Sketch
+    ya: np.ndarray
     query_ceiling: Optional[int] = None
     queries_answered: int = 0
 
@@ -63,13 +62,13 @@ class RegressState(LiftedSketch):
             if yb is None:
                 q = numerics.as_matrix(b_rows, "b").shape[1]
                 self._admit(q)
-                yb = Sketch.empty(self.sketcher, "psg1", q)
+                yb = np.zeros((self.r, q))
             if i0 != end:
                 raise ContractViolationError(f"chunk at row {i0}, expected row {end}")
             end = self._ingest_rows(i0, (self.ya, a_rows), (yb, b_rows))
         if end != self.n:
             raise ContractViolationError(f"chunks end at row {end}, expected {self.n}")
-        return self._answer(yb.data)
+        return self._answer(yb)
 
     def query_many(self, b) -> np.ndarray:
         """Answer min_x ||A x - b_j|| for every column b_j of the n x q ``b``.
@@ -101,7 +100,7 @@ class RegressState(LiftedSketch):
 
     def _answer(self, yb: np.ndarray) -> np.ndarray:
         """Solve min_x ||Ya x - yb_j|| for each column of the r x q ``yb``."""
-        solutions = numerics.lstsq(self.ya.data, yb)
+        solutions = numerics.lstsq(self.ya, yb)
         self.queries_answered += yb.shape[1]
         return solutions
 

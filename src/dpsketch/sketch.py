@@ -1,21 +1,21 @@
-"""Seeded Gaussian sketchers and turnstile-additive sketch state.
+"""Seeded Gaussian sketchers: the projection Omega, regenerated on demand.
 
 The projection matrix is a pure function of (seed, r, m): raw 64-bit words
 come from a Philox counter stream and are mapped through Box-Muller, column
 by column. Any column range can therefore be regenerated bit-exactly
-without storing the whole matrix: no sketcher keeps any of it. The
-multiply/regression mechanisms retain their sketches only, and the low-rank
-mechanism keeps its sketches plus the data block of its projection.
+without storing the whole matrix: no sketcher keeps any of it. A sketch
+Omega @ X is a plain r x c array, so turnstile updates and shards of a
+stream add entrywise. The multiply/regression mechanisms retain their
+sketches only, and the low-rank mechanism keeps its sketches plus the data
+block of its projection.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CapacityError, ContractViolationError, NumericFailureError
-from .numerics import as_vector
 
 _U64 = (1 << 64) - 1
 
@@ -128,7 +128,8 @@ class GaussianSketcher:
         """[omega[:, j0:j0+k] @ x for x in blocks], each x a 2-D block of k rows.
 
         Every tile of columns [j0, j0+k) is regenerated once and applied to
-        all the blocks, so each result equals ``project(j0, x)`` bit for bit.
+        all the blocks, so each result is the same, bit for bit, as a pass
+        of its own.
         """
         k = blocks[0].shape[0]
         if any(x.shape[0] != k for x in blocks):
@@ -139,86 +140,7 @@ class GaussianSketcher:
                 out += tile @ x[t0 - j0 : t1 - j0]
         return outs
 
-    def project(self, j0: int, x: np.ndarray) -> np.ndarray:
-        """omega[:, j0:j0+len(x)] @ x for a 2-D block x, one tile at a time."""
-        return self.project_blocks(j0, [x])[0]
-
     @property
     def omega(self) -> np.ndarray:
         """The full r x m matrix, regenerated per call."""
         return self.column_block(0, self.m)
-
-    def psg1(self, v) -> np.ndarray:
-        """Project a length-m vector: omega @ v, one tile at a time."""
-        x = as_vector(v, "v")
-        if x.size != self.m:
-            raise ContractViolationError(f"psg1 expects length {self.m}, got {x.size}")
-        return self.project(0, x[:, None])[:, 0]
-
-    def psg2(self, v) -> np.ndarray:
-        """Lift-and-project a length-m vector: omega.T @ (omega @ v).
-
-        Computed as omega.T applied to psg1(v), one tile at a time. When
-        one tile covers omega (r * m <= TILE_ENTRIES) this is literally
-        omega.T @ psg1(v), bit for bit; wider sketchers agree with that
-        product up to floating-point summation order.
-        """
-        x = as_vector(v, "v")
-        if x.size != self.m:
-            raise ContractViolationError(f"psg2 expects length {self.m}, got {x.size}")
-        y = self.psg1(x)
-        return np.concatenate([tile.T @ y for _t0, _t1, tile in self.tiles(0, self.m)])
-
-
-@dataclass
-class Sketch:
-    """Linear sketch with additive turnstile updates.
-
-    ``data`` is (r, c) for psg1 sketches and (m, c) for psg2 sketches;
-    ``fingerprint`` is the (seed, r, m) of the sketcher that produced it,
-    which every update and merge checks.
-    """
-
-    kind: str
-    data: np.ndarray
-    fingerprint: tuple[int, int, int]
-
-    @property
-    def col_count(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def empty(cls, sketcher: GaussianSketcher, kind: str, col_count: int) -> "Sketch":
-        if kind not in ("psg1", "psg2"):
-            raise ContractViolationError(f"unknown sketch kind {kind!r}")
-        if col_count < 0:
-            raise ContractViolationError("col_count must be non-negative")
-        rows = sketcher.r if kind == "psg1" else sketcher.m
-        return cls(kind=kind, data=np.zeros((rows, col_count)), fingerprint=sketcher.fingerprint)
-
-    def update_column(self, sketcher: GaussianSketcher, col: int, v) -> None:
-        """Add omega@v (psg1) or omega.T@omega@v (psg2) into column ``col``."""
-        if sketcher.fingerprint != self.fingerprint:
-            raise ContractViolationError("sketcher fingerprint does not match sketch")
-        if not (0 <= col < self.col_count):
-            raise ContractViolationError(f"column {col} outside [0, {self.col_count})")
-        update = sketcher.psg1(v) if self.kind == "psg1" else sketcher.psg2(v)
-        self.data[:, col] += update
-
-
-def merge(a: Sketch, b: Sketch) -> Sketch:
-    """Entrywise sum of two sketches of the same kind and fingerprint.
-
-    Correct only for lift-free sketches. A sketch that carries a
-    deterministic lift (``RegressState.ya`` holds s * omega[:, :d] from
-    construction, for instance) carries it once per shard, so the sum
-    counts the lift twice; merge such shards with the state's own
-    ``merge`` (``LiftedSketch.merge``), which removes the extra copy.
-    """
-    if a.kind != b.kind:
-        raise ContractViolationError(f"cannot merge kinds {a.kind!r} and {b.kind!r}")
-    if a.fingerprint != b.fingerprint:
-        raise ContractViolationError("cannot merge sketches with different fingerprints")
-    if a.data.shape != b.data.shape:
-        raise ContractViolationError("cannot merge sketches with different shapes")
-    return replace(a, data=a.data + b.data)

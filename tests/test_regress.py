@@ -39,7 +39,7 @@ class TestConstruction:
 
     def test_sketch_shape(self):
         state = make_state(n=30, d=4)
-        assert state.ya.data.shape == (state.r, 4)
+        assert state.ya.shape == (state.r, 4)
         assert state.space_entries() == state.r * 4
 
     def test_long_stream_holds_no_projection(self):
@@ -50,9 +50,10 @@ class TestConstruction:
         assert state.r == 1031 and state.r * state.sketcher.m > sketch.MAX_SKETCH_ENTRIES
         assert state.space_entries() == state.r * d
         rows = np.random.default_rng(0).standard_normal((50, d))
-        want = state.ya.data + state.sketcher.project(lift_layout(n, d)[1] + 1000, rows)
+        (y,) = state.sketcher.project_blocks(lift_layout(n, d)[1] + 1000, [rows])
+        want = state.ya + y
         state.ingest_rows(1000, rows)
-        assert np.array_equal(state.ya.data, want)
+        assert np.array_equal(state.ya, want)
 
     def test_query_allowance_inflation(self):
         base = make_state(n=20, d=3, seed=1)
@@ -64,7 +65,7 @@ class TestIngestion:
     def test_zero_column_is_lift_only(self):
         state = make_state(seed=2)
         np.testing.assert_array_equal(
-            state.ya.data[:, 1], state.s * state.sketcher.column_block(1, 2)[:, 0]
+            state.ya[:, 1], state.s * state.sketcher.column_block(1, 2)[:, 0]
         )
 
     def test_streamed_equals_batch(self):
@@ -75,16 +76,16 @@ class TestIngestion:
         for j in range(d):
             state.ingest_columns(j, a[:, [j]])
         batch = state.sketcher.omega @ lifted_matrix(a, state.s, d)
-        assert np.linalg.norm(state.ya.data - batch) <= 1e-9 * np.linalg.norm(batch)
+        assert np.linalg.norm(state.ya - batch) <= 1e-9 * np.linalg.norm(batch)
 
     def test_turnstile_cancellation(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(30)
         state = make_state(seed=4)
-        baseline = state.ya.data.copy()
+        baseline = state.ya.copy()
         state.ingest_columns(0, v[:, None])
         state.ingest_columns(0, -v[:, None])
-        assert np.linalg.norm(state.ya.data - baseline) <= 1e-9 * state.s
+        assert np.linalg.norm(state.ya - baseline) <= 1e-9 * state.s
 
     def test_row_stream_equals_column_stream(self):
         rng = np.random.default_rng(5)
@@ -96,8 +97,8 @@ class TestIngestion:
         by_row = make_state(n, d, seed=5)
         for i in range(n):
             by_row.ingest_rows(i, a[[i]])
-        scale = np.linalg.norm(by_col.ya.data)
-        assert np.linalg.norm(by_col.ya.data - by_row.ya.data) <= 1e-10 * scale
+        scale = np.linalg.norm(by_col.ya)
+        assert np.linalg.norm(by_col.ya - by_row.ya) <= 1e-10 * scale
 
 
 class TestBlockIngest:
@@ -118,8 +119,8 @@ class TestBlockIngest:
         col_blocks.ingest_columns(0, a[:, :1])
         col_blocks.ingest_columns(1, a[:, 1:])
         for blocked in (row_blocks, col_blocks):
-            assert rel_diff(blocked.ya.data, by_row.ya.data) <= 1e-12
-            assert rel_diff(blocked.ya.data, by_col.ya.data) <= 1e-12
+            assert rel_diff(blocked.ya, by_row.ya) <= 1e-12
+            assert rel_diff(blocked.ya, by_col.ya) <= 1e-12
 
     def test_block_range_and_shape_checks(self):
         state = make_state(n=23, d=4)
@@ -186,7 +187,8 @@ class TestQueryMany:
         state.ingest_rows(0, q * np.array([1.0, 1.0, 1.0, 1e-4]))
         b = rng.standard_normal((n, 3))
         _m, lo = lift_layout(n, d)
-        want = np.linalg.lstsq(state.ya.data, state.sketcher.project(lo, b), rcond=None)[0]
+        (yb,) = state.sketcher.project_blocks(lo, [b])
+        want = np.linalg.lstsq(state.ya, yb, rcond=None)[0]
         assert rel_diff(state.query_many(b), want) <= 1e-10
 
     def test_shape_contract(self):
@@ -214,7 +216,7 @@ class TestIngestAndQuery:
         want_state, want = self._two_pass(a, b)
         state = make_state(*a.shape, seed=14)
         got = state.ingest_and_query([(0, a, b)])
-        assert np.array_equal(state.ya.data, want_state.ya.data)
+        assert np.array_equal(state.ya, want_state.ya)
         assert np.array_equal(got, want)
         assert state.queries_answered == want_state.queries_answered == 5
 
@@ -227,7 +229,7 @@ class TestIngestAndQuery:
         state = make_state(*a.shape, seed=14)
         got = state.ingest_and_query(row_chunks(a, b, step))
         assert got.shape == (4, q)
-        assert rel_diff(state.ya.data, want_state.ya.data) <= 1e-12
+        assert rel_diff(state.ya, want_state.ya) <= 1e-12
         assert rel_diff(got, want) <= 1e-12
 
     def test_sketch_of_queries_is_working_memory(self):
@@ -242,12 +244,12 @@ class TestIngestAndQuery:
         a, b = self._inputs()
         state = make_state(*a.shape, seed=14, max_queries=5)
         state.query_many(b[:, [0]])
-        before = state.ya.data.copy()
+        before = state.ya.copy()
         solves = []
         monkeypatch.setattr(numerics, "lstsq", lambda *args: solves.append(args))
         with pytest.raises(BudgetExhaustedError):
             state.ingest_and_query(row_chunks(a, b, 5))
-        assert np.array_equal(state.ya.data, before)
+        assert np.array_equal(state.ya, before)
         assert state.queries_answered == 1 and solves == []
 
     @pytest.mark.parametrize("order", [
@@ -269,10 +271,10 @@ class TestIngestAndQuery:
     def test_chunk_pair_row_counts_must_match(self, a_rows, b_rows):
         a, b = self._inputs()
         state = make_state(*a.shape, seed=14)
-        before = state.ya.data.copy()
+        before = state.ya.copy()
         with pytest.raises(ContractViolationError, match="row counts differ"):
             state.ingest_and_query([(0, a[:a_rows], b[:b_rows])])
-        assert np.array_equal(state.ya.data, before)
+        assert np.array_equal(state.ya, before)
 
     def test_query_count_fixed_by_the_first_chunk(self):
         a, b = self._inputs()
@@ -296,7 +298,7 @@ class TestMerge:
     def test_sharded_rows_merge_to_the_whole_stream(self, split):
         whole, shard1, shard2 = self._shards(split=split)
         merged = shard1.merge(shard2)
-        assert rel_diff(merged.ya.data, whole.ya.data) <= 1e-10
+        assert rel_diff(merged.ya, whole.ya) <= 1e-10
         b = np.random.default_rng(16).standard_normal((24, 2))
         assert rel_diff(merged.query_many(b), whole.query_many(b)) <= 1e-10
         assert merged.space_entries() == whole.space_entries()
@@ -308,14 +310,13 @@ class TestMerge:
         whole.ingest_columns(0, a)
         shard1.ingest_columns(0, a[:, :1])
         shard2.ingest_columns(1, a[:, 1:])
-        assert rel_diff(shard1.merge(shard2).ya.data, whole.ya.data) <= 1e-10
+        assert rel_diff(shard1.merge(shard2).ya, whole.ya) <= 1e-10
 
     def test_plain_sketch_sum_counts_the_lift_twice(self):
         # Negative control: summing the shards' sketches without removing
         # one lift copy is off by about the lift itself.
         whole, shard1, shard2 = self._shards()
-        summed = sketch.merge(shard1.ya, shard2.ya)
-        assert rel_diff(summed.data, whole.ya.data) > 0.5
+        assert rel_diff(shard1.ya + shard2.ya, whole.ya) > 0.5
 
     def test_refuses_shards_that_answered_queries(self):
         _whole, shard1, shard2 = self._shards()

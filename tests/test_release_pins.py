@@ -1,18 +1,23 @@
-"""Pinned release known answers for each library release path.
+"""Pinned release known answers for each library and CLI release path.
 
 One small seeded fixture per path: the low-rank mechanism on its symmetric
 and block paths, multiply by rows and by columns, and regression through
 ``ingest_and_query`` and ``query_many``. Each release pins its published
 output, its guard report, its retained entries and the number of normals
-it generated. Floats hold to 1e-10 relative, so another BLAS passes;
-integers and booleans are exact. A lift scaled by 1 + 1e-6 moves the
-published output past the pins.
+it generated. Each CLI command pins what it writes: ``lra`` its factor
+files, read back, and ``multiply`` and ``regress`` their ``--oracle``
+errors, with the report's guard report and retained entries. Floats hold
+to 1e-10 relative, so another BLAS passes; integers, booleans and strings
+are exact. A lift scaled by 1 + 1e-6 moves the published output past the
+pins.
 """
+import json
+
 import numpy as np
 import pytest
 
-from dpsketch import guard
-from dpsketch.lra import LraConfig, new_lra, reconstruct
+from dpsketch import cli, guard
+from dpsketch.lra import LowRankFactor, LraConfig, new_lra, reconstruct
 from dpsketch.matprod import new_matprod
 from dpsketch.regress import new_regress
 from dpsketch.sketch import GaussianSketcher
@@ -225,3 +230,132 @@ def test_scaled_lift_fails_the_pins(monkeypatch, name):
     out = _release(monkeypatch, name)
     moved = {path.split("/")[1].split("[")[0] for path in _mismatches(out, PINS[name])}
     assert moved >= set(out) - {"guard_report", "space_entries", "normals_generated"}
+
+
+# One small fixture per CLI release command, pinned from the files and the
+# report the command writes: the LRA factor files read back, and the
+# ``--oracle`` errors of multiply and regress.
+CLI_BUDGET = ["--eps", "1", "--delta", "0.01"]
+CLI_ACC = ["--alpha", "0.5", "--beta", "0.2"]
+
+
+def _cli_run(tmp_path, args):
+    """Run one CLI command with a report next to its inputs; returns the report."""
+    path = tmp_path / "report.json"
+    assert cli.main(args + ["--report", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _cli_lra(tmp_path):
+    rng = np.random.default_rng(8)
+    a = 500.0 * rng.standard_normal((24, 2)) @ rng.standard_normal((2, 16))
+    a += rng.standard_normal((24, 16))
+    path = tmp_path / "a.csv"
+    path.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in a))
+    report = _cli_run(tmp_path, ["lra", "--input", str(path), "--rank", "2", "--seed", "3"]
+                      + CLI_BUDGET)
+    uhat, lam = (cli.load_matrix(p, "dpbin") for p in report["factor_files"])
+    cfg = LraConfig(n=24, d=16, k=2, budget=BUDGET, seed=3)
+    rec = reconstruct(LowRankFactor(uhat, lam[0], 2), cfg)
+    return report, {
+        "lam": lam[0].tolist(),
+        "frobenius": float(np.linalg.norm(rec)),
+        "entries": [float(rec[i, j]) for i, j in ENTRIES],
+    }
+
+
+def _cli_pair(tmp_path, command, rng_seed, a_cols, b_cols, a_scale, seed):
+    rng = np.random.default_rng(rng_seed)
+    a = a_scale * rng.standard_normal((40, a_cols))
+    b = a @ rng.standard_normal((a_cols, b_cols)) + rng.standard_normal((40, b_cols))
+    pa, pb = tmp_path / "a.dpmt", tmp_path / "b.dpmt"
+    cli.save_matrix(str(pa), a)
+    cli.save_matrix(str(pb), b)
+    args = [command, "--input", str(pa), "--input-b", str(pb), "--format", "dpbin",
+            "--seed", str(seed), "--oracle"]
+    report = _cli_run(tmp_path, args + CLI_BUDGET + CLI_ACC)
+    return report, {"error_vs_oracle": report["error_vs_oracle"]}
+
+
+CLI_RELEASES = {
+    "lra": _cli_lra,
+    "multiply": lambda tmp_path: _cli_pair(tmp_path, "multiply", 9, 4, 3, 1.0, 5),
+    "regress": lambda tmp_path: _cli_pair(tmp_path, "regress", 10, 3, 2, 100.0, 7),
+}
+
+
+def _cli_release(tmp_path, name):
+    """Run one CLI command; returns its published values plus guard report and space."""
+    report, out = CLI_RELEASES[name](tmp_path)
+    out["guard_report"] = report["guard_report"]
+    out["space_entries"] = report["space_entries"]
+    return out
+
+
+CLI_PINS = {
+    "lra": {
+        "lam": [-35624.65880019583, 12545.161919738726],
+        "frobenius": 23940.27360955877,
+        "entries": [-886.3711785463986, 1457.781719172493, -1166.7121119828075],
+        "guard_report": {
+            "mode": "structural",
+            "observed_sigma_min": 383.45373101491083,
+            "passed": True,
+            "required_sigma_min": 276.3102111592855,
+        },
+        "space_entries": 280,
+    },
+    "multiply": {
+        "error_vs_oracle": {
+            "error_bound": 2707243.5590870185,
+            "frobenius_error": 357877.6080722603,
+            "trivial_error": 64.62508823895833,
+        },
+        "guard_report": {
+            "mode": "exact",
+            "observed_sigma_min": 925.2513550339204,
+            "passed": True,
+            "required_sigma_min": 705.6433672605114,
+        },
+        "space_entries": 518,
+    },
+    "regress": {
+        "error_vs_oracle": {
+            "error_bound": [6410861.660636545, 6410860.302935795],
+            "optima": [7.514820566347933, 6.609686733108143],
+            "residuals": [1079.3208505225984, 449.8080896959566],
+            "trivial_error": [1238.717074467978, 512.1661384072997],
+        },
+        "guard_report": {
+            "mode": "exact",
+            "observed_sigma_min": 1504.6396348057851,
+            "passed": True,
+            "required_sigma_min": 1106.0096486287716,
+        },
+        "space_entries": 465,
+    },
+}
+
+# The published value of each command that a wrong lift must move.
+CLI_PUBLISHED = {
+    "lra": {"/lam", "/frobenius", "/entries"},
+    "multiply": {"/error_vs_oracle/frobenius_error"},
+    "regress": {"/error_vs_oracle/residuals"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RELEASES))
+def test_cli_release_matches_pins(tmp_path, name):
+    assert _mismatches(_cli_release(tmp_path, name), CLI_PINS[name]) == []
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RELEASES))
+def test_scaled_lift_fails_the_cli_pins(monkeypatch, tmp_path, name):
+    # Negative control: a lift 1 + 1e-6 too large moves what the command
+    # publishes.
+    scaled = "lra_lift_w" if name == "lra" else "lift_scale_s"
+    original = getattr(guard, scaled)
+    monkeypatch.setattr(guard, scaled, lambda *args: original(*args) * (1 + 1e-6))
+    out = _cli_release(tmp_path, name)
+    moved = {path.split("[")[0] for path in _mismatches(out, CLI_PINS[name])}
+    assert moved >= CLI_PUBLISHED[name]

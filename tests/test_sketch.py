@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dpsketch import cli, sketch
+from dpsketch import cli, guard, sketch
 from dpsketch.errors import CapacityError, ContractViolationError, NumericFailureError
-from dpsketch.sketch import GaussianSketcher, Sketch, merge
+from dpsketch.matprod import new_matprod
+from dpsketch.regress import new_regress
+from dpsketch.sketch import GaussianSketcher
+
+BUDGET = guard.PrivacyBudget(1.0, 0.01)
+ACC = guard.AccuracySpec(0.5, 0.2)
 
 
 class TestSketcherConstruction:
@@ -71,37 +76,34 @@ class TestSketcherConstruction:
             assert GaussianSketcher(seed, r, m).fingerprint == (seed & (2**64 - 1), r, m)
 
 
+def _project(sk, x):
+    """omega[:, :k] @ x for one k-row block x, through project_blocks."""
+    return sk.project_blocks(0, [x])[0]
+
+
 class TestProjectionOps:
+    """The paper's first generator, omega @ v, on blocks of vectors."""
+
     def test_psg1_zero(self):
         sk = GaussianSketcher(1, 4, 6)
-        np.testing.assert_array_equal(sk.psg1(np.zeros(6)), np.zeros(4))
+        np.testing.assert_array_equal(_project(sk, np.zeros((6, 3))), np.zeros((4, 3)))
 
     def test_psg1_basis_vector(self):
         sk = GaussianSketcher(2, 4, 6)
         for i in range(6):
-            e = np.zeros(6)
+            e = np.zeros((6, 1))
             e[i] = 1.0
-            np.testing.assert_allclose(sk.psg1(e), sk.omega[:, i], atol=1e-14)
+            np.testing.assert_allclose(_project(sk, e)[:, 0], sk.omega[:, i], atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_psg_linearity(self, seed):
         rng = np.random.default_rng(seed)
         sk = GaussianSketcher(seed, 5, 8)
-        u, v = rng.standard_normal(8), rng.standard_normal(8)
+        u, v = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
         a, b = rng.uniform(-2, 2, size=2)
-        for op in (sk.psg1, sk.psg2):
-            lhs = op(a * u + b * v)
-            rhs = a * op(u) + b * op(v)
-            assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(rhs), 1e-30)
-
-    def test_psg2_zero(self):
-        sk = GaussianSketcher(1, 4, 6)
-        np.testing.assert_array_equal(sk.psg2(np.zeros(6)), np.zeros(6))
-
-    def test_psg2_composition_identity(self):
-        sk = GaussianSketcher(9, 3, 7)
-        v = np.random.default_rng(9).standard_normal(7)
-        assert np.array_equal(sk.psg2(v), sk.omega.T @ sk.psg1(v))
+        lhs = _project(sk, a * u + b * v)
+        rhs = a * _project(sk, u) + b * _project(sk, v)
+        assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(rhs), 1e-30)
 
     def test_psg2_expectation_is_identity(self):
         # E[omega.T omega] = r I, so the r-rescaled reprojection is unbiased.
@@ -111,7 +113,8 @@ class TestProjectionOps:
         total = np.zeros(4)
         total_sq = np.zeros(4)
         for t in range(trials):
-            out = GaussianSketcher(40_000 + t, r, 4).psg2(v) / r
+            om = GaussianSketcher(40_000 + t, r, 4).omega
+            out = om.T @ (om @ v) / r
             total += out
             total_sq += out * out
         mean = total / trials
@@ -119,106 +122,109 @@ class TestProjectionOps:
         assert np.all(np.abs(mean - v) <= 3 * stderr)
 
     def test_length_mismatch(self):
+        # A block that runs past the last column is refused.
         sk = GaussianSketcher(1, 4, 6)
         with pytest.raises(ContractViolationError):
-            sk.psg1(np.zeros(5))
+            _project(sk, np.zeros((7, 1)))
         with pytest.raises(ContractViolationError):
-            sk.psg2(np.zeros(7))
+            sk.project_blocks(2, [np.zeros((5, 1))])
 
 
 class TestSketchUpdates:
-    def _pair(self, kind, seed=21, r=4, m=6, c=5):
-        sk = GaussianSketcher(seed, r, m)
-        return sk, Sketch.empty(sk, kind, c)
+    """Turnstile updates of a plain r x c sketch: each adds omega @ v into
+    one of its columns."""
+
+    @staticmethod
+    def _pair(seed=21, r=4, m=6, c=5):
+        return GaussianSketcher(seed, r, m), np.zeros((r, c))
+
+    @staticmethod
+    def _update(sk, y, col, v):
+        y[:, col] += _project(sk, v[:, None])[:, 0]
 
     def test_cancellation(self):
-        sk, s = self._pair("psg1")
+        sk, y = self._pair()
         v = np.random.default_rng(0).standard_normal(6)
-        s.update_column(sk, 2, v)
-        s.update_column(sk, 2, -v)
-        assert np.linalg.norm(s.data) <= 1e-12
+        self._update(sk, y, 2, v)
+        self._update(sk, y, 2, -v)
+        assert np.linalg.norm(y) <= 1e-12
 
     def test_update_linearity(self):
-        sk, s1 = self._pair("psg2")
-        _, s2 = self._pair("psg2")
+        sk, y1 = self._pair()
+        _, y2 = self._pair()
         rng = np.random.default_rng(1)
         v, w = rng.standard_normal(6), rng.standard_normal(6)
-        s1.update_column(sk, 0, v)
-        s1.update_column(sk, 0, w)
-        s2.update_column(sk, 0, v + w)
-        assert np.allclose(s1.data, s2.data, rtol=0, atol=1e-10)
+        self._update(sk, y1, 0, v)
+        self._update(sk, y1, 0, w)
+        self._update(sk, y2, 0, v + w)
+        assert np.allclose(y1, y2, rtol=0, atol=1e-10)
 
     def test_streamed_equals_batch(self):
-        sk, s = self._pair("psg1", c=5)
+        sk, y = self._pair(c=5)
         a = np.random.default_rng(2).standard_normal((6, 5))
         for j in range(5):
-            s.update_column(sk, j, a[:, j])
-        np.testing.assert_allclose(s.data, sk.omega @ a, rtol=1e-12, atol=1e-12)
-
-    def test_psg2_sketch_rows(self):
-        _, s = self._pair("psg2")
-        assert s.data.shape[0] == 6
-
-    def test_col_count_follows_data(self):
-        sk = GaussianSketcher(1, 3, 4)
-        s = Sketch.empty(sk, "psg1", 2)
-        s.data = np.hstack([s.data, np.ones((3, 1))])
-        assert s.col_count == 3
-
-    def test_fingerprint_mismatch(self):
-        sk, s = self._pair("psg1")
-        other = GaussianSketcher(99, 4, 6)
-        with pytest.raises(ContractViolationError):
-            s.update_column(other, 0, np.zeros(6))
+            self._update(sk, y, j, a[:, j])
+        np.testing.assert_allclose(y, sk.omega @ a, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, _project(sk, a), rtol=1e-12, atol=1e-12)
 
     def test_zero_update_is_noop(self):
-        sk, s = self._pair("psg1")
-        before = s.data.copy()
-        s.update_column(sk, 1, np.zeros(6))
-        assert np.array_equal(s.data, before)
+        sk, y = self._pair()
+        self._update(sk, y, 1, np.ones(6))
+        before = y.copy()
+        self._update(sk, y, 1, np.zeros(6))
+        assert np.array_equal(y, before)
 
 
 class TestMerge:
+    """Shards of one stream merge through the state's ``merge``, which sums
+    their sketch arrays and keeps one copy of the lift."""
+
+    @staticmethod
+    def _state(seed=5, n=12, d=3, **kw):
+        return new_regress(n, d, BUDGET, ACC, seed, **kw)
+
     def test_merge_with_zero(self):
-        sk = GaussianSketcher(5, 3, 4)
-        s = Sketch.empty(sk, "psg1", 2)
-        s.update_column(sk, 0, np.ones(4))
-        z = Sketch.empty(sk, "psg1", 2)
-        merged = merge(s, z)
-        assert np.array_equal(merged.data, s.data)
+        # Exact without a lift; with one, (ya + lift) - lift rounds.
+        for kw, rtol in (({"s_override": 0.0, "enforce_guard": False}, 0.0), ({}, 1e-15)):
+            state, empty = self._state(**kw), self._state(**kw)
+            state.ingest_columns(0, np.ones((12, 1)))
+            merged = state.merge(empty)
+            assert np.linalg.norm(merged.ya - state.ya) <= rtol * np.linalg.norm(state.ya)
 
     def test_merge_commutes(self):
-        sk = GaussianSketcher(5, 3, 4)
-        a = Sketch.empty(sk, "psg1", 2)
-        b = Sketch.empty(sk, "psg1", 2)
-        a.update_column(sk, 0, np.arange(4.0))
-        b.update_column(sk, 1, np.ones(4))
-        assert np.array_equal(merge(a, b).data, merge(b, a).data)
+        a, b = self._state(), self._state()
+        a.ingest_columns(0, np.arange(12.0)[:, None])
+        b.ingest_columns(1, np.ones((12, 1)))
+        assert np.array_equal(a.merge(b).ya, b.merge(a).ya)
 
     def test_sharded_stream_equals_single_pass(self):
-        sk = GaussianSketcher(17, 4, 6)
+        # Updates of the same column land on different shards.
         updates = [
-            (j % 3, np.random.default_rng(j).standard_normal(6)) for j in range(12)
+            (j % 3, np.random.default_rng(j).standard_normal(12)) for j in range(12)
         ]
-        single = Sketch.empty(sk, "psg1", 3)
+        single = self._state(seed=17)
         for col, v in updates:
-            single.update_column(sk, col, v)
-        shards = [Sketch.empty(sk, "psg1", 3) for _ in range(4)]
+            single.ingest_columns(col, v[:, None])
+        shards = [self._state(seed=17) for _ in range(4)]
         for idx, (col, v) in enumerate(updates):
-            shards[idx % 4].update_column(sk, col, v)
+            shards[idx % 4].ingest_columns(col, v[:, None])
         combined = shards[0]
         for piece in shards[1:]:
-            combined = merge(combined, piece)
-        scale = max(np.linalg.norm(single.data), 1e-30)
-        assert np.linalg.norm(combined.data - single.data) <= 1e-10 * scale
+            combined = combined.merge(piece)
+        scale = max(np.linalg.norm(single.ya), 1e-30)
+        assert np.linalg.norm(combined.ya - single.ya) <= 1e-10 * scale
 
     def test_mismatch_errors(self):
-        sk = GaussianSketcher(5, 3, 4)
-        other = GaussianSketcher(6, 3, 4)
-        with pytest.raises(ContractViolationError):
-            merge(Sketch.empty(sk, "psg1", 2), Sketch.empty(sk, "psg2", 2))
-        with pytest.raises(ContractViolationError):
-            merge(Sketch.empty(sk, "psg1", 2), Sketch.empty(other, "psg1", 2))
+        # Another sketcher is refused, and so are sketches of another shape:
+        # both states share a sketcher, and their (r, 3) and (r, 1) yb
+        # arrays would broadcast in a sum.
+        with pytest.raises(ContractViolationError, match="different"):
+            self._state(seed=5).merge(self._state(seed=6))
+        pair = [new_matprod(24, 3, d2, BUDGET, ACC, seed=15) for d2 in (3, 1)]
+        assert pair[0].sketcher.fingerprint == pair[1].sketcher.fingerprint
+        for x, y in (pair, pair[::-1]):
+            with pytest.raises(ContractViolationError, match="shapes"):
+                x.merge(y)
 
 
 class TestTiles:
@@ -265,12 +271,12 @@ class TestTiles:
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 8)
         sk = GaussianSketcher(2, 4, 10)
         monkeypatch.setattr(GaussianSketcher, "column_block", spy)
-        sk.project(1, np.ones((7, 2)))
+        sk.project_blocks(1, [np.ones((7, 2))])
         assert calls == [((1, 3), {}), ((3, 5), {}), ((5, 7), {}), ((7, 8), {})]
 
     def test_project_blocks_share_each_tile(self, monkeypatch):
         # Several blocks over the same columns cost one pass over the tiles,
-        # and each result is its own project() bit for bit.
+        # and each result is its own one-block pass bit for bit.
         calls = []
         original = GaussianSketcher.column_block
 
@@ -282,7 +288,7 @@ class TestTiles:
         sk = GaussianSketcher(2, 4, 10)
         rng = np.random.default_rng(2)
         blocks = [rng.standard_normal((7, 2)), rng.standard_normal((7, 3))]
-        want = [sk.project(1, x) for x in blocks]
+        want = [sk.project_blocks(1, [x])[0] for x in blocks]
         monkeypatch.setattr(GaussianSketcher, "column_block", spy)
         got = sk.project_blocks(1, blocks)
         assert calls == [(1, 3), (3, 5), (5, 7), (7, 8)]
@@ -318,12 +324,12 @@ class TestTiles:
         sk = GaussianSketcher(4, 5, 40)
         x = np.random.default_rng(4).standard_normal((33, 3))
         want = sk.column_block(3, 36) @ x
-        got = sk.project(3, x)
+        (got,) = sk.project_blocks(3, [x])
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_vector_ops_walk_tiles(self, monkeypatch):
-        # psg1, psg2 and update_column request at most one tile of omega at
-        # a time and agree with products of the full omega.
+        # One-column blocks request at most one tile of omega at a time
+        # and agree with products of the full omega.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         om = GaussianSketcher(8, 4, 30).omega
         sk = GaussianSketcher(8, 4, 30)
@@ -336,13 +342,10 @@ class TestTiles:
 
         monkeypatch.setattr(GaussianSketcher, "column_block", spy)
         v = np.random.default_rng(8).standard_normal(30)
-        want = {"psg1": om @ v, "psg2": om.T @ (om @ v)}
-        got = {"psg1": sk.psg1(v), "psg2": sk.psg2(v)}
-        for kind in ("psg1", "psg2"):
-            s = Sketch.empty(sk, kind, 2)
-            s.update_column(sk, 1, v)
-            for out in (got[kind], s.data[:, 1]):
-                assert np.linalg.norm(out - want[kind]) <= 1e-12 * np.linalg.norm(want[kind])
+        want = om @ v
+        got = sk.project_blocks(0, [v[:, None], -v[:, None]])
+        for out, sign in zip(got, (1.0, -1.0)):
+            assert np.linalg.norm(out[:, 0] - sign * want) <= 1e-12 * np.linalg.norm(want)
         assert sizes and max(sizes) <= sketch.TILE_ENTRIES
 
 
