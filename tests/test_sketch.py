@@ -167,6 +167,19 @@ class TestSketchUpdates:
         np.testing.assert_allclose(y, sk.omega @ a, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(y, _project(sk, a), rtol=1e-12, atol=1e-12)
 
+    def test_fingerprint_mismatch(self):
+        # Sketches updated under sketchers of one shape but another seed
+        # have equal shapes; only the fingerprint tells them apart.
+        a = new_regress(6, 2, BUDGET, ACC, 21)
+        b = new_regress(6, 2, BUDGET, ACC, 99)
+        a.ingest_columns(0, np.ones((6, 1)))
+        b.ingest_columns(0, np.ones((6, 1)))
+        assert a.ya.shape == b.ya.shape
+        assert a.sketcher.fingerprint != b.sketcher.fingerprint
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ContractViolationError, match="different sketchers"):
+                x.merge(y)
+
     def test_zero_update_is_noop(self):
         sk, y = self._pair()
         self._update(sk, y, 1, np.ones(6))
