@@ -164,6 +164,8 @@ class LiftedSketch:
         regenerated once and applied to every pair. All pairs are checked,
         their row counts by ``project_blocks``, before any sketch changes.
         """
+        if not pairs:
+            raise ContractViolationError("no row blocks to ingest")
         blocks = [numerics.as_matrix(rows, "rows") for _sk, rows in pairs]
         for (sk, _rows), x in zip(pairs, blocks):
             if x.shape[1] != sk.shape[1]:

@@ -3,9 +3,14 @@
 The projection matrix is a pure function of (seed, r, m): raw 64-bit words
 come from a Philox counter stream and are mapped through Box-Muller, column
 by column. Any column range can therefore be regenerated bit-exactly
-without storing the whole matrix: no sketcher keeps any of it. A sketch
-Omega @ X is a plain r x c array, so turnstile updates and shards of a
-stream add entrywise. The multiply/regression mechanisms retain their
+without storing the whole matrix: no sketcher keeps any of it. A request
+is generated from one Philox stream in sub-blocks of 8,192 words, each
+mapped straight into its slice of the output, so its transient memory is
+about the output plus one sub-block and its temporaries. The normals are
+bit-exact under any split of a range into requests or sub-blocks;
+products with them (sketches and releases) are bit-reproducible only
+under the same BLAS build and thread count. A sketch Omega @ X is a plain
+r x c array, so turnstile updates and shards of a stream add entrywise. The multiply/regression mechanisms retain their
 sketches only, and the low-rank mechanism keeps its sketches plus the data
 block of its projection.
 """
@@ -28,7 +33,13 @@ MAX_SKETCH_ENTRIES = 1 << 27
 # pieces of this size.
 TILE_ENTRIES = 1 << 16
 
-def _raw_words(seed: int, offset: int, count: int) -> np.ndarray:
+# Raw words per generation sub-block (64 KiB). A request is filled from
+# one Philox stream in pieces of this size, so Box-Muller's temporaries
+# stay in the L2 cache; any even split gives the same normals.
+_SUB_BLOCK_WORDS = 1 << 13
+
+
+def _philox(seed: int, offset: int) -> np.random.Philox:
     # Philox advances in 256-bit counter blocks of four 64-bit words, so
     # offsets must be block-aligned; column strides are kept multiples of 4.
     if offset % 4:
@@ -36,19 +47,47 @@ def _raw_words(seed: int, offset: int, count: int) -> np.ndarray:
     bg = np.random.Philox(key=seed & _U64)
     if offset:
         bg.advance(offset // 4)
-    return bg.random_raw(count)
+    return bg
 
 
-def _box_muller(words: np.ndarray) -> np.ndarray:
-    # One normal per 64-bit word; words length must be even.
-    pairs = words.reshape(-1, 2)
-    u1 = ((pairs[:, 0] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (pairs[:, 1] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    out = np.empty(words.size)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
+def _raw_words(seed: int, offset: int, count: int) -> np.ndarray:
+    return _philox(seed, offset).random_raw(count)
+
+
+def _box_muller(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # One normal per 64-bit word, written into ``out`` (a new array when not
+    # given); words length must be even. Each word pair maps to its own cos
+    # and sin normal, so any even split of the words gives the same normals.
+    # log, cos and sin run on contiguous arrays only: numpy may pick other
+    # loops for strided ones, and those need not round alike.
+    if out is None:
+        out = np.empty(words.size)
+    bits = words[0::2] >> np.uint64(11)
+    radius = bits.astype(np.float64)
+    radius += 1.0
+    radius *= 2.0**-53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    np.right_shift(words[1::2], np.uint64(11), out=bits)
+    angle = bits.astype(np.float64)
+    angle *= 2.0**-53
+    angle *= 2.0 * np.pi
+    trig = np.cos(angle)
+    np.multiply(radius, trig, out=out[0::2])
+    np.sin(angle, out=trig)
+    np.multiply(radius, trig, out=out[1::2])
+    return out
+
+
+def _normals(seed: int, offset: int, count: int) -> np.ndarray:
+    # Normals of words [offset, offset + count) of the seed's stream: one
+    # Philox stream, continued sub-block by sub-block into one output.
+    bg = _philox(seed, offset)
+    out = np.empty(count)
+    for s0 in range(0, count, _SUB_BLOCK_WORDS):
+        s1 = min(s0 + _SUB_BLOCK_WORDS, count)
+        _box_muller(bg.random_raw(s1 - s0), out=out[s0:s1])
     return out
 
 
@@ -62,6 +101,12 @@ def _self_test() -> None:
     ):
         if not np.allclose(_box_muller(_raw_words(seed, offset, 4)), want, rtol=0, atol=1e-13):
             raise NumericFailureError(f"generator known-answer self-test failed at seed {seed}")
+    # The generation path itself: a request from column 3 of an r = 1031
+    # sketcher (1032 words a column), whose normals 8190-8193 straddle its
+    # first sub-block boundary.
+    want = (0.21258872969133344, -0.016356562183325325, 0.07166874535821129, -0.1503623450514315)
+    if not np.allclose(_normals(11, 3 * 1032, 8196)[8190:8194], want, rtol=0, atol=1e-13):
+        raise NumericFailureError("generator known-answer self-test failed across a sub-block")
 
 
 class GaussianSketcher:
@@ -98,7 +143,7 @@ class GaussianSketcher:
                 f"projection block of {self.r}x{j1 - j0} exceeds the "
                 f"{MAX_SKETCH_ENTRIES} entry budget"
             )
-        normals = _box_muller(_raw_words(self.seed, j0 * self._wpc, (j1 - j0) * self._wpc))
+        normals = _normals(self.seed, j0 * self._wpc, (j1 - j0) * self._wpc)
         return normals.reshape(j1 - j0, self._wpc)[:, : self.r]
 
     def column_block(self, j0: int, j1: int) -> np.ndarray:
@@ -131,6 +176,8 @@ class GaussianSketcher:
         all the blocks, so each result is the same, bit for bit, as a pass
         of its own.
         """
+        if not blocks:
+            raise ContractViolationError("no blocks to project")
         k = blocks[0].shape[0]
         if any(x.shape[0] != k for x in blocks):
             raise ContractViolationError(f"row counts differ: {[x.shape[0] for x in blocks]}")

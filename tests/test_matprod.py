@@ -154,6 +154,14 @@ class TestBlockIngest:
             np.testing.assert_array_equal(state.ya, before[0])
             np.testing.assert_array_equal(state.yb, before[1])
 
+    def test_ingest_rows_refuses_no_pairs(self):
+        state = make_state(n=30, d1=5, d2=4)
+        before = state.ya.copy(), state.yb.copy()
+        with pytest.raises(ContractViolationError, match="no row blocks"):
+            state._ingest_rows(0)
+        np.testing.assert_array_equal(state.ya, before[0])
+        np.testing.assert_array_equal(state.yb, before[1])
+
     def test_block_range_and_shape_checks(self):
         state = make_state(n=30, d1=5, d2=4)
         with pytest.raises(ContractViolationError):

@@ -310,6 +310,10 @@ class TestTiles:
         with pytest.raises(ContractViolationError):
             sk.project_blocks(1, [np.ones((7, 2)), np.ones((6, 2))])
 
+    def test_project_blocks_refuses_no_blocks(self):
+        with pytest.raises(ContractViolationError, match="no blocks"):
+            GaussianSketcher(0, 2, 3).project_blocks(0, [])
+
     def test_construction_generates_only_a_stored_projection(self, monkeypatch):
         # No sketcher stores its projection, so construction requests and
         # generates no column.
@@ -472,20 +476,67 @@ class TestKnownAnswers:
 
 
 class TestColumnLayout:
-    """Column j of omega is Box-Muller of its own Philox words [j*8, j*8 + 8)
-    when r = 5: two counter blocks per column, of which 3 words are padding."""
+    """Column j of omega is Box-Muller of its own Philox words
+    [j*wpc, (j+1)*wpc), wpc = r rounded up to a multiple of 4: for r = 5,
+    two counter blocks per column, of which 3 words are padding."""
 
     @staticmethod
     def _layout_holds(sk, j0, j1):
+        wpc = 4 * ((sk.r + 3) // 4)
         got = sk.column_block(j0, j1)
         want = np.array([
-            sketch._box_muller(sketch._raw_words(sk.seed, 8 * j, 8))[:5] for j in range(j0, j1)
+            sketch._box_muller(sketch._raw_words(sk.seed, wpc * j, wpc))[: sk.r]
+            for j in range(j0, j1)
         ]).T
-        return got.shape == (5, j1 - j0) and np.array_equal(got, want)
+        return got.shape == (sk.r, j1 - j0) and np.array_equal(got, want)
 
     @pytest.mark.parametrize("j0, j1", [(0, 40), (7, 23), (39, 40)])
     def test_each_column_reads_its_own_words(self, j0, j1):
         assert self._layout_holds(GaussianSketcher(3, 5, 40), j0, j1)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["short", "equal", "past"])
+    @pytest.mark.parametrize("r", [5, 74, 1031])
+    def test_ranges_across_sub_blocks_are_bit_exact(self, r, extra):
+        # From a non-zero column: the second smallest column count whose
+        # words fill whole sub-blocks, and one column short of and past it.
+        wpc = 4 * ((r + 3) // 4)
+        cols = 2 * math.lcm(wpc, sketch._SUB_BLOCK_WORDS) // wpc + extra
+        assert self._layout_holds(GaussianSketcher(4, r, cols + 3), 3, cols + 3)
+
+    @pytest.mark.parametrize("pairs", [-1, 0, 1], ids=["short", "equal", "past"])
+    @pytest.mark.parametrize("r", [5, 74, 1031])
+    def test_any_even_split_is_bit_exact(self, monkeypatch, r, pairs):
+        # Sub-blocks one word pair short of, equal to and one pair past two
+        # columns: their boundaries fall inside columns and inside Philox
+        # counter blocks, and the normals do not change.
+        wpc = 4 * ((r + 3) // 4)
+        monkeypatch.setattr(sketch, "_SUB_BLOCK_WORDS", 2 * wpc + 2 * pairs)
+        assert self._layout_holds(GaussianSketcher(4, r, 12), 3, 12)
+
+    def test_restarting_the_stream_each_sub_block_fails(self, monkeypatch):
+        # Negative control: a generator that starts every sub-block from the
+        # request's first word is right up to the first sub-block boundary
+        # (1024 columns at r = 5) and wrong past it, and the self-test's
+        # check across a sub-block boundary refuses it.
+        def restarting(seed, offset, count):
+            out = np.empty(count)
+            for s0 in range(0, count, sketch._SUB_BLOCK_WORDS):
+                s1 = min(s0 + sketch._SUB_BLOCK_WORDS, count)
+                sketch._box_muller(sketch._raw_words(seed, offset, s1 - s0), out=out[s0:s1])
+            return out
+
+        monkeypatch.setattr(sketch, "_normals", restarting)
+        sk = GaussianSketcher(3, 5, 1030)
+        assert self._layout_holds(sk, 2, 1026)
+        assert not self._layout_holds(sk, 2, 1027)
+        sketch._self_test.cache_clear()
+        try:
+            with pytest.raises(NumericFailureError, match="sub-block"):
+                GaussianSketcher(3, 5, 1030)
+        finally:
+            monkeypatch.undo()
+            sketch._self_test.cache_clear()
+        GaussianSketcher(3, 5, 1030)
 
     def test_halved_stride_fails(self, monkeypatch):
         # Negative control: at a stride of 4 words, column j reads words
