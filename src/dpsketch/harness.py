@@ -52,6 +52,13 @@ class BoundReport:
         }
 
 
+def _trials(count: int, name: str = "trials") -> int:
+    """``count``, refused below 1: a check of no trials has no failure rate."""
+    if count < 1:
+        raise ParameterDomainError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 def binomial_allowed(rate: float, trials: int) -> float:
     """Failure-rate allowance: nominal rate plus a 3-sigma binomial band."""
     return rate + 3.0 * math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
@@ -94,7 +101,7 @@ def _mc_pseudoinverse(check: str, k: int, p: int, trials: int, seed: int,
     Gaussians against ``rhs``. All or nothing: every trial counts as a
     violation unless ``holds`` accepts the mean over trials.
     """
-    omegas = np.random.default_rng(seed).standard_normal((trials, k, k + p))
+    omegas = np.random.default_rng(seed).standard_normal((_trials(trials), k, k + p))
     lhs = per_trial(np.linalg.svd(omegas, compute_uv=False))
     violations = 0 if holds(float(lhs.mean())) else trials
     return BoundReport(check=check, trials=trials, violations=violations, allowed=0.0,
@@ -158,7 +165,7 @@ def mc_jl(
     vecs = rng.standard_normal((32, m_vectors))
     vecs /= np.linalg.norm(vecs, axis=0)
     violations = 0
-    rates = np.empty(trials)
+    rates = np.empty(_trials(trials))
     for t in range(trials):
         omega = rng.standard_normal((r, 32))
         ratios = np.sum((omega @ vecs) ** 2, axis=0) / r
@@ -235,7 +242,7 @@ def dp_density_ratio_check(
     _, logdet_a = np.linalg.slogdet(gram_a)
     _, logdet_t = np.linalg.slogdet(gram_t)
 
-    g = rng.standard_normal((samples, n))
+    g = rng.standard_normal((_trials(samples, "samples"), n))
     x = g @ a
     quad_a = np.einsum("ij,jk,ik->i", x, inv_a, x)
     quad_t = np.einsum("ij,jk,ik->i", x, inv_t, x)
@@ -360,7 +367,7 @@ def bound_check_lra(
         raise ParameterDomainError(f"norm must be 'fro' or 'spectral', got {norm!r}")
     return _bound_check(
         f"lra_bound_{norm}", lambda s: _lra_trial(config, s, norm),
-        [base_seed + t for t in range(trials)], rhs_scale, 0.10,
+        [base_seed + t for t in range(_trials(trials))], rhs_scale, 0.10,
     )
 
 
@@ -398,7 +405,7 @@ def nonprivate_sanity_check(
             float(np.linalg.norm(a - psi_ref @ (psi_ref.T @ a))),
         )
 
-    seeds = [base_seed + t for t in range(trials)]
+    seeds = [base_seed + t for t in range(_trials(trials))]
     return _bound_check("nonprivate_range_sanity", trial, seeds, ratio_bound, 0.0)
 
 
@@ -422,7 +429,7 @@ def mc_unbiased_product(
     truth = exact_product(a, b)
     total = np.zeros((d1, d2))
     total_sq = np.zeros((d1, d2))
-    for t in range(trials):
+    for t in range(_trials(trials)):
         state = new_matprod(n, d1, d2, budget, acc, seed=seed + 1 + t)
         state.ingest_rows(0, a, b)
         estimate = state.product_query()
@@ -467,7 +474,8 @@ def bound_check_matprod(
     """Multiply mechanism vs its multiplicative-plus-additive bound."""
     return _bound_check(
         "matprod_bound", lambda s: _matprod_trial(n, d1, d2, budget, acc, s),
-        [base_seed + t for t in range(trials)], rhs_scale, binomial_allowed(acc.beta, trials),
+        [base_seed + t for t in range(_trials(trials))], rhs_scale,
+        binomial_allowed(acc.beta, trials),
     )
 
 
@@ -494,5 +502,6 @@ def bound_check_regress(
     """Regression mechanism vs its relative-plus-additive residual bound."""
     return _bound_check(
         "regress_bound", lambda s: _regress_trial(n, d, budget, acc, s),
-        [base_seed + t for t in range(trials)], rhs_scale, binomial_allowed(acc.beta, trials),
+        [base_seed + t for t in range(_trials(trials))], rhs_scale,
+        binomial_allowed(acc.beta, trials),
     )

@@ -22,7 +22,8 @@ Both operands are sketched with the same projection and read the same
 data-block columns, so ``MatProdState.ingest_rows`` takes a row block of A
 and of B together and regenerates each projection tile once for both.
 ``LiftedSketch`` owns this layout, the guard check and its report, the
-ingest and the merge; the regression mechanism builds on the same core.
+one row-block ingest that every update goes through, and the merge; the
+regression mechanism builds on the same core.
 """
 from __future__ import annotations
 
@@ -56,10 +57,10 @@ class LiftedSketch:
     """Identity-lifted n x d streams sketched by one seeded projection.
 
     Each subclass names its sketches, the state's r x c array fields;
-    ``_new`` seeds them with the lift, ``_ingest_columns`` adds a block of
-    columns into one of them, ``_ingest_rows`` adds a block of rows into
-    one or more of them in one pass over the projection tiles, and
-    ``merge`` combines two shards.
+    ``_new`` seeds them with the lift, ``_ingest_rows`` adds a block of rows
+    into one or more of them in one pass over the projection tiles (a
+    block of columns is all n rows of a column slice), and ``merge``
+    combines two shards.
     """
 
     n: int
@@ -132,36 +133,24 @@ class LiftedSketch:
         merged = {name: sk + theirs[name] - lift for (name, sk), lift in zip(mine.items(), lifts)}
         return dataclasses.replace(self, **merged)
 
-    def _project_data(self, i0: int, *blocks: np.ndarray) -> list[np.ndarray]:
-        """omega_data[:, i0:i0+k] @ x for each k-row block x, in one pass over
-        the tiles, omega_data being the data block."""
-        _m, lo = lift_layout(self.n, self.d)
-        return self.sketcher.project_blocks(lo + i0, blocks)
-
     def _ingest_columns(self, sk: np.ndarray, j0: int, cols) -> None:
-        """Add omega_data @ cols into sketch columns [j0, j0 + cols.shape[1]).
-
-        The data block is regenerated one tile at a time, once for the
-        whole block of columns.
-        """
+        """Add omega_data @ cols into sketch columns [j0, j0 + cols.shape[1]):
+        all n rows, ingested by ``_ingest_rows`` into that column slice."""
         x = numerics.as_matrix(cols, "columns")
         if x.shape[0] != self.n:
             raise ContractViolationError(f"column length {x.shape[0]}, expected {self.n}")
         j1 = j0 + x.shape[1]
         if not (0 <= j0 <= j1 <= sk.shape[1]):
             raise ContractViolationError(f"columns [{j0}, {j1}) outside [0, {sk.shape[1]})")
-        if not x.any():
-            return
-        (y,) = self._project_data(0, x)
-        sk[:, j0:j1] += y
+        self._ingest_rows(0, (sk[:, j0:j1], x))
 
     def _ingest_rows(self, i0: int, *pairs) -> int:
         """Add the turnstile update of data rows [i0, i0 + k) to each sketch;
         returns i0 + k.
 
         ``pairs`` are (sketch, rows) with k rows each. Row i touches only
-        projection column lo + i, so each tile of those columns is
-        regenerated once and applied to every pair. All pairs are checked,
+        projection column lo + i, so one ``project_blocks`` pass applies
+        each tile of those columns to every pair. All pairs are checked,
         their row counts by ``project_blocks``, before any sketch changes.
         """
         if not pairs:
@@ -173,7 +162,8 @@ class LiftedSketch:
         i1 = i0 + blocks[0].shape[0]
         if not (0 <= i0 <= i1 <= self.n):
             raise ContractViolationError(f"rows [{i0}, {i1}) outside [0, {self.n})")
-        for (sk, _rows), y in zip(pairs, self._project_data(i0, *blocks)):
+        _m, lo = lift_layout(self.n, self.d)
+        for (sk, _rows), y in zip(pairs, self.sketcher.project_blocks(lo + i0, blocks)):
             sk += y
         return i1
 

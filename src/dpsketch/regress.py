@@ -87,7 +87,8 @@ class RegressState(LiftedSketch):
         if x.shape[0] != self.n:
             raise ContractViolationError(f"query length {x.shape[0]}, expected {self.n}")
         self._admit(x.shape[1])
-        (yb,) = self._project_data(0, x)
+        yb = np.zeros((self.r, x.shape[1]))
+        self._ingest_rows(0, (yb, x))
         return self._answer(yb)
 
     def _admit(self, q: int) -> None:

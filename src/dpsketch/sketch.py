@@ -3,16 +3,17 @@
 The projection matrix is a pure function of (seed, r, m): raw 64-bit words
 come from a Philox counter stream and are mapped through Box-Muller, column
 by column. Any column range can therefore be regenerated bit-exactly
-without storing the whole matrix: no sketcher keeps any of it. A request
-is generated from one Philox stream in sub-blocks of 8,192 words, each
-mapped straight into its slice of the output, so its transient memory is
-about the output plus one sub-block and its temporaries. The normals are
-bit-exact under any split of a range into requests or sub-blocks;
-products with them (sketches and releases) are bit-reproducible only
-under the same BLAS build and thread count. A sketch Omega @ X is a plain
-r x c array, so turnstile updates and shards of a stream add entrywise. The multiply/regression mechanisms retain their
-sketches only, and the low-rank mechanism keeps its sketches plus the data
-block of its projection.
+without storing the whole matrix: no sketcher keeps any of it.
+``column_block``, the one generator, fills a request from one Philox
+stream in sub-blocks of 8,192 words, each mapped straight into its slice
+of the output, and returns a view of those normals; ``project_blocks``
+walks a range in tiles of such requests. The normals are bit-exact under
+any split of a range into requests, tiles or sub-blocks; products with
+them (sketches and releases) are bit-reproducible only under the same
+BLAS build and thread count. A sketch Omega @ X is a plain r x c array,
+so turnstile updates and shards of a stream add entrywise. The
+multiply/regression mechanisms retain their sketches only, and the
+low-rank mechanism keeps its sketches plus the data block of its projection.
 """
 from __future__ import annotations
 
@@ -120,7 +121,7 @@ class GaussianSketcher:
     """
 
     # Never stored; kept only for perfbench/spans.py, which reads it after
-    # every traced column_block to decide whether the block was generated.
+    # every traced column_block, the one generator, to count its normals.
     store_omega = False
 
     def __init__(self, seed: int, r: int, m: int):
@@ -136,53 +137,44 @@ class GaussianSketcher:
         # straddle columns.
         self._wpc = 4 * ((self.r + 3) // 4)
 
-    def _generate_block(self, j0: int, j1: int) -> np.ndarray:
-        # Columns [j0, j1) of omega as the rows of a (j1-j0) x r view.
+    def column_block(self, j0: int, j1: int) -> np.ndarray:
+        """Columns [j0, j1) of omega, shape (r, j1-j0). Treat as read-only:
+        it views the normals where they were generated, column after column,
+        and BLAS takes it as a transposed operand without a copy."""
+        if not (0 <= j0 <= j1 <= self.m):
+            raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {self.m})")
         if self.r * (j1 - j0) > MAX_SKETCH_ENTRIES:
             raise CapacityError(
                 f"projection block of {self.r}x{j1 - j0} exceeds the "
                 f"{MAX_SKETCH_ENTRIES} entry budget"
             )
         normals = _normals(self.seed, j0 * self._wpc, (j1 - j0) * self._wpc)
-        return normals.reshape(j1 - j0, self._wpc)[:, : self.r]
-
-    def column_block(self, j0: int, j1: int) -> np.ndarray:
-        """Columns [j0, j1) of omega, shape (r, j1-j0). Treat as read-only."""
-        if not (0 <= j0 <= j1 <= self.m):
-            raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {self.m})")
-        return np.ascontiguousarray(self._generate_block(j0, j1).T)
-
-    def _tile_width(self) -> int:
-        # As many columns as fit in TILE_ENTRIES, at least one.
-        return max(1, TILE_ENTRIES // self.r)
-
-    def tiles(self, j0: int, j1: int):
-        """Yield (t0, t1, column_block(t0, t1)) covering columns [j0, j1).
-
-        Each tile is regenerated once and can be dropped after use, so a
-        pass over any range holds at most one tile of the projection.
-        """
-        if not (0 <= j0 <= j1 <= self.m):
-            raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {self.m})")
-        width = self._tile_width()
-        for t0 in range(j0, j1, width):
-            t1 = min(t0 + width, j1)
-            yield t0, t1, self.column_block(t0, t1)
+        return normals.reshape(j1 - j0, self._wpc)[:, : self.r].T
 
     def project_blocks(self, j0: int, blocks) -> list[np.ndarray]:
         """[omega[:, j0:j0+k] @ x for x in blocks], each x a 2-D block of k rows.
 
-        Every tile of columns [j0, j0+k) is regenerated once and applied to
-        all the blocks, so each result is the same, bit for bit, as a pass
-        of its own.
+        The blocks and the whole range are checked first. Then each tile of
+        as many columns as fit in TILE_ENTRIES (at least one) is generated
+        once and applied to all the blocks, so a pass holds one tile at a
+        time and each result is the same, bit for bit, as a pass of its own.
         """
         if not blocks:
             raise ContractViolationError("no blocks to project")
+        dims = [getattr(x, "ndim", None) for x in blocks]
+        if any(dim != 2 for dim in dims):
+            raise ContractViolationError(f"blocks must be 2-D arrays, got ndim {dims}")
         k = blocks[0].shape[0]
         if any(x.shape[0] != k for x in blocks):
             raise ContractViolationError(f"row counts differ: {[x.shape[0] for x in blocks]}")
+        j1 = j0 + k
+        if not (0 <= j0 <= j1 <= self.m):
+            raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {self.m})")
+        width = max(1, TILE_ENTRIES // self.r)
         outs = [np.zeros((self.r, x.shape[1])) for x in blocks]
-        for t0, t1, tile in self.tiles(j0, j0 + k):
+        for t0 in range(j0, j1, width):
+            t1 = min(t0 + width, j1)
+            tile = self.column_block(t0, t1)
             for out, x in zip(outs, blocks):
                 out += tile @ x[t0 - j0 : t1 - j0]
         return outs

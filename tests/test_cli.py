@@ -627,13 +627,13 @@ class TestCommands:
         cli.save_matrix(str(pa), rng.standard_normal((n, d)))
         cli.save_matrix(str(pb), rng.standard_normal((n, q)))
         normals = []
-        original = sketch.GaussianSketcher._generate_block
+        original = sketch.GaussianSketcher.column_block
 
         def spy(self, j0, j1):
             normals.append(self.r * (j1 - j0))
             return original(self, j0, j1)
 
-        monkeypatch.setattr(sketch.GaussianSketcher, "_generate_block", spy)
+        monkeypatch.setattr(sketch.GaussianSketcher, "column_block", spy)
         rc = cli.main(
             ["regress", "--input", str(pa), "--input-b", str(pb), "--format", "dpbin",
              "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",

@@ -250,6 +250,24 @@ class TestBoundChecks:
         parsed = json.loads(blob)
         assert set(parsed) == {"check", "trials", "violations", "allowed", "pass", "seeds"}
 
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("check", [
+        lambda t: harness.bound_check_lra(LraConfig(n=10, d=10, k=2, budget=BUDGET, seed=0), t),
+        lambda t: harness.bound_check_matprod(10, 2, 2, BUDGET, ACC, t),
+        lambda t: harness.bound_check_regress(10, 2, BUDGET, ACC, t),
+        lambda t: harness.nonprivate_sanity_check(10, 2, t, BUDGET),
+        lambda t: harness.mc_unbiased_product(10, 2, 2, BUDGET, ACC, t),
+        lambda t: harness.mc_jl(10, 200, 0.5, t),
+        lambda t: harness.mc_pseudoinverse_frobenius(3, 4, t),
+        lambda t: harness.mc_pseudoinverse_spectral(3, 4, t),
+        lambda t: harness.dp_density_ratio_check(4, 4, BUDGET, t),
+    ], ids=["lra", "matprod", "regress", "nonprivate", "unbiased", "jl", "pinv_frobenius",
+            "pinv_spectral", "density_ratio"])
+    def test_no_trials_is_refused(self, check, count):
+        # A check of no trials has no failure rate to compare.
+        with pytest.raises(ParameterDomainError, match=">= 1"):
+            check(count)
+
     def test_bound_check_reproducible(self):
         cfg = LraConfig(n=40, d=40, k=2, budget=BUDGET, seed=0)
         a = harness.bound_check_lra(cfg, trials=4, base_seed=50)

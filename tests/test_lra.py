@@ -49,13 +49,13 @@ class TestConstruction:
         # ingest generates each lift column once, for its own rows; the
         # solve regenerates the 101 x 2000 lift block once.
         generated = []
-        original = GaussianSketcher._generate_block
+        original = GaussianSketcher.column_block
 
         def spy(self, j0, j1):
             generated.append(self.r * (j1 - j0))
             return original(self, j0, j1)
 
-        monkeypatch.setattr(GaussianSketcher, "_generate_block", spy)
+        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
         state = new_lra(LraConfig(n=2000, d=1000, k=50, budget=BUDGET, seed=0))
         assert sum(generated) == 101_000
         assert state.space_entries() == 404_000

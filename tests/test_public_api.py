@@ -41,3 +41,15 @@ def test_lift_doubling_merge_is_not_exported():
     assert not hasattr(dpsketch, "merge")
     assert not hasattr(dpsketch, "Sketch")
     assert not hasattr(dpsketch, "serialize") and not hasattr(dpsketch, "deserialize")
+
+
+def test_sketcher_surface_is_pinned():
+    # One generator (column_block) and one tile walk (project_blocks): a
+    # removed layer cannot come back without changing these lists.
+    sk = dpsketch.GaussianSketcher(0, 2, 3)
+    public = sorted(name for name in dir(sk) if not name.startswith("_"))
+    assert public == [
+        "column_block", "fingerprint", "m", "omega", "project_blocks", "r", "seed", "store_omega",
+    ]
+    methods = sorted(name for name, v in vars(dpsketch.GaussianSketcher).items() if callable(v))
+    assert methods == ["__init__", "column_block", "project_blocks"]

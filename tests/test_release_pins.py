@@ -95,13 +95,13 @@ RELEASES = {
 def _release(monkeypatch, name):
     """Run one release; returns its outputs plus guard report, space and normals."""
     generated = []
-    original = GaussianSketcher._generate_block
+    original = GaussianSketcher.column_block
 
     def spy(self, j0, j1):
         generated.append(self.r * (j1 - j0))
         return original(self, j0, j1)
 
-    monkeypatch.setattr(GaussianSketcher, "_generate_block", spy)
+    monkeypatch.setattr(GaussianSketcher, "column_block", spy)
     state, out = RELEASES[name]()
     monkeypatch.undo()
     out["guard_report"] = state.guard_report.to_json_dict()

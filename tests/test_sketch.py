@@ -13,6 +13,21 @@ BUDGET = guard.PrivacyBudget(1.0, 0.01)
 ACC = guard.AccuracySpec(0.5, 0.2)
 
 
+def _tile_spy(monkeypatch, keep=True):
+    """Record (j0, j1, block) of every column_block call from here on; the
+    block is None when ``keep`` is false."""
+    tiles = []
+    original = GaussianSketcher.column_block
+
+    def spy(self, j0, j1):
+        block = original(self, j0, j1)
+        tiles.append((j0, j1, block if keep else None))
+        return block
+
+    monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+    return tiles
+
+
 class TestSketcherConstruction:
     def test_same_seed_identical(self):
         a = GaussianSketcher(7, 4, 8)
@@ -33,13 +48,22 @@ class TestSketcherConstruction:
     @pytest.mark.parametrize(
         "r, m", [(101, 3000), (74, 40_100), (1031, 4040)], ids=["lra", "multiply", "regress"]
     )
-    def test_benchmark_identity_moments(self, r, m):
-        # The benchmark's sketcher shapes at seed 0, regenerated tile by tile.
+    def test_benchmark_identity_moments(self, monkeypatch, r, m):
+        # The benchmark's sketcher shapes at seed 0, regenerated tile by tile
+        # by one project_blocks pass; each tile is summed as it is made.
         sk = GaussianSketcher(0, r, m)
         total = total_sq = 0.0
-        for *_, tile in sk.tiles(0, m):
+        original = GaussianSketcher.column_block
+
+        def summing(self, j0, j1):
+            nonlocal total, total_sq
+            tile = original(self, j0, j1)
             total += float(tile.sum())
             total_sq += float(np.square(tile).sum())
+            return tile
+
+        monkeypatch.setattr(GaussianSketcher, "column_block", summing)
+        sk.project_blocks(0, [np.zeros((m, 1))])
         n = r * m
         mean = total / n
         var = total_sq / n - mean * mean
@@ -241,16 +265,21 @@ class TestMerge:
 
 
 class TestTiles:
-    def test_default_tile_budget(self):
+    """project_blocks walks its range in tiles, one column_block call each."""
+
+    def test_default_tile_budget(self, monkeypatch):
         assert sketch.TILE_ENTRIES == 65536
         sk = GaussianSketcher(3, 1031, 4040)
-        sizes = [t.size for *_, t in sk.tiles(0, sk.m)]
+        tiles = _tile_spy(monkeypatch, keep=False)
+        sk.project_blocks(0, [np.zeros((sk.m, 1))])
+        sizes = [sk.r * (t1 - t0) for t0, t1, _ in tiles]
         assert max(sizes) == 63 * 1031 and sum(sizes) == sk.r * sk.m
 
     def test_uneven_tiles_concatenate_bit_exact(self, monkeypatch):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         sk = GaussianSketcher(5, 5, 40)
-        tiles = list(sk.tiles(3, 36))
+        tiles = _tile_spy(monkeypatch)
+        sk.project_blocks(3, [np.zeros((33, 1))])
         assert [t1 - t0 for t0, t1, _ in tiles] == [2] * 16 + [1]
         assert tiles[0][0] == 3 and tiles[-1][1] == 36
         assert all(tile.shape == (5, t1 - t0) for t0, t1, tile in tiles)
@@ -261,16 +290,46 @@ class TestTiles:
     def test_one_column_tiles_when_r_exceeds_budget(self, monkeypatch):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 3)
         sk = GaussianSketcher(6, 5, 9)
-        tiles = list(sk.tiles(0, 9))
+        tiles = _tile_spy(monkeypatch)
+        sk.project_blocks(0, [np.zeros((9, 1))])
         assert [(t0, t1) for t0, t1, _ in tiles] == [(j, j + 1) for j in range(9)]
         assert np.array_equal(np.hstack([t for *_, t in tiles]), sk.omega)
 
-    def test_empty_range_and_range_check(self):
+    def test_empty_range_and_range_check(self, monkeypatch):
+        # An empty range generates nothing, and so does a range outside
+        # the projection, which is refused as a whole before any tile.
         sk = GaussianSketcher(1, 4, 6)
-        assert list(sk.tiles(2, 2)) == []
+        tiles = _tile_spy(monkeypatch)
+        (out,) = sk.project_blocks(2, [np.ones((0, 3))])
+        assert np.array_equal(out, np.zeros((4, 3)))
+        for j0, k in ((-1, 3), (0, 7), (5, 2)):
+            with pytest.raises(ContractViolationError, match="outside"):
+                sk.project_blocks(j0, [np.ones((k, 1))])
+        assert tiles == []
         for j0, j1 in ((-1, 2), (3, 2), (0, 7)):
-            with pytest.raises(ContractViolationError):
-                list(sk.tiles(j0, j1))
+            with pytest.raises(ContractViolationError, match="outside"):
+                sk.column_block(j0, j1)
+
+    @pytest.mark.parametrize(
+        "block", [np.ones(3), np.ones((3, 1, 1)), [[1.0], [2.0], [3.0]]], ids=["1-D", "3-D", "list"]
+    )
+    def test_project_blocks_refuses_a_block_that_is_not_2d(self, monkeypatch, block):
+        sk = GaussianSketcher(0, 2, 3)
+        tiles = _tile_spy(monkeypatch)
+        with pytest.raises(ContractViolationError, match="2-D"):
+            sk.project_blocks(0, [block])
+        with pytest.raises(ContractViolationError, match="2-D"):
+            sk.project_blocks(0, [np.ones((3, 1)), block])
+        assert tiles == []
+
+    @pytest.mark.parametrize("r", [5, 8], ids=["padded", "unpadded"])
+    def test_column_block_is_a_view_of_the_generated_normals(self, r):
+        # No copy: the block views the normals in generation order, with or
+        # without padding words between columns, and holds omega's values.
+        sk = GaussianSketcher(7, r, 12)
+        block = sk.column_block(3, 9)
+        assert not block.flags.owndata and block.shape == (r, 6)
+        assert np.array_equal(block, sk.omega[:, 3:9])
 
     def test_tiles_come_from_column_block(self, monkeypatch):
         # Every tile is one positional column_block(j0, j1) call.
@@ -316,24 +375,11 @@ class TestTiles:
 
     def test_construction_generates_only_a_stored_projection(self, monkeypatch):
         # No sketcher stores its projection, so construction requests and
-        # generates no column.
-        requested, generated = [], []
-        original_block = GaussianSketcher.column_block
-        original_generate = GaussianSketcher._generate_block
-
-        def block_spy(self, j0, j1):
-            requested.append((j0, j1))
-            return original_block(self, j0, j1)
-
-        def generate_spy(self, j0, j1):
-            generated.append((j0, j1))
-            return original_generate(self, j0, j1)
-
+        # generates no column: column_block is the one generator.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
-        monkeypatch.setattr(GaussianSketcher, "column_block", block_spy)
-        monkeypatch.setattr(GaussianSketcher, "_generate_block", generate_spy)
+        tiles = _tile_spy(monkeypatch)
         GaussianSketcher(9, 5, 23)
-        assert requested == [] and generated == []
+        assert tiles == []
 
     @pytest.mark.parametrize("budget", [1, 12, 65536])
     def test_project_matches_dense_product(self, monkeypatch, budget):
@@ -545,9 +591,10 @@ class TestColumnLayout:
             stride = self._wpc // 2
             words = sketch._raw_words(self.seed, j0 * stride, (j1 - j0 + 1) * stride)
             normals = sketch._box_muller(words)
-            return np.stack([normals[i * stride : i * stride + self.r] for i in range(j1 - j0)])
+            cols = [normals[i * stride : i * stride + self.r] for i in range(j1 - j0)]
+            return np.stack(cols, axis=1)
 
-        monkeypatch.setattr(GaussianSketcher, "_generate_block", shared_words)
+        monkeypatch.setattr(GaussianSketcher, "column_block", shared_words)
         sk = GaussianSketcher(3, 5, 40)
         block = sk.column_block(0, 40)
         assert block.shape == (5, 40) and np.array_equal(block[4, :-1], block[0, 1:])
