@@ -156,6 +156,7 @@ def mc_jl(
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterDomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _trials(m_vectors, "m_vectors")
     need = 4.0 / (alpha**2 / 2.0 - alpha**3 / 3.0) * math.log(max(m_vectors, 2))
     if r < need:
         raise ParameterDomainError(

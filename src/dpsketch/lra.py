@@ -158,7 +158,8 @@ class LraState:
             lift_rows = data_rows = omega_t
         psi = numerics.orthonormal_range(y)
         coeff = psi.T @ data_rows
-        rhs = psi.T @ y - self.w * (psi.T @ lift_rows)
+        lift = coeff if lift_rows is data_rows else psi.T @ lift_rows
+        rhs = psi.T @ y - self.w * lift
         # The solve returns the transposed core; symmetrising makes that moot.
         core = numerics.lstsq(coeff.T, rhs.T)
         core = (core + core.T) / 2.0

@@ -59,21 +59,23 @@ def _box_muller(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # One normal per 64-bit word, written into ``out`` (a new array when not
     # given); words length must be even. Each word pair maps to its own cos
     # and sin normal, so any even split of the words gives the same normals.
-    # log, cos and sin run on contiguous arrays only: numpy may pick other
-    # loops for strided ones, and those need not round alike.
+    # log, sqrt, cos and sin run on contiguous arrays only: numpy may pick
+    # other loops for strided ones, and those need not round alike.
+    # Consumes ``words``: they are shifted in place, so pass fresh ones.
     if out is None:
         out = np.empty(words.size)
-    bits = words[0::2] >> np.uint64(11)
-    radius = bits.astype(np.float64)
-    radius += 1.0
+    np.right_shift(words, np.uint64(11), out=words)
+    # The shifted words are below 2**53, so their int64 view holds the same
+    # values and casts to float64 exactly, and faster than uint64 does.
+    # u1 = (b0 + 1) * 2**-53 and the angle is 2pi * b1 * 2**-53: scaling by
+    # 2**-53 is exact, so one product rounds the angle as (b1 * 2**-53) * 2pi.
+    bits = words.view(np.int64)
+    radius = np.add(bits[0::2], 1.0)
     radius *= 2.0**-53
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    np.right_shift(words[1::2], np.uint64(11), out=bits)
-    angle = bits.astype(np.float64)
-    angle *= 2.0**-53
-    angle *= 2.0 * np.pi
+    angle = np.multiply(bits[1::2], 2.0 * np.pi * 2.0**-53)
     trig = np.cos(angle)
     np.multiply(radius, trig, out=out[0::2])
     np.sin(angle, out=trig)

@@ -268,6 +268,16 @@ class TestBoundChecks:
         with pytest.raises(ParameterDomainError, match=">= 1"):
             check(count)
 
+    @pytest.mark.parametrize("m_vectors", [0, -1])
+    def test_no_jl_vectors_is_refused(self, monkeypatch, m_vectors):
+        # No vectors, no failure rate: refused before any projection is drawn.
+        def no_draws(seed):
+            raise AssertionError("drew randomness")
+
+        monkeypatch.setattr(harness.np.random, "default_rng", no_draws)
+        with pytest.raises(ParameterDomainError, match="m_vectors must be >= 1"):
+            harness.mc_jl(m_vectors, 200, 0.5, 1)
+
     def test_bound_check_reproducible(self):
         cfg = LraConfig(n=40, d=40, k=2, budget=BUDGET, seed=0)
         a = harness.bound_check_lra(cfg, trials=4, base_seed=50)

@@ -521,6 +521,83 @@ class TestKnownAnswers:
         GaussianSketcher(0, 4, 8)
 
 
+def _reference_box_muller(words, out=None, u1_offset=1.0):
+    # The kernel as it stood before it shifted its words in place, kept
+    # verbatim (``u1_offset`` aside) so that the fast one is pinned to it bit
+    # for bit. It leaves ``words`` as they were.
+    if out is None:
+        out = np.empty(words.size)
+    bits = words[0::2] >> np.uint64(11)
+    radius = bits.astype(np.float64)
+    radius += u1_offset
+    radius *= 2.0**-53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    np.right_shift(words[1::2], np.uint64(11), out=bits)
+    angle = bits.astype(np.float64)
+    angle *= 2.0**-53
+    angle *= 2.0 * np.pi
+    trig = np.cos(angle)
+    np.multiply(radius, trig, out=out[0::2])
+    np.sin(angle, out=trig)
+    np.multiply(radius, trig, out=out[1::2])
+    return out
+
+
+# 0, 2**64 - 1, the top 53 bits all ones (u1 = 1: a zero normal), words
+# below 2**11 (angle 0) and a word just above them.
+_EDGE_WORDS = [0, (1 << 64) - 1, ((1 << 53) - 1) << 11, 1, (1 << 11) - 1, 1 << 11]
+
+
+class TestBoxMullerKernel:
+    @staticmethod
+    def _edge_pairs():
+        # Every edge word in both places of a pair.
+        return np.array([w for w0 in _EDGE_WORDS for w1 in _EDGE_WORDS for w in (w0, w1)],
+                        dtype=np.uint64)
+
+    @staticmethod
+    def _stream_words():
+        return sketch._raw_words(5, 4096, 1 << 16)
+
+    @pytest.mark.parametrize("source", ["stream", "edges"])
+    def test_bit_identical_to_reference(self, source):
+        words = self._stream_words() if source == "stream" else self._edge_pairs()
+        want = _reference_box_muller(words)
+        assert np.array_equal(sketch._box_muller(words.copy()), want)
+        # Written into a slice of a larger output, as _normals does.
+        out = np.full(words.size + 2, np.nan)
+        sketch._box_muller(words.copy(), out=out[1:-1])
+        assert np.array_equal(out[1:-1], want) and np.isnan(out[[0, -1]]).all()
+
+    def test_edge_words_give_their_limits(self):
+        got = sketch._box_muller(self._edge_pairs()).reshape(len(_EDGE_WORDS), len(_EDGE_WORDS), 2)
+        # got[i, j] is the pair (_EDGE_WORDS[i], _EDGE_WORDS[j]). Words 1
+        # and 2 have their top 53 bits all ones: radius 0.
+        assert (got[1:3] == 0.0).all()
+        # Words 3 and 4 shift to angle 0: the sin normal is 0 and the cos
+        # one the radius, which word 0 makes its largest, sqrt(106 ln 2).
+        assert (got[:, 3:5, 1] == 0.0).all()
+        assert math.isclose(got[0, 3, 0], math.sqrt(106.0 * math.log(2.0)), rel_tol=1e-15)
+        # Word 5 shifts to 1, the smallest angle past 0.
+        assert 0.0 < got[0, 5, 1] < 1e-14
+
+    def test_half_offset_u1_fails(self):
+        # Negative control: u1 = (b0 + 0.5) * 2**-53 is as plausible a
+        # uniform, and the pin tells it apart.
+        words = self._stream_words()
+        shifted = _reference_box_muller(words, u1_offset=0.5)
+        assert not np.array_equal(sketch._box_muller(words.copy()), shifted)
+
+    def test_consumes_its_words(self):
+        # Callers pass fresh words; none may rely on them being kept.
+        words = self._stream_words()
+        kept = words.copy()
+        sketch._box_muller(words)
+        assert not np.array_equal(words, kept)
+
+
 class TestColumnLayout:
     """Column j of omega is Box-Muller of its own Philox words
     [j*wpc, (j+1)*wpc), wpc = r rounded up to a multiple of 4: for r = 5,
