@@ -19,6 +19,10 @@ error names its line. ``multiply`` and ``regress`` read their two inputs
 rows, and sketch each pair of chunks in one pass over the projection
 tiles.
 
+A release's seed is its secret: with no --seed, a release command draws
+64 bits from ``secrets``, and no report carries the seed. ``verify`` keeps
+its public default seed of 0.
+
 Exit codes: 0 success, 1 mechanism error, 2 usage error, 3 verification
 failure.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import struct
 import sys
 import time
@@ -204,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name) for name in ("lra", "multiply", "regress", "verify")
     )
     for p in (p_lra, p_mul, p_reg, p_ver):
-        p.add_argument("--seed", type=int, default=0)
+        # A release's seed is its secret (see _run_release); verify's is public.
+        p.add_argument("--seed", type=int, default=0 if p is p_ver else None)
         p.add_argument("--report", default=None)
     for p in (p_lra, p_mul, p_reg):
         p.add_argument("--input", required=True)
@@ -235,6 +241,8 @@ def parse_args(argv) -> argparse.Namespace:
             raise ParameterDomainError(f"--{a} and --{b} must be given together")
         if opts.get(a) is not None:
             spec(opts[a], opts[b])
+    if cfg.seed is None:
+        cfg.seed = secrets.randbits(64)
     if cfg.seed < 0:
         raise ParameterDomainError(f"seed must be >= 0, got {cfg.seed}")
     if opts.get("rank", 1) < 1:
@@ -253,9 +261,9 @@ def _emit(cfg: argparse.Namespace, report: dict) -> None:
         print(text)
 
 
-def _base_report(cfg: argparse.Namespace) -> dict:
+def _base_report(params: dict) -> dict:
     return {
-        "params": vars(cfg),
+        "params": params,
         "guard_report": None,
         "error_vs_oracle": None,
         "space_entries": 0,
@@ -283,11 +291,13 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
 
     ``command(cfg, n, d)`` builds its mechanism for the n x d --input,
     streams the inputs through it, answers the query and returns a
-    ``_Release``; the skeleton assembles the report.
+    ``_Release``; the skeleton assembles the report. The seed fixes the
+    projection, and whoever knows it can recompute the release from a
+    candidate input, so the report leaves it out.
     """
     n, d = matrix_shape(cfg.input, cfg.fmt)
     rel = command(cfg, n, d)
-    report = _base_report(cfg)
+    report = _base_report({k: v for k, v in vars(cfg).items() if k != "seed"})
     report["space_entries"] = rel.state.space_entries()
     greport, mode = rel.state.guard_report, "structural"
     if cfg.oracle:
@@ -380,7 +390,7 @@ def _run_verify(cfg: argparse.Namespace) -> Tuple[dict, bool]:
         harness.bound_check_matprod(60, 8, 8, budget, acc, trials=10),
         harness.bound_check_regress(60, 5, budget, acc, trials=10),
     ]
-    report = _base_report(cfg)
+    report = _base_report(vars(cfg))
     report["checks"] = [c.to_json_dict() for c in checks]
     return report, all(c.passed for c in checks)
 

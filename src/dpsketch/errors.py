@@ -14,7 +14,7 @@ class ParameterDomainError(DPSketchError, ValueError):
 
 
 class CapacityError(DPSketchError, ValueError):
-    """A requested sketch would exceed the per-object entry budget."""
+    """One projection request (a ``column_block``) would exceed MAX_SKETCH_ENTRIES."""
 
 
 class NumericFailureError(DPSketchError, RuntimeError):

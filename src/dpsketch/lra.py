@@ -16,7 +16,10 @@ the block reconstruction.
 The projection has n lift columns followed by the data columns (d, or n on
 the symmetric path). The state keeps only the data block, which every
 ingested block reads; each lift column is regenerated for its own rows, and
-``finalize`` regenerates the lift block once as a transient.
+``finalize`` applies the lift block to the range basis in one
+``project_blocks`` pass, one tile at a time. The state has no size cap of
+its own: its one generated block, the data block, is a single
+``column_block`` request and is capped there.
 """
 from __future__ import annotations
 
@@ -25,18 +28,21 @@ from typing import Optional
 
 import numpy as np
 
-from . import guard, numerics, sketch
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    ContractViolationError,
-    OnePassViolationError,
-)
+from . import guard, numerics
+from .errors import ConfigurationError, ContractViolationError, OnePassViolationError
 from .sketch import GaussianSketcher
 
 
 @dataclass(frozen=True)
 class LraConfig:
+    """Shape, rank and budget of one low-rank release.
+
+    The seed is the mechanism's secret: the projection is a pure function of
+    it, so anyone who knows it can recompute the release from each candidate
+    input. The curator and its shards, which share one sketcher, hold it;
+    the public never gets it.
+    """
+
     n: int
     d: int
     k: int
@@ -148,17 +154,19 @@ class LraState:
         self._finalized = True
         # y = w * lift_rows + (input) @ data_rows is the sketch of the lifted
         # matrix; the solve removes the lift and recovers the core.
-        omega_t = np.vstack([self.sketcher.column_block(0, cfg.n).T, self.omega_data])
         if cfg.symmetric:
-            y, lift_rows, data_rows = self.y1, omega_t[: cfg.n], omega_t[cfg.n :]
+            y = self.y1
         else:
             # Deterministic identity-block contribution to the bottom sketch
             # enters here; it never depended on the data.
-            y = np.vstack([self.y1, self.y2 + self.w * omega_t[cfg.n :]])
-            lift_rows = data_rows = omega_t
+            y = np.vstack([self.y1, self.y2 + self.w * self.omega_data])
         psi = numerics.orthonormal_range(y)
-        coeff = psi.T @ data_rows
-        lift = coeff if lift_rows is data_rows else psi.T @ lift_rows
+        # psi.T against the lift rows (walked tile by tile) and the data rows.
+        lift = self.sketcher.project_blocks(0, [psi[: cfg.n]])[0].T
+        coeff = psi[-len(self.omega_data) :].T @ self.omega_data
+        if not cfg.symmetric:
+            # Both row blocks of the block matrix carry the one projection.
+            coeff = lift = lift + coeff
         rhs = psi.T @ y - self.w * lift
         # The solve returns the transposed core; symmetrising makes that moot.
         core = numerics.lstsq(coeff.T, rhs.T)
@@ -184,23 +192,19 @@ def new_lra(config: LraConfig) -> LraState:
     # whatever eps, except at k = 1 for delta > 2/27 and at k = 2 for
     # delta > ~0.8686. User overrides can trip this.
     report = guard.check_lift("w", w, guard.sigma_min_psg2(eff, kp), cfg.enforce_guard)
-    # The state keeps only the data block (columns n..m) of the projection.
-    # ``finalize`` stacks the whole kp x m projection once, so a config whose
-    # projection exceeds MAX_SKETCH_ENTRIES is refused here, before any row.
     m = 2 * cfg.n if cfg.symmetric else cfg.n + cfg.d
-    if kp * m > sketch.MAX_SKETCH_ENTRIES:
-        raise CapacityError(
-            f"projection block of {kp}x{m} exceeds the {sketch.MAX_SKETCH_ENTRIES} entry budget"
-        )
     sketcher = GaussianSketcher(cfg.seed, r=kp, m=m)
-    y2 = None if cfg.symmetric else np.zeros((cfg.d, kp))
+    # The state keeps only the data block (columns n..m) of the projection.
+    # It is generated first: a block over the column_block cap is refused
+    # before any sketch is allocated.
+    omega_data = np.ascontiguousarray(sketcher.column_block(cfg.n, m).T)
     return LraState(
         config=cfg,
         w=float(w),
         sketcher=sketcher,
-        omega_data=np.ascontiguousarray(sketcher.column_block(cfg.n, m).T),
+        omega_data=omega_data,
         y1=np.zeros((cfg.n, kp)),
-        y2=y2,
+        y2=None if cfg.symmetric else np.zeros((cfg.d, kp)),
         guard_report=report,
         _ingested=np.zeros(cfg.n, dtype=bool),
     )

@@ -217,6 +217,13 @@ def new_matprod(
     s_override: float | None = None,
     enforce_guard: bool = True,
 ) -> MatProdState:
+    """Build a state for the private product A.T @ B of n x d1 and n x d2 inputs.
+
+    The seed is the mechanism's secret: the projection is a pure function of
+    it, so anyone who knows it can recompute the release from each candidate
+    input. The curator and its shards, which share one sketcher, hold it;
+    the public never gets it.
+    """
     if n < 1 or d1 < 1 or d2 < 1:
         raise ContractViolationError("matrix dimensions must be >= 1")
     r = guard.matmult_sketch_dim(acc)

@@ -141,6 +141,11 @@ def new_regress(
     per column given to ``query_many``) and inflates the per-query failure
     allowance, replacing ln(1/beta) by ln(max_queries/beta) in the sketch
     dimension.
+
+    The seed is the mechanism's secret: the projection is a pure function of
+    it, so anyone who knows it can recompute the release from each candidate
+    input. The curator and its shards, which share one sketcher, hold it;
+    the public never gets it.
     """
     if n < 1 or d < 1:
         raise ContractViolationError("matrix dimensions must be >= 1")

@@ -25,8 +25,8 @@ from .errors import CapacityError, ContractViolationError, NumericFailureError
 
 _U64 = (1 << 64) - 1
 
-# Float64 entry budget (1 GiB) of one requested column range, and of the
-# whole projection that the low-rank mechanism's finalize stacks at once.
+# Float64 entry budget (1 GiB) of one column_block request, the only cap.
+# A tiled pass requests max(TILE_ENTRIES, r) entries at most at a time.
 MAX_SKETCH_ENTRIES = 1 << 27
 
 # Float64 entries per regenerated projection tile (512 KiB). Block ingest,

@@ -557,7 +557,7 @@ class TestCommands:
         out_dir.mkdir()
         rc = cli.main(
             ["lra", "--input", pa, "--rank", "2", "--eps", "1", "--delta", "0.01",
-             "--report", str(out_dir / "out")]
+             "--seed", "0", "--report", str(out_dir / "out")]
         )
         assert rc == 0
         want = [str(out_dir / "out.uhat.dpmt"), str(out_dir / "out.lam.dpmt")]
@@ -652,7 +652,7 @@ class TestCommands:
         write_csv(pb, queries)
         rc = cli.main(
             ["regress", "--input", str(pa), "--input-b", str(pb), "--eps", "1",
-             "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2", "--oracle"]
+             "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2", "--seed", "0", "--oracle"]
         )
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
@@ -763,8 +763,8 @@ class TestReportSchema:
     }
     GUARD_KEYS = {"required_sigma_min", "observed_sigma_min", "passed", "mode"}
     # params holds exactly the options the command parsed, so multiply and
-    # regress reports list no lra option such as rank.
-    RELEASE_PARAMS = {"command", "seed", "report", "input", "fmt", "oracle", "eps", "delta"}
+    # regress reports list no lra option such as rank, less the secret seed.
+    RELEASE_PARAMS = {"command", "report", "input", "fmt", "oracle", "eps", "delta"}
     PARAM_KEYS = {
         "lra": RELEASE_PARAMS | {"rank", "oversample"},
         "multiply": RELEASE_PARAMS | {"input_b", "alpha", "beta"},
@@ -834,3 +834,59 @@ class TestReportSchema:
         assert greport["required_sigma_min"] == required
         assert greport["observed_sigma_min"] == lift
         assert greport["passed"] == (lift >= required)
+
+
+def _values(node):
+    """Every leaf value of a parsed JSON report."""
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _values(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _values(v)
+    else:
+        yield node
+
+
+class TestSecretSeed:
+    """A release's seed fixes its projection, so no release publishes it."""
+
+    def test_seedless_runs_publish_different_factors(self, small_matrices, tmp_path):
+        _, _, pa, _ = small_matrices
+        lams = []
+        for tag in ("one", "two"):
+            rp = tmp_path / f"{tag}.json"
+            assert cli.main(["lra", "--input", pa, "--rank", "2", "--eps", "1",
+                             "--delta", "0.01", "--report", str(rp)]) == 0
+            lam_path = json.loads(rp.read_text())["factor_files"][1]
+            lams.append(Path(lam_path).read_bytes())
+        assert lams[0] != lams[1]
+
+    @pytest.mark.parametrize("command", ["lra", "multiply", "regress"])
+    @pytest.mark.parametrize("seed", [None, 918_273_645])
+    def test_no_report_value_is_the_seed(self, small_matrices, tmp_path, monkeypatch,
+                                         command, seed):
+        # With no --seed, the drawn seed is caught on its way out of secrets.
+        drawn = []
+        randbits = cli.secrets.randbits
+
+        def spy(k):
+            drawn.append(randbits(k))
+            return drawn[-1]
+
+        monkeypatch.setattr(cli.secrets, "randbits", spy)
+        _, _, pa, pb = small_matrices
+        rp = tmp_path / "report.json"
+        args = [command, "--input", pa, "--eps", "1", "--delta", "0.01",
+                "--report", str(rp), "--oracle"]
+        args += ["--rank", "2"] if command == "lra" else [
+            "--input-b", pb, "--alpha", "0.5", "--beta", "0.2"]
+        if seed is not None:
+            args += ["--seed", str(seed)]
+        assert cli.main(args) == 0
+        assert len(drawn) == (1 if seed is None else 0)
+        secret = drawn[0] if seed is None else seed
+        text = rp.read_text()
+        assert "seed" not in json.loads(text)["params"]
+        assert all(v != secret and v != str(secret) for v in _values(json.loads(text)))
+        assert str(secret) not in text

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ class TestConstruction:
         # At n=2000, d=1000, k=50 the projection is 101 x 3000. Setup
         # generates the 101 x 1000 data block once and keeps it; block
         # ingest generates each lift column once, for its own rows; the
-        # solve regenerates the 101 x 2000 lift block once.
+        # solve walks the 101 x 2000 lift block once, tile by tile.
         generated = []
         original = GaussianSketcher.column_block
 
@@ -111,29 +113,43 @@ class TestConstruction:
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("cap_over_size, builds", [(1, True), (0, False)])
     def test_capacity_error(self, monkeypatch, symmetric, cap_over_size, builds):
-        # finalize stacks the whole (k+p) x m projection once, so the config
-        # is refused at construction exactly when that exceeds the cap, and
-        # one that fits ingests and finalizes under it.
+        # The data block is the state's one generated block and a single
+        # column_block request, so the config is refused at construction
+        # exactly when (k+p) x d (or (k+p) x n, symmetric) exceeds the cap.
+        # One that fits ingests and finalizes under it, with the tile no
+        # larger than the cap, as TILE_ENTRIES <= MAX_SKETCH_ENTRIES ships.
         n, d = (24, 24) if symmetric else (24, 16)
         cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=0, symmetric=symmetric)
-        m = 2 * n if symmetric else n + d
-        monkeypatch.setattr(sketch, "MAX_SKETCH_ENTRIES", 7 * m - 1 + cap_over_size)
+        cap = 7 * d - 1 + cap_over_size
+        monkeypatch.setattr(sketch, "MAX_SKETCH_ENTRIES", cap)
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", cap)
         if not builds:
-            with pytest.raises(CapacityError, match=f"7x{m} exceeds"):
+            with pytest.raises(CapacityError, match=f"7x{d} exceeds"):
                 new_lra(cfg)
             return
         a = np.random.default_rng(0).standard_normal((n, d))
         state = new_lra(cfg)
-        state.ingest_rows(0, a)
+        for i0 in range(0, n, 8):
+            state.ingest_rows(i0, a[i0 : i0 + 8])
         assert state.finalize().u_hat.shape[1] == 3
 
     def test_capacity_error_at_the_shipped_cap(self):
-        # The same refusal at the real 2^27 cap, before anything is allocated:
-        # (k+p) * (n+d) = 101 * 1,328,889 is just over it.
+        # The same refusal at the real 2^27 cap, before any sketch is
+        # allocated: (k+p) * d = 101 * 1,328,889 is just over it, and the
+        # sketches would take another 1 GiB or more. The side that fits is
+        # left untested: its data block alone would take 1 GiB.
         cap = sketch.MAX_SKETCH_ENTRIES
         assert 101 * 1_328_888 <= cap < 101 * 1_328_889
-        with pytest.raises(CapacityError):
-            new_lra(LraConfig(n=101, d=1_328_788, k=50, budget=BUDGET, seed=0))
+        for n, symmetric in ((101, False), (1_328_889, True)):
+            cfg = LraConfig(n=n, d=1_328_889, k=50, budget=BUDGET, seed=0, symmetric=symmetric)
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError, match="101x1328889 exceeds"):
+                    new_lra(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_guard_bypass_for_tests(self):
         cfg = LraConfig(
@@ -340,6 +356,41 @@ class TestFinalize:
         assert other.lam.tobytes() == base.lam.tobytes()
         rec, rec_other = reconstruct(base, cfg), reconstruct(other, cfg)
         assert np.linalg.norm(rec_other - rec) <= 1e-12 * np.linalg.norm(rec)
+
+
+class TestTiledFinalize:
+    def test_tile_fits_the_request_cap(self):
+        # finalize walks the lift block in tiles, so this keeps each of its
+        # requests under MAX_SKETCH_ENTRIES whatever n is.
+        assert sketch.TILE_ENTRIES <= sketch.MAX_SKETCH_ENTRIES
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_many_tiles_give_the_one_tile_factor(self, monkeypatch, symmetric):
+        # k+p = 7 and n = 24: a tile of 5 columns walks the lift block in
+        # 5 tiles, the last one ragged, and no request holds more.
+        n, d = 24, 24 if symmetric else 16
+        rng = np.random.default_rng(15)
+        a = 50.0 * rng.standard_normal((n, 3)) @ rng.standard_normal((3, d))
+        a += rng.standard_normal((n, d))
+        if symmetric:
+            a = (a + a.T) / 2.0
+        cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=15, symmetric=symmetric)
+        one_tile = stream_all(new_lra(cfg), a).finalize()
+        state = stream_all(new_lra(cfg), a)
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 5 * 7)
+        requests = []
+        original = GaussianSketcher.column_block
+
+        def spy(self, j0, j1):
+            requests.append(self.r * (j1 - j0))
+            return original(self, j0, j1)
+
+        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        tiled = state.finalize()
+        assert requests == [35, 35, 35, 35, 28]
+        assert np.linalg.norm(tiled.lam - one_tile.lam) <= 1e-12 * np.linalg.norm(one_tile.lam)
+        rec, rec_tiled = reconstruct(one_tile, cfg), reconstruct(tiled, cfg)
+        assert np.linalg.norm(rec_tiled - rec) <= 1e-12 * np.linalg.norm(rec)
 
 
 class TestReconstruct:
