@@ -14,10 +14,11 @@ iterator of row chunks, each about one projection tile in size, feed each
 chunk to the mechanism's block ingest, and never materialize the private
 matrix unless --oracle is given. A CSV chunk is parsed in one call to
 numpy's C reader; a chunk with a fault is read again line by line, so the
-error names its line. ``multiply`` and ``regress`` read their two inputs
-(A and B; the design and its queries) in lockstep, in chunks of the same
-rows, and sketch each pair of chunks in one pass over the projection
-tiles.
+error names its line. One release skeleton, ``_run_release``, probes and
+reads every input. ``multiply`` and ``regress`` take a second input (B;
+the queries) with as many rows as the first; the skeleton reads the two
+together, in chunks of the same rows, and each command sketches a pair of
+chunks in one pass over the projection tiles.
 
 A release's seed is its secret: with no --seed, a release command draws
 64 bits from ``secrets``, and no report carries the seed. ``verify`` keeps
@@ -136,11 +137,6 @@ def matrix_shape(path: str, fmt: str) -> Tuple[int, int]:
     return 1 + sum(1 for _ in lines), first.count(",") + 1
 
 
-def _chunk_rows(cols: int) -> int:
-    # A chunk holds about as many entries as one projection tile.
-    return max(1, sketch.TILE_ENTRIES // max(cols, 1))
-
-
 def iter_matrix_chunks(
     path: str, fmt: str, step: Optional[int] = None
 ) -> Iterator[Tuple[int, np.ndarray]]:
@@ -155,7 +151,7 @@ def iter_matrix_chunks(
     """
     if fmt == "dpbin":
         rows, cols = matrix_shape(path, fmt)
-        step = step or _chunk_rows(cols)
+        step = step or sketch.per_tile(cols)
         with open(path, "rb") as fh:
             fh.seek(_MATRIX_HEADER.size)
             for i0 in range(0, rows, step):
@@ -180,7 +176,7 @@ def iter_matrix_chunks(
         if expected is None:
             # The first line sets the width and the chunk size.
             expected = _parse_csv_line(line, lineno, None).size
-            step = step or _chunk_rows(expected)
+            step = step or sketch.per_tile(expected)
         lines.append(line)
         linenos.append(lineno)
         if len(lines) == step:
@@ -271,51 +267,54 @@ def _base_report(params: dict) -> dict:
 
 
 class _Release(NamedTuple):
-    """What one release command hands to ``_run_release``."""
+    """What one release command hands back to ``_run_release``."""
 
     state: object  # the mechanism state: its space_entries() and guard_report
-    oracle: Callable[[np.ndarray], Tuple[np.ndarray, dict]]  # A -> (lifted A, errors)
+    lifted: Callable[[np.ndarray], np.ndarray]  # A -> the lifted matrix it sketched
+    errors: Callable[..., dict]  # the loaded inputs (A, and B if any) -> errors
     extra: dict = {}  # further report entries
-
-
-def _probe_b(cfg: argparse.Namespace, n: int, what: str) -> int:
-    """Column count of --input-b, whose row count must equal --input's."""
-    nb, cols = matrix_shape(cfg.input_b, cfg.fmt)
-    if n != nb:
-        raise DPSketchError(f"row counts differ: A has {n}, {what} {nb}")
-    return cols
 
 
 def _run_release(cfg: argparse.Namespace, command) -> dict:
     """Shared skeleton of the lra, multiply and regress commands.
 
-    ``command(cfg, n, d)`` builds its mechanism for the n x d --input,
-    streams the inputs through it, answers the query and returns a
-    ``_Release``; the skeleton assembles the report. The seed fixes the
-    projection, and whoever knows it can recompute the release from a
-    candidate input, so the report leaves it out.
+    The skeleton owns the inputs: it probes --input (and --input-b, which
+    must have as many rows) and reads them in chunks (i0, rows[, rows_b])
+    of one tile of the widest input. ``command(cfg, chunks, n, *cols)``
+    builds its mechanism, streams the chunks, answers and returns a
+    ``_Release``; --oracle loads every input whole to score it. The seed
+    fixes the projection, and whoever knows it can recompute the release
+    from a candidate input, so the report leaves it out.
     """
-    n, d = matrix_shape(cfg.input, cfg.fmt)
-    rel = command(cfg, n, d)
+    paths = [cfg.input] + ([cfg.input_b] if "input_b" in cfg else [])
+    rows, cols = zip(*(matrix_shape(path, cfg.fmt) for path in paths))
+    if len(set(rows)) > 1:
+        raise DPSketchError(f"row counts differ: A has {rows[0]}, B has {rows[1]}")
+    step = sketch.per_tile(max(cols))
+    # Each item of the zip holds one (i0, block) per input, all at one i0.
+    streams = zip(*(iter_matrix_chunks(path, cfg.fmt, step) for path in paths))
+    chunks = ((pieces[0][0], *(block for _, block in pieces)) for pieces in streams)
+    rel = command(cfg, chunks, rows[0], *cols)
     report = _base_report({k: v for k, v in vars(cfg).items() if k != "seed"})
     report["space_entries"] = rel.state.space_entries()
     greport, mode = rel.state.guard_report, "structural"
     if cfg.oracle:
-        lifted, report["error_vs_oracle"] = rel.oracle(load_matrix(cfg.input, cfg.fmt))
-        greport = guard.verify_spectral_guard(lifted, greport.required_sigma_min)
+        inputs = [load_matrix(path, cfg.fmt) for path in paths]
+        report["error_vs_oracle"] = rel.errors(*inputs)
+        greport = guard.verify_spectral_guard(rel.lifted(inputs[0]), greport.required_sigma_min)
         mode = "exact"
     report["guard_report"] = dict(greport.to_json_dict(), mode=mode)
     report.update(rel.extra)
     return report
 
 
-def _lra(cfg: argparse.Namespace, n: int, d: int) -> _Release:
+def _lra(cfg: argparse.Namespace, chunks, n: int, d: int) -> _Release:
     lcfg = LraConfig(
         n=n, d=d, k=cfg.rank, p=cfg.oversample,
         budget=guard.PrivacyBudget(cfg.eps, cfg.delta), seed=cfg.seed,
     )
     state = new_lra(lcfg)
-    for i0, block in iter_matrix_chunks(cfg.input, cfg.fmt):
+    for i0, block in chunks:
         state.ingest_rows(i0, block)
     factor = state.finalize()
     extra = {}
@@ -325,52 +324,28 @@ def _lra(cfg: argparse.Namespace, n: int, d: int) -> _Release:
         save_matrix(uhat_path, factor.u_hat)
         save_matrix(lam_path, factor.lam.reshape(1, -1))
         extra["factor_files"] = [uhat_path, lam_path]
-
-    def oracle(a):
-        return np.hstack([state.w * np.eye(n), a]), harness.lra_errors(a, factor, lcfg)
-
-    return _Release(state, oracle, extra)
+    return _Release(state, lambda a: np.hstack([state.w * np.eye(n), a]),
+                    lambda a: harness.lra_errors(a, factor, lcfg), extra)
 
 
-def _lockstep(cfg: argparse.Namespace, cols: int) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """(i0, rows of --input, rows of --input-b): both files read in chunks
-    of the same rows, each about one tile of the wider file's entries."""
-    step = _chunk_rows(cols)
-    chunks = zip(iter_matrix_chunks(cfg.input, cfg.fmt, step),
-                 iter_matrix_chunks(cfg.input_b, cfg.fmt, step))
-    for (i0, block_a), (_, block_b) in chunks:
-        yield i0, block_a, block_b
-
-
-def _multiply(cfg: argparse.Namespace, n: int, d1: int) -> _Release:
-    d2 = _probe_b(cfg, n, "B has")
+def _multiply(cfg: argparse.Namespace, chunks, n: int, d1: int, d2: int) -> _Release:
     budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
     state = new_matprod(n, d1, d2, budget, acc, cfg.seed)
     # Each projection tile is regenerated once for both A and B.
-    for i0, block_a, block_b in _lockstep(cfg, max(d1, d2)):
+    for i0, block_a, block_b in chunks:
         state.ingest_rows(i0, block_a, block_b)
     estimate = state.product_query()
-
-    def oracle(a):
-        b = load_matrix(cfg.input_b, cfg.fmt)
-        return lifted_matrix(a, state.s, state.d), harness.matprod_errors(a, b, estimate, state)
-
-    return _Release(state, oracle)
+    return _Release(state, lambda a: lifted_matrix(a, state.s, state.d),
+                    lambda a, b: harness.matprod_errors(a, b, estimate, state))
 
 
-def _regress(cfg: argparse.Namespace, n: int, d: int) -> _Release:
-    q = _probe_b(cfg, n, "queries have")
+def _regress(cfg: argparse.Namespace, chunks, n: int, d: int, q: int) -> _Release:
     budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
     state = new_regress(n, d, budget, acc, cfg.seed)
     # Each projection tile is regenerated once for both the design and the queries.
-    solutions = state.ingest_and_query(_lockstep(cfg, max(d, q)))
-
-    def oracle(a):
-        queries = load_matrix(cfg.input_b, cfg.fmt)
-        errors = harness.regress_errors(a, queries, solutions, state)
-        return lifted_matrix(a, state.s, state.d), errors
-
-    return _Release(state, oracle)
+    solutions = state.ingest_and_query(chunks)
+    return _Release(state, lambda a: lifted_matrix(a, state.s, state.d),
+                    lambda a, queries: harness.regress_errors(a, queries, solutions, state))
 
 
 _RELEASES = {"lra": _lra, "multiply": _multiply, "regress": _regress}

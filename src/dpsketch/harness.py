@@ -398,7 +398,7 @@ def nonprivate_sanity_check(
         a = (q * decay) @ q.T
         state = new_lra(cfg)
         state.ingest_rows(0, a)
-        psi = numerics.orthonormal_range(state.y1)
+        psi = numerics.orthonormal_range(state.y)
         omega = np.random.default_rng(9_000 + s).standard_normal((n, k + cfg.oversample))
         psi_ref = numerics.orthonormal_range(a @ omega)
         return (

@@ -8,16 +8,17 @@ made directly on the sketched coefficient matrix by numpy's SVD-based
 ``lstsq``, not on its normal system.
 
 Symmetric inputs are handled directly. A general n x d input is embedded
-into the symmetric block matrix [[w I_n, A], [A.T, w I_d]]; both running
-sketches of that block are maintained in the same single pass over A's
-rows, and the published approximation of A is the top-right n x d block of
-the block reconstruction.
+into the symmetric block matrix M = [[w I_n, A], [A.T, w I_d]], and the
+state keeps one sketch y of M, built in the same single pass over A's rows;
+the published approximation of A is the top-right n x d block of the block
+reconstruction.
 
 The projection has n lift columns followed by the data columns (d, or n on
 the symmetric path). The state keeps only the data block, which every
-ingested block reads; each lift column is regenerated for its own rows, and
-``finalize`` applies the lift block to the range basis in one
-``project_blocks`` pass, one tile at a time. The state has no size cap of
+ingested block reads; the bottom block of y starts as w times it, the lift
+of M's w I_d. Each ingested block regenerates its lift columns tile by
+tile, and ``finalize`` applies the lift block to the range basis in one
+``project_blocks`` pass, also tile by tile. The state has no size cap of
 its own: its one generated block, the data block, is a single
 ``column_block`` request and is capped there.
 """
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import guard, numerics
 from .errors import ConfigurationError, ContractViolationError, OnePassViolationError
-from .sketch import GaussianSketcher
+from .sketch import GaussianSketcher, per_tile
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,7 @@ class LraState:
     w: float
     sketcher: GaussianSketcher
     omega_data: np.ndarray
-    y1: np.ndarray
-    y2: Optional[np.ndarray]
+    y: np.ndarray
     guard_report: guard.GuardReport
     _ingested: np.ndarray = field(default=None, repr=False)
     _finalized: bool = False
@@ -115,11 +115,8 @@ class LraState:
         return int(np.count_nonzero(self._ingested))
 
     def space_entries(self) -> int:
-        """Retained float64 entries: the projection's data block plus sketches."""
-        total = self.omega_data.size + self.y1.size
-        if self.y2 is not None:
-            total += self.y2.size
-        return int(total)
+        """Retained float64 entries: the projection's data block and the sketch."""
+        return int(self.omega_data.size + self.y.size)
 
     def ingest_rows(self, i0: int, rows) -> None:
         """Consume rows i0, i0+1, ... of the input, each exactly once.
@@ -140,10 +137,15 @@ class LraState:
         width = cfg.n if cfg.symmetric else cfg.d
         if x.shape[1] != width:
             raise ContractViolationError(f"row length {x.shape[1]}, expected {width}")
-        lift_rows = self.sketcher.column_block(i0, i1).T
-        self.y1[i0:i1, :] = self.w * lift_rows + x @ self.omega_data
-        if not cfg.symmetric:
-            self.y2 += x.T @ lift_rows
+        # One tile of lift columns at a time, each generated for its own rows.
+        step = per_tile(self.sketcher.r)
+        for t0 in range(i0, i1, step):
+            t1 = min(t0 + step, i1)
+            lift_rows = self.sketcher.column_block(t0, t1).T
+            tile_rows = x[t0 - i0 : t1 - i0]
+            self.y[t0:t1] = self.w * lift_rows + tile_rows @ self.omega_data
+            if not cfg.symmetric:
+                self.y[cfg.n :] += tile_rows.T @ lift_rows
         self._ingested[i0:i1] = True
 
     def finalize(self) -> LowRankFactor:
@@ -152,22 +154,16 @@ class LraState:
         if self.rows_seen != cfg.n:
             raise ContractViolationError(f"finalize requires all {cfg.n} rows, saw {self.rows_seen}")
         self._finalized = True
-        # y = w * lift_rows + (input) @ data_rows is the sketch of the lifted
-        # matrix; the solve removes the lift and recovers the core.
-        if cfg.symmetric:
-            y = self.y1
-        else:
-            # Deterministic identity-block contribution to the bottom sketch
-            # enters here; it never depended on the data.
-            y = np.vstack([self.y1, self.y2 + self.w * self.omega_data])
-        psi = numerics.orthonormal_range(y)
+        # y is the sketch of the lifted matrix; the solve removes the lift
+        # and recovers the core. y is only read, so finalize can repeat.
+        psi = numerics.orthonormal_range(self.y)
         # psi.T against the lift rows (walked tile by tile) and the data rows.
         lift = self.sketcher.project_blocks(0, [psi[: cfg.n]])[0].T
         coeff = psi[-len(self.omega_data) :].T @ self.omega_data
         if not cfg.symmetric:
             # Both row blocks of the block matrix carry the one projection.
             coeff = lift = lift + coeff
-        rhs = psi.T @ y - self.w * lift
+        rhs = psi.T @ self.y - self.w * lift
         # The solve returns the transposed core; symmetrising makes that moot.
         core = numerics.lstsq(coeff.T, rhs.T)
         core = (core + core.T) / 2.0
@@ -198,13 +194,18 @@ def new_lra(config: LraConfig) -> LraState:
     # It is generated first: a block over the column_block cap is refused
     # before any sketch is allocated.
     omega_data = np.ascontiguousarray(sketcher.column_block(cfg.n, m).T)
+    # One sketch of the lifted matrix: n top rows, and d bottom rows on the
+    # general path, seeded with their lift w * omega_data, as
+    # LiftedSketch._new seeds its lift.
+    y = np.zeros((cfg.n if cfg.symmetric else m, kp))
+    if not cfg.symmetric:
+        y[cfg.n :] = w * omega_data
     return LraState(
         config=cfg,
         w=float(w),
         sketcher=sketcher,
         omega_data=omega_data,
-        y1=np.zeros((cfg.n, kp)),
-        y2=None if cfg.symmetric else np.zeros((cfg.d, kp)),
+        y=y,
         guard_report=report,
         _ingested=np.zeros(cfg.n, dtype=bool),
     )

@@ -31,13 +31,19 @@ MAX_SKETCH_ENTRIES = 1 << 27
 
 # Float64 entries per regenerated projection tile (512 KiB). Block ingest,
 # block queries and the CLI's chunked readers all walk their ranges in
-# pieces of this size.
+# pieces of this size (see per_tile).
 TILE_ENTRIES = 1 << 16
 
 # Raw words per generation sub-block (64 KiB). A request is filled from
 # one Philox stream in pieces of this size, so Box-Muller's temporaries
 # stay in the L2 cache; any even split gives the same normals.
 _SUB_BLOCK_WORDS = 1 << 13
+
+
+def per_tile(size: int) -> int:
+    """How many items of ``size`` float64 entries (projection columns of r
+    rows, or input rows of that many columns) fit in one tile; at least one."""
+    return max(1, TILE_ENTRIES // max(size, 1))
 
 
 def _philox(seed: int, offset: int) -> np.random.Philox:
@@ -157,9 +163,9 @@ class GaussianSketcher:
         """[omega[:, j0:j0+k] @ x for x in blocks], each x a 2-D block of k rows.
 
         The blocks and the whole range are checked first. Then each tile of
-        as many columns as fit in TILE_ENTRIES (at least one) is generated
-        once and applied to all the blocks, so a pass holds one tile at a
-        time and each result is the same, bit for bit, as a pass of its own.
+        ``per_tile(r)`` columns is generated once and applied to all the
+        blocks, so a pass holds one tile at a time and each result is the
+        same, bit for bit, as a pass of its own.
         """
         if not blocks:
             raise ContractViolationError("no blocks to project")
@@ -172,7 +178,7 @@ class GaussianSketcher:
         j1 = j0 + k
         if not (0 <= j0 <= j1 <= self.m):
             raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {self.m})")
-        width = max(1, TILE_ENTRIES // self.r)
+        width = per_tile(self.r)
         outs = [np.zeros((self.r, x.shape[1])) for x in blocks]
         for t0 in range(j0, j1, width):
             t1 = min(t0 + width, j1)

@@ -373,13 +373,15 @@ class TestChunkedReader:
         assert message in capsys.readouterr().err
         assert ingested == [0]
 
+    @pytest.mark.parametrize("command", ["multiply", "regress"])
     def test_multiply_row_count_mismatch_refused_before_any_row(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, command
     ):
         pa = tmp_path / "a.dpmt"
         cli.save_matrix(str(pa), np.ones((10, 3)))
         pb = self._dpmt(tmp_path, np.ones((9, 3)))
-        rc, ingested = self._multiply(tmp_path, monkeypatch, pa, pb, "dpbin")
+        run = self._multiply if command == "multiply" else self._regress
+        rc, ingested = run(tmp_path, monkeypatch, pa, pb, "dpbin")
         assert rc == 1
         assert "row counts differ: A has 10, B has 9" in capsys.readouterr().err
         assert ingested == []

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from dpsketch.errors import (
     OnePassViolationError,
     SpectralGuardError,
 )
-from dpsketch.lra import LraConfig, LowRankFactor, new_lra, reconstruct
+from dpsketch.lra import LraConfig, LowRankFactor, LraState, new_lra, reconstruct
 from dpsketch.sketch import GaussianSketcher
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
@@ -35,7 +36,7 @@ class TestConstruction:
         assert omega_rows(state, 0, 20).shape == (20, 7)
         assert omega_rows(state, 20, 40).shape == (20, 7)
         assert state.sketcher.m == 40 and state.sketcher.r == 7
-        assert state.y1.shape == (20, 7) and state.y2 is None
+        assert state.y.shape == (20, 7)
 
     def test_nonsymmetric_dimensions(self):
         cfg = LraConfig(n=24, d=16, k=3, p=4, budget=BUDGET, seed=0)
@@ -43,7 +44,23 @@ class TestConstruction:
         assert state.sketcher.m == 40 and state.sketcher.r == 7
         assert omega_rows(state, 0, 24).shape == (24, 7)
         assert omega_rows(state, 24, 40).shape == (16, 7)
-        assert state.y1.shape == (24, 7) and state.y2.shape == (16, 7)
+        assert state.y.shape == (40, 7)
+
+    def test_bottom_block_starts_as_its_lift(self):
+        # The bottom block's lift, w I_d against the data block, never
+        # depends on the data, so it is in y from construction.
+        cfg = LraConfig(n=24, d=16, k=3, p=4, budget=BUDGET, seed=0)
+        state = new_lra(cfg)
+        assert np.array_equal(state.y[24:], state.w * state.omega_data)
+        assert not state.y[:24].any()
+
+    def test_state_fields_are_pinned(self):
+        # One sketch of the lifted matrix: a second sketch field cannot come
+        # back without changing this list.
+        names = [f.name for f in dataclasses.fields(LraState)]
+        assert names == [
+            "config", "w", "sketcher", "omega_data", "y", "guard_report", "_ingested", "_finalized",
+        ]
 
     def test_projection_generated_once(self, monkeypatch):
         # At n=2000, d=1000, k=50 the projection is 101 x 3000. Setup
@@ -163,7 +180,7 @@ class TestIngest:
         cfg = LraConfig(n=12, d=12, k=2, budget=BUDGET, seed=3, symmetric=True)
         state = new_lra(cfg)
         state.ingest_rows(4, np.zeros((1, 12)))
-        np.testing.assert_allclose(state.y1[4, :], state.w * omega_rows(state, 4, 5)[0], rtol=1e-15)
+        np.testing.assert_allclose(state.y[4, :], state.w * omega_rows(state, 4, 5)[0], rtol=1e-15)
 
     def test_streaming_matches_batch_symmetric(self):
         rng = np.random.default_rng(4)
@@ -172,7 +189,7 @@ class TestIngest:
         cfg = LraConfig(n=15, d=15, k=2, budget=BUDGET, seed=4, symmetric=True)
         state = stream_all(new_lra(cfg), a)
         batch = state.w * omega_rows(state, 0, 15) + a @ omega_rows(state, 15, 30)
-        assert np.linalg.norm(state.y1 - batch) <= 1e-9 * np.linalg.norm(batch)
+        assert np.linalg.norm(state.y - batch) <= 1e-9 * np.linalg.norm(batch)
 
     def test_streaming_matches_batch_nonsymmetric(self):
         rng = np.random.default_rng(5)
@@ -182,9 +199,8 @@ class TestIngest:
         omega1, omega2 = omega_rows(state, 0, 18), omega_rows(state, 18, 30)
         y1 = state.w * omega1 + a @ omega2
         y2 = a.T @ omega1 + state.w * omega2
-        assert np.linalg.norm(state.y1 - y1) <= 1e-9 * np.linalg.norm(y1)
-        final_y2 = state.y2 + state.w * omega2
-        assert np.linalg.norm(final_y2 - y2) <= 1e-9 * np.linalg.norm(y2)
+        assert np.linalg.norm(state.y[:18] - y1) <= 1e-9 * np.linalg.norm(y1)
+        assert np.linalg.norm(state.y[18:] - y2) <= 1e-9 * np.linalg.norm(y2)
 
     def test_duplicate_row_rejected(self):
         cfg = LraConfig(n=10, d=10, k=2, budget=BUDGET, seed=0, symmetric=True)
@@ -223,9 +239,7 @@ class TestBlockIngest:
         for i0, i1 in ((5, 12), (0, 5), (12, 13), (13, 17)):
             blocked.ingest_rows(i0, a[i0:i1])
         assert blocked.rows_seen == n and bool(blocked._ingested.all())
-        for got, want in ((blocked.y1, by_row.y1), (blocked.y2, by_row.y2)):
-            if want is not None:
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(blocked.y - by_row.y) <= 1e-12 * np.linalg.norm(by_row.y)
         f_row, f_block = by_row.finalize(), blocked.finalize()
         want = reconstruct(f_row, cfg)
         got = reconstruct(f_block, cfg)
@@ -235,14 +249,39 @@ class TestBlockIngest:
         cfg = LraConfig(n=10, d=10, k=2, budget=BUDGET, seed=0, symmetric=True)
         state = new_lra(cfg)
         state.ingest_rows(4, np.ones((2, 10)))
-        y1 = state.y1.copy()
+        y = state.y.copy()
         for i0, k in ((0, 5), (5, 3), (4, 2), (3, 7)):
             with pytest.raises(OnePassViolationError):
                 state.ingest_rows(i0, np.ones((k, 10)))
         with pytest.raises(OnePassViolationError):
             state.ingest_rows(5, np.ones((1, 10)))
-        assert np.array_equal(state.y1, y1) and state.rows_seen == 2
+        assert np.array_equal(state.y, y) and state.rows_seen == 2
         assert state._ingested.tolist() == [False] * 4 + [True] * 2 + [False] * 4
+
+    def test_block_longer_than_a_tile_ingests_tile_by_tile(self, monkeypatch):
+        # Under a cap of 7 x 16 entries a tile holds 16 lift columns, so a
+        # 24-row block walks its lift columns in two requests, where one
+        # request for all 24 would exceed the cap.
+        n, d = 24, 16
+        a = np.random.default_rng(16).standard_normal((n, d))
+        cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=16)
+        monkeypatch.setattr(sketch, "MAX_SKETCH_ENTRIES", 7 * 16)
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 7 * 16)
+        by_eight = new_lra(cfg)
+        for i0 in range(0, n, 8):
+            by_eight.ingest_rows(i0, a[i0 : i0 + 8])
+        whole = new_lra(cfg)
+        requests = []
+        original = GaussianSketcher.column_block
+
+        def spy(self, j0, j1):
+            requests.append(self.r * (j1 - j0))
+            return original(self, j0, j1)
+
+        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        whole.ingest_rows(0, a)
+        assert requests == [7 * 16, 7 * 8]
+        assert np.linalg.norm(whole.y - by_eight.y) <= 1e-12 * np.linalg.norm(by_eight.y)
 
     def test_range_and_width_checks(self):
         cfg = LraConfig(n=10, d=6, k=2, budget=BUDGET, seed=0)
@@ -332,6 +371,19 @@ class TestFinalize:
         factor = stream_all(new_lra(cfg), a).finalize()
         gram = factor.u_hat.T @ factor.u_hat
         assert np.linalg.norm(gram - np.eye(factor.u_hat.shape[1])) <= 1e-9
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_finalize_twice_gives_the_same_factor(self, symmetric):
+        # finalize only reads y, so a second call solves the same system.
+        n, d = 20, 20 if symmetric else 14
+        a = np.random.default_rng(17).standard_normal((n, d))
+        cfg = LraConfig(n=n, d=d, k=3, budget=BUDGET, seed=17, symmetric=symmetric)
+        state = stream_all(new_lra(cfg), a)
+        y = state.y.copy()
+        first, second = state.finalize(), state.finalize()
+        assert first.u_hat.tobytes() == second.u_hat.tobytes()
+        assert first.lam.tobytes() == second.lam.tobytes()
+        assert np.array_equal(state.y, y)
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_release_independent_of_basis_signs(self, symmetric, monkeypatch):
@@ -440,7 +492,7 @@ class TestSpaceAccounting:
         cfg = LraConfig(n=25, d=25 if symmetric else 15, k=3, p=5, budget=BUDGET, seed=0,
                         symmetric=symmetric)
         state = new_lra(cfg)
-        held = [state.omega_data, state.y1] + ([] if symmetric else [state.y2])
+        held = [state.omega_data, state.y]
         assert state.space_entries() == sum(x.size for x in held)
         assert state.omega_data.shape == (cfg.d, 8)
         want = omega_rows(state, cfg.n, cfg.n + cfg.d)
