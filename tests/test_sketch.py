@@ -545,6 +545,21 @@ def _reference_box_muller(words, out=None, u1_offset=1.0):
     return out
 
 
+def _unscattered_box_muller(words, out=None):
+    # The ordered kernel without its scatter: each normal is computed as
+    # the kernel computes it, but written in the angle-bucket order of its
+    # pair rather than to the pair's own slots.
+    if out is None:
+        out = np.empty(words.size)
+    bits = (words >> np.uint64(11)).view(np.int64)
+    order = np.argsort((bits[1::2] >> 45).astype(np.uint8), kind="stable")
+    radius = np.sqrt(-2.0 * np.log((bits[0::2][order] + 1.0) * 2.0**-53))
+    angle = bits[1::2][order] * (2.0 * np.pi * 2.0**-53)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out
+
+
 # 0, 2**64 - 1, the top 53 bits all ones (u1 = 1: a zero normal), words
 # below 2**11 (angle 0) and a word just above them.
 _EDGE_WORDS = [0, (1 << 64) - 1, ((1 << 53) - 1) << 11, 1, (1 << 11) - 1, 1 << 11]
@@ -570,6 +585,62 @@ class TestBoxMullerKernel:
         out = np.full(words.size + 2, np.nan)
         sketch._box_muller(words.copy(), out=out[1:-1])
         assert np.array_equal(out[1:-1], want) and np.isnan(out[[0, -1]]).all()
+
+    @staticmethod
+    def _bucket_edge_words():
+        # The kernel orders pairs by the top 8 bits of their shifted angle
+        # word. Angle words on both sides of every bucket edge: the first of
+        # bucket k, (k << 45) << 11, and the last of the bucket below it,
+        # ((k << 45) - 1) << 11 (of bucket 255 for k = 0), shuffled so that
+        # the kernel must reorder them; the radius words come from a stream.
+        edges = [w for k in range(256) for w in ((k << 45) << 11, ((k << 45) - 1) << 11)]
+        angles = np.array([w & ((1 << 64) - 1) for w in edges], dtype=np.uint64)
+        words = sketch._raw_words(6, 0, 2 * angles.size)
+        words[1::2] = np.random.default_rng(6).permutation(angles)
+        return words
+
+    @staticmethod
+    def _one_bucket_words():
+        # A whole sub-block whose angle words all share the top 8 bits 77:
+        # every key ties, and the stable order keeps the pairs in place.
+        words = sketch._raw_words(7, 0, sketch._SUB_BLOCK_WORDS)
+        words[1::2] = (words[1::2] >> np.uint64(8)) | np.uint64(77 << 56)
+        return words
+
+    @pytest.mark.parametrize("source", ["bucket-edges", "one-bucket", "two-words"])
+    def test_ordered_kernel_is_bit_identical(self, source):
+        words = {
+            "bucket-edges": self._bucket_edge_words,
+            "one-bucket": self._one_bucket_words,
+            "two-words": lambda: sketch._raw_words(8, 0, 2),
+        }[source]()
+        assert np.array_equal(sketch._box_muller(words.copy()), _reference_box_muller(words))
+
+    @pytest.mark.parametrize("count", [6656, 20640, 65016, 67260])
+    def test_normals_match_the_reference_over_ragged_sub_blocks(self, count):
+        # One request shorter than a sub-block, and the regress lift request
+        # and the regress and multiply tiles of the benchmark workloads,
+        # which span several sub-blocks and end in a ragged one.
+        got = sketch._normals(9, 4096, count)
+        assert np.array_equal(got, _reference_box_muller(sketch._raw_words(9, 4096, count)))
+
+    def test_unscattered_order_fails(self, monkeypatch):
+        # Negative control: the right normals in the wrong slots. The pin
+        # tells it apart, and the known answers refuse it at construction.
+        words = self._stream_words()
+        want = _reference_box_muller(words)
+        got = _unscattered_box_muller(words.copy())
+        assert np.array_equal(np.sort(got), np.sort(want))
+        assert not np.array_equal(got, want)
+        monkeypatch.setattr(sketch, "_box_muller", _unscattered_box_muller)
+        sketch._self_test.cache_clear()
+        try:
+            with pytest.raises(NumericFailureError, match="known-answer"):
+                GaussianSketcher(0, 4, 8)
+        finally:
+            monkeypatch.undo()
+            sketch._self_test.cache_clear()
+        GaussianSketcher(0, 4, 8)
 
     def test_edge_words_give_their_limits(self):
         got = sketch._box_muller(self._edge_pairs()).reshape(len(_EDGE_WORDS), len(_EDGE_WORDS), 2)
