@@ -14,7 +14,8 @@ class ParameterDomainError(DPSketchError, ValueError):
 
 
 class CapacityError(DPSketchError, ValueError):
-    """One projection request (a ``column_block``) would exceed MAX_SKETCH_ENTRIES."""
+    """One projection request (a ``column_block`` or a tile of a tiled
+    pass) would exceed MAX_SKETCH_ENTRIES."""
 
 
 class NumericFailureError(DPSketchError, RuntimeError):

@@ -16,11 +16,13 @@ reconstruction.
 The projection has n lift columns followed by the data columns (d, or n on
 the symmetric path). The state keeps only the data block, which every
 ingested block reads; the bottom block of y starts as w times it, the lift
-of M's w I_d. Each ingested block regenerates its lift columns tile by
-tile, and ``finalize`` applies the lift block to the range basis in one
-``project_blocks`` pass, also tile by tile. The state has no size cap of
-its own: its one generated block, the data block, is a single
-``column_block`` request and is capped there.
+of M's w I_d. Each ingested block regenerates its lift columns in one
+walk of tiles, and ``finalize`` applies the lift block to the range basis
+in one ``project_blocks`` pass, also one walk. A walk continues one
+Philox stream from tile to tile and refills one buffer, so either holds a
+transient of one tile. The state has no size cap of its own: its one
+generated block, the data block, is a single ``column_block`` request
+and is capped there, as each tile of a walk is.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import guard, numerics
 from .errors import ConfigurationError, ContractViolationError, OnePassViolationError
-from .sketch import GaussianSketcher, per_tile
+from .sketch import GaussianSketcher, _tiles
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,8 @@ class LraState:
         if x.shape[1] != width:
             raise ContractViolationError(f"row length {x.shape[1]}, expected {width}")
         # One tile of lift columns at a time, each generated for its own rows.
-        step = per_tile(self.sketcher.r)
-        for t0 in range(i0, i1, step):
-            t1 = min(t0 + step, i1)
-            lift_rows = self.sketcher.column_block(t0, t1).T
+        for t0, t1, tile in _tiles(self.sketcher, i0, i1):
+            lift_rows = tile.T
             tile_rows = x[t0 - i0 : t1 - i0]
             self.y[t0:t1] = self.w * lift_rows + tile_rows @ self.omega_data
             if not cfg.symmetric:

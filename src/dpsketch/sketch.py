@@ -4,15 +4,18 @@ The projection matrix is a pure function of (seed, r, m): raw 64-bit words
 come from a Philox counter stream and are mapped through Box-Muller, column
 by column. Any column range can therefore be regenerated bit-exactly
 without storing the whole matrix: no sketcher keeps any of it.
-``column_block``, the one generator, fills a request from one Philox
-stream in sub-blocks of 8,192 words, each mapped straight into its slice
-of the output, and returns a view of those normals; ``project_blocks``
-walks a range in tiles of such requests. Box-Muller evaluates a
-sub-block's pairs in the order of their angles' top bits, which keeps
-libm's branches predictable, and writes each normal to its own slot: the
-order changes no bit. The normals are bit-exact under any split of a
-range into requests, tiles or sub-blocks; products with them (sketches
-and releases) are bit-reproducible only under the same BLAS build and
+Normals are generated from one Philox stream in sub-blocks of 8,192
+words, each mapped straight into its slice of the output, and a block of
+columns is a view of those normals. ``column_block`` fills one request
+into a fresh array. A tiled pass (``project_blocks``, LRA ingest) walks
+its range with ``_tiles``: one stream, continued from tile to tile, and
+one buffer of one tile, refilled for each, so a pass holds a transient of
+one tile whatever its length. Box-Muller evaluates a sub-block's pairs in
+the order of their angles' top bits, which keeps libm's branches
+predictable, and writes each normal to its own slot: the order changes
+no bit. The normals are bit-exact under any split of a range into
+requests, tiles or sub-blocks; products with them (sketches and
+releases) are bit-reproducible only under the same BLAS build and
 thread count. A sketch Omega @ X is a plain r x c array, so turnstile
 updates and shards of a stream add entrywise. The multiply/regression
 mechanisms retain their sketches only, and the low-rank mechanism keeps
@@ -21,6 +24,7 @@ its sketches plus the data block of its projection.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -28,13 +32,15 @@ from .errors import CapacityError, ContractViolationError, NumericFailureError
 
 _U64 = (1 << 64) - 1
 
-# Float64 entry budget (1 GiB) of one column_block request, the only cap.
-# A tiled pass requests max(TILE_ENTRIES, r) entries at most at a time.
+# Float64 entry budget (1 GiB) of one column_block request or one tile of
+# a walk, the only cap. A walk's one buffer holds max(TILE_ENTRIES, r)
+# entries at most (r only when one column exceeds the tile).
 MAX_SKETCH_ENTRIES = 1 << 27
 
 # Float64 entries per regenerated projection tile (512 KiB). Block ingest,
 # block queries and the CLI's chunked readers all walk their ranges in
-# pieces of this size (see per_tile).
+# pieces of this size (see per_tile); a walk generates every tile into one
+# buffer of this size, so a pass holds one tile at a time.
 TILE_ENTRIES = 1 << 16
 
 # Raw words per generation sub-block (64 KiB). A request is filled from
@@ -102,15 +108,57 @@ def _box_muller(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _normals(seed: int, offset: int, count: int) -> np.ndarray:
-    # Normals of words [offset, offset + count) of the seed's stream: one
-    # Philox stream, continued sub-block by sub-block into one output.
-    bg = _philox(seed, offset)
-    out = np.empty(count)
-    for s0 in range(0, count, _SUB_BLOCK_WORDS):
-        s1 = min(s0 + _SUB_BLOCK_WORDS, count)
+def _fill(bg: np.random.Philox, out: np.ndarray) -> np.ndarray:
+    # The next out.size words of the stream bg, mapped into out sub-block by
+    # sub-block; the stream is left where the words end, so the next fill
+    # continues it.
+    for s0 in range(0, out.size, _SUB_BLOCK_WORDS):
+        s1 = min(s0 + _SUB_BLOCK_WORDS, out.size)
         _box_muller(bg.random_raw(s1 - s0), out=out[s0:s1])
     return out
+
+
+def _normals(seed: int, offset: int, count: int) -> np.ndarray:
+    # Normals of words [offset, offset + count) of the seed's stream.
+    return _fill(_philox(seed, offset), np.empty(count))
+
+
+def _tile(
+    sk: GaussianSketcher, bg: np.random.Philox, j0: int, j1: int, buf: np.ndarray
+) -> np.ndarray:
+    # Columns [j0, j1) of sk's projection, from the stream bg standing at
+    # column j0, generated into the front of buf. Returns their r x (j1-j0)
+    # view: column after column as Philox wrote them, padding dropped.
+    words = _fill(bg, buf[: (j1 - j0) * sk._wpc])
+    return words.reshape(j1 - j0, sk._wpc)[:, : sk.r].T
+
+
+def _check_capacity(r: int, cols: int) -> None:
+    if r * cols > MAX_SKETCH_ENTRIES:
+        raise CapacityError(
+            f"projection block of {r}x{cols} exceeds the {MAX_SKETCH_ENTRIES} entry budget"
+        )
+
+
+def _tiles(sk: GaussianSketcher, j0: int, j1: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (t0, t1, tile) over columns [j0, j1) of sk's projection, in
+    tiles of ``per_tile(r)`` columns.
+
+    One Philox stream is opened for the walk and continued from tile to
+    tile, and every tile is generated into one buffer owned by the walk:
+    a tile is valid only until the next one is yielded. A tile over the
+    cap (one column, when r alone exceeds it) is refused before anything
+    is generated.
+    """
+    width = min(per_tile(sk.r), j1 - j0)
+    if width <= 0:
+        return
+    _check_capacity(sk.r, width)
+    bg = _philox(sk.seed, j0 * sk._wpc)
+    buf = np.empty(width * sk._wpc)
+    for t0 in range(j0, j1, width):
+        t1 = min(t0 + width, j1)
+        yield t0, t1, _tile(sk, bg, t0, t1, buf)
 
 
 @functools.cache
@@ -136,13 +184,14 @@ class GaussianSketcher:
 
     Columns are regenerated from the seed on demand and nothing is retained
     beyond the identity tuple; construction generates nothing.
-    ``MAX_SKETCH_ENTRIES`` caps each ``column_block`` request. The Philox +
-    Box-Muller mapping is verified against known answers once per process,
-    by the first construction.
+    ``MAX_SKETCH_ENTRIES`` caps each ``column_block`` request and each tile
+    of a ``project_blocks`` pass. The Philox + Box-Muller mapping is
+    verified against known answers once per process, by the first
+    construction.
     """
 
     # Never stored; kept only for perfbench/spans.py, which reads it after
-    # every traced column_block, the one generator, to count its normals.
+    # every traced column_block call to count its normals.
     store_omega = False
 
     def __init__(self, seed: int, r: int, m: int):
@@ -164,21 +213,18 @@ class GaussianSketcher:
         and BLAS takes it as a transposed operand without a copy."""
         if not (0 <= j0 <= j1 <= self.m):
             raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {self.m})")
-        if self.r * (j1 - j0) > MAX_SKETCH_ENTRIES:
-            raise CapacityError(
-                f"projection block of {self.r}x{j1 - j0} exceeds the "
-                f"{MAX_SKETCH_ENTRIES} entry budget"
-            )
-        normals = _normals(self.seed, j0 * self._wpc, (j1 - j0) * self._wpc)
-        return normals.reshape(j1 - j0, self._wpc)[:, : self.r].T
+        _check_capacity(self.r, j1 - j0)
+        bg = _philox(self.seed, j0 * self._wpc)
+        return _tile(self, bg, j0, j1, np.empty((j1 - j0) * self._wpc))
 
     def project_blocks(self, j0: int, blocks) -> list[np.ndarray]:
         """[omega[:, j0:j0+k] @ x for x in blocks], each x a 2-D block of k rows.
 
-        The blocks and the whole range are checked first. Then each tile of
-        ``per_tile(r)`` columns is generated once and applied to all the
-        blocks, so a pass holds one tile at a time and each result is the
-        same, bit for bit, as a pass of its own.
+        The blocks and the whole range are checked first. Then one walk
+        generates each tile of ``per_tile(r)`` columns once, into its one
+        buffer, and applies it to all the blocks, so a pass holds one tile
+        at a time and each result is the same, bit for bit, as a pass of
+        its own.
         """
         if not blocks:
             raise ContractViolationError("no blocks to project")
@@ -191,11 +237,8 @@ class GaussianSketcher:
         j1 = j0 + k
         if not (0 <= j0 <= j1 <= self.m):
             raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {self.m})")
-        width = per_tile(self.r)
         outs = [np.zeros((self.r, x.shape[1])) for x in blocks]
-        for t0 in range(j0, j1, width):
-            t1 = min(t0 + width, j1)
-            tile = self.column_block(t0, t1)
+        for t0, t1, tile in _tiles(self, j0, j1):
             for out, x in zip(outs, blocks):
                 out += tile @ x[t0 - j0 : t1 - j0]
         return outs

@@ -600,13 +600,13 @@ class TestCommands:
         cli.save_matrix(str(pa), rng.standard_normal((n, d1)))
         cli.save_matrix(str(pb), rng.standard_normal((n, d2)))
         normals = []
-        original = sketch.GaussianSketcher.column_block
+        original = sketch._tile
 
-        def spy(self, j0, j1):
-            normals.append(self.r * (j1 - j0))
-            return original(self, j0, j1)
+        def spy(sk, bg, j0, j1, buf):
+            normals.append(sk.r * (j1 - j0))
+            return original(sk, bg, j0, j1, buf)
 
-        monkeypatch.setattr(sketch.GaussianSketcher, "column_block", spy)
+        monkeypatch.setattr(sketch, "_tile", spy)
         rc = cli.main(
             ["multiply", "--input", str(pa), "--input-b", str(pb), "--format", "dpbin",
              "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",
@@ -629,13 +629,13 @@ class TestCommands:
         cli.save_matrix(str(pa), rng.standard_normal((n, d)))
         cli.save_matrix(str(pb), rng.standard_normal((n, q)))
         normals = []
-        original = sketch.GaussianSketcher.column_block
+        original = sketch._tile
 
-        def spy(self, j0, j1):
-            normals.append(self.r * (j1 - j0))
-            return original(self, j0, j1)
+        def spy(sk, bg, j0, j1, buf):
+            normals.append(sk.r * (j1 - j0))
+            return original(sk, bg, j0, j1, buf)
 
-        monkeypatch.setattr(sketch.GaussianSketcher, "column_block", spy)
+        monkeypatch.setattr(sketch, "_tile", spy)
         rc = cli.main(
             ["regress", "--input", str(pa), "--input-b", str(pb), "--format", "dpbin",
              "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",

@@ -13,7 +13,6 @@ from dpsketch.errors import (
     SpectralGuardError,
 )
 from dpsketch.lra import LraConfig, LowRankFactor, LraState, new_lra, reconstruct
-from dpsketch.sketch import GaussianSketcher
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
 
@@ -68,13 +67,13 @@ class TestConstruction:
         # ingest generates each lift column once, for its own rows; the
         # solve walks the 101 x 2000 lift block once, tile by tile.
         generated = []
-        original = GaussianSketcher.column_block
+        original = sketch._tile
 
-        def spy(self, j0, j1):
-            generated.append(self.r * (j1 - j0))
-            return original(self, j0, j1)
+        def spy(sk, bg, j0, j1, buf):
+            generated.append(sk.r * (j1 - j0))
+            return original(sk, bg, j0, j1, buf)
 
-        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        monkeypatch.setattr(sketch, "_tile", spy)
         state = new_lra(LraConfig(n=2000, d=1000, k=50, budget=BUDGET, seed=0))
         assert sum(generated) == 101_000
         assert state.space_entries() == 404_000
@@ -258,6 +257,19 @@ class TestBlockIngest:
         assert np.array_equal(state.y, y) and state.rows_seen == 2
         assert state._ingested.tolist() == [False] * 4 + [True] * 2 + [False] * 4
 
+    def test_ingest_refuses_a_lift_column_over_the_cap(self, monkeypatch):
+        # The ingest walk carries the cap of one column_block request: with
+        # the cap and the tile under r = k + p = 7, one lift column is over
+        # it, and the block is refused before any state changes.
+        cfg = LraConfig(n=12, d=8, k=3, p=4, budget=BUDGET, seed=0)
+        state = new_lra(cfg)
+        y = state.y.copy()
+        monkeypatch.setattr(sketch, "MAX_SKETCH_ENTRIES", 6)
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 6)
+        with pytest.raises(CapacityError, match="7x1 exceeds"):
+            state.ingest_rows(0, np.ones((4, 8)))
+        assert state.rows_seen == 0 and np.array_equal(state.y, y)
+
     def test_block_longer_than_a_tile_ingests_tile_by_tile(self, monkeypatch):
         # Under a cap of 7 x 16 entries a tile holds 16 lift columns, so a
         # 24-row block walks its lift columns in two requests, where one
@@ -272,13 +284,13 @@ class TestBlockIngest:
             by_eight.ingest_rows(i0, a[i0 : i0 + 8])
         whole = new_lra(cfg)
         requests = []
-        original = GaussianSketcher.column_block
+        original = sketch._tile
 
-        def spy(self, j0, j1):
-            requests.append(self.r * (j1 - j0))
-            return original(self, j0, j1)
+        def spy(sk, bg, j0, j1, buf):
+            requests.append(sk.r * (j1 - j0))
+            return original(sk, bg, j0, j1, buf)
 
-        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        monkeypatch.setattr(sketch, "_tile", spy)
         whole.ingest_rows(0, a)
         assert requests == [7 * 16, 7 * 8]
         assert np.linalg.norm(whole.y - by_eight.y) <= 1e-12 * np.linalg.norm(by_eight.y)
@@ -431,13 +443,13 @@ class TestTiledFinalize:
         state = stream_all(new_lra(cfg), a)
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 5 * 7)
         requests = []
-        original = GaussianSketcher.column_block
+        original = sketch._tile
 
-        def spy(self, j0, j1):
-            requests.append(self.r * (j1 - j0))
-            return original(self, j0, j1)
+        def spy(sk, bg, j0, j1, buf):
+            requests.append(sk.r * (j1 - j0))
+            return original(sk, bg, j0, j1, buf)
 
-        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        monkeypatch.setattr(sketch, "_tile", spy)
         tiled = state.finalize()
         assert requests == [35, 35, 35, 35, 28]
         assert np.linalg.norm(tiled.lam - one_tile.lam) <= 1e-12 * np.linalg.norm(one_tile.lam)

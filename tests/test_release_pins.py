@@ -16,11 +16,10 @@ import json
 import numpy as np
 import pytest
 
-from dpsketch import cli, guard
+from dpsketch import cli, guard, sketch
 from dpsketch.lra import LowRankFactor, LraConfig, new_lra, reconstruct
 from dpsketch.matprod import new_matprod
 from dpsketch.regress import new_regress
-from dpsketch.sketch import GaussianSketcher
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
 ACC = guard.AccuracySpec(0.5, 0.2)
@@ -95,13 +94,13 @@ RELEASES = {
 def _release(monkeypatch, name):
     """Run one release; returns its outputs plus guard report, space and normals."""
     generated = []
-    original = GaussianSketcher.column_block
+    original = sketch._tile
 
-    def spy(self, j0, j1):
-        generated.append(self.r * (j1 - j0))
-        return original(self, j0, j1)
+    def spy(sk, bg, j0, j1, buf):
+        generated.append(sk.r * (j1 - j0))
+        return original(sk, bg, j0, j1, buf)
 
-    monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+    monkeypatch.setattr(sketch, "_tile", spy)
     state, out = RELEASES[name]()
     monkeypatch.undo()
     out["guard_report"] = state.guard_report.to_json_dict()

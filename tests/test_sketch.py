@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,17 +15,18 @@ ACC = guard.AccuracySpec(0.5, 0.2)
 
 
 def _tile_spy(monkeypatch, keep=True):
-    """Record (j0, j1, block) of every column_block call from here on; the
-    block is None when ``keep`` is false."""
+    """Record (j0, j1, block) of every generated tile from here on; the
+    block is a copy, since a walk reuses its buffer, or None when ``keep``
+    is false."""
     tiles = []
-    original = GaussianSketcher.column_block
+    original = sketch._tile
 
-    def spy(self, j0, j1):
-        block = original(self, j0, j1)
-        tiles.append((j0, j1, block if keep else None))
+    def spy(sk, bg, j0, j1, buf):
+        block = original(sk, bg, j0, j1, buf)
+        tiles.append((j0, j1, block.copy() if keep else None))
         return block
 
-    monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+    monkeypatch.setattr(sketch, "_tile", spy)
     return tiles
 
 
@@ -53,16 +55,16 @@ class TestSketcherConstruction:
         # by one project_blocks pass; each tile is summed as it is made.
         sk = GaussianSketcher(0, r, m)
         total = total_sq = 0.0
-        original = GaussianSketcher.column_block
+        original = sketch._tile
 
-        def summing(self, j0, j1):
+        def summing(sk, bg, j0, j1, buf):
             nonlocal total, total_sq
-            tile = original(self, j0, j1)
+            tile = original(sk, bg, j0, j1, buf)
             total += float(tile.sum())
             total_sq += float(np.square(tile).sum())
             return tile
 
-        monkeypatch.setattr(GaussianSketcher, "column_block", summing)
+        monkeypatch.setattr(sketch, "_tile", summing)
         sk.project_blocks(0, [np.zeros((m, 1))])
         n = r * m
         mean = total / n
@@ -265,7 +267,8 @@ class TestMerge:
 
 
 class TestTiles:
-    """project_blocks walks its range in tiles, one column_block call each."""
+    """project_blocks walks its range in tiles: one Philox stream and one
+    tile buffer per pass."""
 
     def test_default_tile_budget(self, monkeypatch):
         assert sketch.TILE_ENTRIES == 65536
@@ -331,37 +334,42 @@ class TestTiles:
         assert not block.flags.owndata and block.shape == (r, 6)
         assert np.array_equal(block, sk.omega[:, 3:9])
 
-    def test_tiles_come_from_column_block(self, monkeypatch):
-        # Every tile is one positional column_block(j0, j1) call.
-        calls = []
-        original = GaussianSketcher.column_block
+    def test_tiles_come_from_one_walk(self, monkeypatch):
+        # A pass is one _tiles walk, and the walk's tiles are its columns in
+        # per_tile(r) steps, each equal to column_block over its range.
+        walks, tiles = [], []
+        original = sketch._tiles
 
-        def spy(self, *args, **kwargs):
-            calls.append((args, kwargs))
-            return original(self, *args, **kwargs)
+        def spy(sk, j0, j1):
+            walks.append((j0, j1))
+            for t0, t1, tile in original(sk, j0, j1):
+                assert np.array_equal(tile, sk.column_block(t0, t1))
+                tiles.append((t0, t1))
+                yield t0, t1, tile
 
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 8)
         sk = GaussianSketcher(2, 4, 10)
-        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        monkeypatch.setattr(sketch, "_tiles", spy)
         sk.project_blocks(1, [np.ones((7, 2))])
-        assert calls == [((1, 3), {}), ((3, 5), {}), ((5, 7), {}), ((7, 8), {})]
+        assert walks == [(1, 8)]
+        assert tiles == [(1, 3), (3, 5), (5, 7), (7, 8)]
 
     def test_project_blocks_share_each_tile(self, monkeypatch):
         # Several blocks over the same columns cost one pass over the tiles,
         # and each result is its own one-block pass bit for bit.
         calls = []
-        original = GaussianSketcher.column_block
+        original = sketch._tile
 
-        def spy(self, j0, j1):
+        def spy(sk, bg, j0, j1, buf):
             calls.append((j0, j1))
-            return original(self, j0, j1)
+            return original(sk, bg, j0, j1, buf)
 
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 8)
         sk = GaussianSketcher(2, 4, 10)
         rng = np.random.default_rng(2)
         blocks = [rng.standard_normal((7, 2)), rng.standard_normal((7, 3))]
         want = [sk.project_blocks(1, [x])[0] for x in blocks]
-        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        monkeypatch.setattr(sketch, "_tile", spy)
         got = sk.project_blocks(1, blocks)
         assert calls == [(1, 3), (3, 5), (5, 7), (7, 8)]
         for g, w in zip(got, want):
@@ -375,7 +383,7 @@ class TestTiles:
 
     def test_construction_generates_only_a_stored_projection(self, monkeypatch):
         # No sketcher stores its projection, so construction requests and
-        # generates no column: column_block is the one generator.
+        # generates no column: every tile is generated on request.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         tiles = _tile_spy(monkeypatch)
         GaussianSketcher(9, 5, 23)
@@ -397,19 +405,135 @@ class TestTiles:
         om = GaussianSketcher(8, 4, 30).omega
         sk = GaussianSketcher(8, 4, 30)
         sizes = []
-        original = GaussianSketcher.column_block
+        original = sketch._tile
 
-        def spy(self, j0, j1):
-            sizes.append(self.r * (j1 - j0))
-            return original(self, j0, j1)
+        def spy(sk, bg, j0, j1, buf):
+            sizes.append(sk.r * (j1 - j0))
+            return original(sk, bg, j0, j1, buf)
 
-        monkeypatch.setattr(GaussianSketcher, "column_block", spy)
+        monkeypatch.setattr(sketch, "_tile", spy)
         v = np.random.default_rng(8).standard_normal(30)
         want = om @ v
         got = sk.project_blocks(0, [v[:, None], -v[:, None]])
         for out, sign in zip(got, (1.0, -1.0)):
             assert np.linalg.norm(out[:, 0] - sign * want) <= 1e-12 * np.linalg.norm(want)
         assert sizes and max(sizes) <= sketch.TILE_ENTRIES
+
+
+def _fresh_walk(sk, j0, j1):
+    # Negative control: a pass of one column_block request per tile, with a
+    # stream and a buffer of its own each.
+    width = sketch.per_tile(sk.r)
+    for t0 in range(j0, j1, width):
+        t1 = min(t0 + width, j1)
+        yield t0, t1, sk.column_block(t0, t1)
+
+
+def _fresh_buffer_walk(sk, j0, j1):
+    # Negative control: one stream per pass, but a new buffer for every tile.
+    width = sketch.per_tile(sk.r)
+    bg = sketch._philox(sk.seed, j0 * sk._wpc)
+    for t0 in range(j0, j1, width):
+        t1 = min(t0 + width, j1)
+        yield t0, t1, sketch._tile(sk, bg, t0, t1, np.empty((t1 - t0) * sk._wpc))
+
+
+def _reopening_walk(sk, j0, j1):
+    # Negative control: one buffer per pass, but every tile reopens the
+    # stream at the pass's first column.
+    width = min(sketch.per_tile(sk.r), j1 - j0)
+    buf = np.empty(width * sk._wpc)
+    for t0 in range(j0, j1, width):
+        t1 = min(t0 + width, j1)
+        yield t0, t1, sketch._tile(sk, sketch._philox(sk.seed, j0 * sk._wpc), t0, t1, buf)
+
+
+class TestWalk:
+    """One _tiles walk per pass: one Philox stream, one tile buffer, the
+    same tiles as column_block, and the cap of one column_block request."""
+
+    @staticmethod
+    def _regress_pass():
+        # The regress-dpmt shape: 2,000 columns at r = 1031 (32 tiles of
+        # 63 columns) applied to two 20-column blocks.
+        sk = GaussianSketcher(0, 1031, 2000)
+        rng = np.random.default_rng(0)
+        return sk, [rng.standard_normal((2000, 20)) for _ in range(2)]
+
+    @staticmethod
+    def _tiles_share_memory(walk):
+        sk = GaussianSketcher(1, 5, 40)
+        tiles = [tile for *_, tile in walk(sk, 3, 40)]
+        return len(tiles) > 2 and all(np.shares_memory(a, b) for a, b in zip(tiles, tiles[1:]))
+
+    @staticmethod
+    def _matches_column_block(walk):
+        sk = GaussianSketcher(1, 5, 40)
+        joined = np.hstack([tile.copy() for *_, tile in walk(sk, 3, 40)])
+        return np.array_equal(joined, sk.column_block(3, 40))
+
+    def _philox_calls(self, monkeypatch):
+        sk, blocks = self._regress_pass()
+        calls = []
+        original = sketch._philox
+
+        def spy(seed, offset):
+            calls.append(offset)
+            return original(seed, offset)
+
+        monkeypatch.setattr(sketch, "_philox", spy)
+        sk.project_blocks(0, blocks)
+        monkeypatch.setattr(sketch, "_philox", original)
+        return len(calls)
+
+    def _peak_in_tiles(self):
+        sk, blocks = self._regress_pass()
+        tracemalloc.start()
+        try:
+            sk.project_blocks(0, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * sk.r * sketch.per_tile(sk.r))
+
+    def test_consecutive_tiles_share_one_buffer(self, monkeypatch):
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+        assert self._tiles_share_memory(sketch._tiles)
+        assert not self._tiles_share_memory(_fresh_buffer_walk)
+        assert not self._tiles_share_memory(_fresh_walk)
+
+    def test_a_pass_opens_one_stream(self, monkeypatch):
+        assert self._philox_calls(monkeypatch) == 1
+        monkeypatch.setattr(sketch, "_tiles", _fresh_walk)
+        assert self._philox_calls(monkeypatch) == 32
+
+    def test_a_pass_holds_one_tile(self, monkeypatch):
+        # Measured: 2.08 tiles (the buffer, one sub-block's temporaries and
+        # the two results), against 3.08 for a new buffer per tile, which
+        # is allocated while the last tile is still held.
+        assert self._peak_in_tiles() < 2.5
+        for walk in (_fresh_buffer_walk, _fresh_walk):
+            monkeypatch.setattr(sketch, "_tiles", walk)
+            assert self._peak_in_tiles() >= 2.5
+
+    def test_the_stream_continues_from_tile_to_tile(self, monkeypatch):
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+        assert self._matches_column_block(sketch._tiles)
+        assert self._matches_column_block(_fresh_buffer_walk)
+        assert not self._matches_column_block(_reopening_walk)
+
+    def test_the_walk_refuses_a_column_over_the_cap(self, monkeypatch):
+        # r alone exceeds the cap, so the one-column tiles do: refused
+        # before anything is generated, as column_block refuses them.
+        monkeypatch.setattr(sketch, "MAX_SKETCH_ENTRIES", 4)
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 4)
+        sk = GaussianSketcher(0, 5, 3)
+        tiles = _tile_spy(monkeypatch)
+        with pytest.raises(CapacityError, match="5x1 exceeds"):
+            sk.project_blocks(0, [np.ones((3, 1))])
+        with pytest.raises(CapacityError, match="5x1 exceeds"):
+            sk.column_block(0, 1)
+        assert tiles == []
 
 
 def _scalar_normals(words):
@@ -708,18 +832,19 @@ class TestColumnLayout:
         assert self._layout_holds(GaussianSketcher(4, r, 12), 3, 12)
 
     def test_restarting_the_stream_each_sub_block_fails(self, monkeypatch):
-        # Negative control: a generator that starts every sub-block from the
+        # Negative control: a fill loop that starts every sub-block from the
         # request's first word is right up to the first sub-block boundary
         # (1024 columns at r = 5) and wrong past it, and the self-test's
         # check across a sub-block boundary refuses it.
-        def restarting(seed, offset, count):
-            out = np.empty(count)
-            for s0 in range(0, count, sketch._SUB_BLOCK_WORDS):
-                s1 = min(s0 + sketch._SUB_BLOCK_WORDS, count)
-                sketch._box_muller(sketch._raw_words(seed, offset, s1 - s0), out=out[s0:s1])
+        def restarting(bg, out):
+            start = bg.state
+            for s0 in range(0, out.size, sketch._SUB_BLOCK_WORDS):
+                s1 = min(s0 + sketch._SUB_BLOCK_WORDS, out.size)
+                bg.state = start
+                sketch._box_muller(bg.random_raw(s1 - s0), out=out[s0:s1])
             return out
 
-        monkeypatch.setattr(sketch, "_normals", restarting)
+        monkeypatch.setattr(sketch, "_fill", restarting)
         sk = GaussianSketcher(3, 5, 1030)
         assert self._layout_holds(sk, 2, 1026)
         assert not self._layout_holds(sk, 2, 1027)
