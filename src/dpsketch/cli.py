@@ -30,6 +30,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -162,8 +163,9 @@ def iter_matrix_chunks(
                         f"matrix payload truncated at offset {_MATRIX_HEADER.size + 8 * cols * i0 + len(buf)}"
                     )
                 block = np.frombuffer(buf, dtype="<f8").reshape(k, cols)
-                bad = ~np.isfinite(block).all(axis=1)
-                if bad.any():
+                if not np.isfinite(block).all():
+                    # Only a faulty chunk is searched for its first bad row.
+                    bad = ~np.isfinite(block).all(axis=1)
                     raise FormatError(f"non-finite entry in binary row {i0 + int(bad.argmax())}")
                 yield i0, block
         return
@@ -194,8 +196,10 @@ def load_matrix(path: str, fmt: str) -> np.ndarray:
     return np.vstack(blocks)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser: each command's sub-parser takes only its own options."""
+    """The argument parser: each command's sub-parser takes only its own
+    options. Built once per process; each parse makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="dpsketch", description="Differentially private streaming linear algebra."
     )

@@ -12,18 +12,22 @@ its range with ``_tiles``: one stream, continued from tile to tile, and
 one buffer of one tile, refilled for each, so a pass holds a transient of
 one tile whatever its length. Box-Muller evaluates a sub-block's pairs in
 the order of their angles' top bits, which keeps libm's branches
-predictable, and writes each normal to its own slot: the order changes
-no bit. The normals are bit-exact under any split of a range into
-requests, tiles or sub-blocks; products with them (sketches and
-releases) are bit-reproducible only under the same BLAS build and
-thread count. A sketch Omega @ X is a plain r x c array, so turnstile
-updates and shards of a stream add entrywise. The multiply/regression
+predictable. Each pair moves as one 16-byte item: its two words are
+gathered together in that order, and its cos and sin normals are
+scattered together back to the pair's own slot. Each normal is the same
+call on the same double wherever it is computed, so any order that is
+scattered back changes no bit. The normals are bit-exact under any split
+of a range into requests, tiles or sub-blocks; products with them
+(sketches and releases) are bit-reproducible only under the same BLAS
+build and thread count. A sketch Omega @ X is a plain r x c array, so
+turnstile updates and shards of a stream add entrywise. The multiply/regression
 mechanisms retain their sketches only, and the low-rank mechanism keeps
 its sketches plus the data block of its projection.
 """
 from __future__ import annotations
 
 import functools
+import sys
 from collections.abc import Iterator
 
 import numpy as np
@@ -70,41 +74,61 @@ def _raw_words(seed: int, offset: int, count: int) -> np.ndarray:
     return _philox(seed, offset).random_raw(count)
 
 
+# Byte offset, within a pair of 64-bit words, of the angle word's top byte:
+# (w >> 11) >> 45 is w >> 56, so the byte view reads the ordering key of a
+# pair without any arithmetic.
+_ANGLE_TOP_BYTE = 15 if sys.byteorder == "little" else 8
+
+
+def _pair_order(words: np.ndarray) -> np.ndarray:
+    # The order in which Box-Muller visits the word pairs: by their angle's
+    # top 8 bits (a radix sort of uint8 keys), read before the words shift.
+    return np.argsort(words.view(np.uint8)[_ANGLE_TOP_BYTE::16], kind="stable")
+
+
 def _box_muller(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # One normal per 64-bit word, written into ``out`` (a new array when not
     # given); words length must be even. Each word pair maps to its own cos
     # and sin normal, so any even split of the words gives the same normals.
     # log, sqrt, cos and sin run on contiguous arrays only: numpy may pick
     # other loops for strided ones, and those need not round alike.
-    # Consumes ``words``: they are shifted in place, so pass fresh ones.
+    # Consumes ``words``: they are shifted in place and then overwritten, so
+    # pass fresh, contiguous ones.
     if out is None:
         out = np.empty(words.size)
+    # The pairs are visited in the order of their angle's top 8 bits, and
+    # each pair moves as one 16-byte item: one gather of (radius word, angle
+    # word) in that order, one scatter of (cos normal, sin normal) back to
+    # the pair's own slot. Every normal is the same elementwise call on the
+    # same double, and radius * trig is commutative, so any order that is
+    # scattered back gives the same bits. The order changes the speed
+    # where numpy's cos and sin are libm's scalar ones: those branch on the
+    # angle's range, quadrant and sign, and sorted angles make the branches
+    # come in long, predictable runs.
+    order = _pair_order(words)
     np.right_shift(words, np.uint64(11), out=words)
+    pairs = words.view(np.complex128)[order]
     # The shifted words are below 2**53, so their int64 view holds the same
     # values and casts to float64 exactly, and faster than uint64 does.
     # u1 = (b0 + 1) * 2**-53 and the angle is 2pi * b1 * 2**-53: scaling by
     # 2**-53 is exact, so one product rounds the angle as (b1 * 2**-53) * 2pi.
-    bits = words.view(np.int64)
-    # The pairs are visited in the order of their angle's top 8 bits (a
-    # radix sort of uint8 keys) and each normal is written back to its own
-    # slot. Every normal is the same elementwise call on the same double,
-    # and radius * trig is commutative, so the order changes no bit. It
-    # changes the speed where numpy's cos and sin are libm's scalar ones:
-    # those branch on the angle's range, quadrant and sign, and sorted
-    # angles make the branches come in long, predictable runs.
-    order = np.argsort((bits[1::2] >> 45).astype(np.uint8), kind="stable")
-    radius = np.add(bits[0::2][order], 1.0)
+    # Once gathered, the words are spent: their buffer takes the radii and
+    # the angles, contiguous, and the pair array later takes the normals.
+    bits = pairs.view(np.int64)
+    spent = words.view(np.float64)
+    half = words.size // 2
+    radius = np.add(bits[0::2], 1.0, out=spent[:half])
     radius *= 2.0**-53
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    angle = np.multiply(bits[1::2][order], 2.0 * np.pi * 2.0**-53)
+    angle = np.multiply(bits[1::2], 2.0 * np.pi * 2.0**-53, out=spent[half:])
+    normals = pairs.view(np.float64)
     trig = np.cos(angle)
-    trig *= radius
-    out[0::2][order] = trig
+    np.multiply(trig, radius, out=normals[0::2])
     np.sin(angle, out=trig)
-    trig *= radius
-    out[1::2][order] = trig
+    np.multiply(trig, radius, out=normals[1::2])
+    out.view(np.complex128)[order] = pairs
     return out
 
 

@@ -236,11 +236,11 @@ class TestCriterion11CliEndToEnd:
         assert rep["guard_report"]["passed"]
         k, p = 5, 6
         assert rep["space_entries"] == (200 + 2 * 200) * (k + p)
-        # bit-exact oracle recomputation
+        # bit-exact oracle recomputation, replaying the CLI's one chunk: a
+        # row-by-row replay sums in another order, which need not round alike
         cfg = LraConfig(n=200, d=200, k=5, p=6, budget=BUDGET, seed=7)
         state = new_lra(cfg)
-        for i in range(200):
-            state.ingest_rows(i, a[[i]])
+        state.ingest_rows(0, a)
         approx = reconstruct(state.finalize(), cfg)
         want = float(np.linalg.norm(a - approx))
         assert rep["error_vs_oracle"]["frobenius_error"] == want
@@ -258,9 +258,7 @@ class TestCriterion11CliEndToEnd:
         rep = self._load_report(rp)
         acc = guard.AccuracySpec(0.5, 0.2)
         state = new_matprod(200, 200, 200, BUDGET, acc, seed=7)
-        for i in range(200):
-            state.ingest_a_rows(i, a[[i]])
-            state.ingest_b_rows(i, b[[i]])
+        state.ingest_rows(0, a, b)  # the CLI's one chunk, as in test_lra_command
         want = float(np.linalg.norm(harness.exact_product(a, b) - state.product_query()))
         assert rep["error_vs_oracle"]["frobenius_error"] == want
         assert rep["space_entries"] == state.r * (200 + 200)

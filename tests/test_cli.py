@@ -73,6 +73,14 @@ class TestParsing:
         assert rc == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_parser_is_built_once_and_keeps_no_state(self):
+        # One parser serves every parse, and each parse starts from its
+        # defaults: an option given to one does not carry to the next.
+        argv = ["lra", "--input", "x.csv", "--rank", "5", "--eps", "1", "--delta", "0.01"]
+        assert cli.parse_args(argv + ["--oversample", "7"]).oversample == 7
+        assert cli.parse_args(argv).oversample is None
+        assert cli._build_parser() is cli._build_parser()
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit):
             cli.parse_args(["lra", "--frobnicate"])
@@ -267,6 +275,12 @@ class TestChunkedReader:
             list(cli.iter_matrix_chunks(str(p), "dpbin"))
         with pytest.raises(FormatError, match="binary row 9"):
             cli.load_matrix(str(p), "dpbin")
+        # In chunks of 4 rows the bad entry is row 1 of the third chunk: the
+        # first two are yielded, and the row is named as i0 + 1.
+        chunks = cli.iter_matrix_chunks(str(p), "dpbin", 4)
+        assert [next(chunks)[0] for _ in range(2)] == [0, 4]
+        with pytest.raises(FormatError, match="^non-finite entry in binary row 9$"):
+            next(chunks)
 
     def test_csv_errors_in_later_chunk_name_the_line(self, tmp_path):
         p = tmp_path / "m.csv"

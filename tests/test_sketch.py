@@ -684,6 +684,24 @@ def _unscattered_box_muller(words, out=None):
     return out
 
 
+def _swapped_scatter_box_muller(words, out=None):
+    # The kernel with its 16-byte items built the wrong way round: the sin
+    # normal in the first half of each pair and the cos normal in the second.
+    if out is None:
+        out = np.empty(words.size)
+    order = sketch._pair_order(words)
+    np.right_shift(words, np.uint64(11), out=words)
+    pairs = words.view(np.complex128)[order]
+    bits = pairs.view(np.int64)
+    radius = np.sqrt(-2.0 * np.log((bits[0::2] + 1.0) * 2.0**-53))
+    angle = bits[1::2] * (2.0 * np.pi * 2.0**-53)
+    normals = pairs.view(np.float64)
+    normals[1::2] = np.cos(angle) * radius
+    normals[0::2] = np.sin(angle) * radius
+    out.view(np.complex128)[order] = pairs
+    return out
+
+
 # 0, 2**64 - 1, the top 53 bits all ones (u1 = 1: a zero normal), words
 # below 2**11 (angle 0) and a word just above them.
 _EDGE_WORDS = [0, (1 << 64) - 1, ((1 << 53) - 1) << 11, 1, (1 << 11) - 1, 1 << 11]
@@ -757,6 +775,57 @@ class TestBoxMullerKernel:
         assert np.array_equal(np.sort(got), np.sort(want))
         assert not np.array_equal(got, want)
         monkeypatch.setattr(sketch, "_box_muller", _unscattered_box_muller)
+        sketch._self_test.cache_clear()
+        try:
+            with pytest.raises(NumericFailureError, match="known-answer"):
+                GaussianSketcher(0, 4, 8)
+        finally:
+            monkeypatch.undo()
+            sketch._self_test.cache_clear()
+        GaussianSketcher(0, 4, 8)
+
+    @pytest.mark.parametrize("order", ["identity", "reverse", "random"])
+    def test_any_scattered_order_is_bit_identical(self, monkeypatch, order):
+        # The claim the byte keys rest on: whatever order the pairs are
+        # visited in, scattering each back to its own slot gives the same
+        # bytes, into a fresh output and into an unaligned slice of one.
+        def visit(words):
+            n = words.size // 2
+            if order == "identity":
+                return np.arange(n)
+            if order == "reverse":
+                return np.arange(n - 1, -1, -1)
+            return np.random.default_rng(n).permutation(n)
+
+        monkeypatch.setattr(sketch, "_pair_order", visit)
+        for words in (self._stream_words(), self._bucket_edge_words(), self._edge_pairs()):
+            want = _reference_box_muller(words)
+            assert np.array_equal(sketch._box_muller(words.copy()), want)
+            out = np.full(words.size + 2, np.nan)
+            sketch._box_muller(words.copy(), out=out[1:-1])
+            assert np.array_equal(out[1:-1], want) and np.isnan(out[[0, -1]]).all()
+
+    def test_byte_keys_are_the_angle_top_bits(self):
+        # Read at this machine's byte order, the key byte of each pair is
+        # (w >> 11) >> 45 of its angle word w, so the kernel visits pairs in
+        # the order of the arithmetic keys. The radius word's top byte is not.
+        words = self._bucket_edge_words()
+        want = ((words[1::2] >> np.uint64(11)) >> np.uint64(45)).astype(np.uint8)
+        assert np.array_equal(words.view(np.uint8)[sketch._ANGLE_TOP_BYTE::16], want)
+        assert np.array_equal(sketch._pair_order(words), np.argsort(want, kind="stable"))
+        wrong = 23 - sketch._ANGLE_TOP_BYTE  # the radius word's top byte
+        assert not np.array_equal(words.view(np.uint8)[wrong::16], want)
+
+    def test_swapped_scatter_halves_fail(self, monkeypatch):
+        # Negative control: a 16-byte scatter whose halves are swapped puts
+        # each pair's normals in the right pair but the wrong places. The pin
+        # tells it apart, and the known answers refuse it at construction.
+        words = self._stream_words()
+        want = _reference_box_muller(words)
+        got = _swapped_scatter_box_muller(words.copy())
+        assert np.array_equal(got.reshape(-1, 2)[:, ::-1].ravel(), want)
+        assert not np.array_equal(got, want)
+        monkeypatch.setattr(sketch, "_box_muller", _swapped_scatter_box_muller)
         sketch._self_test.cache_clear()
         try:
             with pytest.raises(NumericFailureError, match="known-answer"):
