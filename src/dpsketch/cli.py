@@ -15,14 +15,19 @@ chunk to the mechanism's block ingest, and never materialize the private
 matrix unless --oracle is given. A CSV chunk is parsed in one call to
 numpy's C reader; a chunk with a fault is read again line by line, so the
 error names its line. One release skeleton, ``_run_release``, probes and
-reads every input. ``multiply`` and ``regress`` take a second input (B;
-the queries) with as many rows as the first; the skeleton reads the two
-together, in chunks of the same rows, and each command sketches a pair of
-chunks in one pass over the projection tiles.
+reads every input and writes every output. ``multiply`` and ``regress``
+take a second input (B; the queries) with as many rows as the first; the
+skeleton reads the two together, in chunks of the same rows, and each
+command sketches a pair of chunks in one pass over the projection tiles.
+The outputs are ``lra``'s factor ``uhat`` and 1 x k ``lam``, ``multiply``'s
+``estimate`` of A.T @ B and ``regress``'s d x q ``solutions``; with
+--report each is written beside it as ``<report less extension>.<name>.dpmt``,
+listed in ``factor_files``. Without --report a command prints its report
+and writes no file.
 
 A release's seed is its secret: with no --seed, a release command draws
-64 bits from ``secrets``, and no report carries the seed. ``verify`` keeps
-its public default seed of 0.
+128 bits from ``secrets``, and no report carries the seed. ``verify``
+keeps its public default seed of 0.
 
 Exit codes: 0 success, 1 mechanism error, 2 usage error, 3 verification
 failure.
@@ -44,7 +49,7 @@ import numpy as np
 from . import guard, harness, numerics, sketch
 from .errors import DPSketchError, FormatError, ParameterDomainError
 from .lra import LraConfig, new_lra
-from .matprod import lifted_matrix, new_matprod
+from .matprod import new_matprod
 from .regress import new_regress
 
 MATRIX_MAGIC = b"DPMT"
@@ -242,9 +247,11 @@ def parse_args(argv) -> argparse.Namespace:
         if opts.get(a) is not None:
             spec(opts[a], opts[b])
     if cfg.seed is None:
-        cfg.seed = secrets.randbits(64)
+        cfg.seed = secrets.randbits(sketch.SEED_BITS)
     if cfg.seed < 0:
         raise ParameterDomainError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.seed >= 1 << sketch.SEED_BITS:
+        raise ParameterDomainError(f"seed must be < 2**{sketch.SEED_BITS}, got {cfg.seed}")
     if opts.get("rank", 1) < 1:
         raise ParameterDomainError(f"rank must be >= 1, got {cfg.rank}")
     if opts.get("oversample") is not None and cfg.oversample < 2:
@@ -261,22 +268,12 @@ def _emit(cfg: argparse.Namespace, report: dict) -> None:
         print(text)
 
 
-def _base_report(params: dict) -> dict:
-    return {
-        "params": params,
-        "guard_report": None,
-        "error_vs_oracle": None,
-        "space_entries": 0,
-    }
-
-
 class _Release(NamedTuple):
     """What one release command hands back to ``_run_release``."""
 
-    state: object  # the mechanism state: its space_entries() and guard_report
-    lifted: Callable[[np.ndarray], np.ndarray]  # A -> the lifted matrix it sketched
+    state: object  # the mechanism state: space_entries(), guard_report, lifted(A)
+    outputs: dict  # name -> 2-D array: what the release publishes, in order
     errors: Callable[..., dict]  # the loaded inputs (A, and B if any) -> errors
-    extra: dict = {}  # further report entries
 
 
 def _run_release(cfg: argparse.Namespace, command) -> dict:
@@ -286,9 +283,11 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
     must have as many rows) and reads them in chunks (i0, rows[, rows_b])
     of one tile of the widest input. ``command(cfg, chunks, n, *cols)``
     builds its mechanism, streams the chunks, answers and returns a
-    ``_Release``; --oracle loads every input whole to score it. The seed
-    fixes the projection, and whoever knows it can recompute the release
-    from a candidate input, so the report leaves it out.
+    ``_Release``; --oracle loads every input whole to score it. The
+    skeleton alone publishes: it writes every output of the release, as
+    the module docstring says. The seed fixes the projection, and whoever
+    knows it can recompute the release from a candidate input, so the
+    report leaves it out.
     """
     paths = [cfg.input] + ([cfg.input_b] if "input_b" in cfg else [])
     rows, cols = zip(*(matrix_shape(path, cfg.fmt) for path in paths))
@@ -299,16 +298,19 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
     streams = zip(*(iter_matrix_chunks(path, cfg.fmt, step) for path in paths))
     chunks = ((pieces[0][0], *(block for _, block in pieces)) for pieces in streams)
     rel = command(cfg, chunks, rows[0], *cols)
-    report = _base_report({k: v for k, v in vars(cfg).items() if k != "seed"})
-    report["space_entries"] = rel.state.space_entries()
-    greport, mode = rel.state.guard_report, "structural"
+    report = {"params": {k: v for k, v in vars(cfg).items() if k != "seed"},
+              "error_vs_oracle": None, "space_entries": rel.state.space_entries()}
+    greport = rel.state.guard_report
     if cfg.oracle:
         inputs = [load_matrix(path, cfg.fmt) for path in paths]
         report["error_vs_oracle"] = rel.errors(*inputs)
-        greport = guard.verify_spectral_guard(rel.lifted(inputs[0]), greport.required_sigma_min)
-        mode = "exact"
-    report["guard_report"] = dict(greport.to_json_dict(), mode=mode)
-    report.update(rel.extra)
+        greport = guard.verify_spectral_guard(rel.state.lifted(inputs[0]), greport.required_sigma_min)
+    report["guard_report"] = dict(greport.to_json_dict(), mode="exact" if cfg.oracle else "structural")
+    if cfg.report:
+        stem = os.path.splitext(cfg.report)[0]
+        report["factor_files"] = [f"{stem}.{name}.dpmt" for name in rel.outputs]
+        for path, m in zip(report["factor_files"], rel.outputs.values()):
+            save_matrix(path, m)
     return report
 
 
@@ -321,15 +323,8 @@ def _lra(cfg: argparse.Namespace, chunks, n: int, d: int) -> _Release:
     for i0, block in chunks:
         state.ingest_rows(i0, block)
     factor = state.finalize()
-    extra = {}
-    if cfg.report:
-        stem = os.path.splitext(cfg.report)[0]
-        uhat_path, lam_path = stem + ".uhat.dpmt", stem + ".lam.dpmt"
-        save_matrix(uhat_path, factor.u_hat)
-        save_matrix(lam_path, factor.lam.reshape(1, -1))
-        extra["factor_files"] = [uhat_path, lam_path]
-    return _Release(state, lambda a: np.hstack([state.w * np.eye(n), a]),
-                    lambda a: harness.lra_errors(a, factor, lcfg), extra)
+    return _Release(state, {"uhat": factor.u_hat, "lam": factor.lam.reshape(1, -1)},
+                    lambda a: harness.lra_errors(a, factor, lcfg))
 
 
 def _multiply(cfg: argparse.Namespace, chunks, n: int, d1: int, d2: int) -> _Release:
@@ -339,7 +334,7 @@ def _multiply(cfg: argparse.Namespace, chunks, n: int, d1: int, d2: int) -> _Rel
     for i0, block_a, block_b in chunks:
         state.ingest_rows(i0, block_a, block_b)
     estimate = state.product_query()
-    return _Release(state, lambda a: lifted_matrix(a, state.s, state.d),
+    return _Release(state, {"estimate": estimate},
                     lambda a, b: harness.matprod_errors(a, b, estimate, state))
 
 
@@ -348,7 +343,7 @@ def _regress(cfg: argparse.Namespace, chunks, n: int, d: int, q: int) -> _Releas
     state = new_regress(n, d, budget, acc, cfg.seed)
     # Each projection tile is regenerated once for both the design and the queries.
     solutions = state.ingest_and_query(chunks)
-    return _Release(state, lambda a: lifted_matrix(a, state.s, state.d),
+    return _Release(state, {"solutions": solutions},
                     lambda a, queries: harness.regress_errors(a, queries, solutions, state))
 
 
@@ -369,8 +364,7 @@ def _run_verify(cfg: argparse.Namespace) -> Tuple[dict, bool]:
         harness.bound_check_matprod(60, 8, 8, budget, acc, trials=10),
         harness.bound_check_regress(60, 5, budget, acc, trials=10),
     ]
-    report = _base_report(vars(cfg))
-    report["checks"] = [c.to_json_dict() for c in checks]
+    report = {"params": vars(cfg), "checks": [c.to_json_dict() for c in checks]}
     return report, all(c.passed for c in checks)
 
 

@@ -120,6 +120,10 @@ class LraState:
         """Retained float64 entries: the projection's data block and the sketch."""
         return int(self.omega_data.size + self.y.size)
 
+    def lifted(self, a: np.ndarray) -> np.ndarray:
+        """Densify the lifted rows [w I_n, A] this state sketches (oracle use only)."""
+        return np.hstack([self.w * np.eye(self.config.n), a])
+
     def ingest_rows(self, i0: int, rows) -> None:
         """Consume rows i0, i0+1, ... of the input, each exactly once.
 

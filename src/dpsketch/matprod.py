@@ -102,6 +102,10 @@ class LiftedSketch:
     def _sketches(self) -> dict[str, np.ndarray]:
         return {name: v for name, v in vars(self).items() if isinstance(v, np.ndarray)}
 
+    def lifted(self, a: np.ndarray) -> np.ndarray:
+        """Densify the lifted version of ``a`` that this state sketches (oracle use only)."""
+        return lifted_matrix(a, self.s, self.d)
+
     def space_entries(self) -> int:
         """Retained entries: the sketches (omega is regenerated on demand)."""
         return sum(sk.size for sk in self._sketches().values())

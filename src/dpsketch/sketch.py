@@ -32,9 +32,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import CapacityError, ContractViolationError, NumericFailureError
+from .errors import CapacityError, ContractViolationError, NumericFailureError, ParameterDomainError
 
-_U64 = (1 << 64) - 1
+# Bits in a seed: the width of Philox's key, and of a release's secret.
+SEED_BITS = 128
 
 # Float64 entry budget (1 GiB) of one column_block request or one tile of
 # a walk, the only cap. A walk's one buffer holds max(TILE_ENTRIES, r)
@@ -64,7 +65,7 @@ def _philox(seed: int, offset: int) -> np.random.Philox:
     # offsets must be block-aligned; column strides are kept multiples of 4.
     if offset % 4:
         raise ContractViolationError(f"word offset {offset} is not block-aligned")
-    bg = np.random.Philox(key=seed & _U64)
+    bg = np.random.Philox(key=seed)
     if offset:
         bg.advance(offset // 4)
     return bg
@@ -206,8 +207,9 @@ def _self_test() -> None:
 class GaussianSketcher:
     """Seeded r x m standard-normal matrix with deterministic regeneration.
 
-    Columns are regenerated from the seed on demand and nothing is retained
-    beyond the identity tuple; construction generates nothing.
+    The seed is Philox's whole 128-bit key, so a seed outside [0, 2**128)
+    is refused. Columns are regenerated from the seed on demand and nothing
+    is retained beyond the identity tuple; construction generates nothing.
     ``MAX_SKETCH_ENTRIES`` caps each ``column_block`` request and each tile
     of a ``project_blocks`` pass. The Philox + Box-Muller mapping is
     verified against known answers once per process, by the first
@@ -222,7 +224,9 @@ class GaussianSketcher:
         _self_test()
         if r < 1 or m < 1:
             raise ContractViolationError(f"sketch dimensions must be >= 1, got r={r}, m={m}")
-        self.seed = int(seed) & _U64
+        self.seed = int(seed)
+        if not 0 <= self.seed < 1 << SEED_BITS:
+            raise ParameterDomainError(f"seed must be in [0, 2**{SEED_BITS}), got {seed}")
         self.r = int(r)
         self.m = int(m)
         self.fingerprint = (self.seed, self.r, self.m)

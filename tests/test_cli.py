@@ -10,8 +10,8 @@ import pytest
 
 from dpsketch import cli, guard, harness, sketch
 from dpsketch.errors import FormatError
-from dpsketch.lra import LraConfig, LraState, new_lra
-from dpsketch.matprod import MatProdState, new_matprod
+from dpsketch.lra import LowRankFactor, LraConfig, LraState, new_lra
+from dpsketch.matprod import MatProdState, lifted_matrix, new_matprod
 from dpsketch.regress import RegressState, new_regress
 
 
@@ -72,6 +72,24 @@ class TestParsing:
         rc = cli.main([x.format(a=pa, b=pb) for x in argv] + ["--seed", "-1"])
         assert rc == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["lra", "--input", "{a}", "--rank", "2", "--eps", "1", "--delta", "0.01"],
+        ["verify"],
+    ], ids=["lra", "verify"])
+    def test_seed_past_128_bits_exits_2(self, small_matrices, capsys, argv):
+        # A seed is Philox's 128-bit key; a wider one is refused, not masked.
+        _, _, pa, pb = small_matrices
+        rc = cli.main([x.format(a=pa, b=pb) for x in argv] + ["--seed", str(1 << 128)])
+        assert rc == 2
+        assert f"seed must be < 2**128, got {1 << 128}" in capsys.readouterr().err
+
+    def test_seedless_release_draws_128_bits(self, monkeypatch):
+        widths = []
+        monkeypatch.setattr(cli.secrets, "randbits", lambda k: widths.append(k) or 1)
+        cfg = cli.parse_args(["lra", "--input", "x.csv", "--rank", "2", "--eps", "1",
+                              "--delta", "0.01"])
+        assert (widths, cfg.seed) == ([128], 1)
 
     def test_parser_is_built_once_and_keeps_no_state(self):
         # One parser serves every parse, and each parse starts from its
@@ -754,19 +772,31 @@ class TestOracleIsHarness:
             lcfg = LraConfig(n=30, d=6, k=2, budget=budget, seed=4)
             state = new_lra(lcfg)
             state.ingest_rows(0, a)
-            want = harness.lra_errors(a, state.finalize(), lcfg)
+            factor = state.finalize()
+            release = [factor.u_hat, factor.lam.reshape(1, -1)]
+            score = lambda uhat, lam: harness.lra_errors(a, LowRankFactor(uhat, lam[0], 2), lcfg)
         elif command == "multiply":
             args += acc_args
             state = new_matprod(30, 6, 4, budget, acc, 4)
             state.ingest_rows(0, a, b)
-            want = harness.matprod_errors(a, b, state.product_query(), state)
+            release = [state.product_query()]
+            score = lambda estimate: harness.matprod_errors(a, b, estimate, state)
         else:
             args += acc_args
             state = new_regress(30, 6, budget, acc, 4)
             state.ingest_rows(0, a)
-            want = harness.regress_errors(a, b, state.query_many(b), state)
+            release = [state.query_many(b)]
+            score = lambda solutions: harness.regress_errors(a, b, solutions, state)
         assert cli.main(args) == 0
-        assert json.loads(rp.read_text())["error_vs_oracle"] == want
+        report = json.loads(rp.read_text())
+        assert report["error_vs_oracle"] == score(*release)
+        # The published files are what --oracle scored: they hold the
+        # release bit for bit, and the harness run on them as read back
+        # gives the report's errors bit for bit.
+        published = [cli.load_matrix(path, "dpbin") for path in report["factor_files"]]
+        for got, want in zip(published, release, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert score(*published) == report["error_vs_oracle"]
 
 
 class TestReportSchema:
@@ -828,9 +858,8 @@ class TestReportSchema:
     @pytest.mark.parametrize("command", ["lra", "multiply", "regress"])
     def test_report_keys(self, tmp_path, inputs, command, oracle):
         report = self._report(tmp_path, inputs, command, oracle)
-        keys = {"params", "guard_report", "error_vs_oracle", "space_entries", "wall_time_ms"}
-        if command == "lra":
-            keys.add("factor_files")
+        keys = {"params", "guard_report", "error_vs_oracle", "space_entries", "wall_time_ms",
+                "factor_files"}
         assert set(report) == keys
         assert set(report["params"]) == self.PARAM_KEYS[command]
         assert report["params"]["command"] == command and report["params"]["oracle"] == oracle
@@ -850,6 +879,31 @@ class TestReportSchema:
         assert greport["required_sigma_min"] == required
         assert greport["observed_sigma_min"] == lift
         assert greport["passed"] == (lift >= required)
+
+    @pytest.mark.parametrize("scale", [1.0, 1 + 1e-6], ids=["same-lift", "scaled-lift"])
+    @pytest.mark.parametrize("command", ["lra", "multiply", "regress"])
+    def test_exact_guard_is_last_singular_value_of_the_lift(
+        self, tmp_path, inputs, monkeypatch, command, scale
+    ):
+        # The --oracle guard is the smallest singular value of the lifted
+        # input, built here from the unscaled lift: [w I, A] for lra and
+        # lifted_matrix(A, s, d) otherwise. Negative control: a program lift
+        # 1 + 1e-6 too large no longer matches it.
+        a = cli.load_matrix(inputs[0], "csv")
+        lift = self._structural_pair(command)[1]
+        lifted = np.hstack([lift * np.eye(30), a]) if command == "lra" else lifted_matrix(a, lift, 6)
+        want = float(np.linalg.svd(lifted, compute_uv=False)[-1])
+        scaled = "lra_lift_w" if command == "lra" else "lift_scale_s"
+        original = getattr(guard, scaled)
+        monkeypatch.setattr(guard, scaled, lambda *args: original(*args) * scale)
+        greport = self._report(tmp_path, inputs, command, oracle=True)["guard_report"]
+        assert greport["mode"] == "exact"
+        assert (greport["observed_sigma_min"] == want) == (scale == 1.0)
+
+    def test_verify_report_keys(self, tmp_path):
+        rp = tmp_path / "verify.json"
+        assert cli.main(["verify", "--report", str(rp)]) == 0
+        assert set(json.loads(rp.read_text())) == {"params", "checks", "wall_time_ms"}
 
 
 def _values(node):

@@ -4,9 +4,10 @@ One small seeded fixture per path: the low-rank mechanism on its symmetric
 and block paths, multiply by rows and by columns, and regression through
 ``ingest_and_query`` and ``query_many``. Each release pins its published
 output, its guard report, its retained entries and the number of normals
-it generated. Each CLI command pins what it writes: ``lra`` its factor
-files, read back, and ``multiply`` and ``regress`` their ``--oracle``
-errors, with the report's guard report and retained entries. Floats hold
+it generated. Each CLI command pins what it writes: the files it
+publishes, read back (``lra``'s factor, ``multiply``'s estimate and
+``regress``'s solutions), the ``--oracle`` errors of ``multiply`` and
+``regress``, and the report's guard report and retained entries. Floats hold
 to 1e-10 relative, so another BLAS passes; integers, booleans and strings
 are exact. A lift scaled by 1 + 1e-6 moves the published output past the
 pins.
@@ -232,8 +233,8 @@ def test_scaled_lift_fails_the_pins(monkeypatch, name):
 
 
 # One small fixture per CLI release command, pinned from the files and the
-# report the command writes: the LRA factor files read back, and the
-# ``--oracle`` errors of multiply and regress.
+# report the command writes: each command's published files read back, and
+# the ``--oracle`` errors of multiply and regress.
 CLI_BUDGET = ["--eps", "1", "--delta", "0.01"]
 CLI_ACC = ["--alpha", "0.5", "--beta", "0.2"]
 
@@ -273,7 +274,10 @@ def _cli_pair(tmp_path, command, rng_seed, a_cols, b_cols, a_scale, seed):
     args = [command, "--input", str(pa), "--input-b", str(pb), "--format", "dpbin",
             "--seed", str(seed), "--oracle"]
     report = _cli_run(tmp_path, args + CLI_BUDGET + CLI_ACC)
-    return report, {"error_vs_oracle": report["error_vs_oracle"]}
+    (path,) = report["factor_files"]
+    name = path.split(".")[-2]
+    return report, {name: cli.load_matrix(path, "dpbin").tolist(),
+                    "error_vs_oracle": report["error_vs_oracle"]}
 
 
 CLI_RELEASES = {
@@ -305,6 +309,12 @@ CLI_PINS = {
         "space_entries": 280,
     },
     "multiply": {
+        "estimate": [
+            [20046.62414755125, 50791.8875786823, -101283.21727054604],
+            [51422.016700707594, 114898.32500757184, 186548.2554408265],
+            [-102944.6796092791, 186870.02494729287, -68780.84875691403],
+            [19034.772852218306, -34701.34108936741, 111275.11973165623],
+        ],
         "error_vs_oracle": {
             "error_bound": 2707243.5590870185,
             "frobenius_error": 357877.6080722603,
@@ -319,6 +329,11 @@ CLI_PINS = {
         "space_entries": 518,
     },
     "regress": {
+        "solutions": [
+            [0.09628781493221741, -0.046445089367321],
+            [-0.30338271209312145, 0.11913205774857072],
+            [-0.01820345244257601, 0.0005454603356368147],
+        ],
         "error_vs_oracle": {
             "error_bound": [6410861.660636545, 6410860.302935795],
             "optima": [7.514820566347933, 6.609686733108143],
@@ -338,8 +353,8 @@ CLI_PINS = {
 # The published value of each command that a wrong lift must move.
 CLI_PUBLISHED = {
     "lra": {"/lam", "/frobenius", "/entries"},
-    "multiply": {"/error_vs_oracle/frobenius_error"},
-    "regress": {"/error_vs_oracle/residuals"},
+    "multiply": {"/estimate", "/error_vs_oracle/frobenius_error"},
+    "regress": {"/solutions", "/error_vs_oracle/residuals"},
 }
 
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from dpsketch import cli, guard, sketch
-from dpsketch.errors import CapacityError, ContractViolationError, NumericFailureError
+from dpsketch.errors import (
+    CapacityError, ContractViolationError, NumericFailureError, ParameterDomainError,
+)
 from dpsketch.matprod import new_matprod
 from dpsketch.regress import new_regress
 from dpsketch.sketch import GaussianSketcher
@@ -98,8 +100,26 @@ class TestSketcherConstruction:
         assert sk.column_block(2**32 - 1, 2**32).shape == (1, 1)
 
     def test_fingerprint_is_the_identity(self):
-        for seed, r, m in ((7, 4, 8), (-1, 3, 5), ((1 << 64) + 3, 2, 9)):
-            assert GaussianSketcher(seed, r, m).fingerprint == (seed & (2**64 - 1), r, m)
+        # The seed is the whole 128-bit Philox key, carried unmasked.
+        for seed, r, m in ((7, 4, 8), ((1 << 64) + 3, 2, 9), ((1 << 128) - 1, 3, 5)):
+            assert GaussianSketcher(seed, r, m).fingerprint == (seed, r, m)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 128])
+    def test_seed_outside_128_bits_is_refused(self, seed):
+        with pytest.raises(ParameterDomainError, match="seed must be in"):
+            GaussianSketcher(seed, 3, 5)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["128-bit-key", "64-bit-mask"])
+    def test_seed_above_64_bits_is_another_projection(self, monkeypatch, masked):
+        # Negative control: with the key masked to 64 bits, as it was before
+        # it was widened, seeds 5 and 2**64 + 5 alias.
+        if masked:
+            original = sketch._philox
+            monkeypatch.setattr(sketch, "_philox",
+                                lambda seed, offset: original(seed & (2**64 - 1), offset))
+        same = np.array_equal(GaussianSketcher(5, 4, 8).omega,
+                              GaussianSketcher((1 << 64) + 5, 4, 8).omega)
+        assert same == masked
 
 
 def _project(sk, x):
@@ -589,9 +609,11 @@ class TestKnownAnswers:
         # Each column takes a whole number of Philox blocks; rows past r are
         # padding words that are generated and skipped.
         wpc = 4 * ((r + 3) // 4)
-        for key in (seed, seed - (1 << 64)):  # the second only matches through & _U64
-            raw = sketch._raw_words(key, j0 * wpc, (j1 - j0) * wpc)
-            assert [int(w) for w in raw] == words
+        raw = sketch._raw_words(seed, j0 * wpc, (j1 - j0) * wpc)
+        assert [int(w) for w in raw] == words
+        # The key is 128 bits wide: a seed 2**64 higher is another stream.
+        raw = sketch._raw_words(seed + (1 << 64), j0 * wpc, (j1 - j0) * wpc)
+        assert [int(w) for w in raw] != words
         want = np.array(_scalar_normals(words)).reshape(j1 - j0, wpc)[:, :r].T
         got = GaussianSketcher(seed, r, m).column_block(j0, j1)
         assert got.shape == (r, j1 - j0)
