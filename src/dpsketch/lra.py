@@ -14,15 +14,18 @@ the published approximation of A is the top-right n x d block of the block
 reconstruction.
 
 The projection has n lift columns followed by the data columns (d, or n on
-the symmetric path). The state keeps only the data block, which every
-ingested block reads; the bottom block of y starts as w times it, the lift
-of M's w I_d. Each ingested block regenerates its lift columns in one
-walk of tiles, and ``finalize`` applies the lift block to the range basis
-in one ``project_blocks`` pass, also one walk. A walk continues one
-Philox stream from tile to tile and refills one buffer, so either holds a
-transient of one tile. The state has no size cap of its own: its one
-generated block, the data block, is a single ``column_block`` request
-and is capped there, as each tile of a walk is.
+the symmetric path), and the state keeps none of it: like the multiply and
+regression sketches, it retains its sketch y alone. The bottom block of y
+starts as w times the data block, the lift of M's w I_d, walked once at
+construction and not kept. Each ingested block regenerates its lift
+columns in one walk of tiles and the whole data block in another, whose
+tiles add the block's share of both row blocks of y; that walk costs the
+same whatever the block's row count, so larger blocks amortise it.
+``finalize`` applies the projection to the range basis in
+``project_blocks`` passes. A walk continues one Philox stream from tile
+to tile and refills one buffer, so each holds a transient of one tile, and
+each tile is the only request the size cap applies to: the state has no
+cap of its own.
 """
 from __future__ import annotations
 
@@ -106,7 +109,6 @@ class LraState:
     config: LraConfig
     w: float
     sketcher: GaussianSketcher
-    omega_data: np.ndarray
     y: np.ndarray
     guard_report: guard.GuardReport
     _ingested: np.ndarray = field(default=None, repr=False)
@@ -117,8 +119,8 @@ class LraState:
         return int(np.count_nonzero(self._ingested))
 
     def space_entries(self) -> int:
-        """Retained float64 entries: the projection's data block and the sketch."""
-        return int(self.omega_data.size + self.y.size)
+        """Retained float64 entries: the sketch y alone (the projection is regenerated)."""
+        return int(self.y.size)
 
     def lifted(self, a: np.ndarray) -> np.ndarray:
         """Densify the lifted rows [w I_n, A] this state sketches (oracle use only)."""
@@ -143,13 +145,22 @@ class LraState:
         width = cfg.n if cfg.symmetric else cfg.d
         if x.shape[1] != width:
             raise ContractViolationError(f"row length {x.shape[1]}, expected {width}")
-        # One tile of lift columns at a time, each generated for its own rows.
-        for t0, t1, tile in _tiles(self.sketcher, i0, i1):
-            lift_rows = tile.T
-            tile_rows = x[t0 - i0 : t1 - i0]
-            self.y[t0:t1] = self.w * lift_rows + tile_rows @ self.omega_data
+        sk, n = self.sketcher, cfg.n
+        # The block's own lift columns, one tile at a time; nothing changes
+        # until both walks have passed their cap check.
+        lift = np.empty((x.shape[0], sk.r))
+        for t0, t1, tile in _tiles(sk, i0, i1):
+            lift[t0 - i0 : t1 - i0] = tile.T
+        # The data block, regenerated tile by tile: each tile adds its
+        # columns' share of x @ (data block) to the block's top rows and, on
+        # the general path, takes its own bottom rows' share of x.T @ lift.
+        top = self.w * lift
+        for t0, t1, tile in _tiles(sk, n, n + width):
+            cols = x[:, t0 - n : t1 - n]
+            top += cols @ tile.T
             if not cfg.symmetric:
-                self.y[cfg.n :] += tile_rows.T @ lift_rows
+                self.y[t0:t1] += cols.T @ lift
+        self.y[i0:i1] = top
         self._ingested[i0:i1] = True
 
     def finalize(self) -> LowRankFactor:
@@ -161,12 +172,15 @@ class LraState:
         # y is the sketch of the lifted matrix; the solve removes the lift
         # and recovers the core. y is only read, so finalize can repeat.
         psi = numerics.orthonormal_range(self.y)
-        # psi.T against the lift rows (walked tile by tile) and the data rows.
-        lift = self.sketcher.project_blocks(0, [psi[: cfg.n]])[0].T
-        coeff = psi[-len(self.omega_data) :].T @ self.omega_data
-        if not cfg.symmetric:
-            # Both row blocks of the block matrix carry the one projection.
-            coeff = lift = lift + coeff
+        # psi.T against the lift rows and the data rows of omega.T, walked
+        # tile by tile. On the general path both row blocks of the block
+        # matrix carry the one projection, so the coefficient is the lift
+        # term, and one walk over all n + d columns gives it.
+        lift = self.sketcher.project_blocks(0, [psi])[0].T
+        if cfg.symmetric:
+            coeff = self.sketcher.project_blocks(cfg.n, [psi])[0].T
+        else:
+            coeff = lift
         rhs = psi.T @ self.y - self.w * lift
         # The solve returns the transposed core; symmetrising makes that moot.
         core = numerics.lstsq(coeff.T, rhs.T)
@@ -194,21 +208,17 @@ def new_lra(config: LraConfig) -> LraState:
     report = guard.check_lift("w", w, guard.sigma_min_psg2(eff, kp), cfg.enforce_guard)
     m = 2 * cfg.n if cfg.symmetric else cfg.n + cfg.d
     sketcher = GaussianSketcher(cfg.seed, r=kp, m=m)
-    # The state keeps only the data block (columns n..m) of the projection.
-    # It is generated first: a block over the column_block cap is refused
-    # before any sketch is allocated.
-    omega_data = np.ascontiguousarray(sketcher.column_block(cfg.n, m).T)
     # One sketch of the lifted matrix: n top rows, and d bottom rows on the
-    # general path, seeded with their lift w * omega_data, as
-    # LiftedSketch._new seeds its lift.
+    # general path, seeded with their lift, w times the data block, as
+    # LiftedSketch._new seeds its lift. The block is walked, not kept.
     y = np.zeros((cfg.n if cfg.symmetric else m, kp))
     if not cfg.symmetric:
-        y[cfg.n :] = w * omega_data
+        for t0, t1, tile in _tiles(sketcher, cfg.n, m):
+            y[t0:t1] = w * tile.T
     return LraState(
         config=cfg,
         w=float(w),
         sketcher=sketcher,
-        omega_data=omega_data,
         y=y,
         guard_report=report,
         _ingested=np.zeros(cfg.n, dtype=bool),

@@ -20,9 +20,8 @@ scattered back changes no bit. The normals are bit-exact under any split
 of a range into requests, tiles or sub-blocks; products with them
 (sketches and releases) are bit-reproducible only under the same BLAS
 build and thread count. A sketch Omega @ X is a plain r x c array, so
-turnstile updates and shards of a stream add entrywise. The multiply/regression
-mechanisms retain their sketches only, and the low-rank mechanism keeps
-its sketches plus the data block of its projection.
+turnstile updates and shards of a stream add entrywise. Every mechanism
+retains its sketches only and regenerates its projection where it reads it.
 """
 from __future__ import annotations
 

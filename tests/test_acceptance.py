@@ -181,11 +181,11 @@ class TestCriterion10SpaceAccounting:
         n, d, k, p = 200, 200, 5, 6
         cfg = LraConfig(n=n, d=d, k=k, p=p, budget=BUDGET, seed=0)
         state = new_lra(cfg)
-        assert state.space_entries() == (n + 2 * d) * (k + p)
+        assert state.space_entries() == (n + d) * (k + p)
 
         sym = LraConfig(n=n, d=n, k=k, p=p, budget=BUDGET, seed=0, symmetric=True)
         sym_state = new_lra(sym)
-        assert sym_state.space_entries() == 2 * n * (k + p)
+        assert sym_state.space_entries() == n * (k + p)
 
         acc = guard.AccuracySpec(0.5, 0.2)
         mp = new_matprod(100, 20, 30, BUDGET, acc, seed=1)
@@ -235,7 +235,7 @@ class TestCriterion11CliEndToEnd:
         rep = self._load_report(rp)
         assert rep["guard_report"]["passed"]
         k, p = 5, 6
-        assert rep["space_entries"] == (200 + 2 * 200) * (k + p)
+        assert rep["space_entries"] == (200 + 200) * (k + p)
         # bit-exact oracle recomputation, replaying the CLI's one chunk: a
         # row-by-row replay sums in another order, which need not round alike
         cfg = LraConfig(n=200, d=200, k=5, p=6, budget=BUDGET, seed=7)

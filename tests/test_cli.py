@@ -11,7 +11,7 @@ import pytest
 from dpsketch import cli, guard, harness, sketch
 from dpsketch.errors import FormatError
 from dpsketch.lra import LowRankFactor, LraConfig, LraState, new_lra
-from dpsketch.matprod import MatProdState, lifted_matrix, new_matprod
+from dpsketch.matprod import LiftedSketch, MatProdState, lifted_matrix, new_matprod
 from dpsketch.regress import RegressState, new_regress
 
 
@@ -676,6 +676,51 @@ class TestCommands:
         assert rc == 0
         r = guard.linreg_sketch_dim(guard.AccuracySpec(0.5, 0.2), d)
         assert sum(normals) == r * (n + d)
+
+    @staticmethod
+    def _ingested_blocks(tmp_path, monkeypatch, command):
+        """(i0, rows) of every block the mechanism ingests in one release
+        of an 80 x 6 input (and an 80 x 4 second input)."""
+        rng = np.random.default_rng(9)
+        pa, pb = tmp_path / "a.dpmt", tmp_path / "b.dpmt"
+        cli.save_matrix(str(pa), rng.standard_normal((80, 6)))
+        cli.save_matrix(str(pb), rng.standard_normal((80, 4)))
+        blocks = []
+        lra_ingest, lifted_ingest = LraState.ingest_rows, LiftedSketch._ingest_rows
+
+        def lra_spy(self, i0, rows):
+            blocks.append((i0, len(rows)))
+            return lra_ingest(self, i0, rows)
+
+        def lifted_spy(self, i0, *pairs):
+            blocks.append((i0, len(pairs[0][1])))
+            return lifted_ingest(self, i0, *pairs)
+
+        monkeypatch.setattr(LraState, "ingest_rows", lra_spy)
+        monkeypatch.setattr(LiftedSketch, "_ingest_rows", lifted_spy)
+        args = ["--rank", "2"] if command == "lra" else [
+            "--input-b", str(pb), "--alpha", "0.5", "--beta", "0.2"]
+        rc = cli.main([command, "--input", str(pa), "--format", "dpbin", "--eps", "1",
+                       "--delta", "0.01", *args])
+        assert rc == 0
+        return blocks
+
+    @pytest.mark.parametrize("command", ["lra", "multiply", "regress"])
+    def test_chunk_rule(self, tmp_path, monkeypatch, capsys, command):
+        # One tile of the widest input per chunk, and four for lra, which
+        # regenerates its data block once per chunk. Under a tile of 50
+        # entries that is 8 rows of 6 columns, and 32 for lra.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 50)
+        step = (4 if command == "lra" else 1) * sketch.per_tile(6)
+        assert step == (32 if command == "lra" else 8)
+        want = [(i0, min(step, 80 - i0)) for i0 in range(0, 80, step)]
+        assert self._ingested_blocks(tmp_path, monkeypatch, command) == want
+        if command == "lra":
+            # Negative control: a reader that ignores the rule's step feeds
+            # lra 1-tile chunks, which the rule does not allow.
+            read = cli.iter_matrix_chunks
+            monkeypatch.setattr(cli, "iter_matrix_chunks", lambda path, fmt, step: read(path, fmt))
+            assert self._ingested_blocks(tmp_path, monkeypatch, command) != want
 
     def test_regress_end_to_end(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

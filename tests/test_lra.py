@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpsketch import guard, numerics, sketch
+from dpsketch import guard, lra, numerics, sketch
 from dpsketch.errors import (
     CapacityError,
     ConfigurationError,
@@ -50,22 +50,32 @@ class TestConstruction:
         # depends on the data, so it is in y from construction.
         cfg = LraConfig(n=24, d=16, k=3, p=4, budget=BUDGET, seed=0)
         state = new_lra(cfg)
-        assert np.array_equal(state.y[24:], state.w * state.omega_data)
+        assert np.array_equal(state.y[24:], state.w * omega_rows(state, 24, 40))
         assert not state.y[:24].any()
 
     def test_state_fields_are_pinned(self):
-        # One sketch of the lifted matrix: a second sketch field cannot come
-        # back without changing this list.
+        # One sketch of the lifted matrix and no block of the projection: a
+        # second array field cannot come back without changing this list.
         names = [f.name for f in dataclasses.fields(LraState)]
-        assert names == [
-            "config", "w", "sketcher", "omega_data", "y", "guard_report", "_ingested", "_finalized",
-        ]
+        assert names == ["config", "w", "sketcher", "y", "guard_report", "_ingested", "_finalized"]
 
     def test_projection_generated_once(self, monkeypatch):
-        # At n=2000, d=1000, k=50 the projection is 101 x 3000. Setup
-        # generates the 101 x 1000 data block once and keeps it; block
-        # ingest generates each lift column once, for its own rows; the
-        # solve walks the 101 x 2000 lift block once, tile by tile.
+        # Normals generated by a release, r = k + p per column: on the
+        # general path, setup seeds the bottom block from the d data
+        # columns; each chunk walks its own lift columns and regenerates
+        # the d data columns once; finalize walks all n + d columns once.
+        # The symmetric path generates nothing at setup, regenerates its n
+        # data columns per chunk and walks the 2n columns at finalize. At
+        # the lra-csv shape that is 101 x (1000 + 2000 + 4 x 1000 + 3000).
+        for n, d, symmetric, step in ((2000, 1000, False, 500), (300, 300, True, 70)):
+            cfg = LraConfig(n=n, d=d, k=50, budget=BUDGET, seed=0, symmetric=symmetric)
+            kp, chunks = 101, -(-n // step)
+            setup, finalize = (0, 2 * n) if symmetric else (d, n + d)
+            want = kp * (setup + n + chunks * d + finalize)
+            assert self._release_normals(monkeypatch, cfg, step) == want
+
+    @staticmethod
+    def _release_normals(monkeypatch, cfg, step):
         generated = []
         original = sketch._tile
 
@@ -74,15 +84,13 @@ class TestConstruction:
             return original(sk, bg, j0, j1, buf)
 
         monkeypatch.setattr(sketch, "_tile", spy)
-        state = new_lra(LraConfig(n=2000, d=1000, k=50, budget=BUDGET, seed=0))
-        assert sum(generated) == 101_000
-        assert state.space_entries() == 404_000
-        a = np.random.default_rng(0).standard_normal((2000, 1000))
-        for i0 in range(0, 2000, 500):
-            state.ingest_rows(i0, a[i0 : i0 + 500])
-        assert sum(generated) == 101_000 + 202_000
+        a = np.random.default_rng(0).standard_normal((cfg.n, cfg.d))
+        state = new_lra(cfg)
+        for i0 in range(0, cfg.n, step):
+            state.ingest_rows(i0, a[i0 : i0 + step])
         state.finalize()
-        assert sum(generated) == 101_000 + 202_000 + 202_000
+        monkeypatch.undo()
+        return sum(generated)
 
     def test_default_oversampling(self):
         cfg = LraConfig(n=30, d=30, k=4, budget=BUDGET, seed=0)
@@ -129,43 +137,56 @@ class TestConstruction:
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("cap_over_size, builds", [(1, True), (0, False)])
     def test_capacity_error(self, monkeypatch, symmetric, cap_over_size, builds):
-        # The data block is the state's one generated block and a single
-        # column_block request, so the config is refused at construction
-        # exactly when (k+p) x d (or (k+p) x n, symmetric) exceeds the cap.
-        # One that fits ingests and finalizes under it, with the tile no
-        # larger than the cap, as TILE_ENTRIES <= MAX_SKETCH_ENTRIES ships.
+        # Every generation is a tile of a walk, so the cap refuses only a
+        # column over it: r = k + p = 7 entries. Under a cap of 7 the 7 x d
+        # data block spans d tiles, and the state builds, ingests and
+        # finalizes. Under a cap of 6 the general path is refused at
+        # construction, by its bottom-block seed, and the symmetric path,
+        # which generates nothing there, at its first block, before any
+        # state changes.
         n, d = (24, 24) if symmetric else (24, 16)
         cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=0, symmetric=symmetric)
-        cap = 7 * d - 1 + cap_over_size
+        cap = 6 + cap_over_size
         monkeypatch.setattr(sketch, "MAX_SKETCH_ENTRIES", cap)
         monkeypatch.setattr(sketch, "TILE_ENTRIES", cap)
-        if not builds:
-            with pytest.raises(CapacityError, match=f"7x{d} exceeds"):
-                new_lra(cfg)
-            return
         a = np.random.default_rng(0).standard_normal((n, d))
+        if not builds:
+            if not symmetric:
+                with pytest.raises(CapacityError, match="7x1 exceeds"):
+                    new_lra(cfg)
+                return
+            state = new_lra(cfg)
+            with pytest.raises(CapacityError, match="7x1 exceeds"):
+                state.ingest_rows(0, a[:8])
+            assert state.rows_seen == 0 and not state.y.any()
+            return
         state = new_lra(cfg)
         for i0 in range(0, n, 8):
             state.ingest_rows(i0, a[i0 : i0 + 8])
         assert state.finalize().u_hat.shape[1] == 3
 
-    def test_capacity_error_at_the_shipped_cap(self):
-        # The same refusal at the real 2^27 cap, before any sketch is
-        # allocated: (k+p) * d = 101 * 1,328,889 is just over it, and the
-        # sketches would take another 1 GiB or more. The side that fits is
-        # left untested: its data block alone would take 1 GiB.
-        cap = sketch.MAX_SKETCH_ENTRIES
-        assert 101 * 1_328_888 <= cap < 101 * 1_328_889
-        for n, symmetric in ((101, False), (1_328_889, True)):
-            cfg = LraConfig(n=n, d=1_328_889, k=50, budget=BUDGET, seed=0, symmetric=symmetric)
-            tracemalloc.start()
-            try:
-                with pytest.raises(CapacityError, match="101x1328889 exceeds"):
-                    new_lra(cfg)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20
+    def test_requests_stay_within_one_tile_at_the_shipped_cap(self, monkeypatch):
+        # At the shipped constants a release whose 11 x 12,000 data block
+        # spans three tiles never asks for more than one tile at a time, so
+        # the state has no cap of its own: only a column of more than
+        # MAX_SKETCH_ENTRIES entries is refused.
+        assert sketch.TILE_ENTRIES <= sketch.MAX_SKETCH_ENTRIES
+        cfg = LraConfig(n=40, d=12_000, k=5, p=6, budget=BUDGET, seed=0)
+        assert 11 * cfg.d > 2 * sketch.TILE_ENTRIES
+        checked = []
+        original = sketch._check_capacity
+
+        def spy(r, cols):
+            checked.append(r * cols)
+            return original(r, cols)
+
+        monkeypatch.setattr(sketch, "_check_capacity", spy)
+        a = np.random.default_rng(0).standard_normal((cfg.n, cfg.d))
+        state = new_lra(cfg)
+        state.ingest_rows(0, a[:25])
+        state.ingest_rows(25, a[25:])
+        state.finalize()
+        assert len(checked) == 6 and max(checked) <= sketch.TILE_ENTRIES
 
     def test_guard_bypass_for_tests(self):
         cfg = LraConfig(
@@ -271,9 +292,10 @@ class TestBlockIngest:
         assert state.rows_seen == 0 and np.array_equal(state.y, y)
 
     def test_block_longer_than_a_tile_ingests_tile_by_tile(self, monkeypatch):
-        # Under a cap of 7 x 16 entries a tile holds 16 lift columns, so a
+        # Under a cap of 7 x 16 entries a tile holds 16 columns, so a
         # 24-row block walks its lift columns in two requests, where one
-        # request for all 24 would exceed the cap.
+        # request for all 24 would exceed the cap, and then its 16 data
+        # columns in one.
         n, d = 24, 16
         a = np.random.default_rng(16).standard_normal((n, d))
         cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=16)
@@ -292,7 +314,7 @@ class TestBlockIngest:
 
         monkeypatch.setattr(sketch, "_tile", spy)
         whole.ingest_rows(0, a)
-        assert requests == [7 * 16, 7 * 8]
+        assert requests == [7 * 16, 7 * 8, 7 * 16]
         assert np.linalg.norm(whole.y - by_eight.y) <= 1e-12 * np.linalg.norm(by_eight.y)
 
     def test_range_and_width_checks(self):
@@ -314,6 +336,98 @@ class TestBlockIngest:
         state.finalize()
         with pytest.raises(ContractViolationError):
             state.ingest_rows(0, np.zeros((0, 8)))
+
+
+def _stored_block_release(state, a, step):
+    """The recipe that keeps the data block: (y, lam, u_hat) of a release.
+
+    The data block omega[:, n:].T is generated once and kept; each chunk
+    adds w * its lift rows plus rows @ data block to its top rows, and
+    rows.T @ its lift rows to the bottom block, which starts as w times the
+    data block; the solve reads the kept block.
+    """
+    cfg, w, n = state.config, state.w, state.config.n
+    lift_block = omega_rows(state, 0, n)
+    data_block = np.ascontiguousarray(omega_rows(state, n, state.sketcher.m))
+    y = np.zeros_like(state.y)
+    if not cfg.symmetric:
+        y[n:] = w * data_block
+    for i0 in range(0, n, step):
+        rows = a[i0 : i0 + step]
+        lift_rows = lift_block[i0 : i0 + len(rows)]
+        y[i0 : i0 + len(rows)] = w * lift_rows + rows @ data_block
+        if not cfg.symmetric:
+            y[n:] += rows.T @ lift_rows
+    psi = numerics.orthonormal_range(y)
+    lift = psi[:n].T @ lift_block
+    coeff = psi[-len(data_block) :].T @ data_block
+    if not cfg.symmetric:
+        coeff = lift = lift + coeff
+    core = numerics.lstsq(coeff.T, (psi.T @ y - w * lift).T)
+    lam_all, ubar = np.linalg.eigh((core + core.T) / 2.0)
+    keep = np.argsort(-np.abs(lam_all), kind="stable")[: cfg.k]
+    return y, lam_all[keep], psi @ ubar[:, keep]
+
+
+class TestStoredBlockRecipe:
+    """Regenerating the data block per chunk gives the release that keeping it gave."""
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("step", [1, 8, 24, 40], ids=["row", "tile", "tiles", "whole"])
+    def test_same_sketch_and_factor(self, monkeypatch, symmetric, step):
+        # Tiles of 8 columns at r = 7: the 30 or 40 data columns span 4 or 5
+        # tiles, and the chunks are 1 row, 1 tile, 3 tiles and all 40 rows.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 7 * 8)
+        n, d = (40, 40) if symmetric else (40, 30)
+        rng = np.random.default_rng(18)
+        a = 300.0 * rng.standard_normal((n, 3)) @ rng.standard_normal((3, d))
+        a += rng.standard_normal((n, d))
+        if symmetric:
+            a = (a + a.T) / 2.0
+        cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=18, symmetric=symmetric)
+        state = new_lra(cfg)
+        for i0 in range(0, n, step):
+            state.ingest_rows(i0, a[i0 : i0 + step])
+        factor = state.finalize()
+        y, lam, u_hat = _stored_block_release(state, a, step)
+        assert np.linalg.norm(state.y - y) <= 1e-12 * np.linalg.norm(y)
+        assert np.abs(factor.lam - lam).max() <= 1e-10 * np.abs(lam).max()
+        want = reconstruct(LowRankFactor(u_hat, lam, cfg.k), cfg)
+        got = reconstruct(factor, cfg)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _one_request_walk(sk, j0, j1):
+    # Negative control: the whole range generated as one column_block request.
+    if j1 > j0:
+        yield j0, j1, sk.column_block(j0, j1)
+
+
+class TestIngestTransient:
+    @staticmethod
+    def _peak_in_tiles():
+        # r = 7 and d = 16 tiles of 4,096 columns; a 4-row block, made
+        # before tracing starts, so only the call's own memory is counted.
+        cfg = LraConfig(n=8, d=16 * 4096, k=3, p=4, budget=BUDGET, seed=19)
+        state = new_lra(cfg)
+        rows = np.random.default_rng(19).standard_normal((4, cfg.d))
+        tracemalloc.start()
+        try:
+            state.ingest_rows(0, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * sketch.TILE_ENTRIES)
+
+    def test_an_ingest_holds_about_two_tiles(self, monkeypatch):
+        # Beyond its input an ingest holds the data walk's one tile buffer,
+        # one sub-block's temporaries and a tile-sized bottom-row product
+        # (2.16 tiles measured); the data block as one request holds all 16
+        # tiles of it, and more.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 7 * 4096)
+        assert self._peak_in_tiles() < 3
+        monkeypatch.setattr(lra, "_tiles", _one_request_walk)
+        assert self._peak_in_tiles() >= 16
 
 
 class TestFinalize:
@@ -424,14 +538,16 @@ class TestFinalize:
 
 class TestTiledFinalize:
     def test_tile_fits_the_request_cap(self):
-        # finalize walks the lift block in tiles, so this keeps each of its
+        # finalize walks the projection in tiles, so this keeps each of its
         # requests under MAX_SKETCH_ENTRIES whatever n is.
         assert sketch.TILE_ENTRIES <= sketch.MAX_SKETCH_ENTRIES
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_many_tiles_give_the_one_tile_factor(self, monkeypatch, symmetric):
-        # k+p = 7 and n = 24: a tile of 5 columns walks the lift block in
-        # 5 tiles, the last one ragged, and no request holds more.
+        # k+p = 7 and n = 24: a tile holds 5 columns, and no request holds
+        # more. The general path walks all n + d = 40 columns once, in 8
+        # tiles; the symmetric path walks the lift block and the data block,
+        # 24 columns each, in 5 tiles each, the last one ragged.
         n, d = 24, 24 if symmetric else 16
         rng = np.random.default_rng(15)
         a = 50.0 * rng.standard_normal((n, 3)) @ rng.standard_normal((3, d))
@@ -451,7 +567,7 @@ class TestTiledFinalize:
 
         monkeypatch.setattr(sketch, "_tile", spy)
         tiled = state.finalize()
-        assert requests == [35, 35, 35, 35, 28]
+        assert requests == ([35, 35, 35, 35, 28] * 2 if symmetric else [35] * 8)
         assert np.linalg.norm(tiled.lam - one_tile.lam) <= 1e-12 * np.linalg.norm(one_tile.lam)
         rec, rec_tiled = reconstruct(one_tile, cfg), reconstruct(tiled, cfg)
         assert np.linalg.norm(rec_tiled - rec) <= 1e-12 * np.linalg.norm(rec)
@@ -491,21 +607,33 @@ class TestReconstruct:
 class TestSpaceAccounting:
     def test_symmetric_entries(self):
         cfg = LraConfig(n=25, d=25, k=3, p=5, budget=BUDGET, seed=0, symmetric=True)
-        assert new_lra(cfg).space_entries() == 2 * 25 * 8
+        assert new_lra(cfg).space_entries() == 25 * 8
 
     def test_nonsymmetric_entries(self):
         cfg = LraConfig(n=25, d=15, k=3, p=5, budget=BUDGET, seed=0)
-        assert new_lra(cfg).space_entries() == (25 + 2 * 15) * 8
+        assert new_lra(cfg).space_entries() == (25 + 15) * 8
+
+    @staticmethod
+    def _retained_float64(state):
+        """Entries of every float64 array held in the state's dataclass fields."""
+        values = (getattr(state, f.name) for f in dataclasses.fields(state))
+        return sum(v.size for v in values if isinstance(v, np.ndarray) and v.dtype == np.float64)
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_entries_are_the_retained_arrays(self, symmetric):
-        # The data block of the projection and the sketches are all the
-        # state holds; the lift block is regenerated when it is read.
-        cfg = LraConfig(n=25, d=25 if symmetric else 15, k=3, p=5, budget=BUDGET, seed=0,
-                        symmetric=symmetric)
+        # space_entries counts every float64 array the state holds, after
+        # construction and after a release; the projection is regenerated
+        # wherever it is read.
+        n, d = (25, 25) if symmetric else (25, 15)
+        cfg = LraConfig(n=n, d=d, k=3, p=5, budget=BUDGET, seed=0, symmetric=symmetric)
         state = new_lra(cfg)
-        held = [state.omega_data, state.y]
-        assert state.space_entries() == sum(x.size for x in held)
-        assert state.omega_data.shape == (cfg.d, 8)
-        want = omega_rows(state, cfg.n, cfg.n + cfg.d)
-        np.testing.assert_array_equal(state.omega_data, want)
+        assert state.space_entries() == self._retained_float64(state)
+        stream_all(state, np.random.default_rng(0).standard_normal((n, d))).finalize()
+        assert state.space_entries() == self._retained_float64(state)
+        # Negative control: a state that keeps one more array, here the data
+        # block the state used to keep, is caught.
+        holding = dataclasses.make_dataclass(
+            "HoldingState", [("omega_data", np.ndarray, None)], bases=(LraState,)
+        )
+        kept = holding(**vars(state), omega_data=omega_rows(state, n, n + d).copy())
+        assert kept.space_entries() != self._retained_float64(kept)

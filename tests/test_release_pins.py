@@ -137,8 +137,8 @@ PINS = {
             "observed_sigma_min": 383.45373101491083,
             "passed": True,
         },
-        "space_entries": 330,
-        "normals_generated": 390,
+        "space_entries": 240,
+        "normals_generated": 930,
     },
     "lra-symmetric": {
         "lam": [13349.060406189912, -6860.898831110405],
@@ -149,8 +149,8 @@ PINS = {
             "observed_sigma_min": 383.45373101491083,
             "passed": True,
         },
-        "space_entries": 240,
-        "normals_generated": 360,
+        "space_entries": 120,
+        "normals_generated": 840,
     },
     "multiply-columns": {
         "product": [
@@ -306,7 +306,7 @@ CLI_PINS = {
             "passed": True,
             "required_sigma_min": 276.3102111592855,
         },
-        "space_entries": 280,
+        "space_entries": 200,
     },
     "multiply": {
         "estimate": [
