@@ -15,12 +15,16 @@ reconstruction.
 
 The projection has n lift columns followed by the data columns (d, or n on
 the symmetric path), and the state keeps none of it: like the multiply and
-regression sketches, it retains its sketch y alone. The bottom block of y
-starts as w times the data block, the lift of M's w I_d, walked once at
-construction and not kept. Each ingested block regenerates its lift
-columns in one walk of tiles and the whole data block in another, whose
-tiles add the block's share of both row blocks of y; that walk costs the
-same whatever the block's row count, so larger blocks amortise it.
+regression sketches, it retains its sketch y alone, and construction
+generates nothing: y starts as zeros. Each ingested block regenerates its
+lift columns in one walk of tiles and the whole data block in another,
+whose tiles add the block's share of both row blocks of y; that walk
+costs the same whatever the block's row count, so larger blocks amortise
+it. On the general path the bottom block's lift, w times the data block
+(M's w I_d), enters with row 0: the block that holds it adds the lift in
+the data walk it makes anyway. Row 0 is ingested exactly once, so the
+lift enters once, and a merge of two shards is a plain sum of their
+sketches, since at most one of them holds row 0.
 ``finalize`` applies the projection to the range basis in
 ``project_blocks`` passes. A walk continues one Philox stream from tile
 to tile and refills one buffer, so each holds a transient of one tile, and
@@ -29,6 +33,7 @@ cap of its own.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -154,14 +159,44 @@ class LraState:
         # The data block, regenerated tile by tile: each tile adds its
         # columns' share of x @ (data block) to the block's top rows and, on
         # the general path, takes its own bottom rows' share of x.T @ lift.
+        # The block that holds row 0 first adds the tile's share of the
+        # bottom block's lift, w times the tile; it adds rather than sets,
+        # since row 0 may come after other rows.
         top = self.w * lift
+        bottom_lift = not cfg.symmetric and i0 == 0 < i1
         for t0, t1, tile in _tiles(sk, n, n + width):
             cols = x[:, t0 - n : t1 - n]
             top += cols @ tile.T
+            if bottom_lift:
+                self.y[t0:t1] += self.w * tile.T
             if not cfg.symmetric:
                 self.y[t0:t1] += cols.T @ lift
         self.y[i0:i1] = top
         self._ingested[i0:i1] = True
+
+    def merge(self, other: LraState) -> LraState:
+        """Combine two shards of the same stream into a new state.
+
+        The sketches add and the ingested rows join: each shard's y holds
+        only its own rows' terms, and the bottom lift enters with row 0,
+        which at most one shard holds, so nothing is regenerated. Shards of
+        another type or config, finalized shards and shards that share a
+        row are refused, and neither shard changes.
+        """
+        if type(other) is not type(self):
+            raise ContractViolationError(
+                f"cannot merge {type(self).__name__} with {type(other).__name__}"
+            )
+        if self._finalized or other._finalized:
+            raise ContractViolationError("cannot merge a finalized state")
+        if self.config != other.config:
+            raise ContractViolationError("cannot merge states with different configs")
+        shared = np.flatnonzero(self._ingested & other._ingested)
+        if shared.size:
+            raise OnePassViolationError(f"row {int(shared[0])} was ingested by both shards")
+        return dataclasses.replace(
+            self, y=self.y + other.y, _ingested=self._ingested | other._ingested
+        )
 
     def finalize(self) -> LowRankFactor:
         """Solve the projection step and publish the top-k eigenpairs."""
@@ -207,19 +242,14 @@ def new_lra(config: LraConfig) -> LraState:
     # delta > ~0.8686. User overrides can trip this.
     report = guard.check_lift("w", w, guard.sigma_min_psg2(eff, kp), cfg.enforce_guard)
     m = 2 * cfg.n if cfg.symmetric else cfg.n + cfg.d
-    sketcher = GaussianSketcher(cfg.seed, r=kp, m=m)
     # One sketch of the lifted matrix: n top rows, and d bottom rows on the
-    # general path, seeded with their lift, w times the data block, as
-    # LiftedSketch._new seeds its lift. The block is walked, not kept.
-    y = np.zeros((cfg.n if cfg.symmetric else m, kp))
-    if not cfg.symmetric:
-        for t0, t1, tile in _tiles(sketcher, cfg.n, m):
-            y[t0:t1] = w * tile.T
+    # general path. It starts as zeros and nothing is generated here: every
+    # term, the bottom block's lift included, enters with the rows ingested.
     return LraState(
         config=cfg,
         w=float(w),
-        sketcher=sketcher,
-        y=y,
+        sketcher=GaussianSketcher(cfg.seed, r=kp, m=m),
+        y=np.zeros((cfg.n if cfg.symmetric else m, kp)),
         guard_report=report,
         _ingested=np.zeros(cfg.n, dtype=bool),
     )

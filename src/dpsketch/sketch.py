@@ -62,6 +62,10 @@ def per_tile(size: int) -> int:
 def _philox(seed: int, offset: int) -> np.random.Philox:
     # Philox advances in 256-bit counter blocks of four 64-bit words, so
     # offsets must be block-aligned; column strides are kept multiples of 4.
+    # A numpy integer offset (a start index such as np.int64(3) times the
+    # stride) is made a Python int first: advance masks it with a 128-bit
+    # Python int, which a numpy integer cannot take.
+    offset = int(offset)
     if offset % 4:
         raise ContractViolationError(f"word offset {offset} is not block-aligned")
     bg = np.random.Philox(key=seed)

@@ -621,7 +621,9 @@ class TestCommands:
         assert rc == 1
 
     @pytest.mark.parametrize("tile_entries", [None, 50])
-    def test_multiply_generates_each_tile_once(self, tmp_path, monkeypatch, tile_entries):
+    def test_multiply_generates_each_tile_once(
+        self, tmp_path, monkeypatch, tile_calls, tile_entries
+    ):
         # A and B share every data tile: the release regenerates the lift
         # block once and each data column once, r * (n + max(d1, d2)) normals.
         if tile_entries is not None:
@@ -631,14 +633,6 @@ class TestCommands:
         pa, pb = tmp_path / "a.dpmt", tmp_path / "b.dpmt"
         cli.save_matrix(str(pa), rng.standard_normal((n, d1)))
         cli.save_matrix(str(pb), rng.standard_normal((n, d2)))
-        normals = []
-        original = sketch._tile
-
-        def spy(sk, bg, j0, j1, buf):
-            normals.append(sk.r * (j1 - j0))
-            return original(sk, bg, j0, j1, buf)
-
-        monkeypatch.setattr(sketch, "_tile", spy)
         rc = cli.main(
             ["multiply", "--input", str(pa), "--input-b", str(pb), "--format", "dpbin",
              "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",
@@ -646,10 +640,12 @@ class TestCommands:
         )
         assert rc == 0
         r = guard.matmult_sketch_dim(guard.AccuracySpec(0.5, 0.2))
-        assert sum(normals) == r * (n + max(d1, d2))
+        assert tile_calls.normals == r * (n + max(d1, d2))
 
     @pytest.mark.parametrize("tile_entries", [None, 50])
-    def test_regress_generates_each_tile_once(self, tmp_path, monkeypatch, tile_entries):
+    def test_regress_generates_each_tile_once(
+        self, tmp_path, monkeypatch, tile_calls, tile_entries
+    ):
         # The design and the queries share every data tile: the release
         # generates the data block once and the lift once, r * (n + d)
         # normals, where a second pass for the queries would add r * n.
@@ -660,14 +656,6 @@ class TestCommands:
         pa, pb = tmp_path / "a.dpmt", tmp_path / "b.dpmt"
         cli.save_matrix(str(pa), rng.standard_normal((n, d)))
         cli.save_matrix(str(pb), rng.standard_normal((n, q)))
-        normals = []
-        original = sketch._tile
-
-        def spy(sk, bg, j0, j1, buf):
-            normals.append(sk.r * (j1 - j0))
-            return original(sk, bg, j0, j1, buf)
-
-        monkeypatch.setattr(sketch, "_tile", spy)
         rc = cli.main(
             ["regress", "--input", str(pa), "--input-b", str(pb), "--format", "dpbin",
              "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",
@@ -675,7 +663,7 @@ class TestCommands:
         )
         assert rc == 0
         r = guard.linreg_sketch_dim(guard.AccuracySpec(0.5, 0.2), d)
-        assert sum(normals) == r * (n + d)
+        assert tile_calls.normals == r * (n + d)
 
     @staticmethod
     def _ingested_blocks(tmp_path, monkeypatch, command):

@@ -47,11 +47,18 @@ class TestConstruction:
 
     def test_bottom_block_starts_as_its_lift(self):
         # The bottom block's lift, w I_d against the data block, never
-        # depends on the data, so it is in y from construction.
+        # depends on the data; it enters with row 0, so y is zeros until
+        # then, and the bottom block is lift plus data after.
         cfg = LraConfig(n=24, d=16, k=3, p=4, budget=BUDGET, seed=0)
+        a = np.random.default_rng(0).standard_normal((24, 16))
         state = new_lra(cfg)
-        assert np.array_equal(state.y[24:], state.w * omega_rows(state, 24, 40))
-        assert not state.y[:24].any()
+        assert not state.y.any()
+        state.ingest_rows(4, a[4:])
+        data = a[4:].T @ omega_rows(state, 4, 24)
+        assert np.linalg.norm(state.y[24:] - data) <= 1e-12 * np.linalg.norm(data)
+        state.ingest_rows(0, a[:4])
+        want = state.w * omega_rows(state, 24, 40) + a.T @ omega_rows(state, 0, 24)
+        assert np.linalg.norm(state.y[24:] - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_state_fields_are_pinned(self):
         # One sketch of the lifted matrix and no block of the projection: a
@@ -59,38 +66,36 @@ class TestConstruction:
         names = [f.name for f in dataclasses.fields(LraState)]
         assert names == ["config", "w", "sketcher", "y", "guard_report", "_ingested", "_finalized"]
 
-    def test_projection_generated_once(self, monkeypatch):
-        # Normals generated by a release, r = k + p per column: on the
-        # general path, setup seeds the bottom block from the d data
-        # columns; each chunk walks its own lift columns and regenerates
-        # the d data columns once; finalize walks all n + d columns once.
-        # The symmetric path generates nothing at setup, regenerates its n
-        # data columns per chunk and walks the 2n columns at finalize. At
-        # the lra-csv shape that is 101 x (1000 + 2000 + 4 x 1000 + 3000).
-        for n, d, symmetric, step in ((2000, 1000, False, 500), (300, 300, True, 70)):
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_construction_generates_nothing(self, tile_calls, symmetric):
+        cfg = LraConfig(n=24, d=24 if symmetric else 16, k=3, p=4, budget=BUDGET, seed=0,
+                        symmetric=symmetric)
+        new_lra(cfg)
+        assert tile_calls == []
+
+    def test_projection_generated_once(self, tile_calls):
+        # Normals generated by a release, r = k + p per column: setup
+        # generates nothing; each chunk walks its own lift columns and
+        # regenerates the data columns (d, or n symmetric) once; finalize
+        # walks all n + d columns once, or the 2n symmetric ones. At the
+        # lra-csv shape, in 500-row chunks and in the CLI's 260-row chunks
+        # (four tiles of 65 rows), that is 101 x (2000 + 4 x 1000 + 3000)
+        # and 101 x (2000 + 8 x 1000 + 3000).
+        cli_step = 4 * sketch.per_tile(1000)
+        for n, d, symmetric, step in (
+            (2000, 1000, False, 500), (2000, 1000, False, cli_step), (300, 300, True, 70)
+        ):
             cfg = LraConfig(n=n, d=d, k=50, budget=BUDGET, seed=0, symmetric=symmetric)
             kp, chunks = 101, -(-n // step)
-            setup, finalize = (0, 2 * n) if symmetric else (d, n + d)
-            want = kp * (setup + n + chunks * d + finalize)
-            assert self._release_normals(monkeypatch, cfg, step) == want
-
-    @staticmethod
-    def _release_normals(monkeypatch, cfg, step):
-        generated = []
-        original = sketch._tile
-
-        def spy(sk, bg, j0, j1, buf):
-            generated.append(sk.r * (j1 - j0))
-            return original(sk, bg, j0, j1, buf)
-
-        monkeypatch.setattr(sketch, "_tile", spy)
-        a = np.random.default_rng(0).standard_normal((cfg.n, cfg.d))
-        state = new_lra(cfg)
-        for i0 in range(0, cfg.n, step):
-            state.ingest_rows(i0, a[i0 : i0 + step])
-        state.finalize()
-        monkeypatch.undo()
-        return sum(generated)
+            finalize = 2 * n if symmetric else n + d
+            want = kp * (n + chunks * d + finalize)
+            tile_calls.clear()
+            a = np.random.default_rng(0).standard_normal((n, d))
+            state = new_lra(cfg)
+            for i0 in range(0, n, step):
+                state.ingest_rows(i0, a[i0 : i0 + step])
+            state.finalize()
+            assert tile_calls.normals == want
 
     def test_default_oversampling(self):
         cfg = LraConfig(n=30, d=30, k=4, budget=BUDGET, seed=0)
@@ -140,10 +145,9 @@ class TestConstruction:
         # Every generation is a tile of a walk, so the cap refuses only a
         # column over it: r = k + p = 7 entries. Under a cap of 7 the 7 x d
         # data block spans d tiles, and the state builds, ingests and
-        # finalizes. Under a cap of 6 the general path is refused at
-        # construction, by its bottom-block seed, and the symmetric path,
-        # which generates nothing there, at its first block, before any
-        # state changes.
+        # finalizes. Under a cap of 6 both paths, which generate nothing at
+        # construction, are refused at their first block, before any state
+        # changes.
         n, d = (24, 24) if symmetric else (24, 16)
         cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=0, symmetric=symmetric)
         cap = 6 + cap_over_size
@@ -151,10 +155,6 @@ class TestConstruction:
         monkeypatch.setattr(sketch, "TILE_ENTRIES", cap)
         a = np.random.default_rng(0).standard_normal((n, d))
         if not builds:
-            if not symmetric:
-                with pytest.raises(CapacityError, match="7x1 exceeds"):
-                    new_lra(cfg)
-                return
             state = new_lra(cfg)
             with pytest.raises(CapacityError, match="7x1 exceeds"):
                 state.ingest_rows(0, a[:8])
@@ -186,7 +186,7 @@ class TestConstruction:
         state.ingest_rows(0, a[:25])
         state.ingest_rows(25, a[25:])
         state.finalize()
-        assert len(checked) == 6 and max(checked) <= sketch.TILE_ENTRIES
+        assert len(checked) == 5 and max(checked) <= sketch.TILE_ENTRIES
 
     def test_guard_bypass_for_tests(self):
         cfg = LraConfig(
@@ -291,7 +291,7 @@ class TestBlockIngest:
             state.ingest_rows(0, np.ones((4, 8)))
         assert state.rows_seen == 0 and np.array_equal(state.y, y)
 
-    def test_block_longer_than_a_tile_ingests_tile_by_tile(self, monkeypatch):
+    def test_block_longer_than_a_tile_ingests_tile_by_tile(self, monkeypatch, tile_calls):
         # Under a cap of 7 x 16 entries a tile holds 16 columns, so a
         # 24-row block walks its lift columns in two requests, where one
         # request for all 24 would exceed the cap, and then its 16 data
@@ -305,16 +305,9 @@ class TestBlockIngest:
         for i0 in range(0, n, 8):
             by_eight.ingest_rows(i0, a[i0 : i0 + 8])
         whole = new_lra(cfg)
-        requests = []
-        original = sketch._tile
-
-        def spy(sk, bg, j0, j1, buf):
-            requests.append(sk.r * (j1 - j0))
-            return original(sk, bg, j0, j1, buf)
-
-        monkeypatch.setattr(sketch, "_tile", spy)
+        tile_calls.clear()
         whole.ingest_rows(0, a)
-        assert requests == [7 * 16, 7 * 8, 7 * 16]
+        assert [r * (j1 - j0) for r, j0, j1 in tile_calls] == [7 * 16, 7 * 8, 7 * 16]
         assert np.linalg.norm(whole.y - by_eight.y) <= 1e-12 * np.linalg.norm(by_eight.y)
 
     def test_range_and_width_checks(self):
@@ -336,6 +329,147 @@ class TestBlockIngest:
         state.finalize()
         with pytest.raises(ContractViolationError):
             state.ingest_rows(0, np.zeros((0, 8)))
+
+
+class TestBottomLift:
+    """On the general path the bottom block's lift, w times the data block,
+    enters with the block that holds row 0, once, in whatever order the
+    rows come."""
+
+    @staticmethod
+    def _stream(cfg, a, starts):
+        state = new_lra(cfg)
+        for i0 in starts:
+            state.ingest_rows(i0, a[i0 : i0 + 8])
+        return state
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_row_zero_last_equals_row_zero_first(self, symmetric):
+        n, d = 24, 24 if symmetric else 16
+        a = np.random.default_rng(20).standard_normal((n, d))
+        cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=20, symmetric=symmetric)
+        first = self._stream(cfg, a, (0, 8, 16))
+        last = self._stream(cfg, a, (16, 8, 0))
+        assert np.linalg.norm(last.y - first.y) <= 1e-12 * np.linalg.norm(first.y)
+
+    def test_an_empty_block_at_row_zero_carries_no_lift(self):
+        # A zero-row block at row 0 ingests no row, so the lift waits for
+        # the block that does: keyed on i0 == 0 alone it would enter with
+        # both, and the bottom block would carry two lifts.
+        cfg = LraConfig(n=24, d=16, k=3, p=4, budget=BUDGET, seed=21)
+        a = np.random.default_rng(21).standard_normal((24, 16))
+        want = self._stream(cfg, a, (0, 8, 16)).y
+        state = new_lra(cfg)
+        state.ingest_rows(0, a[:0])
+        assert not state.y.any() and state.rows_seen == 0
+        for i0 in (0, 8, 16):
+            state.ingest_rows(i0, a[i0 : i0 + 8])
+        assert np.linalg.norm(state.y - want) <= 1e-12 * np.linalg.norm(want)
+        # Negative control: one more lift in the bottom block fails the check.
+        doubled = state.y.copy()
+        doubled[24:] += state.w * omega_rows(state, 24, 40)
+        assert np.linalg.norm(doubled - want) > 1e-12 * np.linalg.norm(want)
+
+
+def _shard(cfg, a, rows, rng):
+    """A state that ingests ``rows`` of a one at a time, in random order."""
+    state = new_lra(cfg)
+    for i in rng.permutation(rows):
+        state.ingest_rows(i, a[[i]])
+    return state
+
+
+class TestMerge:
+    """Two shards of one stream merge into the whole stream's state."""
+
+    @staticmethod
+    def _case(symmetric, seed):
+        n, d = 30, 30 if symmetric else 20
+        rng = np.random.default_rng(seed)
+        a = 300.0 * rng.standard_normal((n, 3)) @ rng.standard_normal((3, d))
+        a += rng.standard_normal((n, d))
+        if symmetric:
+            a = (a + a.T) / 2.0
+        cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=seed, symmetric=symmetric)
+        whole = new_lra(cfg)
+        for i0 in range(0, n, 7):
+            whole.ingest_rows(i0, a[i0 : i0 + 7])
+        return cfg, a, whole, rng
+
+    @staticmethod
+    def _split(cfg, a, rng, row0_first):
+        """Two shards over a random split of the rows; row 0 in the first
+        or in the second."""
+        first = rng.random(cfg.n) < 0.5
+        first[0] = row0_first
+        rows = np.arange(cfg.n)
+        return _shard(cfg, a, rows[first], rng), _shard(cfg, a, rows[~first], rng)
+
+    @pytest.mark.parametrize("seed", [22, 23, 24])
+    @pytest.mark.parametrize("row0_first", [True, False], ids=["row0-first", "row0-second"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_sharded_equals_whole(self, symmetric, row0_first, seed):
+        cfg, a, whole, rng = self._case(symmetric, seed)
+        shard_a, shard_b = self._split(cfg, a, rng, row0_first)
+        merged = shard_a.merge(shard_b)
+        assert merged.rows_seen == cfg.n and merged.sketcher is shard_a.sketcher
+        assert np.linalg.norm(merged.y - whole.y) <= 1e-10 * np.linalg.norm(whole.y)
+        want = reconstruct(whole.finalize(), cfg)
+        got = reconstruct(merged.finalize(), cfg)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        # Negative control: the recipe in which both shards carry the lift
+        # subtracts one regenerated lift, so the lift is missing here.
+        if not symmetric:
+            old = shard_a.y + shard_b.y
+            old[cfg.n :] -= whole.w * omega_rows(whole, cfg.n, cfg.n + cfg.d)
+            assert np.linalg.norm(old - whole.y) > 1e-10 * np.linalg.norm(whole.y)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_a_merged_state_keeps_ingesting(self, symmetric):
+        cfg, a, whole, rng = self._case(symmetric, 25)
+        part = rng.integers(0, 3, size=cfg.n)
+        rows = np.arange(cfg.n)
+        merged = _shard(cfg, a, rows[part == 0], rng).merge(_shard(cfg, a, rows[part == 1], rng))
+        for i in rows[part == 2]:
+            merged.ingest_rows(i, a[[i]])
+        assert merged.rows_seen == cfg.n
+        assert np.linalg.norm(merged.y - whole.y) <= 1e-10 * np.linalg.norm(whole.y)
+        want = reconstruct(whole.finalize(), cfg)
+        got = reconstruct(merged.finalize(), cfg)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_merge_generates_nothing(self, tile_calls, symmetric):
+        cfg, a, _whole, rng = self._case(symmetric, 26)
+        shard_a, shard_b = self._split(cfg, a, rng, True)
+        tile_calls.clear()
+        shard_a.merge(shard_b)
+        assert tile_calls.normals == 0
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_refusals_leave_both_shards_unchanged(self, symmetric):
+        cfg, a, _whole, rng = self._case(symmetric, 27)
+        shard_a, shard_b = self._split(cfg, a, rng, True)
+        full = _shard(cfg, a, np.arange(cfg.n), rng)
+        full.finalize()
+        shared = int(np.flatnonzero(shard_a._ingested)[0])
+        others = [
+            (full, "finalized"),
+            (new_lra(dataclasses.replace(cfg, seed=cfg.seed + 1)), "different configs"),
+            (new_lra(dataclasses.replace(cfg, w_override=2 * shard_a.w)), "different configs"),
+            (_shard(cfg, a, np.arange(shared, cfg.n), rng), f"row {shared} was ingested by both"),
+        ]
+        y, seen = shard_a.y.copy(), shard_a._ingested.copy()
+        with pytest.raises(ContractViolationError, match="cannot merge LraState with object"):
+            shard_a.merge(object())
+        for other, message in others:
+            other_y, other_seen = other.y.copy(), other._ingested.copy()
+            with pytest.raises((ContractViolationError, OnePassViolationError), match=message):
+                shard_a.merge(other)
+            assert np.array_equal(other.y, other_y) and np.array_equal(other._ingested, other_seen)
+        assert np.array_equal(shard_a.y, y) and np.array_equal(shard_a._ingested, seen)
+        with pytest.raises(ContractViolationError, match="finalized"):
+            full.merge(new_lra(cfg))
 
 
 def _stored_block_release(state, a, step):
@@ -543,7 +677,7 @@ class TestTiledFinalize:
         assert sketch.TILE_ENTRIES <= sketch.MAX_SKETCH_ENTRIES
 
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_many_tiles_give_the_one_tile_factor(self, monkeypatch, symmetric):
+    def test_many_tiles_give_the_one_tile_factor(self, monkeypatch, tile_calls, symmetric):
         # k+p = 7 and n = 24: a tile holds 5 columns, and no request holds
         # more. The general path walks all n + d = 40 columns once, in 8
         # tiles; the symmetric path walks the lift block and the data block,
@@ -558,15 +692,9 @@ class TestTiledFinalize:
         one_tile = stream_all(new_lra(cfg), a).finalize()
         state = stream_all(new_lra(cfg), a)
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 5 * 7)
-        requests = []
-        original = sketch._tile
-
-        def spy(sk, bg, j0, j1, buf):
-            requests.append(sk.r * (j1 - j0))
-            return original(sk, bg, j0, j1, buf)
-
-        monkeypatch.setattr(sketch, "_tile", spy)
+        tile_calls.clear()
         tiled = state.finalize()
+        requests = [r * (j1 - j0) for r, j0, j1 in tile_calls]
         assert requests == ([35, 35, 35, 35, 28] * 2 if symmetric else [35] * 8)
         assert np.linalg.norm(tiled.lam - one_tile.lam) <= 1e-12 * np.linalg.norm(one_tile.lam)
         rec, rec_tiled = reconstruct(one_tile, cfg), reconstruct(tiled, cfg)

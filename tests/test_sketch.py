@@ -8,28 +8,13 @@ from dpsketch import cli, guard, sketch
 from dpsketch.errors import (
     CapacityError, ContractViolationError, NumericFailureError, ParameterDomainError,
 )
+from dpsketch.lra import LraConfig, new_lra
 from dpsketch.matprod import new_matprod
 from dpsketch.regress import new_regress
 from dpsketch.sketch import GaussianSketcher
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
 ACC = guard.AccuracySpec(0.5, 0.2)
-
-
-def _tile_spy(monkeypatch, keep=True):
-    """Record (j0, j1, block) of every generated tile from here on; the
-    block is a copy, since a walk reuses its buffer, or None when ``keep``
-    is false."""
-    tiles = []
-    original = sketch._tile
-
-    def spy(sk, bg, j0, j1, buf):
-        block = original(sk, bg, j0, j1, buf)
-        tiles.append((j0, j1, block.copy() if keep else None))
-        return block
-
-    monkeypatch.setattr(sketch, "_tile", spy)
-    return tiles
 
 
 class TestSketcherConstruction:
@@ -120,6 +105,46 @@ class TestSketcherConstruction:
         same = np.array_equal(GaussianSketcher(5, 4, 8).omega,
                               GaussianSketcher((1 << 64) + 5, 4, 8).omega)
         assert same == masked
+
+
+def _unfixed_philox(seed, offset):
+    # Negative control: the stream as it was opened before numpy integer
+    # offsets were made Python ints; advance cannot take a numpy integer.
+    if offset % 4:
+        raise ContractViolationError(f"word offset {offset} is not block-aligned")
+    bg = np.random.Philox(key=seed)
+    if offset:
+        bg.advance(offset // 4)
+    return bg
+
+
+class TestNumpyIntegerStarts:
+    """A start index given as a numpy integer generates what a Python int does."""
+
+    @staticmethod
+    def _outputs(start):
+        # column_block, a project_blocks pass, a low-rank block ingest and
+        # a lifted-sketch block ingest, all starting at ``start``.
+        rng = np.random.default_rng(28)
+        sk = GaussianSketcher(0, 5, 100)
+        state = new_lra(LraConfig(n=20, d=12, k=2, budget=BUDGET, seed=28))
+        state.ingest_rows(start, rng.standard_normal((4, 12)))
+        lifted = new_regress(20, 3, BUDGET, ACC, 28)
+        lifted.ingest_rows(start, rng.standard_normal((4, 3)))
+        x = rng.standard_normal((10, 2))
+        return [sk.column_block(start, start + 10), sk.project_blocks(start, [x])[0],
+                state.y, lifted.ya]
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64])
+    def test_same_bits_as_a_python_int(self, kind):
+        want = self._outputs(3)
+        for got, expected in zip(self._outputs(kind(3)), want):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_negative_control_raises_under_the_unfixed_stream(self, monkeypatch):
+        monkeypatch.setattr(sketch, "_philox", _unfixed_philox)
+        with pytest.raises(OverflowError):
+            self._outputs(np.int64(3))
 
 
 def _project(sk, x):
@@ -290,45 +315,42 @@ class TestTiles:
     """project_blocks walks its range in tiles: one Philox stream and one
     tile buffer per pass."""
 
-    def test_default_tile_budget(self, monkeypatch):
+    def test_default_tile_budget(self, tile_calls):
         assert sketch.TILE_ENTRIES == 65536
         sk = GaussianSketcher(3, 1031, 4040)
-        tiles = _tile_spy(monkeypatch, keep=False)
         sk.project_blocks(0, [np.zeros((sk.m, 1))])
-        sizes = [sk.r * (t1 - t0) for t0, t1, _ in tiles]
+        sizes = [r * (j1 - j0) for r, j0, j1 in tile_calls]
         assert max(sizes) == 63 * 1031 and sum(sizes) == sk.r * sk.m
 
-    def test_uneven_tiles_concatenate_bit_exact(self, monkeypatch):
+    def test_uneven_tiles_concatenate_bit_exact(self, monkeypatch, tile_calls):
+        # Projecting the identity returns the walked tiles side by side:
+        # every other term of each product is an exact zero.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         sk = GaussianSketcher(5, 5, 40)
-        tiles = _tile_spy(monkeypatch)
-        sk.project_blocks(3, [np.zeros((33, 1))])
-        assert [t1 - t0 for t0, t1, _ in tiles] == [2] * 16 + [1]
-        assert tiles[0][0] == 3 and tiles[-1][1] == 36
-        assert all(tile.shape == (5, t1 - t0) for t0, t1, tile in tiles)
-        joined = np.hstack([tile for *_, tile in tiles])
+        (joined,) = sk.project_blocks(3, [np.eye(33)])
+        assert [j1 - j0 for _r, j0, j1 in tile_calls] == [2] * 16 + [1]
+        assert tile_calls[0][1] == 3 and tile_calls[-1][2] == 36
+        assert all(r == 5 for r, _j0, _j1 in tile_calls)
         assert np.array_equal(joined, sk.column_block(3, 36))
         assert np.array_equal(joined, GaussianSketcher(5, 5, 40).omega[:, 3:36])
 
-    def test_one_column_tiles_when_r_exceeds_budget(self, monkeypatch):
+    def test_one_column_tiles_when_r_exceeds_budget(self, monkeypatch, tile_calls):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 3)
         sk = GaussianSketcher(6, 5, 9)
-        tiles = _tile_spy(monkeypatch)
-        sk.project_blocks(0, [np.zeros((9, 1))])
-        assert [(t0, t1) for t0, t1, _ in tiles] == [(j, j + 1) for j in range(9)]
-        assert np.array_equal(np.hstack([t for *_, t in tiles]), sk.omega)
+        (joined,) = sk.project_blocks(0, [np.eye(9)])
+        assert [(j0, j1) for _r, j0, j1 in tile_calls] == [(j, j + 1) for j in range(9)]
+        assert np.array_equal(joined, sk.omega)
 
-    def test_empty_range_and_range_check(self, monkeypatch):
+    def test_empty_range_and_range_check(self, tile_calls):
         # An empty range generates nothing, and so does a range outside
         # the projection, which is refused as a whole before any tile.
         sk = GaussianSketcher(1, 4, 6)
-        tiles = _tile_spy(monkeypatch)
         (out,) = sk.project_blocks(2, [np.ones((0, 3))])
         assert np.array_equal(out, np.zeros((4, 3)))
         for j0, k in ((-1, 3), (0, 7), (5, 2)):
             with pytest.raises(ContractViolationError, match="outside"):
                 sk.project_blocks(j0, [np.ones((k, 1))])
-        assert tiles == []
+        assert tile_calls == []
         for j0, j1 in ((-1, 2), (3, 2), (0, 7)):
             with pytest.raises(ContractViolationError, match="outside"):
                 sk.column_block(j0, j1)
@@ -336,14 +358,13 @@ class TestTiles:
     @pytest.mark.parametrize(
         "block", [np.ones(3), np.ones((3, 1, 1)), [[1.0], [2.0], [3.0]]], ids=["1-D", "3-D", "list"]
     )
-    def test_project_blocks_refuses_a_block_that_is_not_2d(self, monkeypatch, block):
+    def test_project_blocks_refuses_a_block_that_is_not_2d(self, tile_calls, block):
         sk = GaussianSketcher(0, 2, 3)
-        tiles = _tile_spy(monkeypatch)
         with pytest.raises(ContractViolationError, match="2-D"):
             sk.project_blocks(0, [block])
         with pytest.raises(ContractViolationError, match="2-D"):
             sk.project_blocks(0, [np.ones((3, 1)), block])
-        assert tiles == []
+        assert tile_calls == []
 
     @pytest.mark.parametrize("r", [5, 8], ids=["padded", "unpadded"])
     def test_column_block_is_a_view_of_the_generated_normals(self, r):
@@ -374,24 +395,17 @@ class TestTiles:
         assert walks == [(1, 8)]
         assert tiles == [(1, 3), (3, 5), (5, 7), (7, 8)]
 
-    def test_project_blocks_share_each_tile(self, monkeypatch):
+    def test_project_blocks_share_each_tile(self, monkeypatch, tile_calls):
         # Several blocks over the same columns cost one pass over the tiles,
         # and each result is its own one-block pass bit for bit.
-        calls = []
-        original = sketch._tile
-
-        def spy(sk, bg, j0, j1, buf):
-            calls.append((j0, j1))
-            return original(sk, bg, j0, j1, buf)
-
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 8)
         sk = GaussianSketcher(2, 4, 10)
         rng = np.random.default_rng(2)
         blocks = [rng.standard_normal((7, 2)), rng.standard_normal((7, 3))]
         want = [sk.project_blocks(1, [x])[0] for x in blocks]
-        monkeypatch.setattr(sketch, "_tile", spy)
+        tile_calls.clear()
         got = sk.project_blocks(1, blocks)
-        assert calls == [(1, 3), (3, 5), (5, 7), (7, 8)]
+        assert [(j0, j1) for _r, j0, j1 in tile_calls] == [(1, 3), (3, 5), (5, 7), (7, 8)]
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
         with pytest.raises(ContractViolationError):
@@ -401,13 +415,12 @@ class TestTiles:
         with pytest.raises(ContractViolationError, match="no blocks"):
             GaussianSketcher(0, 2, 3).project_blocks(0, [])
 
-    def test_construction_generates_only_a_stored_projection(self, monkeypatch):
+    def test_construction_generates_only_a_stored_projection(self, monkeypatch, tile_calls):
         # No sketcher stores its projection, so construction requests and
         # generates no column: every tile is generated on request.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
-        tiles = _tile_spy(monkeypatch)
         GaussianSketcher(9, 5, 23)
-        assert tiles == []
+        assert tile_calls == []
 
     @pytest.mark.parametrize("budget", [1, 12, 65536])
     def test_project_matches_dense_product(self, monkeypatch, budget):
@@ -418,25 +431,19 @@ class TestTiles:
         (got,) = sk.project_blocks(3, [x])
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_vector_ops_walk_tiles(self, monkeypatch):
+    def test_vector_ops_walk_tiles(self, monkeypatch, tile_calls):
         # One-column blocks request at most one tile of omega at a time
         # and agree with products of the full omega.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         om = GaussianSketcher(8, 4, 30).omega
         sk = GaussianSketcher(8, 4, 30)
-        sizes = []
-        original = sketch._tile
-
-        def spy(sk, bg, j0, j1, buf):
-            sizes.append(sk.r * (j1 - j0))
-            return original(sk, bg, j0, j1, buf)
-
-        monkeypatch.setattr(sketch, "_tile", spy)
+        tile_calls.clear()
         v = np.random.default_rng(8).standard_normal(30)
         want = om @ v
         got = sk.project_blocks(0, [v[:, None], -v[:, None]])
         for out, sign in zip(got, (1.0, -1.0)):
             assert np.linalg.norm(out[:, 0] - sign * want) <= 1e-12 * np.linalg.norm(want)
+        sizes = [r * (j1 - j0) for r, j0, j1 in tile_calls]
         assert sizes and max(sizes) <= sketch.TILE_ENTRIES
 
 
@@ -542,18 +549,17 @@ class TestWalk:
         assert self._matches_column_block(_fresh_buffer_walk)
         assert not self._matches_column_block(_reopening_walk)
 
-    def test_the_walk_refuses_a_column_over_the_cap(self, monkeypatch):
+    def test_the_walk_refuses_a_column_over_the_cap(self, monkeypatch, tile_calls):
         # r alone exceeds the cap, so the one-column tiles do: refused
         # before anything is generated, as column_block refuses them.
         monkeypatch.setattr(sketch, "MAX_SKETCH_ENTRIES", 4)
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 4)
         sk = GaussianSketcher(0, 5, 3)
-        tiles = _tile_spy(monkeypatch)
         with pytest.raises(CapacityError, match="5x1 exceeds"):
             sk.project_blocks(0, [np.ones((3, 1))])
         with pytest.raises(CapacityError, match="5x1 exceeds"):
             sk.column_block(0, 1)
-        assert tiles == []
+        assert tile_calls == []
 
 
 def _scalar_normals(words):
