@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -315,11 +316,13 @@ def regress_errors(a, queries: np.ndarray, solutions: np.ndarray, state: Regress
     }
 
 
-def _bound_check(check: str, trial, seeds: list, rhs_scale: float, allowed: float) -> BoundReport:
-    """Run ``trial(seed) -> (lhs, rhs)`` per seed and count lhs > rhs_scale * rhs.
-
-    Passes when the violation rate is at most ``allowed``.
+def _bound_check(check: str, trial, trials: int, base_seed: int, rhs_scale: float,
+                 allowed) -> BoundReport:
+    """Run ``trial(seed) -> (lhs, rhs)`` on ``trials`` seeds from ``base_seed``
+    and count lhs > rhs_scale * rhs; passes when the violation rate is at
+    most ``allowed(trials)``. ``trials`` is refused below 1 before any run.
     """
+    seeds = [base_seed + t for t in range(_trials(trials))]
     results = [trial(s) for s in seeds]
     lhs = np.array([x[0] for x in results])
     rhs = np.array([x[1] for x in results]) * rhs_scale
@@ -328,7 +331,7 @@ def _bound_check(check: str, trial, seeds: list, rhs_scale: float, allowed: floa
         check=check,
         trials=len(seeds),
         violations=violations,
-        allowed=allowed,
+        allowed=allowed(trials),
         seeds=seeds,
         observed_lhs=lhs,
         bound_rhs=rhs,
@@ -368,7 +371,7 @@ def bound_check_lra(
         raise ParameterDomainError(f"norm must be 'fro' or 'spectral', got {norm!r}")
     return _bound_check(
         f"lra_bound_{norm}", lambda s: _lra_trial(config, s, norm),
-        [base_seed + t for t in range(_trials(trials))], rhs_scale, 0.10,
+        trials, base_seed, rhs_scale, lambda _trials: 0.10,
     )
 
 
@@ -406,8 +409,8 @@ def nonprivate_sanity_check(
             float(np.linalg.norm(a - psi_ref @ (psi_ref.T @ a))),
         )
 
-    seeds = [base_seed + t for t in range(_trials(trials))]
-    return _bound_check("nonprivate_range_sanity", trial, seeds, ratio_bound, 0.0)
+    return _bound_check("nonprivate_range_sanity", trial, trials, base_seed, ratio_bound,
+                        lambda _trials: 0.0)
 
 
 def mc_unbiased_product(
@@ -475,8 +478,7 @@ def bound_check_matprod(
     """Multiply mechanism vs its multiplicative-plus-additive bound."""
     return _bound_check(
         "matprod_bound", lambda s: _matprod_trial(n, d1, d2, budget, acc, s),
-        [base_seed + t for t in range(_trials(trials))], rhs_scale,
-        binomial_allowed(acc.beta, trials),
+        trials, base_seed, rhs_scale, partial(binomial_allowed, acc.beta),
     )
 
 
@@ -503,6 +505,5 @@ def bound_check_regress(
     """Regression mechanism vs its relative-plus-additive residual bound."""
     return _bound_check(
         "regress_bound", lambda s: _regress_trial(n, d, budget, acc, s),
-        [base_seed + t for t in range(_trials(trials))], rhs_scale,
-        binomial_allowed(acc.beta, trials),
+        trials, base_seed, rhs_scale, partial(binomial_allowed, acc.beta),
     )

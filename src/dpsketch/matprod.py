@@ -12,18 +12,17 @@ Lifted column layout (length 2(n+d), d = max(d1, d2)):
     [d, 2d+n)     zeros          spacer
     [2d+n, 2d+2n) data column    the streamed content
 
-The identity-lift contribution of every column is data-independent, so it
-is seeded into the sketches at construction; ingestion accumulates only
-data contributions, which keeps updates exactly linear (turnstile). A merge
-of two shards therefore sums their sketches and subtracts one copy of the
-lift, regenerated from the seed.
+The sketches hold data terms only, which keeps updates exactly linear
+(turnstile) and makes a merge of two shards the plain sum of their
+sketches; like the seed, they stay with the curator. The data-independent
+lift enters where a release reads them, from one regenerated block.
 
 Both operands are sketched with the same projection and read the same
 data-block columns, so ``MatProdState.ingest_rows`` takes a row block of A
 and of B together and regenerates each projection tile once for both.
 ``LiftedSketch`` owns this layout, the guard check and its report, the
-one row-block ingest that every update goes through, and the merge; the
-regression mechanism builds on the same core.
+one row-block ingest that every update goes through, the merge and the
+read that adds the lift; the regression mechanism builds on the same core.
 """
 from __future__ import annotations
 
@@ -56,11 +55,11 @@ def lifted_matrix(a: np.ndarray, s: float, d: int) -> np.ndarray:
 class LiftedSketch:
     """Identity-lifted n x d streams sketched by one seeded projection.
 
-    Each subclass names its sketches, the state's r x c array fields;
-    ``_new`` seeds them with the lift, ``_ingest_rows`` adds a block of rows
-    into one or more of them in one pass over the projection tiles (a
-    block of columns is all n rows of a column slice), and ``merge``
-    combines two shards.
+    Each subclass names its sketches, the state's r x c array fields, which
+    hold omega_data @ A alone; ``_ingest_rows`` adds a block of rows into one
+    or more of them in one pass over the projection tiles (a block of columns
+    is all n rows of a column slice), ``merge`` sums two shards, and
+    ``_lifted_sketches`` adds the lift where a release reads them.
     """
 
     n: int
@@ -74,10 +73,10 @@ class LiftedSketch:
 
     @classmethod
     def _new(cls, n, d, r, budget, acc, seed, s_override, enforce_guard, widths, **fields):
-        """Check the guard, build the sketcher and seed each sketch in ``widths``.
+        """Check the guard, build the sketcher and start each sketch in ``widths``.
 
         ``widths`` maps a sketch field to its column count; each sketch
-        starts as the lift s * omega[:, :width]. ``fields`` are passed on.
+        starts as zeros, so nothing is generated. ``fields`` are passed on.
         """
         s = s_override if s_override is not None else guard.lift_scale_s(budget, r)
         report = guard.check_lift("s", s, guard.sigma_min_psg1(budget, r), enforce_guard)
@@ -85,19 +84,16 @@ class LiftedSketch:
         sketcher = GaussianSketcher(seed, r=r, m=m)
         for name, width in widths.items():
             fields[name] = np.zeros((r, width))
-        state = cls(
+        return cls(
             n=n, d=d, r=r, s=float(s), budget=budget, acc=acc, sketcher=sketcher,
             guard_report=report, **fields,
         )
-        sketches = [fields[name] for name in widths]
-        for sk, lift in zip(sketches, state._lifts(sketches)):
-            sk[:] = lift
-        return state
 
-    def _lifts(self, sketches) -> list[np.ndarray]:
-        """The lift s * omega[:, :c] of each r x c sketch, from one regenerated block."""
+    def _lifted_sketches(self) -> list[np.ndarray]:
+        """Each sketch plus its lift s * omega[:, :c], from one regenerated block, as new arrays."""
+        sketches = list(self._sketches().values())
         block = self.s * self.sketcher.column_block(0, max(sk.shape[1] for sk in sketches))
-        return [block[:, : sk.shape[1]] for sk in sketches]
+        return [sk + block[:, : sk.shape[1]] for sk in sketches]
 
     def _sketches(self) -> dict[str, np.ndarray]:
         return {name: v for name, v in vars(self).items() if isinstance(v, np.ndarray)}
@@ -111,13 +107,13 @@ class LiftedSketch:
         return sum(sk.size for sk in self._sketches().values())
 
     def merge(self, other):
-        """Combine two shards of the same stream.
+        """Combine two shards of the same stream: their sketches add.
 
-        Data contributions add; the deterministic lift contribution is
-        common to both shards and must enter the result exactly once.
-        Shards with different lifts, budgets, accuracy, sketchers or sketch
-        shapes are refused, so the result does not depend on the order of
-        the two and no sum broadcasts.
+        The sketches hold data terms only and the lift enters where a
+        release reads them, so nothing is regenerated; like the seed, they
+        stay with the curator and its shards. Shards with different lifts,
+        budgets, accuracy, sketchers or sketch shapes are refused, so the
+        result does not depend on the order of the two and no sum broadcasts.
         """
         if type(other) is not type(self):
             raise ContractViolationError(
@@ -132,10 +128,7 @@ class LiftedSketch:
         mine, theirs = self._sketches(), other._sketches()
         if any(sk.shape != theirs[name].shape for name, sk in mine.items()):
             raise ContractViolationError("cannot merge sketches with different shapes")
-        # Both shards carry the lift; remove one copy.
-        lifts = self._lifts(list(mine.values()))
-        merged = {name: sk + theirs[name] - lift for (name, sk), lift in zip(mine.items(), lifts)}
-        return dataclasses.replace(self, **merged)
+        return dataclasses.replace(self, **{name: sk + theirs[name] for name, sk in mine.items()})
 
     def _ingest_columns(self, sk: np.ndarray, j0: int, cols) -> None:
         """Add omega_data @ cols into sketch columns [j0, j0 + cols.shape[1]):
@@ -199,13 +192,14 @@ class MatProdState(LiftedSketch):
         self._ingest_rows(i0, (self.yb, rows))
 
     def product_query(self) -> np.ndarray:
-        """Estimate A.T @ B from the sketches.
+        """Estimate A.T @ B from the sketches of the lifted A and B.
 
         The raw cross product estimates r * (s^2 I~ + A.T B); dividing by r
         and subtracting the deterministic lift expectation s^2 I~ (the
         partial identity) leaves an unbiased estimate of A.T @ B.
         """
-        est = (self.ya.T @ self.yb) / self.r
+        ya, yb = self._lifted_sketches()
+        est = (ya.T @ yb) / self.r
         dmin = min(self.d1, self.d2)
         est[np.diag_indices(dmin)] -= self.s**2
         return est

@@ -8,8 +8,8 @@ queries are streamed side by side (``ingest_and_query``), or in one pass of
 their own when the queries come after the stream (``query_many``). The
 sketched least-squares problems min ||Ya x - Yb_j|| are solved together,
 directly on the sketched design Ya through its SVD rather than on its
-normal system, so the solve sees cond(Ya) and not its square. Shards of a
-stream combine with ``merge``, which counts the lift once.
+normal system, so the solve sees cond(Ya) and not its square. Each answer
+adds the lift to a copy of Ya, so shards combine with ``merge``, a plain sum.
 
 The returned solution is the raw minimizer of the lifted problem, which is
 a ridge regression with penalty s^2: users expecting ordinary
@@ -100,15 +100,16 @@ class RegressState(LiftedSketch):
             )
 
     def _answer(self, yb: np.ndarray) -> np.ndarray:
-        """Solve min_x ||Ya x - yb_j|| for each column of the r x q ``yb``."""
-        solutions = numerics.lstsq(self.ya, yb)
+        """Solve min_x ||Ya x - yb_j|| for each column of the r x q ``yb``; Ya carries the lift."""
+        (ya,) = self._lifted_sketches()
+        solutions = numerics.lstsq(ya, yb)
         self.queries_answered += yb.shape[1]
         return solutions
 
     def merge(self, other: "RegressState") -> "RegressState":
-        """Combine two shards, as ``LiftedSketch.merge``; shards that have
-        answered queries or have different query ceilings are refused, so
-        the query ceiling stays honest."""
+        """Combine two shards, as ``LiftedSketch.merge``, by summing their
+        curator-held sketches; shards that have answered queries or have
+        different query ceilings are refused, so the ceiling stays honest."""
         merged = super().merge(other)  # checks first that other is a RegressState
         if self.queries_answered or other.queries_answered:
             raise ContractViolationError("cannot merge shards that have answered queries")

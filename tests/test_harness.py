@@ -236,9 +236,12 @@ class TestBoundChecks:
 
     def test_unbiased_product_negative_control(self, monkeypatch):
         # An estimate that keeps the lift's s^2 on its diagonal is biased,
-        # and the check must see it.
+        # and the check must see it. The sketches hold data terms only, so
+        # the control adds the lift itself, as a release reads it.
         def biased(self):
-            return (self.ya.T @ self.yb) / self.r
+            lift = self.s * self.sketcher.column_block(0, self.d)
+            ya, yb = self.ya + lift[:, : self.d1], self.yb + lift[:, : self.d2]
+            return (ya.T @ yb) / self.r
 
         monkeypatch.setattr(MatProdState, "product_query", biased)
         rep = harness.mc_unbiased_product(12, 2, 2, BUDGET, ACC, trials=600, seed=12)

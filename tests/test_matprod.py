@@ -4,7 +4,7 @@ import pytest
 from dpsketch import guard, sketch
 from dpsketch.errors import ContractViolationError, SpectralGuardError
 from dpsketch.harness import binomial_allowed, exact_product
-from dpsketch.matprod import lifted_matrix, new_matprod
+from dpsketch.matprod import lift_layout, lifted_matrix, new_matprod
 from dpsketch.sketch import GaussianSketcher
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
@@ -32,9 +32,14 @@ class TestConstruction:
 
 class TestIngestion:
     def test_zero_column_is_lift_only(self):
+        # A column with no data holds nothing in the sketch; what a release
+        # reads of it is its lift alone.
         state = make_state(seed=2)
+        state.ingest_a_columns(0, np.ones((30, 2)))
         om = state.sketcher.omega
-        np.testing.assert_array_equal(state.ya[:, 2], state.s * om[:, 2])
+        assert not state.ya[:, 2].any()
+        ya, _yb = state._lifted_sketches()
+        np.testing.assert_array_equal(ya[:, 2], state.s * om[:, 2])
 
     def test_streamed_equals_batch(self):
         rng = np.random.default_rng(3)
@@ -47,9 +52,12 @@ class TestIngestion:
         for j in range(d2):
             state.ingest_b_columns(j, b[:, [j]])
         om = state.sketcher.omega
-        for data, mat in ((state.ya, a), (state.yb, b)):
+        _m, lo = lift_layout(n, state.d)
+        for data, read, mat in zip((state.ya, state.yb), state._lifted_sketches(), (a, b)):
             batch = om @ lifted_matrix(mat, state.s, state.d)
-            assert np.linalg.norm(data - batch) <= 1e-9 * np.linalg.norm(batch)
+            assert np.linalg.norm(read - batch) <= 1e-9 * np.linalg.norm(batch)
+            terms = om[:, lo:] @ mat
+            assert np.linalg.norm(data - terms) <= 1e-9 * np.linalg.norm(terms)
 
     def test_turnstile_updates(self):
         rng = np.random.default_rng(4)

@@ -36,8 +36,10 @@ def test_public_api_is_pinned():
 
 
 def test_lift_doubling_merge_is_not_exported():
-    # A plain sum of lifted sketches keeps both lifts; states merge with
-    # their own ``merge``. Sketches are plain arrays, with no wrapper type.
+    # States merge with their own ``merge``, which refuses shards of another
+    # lift, budget, sketcher or shape before it sums their sketches; no
+    # free-standing merge skips those checks. Sketches are plain arrays,
+    # with no wrapper type.
     assert not hasattr(dpsketch, "merge")
     assert not hasattr(dpsketch, "Sketch")
     assert not hasattr(dpsketch, "serialize") and not hasattr(dpsketch, "deserialize")

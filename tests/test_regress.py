@@ -63,9 +63,14 @@ class TestConstruction:
 
 class TestIngestion:
     def test_zero_column_is_lift_only(self):
+        # A column with no data holds nothing in the sketch; what a release
+        # reads of it is its lift alone.
         state = make_state(seed=2)
+        state.ingest_columns(2, np.ones((30, 2)))
+        assert not state.ya[:, 1].any()
+        (ya,) = state._lifted_sketches()
         np.testing.assert_array_equal(
-            state.ya[:, 1], state.s * state.sketcher.column_block(1, 2)[:, 0]
+            ya[:, 1], state.s * state.sketcher.column_block(1, 2)[:, 0]
         )
 
     def test_streamed_equals_batch(self):
@@ -75,8 +80,12 @@ class TestIngestion:
         state = make_state(n, d, seed=3)
         for j in range(d):
             state.ingest_columns(j, a[:, [j]])
-        batch = state.sketcher.omega @ lifted_matrix(a, state.s, d)
-        assert np.linalg.norm(state.ya - batch) <= 1e-9 * np.linalg.norm(batch)
+        om = state.sketcher.omega
+        batch = om @ lifted_matrix(a, state.s, d)
+        (ya,) = state._lifted_sketches()
+        assert np.linalg.norm(ya - batch) <= 1e-9 * np.linalg.norm(batch)
+        terms = om[:, lift_layout(n, d)[1] :] @ a
+        assert np.linalg.norm(state.ya - terms) <= 1e-9 * np.linalg.norm(terms)
 
     def test_turnstile_cancellation(self):
         rng = np.random.default_rng(4)
@@ -312,11 +321,16 @@ class TestMerge:
         shard2.ingest_columns(1, a[:, 1:])
         assert rel_diff(shard1.merge(shard2).ya, whole.ya) <= 1e-10
 
-    def test_plain_sketch_sum_counts_the_lift_twice(self):
-        # Negative control: summing the shards' sketches without removing
-        # one lift copy is off by about the lift itself.
+    def test_plain_sketch_sum_is_the_merge(self):
+        # The shards' sketches hold data terms only, so their plain sum is
+        # the merge. Negative control: the recipe in which each shard
+        # carries the lift subtracts one regenerated lift, which here takes
+        # about the lift itself away.
         whole, shard1, shard2 = self._shards()
-        assert rel_diff(shard1.ya + shard2.ya, whole.ya) > 0.5
+        assert np.array_equal(shard1.merge(shard2).ya, shard1.ya + shard2.ya)
+        assert rel_diff(shard1.ya + shard2.ya, whole.ya) <= 1e-10
+        lift = whole.s * whole.sketcher.column_block(0, whole.d)
+        assert rel_diff(shard1.ya + shard2.ya - lift, whole.ya) > 0.5
 
     def test_refuses_shards_that_answered_queries(self):
         _whole, shard1, shard2 = self._shards()
