@@ -36,6 +36,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -277,6 +278,30 @@ class _Release(NamedTuple):
     errors: Callable[..., dict]  # the loaded inputs (A, and B if any) -> errors
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread for the scope, and give
+    it back its own count on the way out, whatever happens inside.
+
+    A release's products are too small for a second BLAS thread to gain
+    anything, and OpenBLAS keeps that thread spinning between them. With
+    BLAS on one thread, projection walks generate their tiles on two
+    threads (``sketch._two_threads``). Where numpy bundles no OpenBLAS,
+    nothing changes.
+    """
+    fns = sketch._blas_thread_fns()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _run_release(cfg: argparse.Namespace, command) -> dict:
     """Shared skeleton of the lra, multiply and regress commands.
 
@@ -303,7 +328,8 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
     # Each item of the zip holds one (i0, block) per input, all at one i0.
     streams = zip(*(iter_matrix_chunks(path, cfg.fmt, step) for path in paths))
     chunks = ((pieces[0][0], *(block for _, block in pieces)) for pieces in streams)
-    rel = command(cfg, chunks, rows[0], *cols)
+    with _one_blas_thread():
+        rel = command(cfg, chunks, rows[0], *cols)
     report = {"params": {k: v for k, v in vars(cfg).items() if k != "seed"},
               "error_vs_oracle": None, "space_entries": rel.state.space_entries()}
     greport = rel.state.guard_report

@@ -7,27 +7,37 @@ without storing the whole matrix: no sketcher keeps any of it.
 Normals are generated from one Philox stream in sub-blocks of 8,192
 words, each mapped straight into its slice of the output, and a block of
 columns is a view of those normals. ``column_block`` fills one request
-into a fresh array. A tiled pass (``project_blocks``, LRA ingest) walks
-its range with ``_tiles``: one stream, continued from tile to tile, and
-one buffer of one tile, refilled for each, so a pass holds a transient of
-one tile whatever its length. Box-Muller evaluates a sub-block's pairs in
-the order of their angles' top bits, which keeps libm's branches
-predictable. Each pair moves as one 16-byte item: its two words are
-gathered together in that order, and its cos and sin normals are
-scattered together back to the pair's own slot. Each normal is the same
-call on the same double wherever it is computed, so any order that is
-scattered back changes no bit. The normals are bit-exact under any split
-of a range into requests, tiles or sub-blocks; products with them
-(sketches and releases) are bit-reproducible only under the same BLAS
-build and thread count. A sketch Omega @ X is a plain r x c array, so
-turnstile updates and shards of a stream add entrywise. Every mechanism
-retains its sketches only and regenerates its projection where it reads it.
+into a fresh array. A tiled pass (``project_blocks``, LRA ingest and
+``finalize``) walks its range with ``_tiles``: one stream, continued from
+tile to tile, and one buffer of one tile, refilled for each, so a pass
+holds a transient of one tile whatever its length. Where the process may
+use two CPUs and BLAS runs on one thread (as in a CLI release), the walk
+generates on two threads: the caller and one persistent helper thread take
+alternate tiles of half the width, each on a Philox stream of its own that
+skips the other's tiles and into a buffer of its own, so the two buffers
+hold one tile in all, and the tiles come in the same order with the same
+bits. Box-Muller evaluates a sub-block's pairs in the order of their
+angles' top bits, which keeps libm's branches predictable. Each pair moves
+as one 16-byte item: its two words are gathered together in that order,
+and its cos and sin normals are scattered together back to the pair's own
+slot. Each normal is the same call on the same double wherever it is
+computed, so any order that is scattered back changes no bit. The normals
+are bit-exact under any split of a range into requests, tiles, sub-blocks
+or threads. Products with them (sketches and releases) are
+bit-reproducible only under the same BLAS build, BLAS thread count and
+walk path, since the tile width sets how a product's terms are summed. A
+sketch Omega @ X is a plain r x c array, so turnstile updates and shards
+of a stream add entrywise. Every mechanism retains its sketches only and
+regenerates its projection where it reads it.
 """
 from __future__ import annotations
 
 import functools
+import os
+import queue
 import sys
-from collections.abc import Iterator
+import threading
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -38,13 +48,15 @@ SEED_BITS = 128
 
 # Float64 entry budget (1 GiB) of one column_block request or one tile of
 # a walk, the only cap. A walk's one buffer holds max(TILE_ENTRIES, r)
-# entries at most (r only when one column exceeds the tile).
+# entries at most (r only when one column exceeds the tile); a two-thread
+# walk's two buffers hold that much together, or 2r in one-column tiles.
 MAX_SKETCH_ENTRIES = 1 << 27
 
 # Float64 entries per regenerated projection tile (512 KiB). Block ingest,
 # block queries and the CLI's chunked readers all walk their ranges in
 # pieces of this size (see per_tile); a walk generates every tile into one
-# buffer of this size, so a pass holds one tile at a time.
+# buffer of this size (two of half the size on two threads), so a pass
+# holds one tile at a time.
 TILE_ENTRIES = 1 << 16
 
 # Raw words per generation sub-block (64 KiB). A request is filled from
@@ -168,25 +180,157 @@ def _check_capacity(r: int, cols: int) -> None:
         )
 
 
+@functools.cache
+def _blas_thread_fns() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, found by
+    its own entry points; None where numpy bundles no OpenBLAS."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "lib*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _two_threads() -> bool:
+    """Whether a walk generates on two threads: where the process may use
+    two CPUs and BLAS runs on one, so the second CPU is otherwise idle."""
+    fns = _blas_thread_fns()
+    return fns is not None and fns[0]() == 1 and _usable_cpus() >= 2
+
+
+# The helper thread's job queue, made by the first two-thread walk. A
+# forked child has the queue but not the thread, so it drops the queue.
+_helper_jobs: queue.SimpleQueue | None = None
+_helper_lock = threading.Lock()
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    # The helper thread: runs each job in turn, and hands its result, or
+    # whatever it raised, to the job's own reply queue, where the walk
+    # raises it; a job that died unanswered would leave its walk waiting.
+    while True:
+        fn, args, reply = jobs.get()
+        try:
+            reply.put((fn(*args), None))
+        except BaseException as exc:
+            reply.put((None, exc))
+
+
+def _helper() -> queue.SimpleQueue:
+    global _helper_jobs
+    with _helper_lock:
+        if _helper_jobs is None:
+            _helper_jobs = queue.SimpleQueue()
+            threading.Thread(
+                target=_serve, args=(_helper_jobs,), name="dpsketch-tiles", daemon=True
+            ).start()
+        return _helper_jobs
+
+
+def _drop_helper() -> None:
+    global _helper_jobs
+    _helper_jobs = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
 def _tiles(sk: GaussianSketcher, j0: int, j1: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (t0, t1, tile) over columns [j0, j1) of sk's projection, in
-    tiles of ``per_tile(r)`` columns.
+    column order, in tiles of ``per_tile(r)`` columns (half as wide on two
+    threads).
 
-    One Philox stream is opened for the walk and continued from tile to
-    tile, and every tile is generated into one buffer owned by the walk:
-    a tile is valid only until the next one is yielded. A tile over the
-    cap (one column, when r alone exceeds it) is refused before anything
-    is generated.
+    One Philox stream per generating thread is opened for the walk and
+    continued from tile to tile, and every tile is generated into that
+    thread's one buffer: a tile is valid only until the next one is
+    yielded. A tile over the cap (one column, when r alone exceeds it) is
+    refused before anything is generated. Where ``_two_threads()`` holds,
+    ``_split_tiles`` generates the tiles on two threads; they hold the
+    same bits as the serial walk's, which stays the reference.
     """
-    width = min(per_tile(sk.r), j1 - j0)
+    split = _two_threads()
+    width = per_tile(sk.r)
+    width = min(max(1, width // 2) if split else width, j1 - j0)
     if width <= 0:
         return
     _check_capacity(sk.r, width)
+    if split:
+        yield from _split_tiles(sk, j0, j1, width)
+        return
     bg = _philox(sk.seed, j0 * sk._wpc)
     buf = np.empty(width * sk._wpc)
     for t0 in range(j0, j1, width):
         t1 = min(t0 + width, j1)
         yield t0, t1, _tile(sk, bg, t0, t1, buf)
+
+
+def _split_tiles(
+    sk: GaussianSketcher, j0: int, j1: int, width: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    # The two-thread walk: the caller generates the even tiles and the
+    # helper thread the odd ones, each on a Philox stream of its own that
+    # skips the other's tiles, into a buffer of its own. The helper is
+    # handed tile i + 2 as soon as the caller is back from tile i, whose
+    # buffer it takes, and generates it while the caller computes with
+    # tile i + 1 and generates tile i + 3.
+    # Philox is counter-based, so every tile holds the words of its own
+    # columns whichever thread draws them (Salmon et al., SC 2011).
+    starts = range(j0, j1, width)
+    streams = [_philox(sk.seed, t0 * sk._wpc) for t0 in starts[:2]]
+    bufs = [np.empty(width * sk._wpc) for _ in streams]
+    skip = width * sk._wpc // 4  # counter blocks of the other thread's tile
+
+    def generate(i: int) -> np.ndarray:
+        bg = streams[i % 2]
+        if i >= 2:
+            bg.advance(skip)
+        return _tile(sk, bg, starts[i], min(starts[i] + width, j1), bufs[i % 2])
+
+    jobs, reply = _helper(), queue.SimpleQueue()
+    pending = len(starts) > 1
+    if pending:
+        jobs.put((generate, (1,), reply))
+    try:
+        own = generate(0)
+        for i, t0 in enumerate(starts):
+            if i % 2:
+                pending = False
+                tile, exc = reply.get()
+                if exc is not None:
+                    raise exc
+            else:
+                tile = own
+            yield t0, min(t0 + width, j1), tile
+            # Tile i is released: its buffer takes tile i + 2.
+            if i + 2 < len(starts):
+                if i % 2:
+                    jobs.put((generate, (i + 2,), reply))
+                    pending = True
+                else:
+                    own = generate(i + 2)
+    finally:
+        # A walk left early (the caller raised, or closed it) still waits
+        # for the helper's tile, so no tile outlives the walk.
+        if pending:
+            reply.get()
 
 
 @functools.cache

@@ -295,20 +295,24 @@ class TestBlockIngest:
         # Under a cap of 7 x 16 entries a tile holds 16 columns, so a
         # 24-row block walks its lift columns in two requests, where one
         # request for all 24 would exceed the cap, and then its 16 data
-        # columns in one.
+        # columns in one. On two threads the tiles are half as wide: three
+        # lift requests and two data requests of 8 columns each.
         n, d = 24, 16
         a = np.random.default_rng(16).standard_normal((n, d))
         cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=16)
         monkeypatch.setattr(sketch, "MAX_SKETCH_ENTRIES", 7 * 16)
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 7 * 16)
-        by_eight = new_lra(cfg)
-        for i0 in range(0, n, 8):
-            by_eight.ingest_rows(i0, a[i0 : i0 + 8])
-        whole = new_lra(cfg)
-        tile_calls.clear()
-        whole.ingest_rows(0, a)
-        assert [r * (j1 - j0) for r, j0, j1 in tile_calls] == [7 * 16, 7 * 8, 7 * 16]
-        assert np.linalg.norm(whole.y - by_eight.y) <= 1e-12 * np.linalg.norm(by_eight.y)
+        for split in (False, True):
+            monkeypatch.setattr(sketch, "_two_threads", lambda split=split: split)
+            by_eight = new_lra(cfg)
+            for i0 in range(0, n, 8):
+                by_eight.ingest_rows(i0, a[i0 : i0 + 8])
+            whole = new_lra(cfg)
+            tile_calls.clear()
+            whole.ingest_rows(0, a)
+            requests = [r * (j1 - j0) for r, j0, j1 in sorted(tile_calls, key=lambda c: c[1])]
+            assert requests == ([7 * 8] * 5 if split else [7 * 16, 7 * 8, 7 * 16])
+            assert np.linalg.norm(whole.y - by_eight.y) <= 1e-12 * np.linalg.norm(by_eight.y)
 
     def test_range_and_width_checks(self):
         cfg = LraConfig(n=10, d=6, k=2, budget=BUDGET, seed=0)
@@ -681,7 +685,8 @@ class TestTiledFinalize:
         # k+p = 7 and n = 24: a tile holds 5 columns, and no request holds
         # more. The general path walks all n + d = 40 columns once, in 8
         # tiles; the symmetric path walks the lift block and the data block,
-        # 24 columns each, in 5 tiles each, the last one ragged.
+        # 24 columns each, in 5 tiles each, the last one ragged. On two
+        # threads the tiles hold 2 columns: 20 tiles, and 12 per block.
         n, d = 24, 24 if symmetric else 16
         rng = np.random.default_rng(15)
         a = 50.0 * rng.standard_normal((n, 3)) @ rng.standard_normal((3, d))
@@ -692,13 +697,18 @@ class TestTiledFinalize:
         one_tile = stream_all(new_lra(cfg), a).finalize()
         state = stream_all(new_lra(cfg), a)
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 5 * 7)
-        tile_calls.clear()
-        tiled = state.finalize()
-        requests = [r * (j1 - j0) for r, j0, j1 in tile_calls]
-        assert requests == ([35, 35, 35, 35, 28] * 2 if symmetric else [35] * 8)
-        assert np.linalg.norm(tiled.lam - one_tile.lam) <= 1e-12 * np.linalg.norm(one_tile.lam)
-        rec, rec_tiled = reconstruct(one_tile, cfg), reconstruct(tiled, cfg)
-        assert np.linalg.norm(rec_tiled - rec) <= 1e-12 * np.linalg.norm(rec)
+        for split in (False, True):
+            monkeypatch.setattr(sketch, "_two_threads", lambda split=split: split)
+            tile_calls.clear()
+            tiled = state.finalize()
+            requests = [r * (j1 - j0) for r, j0, j1 in sorted(tile_calls, key=lambda c: c[1])]
+            if split:
+                assert requests == ([14] * 24 if symmetric else [14] * 20)
+            else:
+                assert requests == ([35, 35, 35, 35, 28] * 2 if symmetric else [35] * 8)
+            assert np.linalg.norm(tiled.lam - one_tile.lam) <= 1e-12 * np.linalg.norm(one_tile.lam)
+            rec, rec_tiled = reconstruct(one_tile, cfg), reconstruct(tiled, cfg)
+            assert np.linalg.norm(rec_tiled - rec) <= 1e-12 * np.linalg.norm(rec)
 
 
 class TestReconstruct:

@@ -39,20 +39,20 @@ class TestSketcherConstruction:
     )
     def test_benchmark_identity_moments(self, monkeypatch, r, m):
         # The benchmark's sketcher shapes at seed 0, regenerated tile by tile
-        # by one project_blocks pass; each tile is summed as it is made.
+        # by one project_blocks pass; each tile is summed as it is made, on
+        # whichever thread makes it, and the sums are added up afterwards.
         sk = GaussianSketcher(0, r, m)
-        total = total_sq = 0.0
+        sums = []
         original = sketch._tile
 
         def summing(sk, bg, j0, j1, buf):
-            nonlocal total, total_sq
             tile = original(sk, bg, j0, j1, buf)
-            total += float(tile.sum())
-            total_sq += float(np.square(tile).sum())
+            sums.append((float(tile.sum()), float(np.square(tile).sum())))
             return tile
 
         monkeypatch.setattr(sketch, "_tile", summing)
         sk.project_blocks(0, [np.zeros((m, 1))])
+        total, total_sq = np.sum(sums, axis=0)
         n = r * m
         mean = total / n
         var = total_sq / n - mean * mean
@@ -311,35 +311,55 @@ class TestMerge:
                 x.merge(y)
 
 
+def _on_paths(monkeypatch):
+    # Each walk path in turn: serial tiles are per_tile(r) wide, two-thread
+    # tiles half that (at least one column).
+    for split in (False, True):
+        monkeypatch.setattr(sketch, "_two_threads", lambda split=split: split)
+        yield split
+
+
+def _by_start(tile_calls):
+    # The recorded tiles in column order: two threads record them.
+    return sorted(tile_calls, key=lambda call: call[1])
+
+
 class TestTiles:
     """project_blocks walks its range in tiles: one Philox stream and one
-    tile buffer per pass."""
+    tile buffer per generating thread and pass."""
 
-    def test_default_tile_budget(self, tile_calls):
+    def test_default_tile_budget(self, monkeypatch, tile_calls):
         assert sketch.TILE_ENTRIES == 65536
         sk = GaussianSketcher(3, 1031, 4040)
-        sk.project_blocks(0, [np.zeros((sk.m, 1))])
-        sizes = [r * (j1 - j0) for r, j0, j1 in tile_calls]
-        assert max(sizes) == 63 * 1031 and sum(sizes) == sk.r * sk.m
+        for split in _on_paths(monkeypatch):
+            tile_calls.clear()
+            sk.project_blocks(0, [np.zeros((sk.m, 1))])
+            sizes = [r * (j1 - j0) for r, j0, j1 in tile_calls]
+            assert max(sizes) == (31 if split else 63) * 1031 and sum(sizes) == sk.r * sk.m
 
     def test_uneven_tiles_concatenate_bit_exact(self, monkeypatch, tile_calls):
         # Projecting the identity returns the walked tiles side by side:
         # every other term of each product is an exact zero.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         sk = GaussianSketcher(5, 5, 40)
-        (joined,) = sk.project_blocks(3, [np.eye(33)])
-        assert [j1 - j0 for _r, j0, j1 in tile_calls] == [2] * 16 + [1]
-        assert tile_calls[0][1] == 3 and tile_calls[-1][2] == 36
-        assert all(r == 5 for r, _j0, _j1 in tile_calls)
-        assert np.array_equal(joined, sk.column_block(3, 36))
-        assert np.array_equal(joined, GaussianSketcher(5, 5, 40).omega[:, 3:36])
+        for split in _on_paths(monkeypatch):
+            tile_calls.clear()
+            (joined,) = sk.project_blocks(3, [np.eye(33)])
+            calls = _by_start(tile_calls)
+            assert [j1 - j0 for _r, j0, j1 in calls] == ([1] * 33 if split else [2] * 16 + [1])
+            assert calls[0][1] == 3 and calls[-1][2] == 36
+            assert all(r == 5 for r, _j0, _j1 in calls)
+            assert np.array_equal(joined, sk.column_block(3, 36))
+            assert np.array_equal(joined, GaussianSketcher(5, 5, 40).omega[:, 3:36])
 
     def test_one_column_tiles_when_r_exceeds_budget(self, monkeypatch, tile_calls):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 3)
         sk = GaussianSketcher(6, 5, 9)
-        (joined,) = sk.project_blocks(0, [np.eye(9)])
-        assert [(j0, j1) for _r, j0, j1 in tile_calls] == [(j, j + 1) for j in range(9)]
-        assert np.array_equal(joined, sk.omega)
+        for _split in _on_paths(monkeypatch):
+            tile_calls.clear()
+            (joined,) = sk.project_blocks(0, [np.eye(9)])
+            assert [(j0, j1) for _r, j0, j1 in _by_start(tile_calls)] == [(j, j + 1) for j in range(9)]
+            assert np.array_equal(joined, sk.omega)
 
     def test_empty_range_and_range_check(self, tile_calls):
         # An empty range generates nothing, and so does a range outside
@@ -377,8 +397,8 @@ class TestTiles:
 
     def test_tiles_come_from_one_walk(self, monkeypatch):
         # A pass is one _tiles walk, and the walk's tiles are its columns in
-        # per_tile(r) steps, each equal to column_block over its range.
-        walks, tiles = [], []
+        # per_tile(r) steps (half that on two threads), each equal to
+        # column_block over its range.
         original = sketch._tiles
 
         def spy(sk, j0, j1):
@@ -391,9 +411,12 @@ class TestTiles:
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 8)
         sk = GaussianSketcher(2, 4, 10)
         monkeypatch.setattr(sketch, "_tiles", spy)
-        sk.project_blocks(1, [np.ones((7, 2))])
-        assert walks == [(1, 8)]
-        assert tiles == [(1, 3), (3, 5), (5, 7), (7, 8)]
+        for split in _on_paths(monkeypatch):
+            walks, tiles = [], []
+            sk.project_blocks(1, [np.ones((7, 2))])
+            assert walks == [(1, 8)]
+            assert tiles == ([(j, j + 1) for j in range(1, 8)] if split
+                             else [(1, 3), (3, 5), (5, 7), (7, 8)])
 
     def test_project_blocks_share_each_tile(self, monkeypatch, tile_calls):
         # Several blocks over the same columns cost one pass over the tiles,
@@ -402,12 +425,15 @@ class TestTiles:
         sk = GaussianSketcher(2, 4, 10)
         rng = np.random.default_rng(2)
         blocks = [rng.standard_normal((7, 2)), rng.standard_normal((7, 3))]
-        want = [sk.project_blocks(1, [x])[0] for x in blocks]
-        tile_calls.clear()
-        got = sk.project_blocks(1, blocks)
-        assert [(j0, j1) for _r, j0, j1 in tile_calls] == [(1, 3), (3, 5), (5, 7), (7, 8)]
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+        for split in _on_paths(monkeypatch):
+            want = [sk.project_blocks(1, [x])[0] for x in blocks]
+            tile_calls.clear()
+            got = sk.project_blocks(1, blocks)
+            assert [(j0, j1) for _r, j0, j1 in _by_start(tile_calls)] == (
+                [(j, j + 1) for j in range(1, 8)] if split else [(1, 3), (3, 5), (5, 7), (7, 8)]
+            )
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
         with pytest.raises(ContractViolationError):
             sk.project_blocks(1, [np.ones((7, 2)), np.ones((6, 2))])
 
@@ -476,8 +502,9 @@ def _reopening_walk(sk, j0, j1):
 
 
 class TestWalk:
-    """One _tiles walk per pass: one Philox stream, one tile buffer, the
-    same tiles as column_block, and the cap of one column_block request."""
+    """One _tiles walk per pass: one Philox stream and one tile buffer per
+    generating thread, the same tiles as column_block, and the cap of one
+    column_block request."""
 
     @staticmethod
     def _regress_pass():
@@ -488,10 +515,24 @@ class TestWalk:
         return sk, [rng.standard_normal((2000, 20)) for _ in range(2)]
 
     @staticmethod
-    def _tiles_share_memory(walk):
+    def _buffers(walk):
+        # The walk's tiles grouped by the buffer they view, as lists of tile
+        # indices, with the size of each group's buffer in columns.
         sk = GaussianSketcher(1, 5, 40)
         tiles = [tile for *_, tile in walk(sk, 3, 40)]
-        return len(tiles) > 2 and all(np.shares_memory(a, b) for a, b in zip(tiles, tiles[1:]))
+        groups = []
+        for i, tile in enumerate(tiles):
+            group = next((g for g in groups if np.shares_memory(tiles[g[0]], tile)), None)
+            if group is None:
+                groups.append(group := [])
+            group.append(i)
+        bases = []
+        for g in groups:
+            base = tiles[g[0]]
+            while base.base is not None:
+                base = base.base
+            bases.append(base.size // sk._wpc)
+        return groups, bases
 
     @staticmethod
     def _matches_column_block(walk):
@@ -524,13 +565,26 @@ class TestWalk:
         return peak / (8 * sk.r * sketch.per_tile(sk.r))
 
     def test_consecutive_tiles_share_one_buffer(self, monkeypatch):
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
-        assert self._tiles_share_memory(sketch._tiles)
-        assert not self._tiles_share_memory(_fresh_buffer_walk)
-        assert not self._tiles_share_memory(_fresh_walk)
+        # Serial: every tile in one buffer of one tile (4 columns at r = 5).
+        # Two threads: the tiles alternate between two buffers of half a
+        # tile each. No tile gets a fresh buffer on either path.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 24)
+        for split in _on_paths(monkeypatch):
+            groups, bases = self._buffers(sketch._tiles)
+            count = sum(map(len, groups))
+            if split:
+                assert groups == [list(range(0, count, 2)), list(range(1, count, 2))]
+                assert bases == [2, 2] and count == 19
+            else:
+                assert groups == [list(range(count))] and bases == [4] and count == 10
+            for walk in (_fresh_buffer_walk, _fresh_walk):
+                groups, _bases = self._buffers(walk)
+                assert len(groups) == sum(map(len, groups)) > 2
 
     def test_a_pass_opens_one_stream(self, monkeypatch):
-        assert self._philox_calls(monkeypatch) == 1
+        # One stream per generating thread, never one per tile.
+        for split in _on_paths(monkeypatch):
+            assert self._philox_calls(monkeypatch) == (2 if split else 1)
         monkeypatch.setattr(sketch, "_tiles", _fresh_walk)
         assert self._philox_calls(monkeypatch) == 32
 
