@@ -36,7 +36,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -278,30 +277,6 @@ class _Release(NamedTuple):
     errors: Callable[..., dict]  # the loaded inputs (A, and B if any) -> errors
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run numpy's bundled OpenBLAS on one thread for the scope, and give
-    it back its own count on the way out, whatever happens inside.
-
-    A release's products are too small for a second BLAS thread to gain
-    anything, and OpenBLAS keeps that thread spinning between them. With
-    BLAS on one thread, projection walks generate their tiles on two
-    threads (``sketch._two_threads``). Where numpy bundles no OpenBLAS,
-    nothing changes.
-    """
-    fns = sketch._blas_thread_fns()
-    if fns is None:
-        yield
-        return
-    get, set_ = fns
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def _run_release(cfg: argparse.Namespace, command) -> dict:
     """Shared skeleton of the lra, multiply and regress commands.
 
@@ -328,8 +303,7 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
     # Each item of the zip holds one (i0, block) per input, all at one i0.
     streams = zip(*(iter_matrix_chunks(path, cfg.fmt, step) for path in paths))
     chunks = ((pieces[0][0], *(block for _, block in pieces)) for pieces in streams)
-    with _one_blas_thread():
-        rel = command(cfg, chunks, rows[0], *cols)
+    rel = command(cfg, chunks, rows[0], *cols)
     report = {"params": {k: v for k, v in vars(cfg).items() if k != "seed"},
               "error_vs_oracle": None, "space_entries": rel.state.space_entries()}
     greport = rel.state.guard_report
@@ -351,6 +325,8 @@ def _lra(cfg: argparse.Namespace, chunks, n: int, d: int) -> _Release:
         n=n, d=d, k=cfg.rank, p=cfg.oversample,
         budget=guard.PrivacyBudget(cfg.eps, cfg.delta), seed=cfg.seed,
     )
+    # LRA releases run outside sketch._release_threads: generation is little
+    # of them (lra-csv: 20 of 410 ms), next to parsing and BLAS.
     state = new_lra(lcfg)
     for i0, block in chunks:
         state.ingest_rows(i0, block)
@@ -362,10 +338,12 @@ def _lra(cfg: argparse.Namespace, chunks, n: int, d: int) -> _Release:
 def _multiply(cfg: argparse.Namespace, chunks, n: int, d1: int, d2: int) -> _Release:
     budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
     state = new_matprod(n, d1, d2, budget, acc, cfg.seed)
-    # Each projection tile is regenerated once for both A and B.
-    for i0, block_a, block_b in chunks:
-        state.ingest_rows(i0, block_a, block_b)
-    estimate = state.product_query()
+    # Each projection tile is regenerated once for both A and B. Each chunk
+    # is one walk, so the release may walk on two threads (sketch module).
+    with sketch._release_threads(state.sketcher.r, min(n, sketch.per_tile(max(d1, d2)))):
+        for i0, block_a, block_b in chunks:
+            state.ingest_rows(i0, block_a, block_b)
+        estimate = state.product_query()
     return _Release(state, {"estimate": estimate},
                     lambda a, b: harness.matprod_errors(a, b, estimate, state))
 
@@ -373,8 +351,10 @@ def _multiply(cfg: argparse.Namespace, chunks, n: int, d1: int, d2: int) -> _Rel
 def _regress(cfg: argparse.Namespace, chunks, n: int, d: int, q: int) -> _Release:
     budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
     state = new_regress(n, d, budget, acc, cfg.seed)
-    # Each projection tile is regenerated once for both the design and the queries.
-    solutions = state.ingest_and_query(chunks)
+    # Each projection tile is regenerated once for both the design and the
+    # queries, and each chunk is one walk, as in _multiply.
+    with sketch._release_threads(state.sketcher.r, min(n, sketch.per_tile(max(d, q)))):
+        solutions = state.ingest_and_query(chunks)
     return _Release(state, {"solutions": solutions},
                     lambda a, queries: harness.regress_errors(a, queries, solutions, state))
 

@@ -10,14 +10,17 @@ columns is a view of those normals. ``column_block`` fills one request
 into a fresh array. A tiled pass (``project_blocks``, LRA ingest and
 ``finalize``) walks its range with ``_tiles``: one stream, continued from
 tile to tile, and one buffer of one tile, refilled for each, so a pass
-holds a transient of one tile whatever its length. Where the process may
-use two CPUs and BLAS runs on one thread (as in a CLI release), the walk
-generates on two threads: the caller and one persistent helper thread take
-alternate tiles of half the width, each on a Philox stream of its own that
-skips the other's tiles and into a buffer of its own, so the two buffers
-hold one tile in all, and the tiles come in the same order with the same
-bits. Box-Muller evaluates a sub-block's pairs in the order of their
-angles' top bits, which keeps libm's branches predictable. Each pair moves
+holds a transient of one tile whatever its length. Inside
+``_release_threads`` (CLI multiply and regress releases whose walks span
+three half tiles or more), where the process may use exactly two CPUs,
+BLAS runs on one thread and a walk of tiles at least two columns wide
+generates on two threads: the caller and one persistent helper thread
+take alternate tiles of half the width, each on a Philox stream of its own
+that skips the other's tiles and into a buffer of its own, so the two
+buffers hold one tile in all, and the tiles come in the same order with
+the same bits. Everywhere else the walk is serial. Box-Muller evaluates a
+sub-block's pairs in the order of their angles' top bits, which keeps
+libm's branches predictable. Each pair moves
 as one 16-byte item: its two words are gathered together in that order,
 and its cos and sin normals are scattered together back to the pair's own
 slot. Each normal is the same call on the same double wherever it is
@@ -25,13 +28,16 @@ computed, so any order that is scattered back changes no bit. The normals
 are bit-exact under any split of a range into requests, tiles, sub-blocks
 or threads. Products with them (sketches and releases) are
 bit-reproducible only under the same BLAS build, BLAS thread count and
-walk path, since the tile width sets how a product's terms are summed. A
-sketch Omega @ X is a plain r x c array, so turnstile updates and shards
-of a stream add entrywise. Every mechanism retains its sketches only and
-regenerates its projection where it reads it.
+walk path, since the tile width sets how a product's terms are summed:
+a CLI release that enters the scope differs in its last bits from the
+same release on another number of CPUs. A sketch Omega @ X is a plain
+r x c array, so turnstile updates and shards of a stream add entrywise.
+Every mechanism retains its sketches only and regenerates its projection
+where it reads it.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import queue
@@ -49,7 +55,7 @@ SEED_BITS = 128
 # Float64 entry budget (1 GiB) of one column_block request or one tile of
 # a walk, the only cap. A walk's one buffer holds max(TILE_ENTRIES, r)
 # entries at most (r only when one column exceeds the tile); a two-thread
-# walk's two buffers hold that much together, or 2r in one-column tiles.
+# walk's two buffers hold that much together.
 MAX_SKETCH_ENTRIES = 1 << 27
 
 # Float64 entries per regenerated projection tile (512 KiB). Block ingest,
@@ -208,11 +214,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _two_threads() -> bool:
-    """Whether a walk generates on two threads: where the process may use
-    two CPUs and BLAS runs on one, so the second CPU is otherwise idle."""
-    fns = _blas_thread_fns()
-    return fns is not None and fns[0]() == 1 and _usable_cpus() >= 2
+# Whether walks generate on two threads; set only by _release_threads.
+_split_walks = False
+
+
+@contextlib.contextmanager
+def _release_threads(r: int, walk: int):
+    """Run the scope with numpy's bundled OpenBLAS on one thread and walks
+    on two, for a release whose walks are ``walk`` columns of an r-row
+    projection, where that pays; give both back as they were on the way
+    out, whatever happens inside.
+
+    It pays where generation, not BLAS, is most of a release: its per-tile
+    products are near OpenBLAS's threading threshold, so a second BLAS
+    thread barely speeds them up and spins between them. Measured on 2
+    CPUs only, it needs exactly two usable CPUs, and walks of at least
+    three half tiles: with two, each thread generates one and nothing
+    overlaps the products. Elsewhere, or where numpy bundles no OpenBLAS
+    or the count does not go to one, nothing changes.
+    """
+    global _split_walks
+    half = per_tile(r) // 2
+    fns = _blas_thread_fns() if half and walk > 2 * half and _usable_cpus() == 2 else None
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    before, was = get(), _split_walks
+    set_(1)
+    _split_walks = get() == 1
+    try:
+        yield
+    finally:
+        _split_walks = was
+        set_(before)
 
 
 # The helper thread's job queue, made by the first two-thread walk. A
@@ -262,13 +297,14 @@ def _tiles(sk: GaussianSketcher, j0: int, j1: int) -> Iterator[tuple[int, int, n
     continued from tile to tile, and every tile is generated into that
     thread's one buffer: a tile is valid only until the next one is
     yielded. A tile over the cap (one column, when r alone exceeds it) is
-    refused before anything is generated. Where ``_two_threads()`` holds,
-    ``_split_tiles`` generates the tiles on two threads; they hold the
-    same bits as the serial walk's, which stays the reference.
+    refused before anything is generated. Inside ``_release_threads``,
+    where a tile has at least two columns to halve, ``_split_tiles``
+    generates the tiles on two threads; they hold the same bits as the
+    serial walk's, which stays the reference.
     """
-    split = _two_threads()
     width = per_tile(sk.r)
-    width = min(max(1, width // 2) if split else width, j1 - j0)
+    split = _split_walks and width >= 2
+    width = min(width // 2 if split else width, j1 - j0)
     if width <= 0:
         return
     _check_capacity(sk.r, width)

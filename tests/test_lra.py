@@ -303,7 +303,7 @@ class TestBlockIngest:
         monkeypatch.setattr(sketch, "MAX_SKETCH_ENTRIES", 7 * 16)
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 7 * 16)
         for split in (False, True):
-            monkeypatch.setattr(sketch, "_two_threads", lambda split=split: split)
+            monkeypatch.setattr(sketch, "_split_walks", split)
             by_eight = new_lra(cfg)
             for i0 in range(0, n, 8):
                 by_eight.ingest_rows(i0, a[i0 : i0 + 8])
@@ -698,7 +698,7 @@ class TestTiledFinalize:
         state = stream_all(new_lra(cfg), a)
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 5 * 7)
         for split in (False, True):
-            monkeypatch.setattr(sketch, "_two_threads", lambda split=split: split)
+            monkeypatch.setattr(sketch, "_split_walks", split)
             tile_calls.clear()
             tiled = state.finalize()
             requests = [r * (j1 - j0) for r, j0, j1 in sorted(tile_calls, key=lambda c: c[1])]

@@ -39,20 +39,20 @@ class TestSketcherConstruction:
     )
     def test_benchmark_identity_moments(self, monkeypatch, r, m):
         # The benchmark's sketcher shapes at seed 0, regenerated tile by tile
-        # by one project_blocks pass; each tile is summed as it is made, on
-        # whichever thread makes it, and the sums are added up afterwards.
+        # by one project_blocks pass; each tile is summed as it is made.
         sk = GaussianSketcher(0, r, m)
-        sums = []
+        total = total_sq = 0.0
         original = sketch._tile
 
         def summing(sk, bg, j0, j1, buf):
+            nonlocal total, total_sq
             tile = original(sk, bg, j0, j1, buf)
-            sums.append((float(tile.sum()), float(np.square(tile).sum())))
+            total += float(tile.sum())
+            total_sq += float(np.square(tile).sum())
             return tile
 
         monkeypatch.setattr(sketch, "_tile", summing)
         sk.project_blocks(0, [np.zeros((m, 1))])
-        total, total_sq = np.sum(sums, axis=0)
         n = r * m
         mean = total / n
         var = total_sq / n - mean * mean
@@ -313,9 +313,9 @@ class TestMerge:
 
 def _on_paths(monkeypatch):
     # Each walk path in turn: serial tiles are per_tile(r) wide, two-thread
-    # tiles half that (at least one column).
+    # tiles half that; a one-column tile has no half, and walks serially.
     for split in (False, True):
-        monkeypatch.setattr(sketch, "_two_threads", lambda split=split: split)
+        monkeypatch.setattr(sketch, "_split_walks", split)
         yield split
 
 

@@ -1,9 +1,11 @@
-"""The two-thread projection walk, and the BLAS scope of CLI releases.
+"""The two-thread projection walk, and the thread scope of CLI releases.
 
-A walk generates its tiles on two threads where the process may use two
-CPUs and BLAS runs on one thread (``sketch._two_threads``). These tests
-pick each path by patching that selection; the serial walk is the
-reference the two-thread walk must equal bit for bit.
+A walk generates its tiles on two threads only inside
+``sketch._release_threads``, which each CLI release enters, and only where
+the process may use exactly two CPUs; the scope then runs BLAS on one
+thread. Most tests here pick the path by patching ``sketch._split_walks``,
+the flag the scope sets; the serial walk is the reference the two-thread
+walk must equal bit for bit.
 """
 import os
 import signal
@@ -22,7 +24,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def _use(monkeypatch, split):
-    monkeypatch.setattr(sketch, "_two_threads", lambda: split)
+    monkeypatch.setattr(sketch, "_split_walks", split)
 
 
 def _walk(monkeypatch, split, sk, j0, j1):
@@ -38,7 +40,8 @@ def _joined(walk):
 def _cases():
     # Seeded random (r, m, j0, j1, TILE_ENTRIES), then the edge cases:
     # numpy-integer starts, a one-tile range, an odd tile count (the caller
-    # generates the last tile), and r over the tile (one-column tiles).
+    # generates the last tile), and r over the tile (one-column tiles,
+    # which have no half and walk serially).
     rng = np.random.default_rng(30)
     cases = []
     for _ in range(24):
@@ -56,45 +59,109 @@ def _cases():
 
 
 def _tile_count(r, j0, j1):
+    # Half tiles, or one column a tile where the whole tile is one column.
     width = max(1, sketch.per_tile(r) // 2)
     return -(-(int(j1) - int(j0)) // width)
 
 
+def _fake_blas(monkeypatch, threads, takes=True):
+    # Stand-in entry points: the count the getter reports, and every count
+    # given to the setter, which a setter that does not take ignores.
+    state = {"threads": threads, "set": []}
+
+    def set_(n):
+        state["set"].append(n)
+        if takes:
+            state["threads"] = n
+
+    monkeypatch.setattr(sketch, "_blas_thread_fns", lambda: (lambda: state["threads"], set_))
+    return state
+
+
 class TestSelection:
-    """Two threads where at least 2 CPUs are usable and BLAS reports one
-    thread; the serial walk everywhere else."""
+    """Two threads only inside the release scope, where the process may use
+    exactly 2 CPUs, the release's walks span three half tiles or more and
+    BLAS goes to one thread; the serial walk everywhere else."""
 
-    @staticmethod
-    def _fake_blas(monkeypatch, threads):
-        monkeypatch.setattr(sketch, "_blas_thread_fns", lambda: (lambda: threads, lambda n: None))
-
-    @staticmethod
-    def _widths(monkeypatch):
+    @pytest.fixture(autouse=True)
+    def _small_tiles(self, monkeypatch):
+        # 40-entry tiles: 8 columns at r = 5, half tiles of 4.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
-        sk = GaussianSketcher(1, 5, 40)
+
+    @staticmethod
+    def _widths(r=5):
+        sk = GaussianSketcher(1, r, 40)
         return {t1 - t0 for t0, t1, _tile in sketch._tiles(sk, 0, 40)}
 
+    def test_outside_the_scope_walks_are_serial(self, monkeypatch):
+        # Even where BLAS already runs on one thread on 2 CPUs, as in a
+        # library caller that pins BLAS itself: no helper thread.
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
+        _fake_blas(monkeypatch, 1)
+        assert sketch._split_walks is False
+        assert self._widths() == {8}
+
     @pytest.mark.parametrize(
-        "cpus, blas, split",
-        [(2, 1, True), (8, 1, True), (1, 1, False), (2, 2, False), (8, 4, False), (2, None, False)],
-        ids=["2-cpus", "8-cpus", "1-cpu", "blas-2", "blas-4", "no-entry-point"],
+        "cpus, blas, r, walk, split",
+        [(2, "takes", 5, 9, True), (1, "takes", 5, 9, False), (4, "takes", 5, 9, False),
+         (2, None, 5, 9, False), (2, "stays-at-2", 5, 9, False),
+         (2, "takes", 5, 8, False), (2, "takes", 50, 40, False)],
+        ids=["2-cpus", "1-cpu", "4-cpus", "no-entry-point", "blas-stays-at-2",
+             "two-half-tiles", "one-column-tiles"],
     )
-    def test_selection(self, monkeypatch, cpus, blas, split):
+    def test_selection(self, monkeypatch, cpus, blas, r, walk, split):
         monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
         if blas is None:
             monkeypatch.setattr(sketch, "_blas_thread_fns", lambda: None)
         else:
-            self._fake_blas(monkeypatch, blas)
-        assert sketch._two_threads() is split
-        # The walk follows: half tiles (4 columns at r = 5) or whole ones.
-        assert self._widths(monkeypatch) == ({4} if split else {8})
+            state = _fake_blas(monkeypatch, 2, takes=blas == "takes")
+        pinned = cpus == 2 and blas is not None and walk > 8 and r == 5
+        with sketch._release_threads(r, walk):
+            assert sketch._split_walks is split
+            # The walk follows: half tiles (4 columns at r = 5) or whole ones.
+            assert self._widths() == ({4} if split else {8})
+            if blas is not None:
+                # BLAS is pinned only where the walks may take the second CPU.
+                assert state["set"] == ([1] if pinned else [])
+        assert sketch._split_walks is False
+        if blas is not None:
+            assert state["threads"] == 2 and state["set"] == ([1, 2] if pinned else [])
 
-    @pytest.mark.parametrize("mask, split", [({0}, False), ({0, 3}, True)])
+    def test_one_column_tiles_walk_serially(self, monkeypatch):
+        # r = 50 over a 40-entry tile: a tile is one column, which has no
+        # half, so one stream on the calling thread walks it even where
+        # walks are split.
+        _use(monkeypatch, True)
+        opened = []
+        original = sketch._philox
+
+        def philox(seed, offset):
+            opened.append(threading.current_thread().name)
+            return original(seed, offset)
+
+        monkeypatch.setattr(sketch, "_philox", philox)
+        assert self._widths(r=50) == {1}
+        assert opened == [threading.current_thread().name]
+
+    def test_the_scope_restores_both_when_its_body_raises(self, monkeypatch):
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
+        state = _fake_blas(monkeypatch, 3)
+        with pytest.raises(HelperFailed):
+            with sketch._release_threads(5, 40):
+                assert sketch._split_walks
+                raise HelperFailed("the release fails")
+        assert sketch._split_walks is False
+        assert state["set"] == [1, 3] and state["threads"] == 3
+
+    @pytest.mark.parametrize(
+        "mask, split", [({0}, False), ({0, 3}, True), ({0, 1, 2, 3}, False)]
+    )
     def test_usable_cpus_are_the_affinity_mask(self, monkeypatch, mask, split):
-        self._fake_blas(monkeypatch, 1)
+        _fake_blas(monkeypatch, 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
         assert sketch._usable_cpus() == len(mask)
-        assert sketch._two_threads() is split
+        with sketch._release_threads(5, 40):
+            assert sketch._split_walks is split
 
     def test_the_entry_points_read_and_set_the_count(self):
         fns = sketch._blas_thread_fns()
@@ -353,46 +420,67 @@ def _multiply_argv(paths, report, oracle=False):
 
 
 class TestReleaseScope:
-    """A CLI release runs its mechanism with BLAS on one thread, and gives
-    BLAS back its count afterwards; the --oracle scoring runs outside."""
+    """On 2 CPUs a CLI multiply or regress release whose walks span three
+    half tiles or more runs its mechanism with BLAS on one thread and walks
+    on two, and gives BLAS back its count afterwards; the --oracle scoring
+    runs outside. Every other release changes nothing."""
 
     @staticmethod
-    def _fake_blas(monkeypatch, threads):
-        state = {"threads": threads, "set": []}
-
-        def set_(n):
-            state["set"].append(n)
-            state["threads"] = n
-
-        monkeypatch.setattr(sketch, "_blas_thread_fns", lambda: (lambda: state["threads"], set_))
-        return state
-
-    def test_a_release_runs_on_one_thread_and_restores_the_count(self, tmp_path, monkeypatch):
-        state = self._fake_blas(monkeypatch, 3)
-        during, scoring = set(), []
+    def _spy_release(monkeypatch, state):
+        # What a release's tiles and its --oracle scoring each see: the BLAS
+        # count and whether walks are split.
+        seen = {"tiles": set(), "scoring": []}
         original_tile, original_errors = sketch._tile, harness.matprod_errors
 
         def tile(*args):
-            during.add(state["threads"])
+            seen["tiles"].add((state["threads"], sketch._split_walks))
             return original_tile(*args)
 
         def errors(*args):
-            scoring.append(state["threads"])
+            seen["scoring"].append((state["threads"], sketch._split_walks))
             return original_errors(*args)
 
         monkeypatch.setattr(sketch, "_tile", tile)
         monkeypatch.setattr(harness, "matprod_errors", errors)
-        paths = _write_pair(tmp_path, 40, 3)
+        return seen
+
+    def test_a_release_runs_on_one_thread_and_restores_the_count(self, tmp_path, monkeypatch):
+        # 1,000 rows at r = 74: each walk spans three half tiles of 442.
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
+        state = _fake_blas(monkeypatch, 3)
+        seen = self._spy_release(monkeypatch, state)
+        paths = _write_pair(tmp_path, 1000, 3)
         assert cli.main(_multiply_argv(paths, tmp_path / "r.json", oracle=True)) == 0
-        assert during == {1} and scoring == [3]
+        assert seen["tiles"] == {(1, True)} and seen["scoring"] == [(3, False)]
         assert state["set"] == [1, 3] and state["threads"] == 3
+        assert sketch._split_walks is False
+
+    @pytest.mark.parametrize(
+        "cpus, command, rows",
+        [(4, "multiply", 1000), (1, "multiply", 1000), (2, "multiply", 884), (2, "lra", 1000)],
+        ids=["4-cpus", "1-cpu", "two-half-tiles", "lra"],
+    )
+    def test_other_releases_change_nothing(self, tmp_path, monkeypatch, cpus, command, rows):
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
+        state = _fake_blas(monkeypatch, 3)
+        seen = self._spy_release(monkeypatch, state)
+        paths = _write_pair(tmp_path, rows, 3)
+        if command == "lra":
+            argv = ["lra", "--input", paths[0], "--format", "dpbin", "--rank", "1", "--oversample", "2",
+                    "--eps", "1", "--delta", "0.01", "--seed", "0", "--report", str(tmp_path / "r.json")]
+        else:
+            argv = _multiply_argv(paths, tmp_path / "r.json")
+        assert cli.main(argv) == 0
+        assert seen["tiles"] == {(3, False)} and state["set"] == []
 
     def test_a_failed_release_restores_the_count(self, tmp_path, monkeypatch, capsys):
-        state = self._fake_blas(monkeypatch, 3)
-        paths = _write_pair(tmp_path, 40, 3, bad_row=37)
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
+        state = _fake_blas(monkeypatch, 3)
+        paths = _write_pair(tmp_path, 1000, 3, bad_row=937)
         assert cli.main(_multiply_argv(paths, tmp_path / "r.json")) == 1
         assert "non-finite" in capsys.readouterr().err
         assert state["set"] == [1, 3] and state["threads"] == 3
+        assert sketch._split_walks is False
 
     def test_no_entry_point_changes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sketch, "_blas_thread_fns", lambda: None)
@@ -404,21 +492,23 @@ class TestReleaseScope:
         if fns is None:
             pytest.skip("numpy bundles no OpenBLAS here")
         before = fns[0]()
-        paths = _write_pair(tmp_path, 40, 3)
+        paths = _write_pair(tmp_path, 1000, 3)
         assert cli.main(_multiply_argv(paths, tmp_path / "r.json")) == 0
         assert fns[0]() == before
-        paths = _write_pair(tmp_path, 40, 3, bad_row=5)
+        paths = _write_pair(tmp_path, 1000, 3, bad_row=937)
         assert cli.main(_multiply_argv(paths, tmp_path / "r.json")) == 1
         assert fns[0]() == before
 
 
-# A child that runs one CLI release; "no-scope" replaces the release's BLAS
+# A child that runs one CLI release on (at most) two CPUs, the only count
+# at which a release enters its thread scope; "no-scope" replaces the release's thread
 # scope with a no-op first.
 _CHILD = (
-    "import contextlib, sys\n"
-    "from dpsketch import cli\n"
+    "import contextlib, os, sys\n"
+    "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+    "from dpsketch import cli, sketch\n"
     "if sys.argv[1] == 'no-scope':\n"
-    "    cli._one_blas_thread = contextlib.nullcontext\n"
+    "    sketch._release_threads = lambda r, walk: contextlib.nullcontext()\n"
     "sys.exit(cli.main(sys.argv[2:]))\n"
 )
 
@@ -434,13 +524,14 @@ class TestOutputsIgnoreBlasThreads:
         return (tmp_path / f"{mode}-{threads}.estimate.dpmt").read_bytes()
 
     def test_multiply_estimate_is_the_same_at_one_and_two_threads(self, tmp_path):
-        # 500 x 10 inputs at r = 74: the smallest tried (from 100 x 5 up)
-        # at which the runs without the scope differ. They differ because
-        # at one BLAS thread the walk runs on two threads, in half tiles,
-        # and at two it is serial, with two-thread products.
-        if sketch._blas_thread_fns() is None or sketch._usable_cpus() < 2:
+        # 900 x 20 inputs at r = 74, whose walks span three half tiles: the
+        # smallest tried (900 x 10, 900 x 20, 1000 x 10, ...) at which the
+        # runs without the scope differ. Both walk serially; they differ in
+        # how one and two BLAS threads sum the products (6.7e-16 relative).
+        if (sketch._blas_thread_fns() is None or sketch._usable_cpus() < 2
+                or not hasattr(os, "sched_setaffinity")):
             pytest.skip("needs numpy's bundled OpenBLAS and 2 usable CPUs")
-        paths = _write_pair(tmp_path, 500, 10)
+        paths = _write_pair(tmp_path, 900, 20)
         scoped = [self._estimate(tmp_path, paths, t, "scope") for t in (1, 2)]
         assert scoped[0] == scoped[1]
         bare = [self._estimate(tmp_path, paths, t, "no-scope") for t in (1, 2)]
