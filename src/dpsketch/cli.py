@@ -11,15 +11,17 @@ Matrix files are either headerless CSV (one row per line) or the "DPMT"
 binary format (magic, version u16, rows u32, cols u32, little-endian
 float64 row-major). Streaming commands consume the input through a one-pass
 iterator of row chunks, each about one projection tile in size (four for
-``lra``, which regenerates its data block once per chunk), feed each
-chunk to the mechanism's block ingest, and never materialize the private
-matrix unless --oracle is given. A CSV chunk is parsed in one call to
+``lra``, which regenerates its data block once per chunk), feed the
+chunks to the mechanism, and never materialize the private matrix unless
+--oracle is given. A CSV chunk is parsed in one call to
 numpy's C reader; a chunk with a fault is read again line by line, so the
 error names its line. One release skeleton, ``_run_release``, probes and
 reads every input and writes every output. ``multiply`` and ``regress``
 take a second input (B; the queries) with as many rows as the first; the
 skeleton reads the two together, in chunks of the same rows, and each
-command sketches a pair of chunks in one pass over the projection tiles.
+command sketches all n rows of both in one walk over the projection
+tiles, which reads the chunks as it needs them: their bits do not depend
+on the chunk size.
 The outputs are ``lra``'s factor ``uhat`` and 1 x k ``lam``, ``multiply``'s
 ``estimate`` of A.T @ B and ``regress``'s d x q ``solutions``; with
 --report each is written beside it as ``<report less extension>.<name>.dpmt``,
@@ -335,14 +337,22 @@ def _lra(cfg: argparse.Namespace, chunks, n: int, d: int) -> _Release:
                     lambda a: harness.lra_errors(a, factor, lcfg))
 
 
+def _thread_scope(state, n: int, *cols: int):
+    """The thread scope of a multiply or regress release of n rows and
+    inputs ``cols`` wide (sketch._release_threads). It is entered where one
+    tile of the widest input's rows (all n, if fewer) spans three half
+    tiles of the r-row projection: where that input is narrower than about
+    r columns and the stream is at least three half tiles long."""
+    return sketch._release_threads(state.sketcher.r, min(n, sketch.per_tile(max(cols))))
+
+
 def _multiply(cfg: argparse.Namespace, chunks, n: int, d1: int, d2: int) -> _Release:
     budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
     state = new_matprod(n, d1, d2, budget, acc, cfg.seed)
-    # Each projection tile is regenerated once for both A and B. Each chunk
-    # is one walk, so the release may walk on two threads (sketch module).
-    with sketch._release_threads(state.sketcher.r, min(n, sketch.per_tile(max(d1, d2)))):
-        for i0, block_a, block_b in chunks:
-            state.ingest_rows(i0, block_a, block_b)
+    # One walk over all n rows reads the chunks and regenerates each
+    # projection tile once for both A and B.
+    with _thread_scope(state, n, d1, d2):
+        state.ingest_stream(chunks)
         estimate = state.product_query()
     return _Release(state, {"estimate": estimate},
                     lambda a, b: harness.matprod_errors(a, b, estimate, state))
@@ -351,9 +361,8 @@ def _multiply(cfg: argparse.Namespace, chunks, n: int, d1: int, d2: int) -> _Rel
 def _regress(cfg: argparse.Namespace, chunks, n: int, d: int, q: int) -> _Release:
     budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
     state = new_regress(n, d, budget, acc, cfg.seed)
-    # Each projection tile is regenerated once for both the design and the
-    # queries, and each chunk is one walk, as in _multiply.
-    with sketch._release_threads(state.sketcher.r, min(n, sketch.per_tile(max(d, q)))):
+    # One walk, as in _multiply, for the design and the queries.
+    with _thread_scope(state, n, d, q):
         solutions = state.ingest_and_query(chunks)
     return _Release(state, {"solutions": solutions},
                     lambda a, queries: harness.regress_errors(a, queries, solutions, state))

@@ -19,6 +19,7 @@ from .errors import ContractViolationError, ParameterDomainError
 from .lra import LowRankFactor, LraConfig, new_lra, reconstruct
 from .matprod import MatProdState, new_matprod
 from .regress import RegressState, new_regress
+from .sketch import GaussianSketcher, per_tile
 
 
 @dataclass
@@ -98,12 +99,26 @@ def exact_product(a, b) -> np.ndarray:
 
 def _mc_pseudoinverse(check: str, k: int, p: int, trials: int, seed: int,
                       per_trial, rhs: float, holds) -> BoundReport:
-    """``per_trial`` of the singular values of ``trials`` k x (k+p) standard
-    Gaussians against ``rhs``. All or nothing: every trial counts as a
-    violation unless ``holds`` accepts the mean over trials.
+    """``per_trial`` of the singular values of ``trials`` standard Gaussian
+    (k+p) x k matrices (those of the lemma's k x (k+p) transposes) against
+    ``rhs``. All or nothing: every trial counts as a violation unless
+    ``holds`` accepts the mean over trials.
+
+    Each trial's matrix is k consecutive columns of one shipped projection
+    with r = k + p rows (``GaussianSketcher.column_block``), as the
+    low-rank mechanism draws its Omega, so the check sees the generator
+    the proofs apply the lemma to. The trials are drawn a tile of entries
+    at a time.
     """
-    omegas = np.random.default_rng(seed).standard_normal((_trials(trials), k, k + p))
-    lhs = per_trial(np.linalg.svd(omegas, compute_uv=False))
+    sketcher = GaussianSketcher(seed, k + p, _trials(trials) * k)
+    step = per_tile((k + p) * k)
+    lhs = []
+    for t0 in range(0, trials, step):
+        t1 = min(t0 + step, trials)
+        block = sketcher.column_block(t0 * k, t1 * k)
+        omegas = block.reshape(k + p, t1 - t0, k).transpose(1, 0, 2)
+        lhs.append(per_trial(np.linalg.svd(omegas, compute_uv=False)))
+    lhs = np.concatenate(lhs)
     violations = 0 if holds(float(lhs.mean())) else trials
     return BoundReport(check=check, trials=trials, violations=violations, allowed=0.0,
                        seeds=[seed], observed_lhs=lhs, bound_rhs=np.full(trials, rhs))
@@ -153,7 +168,9 @@ def mc_jl(
 
     Counts how often ||omega x||^2 / r leaves (1 +- alpha) ||x||^2 over
     fresh draws of 32-dimensional unit vectors, against the tail bound
-    2 exp(-alpha^2 r / 8).
+    2 exp(-alpha^2 r / 8). Each trial's omega is the next 32 columns of
+    one shipped r-row projection (``GaussianSketcher.column_block``), the
+    generator whose JL property the multiply and regression proofs use.
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterDomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -163,13 +180,13 @@ def mc_jl(
         raise ParameterDomainError(
             f"r={r} below the dimension requirement {need:.1f} for {m_vectors} vectors"
         )
-    rng = np.random.default_rng(seed)
-    vecs = rng.standard_normal((32, m_vectors))
+    vecs = np.random.default_rng(seed).standard_normal((32, m_vectors))
     vecs /= np.linalg.norm(vecs, axis=0)
     violations = 0
-    rates = np.empty(_trials(trials))
+    sketcher = GaussianSketcher(seed, r, 32 * _trials(trials))
+    rates = np.empty(trials)
     for t in range(trials):
-        omega = rng.standard_normal((r, 32))
+        omega = sketcher.column_block(32 * t, 32 * (t + 1))
         ratios = np.sum((omega @ vecs) ** 2, axis=0) / r
         bad = int(np.count_nonzero(np.abs(ratios - 1.0) > alpha))
         violations += bad

@@ -20,9 +20,13 @@ lift enters where a release reads them, from one regenerated block.
 Both operands are sketched with the same projection and read the same
 data-block columns, so ``MatProdState.ingest_rows`` takes a row block of A
 and of B together and regenerates each projection tile once for both.
-``LiftedSketch`` owns this layout, the guard check and its report, the
-one row-block ingest that every update goes through, the merge and the
-read that adds the lift; the regression mechanism builds on the same core.
+``MatProdState.ingest_stream`` takes all n rows in chunks of any sizes and
+sketches them in one walk over the tiles, which reads each chunk as its
+tiles reach it, so the sketches do not depend on the chunking, bit for
+bit. ``LiftedSketch`` owns this layout, the guard check and its report,
+the row-block ingest that every update goes through, the stream walk, the
+merge and the read that adds the lift; the regression mechanism builds on
+the same core.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ import numpy as np
 
 from . import guard, numerics
 from .errors import ContractViolationError
-from .sketch import GaussianSketcher
+from .sketch import GaussianSketcher, _project_stream
 
 
 def lift_layout(n: int, d: int) -> tuple[int, int]:
@@ -152,17 +156,51 @@ class LiftedSketch:
         """
         if not pairs:
             raise ContractViolationError("no row blocks to ingest")
-        blocks = [numerics.as_matrix(rows, "rows") for _sk, rows in pairs]
-        for (sk, _rows), x in zip(pairs, blocks):
-            if x.shape[1] != sk.shape[1]:
-                raise ContractViolationError(f"row length {x.shape[1]}, expected {sk.shape[1]}")
+        sketches, rows = zip(*pairs)
+        blocks, i1 = self._row_blocks(i0, rows, [sk.shape[1] for sk in sketches])
+        _m, lo = lift_layout(self.n, self.d)
+        for sk, y in zip(sketches, self.sketcher.project_blocks(lo + i0, blocks)):
+            sk += y
+        return i1
+
+    def _row_blocks(self, i0: int, rows, widths) -> tuple[list[np.ndarray], int]:
+        """Rows [i0, i1) of streams of ``widths`` columns, as float64 blocks
+        checked against those widths and the n rows, and i1."""
+        blocks = [numerics.as_matrix(x, "rows") for x in rows]
+        for x, width in zip(blocks, widths):
+            if x.shape[1] != width:
+                raise ContractViolationError(f"row length {x.shape[1]}, expected {width}")
         i1 = i0 + blocks[0].shape[0]
         if not (0 <= i0 <= i1 <= self.n):
             raise ContractViolationError(f"rows [{i0}, {i1}) outside [0, {self.n})")
+        return blocks, i1
+
+    def _project_chunks(self, chunks, widths) -> list[np.ndarray]:
+        """omega_data @ X for each stream X of ``widths`` columns, in one walk.
+
+        ``chunks`` yields (i0, *rows): rows i0, i0+1, ... of every stream,
+        from row 0 to row n in order, in chunks of any sizes. One walk over
+        the data block's tiles (``sketch._project_stream``) reads each chunk
+        when its tiles reach it, and checks it then, as ``_ingest_rows``
+        checks a block, and that it starts where the last one ended; the
+        chunks must end at row n. No sketch changes here.
+        """
+        def checked():
+            end = 0
+            for i0, *rows in chunks:
+                if i0 != end:
+                    raise ContractViolationError(f"chunk at row {i0}, expected row {end}")
+                if len(rows) != len(widths):
+                    raise ContractViolationError(
+                        f"chunk of {len(rows)} row blocks, expected {len(widths)}"
+                    )
+                blocks, end = self._row_blocks(i0, rows, widths)
+                yield blocks
+            if end != self.n:
+                raise ContractViolationError(f"chunks end at row {end}, expected {self.n}")
+
         _m, lo = lift_layout(self.n, self.d)
-        for (sk, _rows), y in zip(pairs, self.sketcher.project_blocks(lo + i0, blocks)):
-            sk += y
-        return i1
+        return _project_stream(self.sketcher, lo, lo + self.n, checked())
 
 
 @dataclass
@@ -183,6 +221,22 @@ class MatProdState(LiftedSketch):
         """Add rows i0, i0+1, ... of A and of B, given as the rows of
         ``a_rows`` and ``b_rows``; both share one pass over the tiles."""
         self._ingest_rows(i0, (self.ya, a_rows), (self.yb, b_rows))
+
+    def ingest_stream(self, chunks) -> None:
+        """Add all n rows of A and of B from ``chunks`` of (i0, a_rows, b_rows),
+        from row 0 to row n in order, in chunks of any sizes.
+
+        One walk over the projection tiles reads the chunks as its tiles
+        reach them, so the sketches are those of one ``ingest_rows`` of the
+        whole of A and B, bit for bit, whatever the chunking. The sketches
+        change once, at the end of the walk: a chunk that fails a check
+        (as ``ingest_rows`` checks a block, and that it starts where the
+        last one ended) leaves them as they were, and so does a stream that
+        ends before row n.
+        """
+        ya, yb = self._project_chunks(chunks, [self.d1, self.d2])
+        self.ya += ya
+        self.yb += yb
 
     def ingest_a_rows(self, i0: int, rows) -> None:
         """Add rows i0, i0+1, ... of A, given as the rows of ``rows``."""

@@ -3,13 +3,14 @@
 The design matrix is lifted and sketched once by the lifted-sketch core it
 shares with the multiply mechanism, by rows or columns, one block at a
 time. Query vectors are sketched with the same seeded projection: together
-with the design, in the same pass over its tiles, when the design and the
-queries are streamed side by side (``ingest_and_query``), or in one pass of
-their own when the queries come after the stream (``query_many``). The
-sketched least-squares problems min ||Ya x - Yb_j|| are solved together,
-directly on the sketched design Ya through its SVD rather than on its
-normal system, so the solve sees cond(Ya) and not its square. Each answer
-adds the lift to a copy of Ya, so shards combine with ``merge``, a plain sum.
+with the design, in one walk over its tiles for the whole stream, when the
+design and the queries are streamed side by side (``ingest_and_query``),
+or in one pass of their own when the queries come after the stream
+(``query_many``). The sketched least-squares problems min ||Ya x - Yb_j||
+are solved together, directly on the sketched design Ya through its SVD
+rather than on its normal system, so the solve sees cond(Ya) and not its
+square. Each answer adds the lift to a copy of Ya, so shards combine with
+``merge``, a plain sum.
 
 The returned solution is the raw minimizer of the lifted problem, which is
 a ridge regression with penalty s^2: users expecting ordinary
@@ -18,6 +19,7 @@ error term absorbs that regularization bias.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,28 +48,30 @@ class RegressState(LiftedSketch):
         """Add A and answer min_x ||A x - b_j|| for every query b_j, in one pass.
 
         ``chunks`` yields (i0, a_rows, b_rows): rows i0, i0+1, ... of A and
-        of the n x q query matrix B, in order, from row 0 to row n. Each A
-        block is added as by ``ingest_rows``, and the matching B block is
-        sketched in the same pass over the projection tiles, so each tile
-        is regenerated once for both. The r x q query sketch is working
+        of the n x q query matrix B, in order, from row 0 to row n, in
+        chunks of any sizes. One walk over the projection tiles reads the
+        chunks as its tiles reach them and sketches A and B together, so
+        each tile is regenerated once for both, and the result does not
+        depend on the chunking, bit for bit. A is added as by one
+        ``ingest_rows`` of all its rows; the r x q query sketch is working
         memory, dropped on return. The q queries are checked against the
-        ceiling at the first chunk, before any sketch changes, and answered
-        as by ``query_many``. A chunk that fails a check is refused with
-        the chunks before it already added.
+        ceiling at the first chunk, before anything is generated, and
+        answered as by ``query_many``. The design sketch changes once, at
+        the end of the walk: a chunk that fails a check (its start, its
+        widths, its row counts, its end within n rows), or a stream that
+        ends before row n, leaves it as it was, with no query answered.
 
         Returns the d x q matrix of solutions.
         """
-        yb, end = None, 0
-        for i0, a_rows, b_rows in chunks:
-            if yb is None:
-                q = numerics.as_matrix(b_rows, "b").shape[1]
-                self._admit(q)
-                yb = np.zeros((self.r, q))
-            if i0 != end:
-                raise ContractViolationError(f"chunk at row {i0}, expected row {end}")
-            end = self._ingest_rows(i0, (self.ya, a_rows), (yb, b_rows))
-        if end != self.n:
-            raise ContractViolationError(f"chunks end at row {end}, expected {self.n}")
+        chunks = iter(chunks)
+        first = next(chunks, None)
+        q = 0
+        if first is not None:
+            q = numerics.as_matrix(first[2], "b").shape[1]
+            self._admit(q)
+            chunks = itertools.chain([first], chunks)
+        ya, yb = self._project_chunks(chunks, [self.d, q])
+        self.ya += ya
         return self._answer(yb)
 
     def query_many(self, b) -> np.ndarray:

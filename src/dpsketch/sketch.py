@@ -4,36 +4,40 @@ The projection matrix is a pure function of (seed, r, m): raw 64-bit words
 come from a Philox counter stream and are mapped through Box-Muller, column
 by column. Any column range can therefore be regenerated bit-exactly
 without storing the whole matrix: no sketcher keeps any of it.
-Normals are generated from one Philox stream in sub-blocks of 8,192
+Normals are generated from one Philox stream in sub-blocks of 16,384
 words, each mapped straight into its slice of the output, and a block of
 columns is a view of those normals. ``column_block`` fills one request
 into a fresh array. A tiled pass (``project_blocks``, LRA ingest and
 ``finalize``) walks its range with ``_tiles``: one stream, continued from
 tile to tile, and one buffer of one tile, refilled for each, so a pass
-holds a transient of one tile whatever its length. Inside
-``_release_threads`` (CLI multiply and regress releases whose walks span
-three half tiles or more), where the process may use exactly two CPUs,
-BLAS runs on one thread and a walk of tiles at least two columns wide
-generates on two threads: the caller and one persistent helper thread
-take alternate tiles of half the width, each on a Philox stream of its own
-that skips the other's tiles and into a buffer of its own, so the two
-buffers hold one tile in all, and the tiles come in the same order with
-the same bits. Everywhere else the walk is serial. Box-Muller evaluates a
-sub-block's pairs in the order of their angles' top bits, which keeps
-libm's branches predictable. Each pair moves
-as one 16-byte item: its two words are gathered together in that order,
-and its cos and sin normals are scattered together back to the pair's own
-slot. Each normal is the same call on the same double wherever it is
-computed, so any order that is scattered back changes no bit. The normals
-are bit-exact under any split of a range into requests, tiles, sub-blocks
-or threads. Products with them (sketches and releases) are
-bit-reproducible only under the same BLAS build, BLAS thread count and
-walk path, since the tile width sets how a product's terms are summed:
-a CLI release that enters the scope differs in its last bits from the
-same release on another number of CPUs. A sketch Omega @ X is a plain
-r x c array, so turnstile updates and shards of a stream add entrywise.
-Every mechanism retains its sketches only and regenerates its projection
-where it reads it.
+holds a transient of one tile whatever its length. ``_project_stream``
+is the walk of a row stream: it reads the stream's chunks as its tiles
+reach them, so the tiles, and every product, do not depend on the
+chunking; ``project_blocks`` is that walk over one chunk, and a multiply
+or regression release walks its whole stream once. Inside
+``_release_threads`` (CLI multiply and regress releases of inputs
+narrower than about r columns), where the process may use exactly two
+CPUs, BLAS runs on one thread and a walk of tiles at least two columns
+wide generates on two threads: the caller and one persistent helper
+thread take alternate tiles of half the width, each on a Philox stream of
+its own that skips the other's tiles and into a buffer of its own, so the
+two buffers hold one tile in all, and the tiles come in the same order
+with the same bits. Everywhere else the walk is serial. Box-Muller
+evaluates a sub-block's pairs in the order of their angles' top bits,
+which keeps libm's branches predictable. Each pair moves as one 16-byte
+item: its two words are gathered together in that order, and its cos and
+sin normals are scattered together back to the pair's own slot. Each
+normal is the same call on the same double wherever it is computed, so
+any order that is scattered back changes no bit. The normals are
+bit-exact under any split of a range into requests, tiles, sub-blocks or
+threads. Products with them (sketches and releases) are bit-reproducible
+only under the same BLAS build, BLAS thread count and walk path, since
+the tile width sets how a product's terms are summed: a CLI release that
+enters the scope differs in its last bits from the same release on
+another number of CPUs. A sketch Omega @ X is a plain r x c array, so
+turnstile updates and shards of a stream add entrywise. Every mechanism
+retains its sketches only and regenerates its projection where it reads
+it.
 """
 from __future__ import annotations
 
@@ -65,10 +69,14 @@ MAX_SKETCH_ENTRIES = 1 << 27
 # holds one tile at a time.
 TILE_ENTRIES = 1 << 16
 
-# Raw words per generation sub-block (64 KiB). A request is filled from
-# one Philox stream in pieces of this size, so Box-Muller's temporaries
-# stay in the L2 cache; any even split gives the same normals.
-_SUB_BLOCK_WORDS = 1 << 13
+# Raw words per generation sub-block (128 KiB), on every walk path. A
+# request is filled from one Philox stream in pieces of this size; any even
+# split gives the same normals. A piece costs about 20 short numpy calls,
+# each of which releases and retakes the GIL, so small pieces keep two
+# generating threads handing the GIL back and forth: on a 2-core Xeon, two
+# threads filling 32,768-word tiles ran 1.37x one thread at 8,192 words and
+# 1.77x at 16,384. A piece's Box-Muller temporaries are about 385 KiB.
+_SUB_BLOCK_WORDS = 1 << 14
 
 
 def per_tile(size: int) -> int:
@@ -186,6 +194,87 @@ def _check_capacity(r: int, cols: int) -> None:
         )
 
 
+def _chunk_rows(blocks) -> int:
+    # The row count of one chunk of a walk: 2-D blocks of as many rows each.
+    if not blocks:
+        raise ContractViolationError("no blocks to project")
+    dims = [getattr(x, "ndim", None) for x in blocks]
+    if any(dim != 2 for dim in dims):
+        raise ContractViolationError(f"blocks must be 2-D arrays, got ndim {dims}")
+    rows = [x.shape[0] for x in blocks]
+    if len(set(rows)) > 1:
+        raise ContractViolationError(f"row counts differ: {rows}")
+    return rows[0]
+
+
+def _project_stream(sk: GaussianSketcher, j0: int, j1: int, chunks) -> list[np.ndarray]:
+    """[omega[:, j0:j1] @ x for each stream x], in one walk over columns [j0, j1).
+
+    ``chunks`` yields the streams' rows in order, from the row that meets
+    column j0 to the one that meets column j1 - 1: each chunk holds one 2-D
+    block per stream, all of as many rows, and the streams keep the first
+    chunk's widths. The walk reads a chunk when its tiles reach it, and
+    checks it then; it reads the first before it generates any tile. A
+    tile multiplies views of the chunk it falls in, and a tile that a chunk
+    boundary cuts multiplies a carry: its own rows, copied out of the
+    chunks it spans, so the walk carries at most one tile of rows and holds
+    no chunk it has read to the end. The tiles are the same whatever the
+    chunks, and so is every product, bit for bit.
+    """
+    if not (0 <= j0 <= j1 <= sk.m):
+        raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {sk.m})")
+    chunks = iter(chunks)
+    # The chunk being read, its next row, its row count and the column past
+    # the rows read so far; the results, made at the first chunk.
+    head, at, rows, end = (), 0, 0, j0
+    outs = []
+
+    def read() -> None:
+        nonlocal head, at, rows, end
+        head = ()  # the chunk read to the end goes before the next comes
+        blocks = next(chunks, None)
+        if blocks is None:
+            raise ContractViolationError(f"chunks end at column {end}, expected {j1}")
+        head, at, rows = blocks, 0, _chunk_rows(blocks)
+        end += rows
+        widths = [x.shape[1] for x in blocks]
+        if not outs:
+            outs.extend(np.zeros((sk.r, width)) for width in widths)
+        elif widths != [out.shape[1] for out in outs]:
+            raise ContractViolationError(
+                f"block widths {widths}, expected {[out.shape[1] for out in outs]}"
+            )
+
+    def take(k: int) -> list[np.ndarray]:
+        # The next k rows of every stream.
+        nonlocal at
+        while at == rows:
+            read()
+        if at + k <= rows:
+            at += k
+            return [x[at - k : at] for x in head]
+        carry = [np.empty((k, x.shape[1])) for x in head]
+        done = 0
+        while done < k:
+            while at == rows:
+                read()
+            n = min(k - done, rows - at)
+            for i, c in enumerate(carry):
+                c[done : done + n] = head[i][at : at + n]
+            done, at = done + n, at + n
+        return carry
+
+    read()
+    with contextlib.closing(_tiles(sk, j0, j1)) as walk:
+        for t0, t1, tile in walk:
+            for out, x in zip(outs, take(t1 - t0)):
+                out += tile @ x
+            del x  # a view of a chunk may not keep it past this tile
+    if at < rows or any(_chunk_rows(blocks) for blocks in chunks):
+        raise ContractViolationError(f"chunks run past column {j1}")
+    return outs
+
+
 @functools.cache
 def _blas_thread_fns() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """(get, set) of the thread count of numpy's bundled OpenBLAS, found by
@@ -221,17 +310,22 @@ _split_walks = False
 @contextlib.contextmanager
 def _release_threads(r: int, walk: int):
     """Run the scope with numpy's bundled OpenBLAS on one thread and walks
-    on two, for a release whose walks are ``walk`` columns of an r-row
-    projection, where that pays; give both back as they were on the way
-    out, whatever happens inside.
+    on two, for a release over an r-row projection whose input rows come
+    ``walk`` to a tile of its widest input (all of them, if fewer), where
+    that pays; give both back as they were on the way out, whatever
+    happens inside.
 
     It pays where generation, not BLAS, is most of a release: its per-tile
     products are near OpenBLAS's threading threshold, so a second BLAS
-    thread barely speeds them up and spins between them. Measured on 2
-    CPUs only, it needs exactly two usable CPUs, and walks of at least
-    three half tiles: with two, each thread generates one and nothing
-    overlaps the products. Elsewhere, or where numpy bundles no OpenBLAS
-    or the count does not go to one, nothing changes.
+    thread barely speeds them up and spins between them. A tile of r x t
+    normals costs the same whatever the input, and its products cost t
+    multiply-adds per normal for each input column, so the rule is one of
+    r and the input width w: ``walk``, min(n, per_tile(w)), must span at
+    least three half tiles of the projection, which holds about where
+    w <= r and the stream is that long (with two half tiles, each thread
+    generates one and nothing overlaps the products). Measured on 2 CPUs
+    only, it needs exactly two usable CPUs. Elsewhere, or where numpy
+    bundles no OpenBLAS or the count does not go to one, nothing changes.
     """
     global _split_walks
     half = per_tile(r) // 2
@@ -369,6 +463,18 @@ def _split_tiles(
             reply.get()
 
 
+# Known answers of the generation path itself: normals [i, i + 4) of one
+# request from column 3 of an r = 1031 sketcher (1032 words a column) at
+# seed 11, each computed by a scalar Box-Muller of its Philox words.
+# Normals 8190-8193 straddle the boundary of 8,192-word sub-blocks, the
+# size before 16,384, and 16382-16385 the first boundary of today's.
+_GENERATION_SEED, _GENERATION_OFFSET = 11, 3 * 1032
+_GENERATION_ANSWERS = {
+    8190: (0.21258872969133344, -0.016356562183325325, 0.07166874535821129, -0.1503623450514315),
+    16382: (0.37156922086013217, 1.5155587299706959, 1.9048494477295344, 1.050236379759291),
+}
+
+
 @functools.cache
 def _self_test() -> None:
     """Map pinned Philox word blocks through Box-Muller, once per process."""
@@ -379,12 +485,10 @@ def _self_test() -> None:
     ):
         if not np.allclose(_box_muller(_raw_words(seed, offset, 4)), want, rtol=0, atol=1e-13):
             raise NumericFailureError(f"generator known-answer self-test failed at seed {seed}")
-    # The generation path itself: a request from column 3 of an r = 1031
-    # sketcher (1032 words a column), whose normals 8190-8193 straddle its
-    # first sub-block boundary.
-    want = (0.21258872969133344, -0.016356562183325325, 0.07166874535821129, -0.1503623450514315)
-    if not np.allclose(_normals(11, 3 * 1032, 8196)[8190:8194], want, rtol=0, atol=1e-13):
-        raise NumericFailureError("generator known-answer self-test failed across a sub-block")
+    got = _normals(_GENERATION_SEED, _GENERATION_OFFSET, max(_GENERATION_ANSWERS) + 4)
+    for i, want in _GENERATION_ANSWERS.items():
+        if not np.allclose(got[i : i + 4], want, rtol=0, atol=1e-13):
+            raise NumericFailureError("generator known-answer self-test failed across a sub-block")
 
 
 class GaussianSketcher:
@@ -432,27 +536,12 @@ class GaussianSketcher:
         """[omega[:, j0:j0+k] @ x for x in blocks], each x a 2-D block of k rows.
 
         The blocks and the whole range are checked first. Then one walk
-        generates each tile of ``per_tile(r)`` columns once, into its one
-        buffer, and applies it to all the blocks, so a pass holds one tile
-        at a time and each result is the same, bit for bit, as a pass of
-        its own.
+        (``_project_stream``, with the blocks as its one chunk) generates
+        each tile of ``per_tile(r)`` columns once, into its one buffer, and
+        applies it to all the blocks, so a pass holds one tile at a time and
+        each result is the same, bit for bit, as a pass of its own.
         """
-        if not blocks:
-            raise ContractViolationError("no blocks to project")
-        dims = [getattr(x, "ndim", None) for x in blocks]
-        if any(dim != 2 for dim in dims):
-            raise ContractViolationError(f"blocks must be 2-D arrays, got ndim {dims}")
-        k = blocks[0].shape[0]
-        if any(x.shape[0] != k for x in blocks):
-            raise ContractViolationError(f"row counts differ: {[x.shape[0] for x in blocks]}")
-        j1 = j0 + k
-        if not (0 <= j0 <= j1 <= self.m):
-            raise ContractViolationError(f"column range [{j0}, {j1}) outside [0, {self.m})")
-        outs = [np.zeros((self.r, x.shape[1])) for x in blocks]
-        for t0, t1, tile in _tiles(self, j0, j1):
-            for out, x in zip(outs, blocks):
-                out += tile @ x[t0 - j0 : t1 - j0]
-        return outs
+        return _project_stream(self, j0, j0 + _chunk_rows(blocks), [blocks])
 
     @property
     def omega(self) -> np.ndarray:

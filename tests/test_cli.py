@@ -11,8 +11,8 @@ import pytest
 from dpsketch import cli, guard, harness, sketch
 from dpsketch.errors import FormatError
 from dpsketch.lra import LowRankFactor, LraConfig, LraState, new_lra
-from dpsketch.matprod import LiftedSketch, MatProdState, lifted_matrix, new_matprod
-from dpsketch.regress import RegressState, new_regress
+from dpsketch.matprod import LiftedSketch, lifted_matrix, new_matprod
+from dpsketch.regress import new_regress
 
 
 def write_csv(path, m):
@@ -30,6 +30,22 @@ def small_matrices(tmp_path):
     write_csv(pa, a)
     write_csv(pb, b)
     return a, b, str(pa), str(pb)
+
+
+def _spy_pulled_chunks(monkeypatch, record):
+    """Call record(i0, rows) for every chunk that a multiply or regress walk
+    pulls from its stream, as it pulls it."""
+    original = LiftedSketch._project_chunks
+
+    def spy(self, chunks, widths):
+        def pulled():
+            for chunk in chunks:
+                record(chunk[0], len(chunk[1]))
+                yield chunk
+
+        return original(self, pulled(), widths)
+
+    monkeypatch.setattr(LiftedSketch, "_project_chunks", spy)
 
 
 class TestParsing:
@@ -311,15 +327,9 @@ class TestChunkedReader:
 
     def _multiply(self, tmp_path, monkeypatch, pa, pb, fmt):
         # Runs multiply on A and B; returns the exit code and the i0 of each
-        # chunk pair ingested.
+        # chunk pair the release's walk pulled.
         ingested = []
-        original = MatProdState.ingest_rows
-
-        def spy(self, i0, a_rows, b_rows):
-            ingested.append(i0)
-            return original(self, i0, a_rows, b_rows)
-
-        monkeypatch.setattr(MatProdState, "ingest_rows", spy)
+        _spy_pulled_chunks(monkeypatch, lambda i0, _rows: ingested.append(i0))
         args = ["multiply", "--input", str(pa), "--input-b", str(pb), "--format", fmt,
                 "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",
                 "--report", str(tmp_path / "r.json")]
@@ -359,15 +369,9 @@ class TestChunkedReader:
 
     def _regress(self, tmp_path, monkeypatch, pa, pb, fmt):
         # Runs regress on the design A and the queries B; returns the exit
-        # code and the i0 of each chunk pair ingested.
+        # code and the i0 of each chunk pair the release's walk pulled.
         ingested = []
-        original = RegressState._ingest_rows
-
-        def spy(self, i0, *pairs):
-            ingested.append(i0)
-            return original(self, i0, *pairs)
-
-        monkeypatch.setattr(RegressState, "_ingest_rows", spy)
+        _spy_pulled_chunks(monkeypatch, lambda i0, _rows: ingested.append(i0))
         args = ["regress", "--input", str(pa), "--input-b", str(pb), "--format", fmt,
                 "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2",
                 "--report", str(tmp_path / "r.json")]
@@ -667,25 +671,22 @@ class TestCommands:
 
     @staticmethod
     def _ingested_blocks(tmp_path, monkeypatch, command):
-        """(i0, rows) of every block the mechanism ingests in one release
-        of an 80 x 6 input (and an 80 x 4 second input)."""
+        """(i0, rows) of every block the mechanism ingests (lra) or every
+        chunk its walk pulls (multiply, regress) in one release of an
+        80 x 6 input (and an 80 x 4 second input)."""
         rng = np.random.default_rng(9)
         pa, pb = tmp_path / "a.dpmt", tmp_path / "b.dpmt"
         cli.save_matrix(str(pa), rng.standard_normal((80, 6)))
         cli.save_matrix(str(pb), rng.standard_normal((80, 4)))
         blocks = []
-        lra_ingest, lifted_ingest = LraState.ingest_rows, LiftedSketch._ingest_rows
+        lra_ingest = LraState.ingest_rows
 
         def lra_spy(self, i0, rows):
             blocks.append((i0, len(rows)))
             return lra_ingest(self, i0, rows)
 
-        def lifted_spy(self, i0, *pairs):
-            blocks.append((i0, len(pairs[0][1])))
-            return lifted_ingest(self, i0, *pairs)
-
         monkeypatch.setattr(LraState, "ingest_rows", lra_spy)
-        monkeypatch.setattr(LiftedSketch, "_ingest_rows", lifted_spy)
+        _spy_pulled_chunks(monkeypatch, lambda i0, rows: blocks.append((i0, rows)))
         args = ["--rank", "2"] if command == "lra" else [
             "--input-b", str(pb), "--alpha", "0.5", "--beta", "0.2"]
         rc = cli.main([command, "--input", str(pa), "--format", "dpbin", "--eps", "1",

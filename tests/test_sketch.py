@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpsketch import cli, guard, sketch
+from dpsketch import cli, guard, harness, sketch
 from dpsketch.errors import (
     CapacityError, ContractViolationError, NumericFailureError, ParameterDomainError,
 )
@@ -597,6 +597,26 @@ class TestWalk:
             monkeypatch.setattr(sketch, "_tiles", walk)
             assert self._peak_in_tiles() >= 2.5
 
+    def test_a_two_thread_pass_holds_one_tile_in_two_buffers(self, monkeypatch):
+        # The same pass on two threads, entered through the flag that the
+        # release scope sets. In tiles of 1031 x 63 entries (519,624 bytes),
+        # it may hold its two half-tile buffers (2 x 31 columns of 1032
+        # words: 0.98), one sub-block's Box-Muller temporaries per thread
+        # (the sub-block's 16,384 words, its 8,192 order indices, its
+        # gathered pairs and one trig array, 384 KiB: 2 x 0.76), the two
+        # results (2 x 1031 x 20 entries: 0.63) and one product of a tile
+        # (0.32): 3.46 in all. Measured: 2.7-3.15 tiles, against 3.9-4.6
+        # for a new buffer per tile, allocated while the last is held.
+        monkeypatch.setattr(sketch, "_split_walks", True)
+        assert self._peak_in_tiles() < 3.5
+        original = sketch._tile
+
+        def fresh_buffer(sk, bg, j0, j1, buf):
+            return original(sk, bg, j0, j1, np.empty((j1 - j0) * sk._wpc))
+
+        monkeypatch.setattr(sketch, "_tile", fresh_buffer)
+        assert self._peak_in_tiles() >= 3.5
+
     def test_the_stream_continues_from_tile_to_tile(self, monkeypatch):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         assert self._matches_column_block(sketch._tiles)
@@ -680,6 +700,21 @@ class TestKnownAnswers:
         assert np.abs(got - want).max() <= 1e-13
         for (i, j), value in spots.items():
             assert abs(got[i, j] - value) <= 1e-13
+
+    @pytest.mark.parametrize("start", sorted(sketch._GENERATION_ANSWERS))
+    def test_generation_answers_are_the_scalar_reference(self, start):
+        # The self-test's normals across sub-block boundaries, recomputed by
+        # the scalar Box-Muller from the request's own Philox words.
+        offset = sketch._GENERATION_OFFSET + start
+        aligned = offset - offset % 4
+        raw = sketch._raw_words(sketch._GENERATION_SEED, aligned, 8)
+        words = [int(w) for w in raw[offset - aligned : offset - aligned + 4]]
+        want = sketch._GENERATION_ANSWERS[start]
+        assert np.abs(np.array(_scalar_normals(words)) - want).max() <= 1e-13
+
+    def test_a_generation_answer_straddles_the_first_sub_block_boundary(self):
+        # Normals i..i+3 straddle the boundary when it falls between them.
+        assert any(i < sketch._SUB_BLOCK_WORDS < i + 4 for i in sketch._GENERATION_ANSWERS)
 
     def test_self_test_runs_once_per_process(self, monkeypatch):
         # After the first construction no sketcher touches the generator.
@@ -985,8 +1020,8 @@ class TestColumnLayout:
     def test_restarting_the_stream_each_sub_block_fails(self, monkeypatch):
         # Negative control: a fill loop that starts every sub-block from the
         # request's first word is right up to the first sub-block boundary
-        # (1024 columns at r = 5) and wrong past it, and the self-test's
-        # check across a sub-block boundary refuses it.
+        # (2,048 columns of 8 words at r = 5) and wrong past it, and the
+        # self-test's check across a sub-block boundary refuses it.
         def restarting(bg, out):
             start = bg.state
             for s0 in range(0, out.size, sketch._SUB_BLOCK_WORDS):
@@ -996,17 +1031,18 @@ class TestColumnLayout:
             return out
 
         monkeypatch.setattr(sketch, "_fill", restarting)
-        sk = GaussianSketcher(3, 5, 1030)
-        assert self._layout_holds(sk, 2, 1026)
-        assert not self._layout_holds(sk, 2, 1027)
+        boundary = sketch._SUB_BLOCK_WORDS // 8
+        sk = GaussianSketcher(3, 5, boundary + 6)
+        assert self._layout_holds(sk, 2, boundary + 2)
+        assert not self._layout_holds(sk, 2, boundary + 3)
         sketch._self_test.cache_clear()
         try:
             with pytest.raises(NumericFailureError, match="sub-block"):
-                GaussianSketcher(3, 5, 1030)
+                GaussianSketcher(3, 5, boundary + 6)
         finally:
             monkeypatch.undo()
             sketch._self_test.cache_clear()
-        GaussianSketcher(3, 5, 1030)
+        GaussianSketcher(3, 5, boundary + 6)
 
     def test_halved_stride_fails(self, monkeypatch):
         # Negative control: at a stride of 4 words, column j reads words
@@ -1023,3 +1059,20 @@ class TestColumnLayout:
         block = sk.column_block(0, 40)
         assert block.shape == (5, 40) and np.array_equal(block[4, :-1], block[0, 1:])
         assert not self._layout_holds(sk, 0, 40)
+
+    def test_repeated_columns_fail_the_jl_check(self, monkeypatch):
+        # The harness's JL check draws from the shipped generator, so it
+        # sees a column stride that advances every other column: columns
+        # 2i and 2i + 1 read the same words, and a projected vector's norm
+        # then depends on the sums of its coordinate pairs.
+        def repeated(self, j0, j1):
+            return np.stack([
+                sketch._normals(self.seed, (j // 2) * self._wpc, self._wpc)[: self.r]
+                for j in range(j0, j1)
+            ], axis=1)
+
+        assert harness.mc_jl(16, 800, 0.2, trials=300, seed=7).passed
+        monkeypatch.setattr(GaussianSketcher, "column_block", repeated)
+        block = GaussianSketcher(3, 5, 40).column_block(3, 9)
+        assert np.array_equal(block[:, 1], block[:, 2]) and not np.array_equal(block[:, 0], block[:, 1])
+        assert not harness.mc_jl(16, 800, 0.2, trials=300, seed=7).passed

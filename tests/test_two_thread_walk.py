@@ -80,8 +80,9 @@ def _fake_blas(monkeypatch, threads, takes=True):
 
 class TestSelection:
     """Two threads only inside the release scope, where the process may use
-    exactly 2 CPUs, the release's walks span three half tiles or more and
-    BLAS goes to one thread; the serial walk everywhere else."""
+    exactly 2 CPUs, the release's rows to a tile of its widest input span
+    three half tiles or more and BLAS goes to one thread; the serial walk
+    everywhere else."""
 
     @pytest.fixture(autouse=True)
     def _small_tiles(self, monkeypatch):
@@ -420,10 +421,11 @@ def _multiply_argv(paths, report, oracle=False):
 
 
 class TestReleaseScope:
-    """On 2 CPUs a CLI multiply or regress release whose walks span three
-    half tiles or more runs its mechanism with BLAS on one thread and walks
-    on two, and gives BLAS back its count afterwards; the --oracle scoring
-    runs outside. Every other release changes nothing."""
+    """On 2 CPUs a CLI multiply or regress release whose rows to a tile of
+    its widest input (all n, if fewer) span three half tiles or more runs
+    its mechanism with BLAS on one thread and walks on two, and gives BLAS
+    back its count afterwards; the --oracle scoring runs outside. Every
+    other release changes nothing."""
 
     @staticmethod
     def _spy_release(monkeypatch, state):
@@ -445,7 +447,7 @@ class TestReleaseScope:
         return seen
 
     def test_a_release_runs_on_one_thread_and_restores_the_count(self, tmp_path, monkeypatch):
-        # 1,000 rows at r = 74: each walk spans three half tiles of 442.
+        # 1,000 rows at r = 74: they span three half tiles of 442.
         monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
         state = _fake_blas(monkeypatch, 3)
         seen = self._spy_release(monkeypatch, state)
@@ -524,7 +526,7 @@ class TestOutputsIgnoreBlasThreads:
         return (tmp_path / f"{mode}-{threads}.estimate.dpmt").read_bytes()
 
     def test_multiply_estimate_is_the_same_at_one_and_two_threads(self, tmp_path):
-        # 900 x 20 inputs at r = 74, whose walks span three half tiles: the
+        # 900 x 20 inputs at r = 74, whose rows span three half tiles: the
         # smallest tried (900 x 10, 900 x 20, 1000 x 10, ...) at which the
         # runs without the scope differ. Both walk serially; they differ in
         # how one and two BLAS threads sum the products (6.7e-16 relative).
