@@ -15,7 +15,10 @@ iterator of row chunks, each about one projection tile in size (four for
 chunks to the mechanism, and never materialize the private matrix unless
 --oracle is given. A CSV chunk is parsed in one call to
 numpy's C reader; a chunk with a fault is read again line by line, so the
-error names its line. One release skeleton, ``_run_release``, probes and
+error names its line. Where a release reads one CSV input of two chunks
+or more (``lra``) on exactly two usable CPUs, BLAS runs on one thread and
+a forked child parses every other chunk, to the same bits and the same
+faults (``_release_chunks``). One release skeleton, ``_run_release``, probes and
 reads every input and writes every output. ``multiply`` and ``regress``
 take a second input (B; the queries) with as many rows as the first; the
 skeleton reads the two together, in chunks of the same rows, and each
@@ -38,10 +41,12 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import secrets
+import signal
 import struct
 import sys
 import time
@@ -82,24 +87,34 @@ def _parse_csv_line(line: str, lineno: int, expected: Optional[int]) -> np.ndarr
     return row
 
 
-def _parse_csv_chunk(lines: list[str], linenos: list[int], expected: int) -> np.ndarray:
-    """The (len(lines), expected) block of non-blank CSV lines.
-
-    numpy's C reader parses the chunk in one call; it rounds decimals as
-    ``float()`` does. A chunk it refuses, reads to another shape or reads
-    with a non-finite entry is parsed again line by line, which names the
-    line at fault or keeps entries only ``float()`` reads, such as ``1_0``.
-    """
-    block = None
+def _bulk_csv_chunk(lines: list[str], expected: int) -> Optional[np.ndarray]:
+    """The (len(lines), expected) block of non-blank CSV lines, parsed in
+    one call to numpy's C reader, which rounds decimals as ``float()``
+    does; None where the reader refuses the chunk, reads it to another
+    shape or reads a non-finite entry."""
     # loadtxt strips the ASCII separators \x1c-\x1f around an entry as
     # whitespace, where float() refuses them, so a chunk holding one is
     # left to the line-by-line parse.
-    if not any(c in x for x in lines for c in "\x1c\x1d\x1e\x1f"):
-        try:
-            block = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:
-            pass
-    if block is None or block.shape != (len(lines), expected) or not np.isfinite(block).all():
+    if any(c in x for x in lines for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape != (len(lines), expected) or not np.isfinite(block).all():
+        return None
+    return block
+
+
+def _parse_csv_chunk(lines: list[str], linenos: list[int], expected: int) -> np.ndarray:
+    """The (len(lines), expected) block of non-blank CSV lines.
+
+    A chunk the bulk parse (``_bulk_csv_chunk``) does not take is parsed
+    again line by line, which names the line at fault or keeps entries
+    only ``float()`` reads, such as ``1_0``.
+    """
+    block = _bulk_csv_chunk(lines, expected)
+    if block is None:
         block = np.vstack([_parse_csv_line(x, n, expected) for x, n in zip(lines, linenos)])
     return block
 
@@ -177,6 +192,20 @@ def iter_matrix_chunks(
                     raise FormatError(f"non-finite entry in binary row {i0 + int(bad.argmax())}")
                 yield i0, block
         return
+    for i0, lines, linenos, expected in _csv_line_chunks(path, step):
+        block = _parse_csv_chunk(lines, linenos, expected)
+        del lines, linenos  # no chunk's lines are held while the next one's are read
+        yield i0, block
+
+
+def _csv_line_chunks(
+    path: str, step: Optional[int]
+) -> Iterator[Tuple[int, list[str], list[int], int]]:
+    """(i0, lines, linenos, expected) for each chunk of a CSV file: the
+    chunk's first row, its non-blank lines with their line numbers, and the
+    width of the file's first line. Chunks hold ``step`` lines (the last may
+    hold fewer), by default one tile of that width. The one walk of a CSV
+    file's chunks, for the serial reader and the forked parser alike."""
     expected = None
     i0 = 0
     lines, linenos = [], []
@@ -190,11 +219,111 @@ def iter_matrix_chunks(
         lines.append(line)
         linenos.append(lineno)
         if len(lines) == step:
-            yield i0, _parse_csv_chunk(lines, linenos, expected)
+            yield i0, lines, linenos, expected
             i0 += step
             lines, linenos = [], []
     if lines:
-        yield i0, _parse_csv_chunk(lines, linenos, expected)
+        yield i0, lines, linenos, expected
+
+
+# What the forked parser sends ahead of each chunk it owns: the chunk's i0,
+# rows and cols; rows is -1 where the bulk parse refused the chunk.
+_CHUNK_HEADER = struct.Struct("<qqq")
+
+
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view.nbytes:
+        view = view[os.write(fd, view):]
+
+
+def _read_exact(fd: int, view: memoryview) -> None:
+    # Fills view from fd; EOFError where the data ends first.
+    while view.nbytes:
+        got = os.readv(fd, [view])
+        if not got:
+            raise EOFError
+        view = view[got:]
+
+
+def _parse_odd_chunks(path: str, step: int, fd: int) -> None:
+    """The forked parser's work: walk the chunks of ``path`` and send each
+    odd one over fd, parsed in bulk, or refused."""
+    for i0, lines, _linenos, expected in _csv_line_chunks(path, step):
+        if i0 // step % 2:
+            block = _bulk_csv_chunk(lines, expected)
+            _write_all(fd, _CHUNK_HEADER.pack(i0, -1 if block is None else len(lines), expected))
+            if block is not None:
+                _write_all(fd, block)
+
+
+def _receive_chunk(fd: int, i0: int, rows: int, cols: int) -> Optional[np.ndarray]:
+    """The forked parser's block of rows [i0, i0 + rows), None where it
+    refused the chunk. EOFError where its data ends short, or is not for
+    this chunk."""
+    header = bytearray(_CHUNK_HEADER.size)
+    _read_exact(fd, memoryview(header))
+    got_i0, got_rows, got_cols = _CHUNK_HEADER.unpack(header)
+    if (got_i0, got_cols) != (i0, cols) or got_rows not in (rows, -1):
+        raise EOFError
+    if got_rows < 0:
+        return None
+    block = np.empty((rows, cols))
+    _read_exact(fd, memoryview(block).cast("B"))
+    return block
+
+
+def _forked_csv_chunks(path: str, step: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """``iter_matrix_chunks(path, "csv", step)``, with every odd chunk
+    parsed by a forked child while this process parses the even ones.
+
+    The child walks the same chunks (``_csv_line_chunks``) and parses its
+    own with ``_bulk_csv_chunk``, the call the serial reader makes, so
+    every block is the serial one, bit for bit. A chunk it refuses is
+    parsed here by ``_parse_csv_chunk``, so a fault is found at the same
+    point of the stream and named as the serial reader names it. Where the
+    child's data ends short (it died) or is not for the chunk, this chunk
+    and every later one are parsed here; where no child can be forked,
+    every chunk is. The child never prints; it is killed, if still
+    running, and reaped when the walk ends, however it ends. Close the walk
+    to end it early. A fork took 1.5 ms on a 2-core Xeon, where a spawned
+    interpreter that imports numpy takes about 67 ms.
+    """
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        yield from iter_matrix_chunks(path, "csv", step)
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            _parse_odd_chunks(path, step, wfd)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    try:
+        for i0, lines, linenos, expected in _csv_line_chunks(path, step):
+            block = None
+            if i0 // step % 2 and rfd is not None:
+                try:
+                    block = _receive_chunk(rfd, i0, len(lines), expected)
+                except EOFError:
+                    os.close(rfd)
+                    rfd = None
+            if block is None:
+                block = _parse_csv_chunk(lines, linenos, expected)
+            del lines, linenos  # as in iter_matrix_chunks
+            yield i0, block
+    finally:
+        if rfd is not None:
+            os.close(rfd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def load_matrix(path: str, fmt: str) -> np.ndarray:
@@ -284,13 +413,14 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
 
     The skeleton owns the inputs: it probes --input (and --input-b, which
     must have as many rows) and reads them in chunks (i0, rows[, rows_b])
-    of one tile of the widest input, four for ``lra``.
+    of one tile of the widest input, four for ``lra`` (``_release_chunks``).
     ``command(cfg, chunks, n, *cols)`` builds its mechanism, streams the
     chunks, answers and returns a ``_Release``; --oracle loads every input
-    whole to score it. The skeleton alone publishes: it writes every output
-    of the release, as the module docstring says. The seed fixes the
-    projection, and whoever knows it can recompute the release from a
-    candidate input, so the report leaves it out.
+    whole to score it, outside the read's scope. The skeleton alone
+    publishes: it writes every output of the release, as the module
+    docstring says. The seed fixes the projection, and whoever knows it
+    can recompute the release from a candidate input, so the report leaves
+    it out.
     """
     paths = [cfg.input] + ([cfg.input_b] if "input_b" in cfg else [])
     rows, cols = zip(*(matrix_shape(path, cfg.fmt) for path in paths))
@@ -302,10 +432,8 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
     # release ~12% slower and 4-tile ones were within noise, for ~10 MiB
     # more peak memory, most of it the CSV reader's lines.
     step = sketch.per_tile(max(cols)) * (4 if cfg.command == "lra" else 1)
-    # Each item of the zip holds one (i0, block) per input, all at one i0.
-    streams = zip(*(iter_matrix_chunks(path, cfg.fmt, step) for path in paths))
-    chunks = ((pieces[0][0], *(block for _, block in pieces)) for pieces in streams)
-    rel = command(cfg, chunks, rows[0], *cols)
+    with _release_chunks(paths, cfg.fmt, rows[0], step) as chunks:
+        rel = command(cfg, chunks, rows[0], *cols)
     report = {"params": {k: v for k, v in vars(cfg).items() if k != "seed"},
               "error_vs_oracle": None, "space_entries": rel.state.space_entries()}
     greport = rel.state.guard_report
@@ -322,13 +450,46 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
     return report
 
 
+def _can_fork() -> bool:
+    """Whether a release may fork a CSV parser: where ``os.fork`` exists,
+    on Python below 3.12, which warns on a fork in a process with threads
+    (OpenBLAS's pool is one)."""
+    return hasattr(os, "fork") and sys.version_info < (3, 12)
+
+
+@contextlib.contextmanager
+def _release_chunks(paths: list[str], fmt: str, rows: int, step: int):
+    """The chunks (i0, rows[, rows_b]) of a release's inputs, ``step`` rows
+    each, the inputs read in lockstep.
+
+    Where the release reads one CSV input of two chunks or more (``lra``),
+    the process may use exactly two CPUs (the only count measured) and
+    OpenBLAS goes to one thread, the scope keeps it there and a forked
+    child parses every other chunk (``_forked_csv_chunks``): BLAS then
+    leaves the second CPU to the child, where a second BLAS thread would
+    spin on it between the ingest's products. The child is reaped when the
+    scope ends. Everywhere else (and where ``_can_fork`` is false) the
+    read is serial and BLAS keeps its count.
+    """
+    with contextlib.ExitStack() as scope:
+        if (len(paths) == 1 and fmt == "csv" and rows > step and _can_fork()
+                and sketch._usable_cpus() == 2
+                and scope.enter_context(sketch._one_blas_thread())):
+            streams = [scope.enter_context(contextlib.closing(_forked_csv_chunks(paths[0], step)))]
+        else:
+            streams = [iter_matrix_chunks(path, fmt, step) for path in paths]
+        # Each item of the zip holds one (i0, block) per input, all at one i0.
+        yield ((pieces[0][0], *(block for _, block in pieces)) for pieces in zip(*streams))
+
+
 def _lra(cfg: argparse.Namespace, chunks, n: int, d: int) -> _Release:
     lcfg = LraConfig(
         n=n, d=d, k=cfg.rank, p=cfg.oversample,
         budget=guard.PrivacyBudget(cfg.eps, cfg.delta), seed=cfg.seed,
     )
-    # LRA releases run outside sketch._release_threads: generation is little
-    # of them (lra-csv: 20 of 410 ms), next to parsing and BLAS.
+    # LRA releases walk serially, outside sketch._release_threads:
+    # generation is little of them (lra-csv: 20 of 410 ms), and a CSV
+    # release gives the second CPU to its forked parser (_release_chunks).
     state = new_lra(lcfg)
     for i0, block in chunks:
         state.ingest_rows(i0, block)

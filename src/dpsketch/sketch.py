@@ -22,7 +22,10 @@ wide generates on two threads: the caller and one persistent helper
 thread take alternate tiles of half the width, each on a Philox stream of
 its own that skips the other's tiles and into a buffer of its own, so the
 two buffers hold one tile in all, and the tiles come in the same order
-with the same bits. Everywhere else the walk is serial. Box-Muller
+with the same bits. Everywhere else the walk is serial, ``lra``
+releases included: a CLI ``lra`` release of a CSV file on two CPUs runs
+BLAS on one thread too (``_one_blas_thread``, which owns the count in both
+scopes), and gives the second CPU to a forked parser. Box-Muller
 evaluates a sub-block's pairs in the order of their angles' top bits,
 which keeps libm's branches predictable. Each pair moves as one 16-byte
 item: its two words are gathered together in that order, and its cos and
@@ -33,8 +36,9 @@ bit-exact under any split of a range into requests, tiles, sub-blocks or
 threads. Products with them (sketches and releases) are bit-reproducible
 only under the same BLAS build, BLAS thread count and walk path, since
 the tile width sets how a product's terms are summed: a CLI release that
-enters the scope differs in its last bits from the same release on
-another number of CPUs. A sketch Omega @ X is a plain r x c array, so
+enters ``_release_threads`` differs in its last bits from the same release
+on another number of CPUs, and an ``lra`` CSV release on two CPUs has the
+bits of a run at one BLAS thread. A sketch Omega @ X is a plain r x c array, so
 turnstile updates and shards of a stream add entrywise. Every mechanism
 retains its sketches only and regenerates its projection where it reads
 it.
@@ -308,6 +312,26 @@ _split_walks = False
 
 
 @contextlib.contextmanager
+def _one_blas_thread():
+    """Run the scope with numpy's bundled OpenBLAS on one thread, and give
+    it back its count on the way out, whatever happens inside. Yields
+    whether the count went to one: False where numpy bundles no OpenBLAS
+    or the count does not take. Both release scopes (``_release_threads``
+    and the CLI's two-process CSV parse) set the count here alone."""
+    fns = _blas_thread_fns()
+    if fns is None:
+        yield False
+        return
+    get, set_ = fns
+    before = get()
+    set_(1)
+    try:
+        yield get() == 1
+    finally:
+        set_(before)
+
+
+@contextlib.contextmanager
 def _release_threads(r: int, walk: int):
     """Run the scope with numpy's bundled OpenBLAS on one thread and walks
     on two, for a release over an r-row projection whose input rows come
@@ -326,22 +350,21 @@ def _release_threads(r: int, walk: int):
     generates one and nothing overlaps the products). Measured on 2 CPUs
     only, it needs exactly two usable CPUs. Elsewhere, or where numpy
     bundles no OpenBLAS or the count does not go to one, nothing changes.
+    (An ``lra`` release of a CSV file takes BLAS to one thread in its own
+    scope, for its two-process parse, and walks serially.)
     """
     global _split_walks
     half = per_tile(r) // 2
-    fns = _blas_thread_fns() if half and walk > 2 * half and _usable_cpus() == 2 else None
-    if fns is None:
+    if not (half and walk > 2 * half and _usable_cpus() == 2):
         yield
         return
-    get, set_ = fns
-    before, was = get(), _split_walks
-    set_(1)
-    _split_walks = get() == 1
-    try:
-        yield
-    finally:
-        _split_walks = was
-        set_(before)
+    with _one_blas_thread() as one:
+        was = _split_walks
+        _split_walks = one
+        try:
+            yield
+        finally:
+            _split_walks = was
 
 
 # The helper thread's job queue, made by the first two-thread walk. A

@@ -1,8 +1,10 @@
 import argparse
 import itertools
 import json
+import os
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -569,6 +571,251 @@ class TestCsvChunkFaults:
         with pytest.raises(FormatError, match="unparseable entry at line 10"):
             list(cli.iter_matrix_chunks(str(p), "csv"))
         assert called == [1, 9, 10]
+
+
+def _mixed_csv(path, m, bad=None):
+    """m's rows as CSV lines, CRLF-ended on every third, with a blank line
+    after every fifth ("\r\n" and "\n" by turns); ``bad`` = (row, text)
+    replaces that row's line."""
+    out = []
+    for i, row in enumerate(m.tolist()):
+        line = ",".join(map(repr, row))
+        if bad is not None and bad[0] == i:
+            line = bad[1]
+        out.append(line + ("\r\n" if i % 3 == 2 else "\n"))
+        if i % 5 == 4:
+            out.append("\r\n" if i % 10 == 4 else "\n")
+    Path(path).write_bytes("".join(out).encode())
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork and Python below 3.12")
+class TestForkedCsvReader:
+    """The two-process CSV read of a release (cli._release_chunks on 2
+    CPUs, BLAS on one thread): a forked child parses every odd chunk, and
+    the blocks, faults and line numbers are the serial reader's."""
+
+    STEP = 4  # rows a chunk
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # Two usable CPUs and BLAS entry points that go to one thread; the
+        # release then forks, which ``forks`` counts.
+        threads = [2]
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sketch, "_blas_thread_fns",
+                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
+        self.forks = []
+        original = cli._forked_csv_chunks
+
+        def spy(path, step):
+            self.forks.append(step)
+            return original(path, step)
+
+        monkeypatch.setattr(cli, "_forked_csv_chunks", spy)
+        self.parent = os.getpid()
+
+    def _in_child(self):
+        return os.getpid() != self.parent
+
+    def _read(self, path):
+        # [(i0, block)] as a release reads them, and its FormatError text.
+        rows, _cols = cli.matrix_shape(str(path), "csv")
+        got = []
+        try:
+            with cli._release_chunks([str(path)], "csv", rows, self.STEP) as chunks:
+                for i0, block in chunks:
+                    got.append((i0, block))
+        except FormatError as exc:
+            return got, str(exc)
+        finally:
+            _no_child_left()
+        return got, None
+
+    def _serial(self, path):
+        got = []
+        try:
+            for i0, block in cli.iter_matrix_chunks(str(path), "csv", self.STEP):
+                got.append((i0, block))
+        except FormatError as exc:
+            return got, str(exc)
+        return got, None
+
+    @staticmethod
+    def _same(a, b):
+        return [i0 for i0, _ in a] == [i0 for i0, _ in b] and all(
+            x.shape == y.shape and x.tobytes() == y.tobytes() for (_, x), (_, y) in zip(a, b))
+
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [(10, None), (17, None), (24, None), (17, (5, "1_0,2,3")), (17, (13, "٣,2,3"))],
+        ids=["3-chunks", "5-chunks", "6-chunks", "child-refuses-1_0", "child-refuses-digit"],
+    )
+    def test_blocks_are_the_serial_readers(self, tmp_path, rows, bad):
+        p = tmp_path / "m.csv"
+        _mixed_csv(p, np.random.default_rng(rows).standard_normal((rows, 3)), bad)
+        got, err = self._read(p)
+        want, _ = self._serial(p)
+        assert err is None and self.forks == [self.STEP]
+        assert self._same(got, want)
+        for _i0, block in got:
+            assert block.dtype == np.float64 and block.flags.c_contiguous and block.flags.writeable
+
+    def test_a_child_that_shifts_its_rows_fails(self, tmp_path, monkeypatch):
+        # Negative control: the child hands back its blocks rolled by one row.
+        p = tmp_path / "m.csv"
+        _mixed_csv(p, np.random.default_rng(3).standard_normal((17, 3)))
+        original = cli._bulk_csv_chunk
+
+        def shifted(lines, expected):
+            block = original(lines, expected)
+            return np.roll(block, 1, axis=0) if self._in_child() else block
+
+        monkeypatch.setattr(cli, "_bulk_csv_chunk", shifted)
+        got, err = self._read(p)
+        want, _ = self._serial(p)
+        assert err is None and self.forks == [self.STEP]
+        assert not self._same(got, want)
+        assert self._same(got[0::2], want[0::2])
+
+    @pytest.mark.parametrize("row", [5, 6, 13])
+    @pytest.mark.parametrize(
+        "text", ["1,2", "1,2,3,4", "1,nan,3", "1,inf,3", "1,x,3", "1e400,2,3", "1\x1c,2,3"])
+    def test_a_fault_is_the_serial_readers(self, tmp_path, row, text):
+        # Rows 5, 6 and 13 fall in the child's chunks 1 and 3.
+        p = tmp_path / "m.csv"
+        _mixed_csv(p, np.random.default_rng(4).standard_normal((17, 3)), (row, text))
+        got, err = self._read(p)
+        want, want_err = self._serial(p)
+        assert want_err is not None and err == want_err
+        assert self._same(got, want) and self.forks == [self.STEP]
+
+    @pytest.mark.parametrize("how", ["before-writing", "mid-block"])
+    def test_a_child_that_dies_gives_the_serial_blocks(self, tmp_path, monkeypatch, how):
+        p = tmp_path / "m.csv"
+        _mixed_csv(p, np.random.default_rng(5).standard_normal((24, 3)))
+        original = cli._write_all
+
+        def dying(fd, data):
+            view = memoryview(data).cast("B")
+            if self._in_child():
+                if how == "before-writing":
+                    os._exit(1)
+                if view.nbytes > cli._CHUNK_HEADER.size:
+                    original(fd, view[: view.nbytes // 2])
+                    os._exit(1)
+            original(fd, view)
+
+        monkeypatch.setattr(cli, "_write_all", dying)
+        got, err = self._read(p)
+        want, _ = self._serial(p)
+        assert err is None and self.forks == [self.STEP]
+        assert self._same(got, want)
+
+    def test_a_failed_fork_gives_the_serial_blocks(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.csv"
+        _mixed_csv(p, np.random.default_rng(8).standard_normal((17, 3)))
+
+        def fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        got, err = self._read(p)
+        want, _ = self._serial(p)
+        assert err is None and self.forks == [self.STEP]
+        assert self._same(got, want)
+
+    @staticmethod
+    def _chunk_peak(chunks):
+        # The most tracemalloc saw held while a chunk after the first was
+        # read, beyond what was held before it.
+        peaks = []
+        tracemalloc.start()
+        try:
+            it = iter(chunks)
+            item = next(it)
+            while item is not None:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                item = next(it, None)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        return max(peaks)
+
+    def test_the_parent_holds_no_more_than_the_serial_reader(self, tmp_path, monkeypatch):
+        # One chunk's lines and one block at a time: no more than the
+        # serial reader holds. Negative control: a line walk that keeps the
+        # chunk before the current one holds more.
+        p = tmp_path / "m.csv"
+        write_csv(p, np.random.default_rng(9).standard_normal((240, 200)))
+
+        def forked_peak():
+            with cli._release_chunks([str(p)], "csv", 240, 40) as chunks:
+                return self._chunk_peak(chunks)
+
+        serial = self._chunk_peak(cli.iter_matrix_chunks(str(p), "csv", 40))
+        assert forked_peak() <= serial
+        original = cli._csv_line_chunks
+
+        def holding(path, step):
+            held = []
+            for chunk in original(path, step):
+                held = [held[-1], chunk] if held else [chunk]
+                yield chunk
+
+        monkeypatch.setattr(cli, "_csv_line_chunks", holding)
+        assert forked_peak() > serial
+        assert self.forks == [40, 40]
+
+    def test_a_walk_left_early_leaves_no_child(self, tmp_path):
+        p = tmp_path / "m.csv"
+        _mixed_csv(p, np.random.default_rng(6).standard_normal((24, 3)))
+        rows, _cols = cli.matrix_shape(str(p), "csv")
+        with cli._release_chunks([str(p)], "csv", rows, self.STEP) as chunks:
+            assert next(chunks)[0] == 0
+        _no_child_left()
+        with pytest.raises(RuntimeError):
+            with cli._release_chunks([str(p)], "csv", rows, self.STEP) as chunks:
+                for i0, _block in chunks:
+                    if i0:
+                        raise RuntimeError("the consumer stops at chunk 1")
+        _no_child_left()
+        assert self.forks == [self.STEP, self.STEP]
+
+    @pytest.mark.parametrize("row, text", [(21, "1,2"), (37, "1,nan,3"), (40, "x,2,3")])
+    def test_a_release_fails_as_the_serial_one(self, tmp_path, monkeypatch, capsys, row, text):
+        # lra reads 3-column inputs in chunks of 16 rows here: the faulty
+        # row is the child's (rows 16-31) or the parent's (32-47).
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+        p = tmp_path / "m.csv"
+        _mixed_csv(p, np.random.default_rng(7).standard_normal((50, 3)), (row, text))
+        ingested = []
+        original = LraState.ingest_rows
+
+        def spy(state, i0, block):
+            ingested.append((i0, block.copy()))
+            return original(state, i0, block)
+
+        monkeypatch.setattr(LraState, "ingest_rows", spy)
+        argv = ["lra", "--input", str(p), "--rank", "1", "--oversample", "2", "--eps", "1",
+                "--delta", "0.01", "--seed", "0", "--report", str(tmp_path / "r.json")]
+        runs = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
+            ingested.clear()
+            code = cli.main(argv)
+            runs[cpus] = (code, capsys.readouterr().err, list(ingested))
+            _no_child_left()
+        assert self.forks == [16]
+        (code, err, rows_in), (code1, err1, rows_in1) = runs[2], runs[1]
+        assert code == code1 == 1
+        assert err == err1 and err.startswith("error: ") and err.count("\n") == 1
+        assert self._same(rows_in, rows_in1) and len(rows_in) == row // 16
 
 
 class TestCommands:

@@ -560,8 +560,8 @@ class TestIngestTransient:
     def test_an_ingest_holds_about_two_tiles(self, monkeypatch):
         # Beyond its input an ingest holds the data walk's one tile buffer,
         # one sub-block's temporaries and a tile-sized bottom-row product
-        # (2.16 tiles measured); the data block as one request holds all 16
-        # tiles of it, and more.
+        # (2.88-2.89 tiles measured with 16,384-word sub-blocks); the data
+        # block as one request holds all 16 tiles of it, and more (34.6).
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 7 * 4096)
         assert self._peak_in_tiles() < 3
         monkeypatch.setattr(lra, "_tiles", _one_request_walk)

@@ -589,9 +589,10 @@ class TestWalk:
         assert self._philox_calls(monkeypatch) == 32
 
     def test_a_pass_holds_one_tile(self, monkeypatch):
-        # Measured: 2.08 tiles (the buffer, one sub-block's temporaries and
-        # the two results), against 3.08 for a new buffer per tile, which
-        # is allocated while the last tile is still held.
+        # Measured: 2.40 tiles (the buffer, one 16,384-word sub-block's
+        # temporaries and the two results), against 3.40-3.42 for a new
+        # buffer per tile, which is allocated while the last tile is still
+        # held.
         assert self._peak_in_tiles() < 2.5
         for walk in (_fresh_buffer_walk, _fresh_walk):
             monkeypatch.setattr(sketch, "_tiles", walk)

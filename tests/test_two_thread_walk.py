@@ -502,15 +502,116 @@ class TestReleaseScope:
         assert fns[0]() == before
 
 
+def _write_csv(path, n, cols, bad_row=None):
+    # An n x cols CSV file; a NaN in row bad_row, if given.
+    rows = np.random.default_rng(n).standard_normal((n, cols)).tolist()
+    lines = [",".join(map(repr, row)) for row in rows]
+    if bad_row is not None:
+        lines[bad_row] = ",".join(["nan"] * cols)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _lra_csv_argv(path, report, oracle=False):
+    argv = ["lra", "--input", path, "--rank", "1", "--oversample", "2", "--eps", "1",
+            "--delta", "0.01", "--seed", "0", "--report", str(report)]
+    return argv + (["--oracle"] if oracle else [])
+
+
+@pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork and Python below 3.12")
+class TestCsvReleaseScope:
+    """On 2 CPUs a CLI release that reads one CSV input of two chunks or
+    more (lra) runs with BLAS on one thread while a forked child parses
+    every other chunk, and gives BLAS back its count afterwards; its walk
+    stays serial and the --oracle scoring runs outside. Every other
+    release changes nothing."""
+
+    @pytest.fixture(autouse=True)
+    def _forks(self, monkeypatch):
+        # lra reads 3-column inputs in chunks of 4 x per_tile(3) = 16 rows.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+        self.forks = []
+        original = cli._forked_csv_chunks
+
+        def spy(path, step):
+            self.forks.append(step)
+            return original(path, step)
+
+        monkeypatch.setattr(cli, "_forked_csv_chunks", spy)
+
+    @staticmethod
+    def _spy_release(monkeypatch, state):
+        # What a release's tiles and its --oracle scoring each see.
+        seen = {"tiles": set(), "scoring": []}
+        original_tile, original_errors = sketch._tile, harness.lra_errors
+
+        def tile(*args):
+            seen["tiles"].add((state["threads"], sketch._split_walks))
+            return original_tile(*args)
+
+        def errors(*args):
+            seen["scoring"].append((state["threads"], sketch._split_walks))
+            return original_errors(*args)
+
+        monkeypatch.setattr(sketch, "_tile", tile)
+        monkeypatch.setattr(harness, "lra_errors", errors)
+        return seen
+
+    def test_a_release_runs_on_one_thread_and_restores_the_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
+        state = _fake_blas(monkeypatch, 3)
+        seen = self._spy_release(monkeypatch, state)
+        path = _write_csv(tmp_path / "a.csv", 40, 3)
+        assert cli.main(_lra_csv_argv(path, tmp_path / "r.json", oracle=True)) == 0
+        assert self.forks == [16]
+        assert seen["tiles"] == {(1, False)} and seen["scoring"] == [(3, False)]
+        assert state["set"] == [1, 3] and state["threads"] == 3
+
+    def test_a_failed_release_restores_the_count(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
+        state = _fake_blas(monkeypatch, 3)
+        path = _write_csv(tmp_path / "a.csv", 40, 3, bad_row=20)
+        assert cli.main(_lra_csv_argv(path, tmp_path / "r.json")) == 1
+        assert "non-finite entry at line 21" in capsys.readouterr().err
+        assert self.forks == [16]
+        assert state["set"] == [1, 3] and state["threads"] == 3
+
+    @pytest.mark.parametrize(
+        "cpus, blas, rows, python",
+        [(1, "takes", 40, None), (4, "takes", 40, None), (2, "takes", 16, None),
+         (2, None, 40, None), (2, "stays", 40, None), (2, "takes", 40, (3, 12, 0))],
+        ids=["1-cpu", "4-cpus", "one-chunk", "no-entry-point", "blas-count-stays", "python-3.12"],
+    )
+    def test_other_releases_change_nothing(self, tmp_path, monkeypatch, cpus, blas, rows, python):
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
+        if blas is None:
+            monkeypatch.setattr(sketch, "_blas_thread_fns", lambda: None)
+            state = {"threads": 3, "set": []}
+        else:
+            state = _fake_blas(monkeypatch, 3, takes=blas == "takes")
+        seen = self._spy_release(monkeypatch, state)
+        path = _write_csv(tmp_path / "a.csv", rows, 3)
+        with monkeypatch.context() as patch:
+            if python is not None:
+                patch.setattr(sys, "version_info", python)
+            code = cli.main(_lra_csv_argv(path, tmp_path / "r.json"))
+        assert code == 0 and self.forks == []
+        # A count that does not go to one is set back; nothing else is set.
+        assert state["set"] == ([1, 3] if blas == "stays" else [])
+        assert seen["tiles"] == {(3, False)}
+
+
 # A child that runs one CLI release on (at most) two CPUs, the only count
 # at which a release enters its thread scope; "no-scope" replaces the release's thread
-# scope with a no-op first.
+# scope with a no-op first, and "one-cpu" makes the release see one CPU.
 _CHILD = (
     "import contextlib, os, sys\n"
     "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
     "from dpsketch import cli, sketch\n"
     "if sys.argv[1] == 'no-scope':\n"
     "    sketch._release_threads = lambda r, walk: contextlib.nullcontext()\n"
+    "if sys.argv[1] == 'one-cpu':\n"
+    "    sketch._usable_cpus = lambda: 1\n"
     "sys.exit(cli.main(sys.argv[2:]))\n"
 )
 
@@ -538,3 +639,29 @@ class TestOutputsIgnoreBlasThreads:
         assert scoped[0] == scoped[1]
         bare = [self._estimate(tmp_path, paths, t, "no-scope") for t in (1, 2)]
         assert bare[0] != bare[1]
+
+    def test_lra_csv_factors_are_the_one_thread_serial_ones(self, tmp_path):
+        # A 1000 x 300 CSV at k = 10 is read in two chunks of 872 rows: the
+        # scoped release (two-process parse, BLAS on one thread) publishes
+        # the bytes of a serial-parse release at one BLAS thread. Negative
+        # control: the serial release at two BLAS threads differs, so the
+        # input is big enough for the BLAS count to show.
+        if (sketch._blas_thread_fns() is None or sketch._usable_cpus() < 2
+                or not hasattr(os, "sched_setaffinity") or not cli._can_fork()):
+            pytest.skip("needs numpy's bundled OpenBLAS, 2 usable CPUs and os.fork below Python 3.12")
+        path = _write_csv(tmp_path / "a.csv", 1000, 300)
+
+        def factors(mode, threads):
+            report = tmp_path / f"{mode}-{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+            argv = ["lra", "--input", path, "--rank", "10", "--eps", "1", "--delta", "0.01",
+                    "--seed", "0", "--report", str(report)]
+            subprocess.run([sys.executable, "-c", _CHILD, mode, *argv],
+                           env=env, check=True, timeout=120)
+            return [(tmp_path / f"{mode}-{threads}.{name}.dpmt").read_bytes()
+                    for name in ("uhat", "lam")]
+
+        serial = factors("one-cpu", 1)
+        assert factors("scope", 2) == serial
+        assert factors("one-cpu", 2) != serial
