@@ -501,9 +501,9 @@ def _lra(cfg: argparse.Namespace, chunks, n: int, d: int) -> _Release:
 def _thread_scope(state, n: int, *cols: int):
     """The thread scope of a multiply or regress release of n rows and
     inputs ``cols`` wide (sketch._release_threads). It is entered where one
-    tile of the widest input's rows (all n, if fewer) spans three half
+    tile of the widest input's rows (all n, if fewer) spans three walk
     tiles of the r-row projection: where that input is narrower than about
-    r columns and the stream is at least three half tiles long."""
+    r columns and the stream is at least three walk tiles long."""
     return sketch._release_threads(state.sketcher.r, min(n, sketch.per_tile(max(cols))))
 
 

@@ -14,15 +14,15 @@ holds a transient of one tile whatever its length. ``_project_stream``
 is the walk of a row stream: it reads the stream's chunks as its tiles
 reach them, so the tiles, and every product, do not depend on the
 chunking; ``project_blocks`` is that walk over one chunk, and a multiply
-or regression release walks its whole stream once. Inside
+or regression release walks its whole stream once. Every walk takes
+tiles of ``per_tile(r) // 2`` columns (at least one). Inside
 ``_release_threads`` (CLI multiply and regress releases of inputs
 narrower than about r columns), where the process may use exactly two
-CPUs, BLAS runs on one thread and a walk of tiles at least two columns
-wide generates on two threads: the caller and one persistent helper
-thread take alternate tiles of half the width, each on a Philox stream of
-its own that skips the other's tiles and into a buffer of its own, so the
-two buffers hold one tile in all, and the tiles come in the same order
-with the same bits. Everywhere else the walk is serial, ``lra``
+CPUs, BLAS runs on one thread and a walk whose ``per_tile(r)`` is 2 or
+more generates on two threads: the caller and one persistent helper
+thread take alternate tiles, each on a Philox stream of its own that
+skips the other's tiles and into a buffer of its own, in column order
+and with the same bits. Everywhere else the walk is serial, ``lra``
 releases included: a CLI ``lra`` release of a CSV file on two CPUs runs
 BLAS on one thread too (``_one_blas_thread``, which owns the count in both
 scopes), and gives the second CPU to a forked parser. Box-Muller
@@ -34,11 +34,12 @@ normal is the same call on the same double wherever it is computed, so
 any order that is scattered back changes no bit. The normals are
 bit-exact under any split of a range into requests, tiles, sub-blocks or
 threads. Products with them (sketches and releases) are bit-reproducible
-only under the same BLAS build, BLAS thread count and walk path, since
-the tile width sets how a product's terms are summed: a CLI release that
-enters ``_release_threads`` differs in its last bits from the same release
-on another number of CPUs, and an ``lra`` CSV release on two CPUs has the
-bits of a run at one BLAS thread. A sketch Omega @ X is a plain r x c array, so
+under the same BLAS build and BLAS thread count: the tile width, which
+sets how a product's terms are summed, is one on every walk path, so at
+one BLAS thread a release's bytes depend on neither the usable CPU count
+nor the walk path. Outside both scopes a release runs BLAS on the
+environment's count; an ``lra`` CSV release on two CPUs has the bits of a
+run at one BLAS thread. A sketch Omega @ X is a plain r x c array, so
 turnstile updates and shards of a stream add entrywise. Every mechanism
 retains its sketches only and regenerates its projection where it reads
 it.
@@ -61,16 +62,16 @@ from .errors import CapacityError, ContractViolationError, NumericFailureError, 
 SEED_BITS = 128
 
 # Float64 entry budget (1 GiB) of one column_block request or one tile of
-# a walk, the only cap. A walk's one buffer holds max(TILE_ENTRIES, r)
-# entries at most (r only when one column exceeds the tile); a two-thread
-# walk's two buffers hold that much together.
+# a walk, the only cap. A walk's tile holds max(TILE_ENTRIES // 2, r)
+# entries at most (r only when one column exceeds that), in its one buffer
+# or in each of a two-thread walk's two, which never walks one-column tiles.
 MAX_SKETCH_ENTRIES = 1 << 27
 
-# Float64 entries per regenerated projection tile (512 KiB). Block ingest,
-# block queries and the CLI's chunked readers all walk their ranges in
-# pieces of this size (see per_tile); a walk generates every tile into one
-# buffer of this size (two of half the size on two threads), so a pass
-# holds one tile at a time.
+# Float64 entries (512 KiB) per piece of a range. Block ingest, block
+# queries and the CLI's chunked readers all walk their ranges in pieces of
+# this size (see per_tile). A projection walk generates tiles of half of
+# it on every path, into one buffer (two on two threads), so a pass holds
+# half of it at a time serially and all of it on two threads.
 TILE_ENTRIES = 1 << 16
 
 # Raw words per generation sub-block (128 KiB), on every walk path. A
@@ -85,7 +86,7 @@ _SUB_BLOCK_WORDS = 1 << 14
 
 def per_tile(size: int) -> int:
     """How many items of ``size`` float64 entries (projection columns of r
-    rows, or input rows of that many columns) fit in one tile; at least one."""
+    rows, or input rows that wide) fit in TILE_ENTRIES; at least one."""
     return max(1, TILE_ENTRIES // max(size, 1))
 
 
@@ -345,8 +346,8 @@ def _release_threads(r: int, walk: int):
     normals costs the same whatever the input, and its products cost t
     multiply-adds per normal for each input column, so the rule is one of
     r and the input width w: ``walk``, min(n, per_tile(w)), must span at
-    least three half tiles of the projection, which holds about where
-    w <= r and the stream is that long (with two half tiles, each thread
+    least three walk tiles of the projection, which holds about where
+    w <= r and the stream is that long (with two walk tiles, each thread
     generates one and nothing overlaps the products). Measured on 2 CPUs
     only, it needs exactly two usable CPUs. Elsewhere, or where numpy
     bundles no OpenBLAS or the count does not go to one, nothing changes.
@@ -407,25 +408,24 @@ if hasattr(os, "register_at_fork"):
 
 def _tiles(sk: GaussianSketcher, j0: int, j1: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (t0, t1, tile) over columns [j0, j1) of sk's projection, in
-    column order, in tiles of ``per_tile(r)`` columns (half as wide on two
-    threads).
+    column order, in tiles of ``per_tile(r) // 2`` columns (one, where
+    that is none) on every walk path.
 
     One Philox stream per generating thread is opened for the walk and
     continued from tile to tile, and every tile is generated into that
     thread's one buffer: a tile is valid only until the next one is
     yielded. A tile over the cap (one column, when r alone exceeds it) is
     refused before anything is generated. Inside ``_release_threads``,
-    where a tile has at least two columns to halve, ``_split_tiles``
-    generates the tiles on two threads; they hold the same bits as the
-    serial walk's, which stays the reference.
+    where ``per_tile(r)`` is two columns or more, ``_split_tiles``
+    generates the same tiles on two threads, so the path decides which
+    thread generates a tile, never its width or its bits.
     """
-    width = per_tile(sk.r)
-    split = _split_walks and width >= 2
-    width = min(width // 2 if split else width, j1 - j0)
+    half = per_tile(sk.r) // 2
+    width = min(max(half, 1), j1 - j0)
     if width <= 0:
         return
     _check_capacity(sk.r, width)
-    if split:
+    if _split_walks and half:
         yield from _split_tiles(sk, j0, j1, width)
         return
     bg = _philox(sk.seed, j0 * sk._wpc)
@@ -560,9 +560,9 @@ class GaussianSketcher:
 
         The blocks and the whole range are checked first. Then one walk
         (``_project_stream``, with the blocks as its one chunk) generates
-        each tile of ``per_tile(r)`` columns once, into its one buffer, and
-        applies it to all the blocks, so a pass holds one tile at a time and
-        each result is the same, bit for bit, as a pass of its own.
+        each tile (see ``_tiles``) once and applies it to all the blocks, so
+        a pass holds one tile per generating thread and each result is the
+        same, bit for bit, as a pass of its own.
         """
         return _project_stream(self, j0, j0 + _chunk_rows(blocks), [blocks])
 

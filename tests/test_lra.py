@@ -292,27 +292,23 @@ class TestBlockIngest:
         assert state.rows_seen == 0 and np.array_equal(state.y, y)
 
     def test_block_longer_than_a_tile_ingests_tile_by_tile(self, monkeypatch, tile_calls):
-        # Under a cap of 7 x 16 entries a tile holds 16 columns, so a
-        # 24-row block walks its lift columns in two requests, where one
-        # request for all 24 would exceed the cap, and then its 16 data
-        # columns in one. On two threads the tiles are half as wide: three
-        # lift requests and two data requests of 8 columns each.
+        # Under a cap and a tile budget of 7 x 16 entries a walk's tile
+        # holds 8 columns, so a 24-row block walks its lift columns in three
+        # requests, where one request for all 24 would exceed the cap, and
+        # then its 16 data columns in two.
         n, d = 24, 16
         a = np.random.default_rng(16).standard_normal((n, d))
         cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=16)
         monkeypatch.setattr(sketch, "MAX_SKETCH_ENTRIES", 7 * 16)
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 7 * 16)
-        for split in (False, True):
-            monkeypatch.setattr(sketch, "_split_walks", split)
-            by_eight = new_lra(cfg)
-            for i0 in range(0, n, 8):
-                by_eight.ingest_rows(i0, a[i0 : i0 + 8])
-            whole = new_lra(cfg)
-            tile_calls.clear()
-            whole.ingest_rows(0, a)
-            requests = [r * (j1 - j0) for r, j0, j1 in sorted(tile_calls, key=lambda c: c[1])]
-            assert requests == ([7 * 8] * 5 if split else [7 * 16, 7 * 8, 7 * 16])
-            assert np.linalg.norm(whole.y - by_eight.y) <= 1e-12 * np.linalg.norm(by_eight.y)
+        by_eight = new_lra(cfg)
+        for i0 in range(0, n, 8):
+            by_eight.ingest_rows(i0, a[i0 : i0 + 8])
+        whole = new_lra(cfg)
+        tile_calls.clear()
+        whole.ingest_rows(0, a)
+        assert [r * (j1 - j0) for r, j0, j1 in tile_calls] == [7 * 8] * 5
+        assert np.linalg.norm(whole.y - by_eight.y) <= 1e-12 * np.linalg.norm(by_eight.y)
 
     def test_range_and_width_checks(self):
         cfg = LraConfig(n=10, d=6, k=2, budget=BUDGET, seed=0)
@@ -513,9 +509,10 @@ class TestStoredBlockRecipe:
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("step", [1, 8, 24, 40], ids=["row", "tile", "tiles", "whole"])
     def test_same_sketch_and_factor(self, monkeypatch, symmetric, step):
-        # Tiles of 8 columns at r = 7: the 30 or 40 data columns span 4 or 5
-        # tiles, and the chunks are 1 row, 1 tile, 3 tiles and all 40 rows.
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 7 * 8)
+        # Walk tiles of 8 columns at r = 7: the 30 or 40 data columns span 4
+        # or 5 tiles, and the chunks are 1 row, 1 tile, 3 tiles and all 40
+        # rows.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 7 * 16)
         n, d = (40, 40) if symmetric else (40, 30)
         rng = np.random.default_rng(18)
         a = 300.0 * rng.standard_normal((n, 3)) @ rng.standard_normal((3, d))
@@ -544,8 +541,9 @@ def _one_request_walk(sk, j0, j1):
 class TestIngestTransient:
     @staticmethod
     def _peak_in_tiles():
-        # r = 7 and d = 16 tiles of 4,096 columns; a 4-row block, made
-        # before tracing starts, so only the call's own memory is counted.
+        # r = 7 and d = 16 tiles of 4,096 columns (32 walk tiles of 2,048);
+        # a 4-row block, made before tracing starts, so only the call's own
+        # memory is counted.
         cfg = LraConfig(n=8, d=16 * 4096, k=3, p=4, budget=BUDGET, seed=19)
         state = new_lra(cfg)
         rows = np.random.default_rng(19).standard_normal((4, cfg.d))
@@ -558,10 +556,11 @@ class TestIngestTransient:
         return peak / (8 * sketch.TILE_ENTRIES)
 
     def test_an_ingest_holds_about_two_tiles(self, monkeypatch):
-        # Beyond its input an ingest holds the data walk's one tile buffer,
-        # one sub-block's temporaries and a tile-sized bottom-row product
-        # (2.88-2.89 tiles measured with 16,384-word sub-blocks); the data
-        # block as one request holds all 16 tiles of it, and more (34.6).
+        # In tiles of TILE_ENTRIES, twice a walk's tile. Beyond its input an
+        # ingest holds the data walk's one tile buffer, one sub-block's
+        # temporaries and a walk-tile-sized bottom-row product (2.30-2.32
+        # tiles measured with 16,384-word sub-blocks); the data block as one
+        # request holds all 16 tiles of it, and more (34.6).
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 7 * 4096)
         assert self._peak_in_tiles() < 3
         monkeypatch.setattr(lra, "_tiles", _one_request_walk)
@@ -682,11 +681,11 @@ class TestTiledFinalize:
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_many_tiles_give_the_one_tile_factor(self, monkeypatch, tile_calls, symmetric):
-        # k+p = 7 and n = 24: a tile holds 5 columns, and no request holds
-        # more. The general path walks all n + d = 40 columns once, in 8
-        # tiles; the symmetric path walks the lift block and the data block,
-        # 24 columns each, in 5 tiles each, the last one ragged. On two
-        # threads the tiles hold 2 columns: 20 tiles, and 12 per block.
+        # k+p = 7 and n = 24: a walk's tile holds 5 columns (half of
+        # per_tile(7) = 10), and no request holds more. The general path
+        # walks all n + d = 40 columns once, in 8 tiles; the symmetric path
+        # walks the lift block and the data block, 24 columns each, in 5
+        # tiles each, the last one ragged.
         n, d = 24, 24 if symmetric else 16
         rng = np.random.default_rng(15)
         a = 50.0 * rng.standard_normal((n, 3)) @ rng.standard_normal((3, d))
@@ -696,19 +695,14 @@ class TestTiledFinalize:
         cfg = LraConfig(n=n, d=d, k=3, p=4, budget=BUDGET, seed=15, symmetric=symmetric)
         one_tile = stream_all(new_lra(cfg), a).finalize()
         state = stream_all(new_lra(cfg), a)
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 5 * 7)
-        for split in (False, True):
-            monkeypatch.setattr(sketch, "_split_walks", split)
-            tile_calls.clear()
-            tiled = state.finalize()
-            requests = [r * (j1 - j0) for r, j0, j1 in sorted(tile_calls, key=lambda c: c[1])]
-            if split:
-                assert requests == ([14] * 24 if symmetric else [14] * 20)
-            else:
-                assert requests == ([35, 35, 35, 35, 28] * 2 if symmetric else [35] * 8)
-            assert np.linalg.norm(tiled.lam - one_tile.lam) <= 1e-12 * np.linalg.norm(one_tile.lam)
-            rec, rec_tiled = reconstruct(one_tile, cfg), reconstruct(tiled, cfg)
-            assert np.linalg.norm(rec_tiled - rec) <= 1e-12 * np.linalg.norm(rec)
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 10 * 7)
+        tile_calls.clear()
+        tiled = state.finalize()
+        requests = [r * (j1 - j0) for r, j0, j1 in tile_calls]
+        assert requests == ([35, 35, 35, 35, 28] * 2 if symmetric else [35] * 8)
+        assert np.linalg.norm(tiled.lam - one_tile.lam) <= 1e-12 * np.linalg.norm(one_tile.lam)
+        rec, rec_tiled = reconstruct(one_tile, cfg), reconstruct(tiled, cfg)
+        assert np.linalg.norm(rec_tiled - rec) <= 1e-12 * np.linalg.norm(rec)
 
 
 class TestReconstruct:

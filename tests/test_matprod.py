@@ -99,7 +99,8 @@ class TestBlockIngest:
     @pytest.mark.parametrize("tile_cols", [1, 3, None])
     def test_blocks_equal_rows_and_columns(self, monkeypatch, tile_cols):
         if tile_cols is not None:
-            monkeypatch.setattr(sketch, "TILE_ENTRIES", tile_cols * guard.matmult_sketch_dim(ACC))
+            # Walk tiles of tile_cols columns: half of per_tile(r).
+            monkeypatch.setattr(sketch, "TILE_ENTRIES", 2 * tile_cols * guard.matmult_sketch_dim(ACC))
         rng = np.random.default_rng(12)
         n, d1, d2 = 23, 5, 3
         a = rng.standard_normal((n, d1))
@@ -129,7 +130,8 @@ class TestBlockIngest:
     @pytest.mark.parametrize("tile_cols", [1, 3, None])
     def test_paired_rows_equal_one_operand_at_a_time(self, monkeypatch, tile_cols):
         if tile_cols is not None:
-            monkeypatch.setattr(sketch, "TILE_ENTRIES", tile_cols * guard.matmult_sketch_dim(ACC))
+            # Walk tiles of tile_cols columns: half of per_tile(r).
+            monkeypatch.setattr(sketch, "TILE_ENTRIES", 2 * tile_cols * guard.matmult_sketch_dim(ACC))
         rng = np.random.default_rng(13)
         n, d1, d2 = 23, 5, 3
         a = rng.standard_normal((n, d1))

@@ -16,10 +16,11 @@ def make_state(n=30, d=4, seed=0, **kw):
 
 
 def shrink_tiles(monkeypatch, tile_cols, d=4):
-    """Make each projection tile ``tile_cols`` columns wide (None: default)."""
+    """Make each projection tile ``tile_cols`` columns wide (None: default):
+    a walk's tiles are half of ``per_tile(r)``."""
     if tile_cols is not None:
         r = guard.linreg_sketch_dim(ACC, d)
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", tile_cols * r)
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 2 * tile_cols * r)
 
 
 def rel_diff(x, ref):

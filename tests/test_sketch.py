@@ -311,55 +311,37 @@ class TestMerge:
                 x.merge(y)
 
 
-def _on_paths(monkeypatch):
-    # Each walk path in turn: serial tiles are per_tile(r) wide, two-thread
-    # tiles half that; a one-column tile has no half, and walks serially.
-    for split in (False, True):
-        monkeypatch.setattr(sketch, "_split_walks", split)
-        yield split
-
-
-def _by_start(tile_calls):
-    # The recorded tiles in column order: two threads record them.
-    return sorted(tile_calls, key=lambda call: call[1])
-
-
 class TestTiles:
     """project_blocks walks its range in tiles: one Philox stream and one
     tile buffer per generating thread and pass."""
 
-    def test_default_tile_budget(self, monkeypatch, tile_calls):
+    def test_default_tile_budget(self, tile_calls):
+        # per_tile(1031) is 63 columns, and a walk's tiles are half that.
         assert sketch.TILE_ENTRIES == 65536
         sk = GaussianSketcher(3, 1031, 4040)
-        for split in _on_paths(monkeypatch):
-            tile_calls.clear()
-            sk.project_blocks(0, [np.zeros((sk.m, 1))])
-            sizes = [r * (j1 - j0) for r, j0, j1 in tile_calls]
-            assert max(sizes) == (31 if split else 63) * 1031 and sum(sizes) == sk.r * sk.m
+        sk.project_blocks(0, [np.zeros((sk.m, 1))])
+        sizes = [r * (j1 - j0) for r, j0, j1 in tile_calls]
+        assert max(sizes) == 31 * 1031 and sum(sizes) == sk.r * sk.m
 
     def test_uneven_tiles_concatenate_bit_exact(self, monkeypatch, tile_calls):
         # Projecting the identity returns the walked tiles side by side:
-        # every other term of each product is an exact zero.
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+        # every other term of each product is an exact zero. Tiles of two
+        # columns at r = 5, the last one ragged.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 20)
         sk = GaussianSketcher(5, 5, 40)
-        for split in _on_paths(monkeypatch):
-            tile_calls.clear()
-            (joined,) = sk.project_blocks(3, [np.eye(33)])
-            calls = _by_start(tile_calls)
-            assert [j1 - j0 for _r, j0, j1 in calls] == ([1] * 33 if split else [2] * 16 + [1])
-            assert calls[0][1] == 3 and calls[-1][2] == 36
-            assert all(r == 5 for r, _j0, _j1 in calls)
-            assert np.array_equal(joined, sk.column_block(3, 36))
-            assert np.array_equal(joined, GaussianSketcher(5, 5, 40).omega[:, 3:36])
+        (joined,) = sk.project_blocks(3, [np.eye(33)])
+        assert [j1 - j0 for _r, j0, j1 in tile_calls] == [2] * 16 + [1]
+        assert tile_calls[0][1] == 3 and tile_calls[-1][2] == 36
+        assert all(r == 5 for r, _j0, _j1 in tile_calls)
+        assert np.array_equal(joined, sk.column_block(3, 36))
+        assert np.array_equal(joined, GaussianSketcher(5, 5, 40).omega[:, 3:36])
 
     def test_one_column_tiles_when_r_exceeds_budget(self, monkeypatch, tile_calls):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 3)
         sk = GaussianSketcher(6, 5, 9)
-        for _split in _on_paths(monkeypatch):
-            tile_calls.clear()
-            (joined,) = sk.project_blocks(0, [np.eye(9)])
-            assert [(j0, j1) for _r, j0, j1 in _by_start(tile_calls)] == [(j, j + 1) for j in range(9)]
-            assert np.array_equal(joined, sk.omega)
+        (joined,) = sk.project_blocks(0, [np.eye(9)])
+        assert [(j0, j1) for _r, j0, j1 in tile_calls] == [(j, j + 1) for j in range(9)]
+        assert np.array_equal(joined, sk.omega)
 
     def test_empty_range_and_range_check(self, tile_calls):
         # An empty range generates nothing, and so does a range outside
@@ -397,8 +379,7 @@ class TestTiles:
 
     def test_tiles_come_from_one_walk(self, monkeypatch):
         # A pass is one _tiles walk, and the walk's tiles are its columns in
-        # per_tile(r) steps (half that on two threads), each equal to
-        # column_block over its range.
+        # per_tile(r) // 2 steps, each equal to column_block over its range.
         original = sketch._tiles
 
         def spy(sk, j0, j1):
@@ -408,32 +389,27 @@ class TestTiles:
                 tiles.append((t0, t1))
                 yield t0, t1, tile
 
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 8)
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 16)
         sk = GaussianSketcher(2, 4, 10)
         monkeypatch.setattr(sketch, "_tiles", spy)
-        for split in _on_paths(monkeypatch):
-            walks, tiles = [], []
-            sk.project_blocks(1, [np.ones((7, 2))])
-            assert walks == [(1, 8)]
-            assert tiles == ([(j, j + 1) for j in range(1, 8)] if split
-                             else [(1, 3), (3, 5), (5, 7), (7, 8)])
+        walks, tiles = [], []
+        sk.project_blocks(1, [np.ones((7, 2))])
+        assert walks == [(1, 8)]
+        assert tiles == [(1, 3), (3, 5), (5, 7), (7, 8)]
 
     def test_project_blocks_share_each_tile(self, monkeypatch, tile_calls):
         # Several blocks over the same columns cost one pass over the tiles,
         # and each result is its own one-block pass bit for bit.
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 8)
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 16)
         sk = GaussianSketcher(2, 4, 10)
         rng = np.random.default_rng(2)
         blocks = [rng.standard_normal((7, 2)), rng.standard_normal((7, 3))]
-        for split in _on_paths(monkeypatch):
-            want = [sk.project_blocks(1, [x])[0] for x in blocks]
-            tile_calls.clear()
-            got = sk.project_blocks(1, blocks)
-            assert [(j0, j1) for _r, j0, j1 in _by_start(tile_calls)] == (
-                [(j, j + 1) for j in range(1, 8)] if split else [(1, 3), (3, 5), (5, 7), (7, 8)]
-            )
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
+        want = [sk.project_blocks(1, [x])[0] for x in blocks]
+        tile_calls.clear()
+        got = sk.project_blocks(1, blocks)
+        assert [(j0, j1) for _r, j0, j1 in tile_calls] == [(1, 3), (3, 5), (5, 7), (7, 8)]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
         with pytest.raises(ContractViolationError):
             sk.project_blocks(1, [np.ones((7, 2)), np.ones((6, 2))])
 
@@ -473,6 +449,11 @@ class TestTiles:
         assert sizes and max(sizes) <= sketch.TILE_ENTRIES
 
 
+# The negative-control walks below step per_tile(r) columns, twice the
+# walk's tile: a fresh buffer each then holds more than one tile of
+# per_tile(r) columns at once, which the memory bound of a pass catches.
+
+
 def _fresh_walk(sk, j0, j1):
     # Negative control: a pass of one column_block request per tile, with a
     # stream and a buffer of its own each.
@@ -508,8 +489,8 @@ class TestWalk:
 
     @staticmethod
     def _regress_pass():
-        # The regress-dpmt shape: 2,000 columns at r = 1031 (32 tiles of
-        # 63 columns) applied to two 20-column blocks.
+        # The regress-dpmt shape: 2,000 columns at r = 1031 (65 walk tiles
+        # of 31 columns) applied to two 20-column blocks.
         sk = GaussianSketcher(0, 1031, 2000)
         rng = np.random.default_rng(0)
         return sk, [rng.standard_normal((2000, 20)) for _ in range(2)]
@@ -565,34 +546,32 @@ class TestWalk:
         return peak / (8 * sk.r * sketch.per_tile(sk.r))
 
     def test_consecutive_tiles_share_one_buffer(self, monkeypatch):
-        # Serial: every tile in one buffer of one tile (4 columns at r = 5).
-        # Two threads: the tiles alternate between two buffers of half a
-        # tile each. No tile gets a fresh buffer on either path.
+        # Serial: all 19 tiles in one buffer of one tile (2 columns at
+        # r = 5). Two threads: the same tiles alternate between two such
+        # buffers. No tile gets a fresh buffer on either path.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 24)
-        for split in _on_paths(monkeypatch):
-            groups, bases = self._buffers(sketch._tiles)
-            count = sum(map(len, groups))
-            if split:
-                assert groups == [list(range(0, count, 2)), list(range(1, count, 2))]
-                assert bases == [2, 2] and count == 19
-            else:
-                assert groups == [list(range(count))] and bases == [4] and count == 10
-            for walk in (_fresh_buffer_walk, _fresh_walk):
-                groups, _bases = self._buffers(walk)
-                assert len(groups) == sum(map(len, groups)) > 2
+        assert self._buffers(sketch._tiles) == ([list(range(19))], [2])
+        monkeypatch.setattr(sketch, "_split_walks", True)
+        assert self._buffers(sketch._tiles) == ([list(range(0, 19, 2)), list(range(1, 19, 2))], [2, 2])
+        for walk in (_fresh_buffer_walk, _fresh_walk):
+            groups, _bases = self._buffers(walk)
+            assert len(groups) == sum(map(len, groups)) > 2
 
     def test_a_pass_opens_one_stream(self, monkeypatch):
         # One stream per generating thread, never one per tile.
-        for split in _on_paths(monkeypatch):
-            assert self._philox_calls(monkeypatch) == (2 if split else 1)
+        assert self._philox_calls(monkeypatch) == 1
+        monkeypatch.setattr(sketch, "_split_walks", True)
+        assert self._philox_calls(monkeypatch) == 2
+        monkeypatch.setattr(sketch, "_split_walks", False)
         monkeypatch.setattr(sketch, "_tiles", _fresh_walk)
         assert self._philox_calls(monkeypatch) == 32
 
     def test_a_pass_holds_one_tile(self, monkeypatch):
-        # Measured: 2.40 tiles (the buffer, one 16,384-word sub-block's
-        # temporaries and the two results), against 3.40-3.42 for a new
-        # buffer per tile, which is allocated while the last tile is still
-        # held.
+        # In tiles of per_tile(r) = 63 columns at r = 1031. Measured: 1.89
+        # (the walk's buffer of 31 columns, 0.49; one 16,384-word
+        # sub-block's temporaries, 0.76; the two results, 0.63), against
+        # 3.40 for a new buffer per tile of 63 columns, which is allocated
+        # while the last one is still held.
         assert self._peak_in_tiles() < 2.5
         for walk in (_fresh_buffer_walk, _fresh_walk):
             monkeypatch.setattr(sketch, "_tiles", walk)
@@ -601,9 +580,9 @@ class TestWalk:
     def test_a_two_thread_pass_holds_one_tile_in_two_buffers(self, monkeypatch):
         # The same pass on two threads, entered through the flag that the
         # release scope sets. In tiles of 1031 x 63 entries (519,624 bytes),
-        # it may hold its two half-tile buffers (2 x 31 columns of 1032
-        # words: 0.98), one sub-block's Box-Muller temporaries per thread
-        # (the sub-block's 16,384 words, its 8,192 order indices, its
+        # it may hold its two buffers of one walk tile each (2 x 31 columns
+        # of 1032 words: 0.98), one sub-block's Box-Muller temporaries per
+        # thread (the sub-block's 16,384 words, its 8,192 order indices, its
         # gathered pairs and one trig array, 384 KiB: 2 x 0.76), the two
         # results (2 x 1031 x 20 entries: 0.63) and one product of a tile
         # (0.32): 3.46 in all. Measured: 2.7-3.15 tiles, against 3.9-4.6

@@ -32,9 +32,9 @@ def split(request, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def small_tiles(monkeypatch):
-    # Tiles of 8 columns at the regression r of 258 (4 a half tile) and of
-    # 27 at the multiply r of 74 (13 a half tile), so the 90-row streams
-    # span several tiles on both walk paths.
+    # Walk tiles of 4 columns at the regression r of 258 and of 13 at the
+    # multiply r of 74 (half of per_tile(r), 8 and 27), so the 90-row
+    # streams span several tiles.
     monkeypatch.setattr(sketch, "TILE_ENTRIES", 8 * 258)
 
 
@@ -186,16 +186,16 @@ class TestCarry:
             tracemalloc.stop()
 
     def test_the_walk_carries_at_most_one_tile_of_rows(self, monkeypatch):
-        # At r = 8 a tile is 8,192 columns, and a tile of the stream's rows
-        # of 16 columns is 1 MiB, more than the walk's tile buffer (512 KiB)
-        # or one sub-block's Box-Muller temporaries (about 385 KiB). The
+        # At r = 8 a walk tile is 4,096 columns, and a tile of the stream's
+        # rows of 16 columns is 512 KiB, more than the walk's tile buffer
+        # (256 KiB) or one sub-block's Box-Muller temporaries (385 KiB). The
         # 50,000 rows come in chunks of 1.5 tiles, made before tracing
         # starts, so only the walk's own memory is counted. Over the walk of
         # the same rows as one chunk, which multiplies views and copies
         # none, the chunked walk may hold its carry of one tile of rows.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 1 << 16)
         sk = GaussianSketcher(6, 8, 50_000)
-        width = sketch.per_tile(sk.r)
+        width = sketch.per_tile(sk.r) // 2
         x = np.random.default_rng(6).standard_normal((50_000, 16))
         chunks = [[x[i : i + width * 3 // 2].copy()] for i in range(0, len(x), width * 3 // 2)]
         tile_rows = 8 * width * x.shape[1]

@@ -58,12 +58,6 @@ def _cases():
     return cases
 
 
-def _tile_count(r, j0, j1):
-    # Half tiles, or one column a tile where the whole tile is one column.
-    width = max(1, sketch.per_tile(r) // 2)
-    return -(-(int(j1) - int(j0)) // width)
-
-
 def _fake_blas(monkeypatch, threads, takes=True):
     # Stand-in entry points: the count the getter reports, and every count
     # given to the setter, which a setter that does not take ignores.
@@ -81,18 +75,30 @@ def _fake_blas(monkeypatch, threads, takes=True):
 class TestSelection:
     """Two threads only inside the release scope, where the process may use
     exactly 2 CPUs, the release's rows to a tile of its widest input span
-    three half tiles or more and BLAS goes to one thread; the serial walk
+    three walk tiles or more and BLAS goes to one thread; the serial walk
     everywhere else."""
 
     @pytest.fixture(autouse=True)
     def _small_tiles(self, monkeypatch):
-        # 40-entry tiles: 8 columns at r = 5, half tiles of 4.
+        # 40-entry tiles: per_tile(5) is 8 columns, and a walk tile 4.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
 
     @staticmethod
-    def _widths(r=5):
-        sk = GaussianSketcher(1, r, 40)
-        return {t1 - t0 for t0, t1, _tile in sketch._tiles(sk, 0, 40)}
+    def _spans_and_threads(monkeypatch, r=5):
+        # A walk's (t0, t1) spans, and the names of the threads that
+        # generated its tiles.
+        names = []
+        original = sketch._tile
+
+        def naming(*args):
+            names.append(threading.current_thread().name)
+            return original(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sketch, "_tile", naming)
+            sk = GaussianSketcher(1, r, 40)
+            spans = [(t0, t1) for t0, t1, _tile in sketch._tiles(sk, 0, 40)]
+        return spans, set(names)
 
     def test_outside_the_scope_walks_are_serial(self, monkeypatch):
         # Even where BLAS already runs on one thread on 2 CPUs, as in a
@@ -100,7 +106,8 @@ class TestSelection:
         monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
         _fake_blas(monkeypatch, 1)
         assert sketch._split_walks is False
-        assert self._widths() == {8}
+        _spans, names = self._spans_and_threads(monkeypatch)
+        assert names == {threading.current_thread().name}
 
     @pytest.mark.parametrize(
         "cpus, blas, r, walk, split",
@@ -117,10 +124,13 @@ class TestSelection:
         else:
             state = _fake_blas(monkeypatch, 2, takes=blas == "takes")
         pinned = cpus == 2 and blas is not None and walk > 8 and r == 5
+        serial, _names = self._spans_and_threads(monkeypatch)
         with sketch._release_threads(r, walk):
             assert sketch._split_walks is split
-            # The walk follows: half tiles (4 columns at r = 5) or whole ones.
-            assert self._widths() == ({4} if split else {8})
+            # The walk follows: the serial walk's tiles, generated on two
+            # threads or on the caller's alone.
+            spans, names = self._spans_and_threads(monkeypatch)
+            assert spans == serial and len(names) == (2 if split else 1)
             if blas is not None:
                 # BLAS is pinned only where the walks may take the second CPU.
                 assert state["set"] == ([1] if pinned else [])
@@ -141,8 +151,9 @@ class TestSelection:
             return original(seed, offset)
 
         monkeypatch.setattr(sketch, "_philox", philox)
-        assert self._widths(r=50) == {1}
-        assert opened == [threading.current_thread().name]
+        spans, names = self._spans_and_threads(monkeypatch, r=50)
+        assert spans == [(j, j + 1) for j in range(40)]
+        assert names == set(opened) and opened == [threading.current_thread().name]
 
     def test_the_scope_restores_both_when_its_body_raises(self, monkeypatch):
         monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
@@ -187,7 +198,7 @@ class TestBitExact:
         serial, split = _walk(monkeypatch, False, sk, j0, j1), _walk(monkeypatch, True, sk, j0, j1)
         assert np.array_equal(_joined(split), _joined(serial))
         assert np.array_equal(_joined(split), sk.column_block(j0, j1))
-        assert len(split) == _tile_count(r, j0, j1)
+        assert [(t0, t1) for t0, t1, _tile in split] == [(t0, t1) for t0, t1, _tile in serial]
         for t0, t1, tile in split:
             assert np.array_equal(tile, sk.column_block(t0, t1))
 
@@ -413,8 +424,10 @@ def _write_pair(tmp_path, n, cols, bad_row=None):
     return paths
 
 
-def _multiply_argv(paths, report, oracle=False):
-    argv = ["multiply", "--input", paths[0], "--input-b", paths[1], "--format", "dpbin",
+def _multiply_argv(paths, report, oracle=False, command="multiply"):
+    # A multiply release of the pair, or a regress release with the same
+    # options (B's columns are its queries).
+    argv = [command, "--input", paths[0], "--input-b", paths[1], "--format", "dpbin",
             "--eps", "1", "--delta", "0.01", "--alpha", "0.5", "--beta", "0.2", "--seed", "0",
             "--report", str(report)]
     return argv + (["--oracle"] if oracle else [])
@@ -422,7 +435,7 @@ def _multiply_argv(paths, report, oracle=False):
 
 class TestReleaseScope:
     """On 2 CPUs a CLI multiply or regress release whose rows to a tile of
-    its widest input (all n, if fewer) span three half tiles or more runs
+    its widest input (all n, if fewer) span three walk tiles or more runs
     its mechanism with BLAS on one thread and walks on two, and gives BLAS
     back its count afterwards; the --oracle scoring runs outside. Every
     other release changes nothing."""
@@ -447,7 +460,7 @@ class TestReleaseScope:
         return seen
 
     def test_a_release_runs_on_one_thread_and_restores_the_count(self, tmp_path, monkeypatch):
-        # 1,000 rows at r = 74: they span three half tiles of 442.
+        # 1,000 rows at r = 74: they span three walk tiles of 442.
         monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
         state = _fake_blas(monkeypatch, 3)
         seen = self._spy_release(monkeypatch, state)
@@ -602,42 +615,65 @@ class TestCsvReleaseScope:
 
 
 # A child that runs one CLI release on (at most) two CPUs, the only count
-# at which a release enters its thread scope; "no-scope" replaces the release's thread
-# scope with a no-op first, and "one-cpu" makes the release see one CPU.
+# at which a release enters its thread scope; "no-scope" replaces the
+# release's thread scope with a no-op first, "one-cpu" makes the release see
+# one CPU, and "full-tiles" also puts back a serial walk of per_tile(r)
+# columns a tile, twice the width every walk takes.
 _CHILD = (
     "import contextlib, os, sys\n"
+    "import numpy as np\n"
     "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
     "from dpsketch import cli, sketch\n"
     "if sys.argv[1] == 'no-scope':\n"
     "    sketch._release_threads = lambda r, walk: contextlib.nullcontext()\n"
-    "if sys.argv[1] == 'one-cpu':\n"
+    "if sys.argv[1] in ('one-cpu', 'full-tiles'):\n"
     "    sketch._usable_cpus = lambda: 1\n"
+    "if sys.argv[1] == 'full-tiles':\n"
+    "    def walk(sk, j0, j1):\n"
+    "        width = sketch.per_tile(sk.r)\n"
+    "        bg = sketch._philox(sk.seed, j0 * sk._wpc)\n"
+    "        for t0 in range(j0, j1, width):\n"
+    "            t1 = min(t0 + width, j1)\n"
+    "            yield t0, t1, sketch._tile(sk, bg, t0, t1, np.empty((t1 - t0) * sk._wpc))\n"
+    "    sketch._tiles = walk\n"
     "sys.exit(cli.main(sys.argv[2:]))\n"
 )
 
 
-class TestOutputsIgnoreBlasThreads:
-    @staticmethod
-    def _estimate(tmp_path, paths, threads, mode):
-        report = tmp_path / f"{mode}-{threads}.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-c", _CHILD, mode, *_multiply_argv(paths, report)],
-                       env=env, check=True, timeout=120)
-        return (tmp_path / f"{mode}-{threads}.estimate.dpmt").read_bytes()
+def _child_release(tmp_path, mode, threads, argv_at, names):
+    # The named output files of one release that _CHILD runs in ``mode`` at
+    # ``threads`` BLAS threads; argv_at(report) is its command line.
+    report = tmp_path / f"{mode}-{threads}.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", _CHILD, mode, *argv_at(report)],
+                   env=env, check=True, timeout=120)
+    return [(tmp_path / f"{mode}-{threads}.{name}.dpmt").read_bytes() for name in names]
 
+
+def _child_can_scope():
+    return (sketch._blas_thread_fns() is not None and sketch._usable_cpus() >= 2
+            and hasattr(os, "sched_setaffinity"))
+
+
+class TestOutputsIgnoreBlasThreads:
     def test_multiply_estimate_is_the_same_at_one_and_two_threads(self, tmp_path):
-        # 900 x 20 inputs at r = 74, whose rows span three half tiles: the
-        # smallest tried (900 x 10, 900 x 20, 1000 x 10, ...) at which the
-        # runs without the scope differ. Both walk serially; they differ in
-        # how one and two BLAS threads sum the products (6.7e-16 relative).
-        if (sketch._blas_thread_fns() is None or sketch._usable_cpus() < 2
-                or not hasattr(os, "sched_setaffinity")):
+        # 900 x 50 inputs at r = 74, whose rows span three walk tiles. The
+        # runs without the scope walk serially and differ in how one and two
+        # BLAS threads sum the products: with walk tiles of 442 columns,
+        # 900 x 20, 900 x 30 and 2000 x 20 inputs do not show it, and
+        # 900 x 35 is the narrowest tried that does.
+        if not _child_can_scope():
             pytest.skip("needs numpy's bundled OpenBLAS and 2 usable CPUs")
-        paths = _write_pair(tmp_path, 900, 20)
-        scoped = [self._estimate(tmp_path, paths, t, "scope") for t in (1, 2)]
+        paths = _write_pair(tmp_path, 900, 50)
+
+        def estimate(mode, threads):
+            return _child_release(tmp_path, mode, threads,
+                                  lambda report: _multiply_argv(paths, report), ["estimate"])
+
+        scoped = [estimate("scope", t) for t in (1, 2)]
         assert scoped[0] == scoped[1]
-        bare = [self._estimate(tmp_path, paths, t, "no-scope") for t in (1, 2)]
+        bare = [estimate("no-scope", t) for t in (1, 2)]
         assert bare[0] != bare[1]
 
     def test_lra_csv_factors_are_the_one_thread_serial_ones(self, tmp_path):
@@ -646,22 +682,45 @@ class TestOutputsIgnoreBlasThreads:
         # the bytes of a serial-parse release at one BLAS thread. Negative
         # control: the serial release at two BLAS threads differs, so the
         # input is big enough for the BLAS count to show.
-        if (sketch._blas_thread_fns() is None or sketch._usable_cpus() < 2
-                or not hasattr(os, "sched_setaffinity") or not cli._can_fork()):
+        if not (_child_can_scope() and cli._can_fork()):
             pytest.skip("needs numpy's bundled OpenBLAS, 2 usable CPUs and os.fork below Python 3.12")
         path = _write_csv(tmp_path / "a.csv", 1000, 300)
+        argv = ["lra", "--input", path, "--rank", "10", "--eps", "1", "--delta", "0.01",
+                "--seed", "0"]
 
         def factors(mode, threads):
-            report = tmp_path / f"{mode}-{threads}.json"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                       PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-            argv = ["lra", "--input", path, "--rank", "10", "--eps", "1", "--delta", "0.01",
-                    "--seed", "0", "--report", str(report)]
-            subprocess.run([sys.executable, "-c", _CHILD, mode, *argv],
-                           env=env, check=True, timeout=120)
-            return [(tmp_path / f"{mode}-{threads}.{name}.dpmt").read_bytes()
-                    for name in ("uhat", "lam")]
+            return _child_release(tmp_path, mode, threads,
+                                  lambda report: argv + ["--report", str(report)], ["uhat", "lam"])
 
         serial = factors("one-cpu", 1)
         assert factors("scope", 2) == serial
         assert factors("one-cpu", 2) != serial
+
+
+class TestOutputsIgnoreTheCpuCount:
+    """Every walk takes the same tiles, so at one BLAS thread a release run
+    on two CPUs, inside its thread scope (BLAS on one thread, walks on two),
+    publishes the bytes of the same release run on one CPU, walking
+    serially."""
+
+    @pytest.mark.parametrize(
+        "command, rows", [("multiply", 900), ("multiply", 2000), ("regress", 2000)]
+    )
+    def test_a_scoped_release_has_the_one_cpu_bytes(self, tmp_path, command, rows):
+        # 20-column inputs: r = 74 for multiply and 1031 for regress, whose
+        # rows span three walk tiles or more. Negative control: the one-CPU
+        # release with walk tiles of per_tile(r) columns, as serial walks
+        # took before, sums its products otherwise and differs.
+        if not _child_can_scope():
+            pytest.skip("needs numpy's bundled OpenBLAS and 2 usable CPUs")
+        paths = _write_pair(tmp_path, rows, 20)
+        name = "estimate" if command == "multiply" else "solutions"
+
+        def outputs(mode):
+            return _child_release(tmp_path, mode, 1,
+                                  lambda report: _multiply_argv(paths, report, command=command),
+                                  [name])
+
+        scoped = outputs("scope")
+        assert outputs("one-cpu") == scoped
+        assert outputs("full-tiles") != scoped
