@@ -9,22 +9,17 @@ verify    run the harness verification suite
 
 Matrix files are either headerless CSV (one row per line) or the "DPMT"
 binary format (magic, version u16, rows u32, cols u32, little-endian
-float64 row-major). Streaming commands consume the input through a one-pass
-iterator of row chunks, each about one projection tile in size (four for
-``lra``, which regenerates its data block once per chunk), feed the
-chunks to the mechanism, and never materialize the private matrix unless
---oracle is given. A CSV chunk is parsed in one call to
-numpy's C reader; a chunk with a fault is read again line by line, so the
-error names its line. Where a release reads one CSV input of two chunks
-or more (``lra``) on exactly two usable CPUs, BLAS runs on one thread and
-a forked child parses every other chunk, to the same bits and the same
-faults (``_release_chunks``). One release skeleton, ``_run_release``, probes and
-reads every input and writes every output. ``multiply`` and ``regress``
-take a second input (B; the queries) with as many rows as the first; the
-skeleton reads the two together, in chunks of the same rows, and each
-command sketches all n rows of both in one walk over the projection
-tiles, which reads the chunks as it needs them: their bits do not depend
-on the chunk size.
+float64 row-major). Streaming commands consume the input through a
+one-pass iterator of row chunks, feed them to the mechanism, and never
+materialize the private matrix unless --oracle is given. A CSV chunk is
+parsed in one call to numpy's C reader; a chunk with a fault is read
+again line by line, so the error names its line. One release skeleton,
+``_run_release``, probes and reads every input, runs the release as its
+plan says (``sketch.plan_release``) and writes every output. ``multiply``
+and ``regress`` take a second input (B; the queries) with as many rows
+as the first, read in chunks of the same rows, and sketch all n rows of
+both in one walk over the projection tiles: their bits do not depend on
+the chunk size.
 The outputs are ``lra``'s factor ``uhat`` and 1 x k ``lam``, ``multiply``'s
 ``estimate`` of A.T @ B and ``regress``'s d x q ``solutions``; with
 --report each is written beside it as ``<report less extension>.<name>.dpmt``,
@@ -273,7 +268,9 @@ def _receive_chunk(fd: int, i0: int, rows: int, cols: int) -> Optional[np.ndarra
     return block
 
 
-def _forked_csv_chunks(path: str, step: int) -> Iterator[Tuple[int, np.ndarray]]:
+def _forked_csv_chunks(
+    path: str, step: int, execution: dict
+) -> Iterator[Tuple[int, np.ndarray]]:
     """``iter_matrix_chunks(path, "csv", step)``, with every odd chunk
     parsed by a forked child while this process parses the even ones.
 
@@ -284,7 +281,8 @@ def _forked_csv_chunks(path: str, step: int) -> Iterator[Tuple[int, np.ndarray]]
     point of the stream and named as the serial reader names it. Where the
     child's data ends short (it died) or is not for the chunk, this chunk
     and every later one are parsed here; where no child can be forked,
-    every chunk is. The child never prints; it is killed, if still
+    every chunk is, and the release's ``execution`` record says its
+    ``csv_reader`` was serial. The child never prints; it is killed, if still
     running, and reaped when the walk ends, however it ends. Close the walk
     to end it early. A fork took 1.5 ms on a 2-core Xeon, where a spawned
     interpreter that imports numpy takes about 67 ms.
@@ -295,6 +293,7 @@ def _forked_csv_chunks(path: str, step: int) -> Iterator[Tuple[int, np.ndarray]]
     except OSError:
         os.close(rfd)
         os.close(wfd)
+        execution["csv_reader"] = "serial"
         yield from iter_matrix_chunks(path, "csv", step)
         return
     if pid == 0:
@@ -411,31 +410,27 @@ class _Release(NamedTuple):
 def _run_release(cfg: argparse.Namespace, command) -> dict:
     """Shared skeleton of the lra, multiply and regress commands.
 
-    The skeleton owns the inputs: it probes --input (and --input-b, which
-    must have as many rows) and reads them in chunks (i0, rows[, rows_b])
-    of one tile of the widest input, four for ``lra`` (``_release_chunks``).
-    ``command(cfg, chunks, n, *cols)`` builds its mechanism, streams the
-    chunks, answers and returns a ``_Release``; --oracle loads every input
-    whole to score it, outside the read's scope. The skeleton alone
-    publishes: it writes every output of the release, as the module
-    docstring says. The seed fixes the projection, and whoever knows it
-    can recompute the release from a candidate input, so the report leaves
-    it out.
+    It probes --input (and --input-b, which must have as many rows),
+    builds the state (``_state``), plans the release from the shapes, the
+    state's r and this process's facts, and streams the chunks to
+    ``command(state, chunks)`` inside the plan's one scope
+    (``_release_chunks``). --oracle scores outside it. The skeleton
+    alone publishes, and leaves the seed out of the report: whoever knows
+    it can recompute the release from a candidate input.
     """
     paths = [cfg.input] + ([cfg.input_b] if "input_b" in cfg else [])
     rows, cols = zip(*(matrix_shape(path, cfg.fmt) for path in paths))
     if len(set(rows)) > 1:
         raise DPSketchError(f"row counts differ: A has {rows[0]}, B has {rows[1]}")
-    # One tile of the widest input per chunk. lra regenerates its whole
-    # d x (k+p) data block once per chunk, so its chunks span four tiles:
-    # on a 2,000 x 1,000 CSV at k = 50 (2-core Xeon), 1-tile chunks made a
-    # release ~12% slower and 4-tile ones were within noise, for ~10 MiB
-    # more peak memory, most of it the CSV reader's lines.
-    step = sketch.per_tile(max(cols)) * (4 if cfg.command == "lra" else 1)
-    with _release_chunks(paths, cfg.fmt, rows[0], step) as chunks:
-        rel = command(cfg, chunks, rows[0], *cols)
+    state = _state(cfg, rows[0], *cols)
+    plan = sketch.plan_release(cfg.command, cfg.fmt, rows[0], cols, state.sketcher.r,
+                               sketch._usable_cpus(), sketch._blas_thread_fns() is not None,
+                               _can_fork())
+    with _release_chunks(plan, paths, cfg.fmt) as (chunks, execution):
+        rel = command(state, chunks)
     report = {"params": {k: v for k, v in vars(cfg).items() if k != "seed"},
-              "error_vs_oracle": None, "space_entries": rel.state.space_entries()}
+              "error_vs_oracle": None, "space_entries": rel.state.space_entries(),
+              "execution": execution}
     greport = rel.state.guard_report
     if cfg.oracle:
         inputs = [load_matrix(path, cfg.fmt) for path in paths]
@@ -451,80 +446,59 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
 
 
 def _can_fork() -> bool:
-    """Whether a release may fork a CSV parser: where ``os.fork`` exists,
-    on Python below 3.12, which warns on a fork in a process with threads
-    (OpenBLAS's pool is one)."""
+    """Whether a release may fork a CSV parser: with ``os.fork``, below
+    Python 3.12, which warns on a fork beside threads (OpenBLAS's pool)."""
     return hasattr(os, "fork") and sys.version_info < (3, 12)
 
 
 @contextlib.contextmanager
-def _release_chunks(paths: list[str], fmt: str, rows: int, step: int):
-    """The chunks (i0, rows[, rows_b]) of a release's inputs, ``step`` rows
-    each, the inputs read in lockstep.
-
-    Where the release reads one CSV input of two chunks or more (``lra``),
-    the process may use exactly two CPUs (the only count measured) and
-    OpenBLAS goes to one thread, the scope keeps it there and a forked
-    child parses every other chunk (``_forked_csv_chunks``): BLAS then
-    leaves the second CPU to the child, where a second BLAS thread would
-    spin on it between the ingest's products. The child is reaped when the
-    scope ends. Everywhere else (and where ``_can_fork`` is false) the
-    read is serial and BLAS keeps its count.
-    """
-    with contextlib.ExitStack() as scope:
-        if (len(paths) == 1 and fmt == "csv" and rows > step and _can_fork()
-                and sketch._usable_cpus() == 2
-                and scope.enter_context(sketch._one_blas_thread())):
-            streams = [scope.enter_context(contextlib.closing(_forked_csv_chunks(paths[0], step)))]
+def _release_chunks(plan: sketch.ReleasePlan, paths: list[str], fmt: str):
+    """The chunks (i0, rows[, rows_b]) of a release's inputs, read in
+    lockstep, ``plan.chunk_rows`` rows each, and its ``execution`` record,
+    with the plan applied (``sketch._plan_scope``) until the scope ends.
+    A forked reader's child is reaped when the scope ends."""
+    with sketch._plan_scope(plan) as execution, contextlib.ExitStack() as scope:
+        if execution["csv_reader"] == "forked":
+            streams = [scope.enter_context(contextlib.closing(
+                _forked_csv_chunks(paths[0], plan.chunk_rows, execution)))]
         else:
-            streams = [iter_matrix_chunks(path, fmt, step) for path in paths]
+            streams = [iter_matrix_chunks(path, fmt, plan.chunk_rows) for path in paths]
         # Each item of the zip holds one (i0, block) per input, all at one i0.
-        yield ((pieces[0][0], *(block for _, block in pieces)) for pieces in zip(*streams))
+        yield ((pieces[0][0], *(block for _, block in pieces)) for pieces in zip(*streams)), execution
 
 
-def _lra(cfg: argparse.Namespace, chunks, n: int, d: int) -> _Release:
-    lcfg = LraConfig(
-        n=n, d=d, k=cfg.rank, p=cfg.oversample,
-        budget=guard.PrivacyBudget(cfg.eps, cfg.delta), seed=cfg.seed,
-    )
-    # LRA releases walk serially, outside sketch._release_threads:
-    # generation is little of them (lra-csv: 20 of 410 ms), and a CSV
-    # release gives the second CPU to its forked parser (_release_chunks).
-    state = new_lra(lcfg)
+def _state(cfg: argparse.Namespace, n: int, *cols: int):
+    """The mechanism state of a release of n rows of inputs ``cols`` wide."""
+    budget = guard.PrivacyBudget(cfg.eps, cfg.delta)
+    if cfg.command == "lra":
+        return new_lra(LraConfig(n=n, d=cols[0], k=cfg.rank, p=cfg.oversample,
+                                 budget=budget, seed=cfg.seed))
+    acc = guard.AccuracySpec(cfg.alpha, cfg.beta)
+    if cfg.command == "multiply":
+        return new_matprod(n, *cols, budget, acc, cfg.seed)
+    return new_regress(n, cols[0], budget, acc, cfg.seed)
+
+
+def _lra(state, chunks) -> _Release:
     for i0, block in chunks:
         state.ingest_rows(i0, block)
     factor = state.finalize()
     return _Release(state, {"uhat": factor.u_hat, "lam": factor.lam.reshape(1, -1)},
-                    lambda a: harness.lra_errors(a, factor, lcfg))
+                    lambda a: harness.lra_errors(a, factor, state.config))
 
 
-def _thread_scope(state, n: int, *cols: int):
-    """The thread scope of a multiply or regress release of n rows and
-    inputs ``cols`` wide (sketch._release_threads). It is entered where one
-    tile of the widest input's rows (all n, if fewer) spans three walk
-    tiles of the r-row projection: where that input is narrower than about
-    r columns and the stream is at least three walk tiles long."""
-    return sketch._release_threads(state.sketcher.r, min(n, sketch.per_tile(max(cols))))
-
-
-def _multiply(cfg: argparse.Namespace, chunks, n: int, d1: int, d2: int) -> _Release:
-    budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
-    state = new_matprod(n, d1, d2, budget, acc, cfg.seed)
+def _multiply(state, chunks) -> _Release:
     # One walk over all n rows reads the chunks and regenerates each
     # projection tile once for both A and B.
-    with _thread_scope(state, n, d1, d2):
-        state.ingest_stream(chunks)
-        estimate = state.product_query()
+    state.ingest_stream(chunks)
+    estimate = state.product_query()
     return _Release(state, {"estimate": estimate},
                     lambda a, b: harness.matprod_errors(a, b, estimate, state))
 
 
-def _regress(cfg: argparse.Namespace, chunks, n: int, d: int, q: int) -> _Release:
-    budget, acc = guard.PrivacyBudget(cfg.eps, cfg.delta), guard.AccuracySpec(cfg.alpha, cfg.beta)
-    state = new_regress(n, d, budget, acc, cfg.seed)
+def _regress(state, chunks) -> _Release:
     # One walk, as in _multiply, for the design and the queries.
-    with _thread_scope(state, n, d, q):
-        solutions = state.ingest_and_query(chunks)
+    solutions = state.ingest_and_query(chunks)
     return _Release(state, {"solutions": solutions},
                     lambda a, queries: harness.regress_errors(a, queries, solutions, state))
 

@@ -12,10 +12,10 @@ rather than on its normal system, so the solve sees cond(Ya) and not its
 square. Each answer adds the lift to a copy of Ya, so shards combine with
 ``merge``, a plain sum.
 
-The returned solution is the raw minimizer of the lifted problem, which is
-a ridge regression with penalty s^2: users expecting ordinary
-least-squares semantics will observe shrinkage. The mechanism's additive
-error term absorbs that regularization bias.
+The lifted design [s I_d; 0; A] against the unlifted query [0; 0; b] has
+the objective ||A x - b||^2 + s^2 ||x||^2, so the release minimises that,
+through the sketch: a ridge regression with penalty s^2, not ordinary
+least squares, whose solutions are shrunk toward zero.
 """
 from __future__ import annotations
 

@@ -15,17 +15,12 @@ is the walk of a row stream: it reads the stream's chunks as its tiles
 reach them, so the tiles, and every product, do not depend on the
 chunking; ``project_blocks`` is that walk over one chunk, and a multiply
 or regression release walks its whole stream once. Every walk takes
-tiles of ``per_tile(r) // 2`` columns (at least one). Inside
-``_release_threads`` (CLI multiply and regress releases of inputs
-narrower than about r columns), where the process may use exactly two
-CPUs, BLAS runs on one thread and a walk whose ``per_tile(r)`` is 2 or
+tiles of ``per_tile(r) // 2`` columns (at least one). Where a release's
+plan (``plan_release``) says so, a walk whose ``per_tile(r)`` is 2 or
 more generates on two threads: the caller and one persistent helper
 thread take alternate tiles, each on a Philox stream of its own that
 skips the other's tiles and into a buffer of its own, in column order
-and with the same bits. Everywhere else the walk is serial, ``lra``
-releases included: a CLI ``lra`` release of a CSV file on two CPUs runs
-BLAS on one thread too (``_one_blas_thread``, which owns the count in both
-scopes), and gives the second CPU to a forked parser. Box-Muller
+and with the same bits. Everywhere else the walk is serial. Box-Muller
 evaluates a sub-block's pairs in the order of their angles' top bits,
 which keeps libm's branches predictable. Each pair moves as one 16-byte
 item: its two words are gathered together in that order, and its cos and
@@ -37,9 +32,8 @@ threads. Products with them (sketches and releases) are bit-reproducible
 under the same BLAS build and BLAS thread count: the tile width, which
 sets how a product's terms are summed, is one on every walk path, so at
 one BLAS thread a release's bytes depend on neither the usable CPU count
-nor the walk path. Outside both scopes a release runs BLAS on the
-environment's count; an ``lra`` CSV release on two CPUs has the bits of a
-run at one BLAS thread. A sketch Omega @ X is a plain r x c array, so
+nor the walk path; a release's report records both, and its BLAS count
+and build (``execution``). A sketch Omega @ X is a plain r x c array, so
 turnstile updates and shards of a stream add entrywise. Every mechanism
 retains its sketches only and regenerates its projection where it reads
 it.
@@ -47,12 +41,14 @@ it.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import os
 import queue
 import sys
 import threading
 from collections.abc import Callable, Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -308,64 +304,92 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Whether walks generate on two threads; set only by _release_threads.
-_split_walks = False
+def _blas_build() -> str:
+    """numpy's BLAS build, name and version, as numpy was configured."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the scope with numpy's bundled OpenBLAS on one thread, and give
-    it back its count on the way out, whatever happens inside. Yields
-    whether the count went to one: False where numpy bundles no OpenBLAS
-    or the count does not take. Both release scopes (``_release_threads``
-    and the CLI's two-process CSV parse) set the count here alone."""
-    fns = _blas_thread_fns()
-    if fns is None:
-        yield False
-        return
-    get, set_ = fns
-    before = get()
-    set_(1)
-    try:
-        yield get() == 1
-    finally:
-        set_(before)
+class ReleasePlan(NamedTuple):
+    """How one CLI release runs, from ``plan_release``."""
+
+    cpus: int  # the usable CPUs it was made for
+    one_blas: bool  # BLAS on one thread; else on the count it finds
+    walk: str  # "serial" or "two-thread"
+    csv_reader: str  # "serial" or "forked"
+    chunk_rows: int  # rows of each input a chunk
+    tile_cols: int  # columns a walk tile
 
 
-@contextlib.contextmanager
-def _release_threads(r: int, walk: int):
-    """Run the scope with numpy's bundled OpenBLAS on one thread and walks
-    on two, for a release over an r-row projection whose input rows come
-    ``walk`` to a tile of its widest input (all of them, if fewer), where
-    that pays; give both back as they were on the way out, whatever
-    happens inside.
+def plan_release(command: str, fmt: str, rows: int, widths: tuple[int, ...], r: int,
+                 cpus: int, blas: bool, fork: bool) -> ReleasePlan:
+    """The plan of a ``command`` release over inputs of ``rows`` rows and
+    ``widths`` columns in ``fmt``, with an r-row projection, where the
+    process may use ``cpus`` CPUs, ``blas`` says numpy's OpenBLAS thread
+    entry points exist and ``fork`` that a CSV parser may be forked. Pure:
 
-    It pays where generation, not BLAS, is most of a release: its per-tile
-    products are near OpenBLAS's threading threshold, so a second BLAS
-    thread barely speeds them up and spins between them. A tile of r x t
-    normals costs the same whatever the input, and its products cost t
-    multiply-adds per normal for each input column, so the rule is one of
-    r and the input width w: ``walk``, min(n, per_tile(w)), must span at
-    least three walk tiles of the projection, which holds about where
-    w <= r and the stream is that long (with two walk tiles, each thread
-    generates one and nothing overlaps the products). Measured on 2 CPUs
-    only, it needs exactly two usable CPUs. Elsewhere, or where numpy
-    bundles no OpenBLAS or the count does not go to one, nothing changes.
-    (An ``lra`` release of a CSV file takes BLAS to one thread in its own
-    scope, for its two-process parse, and walks serially.)
+    | plan       | where, and only with cpus == 2 and blas                  | else   |
+    |------------|----------------------------------------------------------|--------|
+    | walk       | two-thread: multiply or regress, half = per_tile(r) // 2 | serial |
+    |            | >= 1 and min(rows, per_tile(max(widths))) > 2 * half     |        |
+    | csv_reader | forked: lra, fmt csv, rows > chunk_rows and fork         | serial |
+    | one_blas   | True: the walk is two-thread or the reader forked        | False  |
+
+    A chunk holds one tile of the widest input's rows; four for ``lra``,
+    which regenerates its data block per chunk. A two-thread walk pays
+    where generation is most of a release, a forked reader where parsing
+    is; BLAS's idle second thread would spin on the second CPU. README,
+    "Execution plan", has the measurements; only 2 CPUs were measured.
     """
-    global _split_walks
+    chunk = per_tile(max(widths)) * (4 if command == "lra" else 1)
     half = per_tile(r) // 2
-    if not (half and walk > 2 * half and _usable_cpus() == 2):
-        yield
-        return
-    with _one_blas_thread() as one:
-        was = _split_walks
-        _split_walks = one
-        try:
-            yield
-        finally:
-            _split_walks = was
+    pinned = cpus == 2 and blas
+    split = (pinned and command != "lra" and half > 0
+             and min(rows, per_tile(max(widths))) > 2 * half)
+    forked = pinned and command == "lra" and fmt == "csv" and rows > chunk and fork
+    return ReleasePlan(cpus, split or forked, "two-thread" if split else "serial",
+                       "forked" if forked else "serial", chunk, max(half, 1))
+
+
+# Whether this context's walks generate on two threads. Only _plan_scope
+# sets it, for the context that entered it; a new thread starts serial.
+_split_walks: contextvars.ContextVar[bool] = contextvars.ContextVar("split_walks", default=False)
+
+# How many plan scopes hold BLAS on one thread, and the count the first
+# of them found, which the last one to close gives back.
+_blas_pins = [0, None]
+_blas_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _plan_scope(plan: ReleasePlan):
+    """Apply ``plan`` until the scope ends, whatever happens inside: BLAS
+    on one thread where it says so and, where the count went to one, this
+    context's walks and CSV reader as it says. Yields the ``execution``
+    record of what ran; a reader whose fork fails marks itself serial."""
+    fns = _blas_thread_fns()
+    pin = plan.one_blas and fns is not None
+    if pin:
+        with _blas_lock:
+            if not _blas_pins[0]:
+                _blas_pins[1] = fns[0]()
+                fns[1](1)
+            _blas_pins[0] += 1
+    one = pin and fns[0]() == 1
+    token = _split_walks.set(one and plan.walk == "two-thread")
+    try:
+        yield {"usable_cpus": plan.cpus, "blas_build": _blas_build(),
+               "blas_threads": fns[0]() if fns else None,
+               "walk": plan.walk if one else "serial",
+               "csv_reader": plan.csv_reader if one else "serial",
+               "walk_tile_columns": plan.tile_cols}
+    finally:
+        _split_walks.reset(token)
+        if pin:
+            with _blas_lock:
+                _blas_pins[0] -= 1
+                if not _blas_pins[0]:
+                    fns[1](_blas_pins[1])
 
 
 # The helper thread's job queue, made by the first two-thread walk. A
@@ -415,17 +439,17 @@ def _tiles(sk: GaussianSketcher, j0: int, j1: int) -> Iterator[tuple[int, int, n
     continued from tile to tile, and every tile is generated into that
     thread's one buffer: a tile is valid only until the next one is
     yielded. A tile over the cap (one column, when r alone exceeds it) is
-    refused before anything is generated. Inside ``_release_threads``,
-    where ``per_tile(r)`` is two columns or more, ``_split_tiles``
-    generates the same tiles on two threads, so the path decides which
-    thread generates a tile, never its width or its bits.
+    refused before anything is generated. Where this context's plan
+    splits walks (``_plan_scope``) and ``per_tile(r)`` is two columns or
+    more, ``_split_tiles`` generates the same tiles on two threads, so the
+    path decides which thread generates a tile, never its width or bits.
     """
     half = per_tile(sk.r) // 2
     width = min(max(half, 1), j1 - j0)
     if width <= 0:
         return
     _check_capacity(sk.r, width)
-    if _split_walks and half:
+    if _split_walks.get() and half:
         yield from _split_tiles(sk, j0, j1, width)
         return
     bg = _philox(sk.seed, j0 * sk._wpc)

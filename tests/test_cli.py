@@ -595,26 +595,28 @@ def _no_child_left():
 
 @pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork and Python below 3.12")
 class TestForkedCsvReader:
-    """The two-process CSV read of a release (cli._release_chunks on 2
-    CPUs, BLAS on one thread): a forked child parses every odd chunk, and
-    the blocks, faults and line numbers are the serial reader's."""
+    """The two-process CSV read of a release (cli._release_chunks under a
+    plan that forks it, BLAS on one thread): a forked child parses every
+    odd chunk, and the blocks, faults and line numbers are the serial
+    reader's."""
 
     STEP = 4  # rows a chunk
+    PLAN = sketch.ReleasePlan(cpus=2, one_blas=True, walk="serial", csv_reader="forked",
+                              chunk_rows=STEP, tile_cols=1)
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        # Two usable CPUs and BLAS entry points that go to one thread; the
-        # release then forks, which ``forks`` counts.
+        # BLAS entry points that go to one thread; the release then forks,
+        # which ``forks`` counts.
         threads = [2]
-        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(sketch, "_blas_thread_fns",
                             lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
         self.forks = []
         original = cli._forked_csv_chunks
 
-        def spy(path, step):
+        def spy(path, step, execution):
             self.forks.append(step)
-            return original(path, step)
+            return original(path, step, execution)
 
         monkeypatch.setattr(cli, "_forked_csv_chunks", spy)
         self.parent = os.getpid()
@@ -623,11 +625,11 @@ class TestForkedCsvReader:
         return os.getpid() != self.parent
 
     def _read(self, path):
-        # [(i0, block)] as a release reads them, and its FormatError text.
-        rows, _cols = cli.matrix_shape(str(path), "csv")
+        # [(i0, block)] as a release reads them, and its FormatError text;
+        # the release's execution record is kept in ``execution``.
         got = []
         try:
-            with cli._release_chunks([str(path)], "csv", rows, self.STEP) as chunks:
+            with cli._release_chunks(self.PLAN, [str(path)], "csv") as (chunks, self.execution):
                 for i0, block in chunks:
                     got.append((i0, block))
         except FormatError as exc:
@@ -661,7 +663,7 @@ class TestForkedCsvReader:
         got, err = self._read(p)
         want, _ = self._serial(p)
         assert err is None and self.forks == [self.STEP]
-        assert self._same(got, want)
+        assert self._same(got, want) and self.execution["csv_reader"] == "forked"
         for _i0, block in got:
             assert block.dtype == np.float64 and block.flags.c_contiguous and block.flags.writeable
 
@@ -727,7 +729,8 @@ class TestForkedCsvReader:
         got, err = self._read(p)
         want, _ = self._serial(p)
         assert err is None and self.forks == [self.STEP]
-        assert self._same(got, want)
+        # No child was forked, and the release's record says so.
+        assert self._same(got, want) and self.execution["csv_reader"] == "serial"
 
     @staticmethod
     def _chunk_peak(chunks):
@@ -755,7 +758,8 @@ class TestForkedCsvReader:
         write_csv(p, np.random.default_rng(9).standard_normal((240, 200)))
 
         def forked_peak():
-            with cli._release_chunks([str(p)], "csv", 240, 40) as chunks:
+            plan = self.PLAN._replace(chunk_rows=40)
+            with cli._release_chunks(plan, [str(p)], "csv") as (chunks, _execution):
                 return self._chunk_peak(chunks)
 
         serial = self._chunk_peak(cli.iter_matrix_chunks(str(p), "csv", 40))
@@ -775,12 +779,11 @@ class TestForkedCsvReader:
     def test_a_walk_left_early_leaves_no_child(self, tmp_path):
         p = tmp_path / "m.csv"
         _mixed_csv(p, np.random.default_rng(6).standard_normal((24, 3)))
-        rows, _cols = cli.matrix_shape(str(p), "csv")
-        with cli._release_chunks([str(p)], "csv", rows, self.STEP) as chunks:
+        with cli._release_chunks(self.PLAN, [str(p)], "csv") as (chunks, _execution):
             assert next(chunks)[0] == 0
         _no_child_left()
         with pytest.raises(RuntimeError):
-            with cli._release_chunks([str(p)], "csv", rows, self.STEP) as chunks:
+            with cli._release_chunks(self.PLAN, [str(p)], "csv") as (chunks, _execution):
                 for i0, _block in chunks:
                     if i0:
                         raise RuntimeError("the consumer stops at chunk 1")
@@ -1089,6 +1092,8 @@ class TestReportSchema:
         "regress": {"residuals", "optima", "error_bound", "trivial_error"},
     }
     GUARD_KEYS = {"required_sigma_min", "observed_sigma_min", "passed", "mode"}
+    EXECUTION_KEYS = {"usable_cpus", "blas_build", "blas_threads", "walk", "csv_reader",
+                      "walk_tile_columns"}
     # params holds exactly the options the command parsed, so multiply and
     # regress reports list no lra option such as rank, less the secret seed.
     RELEASE_PARAMS = {"command", "report", "input", "fmt", "oracle", "eps", "delta"}
@@ -1140,8 +1145,11 @@ class TestReportSchema:
     def test_report_keys(self, tmp_path, inputs, command, oracle):
         report = self._report(tmp_path, inputs, command, oracle)
         keys = {"params", "guard_report", "error_vs_oracle", "space_entries", "wall_time_ms",
-                "factor_files"}
+                "factor_files", "execution"}
         assert set(report) == keys
+        assert set(report["execution"]) == self.EXECUTION_KEYS
+        assert report["execution"]["walk"] in ("serial", "two-thread")
+        assert report["execution"]["csv_reader"] in ("serial", "forked")
         assert set(report["params"]) == self.PARAM_KEYS[command]
         assert report["params"]["command"] == command and report["params"]["oracle"] == oracle
         assert set(report["guard_report"]) == self.GUARD_KEYS

@@ -8,6 +8,7 @@ one such walk, so their sketches do not depend on how the stream is
 chunked, bit for bit, on either walk path.
 """
 import tracemalloc
+from contextvars import ContextVar
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ N, D1, D2, Q = 90, 5, 3, 4
 
 @pytest.fixture(params=[False, True], ids=["serial", "two-thread"])
 def split(request, monkeypatch):
-    # Each walk path in turn, picked by the flag the release scope sets.
-    monkeypatch.setattr(sketch, "_split_walks", request.param)
+    # Each walk path in turn, picked by the variable the release scope sets.
+    monkeypatch.setattr(sketch, "_split_walks", ContextVar("split_walks", default=request.param))
     return request.param
 
 

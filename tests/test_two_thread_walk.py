@@ -1,12 +1,14 @@
-"""The two-thread projection walk, and the thread scope of CLI releases.
+"""The two-thread projection walk, and the execution plan of CLI releases.
 
-A walk generates its tiles on two threads only inside
-``sketch._release_threads``, which each CLI release enters, and only where
-the process may use exactly two CPUs; the scope then runs BLAS on one
-thread. Most tests here pick the path by patching ``sketch._split_walks``,
-the flag the scope sets; the serial walk is the reference the two-thread
+A walk generates its tiles on two threads only inside the scope of a
+release plan that says so (``sketch.plan_release``, applied by
+``sketch._plan_scope``), and only where BLAS went to one thread there. Most
+tests here pick the path by replacing ``sketch._split_walks``, the context
+variable the scope sets; the serial walk is the reference the two-thread
 walk must equal bit for bit.
 """
+import contextvars
+import json
 import os
 import signal
 import subprocess
@@ -17,14 +19,18 @@ import time
 import numpy as np
 import pytest
 
-from dpsketch import cli, harness, sketch
+from dpsketch import cli, harness, matprod, sketch
 from dpsketch.sketch import GaussianSketcher
+
+# The name of the thread that generates a two-thread walk's odd tiles.
+HELPER = "dpsketch-tiles"
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _use(monkeypatch, split):
-    monkeypatch.setattr(sketch, "_split_walks", split)
+    # Every thread's walks split, or none do: the variable's default.
+    monkeypatch.setattr(sketch, "_split_walks", contextvars.ContextVar("split_walks", default=split))
 
 
 def _walk(monkeypatch, split, sk, j0, j1):
@@ -72,15 +78,51 @@ def _fake_blas(monkeypatch, threads, takes=True):
     return state
 
 
+def _plan(command="multiply", fmt="dpbin", rows=9, widths=(3, 3), r=5, cpus=2, blas=True,
+          fork=True):
+    return sketch.plan_release(command, fmt, rows, widths, r, cpus, blas, fork)
+
+
+# An lra release of a CSV file that forks its reader: 40-entry tiles give
+# chunks of 4 x per_tile(3) = 52 rows, and the file holds two chunks.
+_LRA_CSV = {"command": "lra", "fmt": "csv", "rows": 53, "widths": (3,)}
+
+# The plan's inputs, each row one change from a multiply release that
+# splits its walks or an lra release that forks its CSV reader, and the
+# count numpy's OpenBLAS entry points then take ("takes", "stays" at 2, or
+# None: no entry points); then the walk and the CSV reader planned. At
+# 40-entry tiles, per_tile(5) is 8 columns and a walk tile 4, so the 9
+# rows of a multiply release span three walk tiles and 8 rows span two.
+SELECTION = [
+    ("2-cpus", {}, "takes", "two-thread", "serial"),
+    ("1-cpu", {"cpus": 1}, "takes", "serial", "serial"),
+    ("4-cpus", {"cpus": 4}, "takes", "serial", "serial"),
+    ("no-entry-point", {"blas": False}, None, "serial", "serial"),
+    ("blas-stays-at-2", {}, "stays", "two-thread", "serial"),
+    ("two-half-tiles", {"rows": 8}, "takes", "serial", "serial"),
+    ("one-column-tiles", {"r": 50, "rows": 40, "widths": (1, 1)}, "takes", "serial", "serial"),
+    ("regress", {"command": "regress", "widths": (3, 1)}, "takes", "two-thread", "serial"),
+    ("wide-input", {"widths": (3, 5)}, "takes", "serial", "serial"),
+    ("two-csv-inputs", {"fmt": "csv"}, "takes", "two-thread", "serial"),
+    ("csv-2-cpus", _LRA_CSV, "takes", "serial", "forked"),
+    ("csv-1-cpu", dict(_LRA_CSV, cpus=1), "takes", "serial", "serial"),
+    ("csv-4-cpus", dict(_LRA_CSV, cpus=4), "takes", "serial", "serial"),
+    ("csv-one-chunk", dict(_LRA_CSV, rows=52), "takes", "serial", "serial"),
+    ("csv-no-entry-point", dict(_LRA_CSV, blas=False), None, "serial", "serial"),
+    ("csv-blas-count-stays", _LRA_CSV, "stays", "serial", "forked"),
+    ("csv-python-3.12", dict(_LRA_CSV, fork=False), "takes", "serial", "serial"),
+    ("lra-dpbin", dict(_LRA_CSV, fmt="dpbin"), "takes", "serial", "serial"),
+]
+
+
 class TestSelection:
-    """Two threads only inside the release scope, where the process may use
-    exactly 2 CPUs, the release's rows to a tile of its widest input span
-    three walk tiles or more and BLAS goes to one thread; the serial walk
-    everywhere else."""
+    """The plan from its inputs, and what its scope does: two threads only
+    where the plan splits walks and BLAS went to one thread, a forked CSV
+    reader only where the plan forks it and BLAS went to one thread, and
+    the serial walk everywhere else."""
 
     @pytest.fixture(autouse=True)
     def _small_tiles(self, monkeypatch):
-        # 40-entry tiles: per_tile(5) is 8 columns, and a walk tile 4.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
 
     @staticmethod
@@ -101,42 +143,48 @@ class TestSelection:
         return spans, set(names)
 
     def test_outside_the_scope_walks_are_serial(self, monkeypatch):
-        # Even where BLAS already runs on one thread on 2 CPUs, as in a
-        # library caller that pins BLAS itself: no helper thread.
-        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
+        # Even where BLAS already runs on one thread, as in a library caller
+        # that pins BLAS itself: no helper thread.
         _fake_blas(monkeypatch, 1)
-        assert sketch._split_walks is False
+        assert sketch._split_walks.get() is False
         _spans, names = self._spans_and_threads(monkeypatch)
         assert names == {threading.current_thread().name}
 
     @pytest.mark.parametrize(
-        "cpus, blas, r, walk, split",
-        [(2, "takes", 5, 9, True), (1, "takes", 5, 9, False), (4, "takes", 5, 9, False),
-         (2, None, 5, 9, False), (2, "stays-at-2", 5, 9, False),
-         (2, "takes", 5, 8, False), (2, "takes", 50, 40, False)],
-        ids=["2-cpus", "1-cpu", "4-cpus", "no-entry-point", "blas-stays-at-2",
-             "two-half-tiles", "one-column-tiles"],
+        "inputs, blas, walk, reader", [row[1:] for row in SELECTION], ids=[row[0] for row in SELECTION]
     )
-    def test_selection(self, monkeypatch, cpus, blas, r, walk, split):
-        monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
+    def test_selection(self, monkeypatch, inputs, blas, walk, reader):
+        plan = _plan(**inputs)
+        planned = walk == "two-thread" or reader == "forked"
+        assert (plan.walk, plan.csv_reader, plan.one_blas) == (walk, reader, planned)
         if blas is None:
             monkeypatch.setattr(sketch, "_blas_thread_fns", lambda: None)
         else:
             state = _fake_blas(monkeypatch, 2, takes=blas == "takes")
-        pinned = cpus == 2 and blas is not None and walk > 8 and r == 5
+        took = planned and blas == "takes"
+        split = took and walk == "two-thread"
         serial, _names = self._spans_and_threads(monkeypatch)
-        with sketch._release_threads(r, walk):
-            assert sketch._split_walks is split
+        with sketch._plan_scope(plan) as execution:
+            assert sketch._split_walks.get() is split
+            assert execution["walk"] == ("two-thread" if split else "serial")
+            assert execution["csv_reader"] == (reader if took else "serial")
             # The walk follows: the serial walk's tiles, generated on two
             # threads or on the caller's alone.
             spans, names = self._spans_and_threads(monkeypatch)
             assert spans == serial and len(names) == (2 if split else 1)
             if blas is not None:
-                # BLAS is pinned only where the walks may take the second CPU.
-                assert state["set"] == ([1] if pinned else [])
-        assert sketch._split_walks is False
+                # BLAS is pinned only where the plan says so.
+                assert state["set"] == ([1] if planned else [])
+                assert execution["blas_threads"] == (1 if took else 2)
+        assert sketch._split_walks.get() is False
         if blas is not None:
-            assert state["threads"] == 2 and state["set"] == ([1, 2] if pinned else [])
+            assert state["threads"] == 2 and state["set"] == ([1, 2] if planned else [])
+
+    def test_python_3_12_may_not_fork(self, monkeypatch):
+        # It warns on a fork in a process with threads: the csv-python-3.12
+        # row's input.
+        monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+        assert cli._can_fork() is False
 
     def test_one_column_tiles_walk_serially(self, monkeypatch):
         # r = 50 over a 40-entry tile: a tile is one column, which has no
@@ -156,24 +204,52 @@ class TestSelection:
         assert names == set(opened) and opened == [threading.current_thread().name]
 
     def test_the_scope_restores_both_when_its_body_raises(self, monkeypatch):
-        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
         state = _fake_blas(monkeypatch, 3)
         with pytest.raises(HelperFailed):
-            with sketch._release_threads(5, 40):
-                assert sketch._split_walks
+            with sketch._plan_scope(_plan()):
+                assert sketch._split_walks.get()
                 raise HelperFailed("the release fails")
-        assert sketch._split_walks is False
+        assert sketch._split_walks.get() is False
         assert state["set"] == [1, 3] and state["threads"] == 3
+
+    def test_scopes_on_many_threads_share_one_pin(self, monkeypatch):
+        # Six threads open and close scopes that pin BLAS, switching as often
+        # as the interpreter allows, and one more opens a scope that does
+        # not: every pinned scope runs at one thread, only the first open
+        # saves the count and only the last to close gives it back.
+        state = _fake_blas(monkeypatch, 3)
+        pinned, unpinned = _plan(), _plan(cpus=1)
+        wrong = []
+
+        def scopes(plan, count):
+            for _ in range(count):
+                with sketch._plan_scope(plan) as execution:
+                    if plan.one_blas and (state["threads"], execution["walk"]) != (1, "two-thread"):
+                        wrong.append((state["threads"], execution["walk"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=scopes, args=(pinned, 200)) for _ in range(6)]
+            threads.append(threading.Thread(target=scopes, args=(unpinned, 200)))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [] and sketch._blas_pins[0] == 0
+        assert state["threads"] == 3 and state["set"][-1] == 3
+        assert state["set"].count(1) == state["set"].count(3) >= 1
 
     @pytest.mark.parametrize(
         "mask, split", [({0}, False), ({0, 3}, True), ({0, 1, 2, 3}, False)]
     )
     def test_usable_cpus_are_the_affinity_mask(self, monkeypatch, mask, split):
-        _fake_blas(monkeypatch, 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
         assert sketch._usable_cpus() == len(mask)
-        with sketch._release_threads(5, 40):
-            assert sketch._split_walks is split
+        assert _plan(cpus=sketch._usable_cpus()).walk == ("two-thread" if split else "serial")
 
     def test_the_entry_points_read_and_set_the_count(self):
         fns = sketch._blas_thread_fns()
@@ -434,25 +510,24 @@ def _multiply_argv(paths, report, oracle=False, command="multiply"):
 
 
 class TestReleaseScope:
-    """On 2 CPUs a CLI multiply or regress release whose rows to a tile of
-    its widest input (all n, if fewer) span three walk tiles or more runs
-    its mechanism with BLAS on one thread and walks on two, and gives BLAS
-    back its count afterwards; the --oracle scoring runs outside. Every
-    other release changes nothing."""
+    """On 2 CPUs a CLI multiply or regress release whose plan splits its
+    walks runs its mechanism with BLAS on one thread and walks on two, and
+    gives BLAS back its count afterwards; the --oracle scoring runs
+    outside. Every other release changes nothing."""
 
     @staticmethod
     def _spy_release(monkeypatch, state):
         # What a release's tiles and its --oracle scoring each see: the BLAS
-        # count and whether walks are split.
+        # count, and the thread that generates a tile or whether walks split.
         seen = {"tiles": set(), "scoring": []}
         original_tile, original_errors = sketch._tile, harness.matprod_errors
 
         def tile(*args):
-            seen["tiles"].add((state["threads"], sketch._split_walks))
+            seen["tiles"].add((state["threads"], threading.current_thread().name))
             return original_tile(*args)
 
         def errors(*args):
-            seen["scoring"].append((state["threads"], sketch._split_walks))
+            seen["scoring"].append((state["threads"], sketch._split_walks.get()))
             return original_errors(*args)
 
         monkeypatch.setattr(sketch, "_tile", tile)
@@ -466,9 +541,59 @@ class TestReleaseScope:
         seen = self._spy_release(monkeypatch, state)
         paths = _write_pair(tmp_path, 1000, 3)
         assert cli.main(_multiply_argv(paths, tmp_path / "r.json", oracle=True)) == 0
-        assert seen["tiles"] == {(1, True)} and seen["scoring"] == [(3, False)]
+        main = threading.current_thread().name
+        assert seen["tiles"] == {(1, main), (1, HELPER)} and seen["scoring"] == [(3, False)]
         assert state["set"] == [1, 3] and state["threads"] == 3
-        assert sketch._split_walks is False
+        assert sketch._split_walks.get() is False
+
+    def test_overlapping_releases_leave_nothing_behind(self, tmp_path, monkeypatch):
+        # Release A enters its scope on one thread, then release B on
+        # another; A ends, and only then does B's walk start. It still
+        # splits, and once both have ended BLAS has its count back and a
+        # library walk is serial again.
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
+        state = _fake_blas(monkeypatch, 3)
+        events = {name: threading.Event() for name in ("A", "B", "A-done")}
+        original_stream, original_tile = matprod._project_stream, sketch._tile
+        names = set()
+
+        def stream(*args):
+            # Each release's walk starts inside its scope, once the other
+            # release is in its own (A) or has ended (B).
+            me = threading.current_thread().name
+            events[me].set()
+            if not events["B" if me == "A" else "A-done"].wait(60):
+                raise RuntimeError(f"release {me} waited in vain")
+            return original_stream(*args)
+
+        def tile(*args):
+            if events["A-done"].is_set():
+                names.add(threading.current_thread().name)
+            return original_tile(*args)
+
+        monkeypatch.setattr(matprod, "_project_stream", stream)
+        monkeypatch.setattr(sketch, "_tile", tile)
+        codes = {}
+
+        def release(name):
+            (tmp_path / name).mkdir()
+            paths = _write_pair(tmp_path / name, 1000, 3)
+            codes[name] = cli.main(_multiply_argv(paths, tmp_path / name / "r.json"))
+
+        threads = {name: threading.Thread(target=release, args=(name,), name=name) for name in "AB"}
+        threads["A"].start()
+        assert events["A"].wait(60)
+        threads["B"].start()
+        threads["A"].join(60)
+        events["A-done"].set()
+        threads["B"].join(60)
+        assert not any(t.is_alive() for t in threads.values())
+        assert codes == {"A": 0, "B": 0}
+        assert names == {"B", HELPER}
+        assert state["threads"] == 3 and state["set"] == [1, 3]
+        names.clear()
+        GaussianSketcher(1, 74, 3000).project_blocks(0, [np.ones((3000, 1))])
+        assert names == {threading.current_thread().name}
 
     @pytest.mark.parametrize(
         "cpus, command, rows",
@@ -486,7 +611,7 @@ class TestReleaseScope:
         else:
             argv = _multiply_argv(paths, tmp_path / "r.json")
         assert cli.main(argv) == 0
-        assert seen["tiles"] == {(3, False)} and state["set"] == []
+        assert seen["tiles"] == {(3, threading.current_thread().name)} and state["set"] == []
 
     def test_a_failed_release_restores_the_count(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
@@ -495,7 +620,7 @@ class TestReleaseScope:
         assert cli.main(_multiply_argv(paths, tmp_path / "r.json")) == 1
         assert "non-finite" in capsys.readouterr().err
         assert state["set"] == [1, 3] and state["threads"] == 3
-        assert sketch._split_walks is False
+        assert sketch._split_walks.get() is False
 
     def test_no_entry_point_changes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sketch, "_blas_thread_fns", lambda: None)
@@ -533,11 +658,11 @@ def _lra_csv_argv(path, report, oracle=False):
 
 @pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork and Python below 3.12")
 class TestCsvReleaseScope:
-    """On 2 CPUs a CLI release that reads one CSV input of two chunks or
-    more (lra) runs with BLAS on one thread while a forked child parses
-    every other chunk, and gives BLAS back its count afterwards; its walk
-    stays serial and the --oracle scoring runs outside. Every other
-    release changes nothing."""
+    """On 2 CPUs a CLI lra release whose plan forks its CSV reader runs
+    with BLAS on one thread while a forked child parses every other chunk,
+    and gives BLAS back its count afterwards; its walk stays serial and the
+    --oracle scoring runs outside. Which releases fork is the plan's
+    (TestSelection)."""
 
     @pytest.fixture(autouse=True)
     def _forks(self, monkeypatch):
@@ -546,9 +671,9 @@ class TestCsvReleaseScope:
         self.forks = []
         original = cli._forked_csv_chunks
 
-        def spy(path, step):
+        def spy(path, step, execution):
             self.forks.append(step)
-            return original(path, step)
+            return original(path, step, execution)
 
         monkeypatch.setattr(cli, "_forked_csv_chunks", spy)
 
@@ -559,11 +684,11 @@ class TestCsvReleaseScope:
         original_tile, original_errors = sketch._tile, harness.lra_errors
 
         def tile(*args):
-            seen["tiles"].add((state["threads"], sketch._split_walks))
+            seen["tiles"].add((state["threads"], threading.current_thread().name))
             return original_tile(*args)
 
         def errors(*args):
-            seen["scoring"].append((state["threads"], sketch._split_walks))
+            seen["scoring"].append((state["threads"], sketch._split_walks.get()))
             return original_errors(*args)
 
         monkeypatch.setattr(sketch, "_tile", tile)
@@ -577,7 +702,8 @@ class TestCsvReleaseScope:
         path = _write_csv(tmp_path / "a.csv", 40, 3)
         assert cli.main(_lra_csv_argv(path, tmp_path / "r.json", oracle=True)) == 0
         assert self.forks == [16]
-        assert seen["tiles"] == {(1, False)} and seen["scoring"] == [(3, False)]
+        main = threading.current_thread().name
+        assert seen["tiles"] == {(1, main)} and seen["scoring"] == [(3, False)]
         assert state["set"] == [1, 3] and state["threads"] == 3
 
     def test_a_failed_release_restores_the_count(self, tmp_path, monkeypatch, capsys):
@@ -589,43 +715,86 @@ class TestCsvReleaseScope:
         assert self.forks == [16]
         assert state["set"] == [1, 3] and state["threads"] == 3
 
-    @pytest.mark.parametrize(
-        "cpus, blas, rows, python",
-        [(1, "takes", 40, None), (4, "takes", 40, None), (2, "takes", 16, None),
-         (2, None, 40, None), (2, "stays", 40, None), (2, "takes", 40, (3, 12, 0))],
-        ids=["1-cpu", "4-cpus", "one-chunk", "no-entry-point", "blas-count-stays", "python-3.12"],
-    )
-    def test_other_releases_change_nothing(self, tmp_path, monkeypatch, cpus, blas, rows, python):
-        monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
-        if blas is None:
-            monkeypatch.setattr(sketch, "_blas_thread_fns", lambda: None)
-            state = {"threads": 3, "set": []}
+
+def _record_is_true(execution, seen):
+    """Whether a release's execution record says what its run did: ``seen``
+    holds the threads that generated its tiles, the BLAS counts those tiles
+    ran at and the children the release forked."""
+    return (execution["walk"] == ("two-thread" if HELPER in seen["threads"] else "serial")
+            and execution["csv_reader"] == ("forked" if seen["forks"] else "serial")
+            and seen["blas"] == {execution["blas_threads"]})
+
+
+class TestExecutionRecord:
+    """The execution record of a release of each command says what ran,
+    on two of the process's CPUs where it has two: the walk by the threads
+    that generated its tiles, the CSV reader by the children it forked and
+    the BLAS count by the count its tiles ran at."""
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self):
+        if not hasattr(os, "sched_setaffinity"):
+            yield
+            return
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, sorted(mask)[:2])
+        try:
+            yield
+        finally:
+            os.sched_setaffinity(0, mask)
+
+    @staticmethod
+    def _release(tmp_path, monkeypatch, command):
+        # The record of a release of a small fixture, and what the release did.
+        fns = sketch._blas_thread_fns()
+        seen = {"threads": set(), "blas": set(), "forks": []}
+        original_tile, original_fork = sketch._tile, os.fork
+
+        def tile(*args):
+            seen["threads"].add(threading.current_thread().name)
+            seen["blas"].add(fns[0]() if fns else None)
+            return original_tile(*args)
+
+        def fork():
+            pid = original_fork()
+            if pid:
+                seen["forks"].append(pid)
+            return pid
+
+        monkeypatch.setattr(sketch, "_tile", tile)
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        report = tmp_path / "r.json"
+        if command == "lra":
+            # Chunks of 4 x per_tile(3) = 16 rows, so the 40 rows take three.
+            monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+            argv = _lra_csv_argv(_write_csv(tmp_path / "a.csv", 40, 3), report)
         else:
-            state = _fake_blas(monkeypatch, 3, takes=blas == "takes")
-        seen = self._spy_release(monkeypatch, state)
-        path = _write_csv(tmp_path / "a.csv", rows, 3)
-        with monkeypatch.context() as patch:
-            if python is not None:
-                patch.setattr(sys, "version_info", python)
-            code = cli.main(_lra_csv_argv(path, tmp_path / "r.json"))
-        assert code == 0 and self.forks == []
-        # A count that does not go to one is set back; nothing else is set.
-        assert state["set"] == ([1, 3] if blas == "stays" else [])
-        assert seen["tiles"] == {(3, False)}
+            # 1,000 rows span three walk tiles or more at either r.
+            argv = _multiply_argv(_write_pair(tmp_path, 1000, 3), report, command=command)
+        assert cli.main(argv) == 0
+        return json.loads(report.read_text())["execution"], seen
+
+    @pytest.mark.parametrize("command", ["lra", "multiply", "regress"])
+    def test_the_record_says_what_ran(self, tmp_path, monkeypatch, command):
+        execution, seen = self._release(tmp_path, monkeypatch, command)
+        assert execution["usable_cpus"] == sketch._usable_cpus()
+        assert _record_is_true(execution, seen)
+        # Negative control: the record with its walk forged the other way
+        # (serial, where the walk splits) is false.
+        forged = "serial" if execution["walk"] == "two-thread" else "two-thread"
+        assert not _record_is_true(dict(execution, walk=forged), seen)
 
 
 # A child that runs one CLI release on (at most) two CPUs, the only count
-# at which a release enters its thread scope; "no-scope" replaces the
-# release's thread scope with a no-op first, "one-cpu" makes the release see
-# one CPU, and "full-tiles" also puts back a serial walk of per_tile(r)
-# columns a tile, twice the width every walk takes.
+# at which a release plan splits walks or forks a reader; "one-cpu" makes
+# the release see one CPU, so its plan is serial, and "full-tiles" also
+# puts back a serial walk of per_tile(r) columns a tile, twice the width
+# every walk takes.
 _CHILD = (
-    "import contextlib, os, sys\n"
+    "import os, sys\n"
     "import numpy as np\n"
     "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
     "from dpsketch import cli, sketch\n"
-    "if sys.argv[1] == 'no-scope':\n"
-    "    sketch._release_threads = lambda r, walk: contextlib.nullcontext()\n"
     "if sys.argv[1] in ('one-cpu', 'full-tiles'):\n"
     "    sketch._usable_cpus = lambda: 1\n"
     "if sys.argv[1] == 'full-tiles':\n"
@@ -659,7 +828,7 @@ def _child_can_scope():
 class TestOutputsIgnoreBlasThreads:
     def test_multiply_estimate_is_the_same_at_one_and_two_threads(self, tmp_path):
         # 900 x 50 inputs at r = 74, whose rows span three walk tiles. The
-        # runs without the scope walk serially and differ in how one and two
+        # runs on one CPU walk serially and differ in how one and two
         # BLAS threads sum the products: with walk tiles of 442 columns,
         # 900 x 20, 900 x 30 and 2000 x 20 inputs do not show it, and
         # 900 x 35 is the narrowest tried that does.
@@ -673,7 +842,7 @@ class TestOutputsIgnoreBlasThreads:
 
         scoped = [estimate("scope", t) for t in (1, 2)]
         assert scoped[0] == scoped[1]
-        bare = [estimate("no-scope", t) for t in (1, 2)]
+        bare = [estimate("one-cpu", t) for t in (1, 2)]
         assert bare[0] != bare[1]
 
     def test_lra_csv_factors_are_the_one_thread_serial_ones(self, tmp_path):
@@ -699,7 +868,7 @@ class TestOutputsIgnoreBlasThreads:
 
 class TestOutputsIgnoreTheCpuCount:
     """Every walk takes the same tiles, so at one BLAS thread a release run
-    on two CPUs, inside its thread scope (BLAS on one thread, walks on two),
+    on two CPUs under a plan that splits its walks (BLAS on one thread),
     publishes the bytes of the same release run on one CPU, walking
     serially."""
 
