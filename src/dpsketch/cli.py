@@ -513,6 +513,7 @@ def _run_verify(cfg: argparse.Namespace) -> Tuple[dict, bool]:
         harness.mc_pseudoinverse_frobenius(10, 11, trials=2000, seed=cfg.seed),
         harness.mc_pseudoinverse_spectral(5, 6, trials=2000, seed=cfg.seed),
         harness.mc_jl(16, 800, 0.2, trials=200, seed=cfg.seed),
+        harness.mc_column_independence(21, 4000, seed=cfg.seed),
         harness.dp_density_ratio_check(6, 4, budget, samples=20000, seed=cfg.seed),
         harness.bound_check_lra(
             LraConfig(n=60, d=60, k=3, budget=budget, seed=cfg.seed), trials=10

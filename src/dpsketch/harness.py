@@ -205,6 +205,26 @@ def mc_jl(
     )
 
 
+def mc_column_independence(r: int, m: int, seed: int = 0, z: float = 5.0) -> BoundReport:
+    """Cross-correlation of neighbouring columns of one shipped projection.
+
+    Over the first m columns of an r-row projection
+    (``GaussianSketcher.column_block``), each of the r^2 scores
+    |sum_j omega[a, j] omega[b, j + 1]| / sqrt(m - 1) is about |N(0, 1)|
+    when columns are independent: each is a trial, and one above ``z`` a
+    violation. Columns whose words overlap share normals, whose scores
+    grow as sqrt(m); the lemma checks pass such a generator.
+    """
+    if m < 2:
+        raise ParameterDomainError(f"need two columns or more, got m={m}")
+    omega = GaussianSketcher(seed, r, m).column_block(0, m)
+    scores = np.abs(omega[:, :-1] @ omega[:, 1:].T).ravel() / math.sqrt(m - 1)
+    return BoundReport(check="column_independence", trials=r * r,
+                       violations=int(np.count_nonzero(scores > z)),
+                       allowed=binomial_allowed(math.erfc(z / math.sqrt(2.0)), r * r),
+                       seeds=[seed], observed_lhs=scores, bound_rhs=np.full(r * r, z))
+
+
 # ---------------------------------------------------------------------------
 # Desk-scale differential-privacy check for the direct sketch generator
 

@@ -16,11 +16,12 @@ reach them, so the tiles, and every product, do not depend on the
 chunking; ``project_blocks`` is that walk over one chunk, and a multiply
 or regression release walks its whole stream once. Every walk takes
 tiles of ``per_tile(r) // 2`` columns (at least one). Where a release's
-plan (``plan_release``) says so, a walk whose ``per_tile(r)`` is 2 or
-more generates on two threads: the caller and one persistent helper
-thread take alternate tiles, each on a Philox stream of its own that
-skips the other's tiles and into a buffer of its own, in column order
-and with the same bits. Everywhere else the walk is serial. Box-Muller
+plan (``plan_release``) says so, a walk of two tiles or more whose
+``per_tile(r)`` is 2 or more generates on two threads: the caller and a
+helper thread that the walk starts and joins take alternate tiles, each
+on a Philox stream of its own that skips the other's tiles and into a
+buffer of its own, in column order and with the same bits. Everywhere
+else the walk is serial and starts no thread. Box-Muller
 evaluates a sub-block's pairs in the order of their angles' top bits,
 which keeps libm's branches predictable. Each pair moves as one 16-byte
 item: its two words are gathered together in that order, and its cos and
@@ -392,44 +393,6 @@ def _plan_scope(plan: ReleasePlan):
                     fns[1](_blas_pins[1])
 
 
-# The helper thread's job queue, made by the first two-thread walk. A
-# forked child has the queue but not the thread, so it drops the queue.
-_helper_jobs: queue.SimpleQueue | None = None
-_helper_lock = threading.Lock()
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    # The helper thread: runs each job in turn, and hands its result, or
-    # whatever it raised, to the job's own reply queue, where the walk
-    # raises it; a job that died unanswered would leave its walk waiting.
-    while True:
-        fn, args, reply = jobs.get()
-        try:
-            reply.put((fn(*args), None))
-        except BaseException as exc:
-            reply.put((None, exc))
-
-
-def _helper() -> queue.SimpleQueue:
-    global _helper_jobs
-    with _helper_lock:
-        if _helper_jobs is None:
-            _helper_jobs = queue.SimpleQueue()
-            threading.Thread(
-                target=_serve, args=(_helper_jobs,), name="dpsketch-tiles", daemon=True
-            ).start()
-        return _helper_jobs
-
-
-def _drop_helper() -> None:
-    global _helper_jobs
-    _helper_jobs = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_helper)
-
-
 def _tiles(sk: GaussianSketcher, j0: int, j1: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (t0, t1, tile) over columns [j0, j1) of sk's projection, in
     column order, in tiles of ``per_tile(r) // 2`` columns (one, where
@@ -440,16 +403,17 @@ def _tiles(sk: GaussianSketcher, j0: int, j1: int) -> Iterator[tuple[int, int, n
     thread's one buffer: a tile is valid only until the next one is
     yielded. A tile over the cap (one column, when r alone exceeds it) is
     refused before anything is generated. Where this context's plan
-    splits walks (``_plan_scope``) and ``per_tile(r)`` is two columns or
-    more, ``_split_tiles`` generates the same tiles on two threads, so the
-    path decides which thread generates a tile, never its width or bits.
+    splits walks (``_plan_scope``), ``per_tile(r)`` is two columns or
+    more and the range spans two tiles or more, ``_split_tiles`` generates
+    the same tiles on two threads, so the path decides which thread
+    generates a tile, never its width or bits.
     """
     half = per_tile(sk.r) // 2
     width = min(max(half, 1), j1 - j0)
     if width <= 0:
         return
     _check_capacity(sk.r, width)
-    if _split_walks.get() and half:
+    if _split_walks.get() and half and j1 - j0 > width:
         yield from _split_tiles(sk, j0, j1, width)
         return
     bg = _philox(sk.seed, j0 * sk._wpc)
@@ -462,12 +426,12 @@ def _tiles(sk: GaussianSketcher, j0: int, j1: int) -> Iterator[tuple[int, int, n
 def _split_tiles(
     sk: GaussianSketcher, j0: int, j1: int, width: int
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    # The two-thread walk: the caller generates the even tiles and the
-    # helper thread the odd ones, each on a Philox stream of its own that
-    # skips the other's tiles, into a buffer of its own. The helper is
-    # handed tile i + 2 as soon as the caller is back from tile i, whose
-    # buffer it takes, and generates it while the caller computes with
-    # tile i + 1 and generates tile i + 3.
+    # The two-thread walk of two tiles or more: the caller generates the
+    # even tiles and a helper thread of the walk's own the odd ones, each
+    # on a Philox stream of its own that skips the other's tiles, into a
+    # buffer of its own. The helper is handed tile i + 2 as soon as the
+    # caller is back from tile i, whose buffer it takes, and generates it
+    # while the caller computes with tile i + 1 and generates tile i + 3.
     # Philox is counter-based, so every tile holds the words of its own
     # columns whichever thread draws them (Salmon et al., SC 2011).
     starts = range(j0, j1, width)
@@ -481,16 +445,26 @@ def _split_tiles(
             bg.advance(skip)
         return _tile(sk, bg, starts[i], min(starts[i] + width, j1), bufs[i % 2])
 
-    jobs, reply = _helper(), queue.SimpleQueue()
-    pending = len(starts) > 1
-    if pending:
-        jobs.put((generate, (1,), reply))
+    jobs, replies = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def serve() -> None:
+        # The helper: generates each tile it is handed, in turn, until it
+        # is handed None, and replies with the tile or whatever it raised,
+        # which the walk raises.
+        for i in iter(jobs.get, None):
+            try:
+                replies.put((generate(i), None))
+            except BaseException as exc:
+                replies.put((None, exc))
+
+    helper = threading.Thread(target=serve, name="dpsketch-tiles", daemon=True)
+    helper.start()
+    jobs.put(1)
     try:
         own = generate(0)
         for i, t0 in enumerate(starts):
             if i % 2:
-                pending = False
-                tile, exc = reply.get()
+                tile, exc = replies.get()
                 if exc is not None:
                     raise exc
             else:
@@ -499,15 +473,15 @@ def _split_tiles(
             # Tile i is released: its buffer takes tile i + 2.
             if i + 2 < len(starts):
                 if i % 2:
-                    jobs.put((generate, (i + 2,), reply))
-                    pending = True
+                    jobs.put(i + 2)
                 else:
                     own = generate(i + 2)
     finally:
-        # A walk left early (the caller raised, or closed it) still waits
-        # for the helper's tile, so no tile outlives the walk.
-        if pending:
-            reply.get()
+        # However the walk ends (to its last tile, closed or raised), its
+        # helper finishes the tile it holds and stops, so no thread, tile
+        # or buffer outlives the walk.
+        jobs.put(None)
+        helper.join()
 
 
 # Known answers of the generation path itself: normals [i, i + 4) of one

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from dpsketch import sketch
@@ -25,3 +27,25 @@ def tile_calls(monkeypatch):
 
     monkeypatch.setattr(sketch, "_tile", spy)
     return calls
+
+
+@pytest.fixture
+def helper_skips_nothing(monkeypatch):
+    """From here on, a two-thread walk's helper does not skip the caller's
+    tiles: every Philox stream ignores an ``advance`` asked of it on the
+    helper thread, so the helper's tiles past its first take the words of
+    the tile before them. Serial walks never skip, and do not change."""
+    original = sketch._philox
+
+    class Stream:
+        def __init__(self, bg):
+            self.bg = bg
+
+        def random_raw(self, count):
+            return self.bg.random_raw(count)
+
+        def advance(self, delta):
+            if threading.current_thread().name != "dpsketch-tiles":
+                self.bg.advance(delta)
+
+    monkeypatch.setattr(sketch, "_philox", lambda seed, offset: Stream(original(seed, offset)))

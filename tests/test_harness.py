@@ -87,6 +87,15 @@ class TestRandomMatrixLemmas:
         rep = harness.mc_jl(16, 640, 0.2, trials=2000, seed=3, bound_scale=0.001)
         assert not rep.passed
 
+    def test_column_independence(self):
+        # The shipped generator at verify's shape; its negative control is
+        # the halved-stride layout of test_sketch.TestColumnLayout.
+        rep = harness.mc_column_independence(21, 4000, seed=9)
+        assert rep.passed and rep.trials == 21 * 21 and rep.violations == 0
+        assert 0 < rep.allowed * rep.trials < 1
+        with pytest.raises(ParameterDomainError):
+            harness.mc_column_independence(21, 1)
+
     def test_pinv_spectral_negative_control(self):
         rep = harness.mc_pseudoinverse_spectral(5, 6, trials=3000, seed=5, bound_scale=0.4)
         assert not rep.passed

@@ -7,9 +7,10 @@ output, its guard report, its retained entries and the number of normals
 it generated. Each CLI command pins what it writes: the files it
 publishes, read back (``lra``'s factor, ``multiply``'s estimate and
 ``regress``'s solutions), the ``--oracle`` errors of ``multiply`` and
-``regress``, and the report's guard report and retained entries. Floats hold
-to 1e-10 relative, so another BLAS passes; integers, booleans and strings
-are exact. A lift scaled by 1 + 1e-6 moves the published output past the
+``regress``, and the report's guard report and retained entries; a second
+``regress`` fixture spans several walk tiles. Floats hold to 1e-10
+relative, so another BLAS passes; integers, booleans and strings are
+exact. A lift scaled by 1 + 1e-6 moves the published output past the
 pins.
 """
 import json
@@ -17,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from dpsketch import cli, guard
+from dpsketch import cli, guard, sketch
 from dpsketch.lra import LowRankFactor, LraConfig, new_lra, reconstruct
 from dpsketch.matprod import new_matprod
 from dpsketch.regress import new_regress
@@ -256,10 +257,10 @@ def _cli_lra(tmp_path):
     }
 
 
-def _cli_pair(tmp_path, command, rng_seed, a_cols, b_cols, a_scale, seed):
+def _cli_pair(tmp_path, command, rng_seed, a_cols, b_cols, a_scale, seed, rows=40):
     rng = np.random.default_rng(rng_seed)
-    a = a_scale * rng.standard_normal((40, a_cols))
-    b = a @ rng.standard_normal((a_cols, b_cols)) + rng.standard_normal((40, b_cols))
+    a = a_scale * rng.standard_normal((rows, a_cols))
+    b = a @ rng.standard_normal((a_cols, b_cols)) + rng.standard_normal((rows, b_cols))
     pa, pb = tmp_path / "a.dpmt", tmp_path / "b.dpmt"
     cli.save_matrix(str(pa), a)
     cli.save_matrix(str(pb), b)
@@ -272,10 +273,17 @@ def _cli_pair(tmp_path, command, rng_seed, a_cols, b_cols, a_scale, seed):
                     "error_vs_oracle": report["error_vs_oracle"]}
 
 
+# "regress-multi-tile": 200 rows at r = 1031 span seven walk tiles of 31
+# columns, so its release walks several tiles, on two threads where its
+# plan splits walks. 1e-10 cannot catch a change of tile grouping, which
+# moves a release by about 1e-12; the reproducibility table's tile-width
+# column (tests/test_two_thread_walk.py) catches that within one run.
 CLI_RELEASES = {
     "lra": _cli_lra,
     "multiply": lambda tmp_path: _cli_pair(tmp_path, "multiply", 9, 4, 3, 1.0, 5),
     "regress": lambda tmp_path: _cli_pair(tmp_path, "regress", 10, 3, 2, 100.0, 7),
+    "regress-multi-tile": lambda tmp_path: _cli_pair(tmp_path, "regress", 11, 20, 1, 100.0, 7,
+                                                     rows=200),
 }
 
 
@@ -340,6 +348,43 @@ CLI_PINS = {
         },
         "space_entries": 465,
     },
+    "regress-multi-tile": {
+        "solutions": [
+            [-0.16549425349232627],
+            [0.08312125545383048],
+            [0.044921170431729836],
+            [0.06405471143557698],
+            [-0.02798556563447455],
+            [-0.05381241907271952],
+            [-0.13474629527386953],
+            [-0.10300474041636164],
+            [-0.004943559411465983],
+            [0.12555521327107677],
+            [-0.0682006691422174],
+            [0.06460229488235415],
+            [-0.1318462484520367],
+            [0.10825993045729437],
+            [-0.12720009690493395],
+            [-0.03692698179753195],
+            [-0.059716507613918515],
+            [-0.10097161460078873],
+            [-0.008417327999748819],
+            [0.0907467471578304],
+        ],
+        "error_vs_oracle": {
+            "error_bound": [126662396.02848084],
+            "optima": [13.249750247235596],
+            "residuals": [4432.673915505044],
+            "trivial_error": [4989.330993981393],
+        },
+        "guard_report": {
+            "mode": "exact",
+            "observed_sigma_min": 4349.241382203158,
+            "passed": True,
+            "required_sigma_min": 3412.668550279648,
+        },
+        "space_entries": 20620,
+    },
 }
 
 # The published value of each command that a wrong lift must move.
@@ -347,6 +392,7 @@ CLI_PUBLISHED = {
     "lra": {"/lam", "/frobenius", "/entries"},
     "multiply": {"/estimate", "/error_vs_oracle/frobenius_error"},
     "regress": {"/solutions", "/error_vs_oracle/residuals"},
+    "regress-multi-tile": {"/solutions", "/error_vs_oracle/residuals"},
 }
 
 
@@ -365,3 +411,26 @@ def test_scaled_lift_fails_the_cli_pins(monkeypatch, tmp_path, name):
     out = _cli_release(tmp_path, name)
     moved = {path.split("[")[0] for path in _mismatches(out, CLI_PINS[name])}
     assert moved >= CLI_PUBLISHED[name]
+
+
+def _two_thread_walks(monkeypatch):
+    # Every CLI release plans two-thread walks where its shape allows:
+    # two usable CPUs, and BLAS entry points that report one thread.
+    monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sketch, "_blas_thread_fns", lambda: (lambda: 1, lambda n: None))
+
+
+def test_the_multi_tile_pin_holds_on_two_threads(monkeypatch, tmp_path):
+    _two_thread_walks(monkeypatch)
+    out = _cli_release(tmp_path, "regress-multi-tile")
+    assert _mismatches(out, CLI_PINS["regress-multi-tile"]) == []
+
+
+def test_a_helper_that_does_not_skip_fails_the_multi_tile_pin(monkeypatch, tmp_path,
+                                                              helper_skips_nothing):
+    # Negative control: on two threads, the helper's tiles past its first
+    # take the words of the caller's tiles, which moves the pin.
+    _two_thread_walks(monkeypatch)
+    out = _cli_release(tmp_path, "regress-multi-tile")
+    moved = {path.split("[")[0] for path in _mismatches(out, CLI_PINS["regress-multi-tile"])}
+    assert moved >= CLI_PUBLISHED["regress-multi-tile"]

@@ -1038,21 +1038,33 @@ class TestColumnLayout:
             sketch._self_test.cache_clear()
         GaussianSketcher(3, 5, boundary + 6)
 
-    def test_halved_stride_fails(self, monkeypatch):
-        # Negative control: at a stride of 4 words, column j reads words
-        # [4j, 4j + 5), so its last normal is the first of column j + 1.
-        def shared_words(self, j0, j1):
-            stride = self._wpc // 2
-            words = sketch._raw_words(self.seed, j0 * stride, (j1 - j0 + 1) * stride)
-            normals = sketch._box_muller(words)
-            cols = [normals[i * stride : i * stride + self.r] for i in range(j1 - j0)]
-            return np.stack(cols, axis=1)
+    @staticmethod
+    def _halved_stride(sk, j0, j1):
+        # Columns at a stride of half a column's words: at r = 5, column j
+        # reads words [4j, 4j + 5), so its last normal is the first of j + 1.
+        stride = sk._wpc // 2
+        words = sketch._raw_words(sk.seed, j0 * stride, (j1 - j0 + 1) * stride)
+        normals = sketch._box_muller(words)
+        cols = [normals[i * stride : i * stride + sk.r] for i in range(j1 - j0)]
+        return np.stack(cols, axis=1)
 
-        monkeypatch.setattr(GaussianSketcher, "column_block", shared_words)
+    def test_halved_stride_fails(self, monkeypatch):
+        # Negative control of the layout.
+        monkeypatch.setattr(GaussianSketcher, "column_block", self._halved_stride)
         sk = GaussianSketcher(3, 5, 40)
         block = sk.column_block(0, 40)
         assert block.shape == (5, 40) and np.array_equal(block[4, :-1], block[0, 1:])
         assert not self._layout_holds(sk, 0, 40)
+
+    @pytest.mark.parametrize("r", [5, 21], ids=["r5", "verify"])
+    def test_halved_stride_fails_the_verify_check(self, monkeypatch, r):
+        # Negative control of harness.mc_column_independence, which passes
+        # the shipped layout at the same seed: the overlap's r - wpc / 2
+        # shared normals score about sqrt(m - 1).
+        assert harness.mc_column_independence(r, 4000, seed=1).passed
+        monkeypatch.setattr(GaussianSketcher, "column_block", self._halved_stride)
+        rep = harness.mc_column_independence(r, 4000, seed=1)
+        assert not rep.passed and rep.violations == r - 4 * ((r + 3) // 4) // 2
 
     def test_repeated_columns_fail_the_jl_check(self, monkeypatch):
         # The harness's JL check draws from the shipped generator, so it

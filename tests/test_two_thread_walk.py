@@ -1,4 +1,6 @@
-"""The two-thread projection walk, and the execution plan of CLI releases.
+"""The two-thread projection walk, the execution plan of CLI releases, and
+the reproducibility table: release bytes across BLAS counts, CPU counts and
+tile widths, each release run in this process.
 
 A walk generates its tiles on two threads only inside the scope of a
 release plan that says so (``sketch.plan_release``, applied by
@@ -11,7 +13,6 @@ import contextvars
 import json
 import os
 import signal
-import subprocess
 import sys
 import threading
 import time
@@ -19,13 +20,11 @@ import time
 import numpy as np
 import pytest
 
-from dpsketch import cli, harness, matprod, sketch
+from dpsketch import cli, harness, lra, matprod, sketch
 from dpsketch.sketch import GaussianSketcher
 
 # The name of the thread that generates a two-thread walk's odd tiles.
 HELPER = "dpsketch-tiles"
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _use(monkeypatch, split):
@@ -278,34 +277,14 @@ class TestBitExact:
         for t0, t1, tile in split:
             assert np.array_equal(tile, sk.column_block(t0, t1))
 
-    def test_a_helper_stream_that_does_not_skip_fails(self, monkeypatch):
-        # Negative control: the helper's stream (the second one the walk
-        # opens) ignores its skips, so its second tile takes the words of
-        # the caller's tile before it.
+    def test_a_helper_stream_that_does_not_skip_fails(self, monkeypatch, helper_skips_nothing):
+        # Negative control: the helper's stream ignores its skips, so its
+        # second tile takes the words of the caller's tile before it.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         sk = GaussianSketcher(5, 5, 40)
         want = _joined(_walk(monkeypatch, False, sk, 3, 36))
-        original = sketch._philox
-        opened = []
-
-        class NoSkip:
-            def __init__(self, bg):
-                self.bg = bg
-
-            def random_raw(self, count):
-                return self.bg.random_raw(count)
-
-            def advance(self, delta):
-                pass
-
-        def philox(seed, offset):
-            opened.append(offset)
-            bg = original(seed, offset)
-            return NoSkip(bg) if len(opened) == 2 else bg
-
-        monkeypatch.setattr(sketch, "_philox", philox)
         got = _joined(_walk(monkeypatch, True, sk, 3, 36))
-        assert len(opened) == 2 and not np.array_equal(got, want)
+        assert not np.array_equal(got, want)
         # One-column tiles: the caller's (even) ones and the helper's first
         # are still right, and the helper's second is not.
         assert np.array_equal(got[:, 0::2], want[:, 0::2])
@@ -341,9 +320,9 @@ class TestOrder:
 
 
 class TestConcurrentWalks:
-    def test_walks_from_many_threads_share_the_helper_exactly(self, monkeypatch):
+    def test_walks_from_many_threads_are_exact(self, monkeypatch):
         # Six threads walk at once on 2 CPUs, switching as often as the
-        # interpreter allows; their jobs share the one helper thread, and
+        # interpreter allows, each walk with a helper thread of its own;
         # every walk must still give its own columns bit for bit.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
         _use(monkeypatch, True)
@@ -371,10 +350,53 @@ class TestConcurrentWalks:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [True] * len(sketchers)
+        assert _helpers() == []
 
 
 class HelperFailed(Exception):
     pass
+
+
+def _helpers():
+    return [t for t in threading.enumerate() if t.name == HELPER]
+
+
+def _run_out(walk):
+    for _t0, _t1, _tile in walk:
+        pass
+
+
+def _close_at_its_first_tile(walk):
+    next(walk)
+    walk.close()
+
+
+def _helper_raises(walk):
+    with pytest.raises(HelperFailed):
+        _run_out(walk)
+
+
+class TestHelperEndsWithItsWalk:
+    """A two-thread walk starts a helper thread of its own, and however
+    the walk ends, its helper has ended too when it returns."""
+
+    @pytest.mark.parametrize("end", [_run_out, _close_at_its_first_tile, _helper_raises],
+                             ids=["to-its-end", "closed-at-its-first-tile", "helper-raises"])
+    def test_no_helper_outlives_its_walk(self, monkeypatch, end):
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
+        _use(monkeypatch, True)
+        original, alive = sketch._tile, []
+
+        def tile(sk_, bg, j0, j1, buf):
+            alive.append(len(_helpers()))
+            if end is _helper_raises and threading.current_thread().name == HELPER:
+                raise HelperFailed(f"tile at {j0}")
+            return original(sk_, bg, j0, j1, buf)
+
+        monkeypatch.setattr(sketch, "_tile", tile)
+        end(sketch._tiles(GaussianSketcher(8, 5, 60), 0, 60))
+        assert alive and min(alive) == 1  # the walk split, on one helper
+        assert _helpers() == []
 
 
 class TestFaults:
@@ -465,25 +487,12 @@ class TestFork:
         return np.array_equal(np.hstack(tiles), sk.column_block(0, 60))
 
     def test_a_forked_child_walks_to_the_end(self, monkeypatch):
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
-        _use(monkeypatch, True)
-        assert self._walk_in_child()  # the helper thread now runs here
-        assert _run_in_child(self._walk_in_child, timeout=60) == 0
-
-    def test_the_parents_helper_queue_hangs_a_child(self, monkeypatch):
-        # Negative control: a child that keeps the parent's job queue, whose
-        # thread did not survive the fork, waits for its first helper tile
-        # forever.
+        # A walk in the parent, then one in a child forked after it: each
+        # starts a helper of its own.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
         _use(monkeypatch, True)
         assert self._walk_in_child()
-        jobs = sketch._helper_jobs
-
-        def inherited():
-            sketch._helper_jobs = jobs
-            return self._walk_in_child()
-
-        assert _run_in_child(inherited, timeout=1.0) is None
+        assert _run_in_child(self._walk_in_child, timeout=60) == 0
 
 
 def _write_pair(tmp_path, n, cols, bad_row=None):
@@ -725,23 +734,26 @@ def _record_is_true(execution, seen):
             and seen["blas"] == {execution["blas_threads"]})
 
 
+@pytest.fixture
+def two_cpus():
+    """The process on two of its CPUs, where it has two or more."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(mask)[:2])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+@pytest.mark.usefixtures("two_cpus")
 class TestExecutionRecord:
     """The execution record of a release of each command says what ran,
     on two of the process's CPUs where it has two: the walk by the threads
     that generated its tiles, the CSV reader by the children it forked and
     the BLAS count by the count its tiles ran at."""
-
-    @pytest.fixture(autouse=True)
-    def _two_cpus(self):
-        if not hasattr(os, "sched_setaffinity"):
-            yield
-            return
-        mask = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, sorted(mask)[:2])
-        try:
-            yield
-        finally:
-            os.sched_setaffinity(0, mask)
 
     @staticmethod
     def _release(tmp_path, monkeypatch, command):
@@ -785,111 +797,97 @@ class TestExecutionRecord:
         assert not _record_is_true(dict(execution, walk=forged), seen)
 
 
-# A child that runs one CLI release on (at most) two CPUs, the only count
-# at which a release plan splits walks or forks a reader; "one-cpu" makes
-# the release see one CPU, so its plan is serial, and "full-tiles" also
-# puts back a serial walk of per_tile(r) columns a tile, twice the width
-# every walk takes.
-_CHILD = (
-    "import os, sys\n"
-    "import numpy as np\n"
-    "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
-    "from dpsketch import cli, sketch\n"
-    "if sys.argv[1] in ('one-cpu', 'full-tiles'):\n"
-    "    sketch._usable_cpus = lambda: 1\n"
-    "if sys.argv[1] == 'full-tiles':\n"
-    "    def walk(sk, j0, j1):\n"
-    "        width = sketch.per_tile(sk.r)\n"
-    "        bg = sketch._philox(sk.seed, j0 * sk._wpc)\n"
-    "        for t0 in range(j0, j1, width):\n"
-    "            t1 = min(t0 + width, j1)\n"
-    "            yield t0, t1, sketch._tile(sk, bg, t0, t1, np.empty((t1 - t0) * sk._wpc))\n"
-    "    sketch._tiles = walk\n"
-    "sys.exit(cli.main(sys.argv[2:]))\n"
-)
+def _full_tile_walk(sk, j0, j1):
+    # A serial walk of per_tile(r) columns a tile, twice every walk's width.
+    width = sketch.per_tile(sk.r)
+    bg = sketch._philox(sk.seed, j0 * sk._wpc)
+    for t0 in range(j0, j1, width):
+        t1 = min(t0 + width, j1)
+        yield t0, t1, sketch._tile(sk, bg, t0, t1, np.empty((t1 - t0) * sk._wpc))
 
 
-def _child_release(tmp_path, mode, threads, argv_at, names):
-    # The named output files of one release that _CHILD runs in ``mode`` at
-    # ``threads`` BLAS threads; argv_at(report) is its command line.
-    report = tmp_path / f"{mode}-{threads}.json"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-c", _CHILD, mode, *argv_at(report)],
-                   env=env, check=True, timeout=120)
-    return [(tmp_path / f"{mode}-{threads}.{name}.dpmt").read_bytes() for name in names]
+# The reproducibility table. A row is a release of one fixture; a column
+# is a setting of the process it runs in: the BLAS count the release
+# starts at (BLAS), its usable CPUs (one, patched, or the real two, where
+# its plan splits its walks or forks its CSV reader, with BLAS held at one
+# thread) and its walk tile width (today's per_tile(r) // 2, or per_tile(r)
+# as walks took before). A cell says whether the release publishes the
+# reference bytes: those of the release at one BLAS thread on one CPU with
+# today's tiles. The BLAS column says which shapes can show a BLAS-count
+# difference at all, where an unscoped release at two BLAS threads sums
+# its products otherwise: the BLAS axis's negative control. The tiles
+# column is the tile axis's; lra's walks there span one tile at either
+# width. The CPU axis's is test_a_helper_that_does_not_skip_fails_the_table.
+SETTINGS = [(2, 1, "today"), (1, 2, "today"), (2, 2, "today"), (1, 1, "full")]
+TABLE = {
+    # BLAS, CPUs, tiles:  2,1,today  1,2,today  2,2,today  1,1,full
+    "multiply-900x50":   (False,     True,      True,      False),
+    "multiply-900x20":   (True,      True,      True,      False),
+    "multiply-2000x20":  (True,      True,      True,      False),
+    "regress-2000x20":   (True,      True,      True,      False),
+    "lra-1000x300":      (False,     True,      True,      True),
+}
 
 
-def _child_can_scope():
-    return (sketch._blas_thread_fns() is not None and sketch._usable_cpus() >= 2
-            and hasattr(os, "sched_setaffinity"))
+class TestReproducibility:
+    """Every cell of the table, each release run in this process."""
 
-
-class TestOutputsIgnoreBlasThreads:
-    def test_multiply_estimate_is_the_same_at_one_and_two_threads(self, tmp_path):
-        # 900 x 50 inputs at r = 74, whose rows span three walk tiles. The
-        # runs on one CPU walk serially and differ in how one and two
-        # BLAS threads sum the products: with walk tiles of 442 columns,
-        # 900 x 20, 900 x 30 and 2000 x 20 inputs do not show it, and
-        # 900 x 35 is the narrowest tried that does.
-        if not _child_can_scope():
+    @pytest.fixture(autouse=True)
+    def set_blas(self, two_cpus):
+        # The setter of numpy's OpenBLAS count, given back afterwards.
+        fns = sketch._blas_thread_fns()
+        if fns is None or sketch._usable_cpus() != 2:
             pytest.skip("needs numpy's bundled OpenBLAS and 2 usable CPUs")
-        paths = _write_pair(tmp_path, 900, 50)
+        before = fns[0]()
+        yield fns[1]
+        fns[1](before)
 
-        def estimate(mode, threads):
-            return _child_release(tmp_path, mode, threads,
-                                  lambda report: _multiply_argv(paths, report), ["estimate"])
+    @pytest.fixture
+    def release(self, tmp_path, monkeypatch, set_blas):
+        """release(row) gives release(blas, cpus, tiles): the bytes the
+        row's release publishes in that setting. At two CPUs its execution
+        record must say it split its walks or forked its reader."""
 
-        scoped = [estimate("scope", t) for t in (1, 2)]
-        assert scoped[0] == scoped[1]
-        bare = [estimate("one-cpu", t) for t in (1, 2)]
-        assert bare[0] != bare[1]
+        def fixture(row):
+            command, shape = row.split("-")
+            rows, cols = map(int, shape.split("x"))
+            report = tmp_path / "r.json"
+            if command == "lra":
+                if not cli._can_fork():
+                    pytest.skip("needs os.fork below Python 3.12")
+                argv = ["lra", "--input", _write_csv(tmp_path / "a.csv", rows, cols), "--rank", "10",
+                        "--eps", "1", "--delta", "0.01", "--seed", "0", "--report", str(report)]
+                names = ["uhat", "lam"]
+            else:
+                argv = _multiply_argv(_write_pair(tmp_path, rows, cols), report, command=command)
+                names = ["estimate" if command == "multiply" else "solutions"]
 
-    def test_lra_csv_factors_are_the_one_thread_serial_ones(self, tmp_path):
-        # A 1000 x 300 CSV at k = 10 is read in two chunks of 872 rows: the
-        # scoped release (two-process parse, BLAS on one thread) publishes
-        # the bytes of a serial-parse release at one BLAS thread. Negative
-        # control: the serial release at two BLAS threads differs, so the
-        # input is big enough for the BLAS count to show.
-        if not (_child_can_scope() and cli._can_fork()):
-            pytest.skip("needs numpy's bundled OpenBLAS, 2 usable CPUs and os.fork below Python 3.12")
-        path = _write_csv(tmp_path / "a.csv", 1000, 300)
-        argv = ["lra", "--input", path, "--rank", "10", "--eps", "1", "--delta", "0.01",
-                "--seed", "0"]
+            def run(blas, cpus, tiles):
+                with monkeypatch.context() as patch:
+                    if cpus == 1:
+                        patch.setattr(sketch, "_usable_cpus", lambda: 1)
+                    if tiles == "full":
+                        patch.setattr(sketch, "_tiles", _full_tile_walk)
+                        patch.setattr(lra, "_tiles", _full_tile_walk)
+                    set_blas(blas)
+                    assert cli.main(argv) == 0
+                execution = json.loads(report.read_text())["execution"]
+                split = execution["walk"] == "two-thread" or execution["csv_reader"] == "forked"
+                assert split == (cpus == 2)
+                return [(tmp_path / f"r.{name}.dpmt").read_bytes() for name in names]
 
-        def factors(mode, threads):
-            return _child_release(tmp_path, mode, threads,
-                                  lambda report: argv + ["--report", str(report)], ["uhat", "lam"])
+            return run
 
-        serial = factors("one-cpu", 1)
-        assert factors("scope", 2) == serial
-        assert factors("one-cpu", 2) != serial
+        return fixture
 
+    @pytest.mark.parametrize("row", sorted(TABLE))
+    def test_every_setting_against_the_reference(self, release, row):
+        run = release(row)
+        reference = run(1, 1, "today")
+        assert tuple(run(*setting) == reference for setting in SETTINGS) == TABLE[row]
 
-class TestOutputsIgnoreTheCpuCount:
-    """Every walk takes the same tiles, so at one BLAS thread a release run
-    on two CPUs under a plan that splits its walks (BLAS on one thread),
-    publishes the bytes of the same release run on one CPU, walking
-    serially."""
-
-    @pytest.mark.parametrize(
-        "command, rows", [("multiply", 900), ("multiply", 2000), ("regress", 2000)]
-    )
-    def test_a_scoped_release_has_the_one_cpu_bytes(self, tmp_path, command, rows):
-        # 20-column inputs: r = 74 for multiply and 1031 for regress, whose
-        # rows span three walk tiles or more. Negative control: the one-CPU
-        # release with walk tiles of per_tile(r) columns, as serial walks
-        # took before, sums its products otherwise and differs.
-        if not _child_can_scope():
-            pytest.skip("needs numpy's bundled OpenBLAS and 2 usable CPUs")
-        paths = _write_pair(tmp_path, rows, 20)
-        name = "estimate" if command == "multiply" else "solutions"
-
-        def outputs(mode):
-            return _child_release(tmp_path, mode, 1,
-                                  lambda report: _multiply_argv(paths, report, command=command),
-                                  [name])
-
-        scoped = outputs("scope")
-        assert outputs("one-cpu") == scoped
-        assert outputs("full-tiles") != scoped
+    def test_a_helper_that_does_not_skip_fails_the_table(self, release, helper_skips_nothing):
+        # The CPU axis's negative control: a fault of the two-thread walk
+        # alone moves the bytes of a two-CPU cell.
+        run = release("multiply-2000x20")
+        assert run(1, 2, "today") != run(1, 1, "today")
