@@ -18,10 +18,11 @@ or regression release walks its whole stream once. Every walk takes
 tiles of ``per_tile(r) // 2`` columns (at least one). Where a release's
 plan (``plan_release``) says so, a walk of two tiles or more whose
 ``per_tile(r)`` is 2 or more generates on two threads: the caller and a
-helper thread that the walk starts and joins take alternate tiles, each
-on a Philox stream of its own that skips the other's tiles and into a
-buffer of its own, in column order and with the same bits. Everywhere
-else the walk is serial and starts no thread. Box-Muller
+helper thread that the walk starts and joins. Tiles go, in column order,
+to whichever thread is free, each generated on that thread's own Philox
+stream, advanced to the tile, into one of three buffers; the caller
+yields them in column order with the same bits. Everywhere else the walk
+is serial and starts no thread. Box-Muller
 evaluates a sub-block's pairs in the order of their angles' top bits,
 which keeps libm's branches predictable. Each pair moves as one 16-byte
 item: its two words are gathered together in that order, and its cos and
@@ -45,7 +46,6 @@ import contextlib
 import contextvars
 import functools
 import os
-import queue
 import sys
 import threading
 from collections.abc import Callable, Iterator
@@ -61,14 +61,15 @@ SEED_BITS = 128
 # Float64 entry budget (1 GiB) of one column_block request or one tile of
 # a walk, the only cap. A walk's tile holds max(TILE_ENTRIES // 2, r)
 # entries at most (r only when one column exceeds that), in its one buffer
-# or in each of a two-thread walk's two, which never walks one-column tiles.
+# or in each of a two-thread walk's three, which never walks one-column
+# tiles.
 MAX_SKETCH_ENTRIES = 1 << 27
 
 # Float64 entries (512 KiB) per piece of a range. Block ingest, block
 # queries and the CLI's chunked readers all walk their ranges in pieces of
 # this size (see per_tile). A projection walk generates tiles of half of
-# it on every path, into one buffer (two on two threads), so a pass holds
-# half of it at a time serially and all of it on two threads.
+# it on every path, into one buffer (three on two threads), so a pass holds
+# half of it at a time serially and one and a half of it on two threads.
 TILE_ENTRIES = 1 << 16
 
 # Raw words per generation sub-block (128 KiB), on every walk path. A
@@ -399,13 +400,14 @@ def _tiles(sk: GaussianSketcher, j0: int, j1: int) -> Iterator[tuple[int, int, n
     that is none) on every walk path.
 
     One Philox stream per generating thread is opened for the walk and
-    continued from tile to tile, and every tile is generated into that
-    thread's one buffer: a tile is valid only until the next one is
-    yielded. A tile over the cap (one column, when r alone exceeds it) is
-    refused before anything is generated. Where this context's plan
-    splits walks (``_plan_scope``), ``per_tile(r)`` is two columns or
-    more and the range spans two tiles or more, ``_split_tiles`` generates
-    the same tiles on two threads, so the path decides which thread
+    only moved forward, and every tile is generated into one of the walk's
+    buffers (one serially, three on two threads): a tile is valid only
+    until the next one is yielded. A tile over the cap (one column, when
+    r alone exceeds it) is refused before anything is generated. Where
+    this context's plan splits walks (``_plan_scope``), ``per_tile(r)`` is
+    two columns or more and the range spans two tiles or more,
+    ``_split_tiles`` generates the same tiles on two threads, each tile on
+    whichever thread is free to claim it, so the path decides which thread
     generates a tile, never its width or bits.
     """
     half = per_tile(sk.r) // 2
@@ -426,61 +428,94 @@ def _tiles(sk: GaussianSketcher, j0: int, j1: int) -> Iterator[tuple[int, int, n
 def _split_tiles(
     sk: GaussianSketcher, j0: int, j1: int, width: int
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    # The two-thread walk of two tiles or more: the caller generates the
-    # even tiles and a helper thread of the walk's own the odd ones, each
-    # on a Philox stream of its own that skips the other's tiles, into a
-    # buffer of its own. The helper is handed tile i + 2 as soon as the
-    # caller is back from tile i, whose buffer it takes, and generates it
-    # while the caller computes with tile i + 1 and generates tile i + 3.
-    # Philox is counter-based, so every tile holds the words of its own
-    # columns whichever thread draws them (Salmon et al., SC 2011).
+    # The two-thread walk of two tiles or more. Tiles are claimed in column
+    # order from one counter, under one condition, each into one of three
+    # buffers: the caller claims tile 0 and a helper thread of the walk's
+    # own tile 1, and the helper then claims the next tile whenever a buffer
+    # is free. The caller yields the tiles in order: its next one once it is
+    # ready, and until then it claims and generates the next unclaimed tile
+    # itself, waiting only when every tile or buffer is claimed. A tile's
+    # buffer is freed when the caller is back from it. Each thread opens one
+    # Philox stream at j0 and advances it to each tile it claims; Philox is
+    # counter-based, so every tile holds the words of its own columns
+    # whichever thread draws them (Salmon et al., SC 2011).
     starts = range(j0, j1, width)
-    streams = [_philox(sk.seed, t0 * sk._wpc) for t0 in starts[:2]]
-    bufs = [np.empty(width * sk._wpc) for _ in streams]
-    skip = width * sk._wpc // 4  # counter blocks of the other thread's tile
+    n = len(starts)
+    skip = width * sk._wpc // 4  # counter blocks of one tile
+    free = [np.empty(width * sk._wpc) for _ in range(3)]
+    bufs = {0: free.pop(), 1: free.pop()}  # each claimed tile's buffer
+    done = [None] * n  # each tile once generated, or what the helper raised
+    claimed, stop = 2, False
+    cond = threading.Condition()
 
-    def generate(i: int) -> np.ndarray:
-        bg = streams[i % 2]
-        if i >= 2:
-            bg.advance(skip)
-        return _tile(sk, bg, starts[i], min(starts[i] + width, j1), bufs[i % 2])
+    def claim() -> int:
+        # The next unclaimed tile, with a free buffer; under cond.
+        nonlocal claimed
+        claimed += 1
+        bufs[claimed - 1] = free.pop()
+        return claimed - 1
 
-    jobs, replies = queue.SimpleQueue(), queue.SimpleQueue()
+    def generator() -> Callable[[int], np.ndarray]:
+        # This thread's own generation: tile i from its stream, which only
+        # moves forward.
+        bg, at = _philox(sk.seed, j0 * sk._wpc), 0
+
+        def generate(i: int) -> np.ndarray:
+            nonlocal at
+            if i > at:
+                bg.advance((i - at) * skip)
+            at = i + 1
+            return _tile(sk, bg, starts[i], min(starts[i] + width, j1), bufs[i])
+
+        return generate
 
     def serve() -> None:
-        # The helper: generates each tile it is handed, in turn, until it
-        # is handed None, and replies with the tile or whatever it raised,
-        # which the walk raises.
-        for i in iter(jobs.get, None):
+        # The helper: generates tile 1, then each tile it claims, until the
+        # walk stops, every tile is claimed or a tile raises, which the
+        # walk raises at that tile.
+        generate, i = generator(), 1
+        while True:
             try:
-                replies.put((generate(i), None))
+                tile = generate(i)
             except BaseException as exc:
-                replies.put((None, exc))
+                tile = exc
+            with cond:
+                done[i] = tile
+                cond.notify()
+                if isinstance(tile, BaseException):
+                    return
+                cond.wait_for(lambda: stop or claimed == n or free)
+                if stop or claimed == n:
+                    return
+                i = claim()
 
     helper = threading.Thread(target=serve, name="dpsketch-tiles", daemon=True)
     helper.start()
-    jobs.put(1)
     try:
-        own = generate(0)
+        generate = generator()
+        done[0] = generate(0)
         for i, t0 in enumerate(starts):
-            if i % 2:
-                tile, exc = replies.get()
-                if exc is not None:
-                    raise exc
-            else:
-                tile = own
-            yield t0, min(t0 + width, j1), tile
-            # Tile i is released: its buffer takes tile i + 2.
-            if i + 2 < len(starts):
-                if i % 2:
-                    jobs.put(i + 2)
-                else:
-                    own = generate(i + 2)
+            while done[i] is None:
+                with cond:
+                    cond.wait_for(lambda: done[i] is not None or (claimed < n and free))
+                    k = claim() if done[i] is None else None
+                if k is not None:
+                    done[k] = generate(k)
+            if isinstance(done[i], BaseException):
+                raise done[i]
+            yield t0, min(t0 + width, j1), done[i]
+            with cond:
+                # Tile i is released: its buffer is free.
+                done[i] = None
+                free.append(bufs.pop(i))
+                cond.notify()
     finally:
         # However the walk ends (to its last tile, closed or raised), its
         # helper finishes the tile it holds and stops, so no thread, tile
         # or buffer outlives the walk.
-        jobs.put(None)
+        with cond:
+            stop = True
+            cond.notify()
         helper.join()
 
 
@@ -559,8 +594,8 @@ class GaussianSketcher:
         The blocks and the whole range are checked first. Then one walk
         (``_project_stream``, with the blocks as its one chunk) generates
         each tile (see ``_tiles``) once and applies it to all the blocks, so
-        a pass holds one tile per generating thread and each result is the
-        same, bit for bit, as a pass of its own.
+        a pass holds the walk's tile buffers (one, or three on two threads)
+        and each result is the same, bit for bit, as a pass of its own.
         """
         return _project_stream(self, j0, j0 + _chunk_rows(blocks), [blocks])
 

@@ -29,12 +29,9 @@ def tile_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def helper_skips_nothing(monkeypatch):
-    """From here on, a two-thread walk's helper does not skip the caller's
-    tiles: every Philox stream ignores an ``advance`` asked of it on the
-    helper thread, so the helper's tiles past its first take the words of
-    the tile before them. Serial walks never skip, and do not change."""
+def _skip_nothing_on(monkeypatch, helper):
+    # From here on, every Philox stream ignores an ``advance`` asked of it
+    # on a two-thread walk's helper thread (helper=True) or on any other.
     original = sketch._philox
 
     class Stream:
@@ -45,7 +42,28 @@ def helper_skips_nothing(monkeypatch):
             return self.bg.random_raw(count)
 
         def advance(self, delta):
-            if threading.current_thread().name != "dpsketch-tiles":
+            if (threading.current_thread().name == "dpsketch-tiles") != helper:
                 self.bg.advance(delta)
 
     monkeypatch.setattr(sketch, "_philox", lambda seed, offset: Stream(original(seed, offset)))
+
+
+@pytest.fixture
+def helper_skips_nothing(monkeypatch):
+    """From here on, a two-thread walk's helper never moves its stream to
+    the tiles it claims: every Philox stream ignores an ``advance`` asked
+    of it on the helper thread. The helper's stream opens at the walk's
+    first column and its first tile is the walk's second, so every tile it
+    generates takes the words of earlier columns. Serial walks never
+    advance, and do not change."""
+    _skip_nothing_on(monkeypatch, helper=True)
+
+
+@pytest.fixture
+def caller_skips_nothing(monkeypatch):
+    """From here on, a two-thread walk's caller never moves its stream past
+    the tiles the helper claimed: every Philox stream ignores an
+    ``advance`` asked of it off the helper thread, so each tile the caller
+    generates after one of the helper's takes the words of earlier
+    columns. Serial walks never advance, and do not change."""
+    _skip_nothing_on(monkeypatch, helper=False)

@@ -428,8 +428,9 @@ def test_the_multi_tile_pin_holds_on_two_threads(monkeypatch, tmp_path):
 
 def test_a_helper_that_does_not_skip_fails_the_multi_tile_pin(monkeypatch, tmp_path,
                                                               helper_skips_nothing):
-    # Negative control: on two threads, the helper's tiles past its first
-    # take the words of the caller's tiles, which moves the pin.
+    # Negative control: on two threads, the helper's stream stays at the
+    # walk's first column, so every tile the helper generates (the second
+    # at least) takes the words of earlier columns, which moves the pin.
     _two_thread_walks(monkeypatch)
     out = _cli_release(tmp_path, "regress-multi-tile")
     moved = {path.split("[")[0] for path in _mismatches(out, CLI_PINS["regress-multi-tile"])}

@@ -16,6 +16,7 @@ import signal
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import pytest
 from dpsketch import cli, harness, lra, matprod, sketch
 from dpsketch.sketch import GaussianSketcher
 
-# The name of the thread that generates a two-thread walk's odd tiles.
+# The name of a two-thread walk's helper thread.
 HELPER = "dpsketch-tiles"
 
 
@@ -44,9 +45,8 @@ def _joined(walk):
 
 def _cases():
     # Seeded random (r, m, j0, j1, TILE_ENTRIES), then the edge cases:
-    # numpy-integer starts, a one-tile range, an odd tile count (the caller
-    # generates the last tile), and r over the tile (one-column tiles,
-    # which have no half and walk serially).
+    # numpy-integer starts, a one-tile range, an odd tile count, and r over
+    # the tile (one-column tiles, which have no half and walk serially).
     rng = np.random.default_rng(30)
     cases = []
     for _ in range(24):
@@ -278,45 +278,59 @@ class TestBitExact:
             assert np.array_equal(tile, sk.column_block(t0, t1))
 
     def test_a_helper_stream_that_does_not_skip_fails(self, monkeypatch, helper_skips_nothing):
-        # Negative control: the helper's stream ignores its skips, so its
-        # second tile takes the words of the caller's tile before it.
+        # Negative control: the helper's stream stays at the walk's first
+        # column, so every tile the helper generates (the second at least)
+        # takes the words of earlier columns; the caller's tiles stay right.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         sk = GaussianSketcher(5, 5, 40)
-        want = _joined(_walk(monkeypatch, False, sk, 3, 36))
-        got = _joined(_walk(monkeypatch, True, sk, 3, 36))
-        assert not np.array_equal(got, want)
-        # One-column tiles: the caller's (even) ones and the helper's first
-        # are still right, and the helper's second is not.
-        assert np.array_equal(got[:, 0::2], want[:, 0::2])
-        assert np.array_equal(got[:, 1], want[:, 1])
-        assert not np.array_equal(got[:, 3], want[:, 3])
+        threads = _tile_threads(monkeypatch)
+        walk = _walk(monkeypatch, True, sk, 3, 36)
+        on_helper = {t0 for t0, name in threads.items() if name == HELPER}
+        assert 4 in on_helper and len(on_helper) < len(walk)
+        for t0, t1, tile in walk:
+            assert np.array_equal(tile, sk.column_block(t0, t1)) == (t0 not in on_helper)
+
+
+def _tile_threads(monkeypatch):
+    """From here on, the name of the thread that generated each tile,
+    by its first column."""
+    threads = {}
+    original = sketch._tile
+
+    def naming(sk_, bg, j0, j1, buf):
+        threads[j0] = threading.current_thread().name
+        return original(sk_, bg, j0, j1, buf)
+
+    monkeypatch.setattr(sketch, "_tile", naming)
+    return threads
 
 
 class TestOrder:
     def test_each_column_once_in_order_on_both_threads(self, monkeypatch, tile_calls):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
         sk = GaussianSketcher(2, 5, 100)
-        threads = []
-        spy = sketch._tile
+        threads = _tile_threads(monkeypatch)
+        opened, original = [], sketch._philox
 
-        def naming(sk_, bg, j0, j1, buf):
-            threads.append((j0, threading.current_thread().name))
-            return spy(sk_, bg, j0, j1, buf)
+        def philox(seed, offset):
+            opened.append((threading.current_thread().name, offset))
+            return original(seed, offset)
 
-        monkeypatch.setattr(sketch, "_tile", naming)
+        monkeypatch.setattr(sketch, "_philox", philox)
         walk = _walk(monkeypatch, True, sk, 3, 98)
         spans = [(t0, t1) for t0, t1, _tile in walk]
         assert spans[0][0] == 3 and spans[-1][1] == 98
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         # Every tile generated once, in the walk's own spans, and 5 x 95
-        # normals in all; the even tiles on the caller, the odd ones on the
-        # helper thread.
+        # normals in all: the first on the caller, the second on the
+        # helper, and each of the others on whichever of the two claimed it.
         assert [(j0, j1) for _r, j0, j1 in sorted(tile_calls, key=lambda c: c[1])] == spans
         assert tile_calls.normals == 5 * 95
-        names = dict(threads)
-        helper = {names[t0] for t0, _t1 in spans[1::2]}
-        assert {names[t0] for t0, _t1 in spans[0::2]} == {threading.current_thread().name}
-        assert len(helper) == 1 and helper != {threading.current_thread().name}
+        main = threading.current_thread().name
+        assert (threads[spans[0][0]], threads[spans[1][0]]) == (main, HELPER)
+        assert set(threads.values()) == {main, HELPER}
+        # One stream per thread, each opened at the walk's first column.
+        assert sorted(opened) == sorted([(main, 3 * sk._wpc), (HELPER, 3 * sk._wpc)])
 
 
 class TestConcurrentWalks:
@@ -371,7 +385,7 @@ def _close_at_its_first_tile(walk):
     walk.close()
 
 
-def _helper_raises(walk):
+def _raises(walk):
     with pytest.raises(HelperFailed):
         _run_out(walk)
 
@@ -380,22 +394,25 @@ class TestHelperEndsWithItsWalk:
     """A two-thread walk starts a helper thread of its own, and however
     the walk ends, its helper has ended too when it returns."""
 
-    @pytest.mark.parametrize("end", [_run_out, _close_at_its_first_tile, _helper_raises],
-                             ids=["to-its-end", "closed-at-its-first-tile", "helper-raises"])
-    def test_no_helper_outlives_its_walk(self, monkeypatch, end):
+    @pytest.mark.parametrize(
+        "end, raiser",
+        [(_run_out, None), (_close_at_its_first_tile, None), (_raises, HELPER), (_raises, "caller")],
+        ids=["to-its-end", "closed-at-its-first-tile", "helper-raises", "caller-raises"])
+    def test_no_helper_outlives_its_walk(self, monkeypatch, end, raiser):
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
         _use(monkeypatch, True)
         original, alive = sketch._tile, []
 
         def tile(sk_, bg, j0, j1, buf):
             alive.append(len(_helpers()))
-            if end is _helper_raises and threading.current_thread().name == HELPER:
+            if raiser == (HELPER if threading.current_thread().name == HELPER else "caller"):
                 raise HelperFailed(f"tile at {j0}")
             return original(sk_, bg, j0, j1, buf)
 
         monkeypatch.setattr(sketch, "_tile", tile)
         end(sketch._tiles(GaussianSketcher(8, 5, 60), 0, 60))
-        assert alive and min(alive) == 1  # the walk split, on one helper
+        # The walk split, on one helper, which may end before the walk does.
+        assert alive and max(alive) == 1
         assert _helpers() == []
 
 
@@ -408,13 +425,14 @@ class TestFaults:
     def test_a_walk_left_early_waits_for_the_helper(self, monkeypatch):
         # The caller raises at the first tile, while the helper is still
         # generating the second (slowed down here): the walk returns only
-        # once that tile is done, and the next walk is bit-exact.
+        # once that tile is done, the helper claims no other, and the next
+        # walk is bit-exact.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
         original = sketch._tile
         finished = []
 
         def slow(sk_, bg, j0, j1, buf):
-            if threading.current_thread() is not threading.main_thread():
+            if threading.current_thread().name == HELPER:
                 time.sleep(0.3)
             tile = original(sk_, bg, j0, j1, buf)
             finished.append((j0, j1))
@@ -435,26 +453,105 @@ class TestFaults:
         assert self._fresh_walk_is_exact(monkeypatch)
 
     def test_a_fault_in_the_helper_surfaces_in_the_caller(self, monkeypatch):
+        # The helper raises at the second tile it generates, whichever it
+        # claimed; the caller pauses after each tile, so the helper claims
+        # more than one. The walk yields every tile before that one, then
+        # raises the helper's fault.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
         original = sketch._tile
+        on_helper = []
 
         def failing(sk_, bg, j0, j1, buf):
-            if j0 == 12:
-                raise HelperFailed(f"tile at {j0} on {threading.current_thread().name}")
+            if threading.current_thread().name == HELPER:
+                on_helper.append(j0)
+                if len(on_helper) == 2:
+                    raise HelperFailed(f"tile at {j0} on {HELPER}")
             return original(sk_, bg, j0, j1, buf)
 
         monkeypatch.setattr(sketch, "_tile", failing)
         _use(monkeypatch, True)
         sk = GaussianSketcher(8, 5, 60)
         seen = []
-        with pytest.raises(HelperFailed, match="tile at 12") as err:
+        with pytest.raises(HelperFailed) as err:
             for t0, _t1, _tile in sketch._tiles(sk, 0, 60):
                 seen.append(t0)
-        # Tile 3 (columns 12-16) is the helper's; the walk stops before it.
-        assert seen == [0, 4, 8]
-        assert threading.current_thread().name not in str(err.value)
+                time.sleep(0.005)
+        assert on_helper[0] == 4 and len(on_helper) == 2
+        assert str(err.value) == f"tile at {on_helper[1]} on {HELPER}"
+        assert seen == list(range(0, on_helper[1], 4))
         monkeypatch.setattr(sketch, "_tile", original)
         assert self._fresh_walk_is_exact(monkeypatch)
+
+
+def _alternating_split(sk, j0, j1, width):
+    # The fixed split two-thread walks took before tiles went to whichever
+    # thread is free: the caller generates the even tiles and a helper
+    # thread the odd ones, each handed out as the caller starts the tile
+    # before it. The balance tests' negative control.
+    spans = [(t0, min(t0 + width, j1)) for t0 in range(j0, j1, width)]
+    with ThreadPoolExecutor(1, thread_name_prefix=HELPER) as helper:
+        odd = None
+        for i, (t0, t1) in enumerate(spans):
+            if i % 2 == 0 and i + 1 < len(spans):
+                odd = helper.submit(sk.column_block, *spans[i + 1])
+            yield t0, t1, odd.result() if i % 2 else sk.column_block(t0, t1)
+
+
+class TestBalance:
+    """Tiles go to whichever thread is free: with the caller slowed between
+    tiles the helper generates most of them, with the helper slowed inside
+    ``_tile`` the caller does, and either way the tiles are column_block's.
+    The fixed alternation generates half on each thread, and fails."""
+
+    @staticmethod
+    def _walk(monkeypatch, slow):
+        # A walk of 16 tiles of 4 columns with the caller or the helper
+        # slowed: whether it gives column_block's columns, and how many
+        # tiles the caller and the helper generated.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
+        _use(monkeypatch, True)
+        caller, original, on_caller = threading.current_thread(), sketch._tile, []
+
+        def tile(sk_, bg, j0, j1, buf):
+            on_caller.append(threading.current_thread() is caller)
+            if slow == "helper" and not on_caller[-1]:
+                time.sleep(0.02)
+            return original(sk_, bg, j0, j1, buf)
+
+        sk = GaussianSketcher(3, 5, 64)
+        tiles = []
+        with monkeypatch.context() as patch:
+            patch.setattr(sketch, "_tile", tile)
+            for _t0, _t1, t in sketch._tiles(sk, 0, 64):
+                tiles.append(t.copy())
+                if slow == "caller":
+                    time.sleep(0.01)
+        exact = np.array_equal(np.hstack(tiles), sk.column_block(0, 64))
+        return exact, on_caller.count(True), on_caller.count(False)
+
+    @staticmethod
+    def _free_thread_did_most(slow, by_caller, by_helper):
+        return (by_helper if slow == "caller" else by_caller) > 16 / 2
+
+    @pytest.mark.parametrize("slow", ["caller", "helper"])
+    def test_the_free_thread_generates_most_tiles(self, monkeypatch, slow):
+        exact, by_caller, by_helper = self._walk(monkeypatch, slow)
+        assert exact and by_caller + by_helper == 16
+        assert self._free_thread_did_most(slow, by_caller, by_helper)
+
+    @pytest.mark.parametrize("slow", ["caller", "helper"])
+    def test_a_fixed_alternation_fails(self, monkeypatch, slow):
+        monkeypatch.setattr(sketch, "_split_tiles", _alternating_split)
+        exact, by_caller, by_helper = self._walk(monkeypatch, slow)
+        assert exact and (by_caller, by_helper) == (8, 8)
+        assert not self._free_thread_did_most(slow, by_caller, by_helper)
+
+    def test_a_caller_stream_that_does_not_skip_fails(self, monkeypatch, caller_skips_nothing):
+        # Negative control: with the helper slowed, the caller claims the
+        # tiles past the helper's; a caller stream that stays put gives
+        # them the words of earlier columns.
+        exact, by_caller, _by_helper = self._walk(monkeypatch, "helper")
+        assert not exact and by_caller > 1
 
 
 def _run_in_child(fn, timeout):
