@@ -36,14 +36,18 @@ failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
+import itertools
 import json
 import os
 import secrets
 import signal
 import struct
 import sys
+import tempfile
+import threading
 import time
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
@@ -221,9 +225,13 @@ def _csv_line_chunks(
         yield i0, lines, linenos, expected
 
 
-# What the forked parser sends ahead of each chunk it owns: the chunk's i0,
-# rows and cols; rows is -1 where the bulk parse refused the chunk.
+# What the forked parser sends ahead of each chunk it claimed: the chunk's
+# i0, rows and cols; rows is -1 where the bulk parse refused the chunk.
 _CHUNK_HEADER = struct.Struct("<qqq")
+
+# How many chunks the forked parser may hold claimed that the release has
+# not yet taken: one on its way through the pipe, one being parsed.
+_RUN_AHEAD = 2
 
 
 def _write_all(fd: int, data) -> None:
@@ -241,15 +249,75 @@ def _read_exact(fd: int, view: memoryview) -> None:
         view = view[got:]
 
 
-def _parse_odd_chunks(path: str, step: int, fd: int) -> None:
-    """The forked parser's work: walk the chunks of ``path`` and send each
-    odd one over fd, parsed in bulk, or refused."""
+# The file the release and its forked parser share holds two counts: the
+# chunks claimed, at offset 0, and the chunks the parser has begun to send,
+# at _SENT; a count no one has written reads 0.
+_SENT = 8
+
+
+def _count(fd: int, at: int) -> int:
+    return int.from_bytes(os.pread(fd, 8, at), "little")
+
+
+def _claim(fd: int, k: Optional[int] = None) -> Optional[int]:
+    """Claim the first chunk no process has claimed, or chunk k only where
+    it is that one; the chunk claimed, or None. The count of claimed chunks
+    in the file fd is read and moved under a record lock on fd, which the
+    kernel drops if its holder dies, so a parser that dies in a claim
+    stalls no release."""
+    os.lockf(fd, os.F_LOCK, 0)
+    try:
+        first = _count(fd, 0)
+        if k is not None and k != first:
+            return None
+        os.pwrite(fd, (first + 1).to_bytes(8, "little"), 0)
+        return first
+    finally:
+        os.lockf(fd, os.F_ULOCK, 0)
+
+
+def _parse_claimed_chunks(path: str, step: int, claims: int, credits: int, fd: int) -> None:
+    """The forked parser's work: walk the chunks of ``path`` and claim each
+    one no process has claimed yet (``_claim``), taking one credit from
+    ``credits`` a claim, so that it holds at most ``_RUN_AHEAD`` chunks
+    the release has not taken. Each claimed chunk is parsed in bulk and
+    handed to a writer thread, which counts it as sent in the claims file
+    and sends it over fd, or its refusal: the parser goes on to its next
+    claim while a block waits in the pipe."""
+    outbox, queued = collections.deque(), threading.Semaphore(0)
+
+    def send() -> None:
+        try:
+            for sent in itertools.count(1):
+                queued.acquire()
+                if outbox[0] is None:
+                    return
+                header, block = outbox.popleft()
+                os.pwrite(claims, sent.to_bytes(8, "little"), _SENT)
+                _write_all(fd, header)
+                if block is not None:
+                    _write_all(fd, block)
+        except BaseException:
+            # The release then reads the end of the data, and parses this
+            # chunk and every later one itself.
+            os._exit(1)
+
+    writer = threading.Thread(target=send, daemon=True)
+    writer.start()
+    credit = False
     for i0, lines, _linenos, expected in _csv_line_chunks(path, step):
-        if i0 // step % 2:
-            block = _bulk_csv_chunk(lines, expected)
-            _write_all(fd, _CHUNK_HEADER.pack(i0, -1 if block is None else len(lines), expected))
-            if block is not None:
-                _write_all(fd, block)
+        if not credit and not os.read(credits, 1):
+            break  # the release is gone
+        credit = True
+        if _claim(claims, i0 // step) is None:
+            continue
+        credit = False
+        block = _bulk_csv_chunk(lines, expected)
+        outbox.append((_CHUNK_HEADER.pack(i0, -1 if block is None else len(lines), expected), block))
+        queued.release()
+    outbox.append(None)
+    queued.release()
+    writer.join()
 
 
 def _receive_chunk(fd: int, i0: int, rows: int, cols: int) -> Optional[np.ndarray]:
@@ -271,58 +339,146 @@ def _receive_chunk(fd: int, i0: int, rows: int, cols: int) -> Optional[np.ndarra
 def _forked_csv_chunks(
     path: str, step: int, execution: dict
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """``iter_matrix_chunks(path, "csv", step)``, with every odd chunk
-    parsed by a forked child while this process parses the even ones.
+    """``iter_matrix_chunks(path, "csv", step)``, with the chunks parsed by
+    this process and a forked child, each chunk by whichever is free to
+    claim it.
 
-    The child walks the same chunks (``_csv_line_chunks``) and parses its
-    own with ``_bulk_csv_chunk``, the call the serial reader makes, so
-    every block is the serial one, bit for bit. A chunk it refuses is
-    parsed here by ``_parse_csv_chunk``, so a fault is found at the same
-    point of the stream and named as the serial reader names it. Where the
-    child's data ends short (it died) or is not for the chunk, this chunk
-    and every later one are parsed here; where no child can be forked,
-    every chunk is, and the release's ``execution`` record says its
-    ``csv_reader`` was serial. The child never prints; it is killed, if still
-    running, and reaped when the walk ends, however it ends. Close the walk
-    to end it early. A fork took 1.5 ms on a 2-core Xeon, where a spawned
-    interpreter that imports numpy takes about 67 ms.
+    Both walk the same chunks (``_csv_line_chunks``) and claim them in row
+    order from one count in a file they share (``_claim``); this process
+    claims chunk 0 before it forks. The child claims each chunk it walks to
+    that is still unclaimed, while it holds fewer than ``_RUN_AHEAD`` chunks
+    this process has not taken, and parses it with ``_bulk_csv_chunk``,
+    the call the serial reader makes, so every block is the serial one, bit
+    for bit. This process yields the chunks in row order: its next one from
+    the child where the child has begun to send it (the file's second
+    count); else it claims the first unclaimed chunk. That is its next
+    chunk, or a later one, which it parses in bulk while the child finishes
+    the next: it then drops the next chunk's lines, and holds at most that
+    one block ahead, so it holds no more than the serial reader, one
+    chunk's lines and one block. A chunk the child refuses is parsed
+    here by ``_parse_csv_chunk`` (from a fresh walk of the lines where
+    they were dropped), so a fault is found at the same point of the stream
+    and named as the serial reader names it. Where the child's data ends
+    short (it died) or is not for the chunk, this chunk and every later one
+    are parsed here; where no child can be forked, every chunk is, and the
+    release's ``execution`` record says its ``csv_reader`` was serial. Its
+    ``parser_chunks`` counts the blocks the child supplied. The child never
+    prints; it is killed, if still running, and reaped when the walk ends,
+    however it ends. Close the walk to end it early. A fork took 1.5 ms on
+    a 2-core Xeon, where a spawned interpreter that imports numpy takes
+    about 67 ms.
     """
-    rfd, wfd = os.pipe()
+    claims, fds, pid = None, [], None  # what this process closes, and the child
+    # This process's walk of the lines, the chunks it gave and the rows of
+    # the last one; every chunk before that one is a full one.
+    walk, at, last_rows = None, 0, 0
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        execution["csv_reader"] = "serial"
-        yield from iter_matrix_chunks(path, "csv", step)
-        return
-    if pid == 0:
-        code = 1
         try:
-            os.close(rfd)
-            _parse_odd_chunks(path, step, wfd)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    try:
-        for i0, lines, linenos, expected in _csv_line_chunks(path, step):
-            block = None
-            if i0 // step % 2 and rfd is not None:
-                try:
-                    block = _receive_chunk(rfd, i0, len(lines), expected)
-                except EOFError:
-                    os.close(rfd)
-                    rfd = None
+            claims = tempfile.TemporaryFile(buffering=0)
+            rfd, wfd = os.pipe()
+            fds += [rfd, wfd]
+            credits = os.pipe()
+            fds += credits
+            os.write(credits[1], bytes(_RUN_AHEAD))
+            _claim(claims.fileno())  # chunk 0 is this process's: the child starts on chunk 1
+            pid = os.fork()
+        except OSError:
+            execution["csv_reader"] = "serial"
+        if pid is None:
+            yield from iter_matrix_chunks(path, "csv", step)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                os.close(rfd)
+                os.close(credits[1])
+                _parse_claimed_chunks(path, step, claims.fileno(), credits[0], wfd)
+                code = 0
+            finally:
+                os._exit(code)
+        # This process keeps the credits' read end, so that giving a credit
+        # back never fails; the child sees their end once this one is gone.
+        fds.remove(wfd)
+        os.close(wfd)
+        taken = 0  # the child's chunks this process has taken
+
+        def lines_of(k: int):
+            # Chunk k's (i0, lines, linenos, expected), None past the last;
+            # a walk that has passed chunk k starts again.
+            nonlocal walk, at, last_rows
+            if walk is None or at > k:
+                if walk is not None:
+                    walk.close()
+                walk, at = _csv_line_chunks(path, step), 0
+            for chunk in walk:
+                at, last_rows = at + 1, len(chunk[1])
+                if at > k:
+                    return chunk
+                del chunk  # a chunk passed over is not held while the next is read
+            return None
+
+        def parse_ahead(m: int) -> Optional[np.ndarray]:
+            nonlocal walk, at
+            try:
+                chunk = lines_of(m)
+            except FormatError:
+                # A fault in the lines before chunk m: raised again at its
+                # own chunk, from a fresh walk.
+                walk, at = None, 0
+                return None
+            if chunk is None:
+                return None
+            block = _bulk_csv_chunk(chunk[1], chunk[3])
+            chunk[1].clear()  # its lines go, before the next chunk's block comes
+            return block
+
+        ahead = None  # (m, block): the chunk claimed past the next one; block None if not parsed
+        for k in itertools.count():
+            chunk = block = None
+            mine = rfd is None or k == 0
+            if ahead is not None and ahead[0] == k:
+                block, ahead, mine = ahead[1], None, True
+            else:
+                if at <= k:
+                    chunk = lines_of(k)
+                    if chunk is None:
+                        return
+                    expected = chunk[3]
+                rows = last_rows if k == at - 1 else step
+                if not mine and ahead is None and _count(claims.fileno(), _SENT) == taken:
+                    m = _claim(claims.fileno())
+                    mine = m == k
+                    if not mine:
+                        chunk = None  # waiting on the child: these lines go
+                        ahead = (m, parse_ahead(m))
+                if not mine:
+                    try:
+                        block = _receive_chunk(rfd, k * step, rows, expected)
+                    except EOFError:
+                        fds.remove(rfd)
+                        os.close(rfd)
+                        rfd = None
+                    else:
+                        taken += 1
+                        os.write(credits[1], b"\0")
+                        execution["parser_chunks"] += block is not None
             if block is None:
-                block = _parse_csv_chunk(lines, linenos, expected)
-            del lines, linenos  # as in iter_matrix_chunks
-            yield i0, block
+                chunk = chunk or lines_of(k)
+                if chunk is None:
+                    return
+                block = _parse_csv_chunk(*chunk[1:])
+            del chunk  # as in iter_matrix_chunks
+            yield k * step, block
     finally:
-        if rfd is not None:
-            os.close(rfd)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        if walk is not None:
+            walk.close()
+        for fd in fds:
+            os.close(fd)
+        if claims is not None:
+            claims.close()
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def load_matrix(path: str, fmt: str) -> np.ndarray:
@@ -463,8 +619,18 @@ def _release_chunks(plan: sketch.ReleasePlan, paths: list[str], fmt: str):
                 _forked_csv_chunks(paths[0], plan.chunk_rows, execution)))]
         else:
             streams = [iter_matrix_chunks(path, fmt, plan.chunk_rows) for path in paths]
-        # Each item of the zip holds one (i0, block) per input, all at one i0.
-        yield ((pieces[0][0], *(block for _, block in pieces)) for pieces in zip(*streams)), execution
+        yield _in_lockstep(streams), execution
+
+
+def _in_lockstep(streams: list) -> Iterator[tuple]:
+    """(i0, block[, block_b]) for each chunk of the streams of (i0, block),
+    all at one i0. No tuple of the zip is held across a yield: zip reuses
+    its tuple only where nothing else holds it, and keeps the last one it
+    made, with the blocks in it, until it does."""
+    for pieces in zip(*streams):
+        chunk = (pieces[0][0], *(block for _, block in pieces))
+        del pieces
+        yield chunk
 
 
 def _state(cfg: argparse.Namespace, n: int, *cols: int):

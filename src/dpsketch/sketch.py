@@ -368,7 +368,8 @@ def _plan_scope(plan: ReleasePlan):
     """Apply ``plan`` until the scope ends, whatever happens inside: BLAS
     on one thread where it says so and, where the count went to one, this
     context's walks and CSV reader as it says. Yields the ``execution``
-    record of what ran; a reader whose fork fails marks itself serial."""
+    record of what ran; a reader whose fork fails marks itself serial, and
+    a forked one counts in ``parser_chunks`` the blocks its child parsed."""
     fns = _blas_thread_fns()
     pin = plan.one_blas and fns is not None
     if pin:
@@ -384,7 +385,7 @@ def _plan_scope(plan: ReleasePlan):
                "blas_threads": fns[0]() if fns else None,
                "walk": plan.walk if one else "serial",
                "csv_reader": plan.csv_reader if one else "serial",
-               "walk_tile_columns": plan.tile_cols}
+               "parser_chunks": 0, "walk_tile_columns": plan.tile_cols}
     finally:
         _split_walks.reset(token)
         if pin:

@@ -3,7 +3,9 @@ import itertools
 import json
 import os
 import re
+import signal
 import struct
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -596,9 +598,11 @@ def _no_child_left():
 @pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork and Python below 3.12")
 class TestForkedCsvReader:
     """The two-process CSV read of a release (cli._release_chunks under a
-    plan that forks it, BLAS on one thread): a forked child parses every
-    odd chunk, and the blocks, faults and line numbers are the serial
-    reader's."""
+    plan that forks it, BLAS on one thread): the release and a forked child
+    each parse the chunks they claim, and the blocks, faults and line
+    numbers are the serial reader's, whichever process parses a chunk.
+    Where a test needs one process to parse a chunk, it slows the other
+    one's walk of the lines (``_slow_walk``)."""
 
     STEP = 4  # rows a chunk
     PLAN = sketch.ReleasePlan(cpus=2, one_blas=True, walk="serial", csv_reader="forked",
@@ -620,9 +624,33 @@ class TestForkedCsvReader:
 
         monkeypatch.setattr(cli, "_forked_csv_chunks", spy)
         self.parent = os.getpid()
+        # (i0, refused) for each chunk the release took from the child.
+        self.taken = []
+        original_receive = cli._receive_chunk
+
+        def receive(fd, i0, rows, cols):
+            block = original_receive(fd, i0, rows, cols)
+            self.taken.append((i0, block is None))
+            return block
+
+        monkeypatch.setattr(cli, "_receive_chunk", receive)
 
     def _in_child(self):
         return os.getpid() != self.parent
+
+    def _slow_walk(self, monkeypatch, parses):
+        # The process that is not to parse (the release where the parser
+        # "parses", else the parser) walks each chunk's lines 30 ms late: the
+        # parser then supplies every chunk past the release's first, or none.
+        original = cli._csv_line_chunks
+
+        def walk(path, step):
+            for chunk in original(path, step):
+                if self._in_child() == (parses == "release"):
+                    time.sleep(0.03)
+                yield chunk
+
+        monkeypatch.setattr(cli, "_csv_line_chunks", walk)
 
     def _read(self, path):
         # [(i0, block)] as a release reads them, and its FormatError text;
@@ -657,18 +685,29 @@ class TestForkedCsvReader:
         [(10, None), (17, None), (24, None), (17, (5, "1_0,2,3")), (17, (13, "٣,2,3"))],
         ids=["3-chunks", "5-chunks", "6-chunks", "child-refuses-1_0", "child-refuses-digit"],
     )
-    def test_blocks_are_the_serial_readers(self, tmp_path, rows, bad):
+    def test_blocks_are_the_serial_readers(self, tmp_path, monkeypatch, rows, bad):
+        # Read as it falls, then with the release slowed, so that the
+        # parser parses (or refuses) every chunk past the first.
         p = tmp_path / "m.csv"
         _mixed_csv(p, np.random.default_rng(rows).standard_normal((rows, 3)), bad)
-        got, err = self._read(p)
         want, _ = self._serial(p)
-        assert err is None and self.forks == [self.STEP]
-        assert self._same(got, want) and self.execution["csv_reader"] == "forked"
-        for _i0, block in got:
-            assert block.dtype == np.float64 and block.flags.c_contiguous and block.flags.writeable
+        for slowed in (False, True):
+            with monkeypatch.context() as patch:
+                if slowed:
+                    self._slow_walk(patch, "parser")
+                got, err = self._read(p)
+            assert err is None
+            assert self._same(got, want) and self.execution["csv_reader"] == "forked"
+            for _i0, block in got:
+                assert block.dtype == np.float64 and block.flags.c_contiguous and block.flags.writeable
+        assert self.forks == [self.STEP] * 2
+        assert {i0 for i0, _refused in self.taken} >= set(range(self.STEP, rows, self.STEP))
 
     def test_a_child_that_shifts_its_rows_fails(self, tmp_path, monkeypatch):
-        # Negative control: the child hands back its blocks rolled by one row.
+        # Negative control: the child hands back its blocks rolled by one
+        # row. Exactly the chunks it supplied differ from the serial
+        # reader's (but the last, of one row): every one past the first
+        # with the release slowed, none with the parser slowed.
         p = tmp_path / "m.csv"
         _mixed_csv(p, np.random.default_rng(3).standard_normal((17, 3)))
         original = cli._bulk_csv_chunk
@@ -678,23 +717,38 @@ class TestForkedCsvReader:
             return np.roll(block, 1, axis=0) if self._in_child() else block
 
         monkeypatch.setattr(cli, "_bulk_csv_chunk", shifted)
-        got, err = self._read(p)
         want, _ = self._serial(p)
-        assert err is None and self.forks == [self.STEP]
-        assert not self._same(got, want)
-        assert self._same(got[0::2], want[0::2])
+        for parses, supplied in (("parser", {4, 8, 12, 16}), ("release", set())):
+            self.taken.clear()
+            with monkeypatch.context() as patch:
+                self._slow_walk(patch, parses)
+                got, err = self._read(p)
+            assert err is None
+            assert {i0 for i0, refused in self.taken if not refused} == supplied
+            assert self._same(got, want) == (parses == "release")
+            assert [self._same([g], [w]) for g, w in zip(got, want)] == [
+                i0 not in supplied or len(block) == 1 for i0, block in want]
+        assert self.forks == [self.STEP] * 2
 
     @pytest.mark.parametrize("row", [5, 6, 13])
     @pytest.mark.parametrize(
         "text", ["1,2", "1,2,3,4", "1,nan,3", "1,inf,3", "1,x,3", "1e400,2,3", "1\x1c,2,3"])
-    def test_a_fault_is_the_serial_readers(self, tmp_path, row, text):
-        # Rows 5, 6 and 13 fall in the child's chunks 1 and 3.
+    def test_a_fault_is_the_serial_readers(self, tmp_path, monkeypatch, row, text):
+        # Rows 5, 6 and 13 fall in chunks 1 and 3, which the parser claims
+        # and refuses with the release slowed, and which the release parses
+        # itself with the parser slowed.
         p = tmp_path / "m.csv"
         _mixed_csv(p, np.random.default_rng(4).standard_normal((17, 3)), (row, text))
-        got, err = self._read(p)
         want, want_err = self._serial(p)
-        assert want_err is not None and err == want_err
-        assert self._same(got, want) and self.forks == [self.STEP]
+        assert want_err is not None
+        for parses in ("parser", "release"):
+            self.taken.clear()
+            with monkeypatch.context() as patch:
+                self._slow_walk(patch, parses)
+                got, err = self._read(p)
+            assert err == want_err and self._same(got, want)
+            assert ((row // self.STEP * self.STEP, True) in self.taken) == (parses == "parser")
+        assert self.forks == [self.STEP] * 2
 
     @pytest.mark.parametrize("how", ["before-writing", "mid-block"])
     def test_a_child_that_dies_gives_the_serial_blocks(self, tmp_path, monkeypatch, how):
@@ -713,10 +767,34 @@ class TestForkedCsvReader:
             original(fd, view)
 
         monkeypatch.setattr(cli, "_write_all", dying)
+        # The release is slowed, so the child claims chunks, and dies
+        # sending the first.
+        self._slow_walk(monkeypatch, "parser")
         got, err = self._read(p)
         want, _ = self._serial(p)
         assert err is None and self.forks == [self.STEP]
-        assert self._same(got, want)
+        assert self._same(got, want) and self.execution["parser_chunks"] == 0
+
+    def test_a_last_chunk_walked_past_comes_from_the_child(self, tmp_path, monkeypatch):
+        # 10 rows: the child claims chunks 1 and 2 (2 rows) while the
+        # release walks slowly, and sends them late, so the release claims
+        # past the last chunk, walks to the end, and then takes both from
+        # the child, the last at its own row count.
+        p = tmp_path / "m.csv"
+        _mixed_csv(p, np.random.default_rng(10).standard_normal((10, 3)))
+        self._slow_walk(monkeypatch, "parser")
+        original = cli._write_all
+
+        def late(fd, data):
+            if self._in_child() and memoryview(data).nbytes == cli._CHUNK_HEADER.size:
+                time.sleep(0.2)
+            original(fd, data)
+
+        monkeypatch.setattr(cli, "_write_all", late)
+        got, err = self._read(p)
+        want, _ = self._serial(p)
+        assert err is None and self._same(got, want)
+        assert self.taken == [(4, False), (8, False)] and self.execution["parser_chunks"] == 2
 
     def test_a_failed_fork_gives_the_serial_blocks(self, tmp_path, monkeypatch):
         p = tmp_path / "m.csv"
@@ -735,14 +813,16 @@ class TestForkedCsvReader:
     @staticmethod
     def _chunk_peak(chunks):
         # The most tracemalloc saw held while a chunk after the first was
-        # read, beyond what was held before it.
+        # read, beyond what was held once the first one was. (Not beyond
+        # what was held before each chunk: a reader that drops a chunk's
+        # lines early would then be charged for the next chunk's in full.)
         peaks = []
         tracemalloc.start()
         try:
             it = iter(chunks)
             item = next(it)
+            base = tracemalloc.get_traced_memory()[0]
             while item is not None:
-                base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 item = next(it, None)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
@@ -793,7 +873,9 @@ class TestForkedCsvReader:
     @pytest.mark.parametrize("row, text", [(21, "1,2"), (37, "1,nan,3"), (40, "x,2,3")])
     def test_a_release_fails_as_the_serial_one(self, tmp_path, monkeypatch, capsys, row, text):
         # lra reads 3-column inputs in chunks of 16 rows here: the faulty
-        # row is the child's (rows 16-31) or the parent's (32-47).
+        # row's chunk (rows 16-31 or 32-47) is refused by the parser with
+        # the release slowed, and parsed by the release with the parser
+        # slowed.
         monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         p = tmp_path / "m.csv"
         _mixed_csv(p, np.random.default_rng(7).standard_normal((50, 3)), (row, text))
@@ -807,18 +889,162 @@ class TestForkedCsvReader:
         monkeypatch.setattr(LraState, "ingest_rows", spy)
         argv = ["lra", "--input", str(p), "--rank", "1", "--oversample", "2", "--eps", "1",
                 "--delta", "0.01", "--seed", "0", "--report", str(tmp_path / "r.json")]
-        runs = {}
-        for cpus in (2, 1):
+
+        def release(cpus):
             monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
             ingested.clear()
             code = cli.main(argv)
-            runs[cpus] = (code, capsys.readouterr().err, list(ingested))
             _no_child_left()
-        assert self.forks == [16]
-        (code, err, rows_in), (code1, err1, rows_in1) = runs[2], runs[1]
-        assert code == code1 == 1
-        assert err == err1 and err.startswith("error: ") and err.count("\n") == 1
-        assert self._same(rows_in, rows_in1) and len(rows_in) == row // 16
+            return code, capsys.readouterr().err, list(ingested)
+
+        code1, err1, rows_in1 = release(1)
+        for parses in ("parser", "release"):
+            self.taken.clear()
+            with monkeypatch.context() as patch:
+                self._slow_walk(patch, parses)
+                code, err, rows_in = release(2)
+            assert ((row // 16 * 16, True) in self.taken) == (parses == "parser")
+            assert code == code1 == 1
+            assert err == err1 and err.startswith("error: ") and err.count("\n") == 1
+            assert self._same(rows_in, rows_in1) and len(rows_in) == row // 16
+        assert self.forks == [16, 16]
+
+
+def _alternating_csv_chunks(path, step, execution):
+    # The fixed split the forked reader took before chunks went to whichever
+    # process is free: a forked child parses every odd chunk and this
+    # process every even one. The balance tests' negative control; it reads
+    # clean inputs only.
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(rfd)
+            for i0, lines, _linenos, expected in cli._csv_line_chunks(path, step):
+                if i0 // step % 2:
+                    cli._write_all(wfd, cli._CHUNK_HEADER.pack(i0, len(lines), expected))
+                    cli._write_all(wfd, cli._bulk_csv_chunk(lines, expected))
+        finally:
+            os._exit(0)
+    os.close(wfd)
+    try:
+        for i0, lines, linenos, expected in cli._csv_line_chunks(path, step):
+            if i0 // step % 2:
+                block = cli._receive_chunk(rfd, i0, len(lines), expected)
+                execution["parser_chunks"] += 1
+            else:
+                block = cli._parse_csv_chunk(lines, linenos, expected)
+            yield i0, block
+    finally:
+        os.close(rfd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+@pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork and Python below 3.12")
+class TestForkedReaderBalance:
+    """Chunks go to whichever process is free: in an lra release of 16
+    chunks, with the release slowed (in ``LraState.ingest_rows``) the
+    parser supplies most of them, and with the parser slowed (in its walk
+    of the lines) the release parses most. The fixed odd/even alternation
+    gives the parser 8 whatever the delay, and fails. The parser holds at
+    most ``cli._RUN_AHEAD`` parsed blocks the release has not taken."""
+
+    CHUNKS = 16
+
+    @pytest.fixture(autouse=True)
+    def forked_plan(self, monkeypatch):
+        # lra reads 3-column inputs in chunks of 16 rows here, on a plan
+        # that forks its reader: two CPUs and BLAS entry points.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
+        threads = [2]
+        monkeypatch.setattr(sketch, "_blas_thread_fns",
+                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
+        self.parent = os.getpid()
+
+    def _release(self, tmp_path, monkeypatch, slow):
+        # The execution record of an lra release of 16 chunks, with the
+        # release or the parser 10 ms late on each chunk.
+        if slow == "release":
+            original = LraState.ingest_rows
+
+            def ingest(state, i0, block):
+                time.sleep(0.01)
+                return original(state, i0, block)
+
+            monkeypatch.setattr(LraState, "ingest_rows", ingest)
+        else:
+            original_walk = cli._csv_line_chunks
+
+            def walk(path, step):
+                for chunk in original_walk(path, step):
+                    if os.getpid() != self.parent:
+                        time.sleep(0.01)
+                    yield chunk
+
+            monkeypatch.setattr(cli, "_csv_line_chunks", walk)
+        path = tmp_path / "a.csv"
+        write_csv(path, np.random.default_rng(11).standard_normal((16 * self.CHUNKS, 3)))
+        report = tmp_path / "r.json"
+        argv = ["lra", "--input", str(path), "--rank", "1", "--oversample", "2", "--eps", "1",
+                "--delta", "0.01", "--seed", "0", "--report", str(report)]
+        assert cli.main(argv) == 0
+        _no_child_left()
+        execution = json.loads(report.read_text())["execution"]
+        assert execution["csv_reader"] == "forked"
+        return execution["parser_chunks"]
+
+    def _free_process_did_most(self, slow, supplied):
+        return (supplied if slow == "release" else self.CHUNKS - supplied) > self.CHUNKS / 2
+
+    @pytest.mark.parametrize("slow", ["release", "parser"])
+    def test_the_free_process_parses_most_chunks(self, tmp_path, monkeypatch, slow):
+        supplied = self._release(tmp_path, monkeypatch, slow)
+        assert self._free_process_did_most(slow, supplied)
+
+    @pytest.mark.parametrize("slow", ["release", "parser"])
+    def test_a_fixed_alternation_fails(self, tmp_path, monkeypatch, slow):
+        monkeypatch.setattr(cli, "_forked_csv_chunks", _alternating_csv_chunks)
+        supplied = self._release(tmp_path, monkeypatch, slow)
+        assert supplied == self.CHUNKS / 2
+        assert not self._free_process_did_most(slow, supplied)
+
+    def _most_untaken(self, tmp_path, monkeypatch):
+        # The most blocks the parser had parsed that the release had not
+        # taken, seen after each chunk of a read of 12 chunks that the
+        # release takes 20 ms over each.
+        log = tmp_path / "parsed"
+        original = cli._bulk_csv_chunk
+
+        def logged(lines, expected):
+            block = original(lines, expected)
+            if os.getpid() != self.parent:
+                with open(log, "a") as fh:
+                    fh.write("+")
+            return block
+
+        monkeypatch.setattr(cli, "_bulk_csv_chunk", logged)
+        path = tmp_path / "a.csv"
+        write_csv(path, np.random.default_rng(12).standard_normal((48, 3)))
+        plan = sketch.ReleasePlan(cpus=2, one_blas=True, walk="serial", csv_reader="forked",
+                                  chunk_rows=4, tile_cols=1)
+        most = 0
+        with cli._release_chunks(plan, [str(path)], "csv") as (chunks, execution):
+            for _chunk in chunks:
+                time.sleep(0.02)
+                parsed = len(log.read_text()) if log.exists() else 0
+                most = max(most, parsed - execution["parser_chunks"])
+        _no_child_left()
+        return most
+
+    def test_the_parser_runs_at_most_its_bound_ahead(self, tmp_path, monkeypatch):
+        assert self._most_untaken(tmp_path, monkeypatch) == cli._RUN_AHEAD
+
+    def test_an_unbounded_run_ahead_fails(self, tmp_path, monkeypatch):
+        # Negative control: a parser that may claim every chunk at once.
+        monkeypatch.setattr(cli, "_RUN_AHEAD", 1000)
+        assert self._most_untaken(tmp_path, monkeypatch) > 2
 
 
 class TestCommands:
@@ -1093,7 +1319,7 @@ class TestReportSchema:
     }
     GUARD_KEYS = {"required_sigma_min", "observed_sigma_min", "passed", "mode"}
     EXECUTION_KEYS = {"usable_cpus", "blas_build", "blas_threads", "walk", "csv_reader",
-                      "walk_tile_columns"}
+                      "parser_chunks", "walk_tile_columns"}
     # params holds exactly the options the command parsed, so multiply and
     # regress reports list no lra option such as rank, less the secret seed.
     RELEASE_PARAMS = {"command", "report", "input", "fmt", "oracle", "eps", "delta"}

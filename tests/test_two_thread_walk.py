@@ -765,10 +765,10 @@ def _lra_csv_argv(path, report, oracle=False):
 @pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork and Python below 3.12")
 class TestCsvReleaseScope:
     """On 2 CPUs a CLI lra release whose plan forks its CSV reader runs
-    with BLAS on one thread while a forked child parses every other chunk,
-    and gives BLAS back its count afterwards; its walk stays serial and the
-    --oracle scoring runs outside. Which releases fork is the plan's
-    (TestSelection)."""
+    with BLAS on one thread while it and a forked child each parse the
+    chunks they claim, and gives BLAS back its count afterwards; its walk
+    stays serial and the --oracle scoring runs outside. Which releases fork
+    is the plan's (TestSelection)."""
 
     @pytest.fixture(autouse=True)
     def _forks(self, monkeypatch):
@@ -825,9 +825,11 @@ class TestCsvReleaseScope:
 def _record_is_true(execution, seen):
     """Whether a release's execution record says what its run did: ``seen``
     holds the threads that generated its tiles, the BLAS counts those tiles
-    ran at and the children the release forked."""
+    ran at, the children the release forked and the blocks it received
+    from them."""
     return (execution["walk"] == ("two-thread" if HELPER in seen["threads"] else "serial")
             and execution["csv_reader"] == ("forked" if seen["forks"] else "serial")
+            and execution["parser_chunks"] == seen["received"]
             and seen["blas"] == {execution["blas_threads"]})
 
 
@@ -850,14 +852,15 @@ class TestExecutionRecord:
     """The execution record of a release of each command says what ran,
     on two of the process's CPUs where it has two: the walk by the threads
     that generated its tiles, the CSV reader by the children it forked and
-    the BLAS count by the count its tiles ran at."""
+    the BLAS count by the count its tiles ran at, and the chunks its parser
+    supplied by the blocks the release received."""
 
     @staticmethod
     def _release(tmp_path, monkeypatch, command):
         # The record of a release of a small fixture, and what the release did.
         fns = sketch._blas_thread_fns()
-        seen = {"threads": set(), "blas": set(), "forks": []}
-        original_tile, original_fork = sketch._tile, os.fork
+        seen = {"threads": set(), "blas": set(), "forks": [], "received": 0}
+        original_tile, original_fork, original_receive = sketch._tile, os.fork, cli._receive_chunk
 
         def tile(*args):
             seen["threads"].add(threading.current_thread().name)
@@ -870,8 +873,14 @@ class TestExecutionRecord:
                 seen["forks"].append(pid)
             return pid
 
+        def receive(*args):
+            block = original_receive(*args)
+            seen["received"] += block is not None
+            return block
+
         monkeypatch.setattr(sketch, "_tile", tile)
         monkeypatch.setattr(os, "fork", fork, raising=False)
+        monkeypatch.setattr(cli, "_receive_chunk", receive)
         report = tmp_path / "r.json"
         if command == "lra":
             # Chunks of 4 x per_tile(3) = 16 rows, so the 40 rows take three.
@@ -892,6 +901,9 @@ class TestExecutionRecord:
         # (serial, where the walk splits) is false.
         forged = "serial" if execution["walk"] == "two-thread" else "two-thread"
         assert not _record_is_true(dict(execution, walk=forged), seen)
+        # So is one that counts a block more from the parser.
+        forged = execution["parser_chunks"] + 1
+        assert not _record_is_true(dict(execution, parser_chunks=forged), seen)
 
 
 def _full_tile_walk(sk, j0, j1):
