@@ -36,18 +36,16 @@ failure.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import functools
 import itertools
 import json
 import os
 import secrets
+import select
 import signal
 import struct
 import sys
-import tempfile
-import threading
 import time
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
@@ -225,49 +223,31 @@ def _csv_line_chunks(
         yield i0, lines, linenos, expected
 
 
-# What the forked parser sends ahead of each chunk it claimed: the chunk's
-# i0, rows and cols; rows is -1 where the bulk parse refused the chunk.
-_CHUNK_HEADER = struct.Struct("<qqq")
-
 # How many chunks the forked parser may hold claimed that the release has
-# not yet taken: one on its way through the pipe, one being parsed.
+# not yet taken: one being parsed, one waiting in its slot. Each has a block
+# slot in the file the two share, named by a one-byte token.
 _RUN_AHEAD = 2
 
-
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view.nbytes:
-        view = view[os.write(fd, view):]
+# What the forked parser reports on each chunk it claimed: the chunk, its
+# rows (-1 where the bulk parse refused it) and the slot its block is in.
+_REPORT = struct.Struct("<qqq")
 
 
-def _read_exact(fd: int, view: memoryview) -> None:
-    # Fills view from fd; EOFError where the data ends first.
-    while view.nbytes:
-        got = os.readv(fd, [view])
-        if not got:
-            raise EOFError
-        view = view[got:]
-
-
-# The file the release and its forked parser share holds two counts: the
-# chunks claimed, at offset 0, and the chunks the parser has begun to send,
-# at _SENT; a count no one has written reads 0.
-_SENT = 8
-
-
-def _count(fd: int, at: int) -> int:
-    return int.from_bytes(os.pread(fd, 8, at), "little")
+def _slot_at(slot: int, step: int, cols: int) -> int:
+    # Where a block slot starts in the shared file: past the count of
+    # claimed chunks at offset 0, one block of ``step`` rows a slot.
+    return 8 * (1 + slot * step * cols)
 
 
 def _claim(fd: int, k: Optional[int] = None) -> Optional[int]:
     """Claim the first chunk no process has claimed, or chunk k only where
-    it is that one; the chunk claimed, or None. The count of claimed chunks
-    in the file fd is read and moved under a record lock on fd, which the
-    kernel drops if its holder dies, so a parser that dies in a claim
-    stalls no release."""
+    it is that one; the chunk claimed, or None. The count of claimed chunks,
+    at offset 0 of the shared file fd (it reads 0 before anyone writes it),
+    is read and moved under a record lock on fd, which the kernel drops if
+    its holder dies, so a parser that dies in a claim stalls no release."""
     os.lockf(fd, os.F_LOCK, 0)
     try:
-        first = _count(fd, 0)
+        first = int.from_bytes(os.pread(fd, 8, 0), "little")
         if k is not None and k != first:
             return None
         os.pwrite(fd, (first + 1).to_bytes(8, "little"), 0)
@@ -276,64 +256,46 @@ def _claim(fd: int, k: Optional[int] = None) -> Optional[int]:
         os.lockf(fd, os.F_ULOCK, 0)
 
 
-def _parse_claimed_chunks(path: str, step: int, claims: int, credits: int, fd: int) -> None:
-    """The forked parser's work: walk the chunks of ``path`` and claim each
-    one no process has claimed yet (``_claim``), taking one credit from
-    ``credits`` a claim, so that it holds at most ``_RUN_AHEAD`` chunks
-    the release has not taken. Each claimed chunk is parsed in bulk and
-    handed to a writer thread, which counts it as sent in the claims file
-    and sends it over fd, or its refusal: the parser goes on to its next
-    claim while a block waits in the pipe."""
-    outbox, queued = collections.deque(), threading.Semaphore(0)
-
-    def send() -> None:
-        try:
-            for sent in itertools.count(1):
-                queued.acquire()
-                if outbox[0] is None:
-                    return
-                header, block = outbox.popleft()
-                os.pwrite(claims, sent.to_bytes(8, "little"), _SENT)
-                _write_all(fd, header)
-                if block is not None:
-                    _write_all(fd, block)
-        except BaseException:
-            # The release then reads the end of the data, and parses this
-            # chunk and every later one itself.
-            os._exit(1)
-
-    writer = threading.Thread(target=send, daemon=True)
-    writer.start()
-    credit = False
+def _parse_claimed_chunks(path: str, step: int, fd: int, slots: int, reports: int) -> None:
+    """The forked parser's work, on one thread: walk the chunks of ``path``
+    and claim each one no process has claimed yet (``_claim``), taking a
+    free block slot (a token read from ``slots``) before each claim, so
+    that it holds at most ``_RUN_AHEAD`` chunks the release has not taken.
+    Each claimed chunk is parsed in bulk and its block written to the
+    slot's place in the shared file fd; then the chunk, its rows (-1 where
+    the bulk parse refused it) and the slot are reported on ``reports``."""
+    slot = b""
     for i0, lines, _linenos, expected in _csv_line_chunks(path, step):
-        if not credit and not os.read(credits, 1):
-            break  # the release is gone
-        credit = True
-        if _claim(claims, i0 // step) is None:
+        slot = slot or os.read(slots, 1)
+        if not slot:
+            return  # the release is gone
+        if _claim(fd, i0 // step) is None:
             continue
-        credit = False
         block = _bulk_csv_chunk(lines, expected)
-        outbox.append((_CHUNK_HEADER.pack(i0, -1 if block is None else len(lines), expected), block))
-        queued.release()
-    outbox.append(None)
-    queued.release()
-    writer.join()
+        if block is not None and os.pwrite(fd, block, _slot_at(slot[0], step, expected)) != block.nbytes:
+            raise OSError("short write to a block slot")
+        os.write(reports, _REPORT.pack(i0 // step, -1 if block is None else len(lines), slot[0]))
+        slot = b""
 
 
-def _receive_chunk(fd: int, i0: int, rows: int, cols: int) -> Optional[np.ndarray]:
-    """The forked parser's block of rows [i0, i0 + rows), None where it
-    refused the chunk. EOFError where its data ends short, or is not for
-    this chunk."""
-    header = bytearray(_CHUNK_HEADER.size)
-    _read_exact(fd, memoryview(header))
-    got_i0, got_rows, got_cols = _CHUNK_HEADER.unpack(header)
-    if (got_i0, got_cols) != (i0, cols) or got_rows not in (rows, -1):
+def _receive_block(fd: int, reports: int, k: int, cols: int, step: int):
+    """(block, slot): the forked parser's next report, on chunk k, and the
+    block it names, read from its slot in the shared file fd into a fresh
+    array; the block is None where the parser refused the chunk. EOFError
+    where the reports end (the parser died) or the report is not for this
+    chunk."""
+    report = os.read(reports, _REPORT.size)
+    if len(report) < _REPORT.size:
         raise EOFError
-    if got_rows < 0:
-        return None
+    got_k, rows, slot = _REPORT.unpack(report)
+    if got_k != k or rows > step:
+        raise EOFError
+    if rows < 0:
+        return None, slot
     block = np.empty((rows, cols))
-    _read_exact(fd, memoryview(block).cast("B"))
-    return block
+    if os.preadv(fd, [block], _slot_at(slot, step, cols)) != block.nbytes:
+        raise EOFError
+    return block, slot
 
 
 def _forked_csv_chunks(
@@ -344,43 +306,45 @@ def _forked_csv_chunks(
     claim it.
 
     Both walk the same chunks (``_csv_line_chunks``) and claim them in row
-    order from one count in a file they share (``_claim``); this process
-    claims chunk 0 before it forks. The child claims each chunk it walks to
-    that is still unclaimed, while it holds fewer than ``_RUN_AHEAD`` chunks
-    this process has not taken, and parses it with ``_bulk_csv_chunk``,
-    the call the serial reader makes, so every block is the serial one, bit
-    for bit. This process yields the chunks in row order: its next one from
-    the child where the child has begun to send it (the file's second
-    count); else it claims the first unclaimed chunk. That is its next
-    chunk, or a later one, which it parses in bulk while the child finishes
-    the next: it then drops the next chunk's lines, and holds at most that
-    one block ahead, so it holds no more than the serial reader, one
-    chunk's lines and one block. A chunk the child refuses is parsed
-    here by ``_parse_csv_chunk`` (from a fresh walk of the lines where
-    they were dropped), so a fault is found at the same point of the stream
-    and named as the serial reader names it. Where the child's data ends
-    short (it died) or is not for the chunk, this chunk and every later one
-    are parsed here; where no child can be forked, every chunk is, and the
-    release's ``execution`` record says its ``csv_reader`` was serial. Its
+    order from one count in a memfd they share (``_claim``); this process
+    claims chunk 0 before it forks. The child, on one thread, takes a free
+    block slot before each claim, claims each chunk it walks to that is
+    still unclaimed, and parses it with ``_bulk_csv_chunk``, the call the
+    serial reader makes, so every block is the serial one, bit for bit. It
+    writes the block into its slot in the memfd and reports the chunk on a
+    pipe. This process yields the chunks in row order: its next one from the
+    child where a report is ready to read (``_receive_block`` copies the
+    block out of its slot and the slot goes back to the child); else it
+    claims the first unclaimed chunk. That is its next chunk, or a later
+    one, which it parses in bulk while the child finishes the next: it
+    then drops the next chunk's lines, and holds at most that one block
+    ahead, so it holds no more than the serial reader, one chunk's lines
+    and one block. A chunk the child refuses is parsed here by
+    ``_parse_csv_chunk`` (from a fresh walk of the lines where they were
+    dropped), so a fault is found at the same point of the stream and named
+    as the serial reader names it. Where the child's reports end (it died)
+    or one is not for the chunk, this chunk and every later one are parsed
+    here; where no child can be forked, every chunk is, and the release's
+    ``execution`` record says its ``csv_reader`` was serial. Its
     ``parser_chunks`` counts the blocks the child supplied. The child never
     prints; it is killed, if still running, and reaped when the walk ends,
-    however it ends. Close the walk to end it early. A fork took 1.5 ms on
-    a 2-core Xeon, where a spawned interpreter that imports numpy takes
-    about 67 ms.
+    however it ends, and the memfd and pipes are closed. Close the walk to
+    end it early. A fork took 1.5 ms on a 2-core Xeon, where a spawned
+    interpreter that imports numpy takes about 67 ms.
     """
-    claims, fds, pid = None, [], None  # what this process closes, and the child
-    # This process's walk of the lines, the chunks it gave and the rows of
-    # the last one; every chunk before that one is a full one.
-    walk, at, last_rows = None, 0, 0
+    fds, pid = [], None  # what this process closes, and the child
+    # This process's walk of the lines and the chunks it gave.
+    walk, at = None, 0
     try:
         try:
-            claims = tempfile.TemporaryFile(buffering=0)
-            rfd, wfd = os.pipe()
-            fds += [rfd, wfd]
-            credits = os.pipe()
-            fds += credits
-            os.write(credits[1], bytes(_RUN_AHEAD))
-            _claim(claims.fileno())  # chunk 0 is this process's: the child starts on chunk 1
+            shared = os.memfd_create("dpsketch-csv")
+            fds.append(shared)
+            slots = os.pipe()
+            fds += slots
+            reports = os.pipe()
+            fds += reports
+            os.write(slots[1], bytes(range(_RUN_AHEAD)))
+            _claim(shared)  # chunk 0 is this process's: the child starts on chunk 1
             pid = os.fork()
         except OSError:
             execution["csv_reader"] = "serial"
@@ -390,28 +354,28 @@ def _forked_csv_chunks(
         if pid == 0:
             code = 1
             try:
-                os.close(rfd)
-                os.close(credits[1])
-                _parse_claimed_chunks(path, step, claims.fileno(), credits[0], wfd)
+                os.close(reports[0])
+                os.close(slots[1])
+                _parse_claimed_chunks(path, step, shared, slots[0], reports[1])
                 code = 0
             finally:
                 os._exit(code)
-        # This process keeps the credits' read end, so that giving a credit
-        # back never fails; the child sees their end once this one is gone.
-        fds.remove(wfd)
-        os.close(wfd)
-        taken = 0  # the child's chunks this process has taken
+        # This process keeps the slots' read end, so that giving a slot back
+        # never fails; the child sees their end once this one is gone.
+        fds.remove(reports[1])
+        os.close(reports[1])
+        reports = reports[0]
 
         def lines_of(k: int):
             # Chunk k's (i0, lines, linenos, expected), None past the last;
             # a walk that has passed chunk k starts again.
-            nonlocal walk, at, last_rows
+            nonlocal walk, at
             if walk is None or at > k:
                 if walk is not None:
                     walk.close()
                 walk, at = _csv_line_chunks(path, step), 0
             for chunk in walk:
-                at, last_rows = at + 1, len(chunk[1])
+                at += 1
                 if at > k:
                     return chunk
                 del chunk  # a chunk passed over is not held while the next is read
@@ -435,32 +399,32 @@ def _forked_csv_chunks(
         ahead = None  # (m, block): the chunk claimed past the next one; block None if not parsed
         for k in itertools.count():
             chunk = block = None
-            mine = rfd is None or k == 0
+            mine = reports is None or k == 0
             if ahead is not None and ahead[0] == k:
                 block, ahead, mine = ahead[1], None, True
             else:
-                if at <= k:
+                if at <= k:  # else the walk passed chunk k in a claim ahead
                     chunk = lines_of(k)
                     if chunk is None:
                         return
                     expected = chunk[3]
-                rows = last_rows if k == at - 1 else step
-                if not mine and ahead is None and _count(claims.fileno(), _SENT) == taken:
-                    m = _claim(claims.fileno())
+                # Is a report ready? (select: a poll object would make its
+                # fd array at its first call, and hold it past chunk 0.)
+                if not mine and ahead is None and not select.select([reports], [], [], 0)[0]:
+                    m = _claim(shared)
                     mine = m == k
                     if not mine:
                         chunk = None  # waiting on the child: these lines go
                         ahead = (m, parse_ahead(m))
                 if not mine:
                     try:
-                        block = _receive_chunk(rfd, k * step, rows, expected)
+                        block, slot = _receive_block(shared, reports, k, expected, step)
                     except EOFError:
-                        fds.remove(rfd)
-                        os.close(rfd)
-                        rfd = None
+                        fds.remove(reports)
+                        os.close(reports)
+                        reports = None
                     else:
-                        taken += 1
-                        os.write(credits[1], b"\0")
+                        os.write(slots[1], bytes([slot]))
                         execution["parser_chunks"] += block is not None
             if block is None:
                 chunk = chunk or lines_of(k)
@@ -474,8 +438,6 @@ def _forked_csv_chunks(
             walk.close()
         for fd in fds:
             os.close(fd)
-        if claims is not None:
-            claims.close()
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -602,9 +564,11 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
 
 
 def _can_fork() -> bool:
-    """Whether a release may fork a CSV parser: with ``os.fork``, below
-    Python 3.12, which warns on a fork beside threads (OpenBLAS's pool)."""
-    return hasattr(os, "fork") and sys.version_info < (3, 12)
+    """Whether a release may fork a CSV parser: with ``os.fork`` and
+    ``os.memfd_create`` (the parser's blocks come back through a memfd),
+    below Python 3.12, which warns on a fork beside threads (OpenBLAS's
+    pool)."""
+    return hasattr(os, "fork") and hasattr(os, "memfd_create") and sys.version_info < (3, 12)
 
 
 @contextlib.contextmanager

@@ -250,6 +250,8 @@ def dp_density_ratio_check(
     well below 1 must make this check fail (the guard is necessary);
     ``enforce_guard=False`` permits building such negative controls.
     """
+    if n < 1:
+        raise ParameterDomainError(f"density-ratio check needs n >= 1, got {n}")
     if n > 8:
         raise ParameterDomainError(f"density-ratio check is desk-scale only, n={n} > 8")
     threshold = guard.sigma_min_psg1(budget, r)

@@ -595,7 +595,7 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork and Python below 3.12")
+@pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork, os.memfd_create and Python below 3.12")
 class TestForkedCsvReader:
     """The two-process CSV read of a release (cli._release_chunks under a
     plan that forks it, BLAS on one thread): the release and a forked child
@@ -626,14 +626,14 @@ class TestForkedCsvReader:
         self.parent = os.getpid()
         # (i0, refused) for each chunk the release took from the child.
         self.taken = []
-        original_receive = cli._receive_chunk
+        original_receive = cli._receive_block
 
-        def receive(fd, i0, rows, cols):
-            block = original_receive(fd, i0, rows, cols)
-            self.taken.append((i0, block is None))
-            return block
+        def receive(fd, reports, k, cols, step):
+            block, slot = original_receive(fd, reports, k, cols, step)
+            self.taken.append((k * step, block is None))
+            return block, slot
 
-        monkeypatch.setattr(cli, "_receive_chunk", receive)
+        monkeypatch.setattr(cli, "_receive_block", receive)
 
     def _in_child(self):
         return os.getpid() != self.parent
@@ -652,12 +652,13 @@ class TestForkedCsvReader:
 
         monkeypatch.setattr(cli, "_csv_line_chunks", walk)
 
-    def _read(self, path):
+    def _read(self, path, step=STEP):
         # [(i0, block)] as a release reads them, and its FormatError text;
         # the release's execution record is kept in ``execution``.
         got = []
+        plan = self.PLAN._replace(chunk_rows=step)
         try:
-            with cli._release_chunks(self.PLAN, [str(path)], "csv") as (chunks, self.execution):
+            with cli._release_chunks(plan, [str(path)], "csv") as (chunks, self.execution):
                 for i0, block in chunks:
                     got.append((i0, block))
         except FormatError as exc:
@@ -666,10 +667,10 @@ class TestForkedCsvReader:
             _no_child_left()
         return got, None
 
-    def _serial(self, path):
+    def _serial(self, path, step=STEP):
         got = []
         try:
-            for i0, block in cli.iter_matrix_chunks(str(path), "csv", self.STEP):
+            for i0, block in cli.iter_matrix_chunks(str(path), "csv", step):
                 got.append((i0, block))
         except FormatError as exc:
             return got, str(exc)
@@ -754,21 +755,22 @@ class TestForkedCsvReader:
     def test_a_child_that_dies_gives_the_serial_blocks(self, tmp_path, monkeypatch, how):
         p = tmp_path / "m.csv"
         _mixed_csv(p, np.random.default_rng(5).standard_normal((24, 3)))
-        original = cli._write_all
+        original = os.pwrite
 
-        def dying(fd, data):
-            view = memoryview(data).cast("B")
-            if self._in_child():
+        def dying(fd, data, offset):
+            # The child's writes past offset 0 (the claim count) are its
+            # block slots: it dies at the first, before it or halfway in.
+            if self._in_child() and offset > 0:
                 if how == "before-writing":
                     os._exit(1)
-                if view.nbytes > cli._CHUNK_HEADER.size:
-                    original(fd, view[: view.nbytes // 2])
-                    os._exit(1)
-            original(fd, view)
+                view = memoryview(data).cast("B")
+                original(fd, view[: view.nbytes // 2], offset)
+                os._exit(1)
+            return original(fd, data, offset)
 
-        monkeypatch.setattr(cli, "_write_all", dying)
+        monkeypatch.setattr(os, "pwrite", dying)
         # The release is slowed, so the child claims chunks, and dies
-        # sending the first.
+        # writing the first to its slot, before reporting it.
         self._slow_walk(monkeypatch, "parser")
         got, err = self._read(p)
         want, _ = self._serial(p)
@@ -777,24 +779,100 @@ class TestForkedCsvReader:
 
     def test_a_last_chunk_walked_past_comes_from_the_child(self, tmp_path, monkeypatch):
         # 10 rows: the child claims chunks 1 and 2 (2 rows) while the
-        # release walks slowly, and sends them late, so the release claims
-        # past the last chunk, walks to the end, and then takes both from
-        # the child, the last at its own row count.
+        # release walks slowly, and writes chunk 2 to its slot late, so the
+        # release, at chunk 2, claims past the last chunk, walks to the
+        # end, and then takes both from the child, the last at its own row
+        # count.
         p = tmp_path / "m.csv"
         _mixed_csv(p, np.random.default_rng(10).standard_normal((10, 3)))
         self._slow_walk(monkeypatch, "parser")
-        original = cli._write_all
+        original = os.pwrite
 
-        def late(fd, data):
-            if self._in_child() and memoryview(data).nbytes == cli._CHUNK_HEADER.size:
+        def late(fd, data, offset):
+            # A slot write (past the claim count at offset 0) of a block
+            # shorter than a full chunk.
+            if self._in_child() and offset > 0 and memoryview(data).nbytes < self.STEP * 3 * 8:
                 time.sleep(0.2)
-            original(fd, data)
+            return original(fd, data, offset)
 
-        monkeypatch.setattr(cli, "_write_all", late)
+        monkeypatch.setattr(os, "pwrite", late)
         got, err = self._read(p)
         want, _ = self._serial(p)
         assert err is None and self._same(got, want)
         assert self.taken == [(4, False), (8, False)] and self.execution["parser_chunks"] == 2
+
+    def test_a_claim_two_chunks_ahead_walks_the_lines_once(self, tmp_path, monkeypatch):
+        # 22 rows: chunks 0-4 of 4 rows and chunk 5 of 2. The release sees
+        # no report ready and claims late, by which time the child has
+        # reported the next chunk and claimed the one after: at chunk 1 the
+        # release claims chunk 3, at chunk 4 it claims past the last. It
+        # takes chunks 1, 2, 4 and 5 from the child, the last at its own
+        # row count, without walking back to them: its one walk goes on.
+        p = tmp_path / "m.csv"
+        _mixed_csv(p, np.random.default_rng(14).standard_normal((22, 3)))
+        want, _ = self._serial(p)
+        monkeypatch.setattr(cli.select, "select", lambda *fds: ([], [], []))
+        claimed, original_claim = [], cli._claim
+
+        def claim(fd, k=None):
+            if not self._in_child() and claimed:
+                time.sleep(0.2)
+            got = original_claim(fd, k)
+            if not self._in_child():
+                claimed.append(got)
+            return got
+
+        monkeypatch.setattr(cli, "_claim", claim)
+        walks, original_walk = [], cli._csv_line_chunks
+
+        def walk(path, step):
+            if not self._in_child():
+                walks.append(path)
+            return original_walk(path, step)
+
+        monkeypatch.setattr(cli, "_csv_line_chunks", walk)
+        got, err = self._read(p)
+        assert err is None and self._same(got, want)
+        assert claimed == [0, 3, 6]
+        assert self.taken == [(4, False), (8, False), (16, False), (20, False)]
+        assert len(walks) == 1
+
+    def test_a_fault_met_walking_ahead_is_the_serial_readers(self, tmp_path, monkeypatch):
+        # 200 x 200 in 40-row chunks, with one 0xff byte in row 100, in the
+        # middle of chunk 2. The child parses chunk 1 for 0.2 s and the
+        # release walks slowly, so the release claims chunk 2 while it
+        # waits, and meets the fault in its walk ahead to it: it gives
+        # chunks 0 and 1 and then fails at chunk 2, as the serial reader
+        # does.
+        p = tmp_path / "m.csv"
+        write_csv(p, np.random.default_rng(13).standard_normal((200, 200)))
+        data = bytearray(p.read_bytes())
+        data[sum(map(len, data.splitlines(keepends=True)[:100])) + 5] = 0xFF
+        p.write_bytes(data)
+        want, want_err = self._serial(p, 40)
+        assert len(want) == 2 and want_err.startswith("CSV input is not text")
+        original = cli._bulk_csv_chunk
+
+        def slow(lines, expected):
+            if self._in_child():
+                time.sleep(0.2)
+            return original(lines, expected)
+
+        monkeypatch.setattr(cli, "_bulk_csv_chunk", slow)
+        self._slow_walk(monkeypatch, "parser")
+        claimed, original_claim = [], cli._claim
+
+        def claim(fd, k=None):
+            got = original_claim(fd, k)
+            if not self._in_child():
+                claimed.append(got)
+            return got
+
+        monkeypatch.setattr(cli, "_claim", claim)
+        got, err = self._read(p, 40)
+        assert err == want_err and self._same(got, want)
+        # The release claimed chunk 0 and then chunk 2, ahead.
+        assert claimed == [0, 2] and self.forks == [40]
 
     def test_a_failed_fork_gives_the_serial_blocks(self, tmp_path, monkeypatch):
         p = tmp_path / "m.csv"
@@ -914,34 +992,36 @@ def _alternating_csv_chunks(path, step, execution):
     # The fixed split the forked reader took before chunks went to whichever
     # process is free: a forked child parses every odd chunk and this
     # process every even one. The balance tests' negative control; it reads
-    # clean inputs only.
+    # clean inputs only. The child sends each of its blocks' raw bytes over
+    # a pipe, in order; both processes know a block's shape from their walk.
     rfd, wfd = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(rfd)
-            for i0, lines, _linenos, expected in cli._csv_line_chunks(path, step):
-                if i0 // step % 2:
-                    cli._write_all(wfd, cli._CHUNK_HEADER.pack(i0, len(lines), expected))
-                    cli._write_all(wfd, cli._bulk_csv_chunk(lines, expected))
+            with open(wfd, "wb") as out:
+                for i0, lines, _linenos, expected in cli._csv_line_chunks(path, step):
+                    if i0 // step % 2:
+                        out.write(cli._bulk_csv_chunk(lines, expected).tobytes())
         finally:
             os._exit(0)
     os.close(wfd)
     try:
-        for i0, lines, linenos, expected in cli._csv_line_chunks(path, step):
-            if i0 // step % 2:
-                block = cli._receive_chunk(rfd, i0, len(lines), expected)
-                execution["parser_chunks"] += 1
-            else:
-                block = cli._parse_csv_chunk(lines, linenos, expected)
-            yield i0, block
+        with open(rfd, "rb") as data:
+            for i0, lines, linenos, expected in cli._csv_line_chunks(path, step):
+                if i0 // step % 2:
+                    raw = bytearray(data.read(8 * len(lines) * expected))
+                    block = np.frombuffer(raw).reshape(len(lines), expected)
+                    execution["parser_chunks"] += 1
+                else:
+                    block = cli._parse_csv_chunk(lines, linenos, expected)
+                yield i0, block
     finally:
-        os.close(rfd)
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
 
-@pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork and Python below 3.12")
+@pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork, os.memfd_create and Python below 3.12")
 class TestForkedReaderBalance:
     """Chunks go to whichever process is free: in an lra release of 16
     chunks, with the release slowed (in ``LraState.ingest_rows``) the
@@ -1042,8 +1122,9 @@ class TestForkedReaderBalance:
         assert self._most_untaken(tmp_path, monkeypatch) == cli._RUN_AHEAD
 
     def test_an_unbounded_run_ahead_fails(self, tmp_path, monkeypatch):
-        # Negative control: a parser that may claim every chunk at once.
-        monkeypatch.setattr(cli, "_RUN_AHEAD", 1000)
+        # Negative control: a parser that may claim every chunk at once,
+        # with a slot for each of the 12.
+        monkeypatch.setattr(cli, "_RUN_AHEAD", 12)
         assert self._most_untaken(tmp_path, monkeypatch) > 2
 
 

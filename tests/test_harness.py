@@ -140,6 +140,16 @@ class TestDensityRatioCheck:
         with pytest.raises(ParameterDomainError):
             harness.dp_density_ratio_check(20, 4, BUDGET, samples=10)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_rows_is_refused(self, monkeypatch, n):
+        # No matrix to perturb: refused before anything is drawn.
+        def no_draws(seed):
+            raise AssertionError("drew randomness")
+
+        monkeypatch.setattr(harness.np.random, "default_rng", no_draws)
+        with pytest.raises(ParameterDomainError, match="needs n >= 1"):
+            harness.dp_density_ratio_check(n, 4, BUDGET, samples=10)
+
     def test_reproducible(self):
         a = harness.dp_density_ratio_check(6, 4, BUDGET, samples=2000, seed=11)
         b = harness.dp_density_ratio_check(6, 4, BUDGET, samples=2000, seed=11)

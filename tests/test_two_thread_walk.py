@@ -185,6 +185,11 @@ class TestSelection:
         monkeypatch.setattr(sys, "version_info", (3, 12, 0))
         assert cli._can_fork() is False
 
+    def test_no_memfd_may_not_fork(self, monkeypatch):
+        # The forked parser's blocks come back through a memfd.
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+        assert cli._can_fork() is False
+
     def test_one_column_tiles_walk_serially(self, monkeypatch):
         # r = 50 over a 40-entry tile: a tile is one column, which has no
         # half, so one stream on the calling thread walks it even where
@@ -762,7 +767,7 @@ def _lra_csv_argv(path, report, oracle=False):
     return argv + (["--oracle"] if oracle else [])
 
 
-@pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork and Python below 3.12")
+@pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork, os.memfd_create and Python below 3.12")
 class TestCsvReleaseScope:
     """On 2 CPUs a CLI lra release whose plan forks its CSV reader runs
     with BLAS on one thread while it and a forked child each parse the
@@ -860,7 +865,7 @@ class TestExecutionRecord:
         # The record of a release of a small fixture, and what the release did.
         fns = sketch._blas_thread_fns()
         seen = {"threads": set(), "blas": set(), "forks": [], "received": 0}
-        original_tile, original_fork, original_receive = sketch._tile, os.fork, cli._receive_chunk
+        original_tile, original_fork, original_receive = sketch._tile, os.fork, cli._receive_block
 
         def tile(*args):
             seen["threads"].add(threading.current_thread().name)
@@ -874,13 +879,13 @@ class TestExecutionRecord:
             return pid
 
         def receive(*args):
-            block = original_receive(*args)
+            block, slot = original_receive(*args)
             seen["received"] += block is not None
-            return block
+            return block, slot
 
         monkeypatch.setattr(sketch, "_tile", tile)
         monkeypatch.setattr(os, "fork", fork, raising=False)
-        monkeypatch.setattr(cli, "_receive_chunk", receive)
+        monkeypatch.setattr(cli, "_receive_block", receive)
         report = tmp_path / "r.json"
         if command == "lra":
             # Chunks of 4 x per_tile(3) = 16 rows, so the 40 rows take three.
@@ -963,7 +968,7 @@ class TestReproducibility:
             report = tmp_path / "r.json"
             if command == "lra":
                 if not cli._can_fork():
-                    pytest.skip("needs os.fork below Python 3.12")
+                    pytest.skip("needs os.fork and os.memfd_create below Python 3.12")
                 argv = ["lra", "--input", _write_csv(tmp_path / "a.csv", rows, cols), "--rank", "10",
                         "--eps", "1", "--delta", "0.01", "--seed", "0", "--report", str(report)]
                 names = ["uhat", "lam"]
