@@ -11,9 +11,11 @@ Matrix files are either headerless CSV (one row per line) or the "DPMT"
 binary format (magic, version u16, rows u32, cols u32, little-endian
 float64 row-major). Streaming commands consume the input through a
 one-pass iterator of row chunks, feed them to the mechanism, and never
-materialize the private matrix unless --oracle is given. A CSV chunk is
-parsed in one call to numpy's C reader; a chunk with a fault is read
-again line by line, so the error names its line. One release skeleton,
+materialize the private matrix unless --oracle is given. The shape probe
+reads a CSV file once, as text, and marks where each tile of rows starts,
+so that a process reads a chunk from its mark. A CSV chunk is parsed in
+one call to numpy's C reader; a chunk with a fault is parsed again line
+by line, so the error names its line. One release skeleton,
 ``_run_release``, probes and reads every input, runs the release as its
 plan says (``sketch.plan_release``) and writes every output. ``multiply``
 and ``regress`` take a second input (B; the queries) with as many rows
@@ -116,22 +118,42 @@ def _parse_csv_chunk(lines: list[str], linenos: list[int], expected: int) -> np.
     return block
 
 
-def _csv_lines(path: str) -> Iterator[str]:
-    """The lines of a CSV file; a file that is not text is a FormatError."""
-    with open(path, "r") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"CSV input is not text ({exc.reason}); DPMT files need --format dpbin"
-            ) from exc
+def _not_text(exc: UnicodeDecodeError) -> FormatError:
+    return FormatError(f"CSV input is not text ({exc.reason}); DPMT files need --format dpbin")
 
 
-def matrix_shape(path: str, fmt: str) -> Tuple[int, int]:
+def _csv_rows(fh, lineno: int, count: int, skip: int = 0) -> Tuple[list[str], list[int]]:
+    """The next ``count`` non-blank lines read from the CSV text handle fh,
+    past ``skip`` more, and their line numbers, where the line fh reads
+    next is line ``lineno``; fewer at the end of the file. The one read of
+    a CSV file's rows, for the serial reader and the forked one alike. A
+    file that is not text is a FormatError."""
+    lines, linenos = [], []
+    try:
+        for line in iter(fh.readline, ""):
+            if line.strip():
+                if skip:
+                    skip -= 1
+                else:
+                    lines.append(line)
+                    linenos.append(lineno)
+                    if len(lines) == count:
+                        break
+            lineno += 1
+    except UnicodeDecodeError as exc:
+        raise _not_text(exc) from exc
+    return lines, linenos
+
+
+def matrix_shape(path: str, fmt: str, marks: Optional[list] = None) -> Tuple[int, int]:
     """Probe (rows, cols) without parsing entries (CSV) or payload (binary).
 
     A binary file whose size disagrees with its header is refused here,
-    before any row is read.
+    before any row is read, and so is a CSV file that is not text. Where a
+    list ``marks`` is given, the CSV probe appends a mark for every
+    ``sketch.per_tile(cols)`` non-blank rows, which ``_chunk_rows`` reads
+    from: the text-mode ``tell()`` cookie where the first one's line
+    starts, and that line's number.
     """
     if fmt == "dpbin":
         with open(path, "rb") as fh:
@@ -150,12 +172,27 @@ def matrix_shape(path: str, fmt: str) -> Tuple[int, int]:
         if size > end:
             raise FormatError(f"matrix payload has extra bytes from offset {end}")
         return rows, cols
-    # Blank lines are skipped, as iter_matrix_chunks skips them.
-    lines = (line for line in _csv_lines(path) if line.strip())
-    first = next(lines, None)
-    if first is None:
+    # Blank lines are skipped, as _csv_rows skips them. The lines are read
+    # with readline: tell() is refused while a file is iterated.
+    rows, tile, lineno, at = 0, 1, 1, 0
+    with open(path, "r") as fh:
+        try:
+            for line in iter(fh.readline, ""):
+                if line.strip():
+                    if not rows:
+                        cols = line.count(",") + 1
+                        tile = sketch.per_tile(cols)
+                    if marks is not None and rows % tile == 0:
+                        marks.append((at, lineno))
+                    rows += 1
+                lineno += 1
+                if rows % tile == 0:  # the next row starts a tile
+                    at = fh.tell()
+        except UnicodeDecodeError as exc:
+            raise _not_text(exc) from exc
+    if not rows:
         raise FormatError("empty CSV matrix")
-    return 1 + sum(1 for _ in lines), first.count(",") + 1
+    return rows, cols
 
 
 def iter_matrix_chunks(
@@ -189,38 +226,34 @@ def iter_matrix_chunks(
                     raise FormatError(f"non-finite entry in binary row {i0 + int(bad.argmax())}")
                 yield i0, block
         return
-    for i0, lines, linenos, expected in _csv_line_chunks(path, step):
-        block = _parse_csv_chunk(lines, linenos, expected)
-        del lines, linenos  # no chunk's lines are held while the next one's are read
-        yield i0, block
+    with open(path, "r") as fh:
+        lines, linenos = _csv_rows(fh, 1, 1)
+        if not lines:
+            return
+        # The first line sets the width and the chunk size.
+        expected = _parse_csv_line(lines[0], linenos[0], None).size
+        step = step or sketch.per_tile(expected)
+        fh.seek(0)
+        lineno = 1
+        for i0 in itertools.count(0, step):
+            lines, linenos = _csv_rows(fh, lineno, step)
+            if not lines:
+                return
+            lineno = linenos[-1] + 1
+            block = _parse_csv_chunk(lines, linenos, expected)
+            del lines, linenos  # no chunk's lines are held while the next one's are read
+            yield i0, block
 
 
-def _csv_line_chunks(
-    path: str, step: Optional[int]
-) -> Iterator[Tuple[int, list[str], list[int], int]]:
-    """(i0, lines, linenos, expected) for each chunk of a CSV file: the
-    chunk's first row, its non-blank lines with their line numbers, and the
-    width of the file's first line. Chunks hold ``step`` lines (the last may
-    hold fewer), by default one tile of that width. The one walk of a CSV
-    file's chunks, for the serial reader and the forked parser alike."""
-    expected = None
-    i0 = 0
-    lines, linenos = [], []
-    for lineno, line in enumerate(_csv_lines(path), start=1):
-        if not line.strip():
-            continue
-        if expected is None:
-            # The first line sets the width and the chunk size.
-            expected = _parse_csv_line(line, lineno, None).size
-            step = step or sketch.per_tile(expected)
-        lines.append(line)
-        linenos.append(lineno)
-        if len(lines) == step:
-            yield i0, lines, linenos, expected
-            i0 += step
-            lines, linenos = [], []
-    if lines:
-        yield i0, lines, linenos, expected
+def _chunk_rows(fh, k: int, step: int, cols: int, marks: list) -> Tuple[list[str], list[int]]:
+    """Chunk k's non-blank lines and their line numbers (``_csv_rows``),
+    read from the text handle fh of a file of ``cols`` columns: from the
+    probe's mark at or before the chunk's first row (``matrix_shape``),
+    past the rows between the two."""
+    i0, tile = k * step, sketch.per_tile(cols)
+    at, lineno = marks[i0 // tile]
+    fh.seek(at)
+    return _csv_rows(fh, lineno, step, i0 % tile)
 
 
 # How many chunks the forked parser may hold claimed that the release has
@@ -239,43 +272,44 @@ def _slot_at(slot: int, step: int, cols: int) -> int:
     return 8 * (1 + slot * step * cols)
 
 
-def _claim(fd: int, k: Optional[int] = None) -> Optional[int]:
-    """Claim the first chunk no process has claimed, or chunk k only where
-    it is that one; the chunk claimed, or None. The count of claimed chunks,
-    at offset 0 of the shared file fd (it reads 0 before anyone writes it),
-    is read and moved under a record lock on fd, which the kernel drops if
-    its holder dies, so a parser that dies in a claim stalls no release."""
+def _claim(fd: int) -> int:
+    """Claim the first chunk no process has claimed; the chunk claimed. The
+    count of claimed chunks, at offset 0 of the shared file fd (it reads 0
+    before anyone writes it), is read and moved under a record lock on fd,
+    which the kernel drops if its holder dies, so a parser that dies in a
+    claim stalls no release."""
     os.lockf(fd, os.F_LOCK, 0)
     try:
         first = int.from_bytes(os.pread(fd, 8, 0), "little")
-        if k is not None and k != first:
-            return None
         os.pwrite(fd, (first + 1).to_bytes(8, "little"), 0)
         return first
     finally:
         os.lockf(fd, os.F_ULOCK, 0)
 
 
-def _parse_claimed_chunks(path: str, step: int, fd: int, slots: int, reports: int) -> None:
-    """The forked parser's work, on one thread: walk the chunks of ``path``
-    and claim each one no process has claimed yet (``_claim``), taking a
-    free block slot (a token read from ``slots``) before each claim, so
-    that it holds at most ``_RUN_AHEAD`` chunks the release has not taken.
-    Each claimed chunk is parsed in bulk and its block written to the
-    slot's place in the shared file fd; then the chunk, its rows (-1 where
-    the bulk parse refused it) and the slot are reported on ``reports``."""
-    slot = b""
-    for i0, lines, _linenos, expected in _csv_line_chunks(path, step):
-        slot = slot or os.read(slots, 1)
-        if not slot:
-            return  # the release is gone
-        if _claim(fd, i0 // step) is None:
-            continue
-        block = _bulk_csv_chunk(lines, expected)
-        if block is not None and os.pwrite(fd, block, _slot_at(slot[0], step, expected)) != block.nbytes:
-            raise OSError("short write to a block slot")
-        os.write(reports, _REPORT.pack(i0 // step, -1 if block is None else len(lines), slot[0]))
-        slot = b""
+def _parse_claimed_chunks(path: str, step: int, shape: Tuple[int, int], marks: list,
+                          fd: int, slots: int, reports: int) -> None:
+    """The forked parser's work, on one thread: take a free block slot (a
+    token read from ``slots``), so that it holds at most ``_RUN_AHEAD``
+    chunks the release has not taken, then claim the first chunk no
+    process has claimed (``_claim``), until a claim falls past the last
+    chunk. Each claimed chunk is read from its mark (``_chunk_rows``),
+    parsed in bulk and its block written to the slot's place in the shared
+    file fd; then the chunk, its rows (-1 where the bulk parse refused it)
+    and the slot are reported on ``reports``."""
+    rows, cols = shape
+    with open(path, "r") as fh:
+        while True:
+            slot = os.read(slots, 1)
+            if not slot:
+                return  # the release is gone
+            k = _claim(fd)
+            if k * step >= rows:
+                return
+            block = _bulk_csv_chunk(_chunk_rows(fh, k, step, cols, marks)[0], cols)
+            if block is not None and os.pwrite(fd, block, _slot_at(slot[0], step, cols)) != block.nbytes:
+                raise OSError("short write to a block slot")
+            os.write(reports, _REPORT.pack(k, -1 if block is None else len(block), slot[0]))
 
 
 def _receive_block(fd: int, reports: int, k: int, cols: int, step: int):
@@ -299,42 +333,41 @@ def _receive_block(fd: int, reports: int, k: int, cols: int, step: int):
 
 
 def _forked_csv_chunks(
-    path: str, step: int, execution: dict
+    path: str, step: int, shape: Tuple[int, int], marks: list, execution: dict
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """``iter_matrix_chunks(path, "csv", step)``, with the chunks parsed by
     this process and a forked child, each chunk by whichever is free to
-    claim it.
+    claim it. ``shape`` and ``marks`` are the file's probe
+    (``matrix_shape``): a process reads a chunk from its mark
+    (``_chunk_rows``), and reads no line of a chunk it does not parse.
 
-    Both walk the same chunks (``_csv_line_chunks``) and claim them in row
-    order from one count in a memfd they share (``_claim``); this process
-    claims chunk 0 before it forks. The child, on one thread, takes a free
-    block slot before each claim, claims each chunk it walks to that is
-    still unclaimed, and parses it with ``_bulk_csv_chunk``, the call the
-    serial reader makes, so every block is the serial one, bit for bit. It
-    writes the block into its slot in the memfd and reports the chunk on a
-    pipe. This process yields the chunks in row order: its next one from the
-    child where a report is ready to read (``_receive_block`` copies the
-    block out of its slot and the slot goes back to the child); else it
-    claims the first unclaimed chunk. That is its next chunk, or a later
-    one, which it parses in bulk while the child finishes the next: it
-    then drops the next chunk's lines, and holds at most that one block
-    ahead, so it holds no more than the serial reader, one chunk's lines
-    and one block. A chunk the child refuses is parsed here by
-    ``_parse_csv_chunk`` (from a fresh walk of the lines where they were
-    dropped), so a fault is found at the same point of the stream and named
-    as the serial reader names it. Where the child's reports end (it died)
-    or one is not for the chunk, this chunk and every later one are parsed
-    here; where no child can be forked, every chunk is, and the release's
-    ``execution`` record says its ``csv_reader`` was serial. Its
-    ``parser_chunks`` counts the blocks the child supplied. The child never
-    prints; it is killed, if still running, and reaped when the walk ends,
-    however it ends, and the memfd and pipes are closed. Close the walk to
-    end it early. A fork took 1.5 ms on a 2-core Xeon, where a spawned
-    interpreter that imports numpy takes about 67 ms.
+    Both claim chunks in row order from one count in a memfd they share
+    (``_claim``); this process claims chunk 0 before it forks. The child,
+    on one thread, takes a free block slot before each claim, claims the
+    first unclaimed chunk and parses it with ``_bulk_csv_chunk``, the call
+    the serial reader makes, so every block is the serial one, bit for
+    bit. It writes the block into its slot in the memfd and reports the
+    chunk on a pipe. This process yields the chunks in row order: its next
+    one from the child where a report is ready (``_receive_block`` copies
+    the block out of its slot and the slot goes back to the child); else
+    it claims the first unclaimed chunk: its next one, or a later one,
+    which it parses in bulk while the child finishes the next, and holds
+    as the one block ahead. A chunk the child refuses is read again and
+    parsed here by ``_parse_csv_chunk``, so a fault is found at the same
+    point of the stream and named as the serial reader names it. Where the
+    child's reports end (it died) or one is not for the chunk, this chunk
+    and every later one are parsed here; where no child can be forked,
+    every chunk is, and the release's ``execution`` record says its
+    ``csv_reader`` was serial. Its ``parser_chunks`` counts the blocks the
+    child supplied. The child never prints; it is killed, if still
+    running, and reaped when the walk ends, however it ends, and the memfd
+    and pipes are closed. Close the walk to end it early. A fork took 1.5
+    ms on a 2-core Xeon, where a spawned interpreter that imports numpy
+    takes about 67 ms.
     """
+    rows, cols = shape
+    chunks = -(-rows // step)
     fds, pid = [], None  # what this process closes, and the child
-    # This process's walk of the lines and the chunks it gave.
-    walk, at = None, 0
     try:
         try:
             shared = os.memfd_create("dpsketch-csv")
@@ -356,7 +389,7 @@ def _forked_csv_chunks(
             try:
                 os.close(reports[0])
                 os.close(slots[1])
-                _parse_claimed_chunks(path, step, shared, slots[0], reports[1])
+                _parse_claimed_chunks(path, step, shape, marks, shared, slots[0], reports[1])
                 code = 0
             finally:
                 os._exit(code)
@@ -365,60 +398,26 @@ def _forked_csv_chunks(
         fds.remove(reports[1])
         os.close(reports[1])
         reports = reports[0]
-
-        def lines_of(k: int):
-            # Chunk k's (i0, lines, linenos, expected), None past the last;
-            # a walk that has passed chunk k starts again.
-            nonlocal walk, at
-            if walk is None or at > k:
-                if walk is not None:
-                    walk.close()
-                walk, at = _csv_line_chunks(path, step), 0
-            for chunk in walk:
-                at += 1
-                if at > k:
-                    return chunk
-                del chunk  # a chunk passed over is not held while the next is read
-            return None
-
-        def parse_ahead(m: int) -> Optional[np.ndarray]:
-            nonlocal walk, at
-            try:
-                chunk = lines_of(m)
-            except FormatError:
-                # A fault in the lines before chunk m: raised again at its
-                # own chunk, from a fresh walk.
-                walk, at = None, 0
-                return None
-            if chunk is None:
-                return None
-            block = _bulk_csv_chunk(chunk[1], chunk[3])
-            chunk[1].clear()  # its lines go, before the next chunk's block comes
-            return block
-
+        # Is a report ready? (poll: select refuses an fd of 1024 or more. A
+        # poll object makes its fd array at its first call, here, before chunk 0.)
+        ready = select.poll()
+        ready.register(reports, select.POLLIN)
+        ready.poll(0)
         ahead = None  # (m, block): the chunk claimed past the next one; block None if not parsed
-        for k in itertools.count():
-            chunk = block = None
-            mine = reports is None or k == 0
-            if ahead is not None and ahead[0] == k:
-                block, ahead, mine = ahead[1], None, True
-            else:
-                if at <= k:  # else the walk passed chunk k in a claim ahead
-                    chunk = lines_of(k)
-                    if chunk is None:
-                        return
-                    expected = chunk[3]
-                # Is a report ready? (select: a poll object would make its
-                # fd array at its first call, and hold it past chunk 0.)
-                if not mine and ahead is None and not select.select([reports], [], [], 0)[0]:
+        with open(path, "r") as fh:
+            for k in range(chunks):
+                block, mine = None, reports is None or k == 0
+                if ahead is not None and ahead[0] == k:
+                    block, ahead, mine = ahead[1], None, True
+                elif not mine and ahead is None and not ready.poll(0):
                     m = _claim(shared)
                     mine = m == k
-                    if not mine:
-                        chunk = None  # waiting on the child: these lines go
-                        ahead = (m, parse_ahead(m))
+                    if not mine:  # the child holds chunk k: parse chunk m while it finishes
+                        ahead = (m, None if m >= chunks else
+                                 _bulk_csv_chunk(_chunk_rows(fh, m, step, cols, marks)[0], cols))
                 if not mine:
                     try:
-                        block, slot = _receive_block(shared, reports, k, expected, step)
+                        block, slot = _receive_block(shared, reports, k, cols, step)
                     except EOFError:
                         fds.remove(reports)
                         os.close(reports)
@@ -426,16 +425,10 @@ def _forked_csv_chunks(
                     else:
                         os.write(slots[1], bytes([slot]))
                         execution["parser_chunks"] += block is not None
-            if block is None:
-                chunk = chunk or lines_of(k)
-                if chunk is None:
-                    return
-                block = _parse_csv_chunk(*chunk[1:])
-            del chunk  # as in iter_matrix_chunks
-            yield k * step, block
+                if block is None:
+                    block = _parse_csv_chunk(*_chunk_rows(fh, k, step, cols, marks), cols)
+                yield k * step, block
     finally:
-        if walk is not None:
-            walk.close()
         for fd in fds:
             os.close(fd)
         if pid:
@@ -537,14 +530,16 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
     it can recompute the release from a candidate input.
     """
     paths = [cfg.input] + ([cfg.input_b] if "input_b" in cfg else [])
-    rows, cols = zip(*(matrix_shape(path, cfg.fmt) for path in paths))
+    marks = []  # where each tile of --input's CSV rows starts
+    rows, cols = zip(*(matrix_shape(path, cfg.fmt, None if i else marks)
+                       for i, path in enumerate(paths)))
     if len(set(rows)) > 1:
         raise DPSketchError(f"row counts differ: A has {rows[0]}, B has {rows[1]}")
     state = _state(cfg, rows[0], *cols)
     plan = sketch.plan_release(cfg.command, cfg.fmt, rows[0], cols, state.sketcher.r,
                                sketch._usable_cpus(), sketch._blas_thread_fns() is not None,
                                _can_fork())
-    with _release_chunks(plan, paths, cfg.fmt) as (chunks, execution):
+    with _release_chunks(plan, paths, cfg.fmt, (rows[0], cols[0]), marks) as (chunks, execution):
         rel = command(state, chunks)
     report = {"params": {k: v for k, v in vars(cfg).items() if k != "seed"},
               "error_vs_oracle": None, "space_entries": rel.state.space_entries(),
@@ -572,15 +567,18 @@ def _can_fork() -> bool:
 
 
 @contextlib.contextmanager
-def _release_chunks(plan: sketch.ReleasePlan, paths: list[str], fmt: str):
+def _release_chunks(plan: sketch.ReleasePlan, paths: list[str], fmt: str,
+                    shape: Tuple[int, int], marks: list):
     """The chunks (i0, rows[, rows_b]) of a release's inputs, read in
     lockstep, ``plan.chunk_rows`` rows each, and its ``execution`` record,
     with the plan applied (``sketch._plan_scope``) until the scope ends.
-    A forked reader's child is reaped when the scope ends."""
+    ``shape`` and ``marks`` are the first input's probe (``matrix_shape``),
+    by which a forked reader reads its chunks. A forked reader's child is
+    reaped when the scope ends."""
     with sketch._plan_scope(plan) as execution, contextlib.ExitStack() as scope:
         if execution["csv_reader"] == "forked":
             streams = [scope.enter_context(contextlib.closing(
-                _forked_csv_chunks(paths[0], plan.chunk_rows, execution)))]
+                _forked_csv_chunks(paths[0], plan.chunk_rows, shape, marks, execution)))]
         else:
             streams = [iter_matrix_chunks(path, fmt, plan.chunk_rows) for path in paths]
         yield _in_lockstep(streams), execution

@@ -1,12 +1,16 @@
 import argparse
+import fcntl
 import itertools
 import json
 import os
+import random
 import re
+import resource
 import signal
 import struct
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -595,14 +599,50 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _probe(path):
+    """The (rows, cols) shape and the marks of a CSV file, as a release
+    probes it (``cli.matrix_shape``)."""
+    marks = []
+    return cli.matrix_shape(str(path), "csv", marks), marks
+
+
+class _NeverReady:
+    # A poll object that finds no report ready.
+    def register(self, fd, events):
+        pass
+
+    def poll(self, timeout):
+        return []
+
+
+def _newline_csv(path, seed, endings, lead, bad=None):
+    """13 rows of 3 entries, each line ended by a seeded choice of
+    ``endings``, with blank and whitespace-only lines (empty, " ", "\\t",
+    "\\x1c", U+3000) between rows at random, and one before the first where
+    ``lead``; ``bad`` = (row, text) replaces that row's line."""
+    rng = random.Random(seed)
+    out = ["\n"] if lead else []
+    for i, row in enumerate(np.random.default_rng(seed).standard_normal((13, 3)).tolist()):
+        line = bad[1] if bad is not None and bad[0] == i else ",".join(map(repr, row))
+        out.append(line + rng.choice(endings))
+        if rng.random() < 0.4:
+            out.append(rng.choice(["", " ", "\t", "\x1c", "\u3000"]) + rng.choice(endings))
+    Path(path).write_bytes("".join(out).encode())
+
+
+# (id, line endings, leading blank line): the newline table.
+_NEWLINES = [("crlf", ["\r\n"], False), ("bare-cr", ["\r"], False),
+             ("mixed", ["\n", "\r\n", "\r"], False), ("leading-blank", ["\n"], True)]
+
+
 @pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork, os.memfd_create and Python below 3.12")
 class TestForkedCsvReader:
     """The two-process CSV read of a release (cli._release_chunks under a
     plan that forks it, BLAS on one thread): the release and a forked child
-    each parse the chunks they claim, and the blocks, faults and line
-    numbers are the serial reader's, whichever process parses a chunk.
-    Where a test needs one process to parse a chunk, it slows the other
-    one's walk of the lines (``_slow_walk``)."""
+    each read the chunks they claim from the shape probe's marks and parse
+    them, and the blocks, faults and line numbers are the serial reader's,
+    whichever process parses a chunk. Where a test needs one process to
+    parse a chunk, it makes the other one late on each chunk (``_slow``)."""
 
     STEP = 4  # rows a chunk
     PLAN = sketch.ReleasePlan(cpus=2, one_blas=True, walk="serial", csv_reader="forked",
@@ -618,9 +658,9 @@ class TestForkedCsvReader:
         self.forks = []
         original = cli._forked_csv_chunks
 
-        def spy(path, step, execution):
+        def spy(path, step, *probe_and_record):
             self.forks.append(step)
-            return original(path, step, execution)
+            return original(path, step, *probe_and_record)
 
         monkeypatch.setattr(cli, "_forked_csv_chunks", spy)
         self.parent = os.getpid()
@@ -638,19 +678,29 @@ class TestForkedCsvReader:
     def _in_child(self):
         return os.getpid() != self.parent
 
-    def _slow_walk(self, monkeypatch, parses):
-        # The process that is not to parse (the release where the parser
-        # "parses", else the parser) walks each chunk's lines 30 ms late: the
-        # parser then supplies every chunk past the release's first, or none.
-        original = cli._csv_line_chunks
+    def _slow(self, monkeypatch, parses):
+        # The process that is not to parse is 30 ms late on each chunk: the
+        # release (where the parser "parses") before it takes its next one,
+        # the parser before each claim. The parser then supplies every chunk
+        # past the release's first, or none.
+        if parses == "parser":
+            original = cli._in_lockstep
 
-        def walk(path, step):
-            for chunk in original(path, step):
-                if self._in_child() == (parses == "release"):
+            def late(streams):
+                for chunk in original(streams):
+                    yield chunk
                     time.sleep(0.03)
-                yield chunk
 
-        monkeypatch.setattr(cli, "_csv_line_chunks", walk)
+            monkeypatch.setattr(cli, "_in_lockstep", late)
+            return
+        original_claim = cli._claim
+
+        def claim(fd):
+            if self._in_child():
+                time.sleep(0.03)
+            return original_claim(fd)
+
+        monkeypatch.setattr(cli, "_claim", claim)
 
     def _read(self, path, step=STEP):
         # [(i0, block)] as a release reads them, and its FormatError text;
@@ -658,7 +708,7 @@ class TestForkedCsvReader:
         got = []
         plan = self.PLAN._replace(chunk_rows=step)
         try:
-            with cli._release_chunks(plan, [str(path)], "csv") as (chunks, self.execution):
+            with cli._release_chunks(plan, [str(path)], "csv", *_probe(path)) as (chunks, self.execution):
                 for i0, block in chunks:
                     got.append((i0, block))
         except FormatError as exc:
@@ -695,7 +745,7 @@ class TestForkedCsvReader:
         for slowed in (False, True):
             with monkeypatch.context() as patch:
                 if slowed:
-                    self._slow_walk(patch, "parser")
+                    self._slow(patch, "parser")
                 got, err = self._read(p)
             assert err is None
             assert self._same(got, want) and self.execution["csv_reader"] == "forked"
@@ -722,7 +772,7 @@ class TestForkedCsvReader:
         for parses, supplied in (("parser", {4, 8, 12, 16}), ("release", set())):
             self.taken.clear()
             with monkeypatch.context() as patch:
-                self._slow_walk(patch, parses)
+                self._slow(patch, parses)
                 got, err = self._read(p)
             assert err is None
             assert {i0 for i0, refused in self.taken if not refused} == supplied
@@ -745,11 +795,67 @@ class TestForkedCsvReader:
         for parses in ("parser", "release"):
             self.taken.clear()
             with monkeypatch.context() as patch:
-                self._slow_walk(patch, parses)
+                self._slow(patch, parses)
                 got, err = self._read(p)
             assert err == want_err and self._same(got, want)
             assert ((row // self.STEP * self.STEP, True) in self.taken) == (parses == "parser")
         assert self.forks == [self.STEP] * 2
+
+    @pytest.mark.parametrize("name, endings, lead", _NEWLINES, ids=[row[0] for row in _NEWLINES])
+    def test_newlines_and_blank_lines_are_the_serial_readers(self, tmp_path, monkeypatch,
+                                                             name, endings, lead):
+        # Chunks of 3 rows, with a mark at every row or every 4 (so that most
+        # chunks start between marks), read by the parser past the first
+        # chunk, then by the release alone: the blocks, the line numbers and
+        # a fault's message are the serial reader's.
+        p = tmp_path / "m.csv"
+        for tile_entries in (3, 12):
+            monkeypatch.setattr(sketch, "TILE_ENTRIES", tile_entries)
+            for bad in (None, (7, "1,nan,3")):
+                _newline_csv(p, 17, endings, lead, bad)
+                want, want_err = self._serial(p, 3)
+                assert (want_err is None) == (bad is None)
+                (rows, cols), marks = _probe(p)
+                with open(p) as fh:
+                    lines, linenos = cli._csv_rows(fh, 1, rows)
+                    wanted = [(lines[i:i + 3], linenos[i:i + 3]) for i in range(0, rows, 3)]
+                    assert [cli._chunk_rows(fh, k, 3, cols, marks)
+                            for k in range(len(wanted))] == wanted
+                for parses in ("parser", "release"):
+                    with monkeypatch.context() as patch:
+                        self._slow(patch, parses)
+                        got, err = self._read(p, 3)
+                    assert err == want_err and self._same(got, want)
+
+    def test_a_read_that_splits_bytes_on_lf_fails_on_bare_cr(self, tmp_path, monkeypatch):
+        # Negative control of the newline table: a read that splits the
+        # file's bytes on b"\n" gives the serial blocks where every line
+        # ends in "\n" ("\r\n" too), and not where a line ends in a bare "\r".
+        def split_on_lf(fh, lineno, count, skip=0):
+            lines, linenos = [], []
+            for raw in iter(fh.buffer.readline, b""):
+                line = raw.decode()
+                if line.strip():
+                    if skip:
+                        skip -= 1
+                    else:
+                        lines.append(line)
+                        linenos.append(lineno)
+                        if len(lines) == count:
+                            break
+                lineno += 1
+            return lines, linenos
+
+        same = {}
+        for name, endings, lead in _NEWLINES:
+            p = tmp_path / f"{name}.csv"
+            _newline_csv(p, 17, endings, lead)
+            want, _ = self._serial(p, 3)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_csv_rows", split_on_lf)
+                got, err = self._read(p, 3)
+            same[name] = err is None and self._same(got, want)
+        assert same == {"crlf": True, "bare-cr": False, "mixed": False, "leading-blank": True}
 
     @pytest.mark.parametrize("how", ["before-writing", "mid-block"])
     def test_a_child_that_dies_gives_the_serial_blocks(self, tmp_path, monkeypatch, how):
@@ -771,21 +877,20 @@ class TestForkedCsvReader:
         monkeypatch.setattr(os, "pwrite", dying)
         # The release is slowed, so the child claims chunks, and dies
         # writing the first to its slot, before reporting it.
-        self._slow_walk(monkeypatch, "parser")
+        self._slow(monkeypatch, "parser")
         got, err = self._read(p)
         want, _ = self._serial(p)
         assert err is None and self.forks == [self.STEP]
         assert self._same(got, want) and self.execution["parser_chunks"] == 0
 
-    def test_a_last_chunk_walked_past_comes_from_the_child(self, tmp_path, monkeypatch):
+    def test_a_claim_past_the_last_chunk_leaves_it_to_the_child(self, tmp_path, monkeypatch):
         # 10 rows: the child claims chunks 1 and 2 (2 rows) while the
-        # release walks slowly, and writes chunk 2 to its slot late, so the
-        # release, at chunk 2, claims past the last chunk, walks to the
-        # end, and then takes both from the child, the last at its own row
-        # count.
+        # release is slowed, and writes chunk 2 to its slot late, so the
+        # release, at chunk 2, claims past the last chunk, and then takes
+        # both from the child, the last at its own row count.
         p = tmp_path / "m.csv"
         _mixed_csv(p, np.random.default_rng(10).standard_normal((10, 3)))
-        self._slow_walk(monkeypatch, "parser")
+        self._slow(monkeypatch, "parser")
         original = os.pwrite
 
         def late(fd, data, offset):
@@ -801,78 +906,159 @@ class TestForkedCsvReader:
         assert err is None and self._same(got, want)
         assert self.taken == [(4, False), (8, False)] and self.execution["parser_chunks"] == 2
 
-    def test_a_claim_two_chunks_ahead_walks_the_lines_once(self, tmp_path, monkeypatch):
-        # 22 rows: chunks 0-4 of 4 rows and chunk 5 of 2. The release sees
-        # no report ready and claims late, by which time the child has
-        # reported the next chunk and claimed the one after: at chunk 1 the
-        # release claims chunk 3, at chunk 4 it claims past the last. It
-        # takes chunks 1, 2, 4 and 5 from the child, the last at its own
-        # row count, without walking back to them: its one walk goes on.
+    def test_each_chunk_is_read_once_by_the_process_that_parses_it(self, tmp_path, monkeypatch):
+        # 22 rows: chunks 0-4 of 4 rows and chunk 5 of 2, a mark at each
+        # chunk, and in chunk 2 a row that only float() reads, so the
+        # child refuses it. The release sees no report ready and claims
+        # late, by which time the child has reported the next chunk and
+        # claimed the one after: at chunk 1 the release claims chunk 3, at
+        # chunk 4 it claims past the last. It takes chunks 1, 2, 4 and 5
+        # from the child, the last at its own row count. The child reads
+        # the lines of chunks 1, 2, 4 and 5 and the release those of chunks
+        # 0 and 3, and of chunk 2 a second time: no process reads a line of
+        # a chunk it does not parse. Negative control: a read that walks to
+        # its chunk from the top of the file.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)  # a mark every 4 rows of 3
         p = tmp_path / "m.csv"
-        _mixed_csv(p, np.random.default_rng(14).standard_normal((22, 3)))
+        _mixed_csv(p, np.random.default_rng(14).standard_normal((22, 3)), (9, "1_0,2,3"))
         want, _ = self._serial(p)
-        monkeypatch.setattr(cli.select, "select", lambda *fds: ([], [], []))
+        with open(p) as fh:
+            _lines, linenos = cli._csv_rows(fh, 1, 22)
+        spans = [range(linenos[i], linenos[min(i + 3, 21)] + 1) for i in range(0, 22, 4)]
+        monkeypatch.setattr(cli.select, "poll", _NeverReady)
         claimed, original_claim = [], cli._claim
 
-        def claim(fd, k=None):
+        def claim(fd):
             if not self._in_child() and claimed:
                 time.sleep(0.2)
-            got = original_claim(fd, k)
+            got = original_claim(fd)
             if not self._in_child():
                 claimed.append(got)
             return got
 
         monkeypatch.setattr(cli, "_claim", claim)
-        walks, original_walk = [], cli._csv_line_chunks
+        original_read = cli._csv_rows
 
-        def walk(path, step):
-            if not self._in_child():
-                walks.append(path)
-            return original_walk(path, step)
+        def from_the_top(fh, lineno, count, skip=0):
+            fh.seek(0)
+            for _ in range(lineno - 1):
+                fh.readline()
+            return original_read(fh, lineno, count, skip)
 
-        monkeypatch.setattr(cli, "_csv_line_chunks", walk)
-        got, err = self._read(p)
-        assert err is None and self._same(got, want)
-        assert claimed == [0, 3, 6]
-        assert self.taken == [(4, False), (8, False), (16, False), (20, False)]
-        assert len(walks) == 1
+        def reads(read):
+            # The lines each process read, with how often it read each.
+            log = tmp_path / "reads"
+            log.write_text("")
 
-    def test_a_fault_met_walking_ahead_is_the_serial_readers(self, tmp_path, monkeypatch):
-        # 200 x 200 in 40-row chunks, with one 0xff byte in row 100, in the
-        # middle of chunk 2. The child parses chunk 1 for 0.2 s and the
-        # release walks slowly, so the release claims chunk 2 while it
-        # waits, and meets the fault in its walk ahead to it: it gives
-        # chunks 0 and 1 and then fails at chunk 2, as the serial reader
-        # does.
+            def counted(fh, lineno, count, skip=0):
+                n = [0]
+
+                class Handle:
+                    def readline(self):
+                        line = fh.readline()
+                        n[0] += bool(line)
+                        return line
+
+                    def seek(self, at):
+                        return fh.seek(at)
+
+                got = read(Handle(), lineno, count, skip)
+                with open(log, "a") as out:
+                    out.write(f"{'child' if self._in_child() else 'release'} {lineno} {n[0]}\n")
+                return got
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_csv_rows", counted)
+                self.taken.clear()
+                claimed.clear()
+                got, err = self._read(p)
+            assert err is None and self._same(got, want)
+            assert claimed == [0, 3, 6]
+            assert self.taken == [(4, False), (8, True), (16, False), (20, False)]
+            seen = {"child": Counter(), "release": Counter()}
+            for entry in log.read_text().splitlines():
+                who, lineno, n = entry.split()
+                seen[who].update(range(int(lineno), int(lineno) + int(n)))
+            return seen
+
+        def lines_of(*chunks):
+            return Counter(line for k in chunks for line in spans[k])
+
+        assert reads(original_read) == {"child": lines_of(1, 2, 4, 5), "release": lines_of(0, 3, 2)}
+        assert reads(from_the_top) != {"child": lines_of(1, 2, 4, 5), "release": lines_of(0, 3, 2)}
+
+    def test_a_file_that_is_not_text_fails_in_the_probe(self, tmp_path, monkeypatch, capsys):
+        # 200 x 200 with one 0xff byte in row 100: the shape probe reads
+        # every line as text, so a release on one CPU, and one whose plan
+        # forks its reader (chunks of 4 rows here), exits 1 with the serial
+        # reader's message before it ingests a row or forks. Negative
+        # control: a probe that counts the lines in bytes lets the release
+        # ingest the rows before the fault.
+        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
         p = tmp_path / "m.csv"
         write_csv(p, np.random.default_rng(13).standard_normal((200, 200)))
         data = bytearray(p.read_bytes())
         data[sum(map(len, data.splitlines(keepends=True)[:100])) + 5] = 0xFF
         p.write_bytes(data)
-        want, want_err = self._serial(p, 40)
-        assert len(want) == 2 and want_err.startswith("CSV input is not text")
-        original = cli._bulk_csv_chunk
+        _, want_err = self._serial(p)
+        assert want_err.startswith("CSV input is not text")
+        ingested = []
+        original = LraState.ingest_rows
 
-        def slow(lines, expected):
-            if self._in_child():
-                time.sleep(0.2)
-            return original(lines, expected)
+        def spy(state, i0, block):
+            ingested.append(i0)
+            return original(state, i0, block)
 
-        monkeypatch.setattr(cli, "_bulk_csv_chunk", slow)
-        self._slow_walk(monkeypatch, "parser")
-        claimed, original_claim = [], cli._claim
+        monkeypatch.setattr(LraState, "ingest_rows", spy)
+        argv = ["lra", "--input", str(p), "--rank", "1", "--oversample", "2", "--eps", "1",
+                "--delta", "0.01", "--seed", "0", "--report", str(tmp_path / "r.json")]
 
-        def claim(fd, k=None):
-            got = original_claim(fd, k)
-            if not self._in_child():
-                claimed.append(got)
-            return got
+        def release(cpus):
+            monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
+            ingested.clear()
+            code = cli.main(argv)
+            _no_child_left()
+            return code, capsys.readouterr().err
 
-        monkeypatch.setattr(cli, "_claim", claim)
-        got, err = self._read(p, 40)
-        assert err == want_err and self._same(got, want)
-        # The release claimed chunk 0 and then chunk 2, ahead.
-        assert claimed == [0, 2] and self.forks == [40]
+        for cpus in (1, 2):
+            assert release(cpus) == (1, f"error: {want_err}\n") and ingested == []
+        assert self.forks == []
+
+        def byte_probe(path, fmt, marks=None):
+            with open(path, "rb") as fh:
+                lines = [line for line in fh if line.strip()]
+            return len(lines), lines[0].count(b",") + 1
+
+        monkeypatch.setattr(cli, "matrix_shape", byte_probe)
+        assert release(1) == (1, f"error: {want_err}\n") and ingested
+
+    def test_a_reports_pipe_on_a_high_fd_is_read(self, tmp_path, monkeypatch):
+        # The reader's pipes moved onto fds above 1024, which select()
+        # refuses: the release still reads the child's blocks, and closes
+        # the fds.
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+            pytest.skip("the open-file limit is below 1200")
+        p = tmp_path / "m.csv"
+        _mixed_csv(p, np.random.default_rng(15).standard_normal((24, 3)))
+        high, original_pipe = [], os.pipe
+
+        def pipe():
+            fds = []
+            for fd in original_pipe():
+                fds.append(fcntl.fcntl(fd, fcntl.F_DUPFD_CLOEXEC, 1100))
+                os.close(fd)
+            high.extend(fds)
+            return tuple(fds)
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        self._slow(monkeypatch, "parser")
+        got, err = self._read(p)
+        want, _ = self._serial(p)
+        assert len(high) == 4 and min(high) >= 1024
+        assert err is None and self._same(got, want) and self.execution["parser_chunks"] == 5
+        for fd in high:
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
     def test_a_failed_fork_gives_the_serial_blocks(self, tmp_path, monkeypatch):
         p = tmp_path / "m.csv"
@@ -890,58 +1076,66 @@ class TestForkedCsvReader:
 
     @staticmethod
     def _chunk_peak(chunks):
-        # The most tracemalloc saw held while a chunk after the first was
-        # read, beyond what was held once the first one was. (Not beyond
-        # what was held before each chunk: a reader that drops a chunk's
-        # lines early would then be charged for the next chunk's in full.)
+        # (fixed, peak): what the reader holds once it has yielded the first
+        # chunk, but for that chunk's block (its fixed state: a file handle,
+        # pipes, a poll object), and the most tracemalloc saw held while a
+        # chunk after the first was read, the fixed state included.
         peaks = []
         tracemalloc.start()
         try:
             it = iter(chunks)
             item = next(it)
-            base = tracemalloc.get_traced_memory()[0]
+            fixed = tracemalloc.get_traced_memory()[0] - item[1].nbytes
             while item is not None:
                 tracemalloc.reset_peak()
                 item = next(it, None)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        return max(peaks)
+        return fixed, max(peaks)
 
     def test_the_parent_holds_no_more_than_the_serial_reader(self, tmp_path, monkeypatch):
         # One chunk's lines and one block at a time: no more than the
-        # serial reader holds. Negative control: a line walk that keeps the
-        # chunk before the current one holds more.
+        # serial reader holds, but for the reader's fixed state, measured
+        # apart. As it falls, and with the parser slowed, so that the
+        # release parses every chunk. Negative control: a read that keeps a
+        # chunk's lines while the next chunk's are read holds more than the
+        # serial reader and that fixed state.
         p = tmp_path / "m.csv"
         write_csv(p, np.random.default_rng(9).standard_normal((240, 200)))
+        probe = _probe(p)
 
         def forked_peak():
             plan = self.PLAN._replace(chunk_rows=40)
-            with cli._release_chunks(plan, [str(p)], "csv") as (chunks, _execution):
+            with cli._release_chunks(plan, [str(p)], "csv", *probe) as (chunks, _execution):
                 return self._chunk_peak(chunks)
 
-        serial = self._chunk_peak(cli.iter_matrix_chunks(str(p), "csv", 40))
-        assert forked_peak() <= serial
-        original = cli._csv_line_chunks
+        _, serial = self._chunk_peak(cli.iter_matrix_chunks(str(p), "csv", 40))
+        fixed, peak = forked_peak()
+        assert peak <= serial + fixed
+        self._slow(monkeypatch, "release")
+        fixed, peak = forked_peak()
+        assert peak <= serial + fixed
+        original, held = cli._csv_rows, []
 
-        def holding(path, step):
-            held = []
-            for chunk in original(path, step):
-                held = [held[-1], chunk] if held else [chunk]
-                yield chunk
+        def holding(*args):
+            got = original(*args)
+            held[:] = [got]  # until the next read has returned
+            return got
 
-        monkeypatch.setattr(cli, "_csv_line_chunks", holding)
-        assert forked_peak() > serial
-        assert self.forks == [40, 40]
+        monkeypatch.setattr(cli, "_csv_rows", holding)
+        assert forked_peak()[1] > serial + fixed
+        assert self.forks == [40, 40, 40]
 
     def test_a_walk_left_early_leaves_no_child(self, tmp_path):
         p = tmp_path / "m.csv"
         _mixed_csv(p, np.random.default_rng(6).standard_normal((24, 3)))
-        with cli._release_chunks(self.PLAN, [str(p)], "csv") as (chunks, _execution):
+        probe = _probe(p)
+        with cli._release_chunks(self.PLAN, [str(p)], "csv", *probe) as (chunks, _execution):
             assert next(chunks)[0] == 0
         _no_child_left()
         with pytest.raises(RuntimeError):
-            with cli._release_chunks(self.PLAN, [str(p)], "csv") as (chunks, _execution):
+            with cli._release_chunks(self.PLAN, [str(p)], "csv", *probe) as (chunks, _execution):
                 for i0, _block in chunks:
                     if i0:
                         raise RuntimeError("the consumer stops at chunk 1")
@@ -979,7 +1173,7 @@ class TestForkedCsvReader:
         for parses in ("parser", "release"):
             self.taken.clear()
             with monkeypatch.context() as patch:
-                self._slow_walk(patch, parses)
+                self._slow(patch, parses)
                 code, err, rows_in = release(2)
             assert ((row // 16 * 16, True) in self.taken) == (parses == "parser")
             assert code == code1 == 1
@@ -988,34 +1182,36 @@ class TestForkedCsvReader:
         assert self.forks == [16, 16]
 
 
-def _alternating_csv_chunks(path, step, execution):
+def _alternating_csv_chunks(path, step, shape, marks, execution):
     # The fixed split the forked reader took before chunks went to whichever
     # process is free: a forked child parses every odd chunk and this
     # process every even one. The balance tests' negative control; it reads
-    # clean inputs only. The child sends each of its blocks' raw bytes over
-    # a pipe, in order; both processes know a block's shape from their walk.
+    # clean inputs only. Each process reads its chunks from their marks; the
+    # child sends its blocks' raw bytes over a pipe, in order.
+    rows, cols = shape
+    chunks = range(-(-rows // step))
     rfd, wfd = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(rfd)
-            with open(wfd, "wb") as out:
-                for i0, lines, _linenos, expected in cli._csv_line_chunks(path, step):
-                    if i0 // step % 2:
-                        out.write(cli._bulk_csv_chunk(lines, expected).tobytes())
+            with open(wfd, "wb") as out, open(path) as fh:
+                for k in chunks[1::2]:
+                    lines, _linenos = cli._chunk_rows(fh, k, step, cols, marks)
+                    out.write(cli._bulk_csv_chunk(lines, cols).tobytes())
         finally:
             os._exit(0)
     os.close(wfd)
     try:
-        with open(rfd, "rb") as data:
-            for i0, lines, linenos, expected in cli._csv_line_chunks(path, step):
-                if i0 // step % 2:
-                    raw = bytearray(data.read(8 * len(lines) * expected))
-                    block = np.frombuffer(raw).reshape(len(lines), expected)
+        with open(rfd, "rb") as data, open(path) as fh:
+            for k in chunks:
+                if k % 2:
+                    n = min(step, rows - k * step)
+                    block = np.frombuffer(bytearray(data.read(8 * n * cols))).reshape(n, cols)
                     execution["parser_chunks"] += 1
                 else:
-                    block = cli._parse_csv_chunk(lines, linenos, expected)
-                yield i0, block
+                    block = cli._parse_csv_chunk(*cli._chunk_rows(fh, k, step, cols, marks), cols)
+                yield k * step, block
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
@@ -1025,10 +1221,10 @@ def _alternating_csv_chunks(path, step, execution):
 class TestForkedReaderBalance:
     """Chunks go to whichever process is free: in an lra release of 16
     chunks, with the release slowed (in ``LraState.ingest_rows``) the
-    parser supplies most of them, and with the parser slowed (in its walk
-    of the lines) the release parses most. The fixed odd/even alternation
-    gives the parser 8 whatever the delay, and fails. The parser holds at
-    most ``cli._RUN_AHEAD`` parsed blocks the release has not taken."""
+    parser supplies most of them, and with the parser slowed (before each
+    claim) the release parses most. The fixed odd/even alternation gives
+    the parser 8 whatever the delay, and fails. The parser holds at most
+    ``cli._RUN_AHEAD`` parsed blocks the release has not taken."""
 
     CHUNKS = 16
 
@@ -1055,15 +1251,14 @@ class TestForkedReaderBalance:
 
             monkeypatch.setattr(LraState, "ingest_rows", ingest)
         else:
-            original_walk = cli._csv_line_chunks
+            original_claim = cli._claim
 
-            def walk(path, step):
-                for chunk in original_walk(path, step):
-                    if os.getpid() != self.parent:
-                        time.sleep(0.01)
-                    yield chunk
+            def claim(fd):
+                if os.getpid() != self.parent:
+                    time.sleep(0.01)
+                return original_claim(fd)
 
-            monkeypatch.setattr(cli, "_csv_line_chunks", walk)
+            monkeypatch.setattr(cli, "_claim", claim)
         path = tmp_path / "a.csv"
         write_csv(path, np.random.default_rng(11).standard_normal((16 * self.CHUNKS, 3)))
         report = tmp_path / "r.json"
@@ -1110,7 +1305,7 @@ class TestForkedReaderBalance:
         plan = sketch.ReleasePlan(cpus=2, one_blas=True, walk="serial", csv_reader="forked",
                                   chunk_rows=4, tile_cols=1)
         most = 0
-        with cli._release_chunks(plan, [str(path)], "csv") as (chunks, execution):
+        with cli._release_chunks(plan, [str(path)], "csv", *_probe(path)) as (chunks, execution):
             for _chunk in chunks:
                 time.sleep(0.02)
                 parsed = len(log.read_text()) if log.exists() else 0

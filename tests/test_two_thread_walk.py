@@ -782,9 +782,9 @@ class TestCsvReleaseScope:
         self.forks = []
         original = cli._forked_csv_chunks
 
-        def spy(path, step, execution):
+        def spy(path, step, *probe_and_record):
             self.forks.append(step)
-            return original(path, step, execution)
+            return original(path, step, *probe_and_record)
 
         monkeypatch.setattr(cli, "_forked_csv_chunks", spy)
 
