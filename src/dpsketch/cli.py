@@ -13,7 +13,10 @@ float64 row-major). Streaming commands consume the input through a
 one-pass iterator of row chunks, feed them to the mechanism, and never
 materialize the private matrix unless --oracle is given. The shape probe
 reads a CSV file once, as text, and marks where each tile of rows starts,
-so that a process reads a chunk from its mark. A CSV chunk is parsed in
+so that a process reads a chunk from its mark. A forked reader parses the
+chunks on two processes, by ``sketch._in_order`` on ``_ForkShare``: a
+``lockf`` count in a memfd, and block slots named by pipe tokens. A CSV
+chunk is parsed in
 one call to numpy's C reader; a chunk with a fault is parsed again line
 by line, so the error names its line. One release skeleton,
 ``_run_release``, probes and reads every input, runs the release as its
@@ -266,174 +269,130 @@ _RUN_AHEAD = 2
 _REPORT = struct.Struct("<qqq")
 
 
-def _slot_at(slot: int, step: int, cols: int) -> int:
-    # Where a block slot starts in the shared file: past the count of
-    # claimed chunks at offset 0, one block of ``step`` rows a slot.
-    return 8 * (1 + slot * step * cols)
-
-
 def _claim(fd: int) -> int:
     """Claim the first chunk no process has claimed; the chunk claimed. The
-    count of claimed chunks, at offset 0 of the shared file fd (it reads 0
-    before anyone writes it), is read and moved under a record lock on fd,
-    which the kernel drops if its holder dies, so a parser that dies in a
-    claim stalls no release."""
+    count at offset 0 of the shared file fd (0 before anyone writes it) is
+    moved under a record lock on fd, which the kernel drops if its holder
+    dies or closes fd, so a parser that dies in a claim stalls no release."""
     os.lockf(fd, os.F_LOCK, 0)
-    try:
-        first = int.from_bytes(os.pread(fd, 8, 0), "little")
-        os.pwrite(fd, (first + 1).to_bytes(8, "little"), 0)
-        return first
-    finally:
-        os.lockf(fd, os.F_ULOCK, 0)
+    first = int.from_bytes(os.pread(fd, 8, 0), "little")
+    os.pwrite(fd, (first + 1).to_bytes(8, "little"), 0)
+    os.lockf(fd, os.F_ULOCK, 0)
+    return first
 
 
-def _parse_claimed_chunks(path: str, step: int, shape: Tuple[int, int], marks: list,
-                          fd: int, slots: int, reports: int) -> None:
-    """The forked parser's work, on one thread: take a free block slot (a
-    token read from ``slots``), so that it holds at most ``_RUN_AHEAD``
-    chunks the release has not taken, then claim the first chunk no
-    process has claimed (``_claim``), until a claim falls past the last
-    chunk. Each claimed chunk is read from its mark (``_chunk_rows``),
-    parsed in bulk and its block written to the slot's place in the shared
-    file fd; then the chunk, its rows (-1 where the bulk parse refused it)
-    and the slot are reported on ``reports``."""
-    rows, cols = shape
-    with open(path, "r") as fh:
-        while True:
-            slot = os.read(slots, 1)
-            if not slot:
-                return  # the release is gone
-            k = _claim(fd)
-            if k * step >= rows:
-                return
-            block = _bulk_csv_chunk(_chunk_rows(fh, k, step, cols, marks)[0], cols)
-            if block is not None and os.pwrite(fd, block, _slot_at(slot[0], step, cols)) != block.nbytes:
-                raise OSError("short write to a block slot")
-            os.write(reports, _REPORT.pack(k, -1 if block is None else len(block), slot[0]))
+class _ForkShare:
+    """The process transport of the forked CSV reader: the count at offset 0
+    of a memfd (``_claim``), then ``_RUN_AHEAD`` block slots, each named by
+    a one-byte token on a pipe; the child reports each chunk on a second
+    pipe. The release claims chunk 0 before the fork, holds at most one
+    chunk it claimed ahead, and gives a slot back once it has read it."""
 
+    def __init__(self, n: int, step: int, cols: int, execution: dict):
+        self.n, self.step, self.cols, self.execution = n, step, cols, execution
+        # fds to close, the child, whether it reports, the last chunk claimed here
+        self.fds, self.pid, self.live, self.ahead = [], None, False, 0
 
-def _receive_block(fd: int, reports: int, k: int, cols: int, step: int):
-    """(block, slot): the forked parser's next report, on chunk k, and the
-    block it names, read from its slot in the shared file fd into a fresh
-    array; the block is None where the parser refused the chunk. EOFError
-    where the reports end (the parser died) or the report is not for this
-    chunk."""
-    report = os.read(reports, _REPORT.size)
-    if len(report) < _REPORT.size:
-        raise EOFError
-    got_k, rows, slot = _REPORT.unpack(report)
-    if got_k != k or rows > step:
-        raise EOFError
-    if rows < 0:
-        return None, slot
-    block = np.empty((rows, cols))
-    if os.preadv(fd, [block], _slot_at(slot, step, cols)) != block.nbytes:
-        raise EOFError
-    return block, slot
+    def start(self, work) -> None:
+        try:
+            self.fds.append(os.memfd_create("dpsketch-csv"))
+            self.fds += os.pipe()
+            self.fds += os.pipe()
+            self.shared, self.slots, self.reports = self.fds[0], self.fds[1:3], self.fds[3:]
+            os.write(self.slots[1], bytes(range(_RUN_AHEAD)))
+            _claim(self.shared)  # chunk 0: the child starts on chunk 1
+            self.pid = os.fork()
+        except OSError:
+            self.execution["csv_reader"] = "serial"
+            return
+        if self.pid == 0:
+            try:
+                os.close(self.slots[1])  # so that the release's end is the child's EOF
+                work(self.claim())
+            finally:
+                os._exit(0)
+        os.close(self.fds.pop())  # the child's; slots[0] stays, so giving a slot back never fails
+        # Is a report ready? (poll: select refuses an fd of 1024 or more. A
+        # poll object makes its fd array at its first call, here, before chunk 0.)
+        self.ready = select.poll()
+        self.ready.register(self.reports[0], select.POLLIN)
+        self.ready.poll(0)
+        self.live = True
+
+    def _at(self, slot: int) -> int:
+        return 8 * (1 + slot * self.step * self.cols)  # past the count, a block a slot
+
+    def claim(self) -> Optional[int]:
+        token = os.read(self.slots[0], 1)  # none once the release is gone
+        if not token:
+            return None
+        self.slot, k = token[0], _claim(self.shared)
+        return k if k < self.n else None
+
+    def put(self, k: int, block) -> None:
+        if isinstance(block, BaseException):
+            return  # the child ends: the release parses chunk k and the rest
+        if block is not None and os.pwrite(self.shared, block, self._at(self.slot)) != block.nbytes:
+            raise OSError("short write to a block slot")
+        os.write(self.reports[1], _REPORT.pack(k, -1 if block is None else len(block), self.slot))
+
+    def next(self, k: int) -> Optional[int]:
+        if not self.live:
+            return k
+        if self.ahead > k or self.ready.poll(0):
+            return None
+        self.ahead = _claim(self.shared)
+        return self.ahead if self.ahead < self.n else None
+
+    def take(self, k: int):
+        # The child's report on chunk k, and the block it names read out of
+        # its slot into a fresh array. None where the child refused the
+        # chunk, or is gone: its reports end, or one is not for chunk k.
+        report = os.read(self.reports[0], _REPORT.size)
+        got, rows, slot = _REPORT.unpack(report) if len(report) == _REPORT.size else (-1, 0, 0)
+        block = np.empty((max(rows, 0), self.cols)) if got == k and rows <= self.step else None
+        if block is None or os.preadv(self.shared, [block], self._at(slot)) != block.nbytes:
+            self.live = False  # this process parses the rest
+            return None
+        os.write(self.slots[1], bytes([slot]))
+        self.execution["parser_chunks"] += rows >= 0
+        return (k * self.step, block) if rows >= 0 else None
+
+    def release(self, k: int) -> None:
+        pass
+
+    def stop(self) -> None:
+        for fd in self.fds:
+            os.close(fd)
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
 def _forked_csv_chunks(
     path: str, step: int, shape: Tuple[int, int], marks: list, execution: dict
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """``iter_matrix_chunks(path, "csv", step)``, with the chunks parsed by
-    this process and a forked child, each chunk by whichever is free to
-    claim it. ``shape`` and ``marks`` are the file's probe
-    (``matrix_shape``): a process reads a chunk from its mark
-    (``_chunk_rows``), and reads no line of a chunk it does not parse.
-
-    Both claim chunks in row order from one count in a memfd they share
-    (``_claim``); this process claims chunk 0 before it forks. The child,
-    on one thread, takes a free block slot before each claim, claims the
-    first unclaimed chunk and parses it with ``_bulk_csv_chunk``, the call
-    the serial reader makes, so every block is the serial one, bit for
-    bit. It writes the block into its slot in the memfd and reports the
-    chunk on a pipe. This process yields the chunks in row order: its next
-    one from the child where a report is ready (``_receive_block`` copies
-    the block out of its slot and the slot goes back to the child); else
-    it claims the first unclaimed chunk: its next one, or a later one,
-    which it parses in bulk while the child finishes the next, and holds
-    as the one block ahead. A chunk the child refuses is read again and
-    parsed here by ``_parse_csv_chunk``, so a fault is found at the same
-    point of the stream and named as the serial reader names it. Where the
-    child's reports end (it died) or one is not for the chunk, this chunk
-    and every later one are parsed here; where no child can be forked,
-    every chunk is, and the release's ``execution`` record says its
-    ``csv_reader`` was serial. Its ``parser_chunks`` counts the blocks the
-    child supplied. The child never prints; it is killed, if still
-    running, and reaped when the walk ends, however it ends, and the memfd
-    and pipes are closed. Close the walk to end it early. A fork took 1.5
-    ms on a 2-core Xeon, where a spawned interpreter that imports numpy
-    takes about 67 ms.
+    """``iter_matrix_chunks(path, "csv", step)``, each chunk parsed by this
+    process or a forked child, whichever is free (``sketch._in_order`` on
+    ``_ForkShare``), read from its mark in the probe (``_chunk_rows``). The
+    child parses with the serial reader's call, ``_bulk_csv_chunk``, and
+    never prints; this process with its parse, ``_parse_csv_chunk``. So a
+    block holds the serial bits, and a chunk the child refuses, every chunk
+    after it dies and every one where none is forked fails as the serial
+    read, at its point of the stream. ``execution`` records a failed fork
+    (``csv_reader``) and the blocks the child supplied (``parser_chunks``).
     """
-    rows, cols = shape
-    chunks = -(-rows // step)
-    fds, pid = [], None  # what this process closes, and the child
-    try:
-        try:
-            shared = os.memfd_create("dpsketch-csv")
-            fds.append(shared)
-            slots = os.pipe()
-            fds += slots
-            reports = os.pipe()
-            fds += reports
-            os.write(slots[1], bytes(range(_RUN_AHEAD)))
-            _claim(shared)  # chunk 0 is this process's: the child starts on chunk 1
-            pid = os.fork()
-        except OSError:
-            execution["csv_reader"] = "serial"
-        if pid is None:
-            yield from iter_matrix_chunks(path, "csv", step)
-            return
-        if pid == 0:
-            code = 1
-            try:
-                os.close(reports[0])
-                os.close(slots[1])
-                _parse_claimed_chunks(path, step, shape, marks, shared, slots[0], reports[1])
-                code = 0
-            finally:
-                os._exit(code)
-        # This process keeps the slots' read end, so that giving a slot back
-        # never fails; the child sees their end once this one is gone.
-        fds.remove(reports[1])
-        os.close(reports[1])
-        reports = reports[0]
-        # Is a report ready? (poll: select refuses an fd of 1024 or more. A
-        # poll object makes its fd array at its first call, here, before chunk 0.)
-        ready = select.poll()
-        ready.register(reports, select.POLLIN)
-        ready.poll(0)
-        ahead = None  # (m, block): the chunk claimed past the next one; block None if not parsed
-        with open(path, "r") as fh:
-            for k in range(chunks):
-                block, mine = None, reports is None or k == 0
-                if ahead is not None and ahead[0] == k:
-                    block, ahead, mine = ahead[1], None, True
-                elif not mine and ahead is None and not ready.poll(0):
-                    m = _claim(shared)
-                    mine = m == k
-                    if not mine:  # the child holds chunk k: parse chunk m while it finishes
-                        ahead = (m, None if m >= chunks else
-                                 _bulk_csv_chunk(_chunk_rows(fh, m, step, cols, marks)[0], cols))
-                if not mine:
-                    try:
-                        block, slot = _receive_block(shared, reports, k, cols, step)
-                    except EOFError:
-                        fds.remove(reports)
-                        os.close(reports)
-                        reports = None
-                    else:
-                        os.write(slots[1], bytes([slot]))
-                        execution["parser_chunks"] += block is not None
-                if block is None:
-                    block = _parse_csv_chunk(*_chunk_rows(fh, k, step, cols, marks), cols)
-                yield k * step, block
-    finally:
-        for fd in fds:
-            os.close(fd)
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    cols, n = shape[1], -(-shape[0] // step)
+
+    def child() -> Callable[[int], Optional[np.ndarray]]:
+        fh = open(path, "r")  # the child ends with os._exit, which closes it
+        return lambda k: _bulk_csv_chunk(_chunk_rows(fh, k, step, cols, marks)[0], cols)
+
+    with open(path, "r") as fh:
+        yield from sketch._in_order(
+            n, _ForkShare(n, step, cols, execution),
+            lambda k: (k * step, _parse_csv_chunk(*_chunk_rows(fh, k, step, cols, marks), cols)),
+            child)
 
 
 def load_matrix(path: str, fmt: str) -> np.ndarray:

@@ -17,12 +17,11 @@ chunking; ``project_blocks`` is that walk over one chunk, and a multiply
 or regression release walks its whole stream once. Every walk takes
 tiles of ``per_tile(r) // 2`` columns (at least one). Where a release's
 plan (``plan_release``) says so, a walk of two tiles or more whose
-``per_tile(r)`` is 2 or more generates on two threads: the caller and a
-helper thread that the walk starts and joins. Tiles go, in column order,
-to whichever thread is free, each generated on that thread's own Philox
-stream, advanced to the tile, into one of three buffers; the caller
-yields them in column order with the same bits. Everywhere else the walk
-is serial and starts no thread. Box-Muller
+``per_tile(r)`` is 2 or more generates on the caller and a helper thread
+by the in-order claim protocol of ``_in_order``, on its thread transport
+(``_TileShare``: three tile buffers and a count under one Condition), each
+tile on its thread's own Philox stream, advanced to it, so with the serial
+tiles' bits. Everywhere else the walk is serial, with no thread. Box-Muller
 evaluates a sub-block's pairs in the order of their angles' top bits,
 which keeps libm's branches predictable. Each pair moves as one 16-byte
 item: its two words are gathered together in that order, and its cos and
@@ -49,7 +48,7 @@ import os
 import sys
 import threading
 from collections.abc import Callable, Iterator
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -368,8 +367,9 @@ def _plan_scope(plan: ReleasePlan):
     """Apply ``plan`` until the scope ends, whatever happens inside: BLAS
     on one thread where it says so and, where the count went to one, this
     context's walks and CSV reader as it says. Yields the ``execution``
-    record of what ran; a reader whose fork fails marks itself serial, and
-    a forked one counts in ``parser_chunks`` the blocks its child parsed."""
+    record of what ran; a reader whose fork fails, or a walk whose helper
+    cannot start, marks itself serial, and a forked reader counts in
+    ``parser_chunks`` the blocks its child parsed."""
     fns = _blas_thread_fns()
     pin = plan.one_blas and fns is not None
     if pin:
@@ -380,13 +380,15 @@ def _plan_scope(plan: ReleasePlan):
             _blas_pins[0] += 1
     one = pin and fns[0]() == 1
     token = _split_walks.set(one and plan.walk == "two-thread")
+    record = {"usable_cpus": plan.cpus, "blas_build": _blas_build(),
+              "blas_threads": fns[0]() if fns else None,
+              "walk": plan.walk if one else "serial",
+              "csv_reader": plan.csv_reader if one else "serial",
+              "parser_chunks": 0, "walk_tile_columns": plan.tile_cols}
     try:
-        yield {"usable_cpus": plan.cpus, "blas_build": _blas_build(),
-               "blas_threads": fns[0]() if fns else None,
-               "walk": plan.walk if one else "serial",
-               "csv_reader": plan.csv_reader if one else "serial",
-               "parser_chunks": 0, "walk_tile_columns": plan.tile_cols}
+        yield record
     finally:
+        record["walk"] = "two-thread" if _split_walks.get() else "serial"
         _split_walks.reset(token)
         if pin:
             with _blas_lock:
@@ -426,98 +428,136 @@ def _tiles(sk: GaussianSketcher, j0: int, j1: int) -> Iterator[tuple[int, int, n
         yield t0, t1, _tile(sk, bg, t0, t1, buf)
 
 
-def _split_tiles(
-    sk: GaussianSketcher, j0: int, j1: int, width: int
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    # The two-thread walk of two tiles or more. Tiles are claimed in column
-    # order from one counter, under one condition, each into one of three
-    # buffers: the caller claims tile 0 and a helper thread of the walk's
-    # own tile 1, and the helper then claims the next tile whenever a buffer
-    # is free. The caller yields the tiles in order: its next one once it is
-    # ready, and until then it claims and generates the next unclaimed tile
-    # itself, waiting only when every tile or buffer is claimed. A tile's
-    # buffer is freed when the caller is back from it. Each thread opens one
-    # Philox stream at j0 and advances it to each tile it claims; Philox is
-    # counter-based, so every tile holds the words of its own columns
-    # whichever thread draws them (Salmon et al., SC 2011).
+def _in_order(n: int, share, produce: Callable[[int], object],
+              worker: Callable[[], Callable[[int], object]]) -> Iterator:
+    """Items 0 to n - 1 (n >= 2) in order, each produced once, by the
+    caller (the consumer) or by one worker: in-order self-scheduling
+    (Polychronopoulos & Kuck, IEEE Trans. Computers 1987), exact because
+    each item is a pure function of its index.
+    - Items are claimed in order from one count, item 0 by the consumer.
+    - The worker takes a free slot and then claims the next item.
+    - The consumer yields item i once it is ready; until then it claims and
+      produces the next unclaimed item itself, as far ahead as ``share``
+      lets it. What producing an item ahead raised waits for its turn.
+    - A worker that cannot start, or is gone, leaves the rest to the consumer.
+    - The worker is stopped and reaped however the walk ends.
+    ``produce(i)`` is the consumer's item i, ``worker()`` gives the worker's,
+    and the transport ``share`` says where the worker's items live and how
+    the count is shared. It runs ``work`` on the worker from its first item
+    (``start``) and hands items over: ``claim``, ``put`` on the worker;
+    ``next`` (claim one to produce now, or None to ``take`` item i, which
+    is None where the consumer is to produce it), ``release`` on the
+    consumer; and ``stop``.
+    """
+    def work(i: Optional[int]) -> None:
+        produce = worker()
+        while i is not None:
+            try:
+                item = produce(i)
+            except BaseException as exc:
+                item = exc
+            share.put(i, item)
+            i = None if isinstance(item, BaseException) else share.claim()
+
+    def outcome(i: int) -> object:
+        try:
+            return produce(i)
+        except Exception as exc:
+            return exc
+
+    try:
+        share.start(work)
+        held = {0: outcome(0)}  # what the consumer produced ahead
+        for i in range(n):
+            while i not in held and (k := share.next(i)) is not None:
+                held[k] = outcome(k)
+            item = held.pop(i) if i in held else share.take(i) or outcome(i)
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+            share.release(i)
+    finally:
+        share.stop()
+
+
+class _TileShare:
+    """The thread transport of a two-thread walk: tile i lives in buffer
+    i % 3, claimed only while fewer than three tiles are unreleased, and
+    the count and tiles are shared under one Condition. Tile 0 is the
+    caller's; tile 1, the helper's first, is claimed before it starts."""
+
+    def __init__(self, n: int):
+        self.n, self.cond, self.done = n, threading.Condition(), [None] * n
+        self.claimed, self.released, self.stopped, self.helper = 2, 0, False, None
+
+    def start(self, work) -> None:
+        self.helper = threading.Thread(target=work, args=(1,), name="dpsketch-tiles",
+                                       daemon=True)
+        try:
+            self.helper.start()
+        except RuntimeError:  # no thread can start: this context walks serially
+            self.helper = None
+            _split_walks.set(False)
+
+    def _claim(self, stop: Callable[[], bool]) -> Optional[int]:
+        # The next tile, once a buffer is free; None where stop() holds first.
+        with self.cond:
+            self.cond.wait_for(lambda: stop() or self.claimed < min(self.n, self.released + 3))
+            if not stop():
+                self.claimed += 1
+                return self.claimed - 1
+
+    def claim(self) -> Optional[int]:
+        return self._claim(lambda: self.stopped or self.claimed == self.n)
+
+    def put(self, i: int, item) -> None:
+        # Tile i, or what generating it raised; None releases its buffer.
+        with self.cond:
+            self.done[i] = item
+            self.released += item is None
+            self.cond.notify()
+
+    def next(self, i: int) -> Optional[int]:
+        return i if self.helper is None else self._claim(lambda: self.done[i] is not None)
+
+    def take(self, i: int):
+        return self.done[i]
+
+    def release(self, i: int) -> None:
+        self.put(i, None)
+
+    def stop(self) -> None:
+        with self.cond:
+            self.stopped = True
+            self.cond.notify()
+        if self.helper is not None:
+            self.helper.join()
+
+
+def _split_tiles(sk: GaussianSketcher, j0: int, j1: int,
+                 width: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    # The two-thread walk: _in_order over the tiles on the thread transport.
+    # Each thread opens one Philox stream at j0 and advances it to each tile
+    # it claims: Philox is counter-based, so a tile holds the words of its
+    # own columns whichever thread draws them (Salmon et al., SC 2011).
     starts = range(j0, j1, width)
-    n = len(starts)
     skip = width * sk._wpc // 4  # counter blocks of one tile
-    free = [np.empty(width * sk._wpc) for _ in range(3)]
-    bufs = {0: free.pop(), 1: free.pop()}  # each claimed tile's buffer
-    done = [None] * n  # each tile once generated, or what the helper raised
-    claimed, stop = 2, False
-    cond = threading.Condition()
+    bufs = [np.empty(width * sk._wpc) for _ in range(3)]
 
-    def claim() -> int:
-        # The next unclaimed tile, with a free buffer; under cond.
-        nonlocal claimed
-        claimed += 1
-        bufs[claimed - 1] = free.pop()
-        return claimed - 1
-
-    def generator() -> Callable[[int], np.ndarray]:
-        # This thread's own generation: tile i from its stream, which only
-        # moves forward.
+    def generator() -> Callable[[int], tuple[int, int, np.ndarray]]:
+        # This thread's generation: tile i from its own stream, only moved on.
         bg, at = _philox(sk.seed, j0 * sk._wpc), 0
 
-        def generate(i: int) -> np.ndarray:
+        def generate(i: int) -> tuple[int, int, np.ndarray]:
             nonlocal at
             if i > at:
                 bg.advance((i - at) * skip)
-            at = i + 1
-            return _tile(sk, bg, starts[i], min(starts[i] + width, j1), bufs[i])
+            at, t1 = i + 1, min(starts[i] + width, j1)
+            return starts[i], t1, _tile(sk, bg, starts[i], t1, bufs[i % 3])
 
         return generate
 
-    def serve() -> None:
-        # The helper: generates tile 1, then each tile it claims, until the
-        # walk stops, every tile is claimed or a tile raises, which the
-        # walk raises at that tile.
-        generate, i = generator(), 1
-        while True:
-            try:
-                tile = generate(i)
-            except BaseException as exc:
-                tile = exc
-            with cond:
-                done[i] = tile
-                cond.notify()
-                if isinstance(tile, BaseException):
-                    return
-                cond.wait_for(lambda: stop or claimed == n or free)
-                if stop or claimed == n:
-                    return
-                i = claim()
-
-    helper = threading.Thread(target=serve, name="dpsketch-tiles", daemon=True)
-    helper.start()
-    try:
-        generate = generator()
-        done[0] = generate(0)
-        for i, t0 in enumerate(starts):
-            while done[i] is None:
-                with cond:
-                    cond.wait_for(lambda: done[i] is not None or (claimed < n and free))
-                    k = claim() if done[i] is None else None
-                if k is not None:
-                    done[k] = generate(k)
-            if isinstance(done[i], BaseException):
-                raise done[i]
-            yield t0, min(t0 + width, j1), done[i]
-            with cond:
-                # Tile i is released: its buffer is free.
-                done[i] = None
-                free.append(bufs.pop(i))
-                cond.notify()
-    finally:
-        # However the walk ends (to its last tile, closed or raised), its
-        # helper finishes the tile it holds and stops, so no thread, tile
-        # or buffer outlives the walk.
-        with cond:
-            stop = True
-            cond.notify()
-        helper.join()
+    yield from _in_order(len(starts), _TileShare(len(starts)), generator(), generator)
 
 
 # Known answers of the generation path itself: normals [i, i + 4) of one

@@ -664,16 +664,17 @@ class TestForkedCsvReader:
 
         monkeypatch.setattr(cli, "_forked_csv_chunks", spy)
         self.parent = os.getpid()
-        # (i0, refused) for each chunk the release took from the child.
+        # (i0, refused) for each chunk the release took a report on.
         self.taken = []
-        original_receive = cli._receive_block
+        original_take = cli._ForkShare.take
 
-        def receive(fd, reports, k, cols, step):
-            block, slot = original_receive(fd, reports, k, cols, step)
-            self.taken.append((k * step, block is None))
-            return block, slot
+        def take(share, k):
+            got = original_take(share, k)
+            if share.live:
+                self.taken.append((k * share.step, got is None))
+            return got
 
-        monkeypatch.setattr(cli, "_receive_block", receive)
+        monkeypatch.setattr(cli._ForkShare, "take", take)
 
     def _in_child(self):
         return os.getpid() != self.parent

@@ -380,47 +380,6 @@ def _helpers():
     return [t for t in threading.enumerate() if t.name == HELPER]
 
 
-def _run_out(walk):
-    for _t0, _t1, _tile in walk:
-        pass
-
-
-def _close_at_its_first_tile(walk):
-    next(walk)
-    walk.close()
-
-
-def _raises(walk):
-    with pytest.raises(HelperFailed):
-        _run_out(walk)
-
-
-class TestHelperEndsWithItsWalk:
-    """A two-thread walk starts a helper thread of its own, and however
-    the walk ends, its helper has ended too when it returns."""
-
-    @pytest.mark.parametrize(
-        "end, raiser",
-        [(_run_out, None), (_close_at_its_first_tile, None), (_raises, HELPER), (_raises, "caller")],
-        ids=["to-its-end", "closed-at-its-first-tile", "helper-raises", "caller-raises"])
-    def test_no_helper_outlives_its_walk(self, monkeypatch, end, raiser):
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
-        _use(monkeypatch, True)
-        original, alive = sketch._tile, []
-
-        def tile(sk_, bg, j0, j1, buf):
-            alive.append(len(_helpers()))
-            if raiser == (HELPER if threading.current_thread().name == HELPER else "caller"):
-                raise HelperFailed(f"tile at {j0}")
-            return original(sk_, bg, j0, j1, buf)
-
-        monkeypatch.setattr(sketch, "_tile", tile)
-        end(sketch._tiles(GaussianSketcher(8, 5, 60), 0, 60))
-        # The walk split, on one helper, which may end before the walk does.
-        assert alive and max(alive) == 1
-        assert _helpers() == []
-
-
 class TestFaults:
     @staticmethod
     def _fresh_walk_is_exact(monkeypatch):
@@ -865,7 +824,7 @@ class TestExecutionRecord:
         # The record of a release of a small fixture, and what the release did.
         fns = sketch._blas_thread_fns()
         seen = {"threads": set(), "blas": set(), "forks": [], "received": 0}
-        original_tile, original_fork, original_receive = sketch._tile, os.fork, cli._receive_block
+        original_tile, original_fork, original_take = sketch._tile, os.fork, cli._ForkShare.take
 
         def tile(*args):
             seen["threads"].add(threading.current_thread().name)
@@ -878,14 +837,14 @@ class TestExecutionRecord:
                 seen["forks"].append(pid)
             return pid
 
-        def receive(*args):
-            block, slot = original_receive(*args)
-            seen["received"] += block is not None
-            return block, slot
+        def take(*args):
+            got = original_take(*args)
+            seen["received"] += got is not None
+            return got
 
         monkeypatch.setattr(sketch, "_tile", tile)
         monkeypatch.setattr(os, "fork", fork, raising=False)
-        monkeypatch.setattr(cli, "_receive_block", receive)
+        monkeypatch.setattr(cli._ForkShare, "take", take)
         report = tmp_path / "r.json"
         if command == "lra":
             # Chunks of 4 x per_tile(3) = 16 rows, so the 40 rows take three.
@@ -909,6 +868,30 @@ class TestExecutionRecord:
         # So is one that counts a block more from the parser.
         forged = execution["parser_chunks"] + 1
         assert not _record_is_true(dict(execution, parser_chunks=forged), seen)
+
+    def test_a_helper_that_cannot_start_leaves_a_serial_release(self, tmp_path, monkeypatch):
+        # A regress release whose plan splits its walks, where no thread can
+        # start: it exits 0 with the serial release's bytes, and its record
+        # says its walk was serial. Control: as it falls, the walk splits.
+        _fake_blas(monkeypatch, 1)
+        paths = _write_pair(tmp_path, 1000, 3)
+
+        def release(cpus, name):
+            monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
+            report = tmp_path / f"{name}.json"
+            assert cli.main(_multiply_argv(paths, report, command="regress")) == 0
+            return (json.loads(report.read_text())["execution"]["walk"],
+                    (tmp_path / f"{name}.solutions.dpmt").read_bytes())
+
+        serial = release(1, "serial")
+        assert release(2, "split") == ("two-thread", serial[1])
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert release(2, "refused") == serial == ("serial", serial[1])
+        assert sketch._split_walks.get() is False
 
 
 def _full_tile_walk(sk, j0, j1):
