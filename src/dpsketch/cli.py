@@ -290,8 +290,8 @@ class _ForkShare:
 
     def __init__(self, n: int, step: int, cols: int, execution: dict):
         self.n, self.step, self.cols, self.execution = n, step, cols, execution
-        # fds to close, the child, whether it reports, the last chunk claimed here
-        self.fds, self.pid, self.live, self.ahead = [], None, False, 0
+        # fds to close, the child's pidfd, whether it reports, the last chunk claimed here
+        self.fds, self.child, self.live, self.ahead = [], None, False, 0
 
     def start(self, work) -> None:
         try:
@@ -301,16 +301,21 @@ class _ForkShare:
             self.shared, self.slots, self.reports = self.fds[0], self.fds[1:3], self.fds[3:]
             os.write(self.slots[1], bytes(range(_RUN_AHEAD)))
             _claim(self.shared)  # chunk 0: the child starts on chunk 1
-            self.pid = os.fork()
+            os.close(os.pidfd_open(os.getpid()))  # the child is stopped by a pidfd: Linux 5.3 on
+            pid = os.fork()
         except OSError:
             self.execution["csv_reader"] = "serial"
             return
-        if self.pid == 0:
+        if pid == 0:
             try:
                 os.close(self.slots[1])  # so that the release's end is the child's EOF
                 work(self.claim())
             finally:
                 os._exit(0)
+        # The child by a pidfd, not its pid, which is free for reuse once the
+        # child is reaped: by the kernel where SIGCHLD is ignored, or by
+        # another wait in this process.
+        self.child = os.pidfd_open(pid)
         os.close(self.fds.pop())  # the child's; slots[0] stays, so giving a slot back never fails
         # Is a report ready? (poll: select refuses an fd of 1024 or more. A
         # poll object makes its fd array at its first call, here, before chunk 0.)
@@ -364,9 +369,12 @@ class _ForkShare:
     def stop(self) -> None:
         for fd in self.fds:
             os.close(fd)
-        if self.pid:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
+        if self.child is not None:
+            with contextlib.suppress(ProcessLookupError):  # ended and reaped already
+                signal.pidfd_send_signal(self.child, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):  # reaped by the kernel or another wait
+                os.waitid(os.P_PIDFD, self.child, os.WEXITED)
+            os.close(self.child)
 
 
 def _forked_csv_chunks(
@@ -518,11 +526,12 @@ def _run_release(cfg: argparse.Namespace, command) -> dict:
 
 
 def _can_fork() -> bool:
-    """Whether a release may fork a CSV parser: with ``os.fork`` and
-    ``os.memfd_create`` (the parser's blocks come back through a memfd),
-    below Python 3.12, which warns on a fork beside threads (OpenBLAS's
-    pool)."""
-    return hasattr(os, "fork") and hasattr(os, "memfd_create") and sys.version_info < (3, 12)
+    """Whether a release may fork a CSV parser: with ``os.fork``,
+    ``os.memfd_create`` (the parser's blocks come back through a memfd) and
+    ``os.pidfd_open`` (the parser is stopped through a pidfd), below Python
+    3.12, which warns on a fork beside threads (OpenBLAS's pool)."""
+    return (all(hasattr(os, name) for name in ("fork", "memfd_create", "pidfd_open"))
+            and sys.version_info < (3, 12))
 
 
 @contextlib.contextmanager

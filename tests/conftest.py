@@ -1,8 +1,46 @@
+import os
+import signal
 import threading
 
 import pytest
 
 from dpsketch import sketch
+
+# The name of a two-thread walk's helper thread.
+HELPER = "dpsketch-tiles"
+
+
+def helpers():
+    """The names of the two-thread walks' helper threads alive now."""
+    return [t.name for t in threading.enumerate() if t.name == HELPER]
+
+
+def open_fds():
+    """This process's open file descriptors."""
+    return set(os.listdir("/proc/self/fd"))
+
+
+def left_behind(fds):
+    """What walks left: helper threads, a child not yet reaped (the
+    ``waitpid`` answer, which reaps one that has ended) and the fds opened
+    since ``fds`` was listed (``open_fds``). ``NOTHING`` if none."""
+    try:
+        child = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        child = None
+    return helpers(), child, sorted(open_fds() - fds)
+
+
+NOTHING = ([], None, [])
+
+
+@pytest.fixture
+def sigchld_ignored():
+    """SIGCHLD ignored until the test ends, so that the kernel reaps each
+    child as it ends and no wait finds it."""
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    yield
+    signal.signal(signal.SIGCHLD, handler)
 
 
 class TileCalls(list):
@@ -42,7 +80,7 @@ def _skip_nothing_on(monkeypatch, helper):
             return self.bg.random_raw(count)
 
         def advance(self, delta):
-            if (threading.current_thread().name == "dpsketch-tiles") != helper:
+            if (threading.current_thread().name == HELPER) != helper:
                 self.bg.advance(delta)
 
     monkeypatch.setattr(sketch, "_philox", lambda seed, offset: Stream(original(seed, offset)))

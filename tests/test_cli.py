@@ -22,6 +22,8 @@ from dpsketch.lra import LowRankFactor, LraConfig, LraState, new_lra
 from dpsketch.matprod import LiftedSketch, lifted_matrix, new_matprod
 from dpsketch.regress import new_regress
 
+from conftest import NOTHING, left_behind, open_fds
+
 
 def write_csv(path, m):
     with open(path, "w") as fh:
@@ -594,11 +596,6 @@ def _mixed_csv(path, m, bad=None):
     Path(path).write_bytes("".join(out).encode())
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _probe(path):
     """The (rows, cols) shape and the marks of a CSV file, as a release
     probes it (``cli.matrix_shape``)."""
@@ -642,7 +639,12 @@ class TestForkedCsvReader:
     each read the chunks they claim from the shape probe's marks and parse
     them, and the blocks, faults and line numbers are the serial reader's,
     whichever process parses a chunk. Where a test needs one process to
-    parse a chunk, it makes the other one late on each chunk (``_slow``)."""
+    parse a chunk, it makes the other one late on each chunk (``_slow``).
+    How the two claim chunks, and what a fork that fails or a stop
+    leaves, are the in-order table's (``tests/test_in_order.py``); here
+    stay the blocks, the faults' messages, the reads from marks, the
+    reader's memory and the release scope, which ends the reader when the
+    release leaves it."""
 
     STEP = 4  # rows a chunk
     PLAN = sketch.ReleasePlan(cpus=2, one_blas=True, walk="serial", csv_reader="forked",
@@ -703,19 +705,21 @@ class TestForkedCsvReader:
 
         monkeypatch.setattr(cli, "_claim", claim)
 
-    def _read(self, path, step=STEP):
-        # [(i0, block)] as a release reads them, and its FormatError text;
-        # the release's execution record is kept in ``execution``.
-        got = []
+    def _read(self, path, step=STEP, upto=None):
+        # [(i0, block)] as a release reads them (the first ``upto`` chunks,
+        # where given, leaving the scope there), and its FormatError text;
+        # the release's execution record is kept in ``execution``. Neither
+        # a child nor an fd outlives the scope.
+        got, fds = [], open_fds()
         plan = self.PLAN._replace(chunk_rows=step)
         try:
             with cli._release_chunks(plan, [str(path)], "csv", *_probe(path)) as (chunks, self.execution):
-                for i0, block in chunks:
+                for i0, block in itertools.islice(chunks, upto):
                     got.append((i0, block))
         except FormatError as exc:
             return got, str(exc)
         finally:
-            _no_child_left()
+            assert left_behind(fds) == NOTHING
         return got, None
 
     def _serial(self, path, step=STEP):
@@ -752,8 +756,12 @@ class TestForkedCsvReader:
             assert self._same(got, want) and self.execution["csv_reader"] == "forked"
             for _i0, block in got:
                 assert block.dtype == np.float64 and block.flags.c_contiguous and block.flags.writeable
-        assert self.forks == [self.STEP] * 2
         assert {i0 for i0, _refused in self.taken} >= set(range(self.STEP, rows, self.STEP))
+        # A release that leaves after the first chunk ends the reader with
+        # its scope.
+        got, err = self._read(p, upto=1)
+        assert err is None and self._same(got, want[:1])
+        assert self.forks == [self.STEP] * 3
 
     def test_a_child_that_shifts_its_rows_fails(self, tmp_path, monkeypatch):
         # Negative control: the child hands back its blocks rolled by one
@@ -801,6 +809,16 @@ class TestForkedCsvReader:
             assert err == want_err and self._same(got, want)
             assert ((row // self.STEP * self.STEP, True) in self.taken) == (parses == "parser")
         assert self.forks == [self.STEP] * 2
+
+    def test_a_fault_where_sigchld_is_ignored_is_the_serial_readers(self, tmp_path,
+                                                                     sigchld_ignored):
+        # There the kernel reaps the child as it ends: stopping it must not
+        # put an error of its own in the place of the fault.
+        p = tmp_path / "m.csv"
+        _mixed_csv(p, np.random.default_rng(4).standard_normal((17, 3)), (13, "1,nan,3"))
+        want, want_err = self._serial(p)
+        got, err = self._read(p)
+        assert err == want_err and want_err.startswith("non-finite") and self._same(got, want)
 
     @pytest.mark.parametrize("name, endings, lead", _NEWLINES, ids=[row[0] for row in _NEWLINES])
     def test_newlines_and_blank_lines_are_the_serial_readers(self, tmp_path, monkeypatch,
@@ -1017,8 +1035,8 @@ class TestForkedCsvReader:
         def release(cpus):
             monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
             ingested.clear()
-            code = cli.main(argv)
-            _no_child_left()
+            fds, code = open_fds(), cli.main(argv)
+            assert left_behind(fds) == NOTHING
             return code, capsys.readouterr().err
 
         for cpus in (1, 2):
@@ -1060,20 +1078,6 @@ class TestForkedCsvReader:
         for fd in high:
             with pytest.raises(OSError):
                 os.fstat(fd)
-
-    def test_a_failed_fork_gives_the_serial_blocks(self, tmp_path, monkeypatch):
-        p = tmp_path / "m.csv"
-        _mixed_csv(p, np.random.default_rng(8).standard_normal((17, 3)))
-
-        def fork():
-            raise BlockingIOError("Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
-        got, err = self._read(p)
-        want, _ = self._serial(p)
-        assert err is None and self.forks == [self.STEP]
-        # No child was forked, and the release's record says so.
-        assert self._same(got, want) and self.execution["csv_reader"] == "serial"
 
     @staticmethod
     def _chunk_peak(chunks):
@@ -1128,21 +1132,6 @@ class TestForkedCsvReader:
         assert forked_peak()[1] > serial + fixed
         assert self.forks == [40, 40, 40]
 
-    def test_a_walk_left_early_leaves_no_child(self, tmp_path):
-        p = tmp_path / "m.csv"
-        _mixed_csv(p, np.random.default_rng(6).standard_normal((24, 3)))
-        probe = _probe(p)
-        with cli._release_chunks(self.PLAN, [str(p)], "csv", *probe) as (chunks, _execution):
-            assert next(chunks)[0] == 0
-        _no_child_left()
-        with pytest.raises(RuntimeError):
-            with cli._release_chunks(self.PLAN, [str(p)], "csv", *probe) as (chunks, _execution):
-                for i0, _block in chunks:
-                    if i0:
-                        raise RuntimeError("the consumer stops at chunk 1")
-        _no_child_left()
-        assert self.forks == [self.STEP, self.STEP]
-
     @pytest.mark.parametrize("row, text", [(21, "1,2"), (37, "1,nan,3"), (40, "x,2,3")])
     def test_a_release_fails_as_the_serial_one(self, tmp_path, monkeypatch, capsys, row, text):
         # lra reads 3-column inputs in chunks of 16 rows here: the faulty
@@ -1166,8 +1155,8 @@ class TestForkedCsvReader:
         def release(cpus):
             monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
             ingested.clear()
-            code = cli.main(argv)
-            _no_child_left()
+            fds, code = open_fds(), cli.main(argv)
+            assert left_behind(fds) == NOTHING
             return code, capsys.readouterr().err, list(ingested)
 
         code1, err1, rows_in1 = release(1)
@@ -1265,8 +1254,9 @@ class TestForkedReaderBalance:
         report = tmp_path / "r.json"
         argv = ["lra", "--input", str(path), "--rank", "1", "--oversample", "2", "--eps", "1",
                 "--delta", "0.01", "--seed", "0", "--report", str(report)]
+        fds = open_fds()
         assert cli.main(argv) == 0
-        _no_child_left()
+        assert left_behind(fds) == NOTHING
         execution = json.loads(report.read_text())["execution"]
         assert execution["csv_reader"] == "forked"
         return execution["parser_chunks"]
@@ -1305,13 +1295,13 @@ class TestForkedReaderBalance:
         write_csv(path, np.random.default_rng(12).standard_normal((48, 3)))
         plan = sketch.ReleasePlan(cpus=2, one_blas=True, walk="serial", csv_reader="forked",
                                   chunk_rows=4, tile_cols=1)
-        most = 0
+        most, fds = 0, open_fds()
         with cli._release_chunks(plan, [str(path)], "csv", *_probe(path)) as (chunks, execution):
             for _chunk in chunks:
                 time.sleep(0.02)
                 parsed = len(log.read_text()) if log.exists() else 0
                 most = max(most, parsed - execution["parser_chunks"])
-        _no_child_left()
+        assert left_behind(fds) == NOTHING
         return most
 
     def test_the_parser_runs_at_most_its_bound_ahead(self, tmp_path, monkeypatch):

@@ -2,9 +2,11 @@
 transports: the thread transport of a two-thread walk
 (``sketch._TileShare``) and the process transport of the forked CSV reader
 (``cli._ForkShare``). Each row runs the core over small items that say
-which side produced them, with the real transport between the two sides;
-the walk and reader tests cover what each path adds (tiles, chunks and
-their faults' messages).
+which side produced them, with the real transport between the two sides.
+What each path adds stays with its own tests: tile bits and where each
+thread's Philox stream opens (``tests/test_sketch.py``,
+``TestBitExact``), and chunk blocks, faults' messages and the release
+scope that ends the reader (``TestForkedCsvReader``).
 
 A row that needs one side to be slow or to fail hooks it: a ``consumer``
 or ``worker`` hook runs before that side produces an item (on the helper
@@ -20,7 +22,7 @@ import pytest
 
 from dpsketch import cli, sketch
 
-HELPER = "dpsketch-tiles"
+from conftest import NOTHING, helpers, left_behind, open_fds
 
 
 class Threads:
@@ -74,10 +76,11 @@ class Failed(Exception):
     pass
 
 
-def _walk(transport, n, consumer=None, worker=None):
-    """The in-order walk of items 0 to n - 1 on ``transport``: a generator
-    of the items. ``consumer(i)`` and ``worker(i)``, where given, run on
-    their side before it produces item i."""
+def _walk(transport, n, consumer=None, worker=None, share=None):
+    """The in-order walk of items 0 to n - 1 on ``transport`` (or on
+    ``share``, one of its shares): a generator of the items.
+    ``consumer(i)`` and ``worker(i)``, where given, run on their side
+    before it produces item i."""
     def producer(by, hook):
         def produce(i):
             if hook is not None:
@@ -86,7 +89,7 @@ def _walk(transport, n, consumer=None, worker=None):
 
         return produce
 
-    return sketch._in_order(n, transport.share(n), producer("consumer", consumer),
+    return sketch._in_order(n, share or transport.share(n), producer("consumer", consumer),
                             lambda: producer("worker", worker))
 
 
@@ -110,34 +113,31 @@ def _late_worker(transport, monkeypatch, seconds):
     monkeypatch.setattr(transport.cls, "claim", claim)
 
 
-def _fds():
-    return set(os.listdir("/proc/self/fd"))
+def _logger(log):
+    # A hook that appends the index of each item its side produces to log.
+    def logged(i):
+        with open(log, "a") as fh:
+            fh.write(f"{i}\n")
+
+    return logged
 
 
-def _helpers():
-    return [t.name for t in threading.enumerate() if t.name == HELPER]
-
-
-def _left_behind(fds):
-    """What a walk left: helper threads, children not yet reaped, and fds
-    opened since ``fds`` was listed."""
-    try:
-        child = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        child = None
-    return _helpers(), child, sorted(_fds() - fds)
-
-
-NOTHING = ([], None, [])
+def _logged(log):
+    return [int(i) for i in log.read_text().split()] if log.exists() else []
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestInOrder:
-    def test_each_item_once_in_order(self, transport):
+    def test_each_item_once_in_order(self, transport, tmp_path):
         # The consumer pauses on each item, so the worker produces some.
-        got = _read_out(transport, _walk(transport, 12), pause=0.005)
-        assert [i for i, _by in got] == list(range(12))
+        # Each item is produced once, on one side. Item 1 is the helper
+        # thread's first, claimed for it before it starts.
+        log = tmp_path / "produced"
+        got = _read_out(transport, _walk(transport, 12, _logger(log), _logger(log)), pause=0.005)
+        assert [i for i, _by in got] == list(range(12)) and sorted(_logged(log)) == list(range(12))
         assert got[0] == (0, "consumer") and {by for _i, by in got} == {"consumer", "worker"}
+        if transport is Threads:
+            assert got[1] == (1, "worker")
 
     @pytest.mark.parametrize("slow", ["consumer", "worker"])
     def test_the_free_side_produces_most(self, transport, monkeypatch, slow):
@@ -158,17 +158,13 @@ class TestInOrder:
         # (processes): a slot for each of the 12.
         log = tmp_path / "produced"
 
-        def logged(i):
-            with open(log, "a") as fh:
-                fh.write(f"{i}\n")
-
         def most_ahead():
             log.write_text("")
             most = 0
-            for item in _walk(transport, 12, worker=logged):
+            for item in _walk(transport, 12, worker=_logger(log)):
                 i, _by = transport.read(item)
                 time.sleep(0.02)
-                most = max(most, sum(int(k) > i for k in log.read_text().split()))
+                most = max(most, sum(k > i for k in _logged(log)))
             return most
 
         assert most_ahead() == 2
@@ -178,9 +174,10 @@ class TestInOrder:
 
     def test_a_fault_in_the_worker_keeps_its_meaning(self, transport):
         # The worker fails on its second item. On threads the walk yields
-        # every item before that one and raises there. The forked child
-        # dies instead, and the consumer produces that item and every later
-        # one: the child supplies its first item only.
+        # every item before that one and raises there, and the helper
+        # produces no other. The forked child dies instead, and the
+        # consumer produces that item and every later one: the child
+        # supplies its first item only.
         produced = []
 
         def second_fails(i):
@@ -195,8 +192,8 @@ class TestInOrder:
                 for item in walk:
                     got.append(transport.read(item))
                     time.sleep(0.005)
-            assert str(err.value) == f"item {produced[1]}"
-            assert [i for i, _by in got] == list(range(produced[1]))
+            assert str(err.value) == f"item {produced[1]}" and produced[0] == 1
+            assert [i for i, _by in got] == list(range(produced[1])) and len(produced) == 2
         else:
             got = _read_out(transport, walk, pause=0.005)
             assert [i for i, _by in got] == list(range(12))
@@ -204,36 +201,55 @@ class TestInOrder:
 
     def test_a_worker_that_cannot_start_leaves_every_item_to_the_consumer(
             self, transport, monkeypatch):
+        # A fork that fails leaves the reader's record serial.
+        refused = []
+
         def refuse(*args):
+            refused.append(args)
             raise (RuntimeError if transport is Threads else BlockingIOError)("cannot start")
 
         if transport is Threads:
             monkeypatch.setattr(threading.Thread, "start", refuse)
         else:
             monkeypatch.setattr(os, "fork", refuse)
-        fds = _fds()
-        assert _read_out(transport, _walk(transport, 7)) == [(i, "consumer") for i in range(7)]
-        assert _left_behind(fds) == NOTHING
+        fds, share = open_fds(), transport.share(7)
+        got = _read_out(transport, _walk(transport, 7, share=share))
+        assert got == [(i, "consumer") for i in range(7)] and len(refused) == 1
+        if transport is Processes:
+            assert share.execution["csv_reader"] == "serial"
+        assert left_behind(fds) == NOTHING
 
-    @pytest.mark.parametrize("end", ["to-its-end", "closed-at-its-first-item", "worker-raises",
-                                     "consumer-raises"])
-    def test_nothing_outlives_the_walk(self, transport, end):
+    @pytest.mark.parametrize("end", ["to-its-end", "closed-at-its-first-item",
+                                     "closed-while-the-worker-is-slow", "worker-raises",
+                                     "consumer-raises", "sigchld-ignored"])
+    def test_nothing_outlives_the_walk(self, transport, request, tmp_path, end):
         # The raising side fails on every item it produces. A worker that
         # raises ends a thread walk at its first item (item 1); the forked
         # child dies, and the consumer produces every item. Either side
         # counts the helper threads as it produces: a thread walk has one.
-        fds, helpers = _fds(), []
+        # A slow worker takes 0.2 s over each item: a thread walk closed in
+        # the helper's first returns once the helper has finished it, and
+        # the helper claims no other; the forked child is killed in it.
+        # Where SIGCHLD is ignored, the kernel reaps the forked child as it
+        # ends, and the walk runs to its end as any other. A walk after any
+        # of these gives each item in order.
+        if end == "sigchld-ignored":
+            request.getfixturevalue("sigchld_ignored")
+        fds, alive, finished = open_fds(), [], tmp_path / "finished"
 
         def hook(side):
             def count(i):
-                helpers.append(len(_helpers()))
+                alive.append(len(helpers()))
                 if end == f"{side}-raises":
                     raise Failed(f"item {i} on the {side}")
+                if side == "worker" and end == "closed-while-the-worker-is-slow":
+                    time.sleep(0.2)
+                    _logger(finished)(i)
 
             return count
 
         walk = _walk(transport, 8, hook("consumer"), hook("worker"))
-        if end == "closed-at-its-first-item":
+        if end.startswith("closed"):
             next(walk)
             walk.close()
         elif end == "consumer-raises" or (end == "worker-raises" and transport is Threads):
@@ -241,20 +257,23 @@ class TestInOrder:
                 _read_out(transport, walk)
         else:
             assert [i for i, _by in _read_out(transport, walk)] == list(range(8))
-        assert max(helpers) == (1 if transport is Threads else 0)
-        assert _left_behind(fds) == NOTHING
+        assert max(alive) == (1 if transport is Threads else 0)
+        if end == "closed-while-the-worker-is-slow":
+            assert _logged(finished) == ([1] if transport is Threads else [])
+        assert left_behind(fds) == NOTHING
+        assert [i for i, _by in _read_out(transport, _walk(transport, 8))] == list(range(8))
 
     def test_a_stop_that_leaves_the_worker_fails(self, transport, monkeypatch):
         # Negative control of the row above: with a stop that neither joins
         # nor reaps its worker, the walk leaves it behind.
-        fds, stopped = _fds(), []
+        fds, stopped = open_fds(), []
         original = transport.cls.stop
         monkeypatch.setattr(transport.cls, "stop", lambda share: stopped.append(share))
         walk = _walk(transport, 8)
         next(walk)
         walk.close()
         try:
-            assert _left_behind(fds) != NOTHING
+            assert left_behind(fds) != NOTHING
         finally:
             original(stopped[0])
-        assert _left_behind(fds) == NOTHING
+        assert left_behind(fds) == NOTHING

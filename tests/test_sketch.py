@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from contextvars import ContextVar
 
@@ -13,6 +14,8 @@ from dpsketch.lra import LraConfig, new_lra
 from dpsketch.matprod import new_matprod
 from dpsketch.regress import new_regress
 from dpsketch.sketch import GaussianSketcher
+
+from conftest import HELPER
 
 BUDGET = guard.PrivacyBudget(1.0, 0.01)
 ACC = guard.AccuracySpec(0.5, 0.2)
@@ -531,18 +534,19 @@ class TestWalk:
         return np.array_equal(joined, sk.column_block(3, 40))
 
     def _philox_calls(self, monkeypatch):
+        # (thread, offset) of each stream a pass from column 3 opens.
         sk, blocks = self._regress_pass()
         calls = []
         original = sketch._philox
 
         def spy(seed, offset):
-            calls.append(offset)
+            calls.append((threading.current_thread().name, offset))
             return original(seed, offset)
 
         monkeypatch.setattr(sketch, "_philox", spy)
-        sk.project_blocks(0, blocks)
+        sk.project_blocks(3, [block[3:] for block in blocks])
         monkeypatch.setattr(sketch, "_philox", original)
-        return len(calls)
+        return sorted(calls)
 
     def _peak_in_tiles(self):
         sk, blocks = self._regress_pass()
@@ -569,13 +573,15 @@ class TestWalk:
             assert len(groups) == sum(map(len, groups)) > 3
 
     def test_a_pass_opens_one_stream(self, monkeypatch):
-        # One stream per generating thread, never one per tile.
-        assert self._philox_calls(monkeypatch) == 1
+        # One stream per generating thread, never one per tile, each opened
+        # at the pass's first column (3 columns of 1032 words in).
+        main = threading.current_thread().name
+        assert self._philox_calls(monkeypatch) == [(main, 3 * 1032)]
         monkeypatch.setattr(sketch, "_split_walks", ContextVar("split_walks", default=True))
-        assert self._philox_calls(monkeypatch) == 2
+        assert self._philox_calls(monkeypatch) == sorted([(main, 3 * 1032), (HELPER, 3 * 1032)])
         monkeypatch.setattr(sketch, "_split_walks", ContextVar("split_walks", default=False))
         monkeypatch.setattr(sketch, "_tiles", _fresh_walk)
-        assert self._philox_calls(monkeypatch) == 32
+        assert len(self._philox_calls(monkeypatch)) == 32
 
     def test_a_pass_holds_one_tile(self, monkeypatch):
         # In tiles of per_tile(r) = 63 columns at r = 1031 (1031 x 63

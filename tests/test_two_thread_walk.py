@@ -7,7 +7,10 @@ release plan that says so (``sketch.plan_release``, applied by
 ``sketch._plan_scope``), and only where BLAS went to one thread there. Most
 tests here pick the path by replacing ``sketch._split_walks``, the context
 variable the scope sets; the serial walk is the reference the two-thread
-walk must equal bit for bit.
+walk must equal bit for bit. The claim protocol both threads run is
+``sketch._in_order``'s, checked once in ``tests/test_in_order.py``; here
+stay the tile bits each thread generates, the plan and scopes that start
+a walk, and the releases built on it.
 """
 import contextvars
 import json
@@ -24,8 +27,7 @@ import pytest
 from dpsketch import cli, harness, lra, matprod, sketch
 from dpsketch.sketch import GaussianSketcher
 
-# The name of a two-thread walk's helper thread.
-HELPER = "dpsketch-tiles"
+from conftest import HELPER, helpers
 
 
 def _use(monkeypatch, split):
@@ -190,6 +192,11 @@ class TestSelection:
         monkeypatch.delattr(os, "memfd_create", raising=False)
         assert cli._can_fork() is False
 
+    def test_no_pidfd_may_not_fork(self, monkeypatch):
+        # The forked parser is killed and waited for through a pidfd.
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+        assert cli._can_fork() is False
+
     def test_one_column_tiles_walk_serially(self, monkeypatch):
         # r = 50 over a 40-entry tile: a tile is one column, which has no
         # half, so one stream on the calling thread walks it even where
@@ -310,34 +317,6 @@ def _tile_threads(monkeypatch):
     return threads
 
 
-class TestOrder:
-    def test_each_column_once_in_order_on_both_threads(self, monkeypatch, tile_calls):
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
-        sk = GaussianSketcher(2, 5, 100)
-        threads = _tile_threads(monkeypatch)
-        opened, original = [], sketch._philox
-
-        def philox(seed, offset):
-            opened.append((threading.current_thread().name, offset))
-            return original(seed, offset)
-
-        monkeypatch.setattr(sketch, "_philox", philox)
-        walk = _walk(monkeypatch, True, sk, 3, 98)
-        spans = [(t0, t1) for t0, t1, _tile in walk]
-        assert spans[0][0] == 3 and spans[-1][1] == 98
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        # Every tile generated once, in the walk's own spans, and 5 x 95
-        # normals in all: the first on the caller, the second on the
-        # helper, and each of the others on whichever of the two claimed it.
-        assert [(j0, j1) for _r, j0, j1 in sorted(tile_calls, key=lambda c: c[1])] == spans
-        assert tile_calls.normals == 5 * 95
-        main = threading.current_thread().name
-        assert (threads[spans[0][0]], threads[spans[1][0]]) == (main, HELPER)
-        assert set(threads.values()) == {main, HELPER}
-        # One stream per thread, each opened at the walk's first column.
-        assert sorted(opened) == sorted([(main, 3 * sk._wpc), (HELPER, 3 * sk._wpc)])
-
-
 class TestConcurrentWalks:
     def test_walks_from_many_threads_are_exact(self, monkeypatch):
         # Six threads walk at once on 2 CPUs, switching as often as the
@@ -369,82 +348,11 @@ class TestConcurrentWalks:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [True] * len(sketchers)
-        assert _helpers() == []
+        assert helpers() == []
 
 
 class HelperFailed(Exception):
     pass
-
-
-def _helpers():
-    return [t for t in threading.enumerate() if t.name == HELPER]
-
-
-class TestFaults:
-    @staticmethod
-    def _fresh_walk_is_exact(monkeypatch):
-        sk = GaussianSketcher(8, 5, 60)
-        return np.array_equal(_joined(_walk(monkeypatch, True, sk, 0, 60)), sk.column_block(0, 60))
-
-    def test_a_walk_left_early_waits_for_the_helper(self, monkeypatch):
-        # The caller raises at the first tile, while the helper is still
-        # generating the second (slowed down here): the walk returns only
-        # once that tile is done, the helper claims no other, and the next
-        # walk is bit-exact.
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
-        original = sketch._tile
-        finished = []
-
-        def slow(sk_, bg, j0, j1, buf):
-            if threading.current_thread().name == HELPER:
-                time.sleep(0.3)
-            tile = original(sk_, bg, j0, j1, buf)
-            finished.append((j0, j1))
-            return tile
-
-        monkeypatch.setattr(sketch, "_tile", slow)
-        _use(monkeypatch, True)
-        sk = GaussianSketcher(8, 5, 60)
-
-        def consume():
-            for _t0, _t1, _tile in sketch._tiles(sk, 0, 60):
-                raise HelperFailed("the caller fails at its first tile")
-
-        with pytest.raises(HelperFailed):
-            consume()
-        assert finished == [(0, 4), (4, 8)]
-        monkeypatch.setattr(sketch, "_tile", original)
-        assert self._fresh_walk_is_exact(monkeypatch)
-
-    def test_a_fault_in_the_helper_surfaces_in_the_caller(self, monkeypatch):
-        # The helper raises at the second tile it generates, whichever it
-        # claimed; the caller pauses after each tile, so the helper claims
-        # more than one. The walk yields every tile before that one, then
-        # raises the helper's fault.
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 40)
-        original = sketch._tile
-        on_helper = []
-
-        def failing(sk_, bg, j0, j1, buf):
-            if threading.current_thread().name == HELPER:
-                on_helper.append(j0)
-                if len(on_helper) == 2:
-                    raise HelperFailed(f"tile at {j0} on {HELPER}")
-            return original(sk_, bg, j0, j1, buf)
-
-        monkeypatch.setattr(sketch, "_tile", failing)
-        _use(monkeypatch, True)
-        sk = GaussianSketcher(8, 5, 60)
-        seen = []
-        with pytest.raises(HelperFailed) as err:
-            for t0, _t1, _tile in sketch._tiles(sk, 0, 60):
-                seen.append(t0)
-                time.sleep(0.005)
-        assert on_helper[0] == 4 and len(on_helper) == 2
-        assert str(err.value) == f"tile at {on_helper[1]} on {HELPER}"
-        assert seen == list(range(0, on_helper[1], 4))
-        monkeypatch.setattr(sketch, "_tile", original)
-        assert self._fresh_walk_is_exact(monkeypatch)
 
 
 def _alternating_split(sk, j0, j1, width):
