@@ -2,6 +2,7 @@ import os
 import signal
 import threading
 
+import numpy as np
 import pytest
 
 from dpsketch import sketch
@@ -32,6 +33,24 @@ def left_behind(fds):
 
 
 NOTHING = ([], None, [])
+
+
+def write_csv(path, m):
+    """Write the rows of m to a CSV file at path, each entry as its repr,
+    which reads back bit for bit (a NaN as ``nan``). Gives the path."""
+    with open(path, "w") as fh:
+        for row in np.atleast_2d(m):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    return str(path)
+
+
+def lra_argv(path, report, oracle=False):
+    """The argv of an lra release of rank 1 (3 columns with the
+    oversampling) of a CSV file, or of a DPMT file, at seed 0."""
+    fmt = ["--format", "dpbin"] if path.endswith(".dpmt") else []
+    argv = ["lra", "--input", path, *fmt, "--rank", "1", "--oversample", "2", "--eps", "1",
+            "--delta", "0.01", "--seed", "0", "--report", str(report)]
+    return argv + (["--oracle"] if oracle else [])
 
 
 @pytest.fixture

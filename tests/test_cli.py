@@ -6,7 +6,6 @@ import os
 import random
 import re
 import resource
-import signal
 import struct
 import time
 import tracemalloc
@@ -22,13 +21,7 @@ from dpsketch.lra import LowRankFactor, LraConfig, LraState, new_lra
 from dpsketch.matprod import LiftedSketch, lifted_matrix, new_matprod
 from dpsketch.regress import new_regress
 
-from conftest import NOTHING, left_behind, open_fds
-
-
-def write_csv(path, m):
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(m):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+from conftest import NOTHING, left_behind, lra_argv, open_fds, write_csv
 
 
 @pytest.fixture
@@ -1029,8 +1022,7 @@ class TestForkedCsvReader:
             return original(state, i0, block)
 
         monkeypatch.setattr(LraState, "ingest_rows", spy)
-        argv = ["lra", "--input", str(p), "--rank", "1", "--oversample", "2", "--eps", "1",
-                "--delta", "0.01", "--seed", "0", "--report", str(tmp_path / "r.json")]
+        argv = lra_argv(str(p), tmp_path / "r.json")
 
         def release(cpus):
             monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
@@ -1149,8 +1141,7 @@ class TestForkedCsvReader:
             return original(state, i0, block)
 
         monkeypatch.setattr(LraState, "ingest_rows", spy)
-        argv = ["lra", "--input", str(p), "--rank", "1", "--oversample", "2", "--eps", "1",
-                "--delta", "0.01", "--seed", "0", "--report", str(tmp_path / "r.json")]
+        argv = lra_argv(str(p), tmp_path / "r.json")
 
         def release(cpus):
             monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
@@ -1170,148 +1161,6 @@ class TestForkedCsvReader:
             assert err == err1 and err.startswith("error: ") and err.count("\n") == 1
             assert self._same(rows_in, rows_in1) and len(rows_in) == row // 16
         assert self.forks == [16, 16]
-
-
-def _alternating_csv_chunks(path, step, shape, marks, execution):
-    # The fixed split the forked reader took before chunks went to whichever
-    # process is free: a forked child parses every odd chunk and this
-    # process every even one. The balance tests' negative control; it reads
-    # clean inputs only. Each process reads its chunks from their marks; the
-    # child sends its blocks' raw bytes over a pipe, in order.
-    rows, cols = shape
-    chunks = range(-(-rows // step))
-    rfd, wfd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(rfd)
-            with open(wfd, "wb") as out, open(path) as fh:
-                for k in chunks[1::2]:
-                    lines, _linenos = cli._chunk_rows(fh, k, step, cols, marks)
-                    out.write(cli._bulk_csv_chunk(lines, cols).tobytes())
-        finally:
-            os._exit(0)
-    os.close(wfd)
-    try:
-        with open(rfd, "rb") as data, open(path) as fh:
-            for k in chunks:
-                if k % 2:
-                    n = min(step, rows - k * step)
-                    block = np.frombuffer(bytearray(data.read(8 * n * cols))).reshape(n, cols)
-                    execution["parser_chunks"] += 1
-                else:
-                    block = cli._parse_csv_chunk(*cli._chunk_rows(fh, k, step, cols, marks), cols)
-                yield k * step, block
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-@pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork, os.memfd_create and Python below 3.12")
-class TestForkedReaderBalance:
-    """Chunks go to whichever process is free: in an lra release of 16
-    chunks, with the release slowed (in ``LraState.ingest_rows``) the
-    parser supplies most of them, and with the parser slowed (before each
-    claim) the release parses most. The fixed odd/even alternation gives
-    the parser 8 whatever the delay, and fails. The parser holds at most
-    ``cli._RUN_AHEAD`` parsed blocks the release has not taken."""
-
-    CHUNKS = 16
-
-    @pytest.fixture(autouse=True)
-    def forked_plan(self, monkeypatch):
-        # lra reads 3-column inputs in chunks of 16 rows here, on a plan
-        # that forks its reader: two CPUs and BLAS entry points.
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
-        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
-        threads = [2]
-        monkeypatch.setattr(sketch, "_blas_thread_fns",
-                            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
-        self.parent = os.getpid()
-
-    def _release(self, tmp_path, monkeypatch, slow):
-        # The execution record of an lra release of 16 chunks, with the
-        # release or the parser 10 ms late on each chunk.
-        if slow == "release":
-            original = LraState.ingest_rows
-
-            def ingest(state, i0, block):
-                time.sleep(0.01)
-                return original(state, i0, block)
-
-            monkeypatch.setattr(LraState, "ingest_rows", ingest)
-        else:
-            original_claim = cli._claim
-
-            def claim(fd):
-                if os.getpid() != self.parent:
-                    time.sleep(0.01)
-                return original_claim(fd)
-
-            monkeypatch.setattr(cli, "_claim", claim)
-        path = tmp_path / "a.csv"
-        write_csv(path, np.random.default_rng(11).standard_normal((16 * self.CHUNKS, 3)))
-        report = tmp_path / "r.json"
-        argv = ["lra", "--input", str(path), "--rank", "1", "--oversample", "2", "--eps", "1",
-                "--delta", "0.01", "--seed", "0", "--report", str(report)]
-        fds = open_fds()
-        assert cli.main(argv) == 0
-        assert left_behind(fds) == NOTHING
-        execution = json.loads(report.read_text())["execution"]
-        assert execution["csv_reader"] == "forked"
-        return execution["parser_chunks"]
-
-    def _free_process_did_most(self, slow, supplied):
-        return (supplied if slow == "release" else self.CHUNKS - supplied) > self.CHUNKS / 2
-
-    @pytest.mark.parametrize("slow", ["release", "parser"])
-    def test_the_free_process_parses_most_chunks(self, tmp_path, monkeypatch, slow):
-        supplied = self._release(tmp_path, monkeypatch, slow)
-        assert self._free_process_did_most(slow, supplied)
-
-    @pytest.mark.parametrize("slow", ["release", "parser"])
-    def test_a_fixed_alternation_fails(self, tmp_path, monkeypatch, slow):
-        monkeypatch.setattr(cli, "_forked_csv_chunks", _alternating_csv_chunks)
-        supplied = self._release(tmp_path, monkeypatch, slow)
-        assert supplied == self.CHUNKS / 2
-        assert not self._free_process_did_most(slow, supplied)
-
-    def _most_untaken(self, tmp_path, monkeypatch):
-        # The most blocks the parser had parsed that the release had not
-        # taken, seen after each chunk of a read of 12 chunks that the
-        # release takes 20 ms over each.
-        log = tmp_path / "parsed"
-        original = cli._bulk_csv_chunk
-
-        def logged(lines, expected):
-            block = original(lines, expected)
-            if os.getpid() != self.parent:
-                with open(log, "a") as fh:
-                    fh.write("+")
-            return block
-
-        monkeypatch.setattr(cli, "_bulk_csv_chunk", logged)
-        path = tmp_path / "a.csv"
-        write_csv(path, np.random.default_rng(12).standard_normal((48, 3)))
-        plan = sketch.ReleasePlan(cpus=2, one_blas=True, walk="serial", csv_reader="forked",
-                                  chunk_rows=4, tile_cols=1)
-        most, fds = 0, open_fds()
-        with cli._release_chunks(plan, [str(path)], "csv", *_probe(path)) as (chunks, execution):
-            for _chunk in chunks:
-                time.sleep(0.02)
-                parsed = len(log.read_text()) if log.exists() else 0
-                most = max(most, parsed - execution["parser_chunks"])
-        assert left_behind(fds) == NOTHING
-        return most
-
-    def test_the_parser_runs_at_most_its_bound_ahead(self, tmp_path, monkeypatch):
-        assert self._most_untaken(tmp_path, monkeypatch) == cli._RUN_AHEAD
-
-    def test_an_unbounded_run_ahead_fails(self, tmp_path, monkeypatch):
-        # Negative control: a parser that may claim every chunk at once,
-        # with a slot for each of the 12.
-        monkeypatch.setattr(cli, "_RUN_AHEAD", 12)
-        assert self._most_untaken(tmp_path, monkeypatch) > 2
 
 
 class TestCommands:

@@ -5,12 +5,13 @@ tile widths, each release run in this process.
 A walk generates its tiles on two threads only inside the scope of a
 release plan that says so (``sketch.plan_release``, applied by
 ``sketch._plan_scope``), and only where BLAS went to one thread there. Most
-tests here pick the path by replacing ``sketch._split_walks``, the context
-variable the scope sets; the serial walk is the reference the two-thread
-walk must equal bit for bit. The claim protocol both threads run is
-``sketch._in_order``'s, checked once in ``tests/test_in_order.py``; here
-stay the tile bits each thread generates, the plan and scopes that start
-a walk, and the releases built on it.
+tests here pick the path by replacing ``sketch._split_walks``; the serial
+walk is the reference the two-thread walk must equal bit for bit. The claim
+protocol is ``sketch._in_order``'s, checked in ``tests/test_in_order.py``.
+``TestReleaseScope`` is one table of small CLI releases, each row run once
+under one spy: the BLAS count and thread of each tile, the count --oracle
+scoring runs at, the count set and given back, the forks, and whether the
+execution record says what ran (with two forged records as controls).
 """
 import contextvars
 import json
@@ -27,7 +28,7 @@ import pytest
 from dpsketch import cli, harness, lra, matprod, sketch
 from dpsketch.sketch import GaussianSketcher
 
-from conftest import HELPER, helpers
+from conftest import HELPER, helpers, lra_argv, write_csv
 
 
 def _use(monkeypatch, split):
@@ -487,42 +488,144 @@ def _multiply_argv(paths, report, oracle=False, command="multiply"):
     return argv + (["--oracle"] if oracle else [])
 
 
-class TestReleaseScope:
-    """On 2 CPUs a CLI multiply or regress release whose plan splits its
-    walks runs its mechanism with BLAS on one thread and walks on two, and
-    gives BLAS back its count afterwards; the --oracle scoring runs
-    outside. Every other release changes nothing."""
+def _record_is_true(execution, seen):
+    """Whether a release's execution record says what its run did: ``seen``
+    holds the (BLAS count, thread) each of its tiles was generated at, the
+    children the release forked and the blocks it received from them."""
+    return (execution["walk"] == ("two-thread" if HELPER in {t for _, t in seen["tiles"]} else "serial")
+            and execution["csv_reader"] == ("forked" if seen["forks"] else "serial")
+            and execution["parser_chunks"] == seen["received"]
+            and {count for count, _ in seen["tiles"]} == {execution["blas_threads"]})
 
-    @staticmethod
-    def _spy_release(monkeypatch, state):
-        # What a release's tiles and its --oracle scoring each see: the BLAS
-        # count, and the thread that generates a tile or whether walks split.
-        seen = {"tiles": set(), "scoring": []}
-        original_tile, original_errors = sketch._tile, harness.matprod_errors
+
+_FORKS = pytest.mark.skipif(not cli._can_fork(), reason="a release may not fork its reader here")
+
+# The table of CLI releases, one a row: the command, its input format and
+# rows (3 columns each), the usable CPUs, and the walk and CSV reader its
+# plan picks. At r = 74, multiply's walk tiles are 442 columns, so 1,000
+# rows span three and 884 two; regress's 1,000 rows span more at its r.
+# lra reads a CSV file in chunks of 4 x per_tile(3) = 16 rows at 12-entry
+# tiles, so 40 rows take three.
+RELEASES = [
+    pytest.param("multiply", "dpmt", 1000, 2, "two-thread", "serial", id="multiply"),
+    pytest.param("regress", "dpmt", 1000, 2, "two-thread", "serial", id="regress"),
+    pytest.param("lra", "csv", 40, 2, "serial", "forked", id="lra-csv", marks=_FORKS),
+    pytest.param("multiply", "dpmt", 1000, 4, "serial", "serial", id="4-cpus"),
+    pytest.param("multiply", "dpmt", 1000, 1, "serial", "serial", id="1-cpu"),
+    pytest.param("multiply", "dpmt", 884, 2, "serial", "serial", id="two-half-tiles"),
+    pytest.param("lra", "dpmt", 1000, 2, "serial", "serial", id="lra-dpmt"),
+]
+
+# Releases that fail: a NaN in a row of a release that splits its walks or
+# forks its reader, and the message the release exits with.
+FAILURES = [
+    pytest.param("multiply", "dpmt", 1000, 937, "non-finite entry in binary row 937", id="multiply"),
+    pytest.param("lra", "csv", 40, 20, "non-finite entry at line 21", id="lra-csv", marks=_FORKS),
+]
+
+
+class TestReleaseScope:
+    """The table of CLI releases. On 2 CPUs a release whose plan splits its
+    walks (multiply, regress) or forks its CSV reader (lra) runs with BLAS
+    on one thread, and walks on two or beside a forked parser; it gives
+    BLAS its count back, failed or not, and --oracle scoring runs outside.
+    Every other release changes nothing. Each execution record says what
+    ran. Which releases split or fork is the plan's (TestSelection)."""
+
+    @pytest.fixture
+    def release(self, tmp_path, monkeypatch):
+        """release(command, fmt, rows, cpus, bad_row=None) runs an --oracle
+        CLI release on ``cpus`` usable CPUs, BLAS entry points at 3 threads:
+        its exit code, its execution record (None if it failed) and what it
+        did. ``seen`` holds the entry points' count and the counts set, the
+        (BLAS count, thread) of each tile and (BLAS count, split walks) of
+        each scoring, each fork's chunk rows and the blocks received."""
+        seen = _fake_blas(monkeypatch, 3)
+        seen.update(tiles=set(), scoring=[], forks=[], received=0)
+        original_tile, original_fork = sketch._tile, os.fork
+        original_reader, original_take = cli._forked_csv_chunks, cli._ForkShare.take
 
         def tile(*args):
-            seen["tiles"].add((state["threads"], threading.current_thread().name))
+            seen["tiles"].add((seen["threads"], threading.current_thread().name))
             return original_tile(*args)
 
-        def errors(*args):
-            seen["scoring"].append((state["threads"], sketch._split_walks.get()))
-            return original_errors(*args)
+        def scoring(errors):
+            def scored(*args):
+                seen["scoring"].append((seen["threads"], sketch._split_walks.get()))
+                return errors(*args)
+
+            return scored
+
+        def reader(path, step, *probe_and_record):
+            seen["chunk_rows"] = step
+            return original_reader(path, step, *probe_and_record)
+
+        def fork():
+            pid = original_fork()
+            if pid:
+                seen["forks"].append(seen["chunk_rows"])
+            return pid
+
+        def take(*args):
+            got = original_take(*args)
+            seen["received"] += got is not None
+            return got
 
         monkeypatch.setattr(sketch, "_tile", tile)
-        monkeypatch.setattr(harness, "matprod_errors", errors)
-        return seen
+        for name in ("lra_errors", "matprod_errors", "regress_errors"):
+            monkeypatch.setattr(harness, name, scoring(getattr(harness, name)))
+        monkeypatch.setattr(cli, "_forked_csv_chunks", reader)
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        monkeypatch.setattr(cli._ForkShare, "take", take)
 
-    def test_a_release_runs_on_one_thread_and_restores_the_count(self, tmp_path, monkeypatch):
-        # 1,000 rows at r = 74: they span three walk tiles of 442.
-        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
-        state = _fake_blas(monkeypatch, 3)
-        seen = self._spy_release(monkeypatch, state)
-        paths = _write_pair(tmp_path, 1000, 3)
-        assert cli.main(_multiply_argv(paths, tmp_path / "r.json", oracle=True)) == 0
-        main = threading.current_thread().name
-        assert seen["tiles"] == {(1, main), (1, HELPER)} and seen["scoring"] == [(3, False)]
-        assert state["set"] == [1, 3] and state["threads"] == 3
+        def run(command, fmt, rows, cpus, bad_row=None):
+            monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
+            report = tmp_path / "r.json"
+            if fmt == "csv":
+                monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+                m = np.random.default_rng(rows).standard_normal((rows, 3))
+                if bad_row is not None:
+                    m[bad_row] = np.nan
+                paths = [write_csv(tmp_path / "a.csv", m)]
+            else:
+                paths = _write_pair(tmp_path, rows, 3, bad_row)
+            argv = (lra_argv(paths[0], report, oracle=True) if command == "lra"
+                    else _multiply_argv(paths, report, oracle=True, command=command))
+            code = cli.main(argv)
+            return code, json.loads(report.read_text())["execution"] if code == 0 else None, seen
+
+        return run
+
+    @pytest.mark.parametrize("command, fmt, rows, cpus, walk, reader", RELEASES)
+    def test_a_release_runs_its_plan(self, release, command, fmt, rows, cpus, walk, reader):
+        code, execution, seen = release(command, fmt, rows, cpus)
+        assert code == 0
+        split, forked = walk == "two-thread", reader == "forked"
+        # Tiles at the count the plan sets, on the threads it walks on;
+        # scoring at the count given back, with walks serial again.
+        threads = {threading.current_thread().name} | ({HELPER} if split else set())
+        assert seen["tiles"] == {(1 if split or forked else 3, name) for name in threads}
+        assert seen["scoring"] == [(3, False)]
+        assert seen["set"] == ([1, 3] if split or forked else []) and seen["threads"] == 3
         assert sketch._split_walks.get() is False
+        assert seen["forks"] == ([16] if forked else [])
+        assert execution["usable_cpus"] == cpus
+        assert _record_is_true(execution, seen)
+        # Negative controls: the record with its walk forged the other way
+        # is false, and so is one that counts a block more from the parser.
+        forged = "serial" if split else "two-thread"
+        assert not _record_is_true(dict(execution, walk=forged), seen)
+        forged = execution["parser_chunks"] + 1
+        assert not _record_is_true(dict(execution, parser_chunks=forged), seen)
+
+    @pytest.mark.parametrize("command, fmt, rows, bad_row, message", FAILURES)
+    def test_a_failed_release_gives_the_count_back(self, release, capsys, command, fmt, rows,
+                                                   bad_row, message):
+        code, _execution, seen = release(command, fmt, rows, 2, bad_row)
+        assert code == 1 and message in capsys.readouterr().err
+        assert seen["set"] == [1, 3] and seen["threads"] == 3
+        assert sketch._split_walks.get() is False
+        assert seen["forks"] == ([16] if fmt == "csv" else [])
 
     def test_overlapping_releases_leave_nothing_behind(self, tmp_path, monkeypatch):
         # Release A enters its scope on one thread, then release B on
@@ -573,33 +676,6 @@ class TestReleaseScope:
         GaussianSketcher(1, 74, 3000).project_blocks(0, [np.ones((3000, 1))])
         assert names == {threading.current_thread().name}
 
-    @pytest.mark.parametrize(
-        "cpus, command, rows",
-        [(4, "multiply", 1000), (1, "multiply", 1000), (2, "multiply", 884), (2, "lra", 1000)],
-        ids=["4-cpus", "1-cpu", "two-half-tiles", "lra"],
-    )
-    def test_other_releases_change_nothing(self, tmp_path, monkeypatch, cpus, command, rows):
-        monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
-        state = _fake_blas(monkeypatch, 3)
-        seen = self._spy_release(monkeypatch, state)
-        paths = _write_pair(tmp_path, rows, 3)
-        if command == "lra":
-            argv = ["lra", "--input", paths[0], "--format", "dpbin", "--rank", "1", "--oversample", "2",
-                    "--eps", "1", "--delta", "0.01", "--seed", "0", "--report", str(tmp_path / "r.json")]
-        else:
-            argv = _multiply_argv(paths, tmp_path / "r.json")
-        assert cli.main(argv) == 0
-        assert seen["tiles"] == {(3, threading.current_thread().name)} and state["set"] == []
-
-    def test_a_failed_release_restores_the_count(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
-        state = _fake_blas(monkeypatch, 3)
-        paths = _write_pair(tmp_path, 1000, 3, bad_row=937)
-        assert cli.main(_multiply_argv(paths, tmp_path / "r.json")) == 1
-        assert "non-finite" in capsys.readouterr().err
-        assert state["set"] == [1, 3] and state["threads"] == 3
-        assert sketch._split_walks.get() is False
-
     def test_no_entry_point_changes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sketch, "_blas_thread_fns", lambda: None)
         paths = _write_pair(tmp_path, 40, 3)
@@ -616,166 +692,6 @@ class TestReleaseScope:
         paths = _write_pair(tmp_path, 1000, 3, bad_row=937)
         assert cli.main(_multiply_argv(paths, tmp_path / "r.json")) == 1
         assert fns[0]() == before
-
-
-def _write_csv(path, n, cols, bad_row=None):
-    # An n x cols CSV file; a NaN in row bad_row, if given.
-    rows = np.random.default_rng(n).standard_normal((n, cols)).tolist()
-    lines = [",".join(map(repr, row)) for row in rows]
-    if bad_row is not None:
-        lines[bad_row] = ",".join(["nan"] * cols)
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
-def _lra_csv_argv(path, report, oracle=False):
-    argv = ["lra", "--input", path, "--rank", "1", "--oversample", "2", "--eps", "1",
-            "--delta", "0.01", "--seed", "0", "--report", str(report)]
-    return argv + (["--oracle"] if oracle else [])
-
-
-@pytest.mark.skipif(not cli._can_fork(), reason="needs os.fork, os.memfd_create and Python below 3.12")
-class TestCsvReleaseScope:
-    """On 2 CPUs a CLI lra release whose plan forks its CSV reader runs
-    with BLAS on one thread while it and a forked child each parse the
-    chunks they claim, and gives BLAS back its count afterwards; its walk
-    stays serial and the --oracle scoring runs outside. Which releases fork
-    is the plan's (TestSelection)."""
-
-    @pytest.fixture(autouse=True)
-    def _forks(self, monkeypatch):
-        # lra reads 3-column inputs in chunks of 4 x per_tile(3) = 16 rows.
-        monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
-        self.forks = []
-        original = cli._forked_csv_chunks
-
-        def spy(path, step, *probe_and_record):
-            self.forks.append(step)
-            return original(path, step, *probe_and_record)
-
-        monkeypatch.setattr(cli, "_forked_csv_chunks", spy)
-
-    @staticmethod
-    def _spy_release(monkeypatch, state):
-        # What a release's tiles and its --oracle scoring each see.
-        seen = {"tiles": set(), "scoring": []}
-        original_tile, original_errors = sketch._tile, harness.lra_errors
-
-        def tile(*args):
-            seen["tiles"].add((state["threads"], threading.current_thread().name))
-            return original_tile(*args)
-
-        def errors(*args):
-            seen["scoring"].append((state["threads"], sketch._split_walks.get()))
-            return original_errors(*args)
-
-        monkeypatch.setattr(sketch, "_tile", tile)
-        monkeypatch.setattr(harness, "lra_errors", errors)
-        return seen
-
-    def test_a_release_runs_on_one_thread_and_restores_the_count(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
-        state = _fake_blas(monkeypatch, 3)
-        seen = self._spy_release(monkeypatch, state)
-        path = _write_csv(tmp_path / "a.csv", 40, 3)
-        assert cli.main(_lra_csv_argv(path, tmp_path / "r.json", oracle=True)) == 0
-        assert self.forks == [16]
-        main = threading.current_thread().name
-        assert seen["tiles"] == {(1, main)} and seen["scoring"] == [(3, False)]
-        assert state["set"] == [1, 3] and state["threads"] == 3
-
-    def test_a_failed_release_restores_the_count(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(sketch, "_usable_cpus", lambda: 2)
-        state = _fake_blas(monkeypatch, 3)
-        path = _write_csv(tmp_path / "a.csv", 40, 3, bad_row=20)
-        assert cli.main(_lra_csv_argv(path, tmp_path / "r.json")) == 1
-        assert "non-finite entry at line 21" in capsys.readouterr().err
-        assert self.forks == [16]
-        assert state["set"] == [1, 3] and state["threads"] == 3
-
-
-def _record_is_true(execution, seen):
-    """Whether a release's execution record says what its run did: ``seen``
-    holds the threads that generated its tiles, the BLAS counts those tiles
-    ran at, the children the release forked and the blocks it received
-    from them."""
-    return (execution["walk"] == ("two-thread" if HELPER in seen["threads"] else "serial")
-            and execution["csv_reader"] == ("forked" if seen["forks"] else "serial")
-            and execution["parser_chunks"] == seen["received"]
-            and seen["blas"] == {execution["blas_threads"]})
-
-
-@pytest.fixture
-def two_cpus():
-    """The process on two of its CPUs, where it has two or more."""
-    if not hasattr(os, "sched_setaffinity"):
-        yield
-        return
-    mask = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, sorted(mask)[:2])
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, mask)
-
-
-@pytest.mark.usefixtures("two_cpus")
-class TestExecutionRecord:
-    """The execution record of a release of each command says what ran,
-    on two of the process's CPUs where it has two: the walk by the threads
-    that generated its tiles, the CSV reader by the children it forked and
-    the BLAS count by the count its tiles ran at, and the chunks its parser
-    supplied by the blocks the release received."""
-
-    @staticmethod
-    def _release(tmp_path, monkeypatch, command):
-        # The record of a release of a small fixture, and what the release did.
-        fns = sketch._blas_thread_fns()
-        seen = {"threads": set(), "blas": set(), "forks": [], "received": 0}
-        original_tile, original_fork, original_take = sketch._tile, os.fork, cli._ForkShare.take
-
-        def tile(*args):
-            seen["threads"].add(threading.current_thread().name)
-            seen["blas"].add(fns[0]() if fns else None)
-            return original_tile(*args)
-
-        def fork():
-            pid = original_fork()
-            if pid:
-                seen["forks"].append(pid)
-            return pid
-
-        def take(*args):
-            got = original_take(*args)
-            seen["received"] += got is not None
-            return got
-
-        monkeypatch.setattr(sketch, "_tile", tile)
-        monkeypatch.setattr(os, "fork", fork, raising=False)
-        monkeypatch.setattr(cli._ForkShare, "take", take)
-        report = tmp_path / "r.json"
-        if command == "lra":
-            # Chunks of 4 x per_tile(3) = 16 rows, so the 40 rows take three.
-            monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
-            argv = _lra_csv_argv(_write_csv(tmp_path / "a.csv", 40, 3), report)
-        else:
-            # 1,000 rows span three walk tiles or more at either r.
-            argv = _multiply_argv(_write_pair(tmp_path, 1000, 3), report, command=command)
-        assert cli.main(argv) == 0
-        return json.loads(report.read_text())["execution"], seen
-
-    @pytest.mark.parametrize("command", ["lra", "multiply", "regress"])
-    def test_the_record_says_what_ran(self, tmp_path, monkeypatch, command):
-        execution, seen = self._release(tmp_path, monkeypatch, command)
-        assert execution["usable_cpus"] == sketch._usable_cpus()
-        assert _record_is_true(execution, seen)
-        # Negative control: the record with its walk forged the other way
-        # (serial, where the walk splits) is false.
-        forged = "serial" if execution["walk"] == "two-thread" else "two-thread"
-        assert not _record_is_true(dict(execution, walk=forged), seen)
-        # So is one that counts a block more from the parser.
-        forged = execution["parser_chunks"] + 1
-        assert not _record_is_true(dict(execution, parser_chunks=forged), seen)
 
     def test_a_helper_that_cannot_start_leaves_a_serial_release(self, tmp_path, monkeypatch):
         # A regress release whose plan splits its walks, where no thread can
@@ -800,6 +716,20 @@ class TestExecutionRecord:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert release(2, "refused") == serial == ("serial", serial[1])
         assert sketch._split_walks.get() is False
+
+
+@pytest.fixture
+def two_cpus():
+    """The process on two of its CPUs, where it has two or more."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(mask)[:2])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 def _full_tile_walk(sk, j0, j1):
@@ -860,7 +790,8 @@ class TestReproducibility:
             if command == "lra":
                 if not cli._can_fork():
                     pytest.skip("needs os.fork and os.memfd_create below Python 3.12")
-                argv = ["lra", "--input", _write_csv(tmp_path / "a.csv", rows, cols), "--rank", "10",
+                data = np.random.default_rng(rows).standard_normal((rows, cols))
+                argv = ["lra", "--input", write_csv(tmp_path / "a.csv", data), "--rank", "10",
                         "--eps", "1", "--delta", "0.01", "--seed", "0", "--report", str(report)]
                 names = ["uhat", "lam"]
             else:
