@@ -11,7 +11,11 @@ protocol is ``sketch._in_order``'s, checked in ``tests/test_in_order.py``.
 ``TestReleaseScope`` is one table of small CLI releases, each row run once
 under one spy: the BLAS count and thread of each tile, the count --oracle
 scoring runs at, the count set and given back, the forks, and whether the
-execution record says what ran (with two forged records as controls).
+execution record says what ran (with two forged records as controls). The
+split multiply release and the forked lra release (``TestCsvReleaseScope``)
+run the same checks under their own test names. ``TestExecutionRecord``
+checks the record of each command in this process as it is, on its real
+CPUs and BLAS entry points.
 """
 import contextvars
 import json
@@ -500,16 +504,17 @@ def _record_is_true(execution, seen):
 
 _FORKS = pytest.mark.skipif(not cli._can_fork(), reason="a release may not fork its reader here")
 
-# The table of CLI releases, one a row: the command, its input format and
-# rows (3 columns each), the usable CPUs, and the walk and CSV reader its
-# plan picks. At r = 74, multiply's walk tiles are 442 columns, so 1,000
-# rows span three and 884 two; regress's 1,000 rows span more at its r.
-# lra reads a CSV file in chunks of 4 x per_tile(3) = 16 rows at 12-entry
-# tiles, so 40 rows take three.
+# CLI releases, one a row: the command, its input format and rows (3
+# columns each), the usable CPUs, and the walk and CSV reader its plan
+# picks. At r = 74, multiply's walk tiles are 442 columns, so 1,000 rows
+# span three and 884 two; regress's 1,000 rows span more at its r. lra
+# reads a CSV file in chunks of 4 x per_tile(3) = 16 rows at 12-entry
+# tiles, so 40 rows take three. The split multiply release and the forked
+# lra one each have a test of their own, which runs the same checks.
+SPLIT_MULTIPLY = ("multiply", "dpmt", 1000, 2, "two-thread", "serial")
+FORKED_LRA = ("lra", "csv", 40, 2, "serial", "forked")
 RELEASES = [
-    pytest.param("multiply", "dpmt", 1000, 2, "two-thread", "serial", id="multiply"),
     pytest.param("regress", "dpmt", 1000, 2, "two-thread", "serial", id="regress"),
-    pytest.param("lra", "csv", 40, 2, "serial", "forked", id="lra-csv", marks=_FORKS),
     pytest.param("multiply", "dpmt", 1000, 4, "serial", "serial", id="4-cpus"),
     pytest.param("multiply", "dpmt", 1000, 1, "serial", "serial", id="1-cpu"),
     pytest.param("multiply", "dpmt", 884, 2, "serial", "serial", id="two-half-tiles"),
@@ -524,99 +529,109 @@ FAILURES = [
 ]
 
 
+@pytest.fixture
+def release(tmp_path, monkeypatch):
+    """release(command, fmt, rows, cpus, bad_row=None) runs an --oracle
+    CLI release on ``cpus`` usable CPUs, BLAS entry points at 3 threads:
+    its exit code, its execution record (None if it failed) and what it
+    did. ``seen`` holds the entry points' count and the counts set, the
+    (BLAS count, thread) of each tile and (BLAS count, split walks) of
+    each scoring, each fork's chunk rows and the blocks received."""
+    seen = _fake_blas(monkeypatch, 3)
+    seen.update(tiles=set(), scoring=[], forks=[], received=0)
+    original_tile, original_fork = sketch._tile, os.fork
+    original_reader, original_take = cli._forked_csv_chunks, cli._ForkShare.take
+
+    def tile(*args):
+        seen["tiles"].add((seen["threads"], threading.current_thread().name))
+        return original_tile(*args)
+
+    def scoring(errors):
+        def scored(*args):
+            seen["scoring"].append((seen["threads"], sketch._split_walks.get()))
+            return errors(*args)
+
+        return scored
+
+    def reader(path, step, *probe_and_record):
+        seen["chunk_rows"] = step
+        return original_reader(path, step, *probe_and_record)
+
+    def fork():
+        pid = original_fork()
+        if pid:
+            seen["forks"].append(seen["chunk_rows"])
+        return pid
+
+    def take(*args):
+        got = original_take(*args)
+        seen["received"] += got is not None
+        return got
+
+    monkeypatch.setattr(sketch, "_tile", tile)
+    for name in ("lra_errors", "matprod_errors", "regress_errors"):
+        monkeypatch.setattr(harness, name, scoring(getattr(harness, name)))
+    monkeypatch.setattr(cli, "_forked_csv_chunks", reader)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    monkeypatch.setattr(cli._ForkShare, "take", take)
+
+    def run(command, fmt, rows, cpus, bad_row=None):
+        monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
+        report = tmp_path / "r.json"
+        if fmt == "csv":
+            monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+            m = np.random.default_rng(rows).standard_normal((rows, 3))
+            if bad_row is not None:
+                m[bad_row] = np.nan
+            paths = [write_csv(tmp_path / "a.csv", m)]
+        else:
+            paths = _write_pair(tmp_path, rows, 3, bad_row)
+        argv = (lra_argv(paths[0], report, oracle=True) if command == "lra"
+                else _multiply_argv(paths, report, oracle=True, command=command))
+        code = cli.main(argv)
+        return code, json.loads(report.read_text())["execution"] if code == 0 else None, seen
+
+    return run
+
+
+def _runs_its_plan(release, command, fmt, rows, cpus, walk, reader):
+    """Runs one row with --oracle and checks what it did against its plan."""
+    code, execution, seen = release(command, fmt, rows, cpus)
+    assert code == 0
+    split, forked = walk == "two-thread", reader == "forked"
+    # Tiles at the count the plan sets, on the threads it walks on;
+    # scoring at the count given back, with walks serial again.
+    threads = {threading.current_thread().name} | ({HELPER} if split else set())
+    assert seen["tiles"] == {(1 if split or forked else 3, name) for name in threads}
+    assert seen["scoring"] == [(3, False)]
+    assert seen["set"] == ([1, 3] if split or forked else []) and seen["threads"] == 3
+    assert sketch._split_walks.get() is False
+    assert seen["forks"] == ([16] if forked else [])
+    assert execution["usable_cpus"] == cpus
+    assert _record_is_true(execution, seen)
+    # Negative controls: the record with its walk forged the other way
+    # is false, and so is one that counts a block more from the parser.
+    forged = "serial" if split else "two-thread"
+    assert not _record_is_true(dict(execution, walk=forged), seen)
+    forged = execution["parser_chunks"] + 1
+    assert not _record_is_true(dict(execution, parser_chunks=forged), seen)
+
+
 class TestReleaseScope:
     """The table of CLI releases. On 2 CPUs a release whose plan splits its
-    walks (multiply, regress) or forks its CSV reader (lra) runs with BLAS
-    on one thread, and walks on two or beside a forked parser; it gives
-    BLAS its count back, failed or not, and --oracle scoring runs outside.
-    Every other release changes nothing. Each execution record says what
-    ran. Which releases split or fork is the plan's (TestSelection)."""
+    walks (multiply, regress) or forks its CSV reader (lra, in
+    TestCsvReleaseScope) runs with BLAS on one thread, and walks on two or
+    beside a forked parser; it gives BLAS its count back, failed or not,
+    and --oracle scoring runs outside. Every other release changes nothing.
+    Each execution record says what ran. Which releases split or fork is
+    the plan's (TestSelection)."""
 
-    @pytest.fixture
-    def release(self, tmp_path, monkeypatch):
-        """release(command, fmt, rows, cpus, bad_row=None) runs an --oracle
-        CLI release on ``cpus`` usable CPUs, BLAS entry points at 3 threads:
-        its exit code, its execution record (None if it failed) and what it
-        did. ``seen`` holds the entry points' count and the counts set, the
-        (BLAS count, thread) of each tile and (BLAS count, split walks) of
-        each scoring, each fork's chunk rows and the blocks received."""
-        seen = _fake_blas(monkeypatch, 3)
-        seen.update(tiles=set(), scoring=[], forks=[], received=0)
-        original_tile, original_fork = sketch._tile, os.fork
-        original_reader, original_take = cli._forked_csv_chunks, cli._ForkShare.take
-
-        def tile(*args):
-            seen["tiles"].add((seen["threads"], threading.current_thread().name))
-            return original_tile(*args)
-
-        def scoring(errors):
-            def scored(*args):
-                seen["scoring"].append((seen["threads"], sketch._split_walks.get()))
-                return errors(*args)
-
-            return scored
-
-        def reader(path, step, *probe_and_record):
-            seen["chunk_rows"] = step
-            return original_reader(path, step, *probe_and_record)
-
-        def fork():
-            pid = original_fork()
-            if pid:
-                seen["forks"].append(seen["chunk_rows"])
-            return pid
-
-        def take(*args):
-            got = original_take(*args)
-            seen["received"] += got is not None
-            return got
-
-        monkeypatch.setattr(sketch, "_tile", tile)
-        for name in ("lra_errors", "matprod_errors", "regress_errors"):
-            monkeypatch.setattr(harness, name, scoring(getattr(harness, name)))
-        monkeypatch.setattr(cli, "_forked_csv_chunks", reader)
-        monkeypatch.setattr(os, "fork", fork, raising=False)
-        monkeypatch.setattr(cli._ForkShare, "take", take)
-
-        def run(command, fmt, rows, cpus, bad_row=None):
-            monkeypatch.setattr(sketch, "_usable_cpus", lambda: cpus)
-            report = tmp_path / "r.json"
-            if fmt == "csv":
-                monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
-                m = np.random.default_rng(rows).standard_normal((rows, 3))
-                if bad_row is not None:
-                    m[bad_row] = np.nan
-                paths = [write_csv(tmp_path / "a.csv", m)]
-            else:
-                paths = _write_pair(tmp_path, rows, 3, bad_row)
-            argv = (lra_argv(paths[0], report, oracle=True) if command == "lra"
-                    else _multiply_argv(paths, report, oracle=True, command=command))
-            code = cli.main(argv)
-            return code, json.loads(report.read_text())["execution"] if code == 0 else None, seen
-
-        return run
+    def test_a_release_runs_on_one_thread_and_restores_the_count(self, release):
+        _runs_its_plan(release, *SPLIT_MULTIPLY)
 
     @pytest.mark.parametrize("command, fmt, rows, cpus, walk, reader", RELEASES)
     def test_a_release_runs_its_plan(self, release, command, fmt, rows, cpus, walk, reader):
-        code, execution, seen = release(command, fmt, rows, cpus)
-        assert code == 0
-        split, forked = walk == "two-thread", reader == "forked"
-        # Tiles at the count the plan sets, on the threads it walks on;
-        # scoring at the count given back, with walks serial again.
-        threads = {threading.current_thread().name} | ({HELPER} if split else set())
-        assert seen["tiles"] == {(1 if split or forked else 3, name) for name in threads}
-        assert seen["scoring"] == [(3, False)]
-        assert seen["set"] == ([1, 3] if split or forked else []) and seen["threads"] == 3
-        assert sketch._split_walks.get() is False
-        assert seen["forks"] == ([16] if forked else [])
-        assert execution["usable_cpus"] == cpus
-        assert _record_is_true(execution, seen)
-        # Negative controls: the record with its walk forged the other way
-        # is false, and so is one that counts a block more from the parser.
-        forged = "serial" if split else "two-thread"
-        assert not _record_is_true(dict(execution, walk=forged), seen)
-        forged = execution["parser_chunks"] + 1
-        assert not _record_is_true(dict(execution, parser_chunks=forged), seen)
+        _runs_its_plan(release, command, fmt, rows, cpus, walk, reader)
 
     @pytest.mark.parametrize("command, fmt, rows, bad_row, message", FAILURES)
     def test_a_failed_release_gives_the_count_back(self, release, capsys, command, fmt, rows,
@@ -693,6 +708,87 @@ class TestReleaseScope:
         assert cli.main(_multiply_argv(paths, tmp_path / "r.json")) == 1
         assert fns[0]() == before
 
+
+@pytest.fixture
+def two_cpus():
+    """The process on two of its CPUs, where it has two or more."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(mask)[:2])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+@_FORKS
+class TestCsvReleaseScope:
+    """On 2 CPUs a CLI lra release whose plan forks its CSV reader runs
+    with BLAS on one thread while it and a forked child each parse the
+    chunks they claim, and gives BLAS back its count afterwards; its walk
+    stays serial and the --oracle scoring runs outside. Its failed release
+    is a row of TestReleaseScope's FAILURES."""
+
+    def test_a_release_runs_on_one_thread_and_restores_the_count(self, release):
+        _runs_its_plan(release, *FORKED_LRA)
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestExecutionRecord:
+    """The execution record of a release of each command says what ran, in
+    this process as it is: on two of its CPUs where it has two, with the
+    real BLAS entry points. The walk is checked by the threads that
+    generated its tiles, the CSV reader by the children it forked, the BLAS
+    count by the count its tiles ran at, and the chunks its parser supplied
+    by the blocks the release received. TestReleaseScope checks the same
+    record of each plan on faked CPUs and BLAS counts."""
+
+    @pytest.mark.parametrize("command", ["lra", "multiply", "regress"])
+    def test_the_record_says_what_ran(self, tmp_path, monkeypatch, command):
+        fns = sketch._blas_thread_fns()
+        seen = {"tiles": set(), "forks": [], "received": 0}
+        original_tile, original_fork, original_take = sketch._tile, os.fork, cli._ForkShare.take
+
+        def tile(*args):
+            seen["tiles"].add((fns[0]() if fns else None, threading.current_thread().name))
+            return original_tile(*args)
+
+        def fork():
+            pid = original_fork()
+            if pid:
+                seen["forks"].append(pid)
+            return pid
+
+        def take(*args):
+            got = original_take(*args)
+            seen["received"] += got is not None
+            return got
+
+        monkeypatch.setattr(sketch, "_tile", tile)
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        monkeypatch.setattr(cli._ForkShare, "take", take)
+        report = tmp_path / "r.json"
+        if command == "lra":
+            # Chunks of 4 x per_tile(3) = 16 rows, so the 40 rows take three.
+            monkeypatch.setattr(sketch, "TILE_ENTRIES", 12)
+            m = np.random.default_rng(40).standard_normal((40, 3))
+            argv = lra_argv(write_csv(tmp_path / "a.csv", m), report)
+        else:
+            # 1,000 rows span three walk tiles or more at either r.
+            argv = _multiply_argv(_write_pair(tmp_path, 1000, 3), report, command=command)
+        assert cli.main(argv) == 0
+        execution = json.loads(report.read_text())["execution"]
+        assert execution["usable_cpus"] == sketch._usable_cpus()
+        assert _record_is_true(execution, seen)
+        # Negative controls: the record with its walk forged the other way
+        # is false, and so is one that counts a block more from the parser.
+        forged = "serial" if execution["walk"] == "two-thread" else "two-thread"
+        assert not _record_is_true(dict(execution, walk=forged), seen)
+        forged = execution["parser_chunks"] + 1
+        assert not _record_is_true(dict(execution, parser_chunks=forged), seen)
+
     def test_a_helper_that_cannot_start_leaves_a_serial_release(self, tmp_path, monkeypatch):
         # A regress release whose plan splits its walks, where no thread can
         # start: it exits 0 with the serial release's bytes, and its record
@@ -716,20 +812,6 @@ class TestReleaseScope:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert release(2, "refused") == serial == ("serial", serial[1])
         assert sketch._split_walks.get() is False
-
-
-@pytest.fixture
-def two_cpus():
-    """The process on two of its CPUs, where it has two or more."""
-    if not hasattr(os, "sched_setaffinity"):
-        yield
-        return
-    mask = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, sorted(mask)[:2])
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, mask)
 
 
 def _full_tile_walk(sk, j0, j1):
